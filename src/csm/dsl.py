@@ -24,18 +24,18 @@ from __future__ import annotations
 import bisect
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, has_errors
 from .model import (
     ClassDef,
     Model,
     Privilege,
-    ProcessDef,
-    ProcessPrivilege,
     StatusPoint,
-    Transform,
     TransformMode,
+    _Draft,
+    _ProcessItem,
+    _resolve,
     canonicalize,
     privilege_sort_key,
     status_point_sort_key,
@@ -109,32 +109,6 @@ def _lex(source: str) -> list[_Token]:
     eol_line, eol_col = at(n)
     tokens.append(_Token("eof", "", eol_line, eol_col))
     return tokens
-
-
-@dataclass
-class _ProcessItem:
-    name: str
-    span: SourceSpan
-    owners: list[tuple[str, SourceSpan]] = field(default_factory=list)
-    responsibles: list[tuple[str, SourceSpan]] = field(default_factory=list)
-    inputs: list[tuple[str, SourceSpan]] = field(default_factory=list)
-    outputs: list[tuple[str, SourceSpan]] = field(default_factory=list)
-    transforms: list[tuple[str, str, TransformMode, SourceSpan]] = field(
-        default_factory=list
-    )
-
-
-@dataclass
-class _Draft:
-    """Raw declarations plus spans, before name resolution."""
-
-    name: str = ""
-    roles: list[tuple[str, SourceSpan]] = field(default_factory=list)
-    classes: list[tuple[ClassDef, SourceSpan]] = field(default_factory=list)
-    processes: list[_ProcessItem] = field(default_factory=list)
-    grants: list[tuple[str, str, frozenset[Privilege], SourceSpan]] = field(
-        default_factory=list
-    )
 
 
 class _Recover(Exception):
@@ -386,141 +360,6 @@ class _Parser:
         )
 
 
-def _resolve(draft: _Draft, file_label: str) -> tuple[Model | None, list[Diagnostic]]:
-    """Name resolution and duplicate checks over a parsed draft."""
-    diags: list[Diagnostic] = []
-
-    def err(code: str, site: str, message: str, span: SourceSpan | None) -> None:
-        diags.append(
-            Diagnostic(code=code, severity=Severity.ERROR, site=site, message=message, span=span)
-        )
-
-    roles: list[str] = []
-    for name, span in draft.roles:
-        if name in roles:
-            err("E-DUP", f"role={name}", f"role {name!r} declared twice", span)
-        else:
-            roles.append(name)
-
-    classes: list[ClassDef] = []
-    class_names: set[str] = set()
-    for cdef, span in draft.classes:
-        if cdef.name in class_names:
-            err("E-DUP", f"class={cdef.name}", f"class {cdef.name!r} declared twice", span)
-        else:
-            class_names.add(cdef.name)
-            classes.append(cdef)
-
-    processes: list[ProcessDef] = []
-    proc_names: set[str] = set()
-    for proc in draft.processes:
-        if proc.name in proc_names:
-            err(
-                "E-DUP",
-                f"process={proc.name}",
-                f"process {proc.name!r} declared twice",
-                proc.span,
-            )
-            continue
-        proc_names.add(proc.name)
-        role_privileges: dict[str, ProcessPrivilege] = {}
-        for entries, priv in (
-            (proc.owners, ProcessPrivilege.OWNER),
-            (proc.responsibles, ProcessPrivilege.RESPONSIBILITY),
-        ):
-            for rname, span in entries:
-                if rname not in roles:
-                    err(
-                        "E-REF",
-                        f"process={proc.name} role={rname}",
-                        f"role {rname!r} is not declared",
-                        span,
-                    )
-                elif rname in role_privileges:
-                    err(
-                        "E-DUP",
-                        f"process={proc.name} role={rname}",
-                        f"role {rname!r} already holds a privilege on this process",
-                        span,
-                    )
-                else:
-                    role_privileges[rname] = priv
-        inputs: list[str] = []
-        outputs: list[str] = []
-        for entries, target in ((proc.inputs, inputs), (proc.outputs, outputs)):
-            for cname, span in entries:
-                if cname not in class_names:
-                    err(
-                        "E-REF",
-                        f"process={proc.name} class={cname}",
-                        f"class {cname!r} is not declared",
-                        span,
-                    )
-                elif cname not in target:
-                    target.append(cname)
-        transforms: list[Transform] = []
-        for src, dst, mode, span in proc.transforms:
-            site = f"process={proc.name} transform={src}->{dst}"
-            if src == dst:
-                err("E-TRF-END", site, "a transform may not map a class to itself", span)
-                continue
-            ok = True
-            if src not in inputs:
-                err(
-                    "E-TRF-END",
-                    site,
-                    f"transform source {src!r} is not an input of the process",
-                    span,
-                )
-                ok = False
-            if dst not in outputs:
-                err(
-                    "E-TRF-END",
-                    site,
-                    f"transform target {dst!r} is not an output of the process",
-                    span,
-                )
-                ok = False
-            if ok:
-                transforms.append(Transform(src, dst, mode))
-        processes.append(
-            ProcessDef(
-                name=proc.name,
-                inputs=tuple(inputs),
-                outputs=tuple(outputs),
-                transforms=tuple(transforms),
-                role_privileges=role_privileges,
-            )
-        )
-
-    grants: dict[tuple[str, str], frozenset[Privilege]] = {}
-    for role, class_name, privs, span in draft.grants:
-        site = f"grant role={role} class={class_name}"
-        if role not in roles:
-            err("E-REF", site, f"role {role!r} is not declared", span)
-            continue
-        if class_name not in class_names:
-            err("E-REF", site, f"class {class_name!r} is not declared", span)
-            continue
-        if (role, class_name) in grants:
-            err("E-DUP", site, "grant declared twice for this role and class", span)
-            continue
-        grants[(role, class_name)] = privs
-
-    if diags:
-        return None, diags
-    model = canonicalize(
-        Model(
-            name=draft.name,
-            roles=tuple(roles),
-            classes=tuple(classes),
-            processes=tuple(processes),
-            class_grants=grants,
-        )
-    )
-    return model, diags
-
-
 def parse_text(source: str, file_label: str = "<string>") -> ParseResult:
     """Parse model source text; recover at item boundaries on errors."""
     parser = _Parser(_lex(source), file_label)
@@ -528,7 +367,7 @@ def parse_text(source: str, file_label: str = "<string>") -> ParseResult:
     diagnostics = list(parser.diagnostics)
     model: Model | None = None
     if draft is not None:
-        model, semantic = _resolve(draft, file_label)
+        model, semantic = _resolve(draft)
         diagnostics.extend(semantic)
     diagnostics.sort(
         key=lambda d: (d.span.line, d.span.column) if d.span else (0, 0)
@@ -764,7 +603,7 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
 
     if diags:
         return ParseResult(None, diags)
-    model, semantic = _resolve(draft, file_label)
+    model, semantic = _resolve(draft)
     diags.extend(semantic)
     if has_errors(diags):
         model = None

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
+
+from .diagnostics import Diagnostic, Severity, SourceSpan
 
 
 class ModelError(Exception):
@@ -20,11 +22,6 @@ class ModelError(Exception):
 
 class UnresolvedReference(ModelError):
     """A name is used but never declared."""
-
-    def __init__(self, name: str, site: str) -> None:
-        super().__init__(f"undeclared name {name!r} at {site}")
-        self.name = name
-        self.site = site
 
 
 class DuplicateName(ModelError):
@@ -250,89 +247,208 @@ class Model:
         return self.process_def(process).role_privileges.get(role)
 
 
-def _ensure_unique(names: Iterable[str], kind: str) -> None:
-    seen: set[str] = set()
-    for n in names:
-        if n in seen:
-            raise DuplicateName(f"duplicate {kind} {n!r}")
-        seen.add(n)
+@dataclass
+class _ProcessItem:
+    """One process declaration before name resolution."""
+
+    name: str
+    span: SourceSpan | None = None
+    owners: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
+    responsibles: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
+    inputs: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
+    outputs: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
+    transforms: list[tuple[str, str, TransformMode, SourceSpan | None]] = field(
+        default_factory=list
+    )
+
+
+@dataclass
+class _Draft:
+    """Raw declarations, before name resolution.
+
+    Spans point into the source text; they are ``None`` for declarations
+    that come from JSON or from a ``Model`` built in Python.
+    """
+
+    name: str = ""
+    roles: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
+    classes: list[tuple[ClassDef, SourceSpan | None]] = field(default_factory=list)
+    processes: list[_ProcessItem] = field(default_factory=list)
+    grants: list[tuple[str, str, frozenset[Privilege], SourceSpan | None]] = field(
+        default_factory=list
+    )
+
+
+def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
+    """Name resolution and duplicate checks over a draft.
+
+    Returns the canonical model when no check fails, else ``None`` and one
+    error diagnostic (E-DUP, E-REF or E-TRF-END) per failed check.
+    """
+    diags: list[Diagnostic] = []
+
+    def err(code: str, site: str, message: str, span: SourceSpan | None) -> None:
+        diags.append(
+            Diagnostic(code=code, severity=Severity.ERROR, site=site, message=message, span=span)
+        )
+
+    roles: set[str] = set()
+    for name, span in draft.roles:
+        if name in roles:
+            err("E-DUP", f"role={name}", f"role {name!r} declared twice", span)
+        else:
+            roles.add(name)
+
+    classes: dict[str, ClassDef] = {}
+    for cdef, span in draft.classes:
+        if cdef.name in classes:
+            err("E-DUP", f"class={cdef.name}", f"class {cdef.name!r} declared twice", span)
+        else:
+            classes[cdef.name] = cdef
+
+    processes: dict[str, ProcessDef] = {}
+    for proc in draft.processes:
+        if proc.name in processes:
+            err(
+                "E-DUP",
+                f"process={proc.name}",
+                f"process {proc.name!r} declared twice",
+                proc.span,
+            )
+            continue
+        role_privileges: dict[str, ProcessPrivilege] = {}
+        for entries, priv in (
+            (proc.owners, ProcessPrivilege.OWNER),
+            (proc.responsibles, ProcessPrivilege.RESPONSIBILITY),
+        ):
+            for rname, span in entries:
+                if rname not in roles:
+                    err(
+                        "E-REF",
+                        f"process={proc.name} role={rname}",
+                        f"role {rname!r} is not declared",
+                        span,
+                    )
+                elif rname in role_privileges:
+                    err(
+                        "E-DUP",
+                        f"process={proc.name} role={rname}",
+                        f"role {rname!r} already holds a privilege on this process",
+                        span,
+                    )
+                else:
+                    role_privileges[rname] = priv
+        inputs: set[str] = set()
+        outputs: set[str] = set()
+        for entries, target in ((proc.inputs, inputs), (proc.outputs, outputs)):
+            for cname, span in entries:
+                if cname not in classes:
+                    err(
+                        "E-REF",
+                        f"process={proc.name} class={cname}",
+                        f"class {cname!r} is not declared",
+                        span,
+                    )
+                else:
+                    target.add(cname)
+        transforms: set[Transform] = set()
+        for src, dst, mode, span in proc.transforms:
+            site = f"process={proc.name} transform={src}->{dst}"
+            if src == dst:
+                err("E-TRF-END", site, "a transform may not map a class to itself", span)
+                continue
+            ok = True
+            if src not in inputs:
+                err(
+                    "E-TRF-END",
+                    site,
+                    f"transform source {src!r} is not an input of the process",
+                    span,
+                )
+                ok = False
+            if dst not in outputs:
+                err(
+                    "E-TRF-END",
+                    site,
+                    f"transform target {dst!r} is not an output of the process",
+                    span,
+                )
+                ok = False
+            if ok:
+                transforms.add(Transform(src, dst, mode))
+        processes[proc.name] = ProcessDef(
+            name=proc.name,
+            inputs=tuple(sorted(inputs)),
+            outputs=tuple(sorted(outputs)),
+            transforms=tuple(
+                sorted(transforms, key=lambda t: (t.source, t.target, t.mode.value))
+            ),
+            role_privileges={r: role_privileges[r] for r in sorted(role_privileges)},
+        )
+
+    grants: dict[tuple[str, str], frozenset[Privilege]] = {}
+    for role, class_name, privs, span in draft.grants:
+        site = f"grant role={role} class={class_name}"
+        if role not in roles:
+            err("E-REF", site, f"role {role!r} is not declared", span)
+        elif class_name not in classes:
+            err("E-REF", site, f"class {class_name!r} is not declared", span)
+        elif (role, class_name) in grants:
+            err("E-DUP", site, "grant declared twice for this role and class", span)
+        else:
+            grants[(role, class_name)] = privs
+
+    if diags:
+        return None, diags
+    model = Model(
+        name=draft.name,
+        roles=tuple(sorted(roles)),
+        classes=tuple(classes[n] for n in sorted(classes)),
+        processes=tuple(processes[n] for n in sorted(processes)),
+        class_grants={key: grants[key] for key in sorted(grants) if grants[key]},
+    )
+    return model, diags
+
+
+_ERROR_BY_CODE = {
+    "E-DUP": DuplicateName,
+    "E-REF": UnresolvedReference,
+    "E-TRF-END": InvalidTransform,
+}
 
 
 def canonicalize(model: Model) -> Model:
     """Return the canonical form of ``model``.
 
     Members are sorted lexicographically by name, empty grants are dropped,
-    and every reference is checked against the declarations. Idempotent;
-    two models are equal exactly when their canonical forms are equal.
+    and every reference is checked against the declarations by the same
+    resolution pass that text and JSON parsing use. The first failed check
+    is raised as ``DuplicateName``, ``UnresolvedReference`` or
+    ``InvalidTransform``. Idempotent; two models are equal exactly when
+    their canonical forms are equal.
     """
-    _ensure_unique(model.roles, "role")
-    _ensure_unique((c.name for c in model.classes), "class")
-    _ensure_unique((p.name for p in model.processes), "process")
-
-    role_set = set(model.roles)
-    class_set = {c.name for c in model.classes}
-
-    processes = []
-    for p in sorted(model.processes, key=lambda p: p.name):
-        site = f"process {p.name}"
-        for r in p.role_privileges:
-            if r not in role_set:
-                raise UnresolvedReference(r, site)
-        for c in (*p.inputs, *p.outputs):
-            if c not in class_set:
-                raise UnresolvedReference(c, site)
-        inputs = set(p.inputs)
-        outputs = set(p.outputs)
-        for t in p.transforms:
-            for end in (t.source, t.target):
-                if end not in class_set:
-                    raise UnresolvedReference(end, site)
-            if t.source == t.target:
-                raise InvalidTransform(
-                    f"{site}: transform may not map {t.source!r} to itself"
-                )
-            if t.source not in inputs:
-                raise InvalidTransform(
-                    f"{site}: transform source {t.source!r} is not an input"
-                )
-            if t.target not in outputs:
-                raise InvalidTransform(
-                    f"{site}: transform target {t.target!r} is not an output"
-                )
-        processes.append(
-            ProcessDef(
-                name=p.name,
-                inputs=tuple(sorted(inputs)),
-                outputs=tuple(sorted(outputs)),
-                transforms=tuple(
-                    sorted(
-                        set(p.transforms),
-                        key=lambda t: (t.source, t.target, t.mode.value),
-                    )
-                ),
-                role_privileges={
-                    r: p.role_privileges[r] for r in sorted(p.role_privileges)
-                },
-            )
-        )
-
-    grants: dict[tuple[str, str], frozenset[Privilege]] = {}
-    for (role, class_name) in sorted(model.class_grants):
-        privs = model.class_grants[(role, class_name)]
-        if role not in role_set:
-            raise UnresolvedReference(role, f"grant {role} on {class_name}")
-        if class_name not in class_set:
-            raise UnresolvedReference(class_name, f"grant {role} on {class_name}")
-        if privs:
-            grants[(role, class_name)] = frozenset(privs)
-
-    return Model(
+    draft = _Draft(
         name=model.name,
-        roles=tuple(sorted(model.roles)),
-        classes=tuple(sorted(model.classes, key=lambda c: c.name)),
-        processes=tuple(processes),
-        class_grants=grants,
+        roles=[(r, None) for r in model.roles],
+        classes=[(c, None) for c in model.classes],
+        processes=[
+            _ProcessItem(
+                name=p.name,
+                owners=[(r, None) for r in p.owners],
+                responsibles=[(r, None) for r in p.responsibles],
+                inputs=[(c, None) for c in p.inputs],
+                outputs=[(c, None) for c in p.outputs],
+                transforms=[(t.source, t.target, t.mode, None) for t in p.transforms],
+            )
+            for p in model.processes
+        ],
+        grants=[(r, c, privs, None) for (r, c), privs in model.class_grants.items()],
     )
+    canonical, diags = _resolve(draft)
+    if diags:
+        first = diags[0]
+        raise _ERROR_BY_CODE[first.code](f"{first.site}: {first.message}")
+    return canonical
 
 
 def input_classes(model: Model, process: str) -> frozenset[str]:
