@@ -20,7 +20,6 @@ from .model import (
     ClassDef,
     Model,
     ModelError,
-    PrivilegeSet,
     Privilege,
     ProcessDef,
     ProcessPrivilege,
@@ -29,8 +28,6 @@ from .model import (
     Transform,
     TransformMode,
     canonicalize,
-    input_classes,
-    output_classes,
     shared_classes,
     shared_processes,
 )

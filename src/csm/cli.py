@@ -82,9 +82,44 @@ def _load_script(path: str) -> list[tuple[str, str]]:
     return script
 
 
+_QUERY_OPERANDS = {"co_occurrence": ("classes",), "sequence": ("first", "then")}
+
+
+def _load_queries(path: str, model: Model) -> list[dict]:
+    """Query documents whose keys, value types and names all check out."""
+    doc = _load_json(path, "query")
+    if not isinstance(doc, list):
+        raise _CliError(f"query file {path} must be a JSON array", 2)
+    for query in doc:
+        kind = query.get("type") if isinstance(query, dict) else None
+        if kind not in _QUERY_OPERANDS:
+            raise _CliError(
+                f"query type must be 'co_occurrence' or 'sequence': {query!r}", 2
+            )
+        keys = {"type", *_QUERY_OPERANDS[kind]}
+        if set(query) != keys:
+            raise _CliError(
+                f"{kind} query needs exactly the keys {', '.join(sorted(keys))}: {query!r}",
+                2,
+            )
+        if kind == "co_occurrence":
+            names, what, declared = query["classes"], "class", model.class_names
+            if not (isinstance(names, list) and len(names) == 2):
+                raise _CliError(f"'classes' must be an array of two class names: {query!r}", 2)
+        else:
+            names, what, declared = [query["first"], query["then"]], "process", model.process_names
+        for name in names:
+            if not (isinstance(name, str) and name in declared):
+                raise _CliError(f"query names no declared {what}: {name!r}", 2)
+    return doc
+
+
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot write {out_path}: {exc}", 2) from exc
     else:
         sys.stdout.write(text)
 
@@ -129,12 +164,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
     seed = _load_seed(args.seed)
-    queries = []
-    if args.query:
-        doc = _load_json(args.query, "query")
-        if not isinstance(doc, list):
-            raise _CliError(f"query file {args.query} must be a JSON array", 2)
-        queries = doc
+    queries = _load_queries(args.query, model) if args.query else []
     try:
         summary = simulator.explore(
             model, seed, max_steps=args.max_steps, max_objects=args.max_objects,

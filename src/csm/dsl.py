@@ -65,7 +65,9 @@ class _Token:
     column: int
 
 
-_TOKEN_RE = re.compile(r'"[^"\n]*"|[A-Za-z][A-Za-z0-9_]*|->|[{}+,]')
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
+_TOKEN_RE = re.compile(rf'"[^"\n]*"|{_IDENT}|->|[{{}}+,]')
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _WS_RE = re.compile(r"\s+")
 
@@ -470,7 +472,11 @@ def _json_error(message: str, site: str = "document") -> Diagnostic:
 
 
 def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
-    """Parse the JSON interchange form into a canonical model."""
+    """Parse the JSON interchange form into a canonical model.
+
+    Names follow the text grammar: role, class and process names are
+    identifiers, and the model name is a string the text form can quote.
+    """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -484,10 +490,28 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
     diags: list[Diagnostic] = []
 
     def need(obj: dict, key: str, site: str):
-        if not isinstance(obj, dict) or key not in obj:
+        if not isinstance(obj, dict) or obj.get(key) is None:
             diags.append(_json_error(f"missing required key {key!r}", site))
             return None
         return obj[key]
+
+    def array(obj: dict, key: str, site: str, required: bool = False) -> list:
+        """The array under ``key``; ``[]`` when absent or not an array."""
+        if key not in obj:
+            if required:
+                diags.append(_json_error(f"missing required key {key!r}", site))
+            return []
+        value = obj[key]
+        if not isinstance(value, list):
+            diags.append(_json_error(f"{key!r} must be an array", site))
+            return []
+        return value
+
+    def identifier(name, kind: str, site: str) -> bool:
+        if isinstance(name, str) and _IDENT_RE.fullmatch(name):
+            return True
+        diags.append(_json_error(f"{kind} name must be an identifier, got {name!r}", site))
+        return False
 
     if not isinstance(doc, dict):
         return ParseResult(None, [_json_error("top-level value must be an object")])
@@ -496,75 +520,56 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
     if name is not None and not isinstance(name, str):
         diags.append(_json_error("'name' must be a string"))
         name = None
+    elif name is not None and any(ch in name for ch in '"#\n'):
+        diags.append(_json_error("'name' may not contain '\"', '#' or a line break"))
 
     draft = _Draft(name=name or "")
 
-    roles = need(doc, "roles", "document") or []
-    if not isinstance(roles, list):
-        diags.append(_json_error("'roles' must be an array"))
-        roles = []
-    for r in roles:
-        if isinstance(r, str):
-            draft.roles.append((r, None))  # type: ignore[arg-type]
-        else:
-            diags.append(_json_error("role entries must be strings", "roles"))
+    for r in array(doc, "roles", "document", required=True):
+        if identifier(r, "role", "roles"):
+            draft.roles.append((r, None))
 
-    classes = need(doc, "classes", "document") or []
-    if not isinstance(classes, list):
-        diags.append(_json_error("'classes' must be an array"))
-        classes = []
-    for entry in classes:
-        site = "classes"
-        cname = need(entry, "name", site)
-        if not isinstance(cname, str):
+    for entry in array(doc, "classes", "document", required=True):
+        cname = need(entry, "name", "classes")
+        if cname is None or not identifier(cname, "class", "classes"):
             continue
+        site = f"class={cname}"
+        dynamic = entry.get("dynamic", False)
+        if not isinstance(dynamic, bool):
+            diags.append(_json_error("'dynamic' must be true or false", site))
         points: set[StatusPoint] = set()
-        for pt in entry.get("status_points", []):
+        for pt in array(entry, "status_points", site):
             try:
                 points.add(StatusPoint(pt))
             except (ValueError, TypeError):
-                diags.append(_json_error(f"unknown status point {pt!r}", f"class={cname}"))
+                diags.append(_json_error(f"unknown status point {pt!r}", site))
         draft.classes.append(
-            (
-                ClassDef(
-                    cname,
-                    dynamic=bool(entry.get("dynamic", False)),
-                    status_points=frozenset(points),
-                ),
-                None,  # type: ignore[arg-type]
-            )
+            (ClassDef(cname, dynamic=dynamic, status_points=frozenset(points)), None)
         )
 
-    processes = need(doc, "processes", "document") or []
-    if not isinstance(processes, list):
-        diags.append(_json_error("'processes' must be an array"))
-        processes = []
-    for entry in processes:
+    for entry in array(doc, "processes", "document", required=True):
         pname = need(entry, "name", "processes")
-        if not isinstance(pname, str):
+        if pname is None or not identifier(pname, "process", "processes"):
             continue
-        proc = _ProcessItem(name=pname, span=None)  # type: ignore[arg-type]
+        site = f"process={pname}"
+        proc = _ProcessItem(name=pname)
         for key, target in (
             ("owners", proc.owners),
             ("responsibles", proc.responsibles),
             ("inputs", proc.inputs),
             ("outputs", proc.outputs),
         ):
-            for v in entry.get(key, []):
+            for v in array(entry, key, site):
                 if isinstance(v, str):
-                    target.append((v, None))  # type: ignore[arg-type]
+                    target.append((v, None))
                 else:
-                    diags.append(
-                        _json_error(f"'{key}' entries must be strings", f"process={pname}")
-                    )
-        for t in entry.get("transforms", []):
+                    diags.append(_json_error(f"'{key}' entries must be strings", site))
+        for t in array(entry, "transforms", site):
             src = t.get("from") if isinstance(t, dict) else None
             dst = t.get("to") if isinstance(t, dict) else None
             mode = t.get("mode") if isinstance(t, dict) else None
             if not (isinstance(src, str) and isinstance(dst, str)):
-                diags.append(
-                    _json_error("transform needs 'from' and 'to' strings", f"process={pname}")
-                )
+                diags.append(_json_error("transform needs 'from' and 'to' strings", site))
                 continue
             try:
                 tmode = TransformMode(mode)
@@ -572,39 +577,31 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
                 diags.append(
                     _json_error(
                         f"transform mode must be 'remaining' or 'leaving', got {mode!r}",
-                        f"process={pname}",
+                        site,
                     )
                 )
                 continue
-            proc.transforms.append((src, dst, tmode, None))  # type: ignore[arg-type]
+            proc.transforms.append((src, dst, tmode, None))
         draft.processes.append(proc)
 
-    grants = need(doc, "grants", "document") or []
-    if not isinstance(grants, list):
-        diags.append(_json_error("'grants' must be an array"))
-        grants = []
-    for entry in grants:
+    for entry in array(doc, "grants", "document", required=True):
         role = need(entry, "role", "grants")
         cname = need(entry, "class", "grants")
-        if not (isinstance(role, str) and isinstance(cname, str)):
+        if role is None or cname is None:
             continue
+        if not (isinstance(role, str) and isinstance(cname, str)):
+            diags.append(_json_error("grant needs 'role' and 'class' strings", "grants"))
+            continue
+        site = f"grant role={role} class={cname}"
         privs: set[Privilege] = set()
-        bad = False
-        for pv in entry.get("privileges", []):
+        for pv in array(entry, "privileges", site):
             try:
                 privs.add(Privilege(pv))
             except (ValueError, TypeError):
-                diags.append(
-                    _json_error(f"unknown privilege {pv!r}", f"grant role={role} class={cname}")
-                )
-                bad = True
-        if not bad:
-            draft.grants.append((role, cname, frozenset(privs), None))  # type: ignore[arg-type]
+                diags.append(_json_error(f"unknown privilege {pv!r}", site))
+        draft.grants.append((role, cname, frozenset(privs), None))
 
     if diags:
         return ParseResult(None, diags)
     model, semantic = _resolve(draft)
-    diags.extend(semantic)
-    if has_errors(diags):
-        model = None
-    return ParseResult(model=model, diagnostics=diags)
+    return ParseResult(model=model, diagnostics=semantic)

@@ -61,9 +61,6 @@ class Privilege(enum.Enum):
     SUPPRESSION_PLUS = "suppression+"
 
 
-# A privilege set is an unordered, duplicate-free collection of privileges.
-PrivilegeSet = frozenset  # of Privilege
-
 PLUS_PRIVILEGES = frozenset(
     {Privilege.MODIFICATION_PLUS, Privilege.REFERENCE_PLUS, Privilege.SUPPRESSION_PLUS}
 )
@@ -242,9 +239,6 @@ class Model:
 
     def grants(self, role: str, class_name: str) -> frozenset[Privilege]:
         return self.class_grants.get((role, class_name), frozenset())
-
-    def process_privilege(self, role: str, process: str) -> ProcessPrivilege | None:
-        return self.process_def(process).role_privileges.get(role)
 
 
 @dataclass
@@ -449,16 +443,6 @@ def canonicalize(model: Model) -> Model:
         first = diags[0]
         raise _ERROR_BY_CODE[first.code](f"{first.site}: {first.message}")
     return canonical
-
-
-def input_classes(model: Model, process: str) -> frozenset[str]:
-    """Classes the process consumes."""
-    return frozenset(model.process_def(process).inputs)
-
-
-def output_classes(model: Model, process: str) -> frozenset[str]:
-    """Classes the process produces."""
-    return frozenset(model.process_def(process).outputs)
 
 
 def shared_processes(model: Model, r1: str, r2: str) -> frozenset[str]:

@@ -249,15 +249,11 @@ class ReachabilitySummary:
     complete: bool
     queries: tuple[QueryResult, ...] = ()
 
-    @property
-    def bound_exceeded(self) -> bool:
-        return not self.complete
-
     def to_dict(self) -> dict:
         return {
             "state_count": self.state_count,
             "complete": self.complete,
-            "bound_exceeded": self.bound_exceeded,
+            "bound_exceeded": not self.complete,
             "queries": [q.to_dict() for q in self.queries],
         }
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from csm.cli import main
-from csm.dsl import emit_json, emit_text
+from csm.dsl import emit_json, emit_text, parse_json
 from csm.fixtures import fixture_path, fixture_text, load
 
 
@@ -53,6 +53,30 @@ class TestValidate:
         path = tmp_path / "model.json"
         path.write_bytes(emit_json(load("gp_lab")))
         assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("processes", "inputs", 5),
+            ("processes", "outputs", 5),
+            ("processes", "owners", 5),
+            ("processes", "responsibles", 5),
+            ("processes", "transforms", 5),
+            ("classes", "status_points", 5),
+            ("grants", "privileges", 5),
+            ("classes", "dynamic", "false"),
+        ],
+    )
+    def test_json_value_of_wrong_type_exits_one(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(emit_json(load("healthcare")))
+        doc[section][0][key] = value
+        blob = json.dumps(doc)
+        assert [d.code for d in parse_json(blob).diagnostics] == ["E-JSON"]
+        path = tmp_path / "model.json"
+        path.write_text(blob)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "E-JSON" in err and "Traceback" not in err
 
 
 class TestUsage:
@@ -130,6 +154,28 @@ class TestExplore:
         assert doc["complete"] is True
         assert [q["reachable"] for q in doc["queries"]] == [False, True]
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"type": "sequence", "first": "CleanRoom"},
+            {"type": "sequence", "first": "CleanRoom", "then": 5},
+            {"type": "sequence", "first": "CleanRoom", "then": "Ghost"},
+            {"type": "sequence", "first": "CleanRoom", "then": "CleanRoom", "note": ""},
+            {"type": "co_occurrence", "classes": ["OccupiedRoom"]},
+            {"type": "co_occurrence", "classes": "OccupiedRoom"},
+            {"type": "co_occurrence", "classes": ["OccupiedRoom", 1]},
+            {"type": "co_occurrence", "classes": ["OccupiedRoom", "Ghost"]},
+            {"type": "deadlock"},
+            ["sequence", "CleanRoom", "CleanRoom"],
+        ],
+    )
+    def test_bad_query_exits_two(self, capsys, write_json, query):
+        seed = write_json("seed.json", [{"object": "r", "class": "OccupiedRoom"}])
+        path = write_json("query.json", [query])
+        assert main(["explore", fx("hospital_cleaning"), "--seed", seed, "--query", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_defaults_without_query(self, capsys, write_json):
         seed = write_json("seed.json", [])
         assert main(["explore", fx("gp_lab"), "--seed", seed]) == 0
@@ -148,6 +194,11 @@ class TestRenderAndFmt:
         assert main(["render", fx("gp_lab"), "--format", "mermaid", "-o", str(out)]) == 0
         assert out.read_text().startswith("flowchart LR")
         assert capsys.readouterr().out == ""
+
+    def test_render_into_missing_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "d.dot"
+        assert main(["render", fx("gp_lab"), "--format", "dot", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
     def test_render_requires_format(self, capsys):
         assert main(["render", fx("gp_lab")]) == 2

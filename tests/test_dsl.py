@@ -135,6 +135,54 @@ class TestRoundTrip:
             assert parse_text(emit_text(m)).model == m
             assert parse_json(emit_json(m)).model == m
 
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            (("roles", 0), "has space"),
+            (("classes", 0, "name"), 'x"];evil'),
+            (("processes", 0, "name"), "x\"];evil"),
+            (("processes", 0, "name"), "9lives"),
+            (("classes", 0, "name"), 5),
+            (("classes", 0, "name"), None),
+            (("grants", 0, "role"), None),
+            (("name",), None),
+            (("name",), 'say "hi"'),
+            (("name",), "two\nlines"),
+            (("name",), "a#b"),
+        ],
+    )
+    def test_json_names_the_text_grammar_cannot_spell(self, path, name):
+        doc = json.loads(emit_json(parse_text(fixture_text("gp_lab")).model))
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = name
+        result = parse_json(json.dumps(doc))
+        assert result.model is None
+        assert codes(result) == ["E-JSON"]
+
+    def test_json_keyword_names_round_trip(self):
+        doc = {
+            "name": "odd but fine: {}->,+",
+            "roles": ["role", "on"],
+            "classes": [{"name": "dynamic", "dynamic": True}, {"name": "waiting"}],
+            "processes": [
+                {
+                    "name": "process",
+                    "owners": ["on"],
+                    "inputs": ["dynamic"],
+                    "outputs": ["waiting"],
+                    "transforms": [{"from": "dynamic", "to": "waiting", "mode": "leaving"}],
+                }
+            ],
+            "grants": [{"role": "role", "class": "dynamic", "privileges": ["reference+"]}],
+        }
+        model = parse_json(json.dumps(doc)).model
+        assert model is not None
+        assert parse_text(emit_text(model)).model == model
+        assert parse_json(emit_json(model)).model == model
+
     def test_emit_is_canonical(self):
         text = 'model "m" { role B role A class Z class Y }'
         emitted = emit_text(parse_text(text).model)

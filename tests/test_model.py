@@ -1,10 +1,14 @@
+import json
+
 import pytest
 
+from csm.dsl import parse_json
 from csm.model import (
     ClassDef,
     DuplicateName,
     InvalidTransform,
     Model,
+    ModelError,
     Privilege,
     ProcessDef,
     ProcessPrivilege,
@@ -17,8 +21,6 @@ from csm.model import (
     UnknownRole,
     UnresolvedReference,
     canonicalize,
-    input_classes,
-    output_classes,
     privilege_from_text,
     privilege_sort_key,
     shared_classes,
@@ -103,6 +105,76 @@ class TestCanonicalize:
             canonicalize(_tiny(processes=(bad,)))
 
 
+def _raw_json(m: Model) -> str:
+    """The JSON form of ``m`` as given, without canonicalizing it first."""
+    return json.dumps(
+        {
+            "name": m.name,
+            "roles": list(m.roles),
+            "classes": [{"name": c.name, "dynamic": c.dynamic} for c in m.classes],
+            "processes": [
+                {
+                    "name": p.name,
+                    "inputs": list(p.inputs),
+                    "outputs": list(p.outputs),
+                    "transforms": [
+                        {"from": t.source, "to": t.target, "mode": t.mode.value}
+                        for t in p.transforms
+                    ],
+                    "owners": list(p.owners),
+                    "responsibles": list(p.responsibles),
+                }
+                for p in m.processes
+            ],
+            "grants": [
+                {"role": r, "class": c, "privileges": [pv.value for pv in privs]}
+                for (r, c), privs in m.class_grants.items()
+            ],
+        }
+    )
+
+
+def _process(inputs=("Y",), outputs=("X",), transform=("Y", "X"), owner="A") -> ProcessDef:
+    return ProcessDef(
+        "P",
+        inputs=inputs,
+        outputs=outputs,
+        transforms=(Transform(*transform, TransformMode.LEAVING),),
+        role_privileges={owner: ProcessPrivilege.OWNER},
+    )
+
+
+_REFERENCE = frozenset({Privilege.REFERENCE})
+
+SINGLE_FAULTS = {
+    "duplicate role": dict(roles=("A", "B", "A")),
+    "duplicate class": dict(classes=(ClassDef("X"), ClassDef("Y"), ClassDef("X"))),
+    "duplicate process": dict(processes=(_process(), ProcessDef("P"))),
+    "undeclared process role": dict(processes=(_process(owner="Ghost"),)),
+    "undeclared input": dict(processes=(_process(inputs=("Y", "Ghost")),)),
+    "undeclared output": dict(processes=(_process(outputs=("X", "Ghost")),)),
+    "undeclared grant role": dict(class_grants={("Ghost", "X"): _REFERENCE}),
+    "undeclared grant class": dict(class_grants={("A", "Ghost"): _REFERENCE}),
+    "self transform": dict(processes=(_process(outputs=("Y",), transform=("Y", "Y")),)),
+    "source not an input": dict(processes=(_process(outputs=("X", "Y"), transform=("X", "Y")),)),
+    "target not an output": dict(processes=(_process(inputs=("X", "Y"), transform=("X", "Y")),)),
+}
+
+_CODE_OF = {DuplicateName: "E-DUP", UnresolvedReference: "E-REF", InvalidTransform: "E-TRF-END"}
+
+
+@pytest.mark.parametrize("fault", sorted(SINGLE_FAULTS))
+def test_canonicalize_and_parse_json_name_the_same_rule(fault):
+    model = _tiny(**SINGLE_FAULTS[fault])
+    with pytest.raises(ModelError) as raised:
+        canonicalize(model)
+    result = parse_json(_raw_json(model))
+    assert result.model is None
+    [diag] = result.diagnostics
+    assert _CODE_OF[type(raised.value)] == diag.code
+    assert str(raised.value) == f"{diag.site}: {diag.message}"
+
+
 class TestLookups:
     def test_unknown_names_raise(self):
         m = canonicalize(_tiny())
@@ -126,11 +198,6 @@ class TestLookups:
 
 
 class TestQueries:
-    def test_input_output_classes(self, scenarios):
-        m = scenarios["hospital_cleaning"]
-        assert input_classes(m, "CleanRoom") == {"OccupiedRoom"}
-        assert output_classes(m, "CleanRoom") == {"CleanedRoom"}
-
     def test_shared_processes(self, scenarios):
         m = scenarios["hotel_agency"]
         assert shared_processes(m, "Hotel", "Agency") == {"MakeBooking"}

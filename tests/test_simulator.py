@@ -208,7 +208,7 @@ class TestExplore:
         graph = build_graph(m, [], max_steps=1, max_objects=2)
         assert not graph.complete
         summary = explore(m, [], max_steps=1, max_objects=2)
-        assert summary.bound_exceeded
+        assert not summary.complete
 
     def test_object_bound_respected(self, scenarios):
         m = scenarios["gp_lab"]
