@@ -16,6 +16,16 @@ Level patterns, checked in precedence order per artifact (first match wins):
 * loose       - one role creates a class the other may only read via
   reference+, and the class is a waiting point: the reader is blocked on it.
 * very loose  - the same sharing shape without the waiting point.
+
+A class pattern does not apply to two roles that are both privileged on a
+process that outputs the class.
+
+Findings are found by artifact, not by role pair: the process patterns are
+judged for the ordered pairs of roles privileged on each process, and the
+class patterns for each class's creators and read-only ``reference+``
+readers, read from the model's per-class index (``Model.class_index``).
+The cost grows with the privileges held, not with the square of the
+number of roles.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .model import (
     Model,
     ModelError,
     Privilege,
+    ProcessDef,
     ProcessPrivilege,
     StatusPoint,
 )
@@ -110,145 +121,141 @@ class CollaborationReport:
         return "\n".join(lines) + "\n"
 
 
-# Privileges a pure consumer must not hold on the shared class.
-_FORBIDDEN_FOR_CONSUMER = frozenset(
-    {
-        Privilege.CREATION,
-        Privilege.MODIFICATION,
-        Privilege.SUPPRESSION,
-        Privilege.MODIFICATION_PLUS,
-        Privilege.SUPPRESSION_PLUS,
-    }
-)
-
 _WRITE_PLUS = frozenset({Privilege.MODIFICATION_PLUS, Privilege.SUPPRESSION_PLUS})
 
 
-def _co_privileged_output(model: Model, class_name: str, r1: str, r2: str) -> bool:
-    return any(
-        class_name in p.outputs
-        and r1 in p.role_privileges
-        and r2 in p.role_privileges
-        for p in model.processes
-    )
+def _process_finding(model: Model, p: ProcessDef, r1: str, r2: str) -> LevelFinding | None:
+    """Very tight or tight finding for two roles both privileged on ``p``."""
+    pp1 = p.role_privileges[r1]
+    pp2 = p.role_privileges[r2]
+    if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.RESPONSIBILITY:
+        hits = [
+            c
+            for c in sorted(p.outputs)
+            if Privilege.MODIFICATION_PLUS in model.grants(r1, c)
+            and Privilege.REFERENCE_PLUS in model.grants(r2, c)
+        ]
+        if not hits:
+            return None
+        return LevelFinding(
+            producer=r1,
+            consumer=r2,
+            artifact=p.name,
+            artifact_kind="process",
+            level=Level.VERY_TIGHT,
+            evidence=(
+                f"owner({r1},{p.name})",
+                f"responsibility({r2},{p.name})",
+                *(f"modification+({r1},{c}) & reference+({r2},{c})" for c in hits),
+            ),
+        )
+    if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.OWNER:
+        shared_outputs = [
+            c for c in sorted(p.outputs) if model.grants(r1, c) and model.grants(r2, c)
+        ]
+        if shared_outputs and all(
+            Privilege.REFERENCE_PLUS in model.grants(r, c)
+            and not (model.grants(r, c) & _WRITE_PLUS)
+            for c in shared_outputs
+            for r in (r1, r2)
+        ):
+            lo, hi = sorted((r1, r2))
+            return LevelFinding(
+                producer=lo,
+                consumer=hi,
+                artifact=p.name,
+                artifact_kind="process",
+                level=Level.TIGHT,
+                evidence=(
+                    f"owner({lo},{p.name})",
+                    f"owner({hi},{p.name})",
+                    *(
+                        f"read-only sharing of {c} (reference+ both ways)"
+                        for c in shared_outputs
+                    ),
+                ),
+            )
+    return None
+
+
+def _findings_by_pair(model: Model) -> dict[tuple[str, str], list[LevelFinding]]:
+    """Findings per ordered pair of declared roles, as ``classify_pair`` lists them.
+
+    One pass over each process's privileged role pairs and one over each
+    class's creators and read-only readers, in name order. A tight finding
+    is listed under both orders of its pair.
+    """
+    roles = set(model.roles)
+    by_pair: dict[tuple[str, str], list[LevelFinding]] = {}
+    for p in sorted(model.processes, key=lambda p: p.name):
+        privileged = [r for r in p.role_privileges if r in roles]
+        for r1 in privileged:
+            for r2 in privileged:
+                if r1 != r2:
+                    f = _process_finding(model, p, r1, r2)
+                    if f is not None:
+                        by_pair.setdefault((r1, r2), []).append(f)
+
+    index = model.class_index
+    for c in sorted(model.classes, key=lambda c: c.name):
+        idx = index[c.name]
+        waiting = StatusPoint.WAITING in c.status_points
+        # A read-only reader holds no creation, so it is never the creator.
+        for r1 in idx.creators:
+            for r2 in idx.read_only_readers:
+                if any(
+                    r1 in q.role_privileges and r2 in q.role_privileges
+                    for q in idx.producers
+                ):
+                    continue
+                by_pair.setdefault((r1, r2), []).append(
+                    LevelFinding(
+                        producer=r1,
+                        consumer=r2,
+                        artifact=c.name,
+                        artifact_kind="class",
+                        level=Level.LOOSE if waiting else Level.VERY_LOOSE,
+                        evidence=(
+                            f"creation({r1},{c.name})",
+                            f"reference+({r2},{c.name})",
+                            "waiting point" if waiting else "no waiting point",
+                        ),
+                    )
+                )
+    return by_pair
 
 
 def classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
     """Findings for the ordered pair: r1 as owner/producer side.
 
     Tight is symmetric and is reported with the roles in lexicographic
-    order regardless of the argument order.
+    order regardless of the argument order. Each call judges every shared
+    artifact of the model; use ``classify_all`` for all pairs at once.
     """
     model.require_role(r1)
     model.require_role(r2)
     if r1 == r2:
         raise SameRole(r1)
-
-    findings: list[LevelFinding] = []
-    for p in sorted(model.processes, key=lambda p: p.name):
-        pp1 = p.role_privileges.get(r1)
-        pp2 = p.role_privileges.get(r2)
-        if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.RESPONSIBILITY:
-            hits = [
-                c
-                for c in sorted(p.outputs)
-                if Privilege.MODIFICATION_PLUS in model.grants(r1, c)
-                and Privilege.REFERENCE_PLUS in model.grants(r2, c)
-            ]
-            if hits:
-                findings.append(
-                    LevelFinding(
-                        producer=r1,
-                        consumer=r2,
-                        artifact=p.name,
-                        artifact_kind="process",
-                        level=Level.VERY_TIGHT,
-                        evidence=(
-                            f"owner({r1},{p.name})",
-                            f"responsibility({r2},{p.name})",
-                            *(
-                                f"modification+({r1},{c}) & reference+({r2},{c})"
-                                for c in hits
-                            ),
-                        ),
-                    )
-                )
-                continue
-        if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.OWNER:
-            shared_outputs = [
-                c
-                for c in sorted(p.outputs)
-                if model.grants(r1, c) and model.grants(r2, c)
-            ]
-            if shared_outputs and all(
-                Privilege.REFERENCE_PLUS in model.grants(r, c)
-                and not (model.grants(r, c) & _WRITE_PLUS)
-                for c in shared_outputs
-                for r in (r1, r2)
-            ):
-                lo, hi = sorted((r1, r2))
-                findings.append(
-                    LevelFinding(
-                        producer=lo,
-                        consumer=hi,
-                        artifact=p.name,
-                        artifact_kind="process",
-                        level=Level.TIGHT,
-                        evidence=(
-                            f"owner({lo},{p.name})",
-                            f"owner({hi},{p.name})",
-                            *(
-                                f"read-only sharing of {c} (reference+ both ways)"
-                                for c in shared_outputs
-                            ),
-                        ),
-                    )
-                )
-
-    for c in sorted(model.classes, key=lambda c: c.name):
-        g1 = model.grants(r1, c.name)
-        g2 = model.grants(r2, c.name)
-        if (
-            Privilege.CREATION in g1
-            and Privilege.REFERENCE_PLUS in g2
-            and not (g2 & _FORBIDDEN_FOR_CONSUMER)
-            and not _co_privileged_output(model, c.name, r1, r2)
-        ):
-            waiting = StatusPoint.WAITING in c.status_points
-            findings.append(
-                LevelFinding(
-                    producer=r1,
-                    consumer=r2,
-                    artifact=c.name,
-                    artifact_kind="class",
-                    level=Level.LOOSE if waiting else Level.VERY_LOOSE,
-                    evidence=(
-                        f"creation({r1},{c.name})",
-                        f"reference+({r2},{c.name})",
-                        "waiting point" if waiting else "no waiting point",
-                    ),
-                )
-            )
-    return findings
+    return list(_findings_by_pair(model).get((r1, r2), ()))
 
 
 def classify_all(model: Model) -> CollaborationReport:
     """Findings for every ordered pair of distinct roles.
 
+    Pairs come in sorted order, each with its process findings before its
+    class findings; a tight finding appears once, under its sorted pair.
     Raises InvalidModel when the model carries error-level diagnostics;
     level patterns assume the privilege-closure rules hold.
     """
     ensure_valid(model)
+    by_pair = _findings_by_pair(model)
     findings: list[LevelFinding] = []
     seen: set[LevelFinding] = set()
-    for r1 in sorted(model.roles):
-        for r2 in sorted(model.roles):
-            if r1 == r2:
-                continue
-            for f in classify_pair(model, r1, r2):
-                if f not in seen:
-                    seen.add(f)
-                    findings.append(f)
+    for pair in sorted(by_pair):
+        for f in by_pair[pair]:
+            if f not in seen:
+                seen.add(f)
+                findings.append(f)
     return CollaborationReport(findings=tuple(findings))
 
 

@@ -52,34 +52,30 @@ def _load_json(path: str, what: str):
         raise _CliError(f"malformed {what} file {path}: {exc}", 2) from exc
 
 
-def _load_seed(path: str) -> list[tuple[str, str]]:
-    doc = _load_json(path, "seed")
+def _load_pairs(path: str, what: str, keys: tuple[str, str]) -> list[tuple[str, str]]:
+    """Entries of a seed or script file: objects with a string under each key."""
+    doc = _load_json(path, what)
     if not isinstance(doc, list):
-        raise _CliError(f"seed file {path} must be a JSON array", 2)
-    seed = []
+        raise _CliError(f"{what} file {path} must be a JSON array", 2)
+    pairs = []
     for entry in doc:
-        try:
-            seed.append((str(entry["object"]), str(entry["class"])))
-        except (TypeError, KeyError) as exc:
+        values = tuple(entry.get(k) for k in keys) if isinstance(entry, dict) else ()
+        if not (values and all(isinstance(v, str) for v in values)):
             raise _CliError(
-                f"seed entries need 'object' and 'class' keys: {entry!r}", 2
-            ) from exc
-    return seed
+                f"{what} entries need string values for {keys[0]!r} and {keys[1]!r}: "
+                f"{entry!r}",
+                2,
+            )
+        pairs.append(values)
+    return pairs
+
+
+def _load_seed(path: str) -> list[tuple[str, str]]:
+    return _load_pairs(path, "seed", ("object", "class"))
 
 
 def _load_script(path: str) -> list[tuple[str, str]]:
-    doc = _load_json(path, "script")
-    if not isinstance(doc, list):
-        raise _CliError(f"script file {path} must be a JSON array", 2)
-    script = []
-    for entry in doc:
-        try:
-            script.append((str(entry["process"]), str(entry["object"])))
-        except (TypeError, KeyError) as exc:
-            raise _CliError(
-                f"script entries need 'process' and 'object' keys: {entry!r}", 2
-            ) from exc
-    return script
+    return _load_pairs(path, "script", ("process", "object"))
 
 
 _QUERY_OPERANDS = {"co_occurrence": ("classes",), "sequence": ("first", "then")}

@@ -1,6 +1,7 @@
 """Textual and JSON forms of a service model.
 
-Text grammar (free-form whitespace, ``#`` comments to end of line):
+Text grammar (free-form whitespace; ``#`` outside a string starts a comment
+that runs to end of line):
 
     model  := "model" STRING "{" item* "}"
     item   := "role" IDENT
@@ -25,6 +26,7 @@ import bisect
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, has_errors
 from .model import (
@@ -57,8 +59,7 @@ class ParseResult:
         return self.model is not None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "string" | "punct" | "junk" | "eof"
     text: str
     line: int
@@ -67,49 +68,33 @@ class _Token:
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT)
-_TOKEN_RE = re.compile(rf'"[^"\n]*"|{_IDENT}|->|[{{}}+,]')
-_COMMENT_RE = re.compile(r"#[^\n]*")
-_WS_RE = re.compile(r"\s+")
+# One token after optional whitespace; the group that matched gives its
+# kind. A '#' starts a comment only where no string has started.
+_TOKEN_RE = re.compile(rf'\s*(?:("[^"\n]*")|(#[^\n]*)|({_IDENT})|(->|[{{}}+,])|(\S))')
+_KIND_BY_GROUP = (None, "string", "comment", "ident", "punct", "junk")
+_NEWLINE_RE = re.compile(r"\n")
 
 
-def _lex(source: str) -> list[_Token]:
-    # Blank out comments so offsets stay valid for span computation.
-    text = _COMMENT_RE.sub(lambda m: " " * len(m.group()), source)
-    line_starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            line_starts.append(i + 1)
+def _lex(text: str) -> list[_Token]:
+    line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
 
     def at(offset: int) -> tuple[int, int]:
         li = bisect.bisect_right(line_starts, offset) - 1
         return li + 1, offset - line_starts[li] + 1
 
     tokens: list[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ws = _WS_RE.match(text, pos)
-        if ws:
-            pos = ws.end()
+    # Ending the search at the last non-space character keeps the leading
+    # \s* from backtracking over trailing whitespace at every position.
+    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
+        group = m.lastindex
+        kind = _KIND_BY_GROUP[group]
+        if kind == "comment":
             continue
-        m = _TOKEN_RE.match(text, pos)
-        line, col = at(pos)
-        if m:
-            lexeme = m.group()
-            if lexeme.startswith('"'):
-                kind = "string"
-                lexeme = lexeme[1:-1]
-            elif lexeme[0].isalpha():
-                kind = "ident"
-            else:
-                kind = "punct"
-            tokens.append(_Token(kind, lexeme, line, col))
-            pos = m.end()
-        else:
-            tokens.append(_Token("junk", text[pos], line, col))
-            pos += 1
-    eol_line, eol_col = at(n)
-    tokens.append(_Token("eof", "", eol_line, eol_col))
+        lexeme = m.group(group)
+        if kind == "string":
+            lexeme = lexeme[1:-1]
+        tokens.append(_Token(kind, lexeme, *at(m.start(group))))
+    tokens.append(_Token("eof", "", *at(len(text))))
     return tokens
 
 
@@ -520,8 +505,8 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
     if name is not None and not isinstance(name, str):
         diags.append(_json_error("'name' must be a string"))
         name = None
-    elif name is not None and any(ch in name for ch in '"#\n'):
-        diags.append(_json_error("'name' may not contain '\"', '#' or a line break"))
+    elif name is not None and any(ch in name for ch in '"\n'):
+        diags.append(_json_error("'name' may not contain '\"' or a line break"))
 
     draft = _Draft(name=name or "")
 

@@ -4,13 +4,15 @@ A model names the partner roles, the information classes that objects move
 through, the business processes that create or transform those objects, and
 the data privileges each role holds on each class. Values are immutable
 after construction and every query here is a pure function, so a model can
-be shared between threads without coordination.
+be shared between threads without coordination (the lookup indexes a model
+caches on first use come out the same whichever thread builds them).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, Severity, SourceSpan
@@ -63,6 +65,17 @@ class Privilege(enum.Enum):
 
 PLUS_PRIVILEGES = frozenset(
     {Privilege.MODIFICATION_PLUS, Privilege.REFERENCE_PLUS, Privilege.SUPPRESSION_PLUS}
+)
+
+# Privileges a read-only reader must not hold on the class it reads.
+_WRITE_PRIVILEGES = frozenset(
+    {
+        Privilege.CREATION,
+        Privilege.MODIFICATION,
+        Privilege.SUPPRESSION,
+        Privilege.MODIFICATION_PLUS,
+        Privilege.SUPPRESSION_PLUS,
+    }
 )
 
 _PRIV_ORDER = {p: i for i, p in enumerate(Privilege)}
@@ -187,12 +200,28 @@ class ProcessDef:
         return not self.inputs
 
 
+class ClassIndex(NamedTuple):
+    """Who holds what on one class, and which processes output it.
+
+    Only declared roles are listed.
+    """
+
+    creators: frozenset[str]
+    plus_readers: frozenset[str]  # roles holding any ``+`` privilege
+    read_only_readers: frozenset[str]  # reference+ and no creation or write privilege
+    producers: tuple[ProcessDef, ...]
+
+
 @dataclass(frozen=True)
 class Model:
     """A complete collaborative service model.
 
     ``class_grants`` maps ``(role, class)`` to the set of data privileges
     the role holds on the class; missing pairs mean no privileges.
+
+    Lookup indexes are built on first use and cached on the instance: the
+    name-to-definition maps for ``class_def``/``process_def``, and apart
+    from them the per-class grant index ``class_index``.
     """
 
     name: str
@@ -221,17 +250,58 @@ class Model:
     def process_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.processes)
 
+    # Built in reverse so that, in a model that repeats a name, the first
+    # definition wins.
+    @cached_property
+    def _classes_by_name(self) -> dict[str, ClassDef]:
+        return {c.name: c for c in reversed(self.classes)}
+
+    @cached_property
+    def _processes_by_name(self) -> dict[str, ProcessDef]:
+        return {p.name: p for p in reversed(self.processes)}
+
     def class_def(self, name: str) -> ClassDef:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        raise UnknownClass(name)
+        try:
+            return self._classes_by_name[name]
+        except KeyError:
+            raise UnknownClass(name) from None
 
     def process_def(self, name: str) -> ProcessDef:
+        try:
+            return self._processes_by_name[name]
+        except KeyError:
+            raise UnknownProcess(name) from None
+
+    @cached_property
+    def class_index(self) -> dict[str, ClassIndex]:
+        """Per declared class name: its grant holders and producing processes."""
+        roles = set(self.roles)
+        creators: dict[str, set[str]] = {c.name: set() for c in self.classes}
+        plus_readers: dict[str, set[str]] = {name: set() for name in creators}
+        read_only: dict[str, set[str]] = {name: set() for name in creators}
+        producers: dict[str, list[ProcessDef]] = {name: [] for name in creators}
+        for (role, class_name), privs in self.class_grants.items():
+            if role not in roles or class_name not in creators:
+                continue
+            if Privilege.CREATION in privs:
+                creators[class_name].add(role)
+            if privs & PLUS_PRIVILEGES:
+                plus_readers[class_name].add(role)
+            if Privilege.REFERENCE_PLUS in privs and not privs & _WRITE_PRIVILEGES:
+                read_only[class_name].add(role)
         for p in self.processes:
-            if p.name == name:
-                return p
-        raise UnknownProcess(name)
+            for class_name in p.outputs:
+                if class_name in producers:
+                    producers[class_name].append(p)
+        return {
+            name: ClassIndex(
+                frozenset(creators[name]),
+                frozenset(plus_readers[name]),
+                frozenset(read_only[name]),
+                tuple(producers[name]),
+            )
+            for name in creators
+        }
 
     def require_role(self, name: str) -> None:
         if name not in self.roles:
@@ -468,15 +538,14 @@ def shared_classes(model: Model, r1: str, r2: str) -> frozenset[SharedClass]:
     """Classes shared between the two roles, with producer/consumer direction.
 
     A class is shared when one role holds creation on it and the other
-    holds any of the ``+`` privileges (rights over foreign data).
+    holds any of the ``+`` privileges (rights over foreign data). Read
+    from ``model.class_index``.
     """
     model.require_role(r1)
     model.require_role(r2)
-    found = set()
-    for producer, consumer in ((r1, r2), (r2, r1)):
-        for c in model.classes:
-            if Privilege.CREATION in model.grants(producer, c.name) and (
-                model.grants(consumer, c.name) & PLUS_PRIVILEGES
-            ):
-                found.add(SharedClass(c.name, producer, consumer))
-    return frozenset(found)
+    return frozenset(
+        SharedClass(name, producer, consumer)
+        for name, idx in model.class_index.items()
+        for producer, consumer in ((r1, r2), (r2, r1))
+        if producer in idx.creators and consumer in idx.plus_readers
+    )

@@ -90,7 +90,8 @@ def to_dot(model: Model, show_privileges: bool = False) -> str:
     """Render the model as a Graphviz digraph."""
     ensure_valid(model)
     m = canonicalize(model)
-    lines = [f'digraph "{m.name}" {{']
+    name = m.name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{name}" {{']
     if m.roles or m.classes or m.processes:
         lines.append("  rankdir=LR;")
     for role in m.roles:

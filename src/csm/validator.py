@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from .diagnostics import Diagnostic, Severity
 from .model import (
+    ClassIndex,
     Model,
     ModelError,
-    PLUS_PRIVILEGES,
     Privilege,
     ProcessPrivilege,
     StatusPoint,
-    shared_classes,
 )
 
 
@@ -106,8 +105,19 @@ def _diag(code: str, site: str, message: str, suggestion: str | None = None) -> 
     )
 
 
+def _shared(idx: ClassIndex) -> bool:
+    """Some role creates the class and some other role holds a ``+`` privilege."""
+    # With both sets non-empty such a pair exists unless the two sets are
+    # the same single role.
+    return bool(idx.creators and idx.plus_readers) and len(idx.creators | idx.plus_readers) > 1
+
+
 def validate(model: Model) -> list[Diagnostic]:
-    """Evaluate every rule; returns diagnostics sorted by (code, site)."""
+    """Evaluate every rule; returns diagnostics sorted by (code, site).
+
+    W-WP reads ``model.class_index``: a waiting point is shared when some
+    role creates the class and some other role holds a ``+`` privilege on it.
+    """
     out: list[Diagnostic] = []
 
     # E-C1: transform endpoints must be dynamic states.
@@ -194,10 +204,7 @@ def validate(model: Model) -> list[Diagnostic]:
     for p in model.processes:
         for c in p.inputs:
             consumers[c] += 1
-    shared_names: set[str] = set()
-    for i, r1 in enumerate(model.roles):
-        for r2 in model.roles[i + 1 :]:
-            shared_names.update(s.class_name for s in shared_classes(model, r1, r2))
+    index = model.class_index
     for c in model.classes:
         n = consumers[c.name]
         if StatusPoint.DECISION in c.status_points and n < 2:
@@ -230,7 +237,7 @@ def validate(model: Model) -> list[Diagnostic]:
                     f"add a backup process consuming {c.name}",
                 )
             )
-        if StatusPoint.WAITING in c.status_points and c.name not in shared_names:
+        if StatusPoint.WAITING in c.status_points and not _shared(index[c.name]):
             out.append(
                 _diag(
                     "W-WP",

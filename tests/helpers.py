@@ -3,6 +3,8 @@
 ``brute_validate`` is an intentionally naive re-implementation of the rule
 catalog by direct set arithmetic over all (role, process, class) triples;
 it shares no code with ``csm.validator`` and serves as its oracle.
+``brute_classify`` is the classifier's all-pairs loop: every ordered role
+pair against every process and class, with no use of the model's index.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import random
 import re
 
+from csm.classifier import CollaborationReport, Level, LevelFinding
 from csm.model import (
     ClassDef,
     Model,
@@ -194,6 +197,116 @@ def brute_validate(model: Model) -> list[tuple[str, str]]:
     return sorted(found)
 
 
+_CONSUMER_FORBIDDEN = frozenset(
+    {
+        Privilege.CREATION,
+        Privilege.MODIFICATION,
+        Privilege.SUPPRESSION,
+        Privilege.MODIFICATION_PLUS,
+        Privilege.SUPPRESSION_PLUS,
+    }
+)
+_WRITE_PLUS = frozenset({Privilege.MODIFICATION_PLUS, Privilege.SUPPRESSION_PLUS})
+
+
+def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
+    """Findings for the ordered pair by scanning every process and class."""
+
+    def g(role, cname):
+        return model.class_grants.get((role, cname), frozenset())
+
+    findings: list[LevelFinding] = []
+    for p in sorted(model.processes, key=lambda p: p.name):
+        pp1 = p.role_privileges.get(r1)
+        pp2 = p.role_privileges.get(r2)
+        if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.RESPONSIBILITY:
+            hits = [
+                c
+                for c in sorted(p.outputs)
+                if Privilege.MODIFICATION_PLUS in g(r1, c) and Privilege.REFERENCE_PLUS in g(r2, c)
+            ]
+            if hits:
+                findings.append(
+                    LevelFinding(
+                        r1,
+                        r2,
+                        p.name,
+                        "process",
+                        Level.VERY_TIGHT,
+                        (
+                            f"owner({r1},{p.name})",
+                            f"responsibility({r2},{p.name})",
+                            *(f"modification+({r1},{c}) & reference+({r2},{c})" for c in hits),
+                        ),
+                    )
+                )
+                continue
+        if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.OWNER:
+            shared = [c for c in sorted(p.outputs) if g(r1, c) and g(r2, c)]
+            if shared and all(
+                Privilege.REFERENCE_PLUS in g(r, c) and not (g(r, c) & _WRITE_PLUS)
+                for c in shared
+                for r in (r1, r2)
+            ):
+                lo, hi = sorted((r1, r2))
+                findings.append(
+                    LevelFinding(
+                        lo,
+                        hi,
+                        p.name,
+                        "process",
+                        Level.TIGHT,
+                        (
+                            f"owner({lo},{p.name})",
+                            f"owner({hi},{p.name})",
+                            *(f"read-only sharing of {c} (reference+ both ways)" for c in shared),
+                        ),
+                    )
+                )
+
+    for c in sorted(model.classes, key=lambda c: c.name):
+        g1 = g(r1, c.name)
+        g2 = g(r2, c.name)
+        co_privileged = any(
+            c.name in p.outputs and r1 in p.role_privileges and r2 in p.role_privileges
+            for p in model.processes
+        )
+        if (
+            Privilege.CREATION in g1
+            and Privilege.REFERENCE_PLUS in g2
+            and not (g2 & _CONSUMER_FORBIDDEN)
+            and not co_privileged
+        ):
+            waiting = StatusPoint.WAITING in c.status_points
+            findings.append(
+                LevelFinding(
+                    r1,
+                    r2,
+                    c.name,
+                    "class",
+                    Level.LOOSE if waiting else Level.VERY_LOOSE,
+                    (
+                        f"creation({r1},{c.name})",
+                        f"reference+({r2},{c.name})",
+                        "waiting point" if waiting else "no waiting point",
+                    ),
+                )
+            )
+    return findings
+
+
+def brute_classify(model: Model) -> CollaborationReport:
+    """The report ``classify_all`` should give, pair by pair in sorted order."""
+    findings: list[LevelFinding] = []
+    for r1 in sorted(model.roles):
+        for r2 in sorted(model.roles):
+            if r1 != r2:
+                for f in brute_classify_pair(model, r1, r2):
+                    if f not in findings:
+                        findings.append(f)
+    return CollaborationReport(tuple(findings))
+
+
 _ADD_RE = re.compile(r"^add (.+) to grant (\S+) on (\S+)$")
 _DYNAMIC_RE = re.compile(r"^declare class (\S+) dynamic$")
 
@@ -240,7 +353,7 @@ def toggle_waiting(model: Model, cname: str) -> Model:
 # -- minimal structural syntax checks for the diagram formats ---------------
 
 _DOT_LINE_RES = [
-    re.compile(r'^digraph "[^"]*" \{$'),
+    re.compile(r'^digraph "(?:[^"\\]|\\.)*" \{$'),
     re.compile(r"^\s*rankdir=LR;$"),
     re.compile(r'^\s*subgraph "cluster_[A-Za-z0-9_]+" \{$'),
     re.compile(r'^\s*label="[^"]*";$'),

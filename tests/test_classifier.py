@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -9,9 +10,12 @@ from csm.classifier import (
     classify_all,
     classify_pair,
 )
+from csm.diagnostics import Severity
 from csm.dsl import parse_text
-from csm.fixtures import load
-from csm.validator import InvalidModel
+from csm.fixtures import FIXTURES, load
+from csm.model import Model, ProcessDef
+from csm.validator import InvalidModel, validate
+from helpers import brute_classify, brute_classify_pair, random_model, random_valid_model
 
 VT = Level.VERY_TIGHT
 T = Level.TIGHT
@@ -149,3 +153,40 @@ class TestReport:
 
     def test_empty_report_table(self):
         assert CollaborationReport(()).to_table().splitlines()[0].startswith("LEVEL")
+
+
+def _reversed_members(m: Model) -> Model:
+    """The same model with roles, classes, processes and outputs out of order."""
+    processes = tuple(
+        ProcessDef(p.name, p.inputs[::-1], p.outputs[::-1], p.transforms[::-1], p.role_privileges)
+        for p in reversed(m.processes)
+    )
+    return Model(m.name, m.roles[::-1], m.classes[::-1], processes, m.class_grants)
+
+
+def _assert_matches_reference(m: Model) -> None:
+    for r1 in m.roles:
+        for r2 in m.roles:
+            if r1 != r2:
+                assert classify_pair(m, r1, r2) == brute_classify_pair(m, r1, r2)
+    if not any(d.severity is Severity.ERROR for d in validate(m)):
+        report, expected = classify_all(m), brute_classify(m)
+        assert report.findings == expected.findings
+        assert report.to_dict() == expected.to_dict()
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name, scenarios):
+        _assert_matches_reference(scenarios[name])
+
+    @pytest.mark.parametrize("generate", [random_model, random_valid_model])
+    def test_random_models(self, generate):
+        rng = random.Random(3)
+        found = 0
+        for _ in range(300):
+            m = generate(rng)
+            _assert_matches_reference(m)
+            _assert_matches_reference(_reversed_members(m))
+            found += len(brute_classify(m).findings)
+        assert found > 20

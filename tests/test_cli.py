@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import csm
 from csm.cli import main
 from csm.dsl import emit_json, emit_text, parse_json
 from csm.fixtures import fixture_path, fixture_text, load
@@ -83,6 +88,17 @@ class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
 
+    def test_python_dash_m(self, capsys):
+        paths = [str(Path(csm.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "csm", "validate", fx("healthcare")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code = main(["validate", fx("healthcare")])
+        assert proc.stdout == capsys.readouterr().out != ""
+        assert proc.returncode == code == 0
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -136,6 +152,18 @@ class TestSimulate:
         seed = write_json("seed.json", [{"object": "r"}])
         script = write_json("script.json", [])
         assert main(["simulate", fx("gp_lab"), "--seed", seed, "--script", script]) == 2
+
+    @pytest.mark.parametrize("value", [5, None])
+    @pytest.mark.parametrize("bad_file", ["seed", "script"])
+    def test_non_string_entry_exits_two(self, capsys, write_json, value, bad_file):
+        seed_doc = [{"object": value, "class": "TestRequest"}] if bad_file == "seed" else []
+        script_doc = [{"process": value, "object": "p"}] if bad_file == "script" else []
+        seed = write_json("seed.json", seed_doc)
+        script = write_json("script.json", script_doc)
+        assert main(["simulate", fx("gp_lab"), "--seed", seed, "--script", script]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
 
 class TestExplore:

@@ -148,7 +148,6 @@ class TestRoundTrip:
             (("name",), None),
             (("name",), 'say "hi"'),
             (("name",), "two\nlines"),
-            (("name",), "a#b"),
         ],
     )
     def test_json_names_the_text_grammar_cannot_spell(self, path, name):
@@ -161,6 +160,15 @@ class TestRoundTrip:
         result = parse_json(json.dumps(doc))
         assert result.model is None
         assert codes(result) == ["E-JSON"]
+
+    def test_hash_in_model_name_round_trips(self):
+        text = 'model "a#b # c" { # comment "with a quote\n  role A # "x" }\n}\n'
+        model = parse_text(text).model
+        assert model is not None and model.name == "a#b # c" and model.roles == ("A",)
+        assert parse_text(emit_text(model)).model == model
+        doc = json.loads(emit_json(model))
+        assert doc["name"] == "a#b # c"
+        assert parse_json(json.dumps(doc)).model == model
 
     def test_json_keyword_names_round_trip(self):
         doc = {

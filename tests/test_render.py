@@ -3,6 +3,7 @@ import subprocess
 
 import pytest
 
+from csm.dsl import parse_text
 from csm.fixtures import FIXTURES, load
 from csm.model import Model
 from csm.render import to_dot, to_mermaid
@@ -23,6 +24,12 @@ class TestDot:
     def test_internal_syntax_check(self, name, scenarios):
         check_dot_syntax(to_dot(scenarios[name]))
         check_dot_syntax(to_dot(scenarios[name], show_privileges=True))
+
+    def test_model_name_is_escaped(self):
+        model = parse_text('model "a\\" { }').model
+        assert model.name == "a\\"
+        check_dot_syntax(to_dot(model))
+        assert to_dot(Model('say "hi"')).startswith('digraph "say \\"hi\\"" {')
 
     def test_swim_lanes_and_aliases(self, scenarios):
         out = to_dot(scenarios["hotel_agency"])
