@@ -170,6 +170,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+    if args.stats:
+        print(json.dumps(summary.stats, sort_keys=True), file=sys.stderr)
     return 0
 
 
@@ -223,6 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", help="JSON array of reachability queries")
     p.add_argument("--max-steps", type=int, default=8)
     p.add_argument("--max-objects", type=int, default=2)
+    p.add_argument(
+        "--stats", action="store_true",
+        help="write state, edge and frontier counts, phase times and the stop "
+        "reason to stderr as one JSON object",
+    )
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("render", help="emit a DOT or Mermaid diagram")

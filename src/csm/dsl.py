@@ -37,6 +37,7 @@ from .model import (
     TransformMode,
     _Draft,
     _ProcessItem,
+    _quotable_name,
     _resolve,
     canonicalize,
     privilege_sort_key,
@@ -505,7 +506,7 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
     if name is not None and not isinstance(name, str):
         diags.append(_json_error("'name' must be a string"))
         name = None
-    elif name is not None and any(ch in name for ch in '"\n'):
+    elif name is not None and not _quotable_name(name):
         diags.append(_json_error("'name' may not contain '\"' or a line break"))
 
     draft = _Draft(name=name or "")

@@ -34,6 +34,15 @@ class InvalidTransform(ModelError):
     """A transform whose endpoints break its process contract."""
 
 
+class InvalidModelName(ModelError):
+    """The model name cannot be written as a quoted string of the text form."""
+
+
+def _quotable_name(name: str) -> bool:
+    """Whether the text form can quote the model name: no ``"``, no line break."""
+    return '"' not in name and "\n" not in name
+
+
 class UnknownRole(ModelError):
     pass
 
@@ -488,9 +497,14 @@ def canonicalize(model: Model) -> Model:
     and every reference is checked against the declarations by the same
     resolution pass that text and JSON parsing use. The first failed check
     is raised as ``DuplicateName``, ``UnresolvedReference`` or
-    ``InvalidTransform``. Idempotent; two models are equal exactly when
+    ``InvalidTransform``; a model name the text form cannot quote raises
+    ``InvalidModelName``. Idempotent; two models are equal exactly when
     their canonical forms are equal.
     """
+    if not _quotable_name(model.name):
+        raise InvalidModelName(
+            f"model name {model.name!r} may not contain '\"' or a line break"
+        )
     draft = _Draft(
         name=model.name,
         roles=[(r, None) for r in model.roles],

@@ -10,14 +10,19 @@ Processes with no inputs are generators: firing one mints a fresh object.
 
 ``explore`` enumerates the reachable states breadth-first under these rules
 and answers co-occurrence and ordering queries with witness traces; it is
-meant as an exact oracle at desk scale, not a model checker.
+meant as an exact oracle at desk scale, not a model checker. It does not
+build token sets: each class gets one bit, an object's state is the mask of
+the classes it holds a token in, and each process is compiled once to
+input, keep and output masks (see ``build_graph``). ``fire`` and
+``run_script`` keep the token form for scripted runs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+import time
+from dataclasses import dataclass, field
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     Model,
@@ -156,7 +161,7 @@ def fire(model: Model, state: SimState, process: str, object_id: str) -> SimStat
 NEW_OBJECT = "new"
 
 
-def _mint_id(existing: frozenset[str], minted: int) -> str:
+def _mint_id(existing: Container[str], minted: int) -> str:
     # Deterministic fresh ids so exploration and scripts name objects alike.
     k = minted + 1
     while f"obj{k}" in existing:
@@ -226,7 +231,10 @@ def run_script(
 
 
 Action = tuple[str, str]  # (process, object_id)
-_StateKey = tuple[frozenset[Token], int]  # tokens plus count of minted objects
+# (object_id, class mask) pairs sorted by id, plus the count of minted objects.
+_State = tuple[tuple[tuple[str, int], ...], int]
+# (name, is_generator, input mask, keep mask, output mask)
+_Compiled = tuple[str, bool, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -245,9 +253,13 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class ReachabilitySummary:
+    """What ``explore`` found; ``stats`` (counts, timings, stop reason) stays
+    out of ``to_dict``."""
+
     state_count: int
     complete: bool
     queries: tuple[QueryResult, ...] = ()
+    stats: Mapping = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -260,49 +272,72 @@ class ReachabilitySummary:
 
 @dataclass
 class ReachabilityGraph:
-    """Explicit reachable-state graph within the given bounds."""
+    """Explicit reachable-state graph within the given bounds.
 
-    initial: _StateKey
-    edges: dict[_StateKey, list[tuple[Action, _StateKey]]]
-    parents: dict[_StateKey, tuple[_StateKey, Action] | None]
-    complete: bool
+    States are numbered in discovery order; ``states[i]`` is the encoded
+    state (see ``build_graph``), ``edges`` maps each expanded state to its
+    ``(action, successor)`` list in firing order, and ``parents[i]`` is the
+    ``(state, action)`` that first reached state ``i``. ``frontier`` counts
+    the states first reached at each depth, and ``stop`` says why the search
+    ended: ``closed``, ``step_bound`` or ``object_bound_pruned``.
+    """
+
+    initial = 0  # states are numbered from the initial one
+
+    classes: dict[str, int]  # class name -> its bit
+    states: list[_State]
+    edges: dict[int, list[tuple[Action, int]]]
+    parents: list[tuple[int, Action] | None]
+    frontier: list[int]
+    stop: str
+
+    @property
+    def complete(self) -> bool:
+        return self.stop == "closed"
 
     @property
     def state_count(self) -> int:
-        return len(self.parents)
+        return len(self.states)
 
-    def path_to(self, key: _StateKey) -> tuple[Action, ...]:
+    def tokens(self, state: int) -> frozenset[Token]:
+        """The token configuration of a state."""
+        names = list(self.classes)
+        objects, _ = self.states[state]
+        return frozenset(
+            Token(oid, names[i])
+            for oid, mask in objects
+            for i in range(mask.bit_length())
+            if mask >> i & 1
+        )
+
+    def path_to(self, state: int) -> tuple[Action, ...]:
         path: list[Action] = []
-        cur = key
-        while True:
-            parent = self.parents[cur]
-            if parent is None:
-                break
-            cur, action = parent
+        parent = self.parents[state]
+        while parent is not None:
+            state, action = parent
             path.append(action)
+            parent = self.parents[state]
         return tuple(reversed(path))
 
 
-def _successors(
-    model: Model, key: _StateKey, max_objects: int
-) -> list[tuple[Action, _StateKey]]:
-    tokens, minted = key
-    state = SimState(tokens)
-    oids = sorted(state.object_ids)
-    out: list[tuple[Action, _StateKey]] = []
+def _compile(model: Model) -> tuple[dict[str, int], list[_Compiled]]:
+    """One bit per class, and every process as masks, sorted by name."""
+    bits: dict[str, int] = {}
+
+    def mask(names: Iterable[str]) -> int:
+        m = 0
+        for name in names:
+            m |= bits.setdefault(name, 1 << len(bits))
+        return m
+
+    mask(model.class_names)
+    processes = []
     for p in sorted(model.processes, key=lambda p: p.name):
-        if p.is_generator:
-            if len(oids) < max_objects:
-                nid = _mint_id(state.object_ids, minted)
-                nxt = fire(model, state, p.name, nid)
-                out.append(((p.name, nid), (nxt.tokens, minted + 1)))
-        else:
-            need = set(p.inputs)
-            for oid in oids:
-                if need <= state.classes_of(oid):
-                    nxt = fire(model, state, p.name, oid)
-                    out.append(((p.name, oid), (nxt.tokens, minted)))
-    return out
+        leaving = mask(t.source for t in p.transforms if t.mode is TransformMode.LEAVING)
+        processes.append(
+            (p.name, p.is_generator, mask(p.inputs), ~leaving, mask(p.outputs))
+        )
+    return bits, processes
 
 
 def build_graph(
@@ -311,79 +346,156 @@ def build_graph(
     max_steps: int,
     max_objects: int,
 ) -> ReachabilityGraph:
-    """Breadth-first enumeration of states reachable in at most max_steps firings."""
+    """Breadth-first enumeration of states reachable in at most max_steps firings.
+
+    Each class gets one bit, so an object's state is the mask ``s`` of the
+    classes it holds a token in, and a state is the tuple of
+    ``(object_id, s)`` pairs sorted by id plus the count of minted objects.
+    A process compiles to ``(in, keep, out)`` masks, where ``keep`` clears
+    the source of every leaving transform: it is enabled on an object when
+    ``s & in == in``, and firing gives ``(s & keep) | out``, as ``fire``
+    does with tokens. A generator mints ``obj<k>`` holding ``out`` while
+    fewer than max_objects objects exist. An object whose mask becomes 0
+    holds no token and is dropped.
+
+    Successors are listed by process name, then by object id. The graph is
+    complete only when every state was expanded within max_steps and the
+    object bound never skipped a generator firing.
+    """
     if max_steps < 1 or max_objects < 1:
         raise ValueError("bounds must be positive")
-    initial: _StateKey = (init_state(model, seed).tokens, 0)
-    parents: dict[_StateKey, tuple[_StateKey, Action] | None] = {initial: None}
-    edges: dict[_StateKey, list[tuple[Action, _StateKey]]] = {}
-    frontier = [initial]
-    depth = 0
-    complete = True
-    while frontier:
-        if depth >= max_steps:
-            # Unexpanded states remain: closure not proven within bounds.
-            complete = False
+    bits, processes = _compile(model)
+    masks: dict[str, int] = {}
+    for t in init_state(model, seed).tokens:
+        masks[t.object_id] = masks.get(t.object_id, 0) | bits[t.class_name]
+    initial: _State = (tuple(sorted(masks.items())), 0)
+    index = {initial: 0}
+    states = [initial]
+    parents: list[tuple[int, Action] | None] = [None]
+    edges: dict[int, list[tuple[Action, int]]] = {}
+    frontier = [0]
+    sizes = [1]
+    pruned = False
+    for _ in range(max_steps):
+        next_frontier: list[int] = []
+        for sid in frontier:
+            objects, minted = states[sid]
+            fired: list[tuple[Action, _State]] = []
+            for name, is_generator, need, keep, out in processes:
+                if is_generator:
+                    if len(objects) >= max_objects:
+                        pruned = True
+                        continue
+                    oid = _mint_id({o for o, _ in objects}, minted)
+                    born = tuple(sorted((*objects, (oid, out)))) if out else objects
+                    fired.append(((name, oid), (born, minted + 1)))
+                    continue
+                for i, (oid, s) in enumerate(objects):
+                    if s & need == need:
+                        s = s & keep | out
+                        rest = objects[i + 1:]
+                        changed = (*objects[:i], (oid, s), *rest) if s else objects[:i] + rest
+                        fired.append(((name, oid), (changed, minted)))
+            succs = []
+            for action, key in fired:
+                target = index.get(key)
+                if target is None:
+                    target = index[key] = len(states)
+                    states.append(key)
+                    parents.append((sid, action))
+                    next_frontier.append(target)
+                succs.append((action, target))
+            edges[sid] = succs
+        frontier = next_frontier
+        if not frontier:
             break
-        nxt_frontier: list[_StateKey] = []
-        for key in frontier:
-            succs = _successors(model, key, max_objects)
-            edges[key] = succs
-            for action, nkey in succs:
-                if nkey not in parents:
-                    parents[nkey] = (key, action)
-                    nxt_frontier.append(nkey)
-        frontier = nxt_frontier
-        depth += 1
-    return ReachabilityGraph(
-        initial=initial, edges=edges, parents=parents, complete=complete
-    )
+        sizes.append(len(frontier))
+    if frontier:
+        stop = "step_bound"  # unexpanded states remain
+    elif pruned:
+        stop = "object_bound_pruned"
+    else:
+        stop = "closed"
+    return ReachabilityGraph(bits, states, edges, parents, sizes, stop)
 
 
 def _co_occurrence(
     graph: ReachabilityGraph, class_a: str, class_b: str
 ) -> QueryResult:
     predicate = f"co-occurrence({class_a}, {class_b})"
-    for key in graph.parents:
-        tokens, _ = key
-        per_object: dict[str, set[str]] = {}
-        for t in tokens:
-            per_object.setdefault(t.object_id, set()).add(t.class_name)
-        for classes in per_object.values():
-            if class_a in classes and class_b in classes:
-                return QueryResult(predicate, True, graph.path_to(key))
+    if class_a in graph.classes and class_b in graph.classes:
+        want = graph.classes[class_a] | graph.classes[class_b]
+        for sid, (objects, _) in enumerate(graph.states):
+            for _, s in objects:
+                if s & want == want:
+                    return QueryResult(predicate, True, graph.path_to(sid))
     return QueryResult(predicate, False, None)
+
+
+def _reaches(
+    edges: Mapping[int, list[tuple[Action, int]]], starts: list[int], goals: set[int]
+) -> bool:
+    """Whether some state reachable from ``starts`` (inclusive) is in ``goals``."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        sid = stack.pop()
+        if sid in goals:
+            return True
+        for _, target in edges.get(sid, ()):
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return False
+
+
+def _sequence_witness(
+    graph: ReachabilityGraph, first: Action, then: Action
+) -> tuple[Action, ...]:
+    """The first ``then`` after ``first`` in a breadth-first search over
+    (state, fired-first-yet); the caller has checked that one exists."""
+    start = (graph.initial, False)
+    parents: dict[tuple[int, bool], tuple[tuple[int, bool], Action] | None]
+    parents = {start: None}
+    queue = [start]
+    while queue:
+        next_queue = []
+        for node in queue:
+            sid, fired_first = node
+            for action, target in graph.edges.get(sid, ()):
+                if fired_first and action == then:
+                    path = [action]
+                    link = parents[node]
+                    while link is not None:
+                        node, act = link
+                        path.append(act)
+                        link = parents[node]
+                    return tuple(reversed(path))
+                nnode = (target, fired_first or action == first)
+                if nnode not in parents:
+                    parents[nnode] = (node, action)
+                    next_queue.append(nnode)
+        queue = next_queue
+    raise AssertionError(f"no witness for {first} then {then}")
 
 
 def _sequence(graph: ReachabilityGraph, first: str, then: str) -> QueryResult:
     predicate = f"sequence({first} then {then})"
-    candidates = sorted(
-        {action[1] for succs in graph.edges.values() for action, _ in succs}
-    )
-    for oid in candidates:
-        # BFS over (state, fired-first-yet) with parent links for the witness.
-        start = (graph.initial, False)
-        parents: dict[tuple[_StateKey, bool], tuple[tuple[_StateKey, bool], Action] | None]
-        parents = {start: None}
-        queue = [start]
-        while queue:
-            nxt_queue = []
-            for node in queue:
-                key, fired_first = node
-                for action, nkey in graph.edges.get(key, []):
-                    if fired_first and action == (then, oid):
-                        path: list[Action] = [action]
-                        cur = node
-                        while parents[cur] is not None:
-                            cur, act = parents[cur]  # type: ignore[misc]
-                            path.append(act)
-                        return QueryResult(predicate, True, tuple(reversed(path)))
-                    nstage = fired_first or action == (first, oid)
-                    nnode = (nkey, nstage)
-                    if nnode not in parents:
-                        parents[nnode] = (node, action)
-                        nxt_queue.append(nnode)
-            queue = nxt_queue
+    # Per object: the states a `first` firing leads to, and the states
+    # where `then` can fire. The sequence holds for an object exactly when
+    # the second set is reachable from the first.
+    after_first: dict[str, list[int]] = {}
+    then_from: dict[str, set[int]] = {}
+    for sid, succs in graph.edges.items():
+        for (process, oid), target in succs:
+            if process == first:
+                after_first.setdefault(oid, []).append(target)
+            if process == then:
+                then_from.setdefault(oid, set()).add(sid)
+    for oid in sorted(after_first.keys() & then_from.keys()):
+        if _reaches(graph.edges, after_first[oid], then_from[oid]):
+            witness = _sequence_witness(graph, (first, oid), (then, oid))
+            return QueryResult(predicate, True, witness)
     return QueryResult(predicate, False, None)
 
 
@@ -405,8 +517,16 @@ def explore(
     queries: Sequence[Mapping] = (),
 ) -> ReachabilitySummary:
     """Enumerate reachable states and answer the given queries."""
+    started = time.perf_counter()
     graph = build_graph(model, seed, max_steps, max_objects)
+    built = time.perf_counter()
     results = tuple(run_query(graph, q) for q in queries)
-    return ReachabilitySummary(
-        state_count=graph.state_count, complete=graph.complete, queries=results
-    )
+    stats = {
+        "states": graph.state_count,
+        "edges": sum(len(succs) for succs in graph.edges.values()),
+        "frontier": graph.frontier,
+        "build_s": round(built - started, 6),
+        "query_s": round(time.perf_counter() - built, 6),
+        "stop": graph.stop,
+    }
+    return ReachabilitySummary(graph.state_count, graph.complete, results, stats)

@@ -5,6 +5,9 @@ catalog by direct set arithmetic over all (role, process, class) triples;
 it shares no code with ``csm.validator`` and serves as its oracle.
 ``brute_classify`` is the classifier's all-pairs loop: every ordered role
 pair against every process and class, with no use of the model's index.
+``brute_explore`` is the explorer on token sets: each state is a
+``frozenset`` of ``Token``s, every successor comes from ``fire``, and each
+sequence query runs a product search per candidate object.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import random
 import re
 
 from csm.classifier import CollaborationReport, Level, LevelFinding
+from csm.simulator import SimState, _mint_id, fire, init_state
 from csm.model import (
     ClassDef,
     Model,
@@ -305,6 +309,121 @@ def brute_classify(model: Model) -> CollaborationReport:
                     if f not in findings:
                         findings.append(f)
     return CollaborationReport(tuple(findings))
+
+
+# Seeds under which each fixture is explored in the oracle checks.
+A4_SEEDS = {
+    "airline_alliance": [("f1", "FlightRecord")],
+    "gp_hospital": [],
+    "gp_lab": [],
+    "healthcare": [],
+    "hospital_cleaning": [("room1", "OccupiedRoom")],
+    "hotel_agency": [],
+}
+
+
+def _brute_successors(model: Model, key, max_objects: int):
+    """Successor (action, key) pairs and whether the object bound skipped a generator."""
+    tokens, minted = key
+    state = SimState(tokens)
+    oids = sorted(state.object_ids)
+    out = []
+    pruned = False
+    for p in sorted(model.processes, key=lambda p: p.name):
+        if p.is_generator:
+            if len(oids) < max_objects:
+                nid = _mint_id(state.object_ids, minted)
+                nxt = fire(model, state, p.name, nid)
+                out.append(((p.name, nid), (nxt.tokens, minted + 1)))
+            else:
+                pruned = True
+        else:
+            need = set(p.inputs)
+            for oid in oids:
+                if need <= state.classes_of(oid):
+                    nxt = fire(model, state, p.name, oid)
+                    out.append(((p.name, oid), (nxt.tokens, minted)))
+    return out, pruned
+
+
+def _brute_path(parents, key) -> list:
+    path = []
+    while parents[key] is not None:
+        key, action = parents[key]
+        path.append(list(action))
+    return path[::-1]
+
+
+def _brute_co_occurrence(parents, class_a: str, class_b: str) -> dict:
+    predicate = f"co-occurrence({class_a}, {class_b})"
+    for key in parents:
+        per_object: dict[str, set[str]] = {}
+        for t in key[0]:
+            per_object.setdefault(t.object_id, set()).add(t.class_name)
+        for classes in per_object.values():
+            if class_a in classes and class_b in classes:
+                return {"predicate": predicate, "reachable": True,
+                        "witness": _brute_path(parents, key) or None}
+    return {"predicate": predicate, "reachable": False, "witness": None}
+
+
+def _brute_sequence(initial, edges, first: str, then: str) -> dict:
+    predicate = f"sequence({first} then {then})"
+    candidates = sorted({action[1] for succs in edges.values() for action, _ in succs})
+    for oid in candidates:
+        # BFS over (state, fired-first-yet) with parent links for the witness.
+        start = (initial, False)
+        parents = {start: None}
+        queue = [start]
+        while queue:
+            nxt_queue = []
+            for node in queue:
+                key, fired_first = node
+                for action, nkey in edges.get(key, []):
+                    if fired_first and action == (then, oid):
+                        witness = _brute_path(parents, node) + [list(action)]
+                        return {"predicate": predicate, "reachable": True, "witness": witness}
+                    nnode = (nkey, fired_first or action == (first, oid))
+                    if nnode not in parents:
+                        parents[nnode] = (node, action)
+                        nxt_queue.append(nnode)
+            queue = nxt_queue
+    return {"predicate": predicate, "reachable": False, "witness": None}
+
+
+def brute_explore(model: Model, seed, max_steps: int, max_objects: int, queries=()) -> dict:
+    """The document ``explore(...).to_dict()`` should give, from token sets.
+
+    The search is complete only when it closes within max_steps and the
+    object bound never skipped a generator firing.
+    """
+    initial = (init_state(model, seed).tokens, 0)
+    parents = {initial: None}
+    edges = {}
+    frontier = [initial]
+    pruned = False
+    for _ in range(max_steps):
+        nxt_frontier = []
+        for key in frontier:
+            succs, skipped = _brute_successors(model, key, max_objects)
+            pruned = pruned or skipped
+            edges[key] = succs
+            for action, nkey in succs:
+                if nkey not in parents:
+                    parents[nkey] = (key, action)
+                    nxt_frontier.append(nkey)
+        frontier = nxt_frontier
+        if not frontier:
+            break
+    complete = not frontier and not pruned
+    results = []
+    for q in queries:
+        if q["type"] == "co_occurrence":
+            results.append(_brute_co_occurrence(parents, *q["classes"]))
+        else:
+            results.append(_brute_sequence(initial, edges, q["first"], q["then"]))
+    return {"state_count": len(parents), "complete": complete,
+            "bound_exceeded": not complete, "queries": results}
 
 
 _ADD_RE = re.compile(r"^add (.+) to grant (\S+) on (\S+)$")

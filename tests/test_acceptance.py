@@ -31,6 +31,7 @@ from csm.simulator import (
 )
 from csm.validator import validate
 from helpers import (
+    A4_SEEDS,
     brute_validate,
     check_dot_syntax,
     check_mermaid_syntax,
@@ -146,15 +147,6 @@ def test_criterion_3_token_semantics(scenarios):
 
 # -- 4: oracle equivalence ------------------------------------------------------
 
-A4_SEEDS = {
-    "airline_alliance": [("f1", "FlightRecord")],
-    "gp_hospital": [],
-    "gp_lab": [],
-    "healthcare": [],
-    "hospital_cleaning": [("room1", "OccupiedRoom")],
-    "hotel_agency": [],
-}
-
 MAX_OBJECTS = 2
 MAX_STEPS = 8
 SCRIPT_BUDGET = 8000  # enumerated scripts per fixture
@@ -171,25 +163,35 @@ def _alphabet(model: Model, seed: list) -> list:
     return sorted(actions)
 
 
+def _decoded(graph, state: int) -> tuple:
+    """A graph state as (token set, count of minted objects)."""
+    return graph.tokens(state), graph.states[state][1]
+
+
 def _graph_path_exists(graph, script) -> bool:
-    key = graph.initial
+    state = graph.initial
     for process, oid in script:
-        tokens, minted = key
+        tokens, minted = _decoded(graph, state)
         if oid == NEW_OBJECT:
             oid = _mint_id(frozenset(t.object_id for t in tokens), minted)
-        key = dict(graph.edges.get(key, ())).get((process, oid))
-        if key is None:
+        state = dict(graph.edges.get(state, ())).get((process, oid))
+        if state is None:
             return False
     return True
 
 
 def _assert_edges_match_fire(model: Model, graph) -> None:
-    """Every expanded state agrees with step-by-step firing semantics.
+    """Every expanded state agrees with step-by-step firing semantics, and
+    lists its successors by process name, then by object id.
 
     Per-transition agreement at every reachable state extends the script
     equivalence to all scripts within the exploration bounds by induction.
+    Distinct state ids must decode to distinct token configurations.
     """
-    for (tokens, minted), succs in graph.edges.items():
+    decoded = [_decoded(graph, s) for s in range(graph.state_count)]
+    assert len(set(decoded)) == len(decoded)
+    for sid, succs in graph.edges.items():
+        tokens, minted = decoded[sid]
         state = SimState(tokens)
         expected = {}
         for p in model.processes:
@@ -207,7 +209,7 @@ def _assert_edges_match_fire(model: Model, graph) -> None:
                             fire(model, state, p.name, oid).tokens,
                             minted,
                         )
-        assert dict(succs) == expected
+        assert [(action, decoded[target]) for action, target in succs] == list(expected.items())
 
 
 def test_criterion_4_oracle_equivalence(scenarios):

@@ -204,6 +204,32 @@ class TestExplore:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_stats_go_to_stderr(self, capsys, write_json):
+        seed = write_json("seed.json", [{"object": "r", "class": "OccupiedRoom"}])
+        query = write_json(
+            "query.json", [{"type": "sequence", "first": "CleanRoom", "then": "DischargeHospital"}]
+        )
+        argv = ["explore", fx("hospital_cleaning"), "--seed", seed, "--query", query]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out and plain.err == ""
+        [line] = captured.err.splitlines()
+        stats = json.loads(line)
+        assert set(stats) == {"states", "edges", "frontier", "build_s", "query_s", "stop"}
+        assert stats["states"] == json.loads(plain.out)["state_count"] == sum(stats["frontier"])
+        assert stats["stop"] == "closed" and stats["edges"] > 0
+        assert stats["build_s"] >= 0 and stats["query_s"] >= 0
+
+    def test_stats_name_the_object_bound(self, capsys, write_json):
+        seed = write_json("seed.json", [{"object": "p", "class": "CaredPatient"}])
+        argv = ["explore", fx("gp_lab"), "--seed", seed, "--max-objects", "1", "--stats"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["complete"] is False
+        assert json.loads(captured.err)["stop"] == "object_bound_pruned"
+
     def test_defaults_without_query(self, capsys, write_json):
         seed = write_json("seed.json", [])
         assert main(["explore", fx("gp_lab"), "--seed", seed]) == 0

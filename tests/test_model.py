@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from csm.dsl import parse_json
+from csm.dsl import emit_json, emit_text, parse_json, parse_text
 from csm.model import (
     ClassDef,
     DuplicateName,
+    InvalidModelName,
     InvalidTransform,
     Model,
     ModelError,
@@ -66,6 +67,18 @@ class TestCanonicalize:
     def test_drops_empty_grants(self):
         m = canonicalize(_tiny(class_grants={("A", "X"): frozenset()}))
         assert m.class_grants == {}
+
+    @pytest.mark.parametrize("name", ['say "hi"', "two\nlines", '"', "\n"])
+    def test_unquotable_name_rejected(self, name):
+        with pytest.raises(InvalidModelName):
+            canonicalize(_tiny(name=name))
+        assert parse_json(_raw_json(_tiny(name=name))).model is None
+
+    @pytest.mark.parametrize("name", ["a#b", "back\\slash", "ends\\", "# \\ #", ""])
+    def test_hash_and_backslash_names_round_trip(self, name):
+        m = canonicalize(_tiny(name=name))
+        assert parse_text(emit_text(m)).model == m
+        assert parse_json(emit_json(m)).model == m
 
     def test_duplicate_role_rejected(self):
         with pytest.raises(DuplicateName):

@@ -5,7 +5,7 @@ import pytest
 
 from csm.dsl import parse_text
 from csm.fixtures import FIXTURES, load
-from csm.model import Model
+from csm.model import InvalidModelName, Model
 from csm.render import to_dot, to_mermaid
 from csm.validator import InvalidModel
 from helpers import check_dot_syntax, check_mermaid_syntax
@@ -29,7 +29,10 @@ class TestDot:
         model = parse_text('model "a\\" { }').model
         assert model.name == "a\\"
         check_dot_syntax(to_dot(model))
-        assert to_dot(Model('say "hi"')).startswith('digraph "say \\"hi\\"" {')
+        assert to_dot(model).startswith('digraph "a\\\\" {')
+        # A name no text form can quote is refused before it reaches DOT.
+        with pytest.raises(InvalidModelName):
+            to_dot(Model('say "hi"'))
 
     def test_swim_lanes_and_aliases(self, scenarios):
         out = to_dot(scenarios["hotel_agency"])

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from csm.dsl import parse_text
+from csm.fixtures import FIXTURES
 from csm.simulator import (
     DuplicateToken,
     NotEnabled,
@@ -17,6 +20,7 @@ from csm.simulator import (
     run_query,
 )
 from csm.model import ModelError, UnknownClass
+from helpers import A4_SEEDS, brute_explore, random_model, random_valid_model
 
 
 def outcomes(events):
@@ -197,6 +201,8 @@ class TestExplore:
         g1 = build_graph(m, [], max_steps=5, max_objects=2)
         g2 = build_graph(m, [], max_steps=5, max_objects=2)
         assert g1.edges == g2.edges and g1.parents == g2.parents
+        decode = lambda g: [(g.tokens(s), g.states[s][1]) for s in range(g.state_count)]
+        assert decode(g1) == decode(g2)
 
     def test_complete_when_space_is_closed(self, scenarios):
         m = scenarios["hospital_cleaning"]
@@ -206,7 +212,7 @@ class TestExplore:
     def test_incomplete_when_bound_hit(self, scenarios):
         m = scenarios["hotel_agency"]
         graph = build_graph(m, [], max_steps=1, max_objects=2)
-        assert not graph.complete
+        assert not graph.complete and graph.stop == "step_bound"
         summary = explore(m, [], max_steps=1, max_objects=2)
         assert not summary.complete
 
@@ -214,8 +220,66 @@ class TestExplore:
         m = scenarios["gp_lab"]
         graph = build_graph(m, [], max_steps=8, max_objects=1)
         for succs in graph.edges.values():
-            for _, (tokens, _) in succs:
-                assert len({t.object_id for t in tokens}) <= 1
+            for _, target in succs:
+                assert len({t.object_id for t in graph.tokens(target)}) <= 1
+
+    def test_pruned_generator_is_not_a_proof(self, scenarios):
+        # The seed fills the object bound, so CheckUp can never mint.
+        m = scenarios["healthcare"]
+        seed = [("a", "CaredPatient"), ("b", "CaredPatient")]
+        query = {"type": "sequence", "first": "CheckUp", "then": "Diagnose"}
+        summary = explore(m, seed, max_steps=8, max_objects=2, queries=[query])
+        assert not summary.complete and summary.stats["stop"] == "object_bound_pruned"
+        assert not summary.queries[0].reachable
+        assert explore(m, seed, max_steps=8, max_objects=3, queries=[query]).queries[0].reachable
+
+    def test_full_object_bound_without_generator_is_complete(self, scenarios):
+        m = scenarios["hospital_cleaning"]
+        seed = [("r1", "OccupiedRoom"), ("r2", "OccupiedRoom")]
+        graph = build_graph(m, seed, max_steps=8, max_objects=2)
+        assert graph.complete and graph.stop == "closed"
+
+    def test_a_generator_always_meets_the_object_bound(self, scenarios):
+        # Below the bound a generator can always mint a fresh object, so a
+        # model with one closes only when the bound stops it.
+        graph = build_graph(scenarios["gp_lab"], [], max_steps=30, max_objects=2)
+        assert graph.stop == "object_bound_pruned" and not graph.complete
+
+    def test_frontier_counts_every_state_once(self, scenarios):
+        graph = build_graph(scenarios["healthcare"], [], max_steps=30, max_objects=2)
+        assert graph.frontier == [1, 1, 3, 6, 10, 12, 12, 8, 4]
+        assert sum(graph.frontier) == graph.state_count
+
+    def test_successors_by_process_then_object(self, scenarios):
+        m = scenarios["hospital_cleaning"]
+        seed = [("r2", "OccupiedRoom"), ("r1", "OccupiedRoom")]
+        graph = build_graph(m, seed, max_steps=1, max_objects=2)
+        assert [action for action, _ in graph.edges[graph.initial]] == [
+            ("CleanRoom", "r1"),
+            ("CleanRoom", "r2"),
+            ("DischargeHospital", "r1"),
+            ("DischargeHospital", "r2"),
+        ]
+        assert graph.parents[1:] == [(graph.initial, a) for a, _ in graph.edges[graph.initial]]
+
+    def test_tokens_decodes_a_state(self, scenarios):
+        m = scenarios["hospital_cleaning"]
+        graph = build_graph(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
+        assert graph.tokens(graph.initial) == {Token("r", "OccupiedRoom")}
+        [(action, target)] = [s for s in graph.edges[graph.initial] if s[0][0] == "CleanRoom"]
+        assert graph.tokens(target) == fire(
+            m, init_state(m, [("r", "OccupiedRoom")]), "CleanRoom", "r"
+        ).tokens
+
+    def test_undeclared_names_are_unreachable(self, scenarios):
+        graph = build_graph(scenarios["gp_lab"], [], max_steps=4, max_objects=1)
+        for query in (
+            {"type": "co_occurrence", "classes": ["Ghost", "TestRequest"]},
+            {"type": "sequence", "first": "Ghost", "then": "PerformTest"},
+            {"type": "sequence", "first": "RequestTest", "then": "Ghost"},
+        ):
+            result = run_query(graph, query)
+            assert not result.reachable and result.witness is None
 
     def test_bounds_must_be_positive(self, scenarios):
         with pytest.raises(ValueError):
@@ -264,3 +328,73 @@ class TestExplore:
         doc = summary.to_dict()
         assert doc["complete"] is True
         assert doc["queries"][0]["reachable"] is False
+
+
+def _all_queries(model) -> list[dict]:
+    """Every co-occurrence and sequence query over declared names, pairs with
+    themselves included."""
+    return [
+        {"type": "co_occurrence", "classes": [a, b]}
+        for a in model.class_names
+        for b in model.class_names
+    ] + [
+        {"type": "sequence", "first": a, "then": b}
+        for a in model.process_names
+        for b in model.process_names
+    ]
+
+
+def _random_queries(rng: random.Random, model) -> list[dict]:
+    classes = [*model.class_names, "Ghost"]
+    processes = [*model.process_names, "Ghost"]
+    queries = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            queries.append({"type": "co_occurrence", "classes": rng.choices(classes, k=2)})
+        else:
+            first = rng.choice(processes)
+            then = first if rng.random() < 0.25 else rng.choice(processes)
+            queries.append({"type": "sequence", "first": first, "then": then})
+    return queries
+
+
+# Minted objects are obj1, obj2, ...; seeded ids sort before, between and after them.
+SEED_IDS = ("a", "obj1", "obj2", "obj10", "objz", "zz")
+
+
+class TestReferenceOracle:
+    """``explore`` on class masks agrees with ``brute_explore`` on token sets."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name, scenarios):
+        m = scenarios[name]
+        queries = _all_queries(m)
+        for max_steps, max_objects in ((8, 2), (6, 3), (12, 1)):
+            got = explore(m, A4_SEEDS[name], max_steps, max_objects, queries).to_dict()
+            assert got == brute_explore(m, A4_SEEDS[name], max_steps, max_objects, queries)
+
+    @pytest.mark.parametrize("name", ["gp_lab", "healthcare", "hotel_agency"])
+    def test_seed_ids_around_minted_ids(self, name, scenarios):
+        m = scenarios[name]
+        queries = _all_queries(m)
+        for ids in (("a",), ("zz",), ("obj1",), ("obj2", "zz"), ("a", "obj10")):
+            seed = [(oid, m.class_names[i % len(m.class_names)]) for i, oid in enumerate(ids)]
+            got = explore(m, seed, 5, 3, queries).to_dict()
+            assert got == brute_explore(m, seed, 5, 3, queries)
+
+    @pytest.mark.parametrize("generate", [random_model, random_valid_model])
+    def test_random_models(self, generate):
+        rng = random.Random(4)
+        reachable = 0
+        for _ in range(300):
+            m = generate(rng)
+            seed = sorted({
+                (rng.choice(SEED_IDS), rng.choice(m.class_names))
+                for _ in range(rng.randint(0, 4))
+            })
+            bounds = rng.randint(1, 8), rng.randint(1, 4)
+            queries = _random_queries(rng, m)
+            got = explore(m, seed, *bounds, queries).to_dict()
+            assert got == brute_explore(m, seed, *bounds, queries), (m, seed, bounds)
+            reachable += sum(q["reachable"] for q in got["queries"])
+        assert reachable > 100
