@@ -31,7 +31,7 @@ number of roles.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .model import (
@@ -56,16 +56,18 @@ class Level(enum.Enum):
     VERY_LOOSE = "very loose"
 
 
-@dataclass(frozen=True)
-class LevelFinding:
-    """One (producer, consumer, artifact) judgement with its evidence."""
+class LevelFinding(
+    namedtuple(
+        "LevelFinding", "producer consumer artifact artifact_kind level evidence"
+    )
+):
+    """One (producer, consumer, artifact) judgement with its evidence.
 
-    producer: str
-    consumer: str
-    artifact: str
-    artifact_kind: str  # "process" or "class"
-    level: Level
-    evidence: tuple[str, ...]
+    ``artifact_kind`` is ``"process"`` or ``"class"``, ``level`` a ``Level``
+    and ``evidence`` a tuple of strings.
+    """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -78,9 +80,10 @@ class LevelFinding:
         }
 
 
-@dataclass(frozen=True)
-class CollaborationReport:
-    findings: tuple[LevelFinding, ...]
+class CollaborationReport(namedtuple("CollaborationReport", "findings")):
+    """The tuple of ``LevelFinding``s for a model."""
+
+    # No __slots__: pair_summary is cached in the instance __dict__.
 
     @cached_property
     def pair_summary(self) -> dict[tuple[str, str], frozenset[Level]]:

@@ -10,15 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import classifier, dsl, render, simulator, validator
 from .diagnostics import Severity
 from .model import Model, ModelError
-
-
-def _read_file(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
 
 
 class _CliError(Exception):
@@ -27,11 +22,22 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load_model(path: str) -> Model:
+def _read_file(path: str, label: str) -> str:
+    """The text of a UTF-8 file; ``label`` names it in the usage error
+    raised when it cannot be read or decoded."""
     try:
-        text = _read_file(path)
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", 2) from exc
+        raise _CliError(f"cannot read {label}: {exc}", 2) from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(
+            f"cannot read {label}: not valid UTF-8 (byte {exc.start}: {exc.reason})", 2
+        ) from exc
+
+
+def _load_model(path: str) -> Model:
+    text = _read_file(path, path)
     if path.endswith(".json"):
         result = dsl.parse_json(text, file_label=path)
     else:
@@ -44,11 +50,10 @@ def _load_model(path: str) -> Model:
 
 
 def _load_json(path: str, what: str):
+    text = _read_file(path, f"{what} file {path}")
     try:
-        return json.loads(_read_file(path))
-    except OSError as exc:
-        raise _CliError(f"cannot read {what} file {path}: {exc}", 2) from exc
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _CliError(f"malformed {what} file {path}: {exc}", 2) from exc
 
 
@@ -113,7 +118,8 @@ def _load_queries(path: str, model: Model) -> list[dict]:
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path:
         try:
-            Path(out_path).write_text(text, encoding="utf-8")
+            with open(out_path, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as exc:
             raise _CliError(f"cannot write {out_path}: {exc}", 2) from exc
     else:

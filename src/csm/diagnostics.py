@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(namedtuple("SourceSpan", "file line column length", defaults=(0,))):
     """A location in a source file; line and column are 1-based."""
 
-    file: str
-    line: int
-    column: int
-    length: int = 0
+    __slots__ = ()
 
 
 class Severity(enum.Enum):
@@ -22,23 +17,28 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """A single validation or parse finding."""
+class Diagnostic(
+    namedtuple(
+        "Diagnostic",
+        "code severity site message suggestion span",
+        defaults=(None, None),
+    )
+):
+    """A single validation or parse finding.
 
-    code: str
-    severity: Severity
-    site: str
-    message: str
-    suggestion: str | None = None
-    span: SourceSpan | None = None
+    ``code``, ``site``, ``message`` and the optional ``suggestion`` are
+    strings, ``severity`` a ``Severity`` and ``span`` an optional
+    ``SourceSpan``.
+    """
+
+    __slots__ = ()
 
     @property
     def sort_key(self) -> tuple[str, str]:
         return (self.code, self.site)
 
-    def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
+    def to_dict(self) -> dict:
+        doc = {
             "code": self.code,
             "severity": self.severity.value,
             "site": self.site,

@@ -25,8 +25,7 @@ from __future__ import annotations
 import bisect
 import json
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, has_errors
 from .model import (
@@ -48,23 +47,19 @@ ITEM_KEYWORDS = frozenset({"role", "class", "process", "grant"})
 PITEM_KEYWORDS = frozenset({"owner", "responsible", "input", "output", "transform"})
 
 
-@dataclass(frozen=True)
-class ParseResult:
-    """Outcome of a parse: a canonical model unless errors were found."""
+class ParseResult(namedtuple("ParseResult", "model diagnostics")):
+    """Outcome of a parse: a canonical model unless errors were found, and
+    the list of diagnostics."""
 
-    model: Model | None
-    diagnostics: list[Diagnostic]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.model is not None
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "string" | "punct" | "junk" | "eof"
-    text: str
-    line: int
-    column: int
+# kind is "ident", "string", "punct", "junk" or "eof".
+_Token = namedtuple("_Token", "kind text line column")
 
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
@@ -470,7 +465,8 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
             return ParseResult(None, [_json_error(f"not valid UTF-8: {exc}")])
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's stack allows.
         return ParseResult(None, [_json_error(f"malformed JSON: {exc}")])
 
     diags: list[Diagnostic] = []

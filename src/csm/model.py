@@ -11,9 +11,9 @@ caches on first use come out the same whichever thread builds them).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, Severity, SourceSpan
 
@@ -138,46 +138,55 @@ class ProcessPrivilege(enum.Enum):
     RESPONSIBILITY = "responsibility"
 
 
-@dataclass(frozen=True)
-class ClassDef:
+class ClassDef(namedtuple("ClassDef", "name dynamic status_points")):
     """An information class, optionally a significant dynamic state."""
 
-    name: str
-    dynamic: bool = False
-    status_points: frozenset[StatusPoint] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "status_points", frozenset(self.status_points))
-
-
-@dataclass(frozen=True)
-class Transform:
-    """One state change declared by a process: source class to target class."""
-
-    source: str
-    target: str
-    mode: TransformMode
+    def __new__(
+        cls, name: str, dynamic: bool = False, status_points: Iterable[StatusPoint] = ()
+    ) -> ClassDef:
+        return tuple.__new__(cls, (name, dynamic, frozenset(status_points)))
 
 
-@dataclass(frozen=True)
-class ProcessDef:
+class Transform(namedtuple("Transform", "source target mode")):
+    """One state change declared by a process: source class to target class
+    (names), with its ``TransformMode``."""
+
+    __slots__ = ()
+
+
+class ProcessDef(
+    namedtuple("ProcessDef", "name inputs outputs transforms role_privileges")
+):
     """A business process with its inputs, outputs, transforms and roles.
 
-    ``role_privileges`` is a partial map: a role absent from it holds no
-    privilege on the process at all.
+    ``inputs`` and ``outputs`` are class names and ``transforms`` the
+    process's ``Transform``s, each kept as a tuple. ``role_privileges``,
+    kept as a copy, is a partial map from role name to ``ProcessPrivilege``:
+    a role absent from it holds no privilege on the process at all.
     """
 
-    name: str
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
-    transforms: tuple[Transform, ...] = ()
-    role_privileges: Mapping[str, ProcessPrivilege] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "transforms", tuple(self.transforms))
-        object.__setattr__(self, "role_privileges", dict(self.role_privileges))
+    def __new__(
+        cls,
+        name: str,
+        inputs: Iterable[str] = (),
+        outputs: Iterable[str] = (),
+        transforms: Iterable[Transform] = (),
+        role_privileges: Mapping[str, ProcessPrivilege] | None = None,
+    ) -> ProcessDef:
+        return tuple.__new__(
+            cls,
+            (
+                name,
+                tuple(inputs),
+                tuple(outputs),
+                tuple(transforms),
+                dict(role_privileges or {}),
+            ),
+        )
 
     @property
     def privileged_roles(self) -> frozenset[str]:
@@ -209,46 +218,47 @@ class ProcessDef:
         return not self.inputs
 
 
-class ClassIndex(NamedTuple):
+class ClassIndex(
+    namedtuple("ClassIndex", "creators plus_readers read_only_readers producers")
+):
     """Who holds what on one class, and which processes output it.
 
-    Only declared roles are listed.
+    Only declared roles are listed. ``creators`` hold creation,
+    ``plus_readers`` any ``+`` privilege, and ``read_only_readers``
+    reference+ with no creation or write privilege (each a frozenset of
+    role names); ``producers`` is the tuple of ``ProcessDef``s that output
+    the class.
     """
 
-    creators: frozenset[str]
-    plus_readers: frozenset[str]  # roles holding any ``+`` privilege
-    read_only_readers: frozenset[str]  # reference+ and no creation or write privilege
-    producers: tuple[ProcessDef, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(namedtuple("Model", "name roles classes processes class_grants")):
     """A complete collaborative service model.
 
-    ``class_grants`` maps ``(role, class)`` to the set of data privileges
-    the role holds on the class; missing pairs mean no privileges.
+    ``roles``, ``classes`` (``ClassDef``) and ``processes`` (``ProcessDef``)
+    are tuples. ``class_grants`` maps ``(role, class)`` to the frozenset of
+    data privileges the role holds on the class; missing pairs mean no
+    privileges.
 
     Lookup indexes are built on first use and cached on the instance: the
     name-to-definition maps for ``class_def``/``process_def``, and apart
     from them the per-class grant index ``class_index``.
     """
 
-    name: str
-    roles: tuple[str, ...] = ()
-    classes: tuple[ClassDef, ...] = ()
-    processes: tuple[ProcessDef, ...] = ()
-    class_grants: Mapping[tuple[str, str], frozenset[Privilege]] = field(
-        default_factory=dict
-    )
+    # No __slots__: the cached indexes live in the instance __dict__.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roles", tuple(self.roles))
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "processes", tuple(self.processes))
-        object.__setattr__(
-            self,
-            "class_grants",
-            {key: frozenset(privs) for key, privs in dict(self.class_grants).items()},
+    def __new__(
+        cls,
+        name: str,
+        roles: Iterable[str] = (),
+        classes: Iterable[ClassDef] = (),
+        processes: Iterable[ProcessDef] = (),
+        class_grants: Mapping[tuple[str, str], Iterable[Privilege]] | None = None,
+    ) -> Model:
+        grants = {key: frozenset(privs) for key, privs in dict(class_grants or {}).items()}
+        return tuple.__new__(
+            cls, (name, tuple(roles), tuple(classes), tuple(processes), grants)
         )
 
     @property
@@ -320,36 +330,33 @@ class Model:
         return self.class_grants.get((role, class_name), frozenset())
 
 
-@dataclass
 class _ProcessItem:
-    """One process declaration before name resolution."""
+    """One process declaration before name resolution; parsers append to
+    its lists."""
 
-    name: str
-    span: SourceSpan | None = None
-    owners: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
-    responsibles: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
-    inputs: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
-    outputs: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
-    transforms: list[tuple[str, str, TransformMode, SourceSpan | None]] = field(
-        default_factory=list
-    )
+    def __init__(self, name: str, span: SourceSpan | None = None) -> None:
+        self.name = name
+        self.span = span
+        self.owners: list[tuple[str, SourceSpan | None]] = []
+        self.responsibles: list[tuple[str, SourceSpan | None]] = []
+        self.inputs: list[tuple[str, SourceSpan | None]] = []
+        self.outputs: list[tuple[str, SourceSpan | None]] = []
+        self.transforms: list[tuple[str, str, TransformMode, SourceSpan | None]] = []
 
 
-@dataclass
 class _Draft:
-    """Raw declarations, before name resolution.
+    """Raw declarations, before name resolution; parsers append to its lists.
 
     Spans point into the source text; they are ``None`` for declarations
     that come from JSON or from a ``Model`` built in Python.
     """
 
-    name: str = ""
-    roles: list[tuple[str, SourceSpan | None]] = field(default_factory=list)
-    classes: list[tuple[ClassDef, SourceSpan | None]] = field(default_factory=list)
-    processes: list[_ProcessItem] = field(default_factory=list)
-    grants: list[tuple[str, str, frozenset[Privilege], SourceSpan | None]] = field(
-        default_factory=list
-    )
+    def __init__(self, name: str = "") -> None:
+        self.name = name
+        self.roles: list[tuple[str, SourceSpan | None]] = []
+        self.classes: list[tuple[ClassDef, SourceSpan | None]] = []
+        self.processes: list[_ProcessItem] = []
+        self.grants: list[tuple[str, str, frozenset[Privilege], SourceSpan | None]] = []
 
 
 def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
@@ -505,23 +512,18 @@ def canonicalize(model: Model) -> Model:
         raise InvalidModelName(
             f"model name {model.name!r} may not contain '\"' or a line break"
         )
-    draft = _Draft(
-        name=model.name,
-        roles=[(r, None) for r in model.roles],
-        classes=[(c, None) for c in model.classes],
-        processes=[
-            _ProcessItem(
-                name=p.name,
-                owners=[(r, None) for r in p.owners],
-                responsibles=[(r, None) for r in p.responsibles],
-                inputs=[(c, None) for c in p.inputs],
-                outputs=[(c, None) for c in p.outputs],
-                transforms=[(t.source, t.target, t.mode, None) for t in p.transforms],
-            )
-            for p in model.processes
-        ],
-        grants=[(r, c, privs, None) for (r, c), privs in model.class_grants.items()],
-    )
+    draft = _Draft(model.name)
+    draft.roles = [(r, None) for r in model.roles]
+    draft.classes = [(c, None) for c in model.classes]
+    for p in model.processes:
+        item = _ProcessItem(p.name)
+        item.owners = [(r, None) for r in p.owners]
+        item.responsibles = [(r, None) for r in p.responsibles]
+        item.inputs = [(c, None) for c in p.inputs]
+        item.outputs = [(c, None) for c in p.outputs]
+        item.transforms = [(t.source, t.target, t.mode, None) for t in p.transforms]
+        draft.processes.append(item)
+    draft.grants = [(r, c, privs, None) for (r, c), privs in model.class_grants.items()]
     canonical, diags = _resolve(draft)
     if diags:
         first = diags[0]
@@ -540,12 +542,11 @@ def shared_processes(model: Model, r1: str, r2: str) -> frozenset[str]:
     )
 
 
-class SharedClass(NamedTuple):
-    """A class one role creates and the other reads across the boundary."""
+class SharedClass(namedtuple("SharedClass", "class_name producer consumer")):
+    """A class one role creates and the other reads across the boundary
+    (class and role names)."""
 
-    class_name: str
-    producer: str
-    consumer: str
+    __slots__ = ()
 
 
 def shared_classes(model: Model, r1: str, r2: str) -> frozenset[SharedClass]:

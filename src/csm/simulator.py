@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
-from typing import Container, Iterable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Container, Iterable, Mapping, Sequence
+from functools import cached_property
 
 from .model import (
     Model,
@@ -34,19 +35,19 @@ from .model import (
 )
 
 
-class Token(NamedTuple):
-    object_id: str
-    class_name: str
+Token = namedtuple("Token", "object_id class_name")
 
 
-@dataclass(frozen=True)
-class SimState:
-    """An immutable token configuration; at most one token per (object, class)."""
+class SimState(namedtuple("SimState", "tokens")):
+    """An immutable token configuration; at most one token per (object, class).
 
-    tokens: frozenset[Token] = frozenset()
+    ``tokens`` is kept as a frozenset of ``Token``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", frozenset(self.tokens))
+    __slots__ = ()
+
+    def __new__(cls, tokens: Iterable[Token] = ()) -> SimState:
+        return tuple.__new__(cls, (frozenset(tokens),))
 
     @property
     def object_ids(self) -> frozenset[str]:
@@ -88,13 +89,13 @@ class Outcome(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    step: int
-    process: str
-    object_id: str
-    outcome: Outcome
-    detail: str = ""
+class TraceEvent(
+    namedtuple("TraceEvent", "step process object_id outcome detail", defaults=("",))
+):
+    """One step of a scripted run: its 1-based number, the process and object
+    it named, its ``Outcome`` and a human-readable detail."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -237,11 +238,11 @@ _State = tuple[tuple[tuple[str, int], ...], int]
 _Compiled = tuple[str, bool, int, int, int]
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    predicate: str
-    reachable: bool
-    witness: tuple[Action, ...] | None
+class QueryResult(namedtuple("QueryResult", "predicate reachable witness")):
+    """A query's verdict; ``witness`` is the tuple of actions that reaches it,
+    or ``None`` when it is unreachable."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -251,15 +252,26 @@ class QueryResult:
         }
 
 
-@dataclass(frozen=True)
-class ReachabilitySummary:
-    """What ``explore`` found; ``stats`` (counts, timings, stop reason) stays
-    out of ``to_dict``."""
+class ReachabilitySummary(
+    namedtuple("ReachabilitySummary", "state_count complete queries")
+):
+    """What ``explore`` found: the state count, whether the search closed and
+    the tuple of ``QueryResult``.
 
-    state_count: int
-    complete: bool
-    queries: tuple[QueryResult, ...] = ()
-    stats: Mapping = field(default_factory=dict, compare=False)
+    ``stats`` (counts, timings, stop reason) is an attribute outside the
+    tuple, so it takes no part in equality, and it stays out of ``to_dict``.
+    """
+
+    def __new__(
+        cls,
+        state_count: int,
+        complete: bool,
+        queries: tuple[QueryResult, ...] = (),
+        stats: Mapping | None = None,
+    ) -> ReachabilitySummary:
+        self = tuple.__new__(cls, (state_count, complete, queries))
+        self.stats = {} if stats is None else stats
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -270,12 +282,12 @@ class ReachabilitySummary:
         }
 
 
-@dataclass
 class ReachabilityGraph:
     """Explicit reachable-state graph within the given bounds.
 
-    States are numbered in discovery order; ``states[i]`` is the encoded
-    state (see ``build_graph``), ``edges`` maps each expanded state to its
+    ``classes`` maps each class name to its bit. States are numbered in
+    discovery order; ``states[i]`` is the encoded state (see
+    ``build_graph``), ``edges`` maps each expanded state to its
     ``(action, successor)`` list in firing order, and ``parents[i]`` is the
     ``(state, action)`` that first reached state ``i``. ``frontier`` counts
     the states first reached at each depth, and ``stop`` says why the search
@@ -284,12 +296,21 @@ class ReachabilityGraph:
 
     initial = 0  # states are numbered from the initial one
 
-    classes: dict[str, int]  # class name -> its bit
-    states: list[_State]
-    edges: dict[int, list[tuple[Action, int]]]
-    parents: list[tuple[int, Action] | None]
-    frontier: list[int]
-    stop: str
+    def __init__(
+        self,
+        classes: dict[str, int],
+        states: list[_State],
+        edges: dict[int, list[tuple[Action, int]]],
+        parents: list[tuple[int, Action] | None],
+        frontier: list[int],
+        stop: str,
+    ) -> None:
+        self.classes = classes
+        self.states = states
+        self.edges = edges
+        self.parents = parents
+        self.frontier = frontier
+        self.stop = stop
 
     @property
     def complete(self) -> bool:
@@ -309,6 +330,20 @@ class ReachabilityGraph:
             for i in range(mask.bit_length())
             if mask >> i & 1
         )
+
+    @cached_property
+    def firings(self) -> dict[Action, tuple[list[int], list[int]]]:
+        """Per action, the states it fires from and the states it leads to,
+        as two lists in edge order; built on first use."""
+        index: dict[Action, tuple[list[int], list[int]]] = {}
+        for sid, succs in self.edges.items():
+            for action, target in succs:
+                entry = index.get(action)
+                if entry is None:
+                    entry = index[action] = ([], [])
+                entry[0].append(sid)
+                entry[1].append(target)
+        return index
 
     def path_to(self, state: int) -> tuple[Action, ...]:
         path: list[Action] = []
@@ -486,12 +521,11 @@ def _sequence(graph: ReachabilityGraph, first: str, then: str) -> QueryResult:
     # the second set is reachable from the first.
     after_first: dict[str, list[int]] = {}
     then_from: dict[str, set[int]] = {}
-    for sid, succs in graph.edges.items():
-        for (process, oid), target in succs:
-            if process == first:
-                after_first.setdefault(oid, []).append(target)
-            if process == then:
-                then_from.setdefault(oid, set()).add(sid)
+    for (process, oid), (sources, targets) in graph.firings.items():
+        if process == first:
+            after_first[oid] = targets
+        if process == then:
+            then_from[oid] = set(sources)
     for oid in sorted(after_first.keys() & then_from.keys()):
         if _reaches(graph.edges, after_first[oid], then_from[oid]):
             witness = _sequence_witness(graph, (first, oid), (then, oid))

@@ -237,6 +237,72 @@ class TestExplore:
         assert doc["state_count"] > 1
 
 
+def _reading(kind: str, path: str, write_json) -> list[str]:
+    """A command line that reads ``path`` as a file of the given kind."""
+    seed = write_json("seed.json", [])
+    script = write_json("script.json", [])
+    if kind == "model":
+        return ["validate", path]
+    if kind == "seed":
+        return ["simulate", fx("gp_lab"), "--seed", path, "--script", script]
+    if kind == "script":
+        return ["simulate", fx("gp_lab"), "--seed", seed, "--script", path]
+    return ["explore", fx("gp_lab"), "--seed", seed, "--query", path]
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("model", "m.csm"), ("model", "m.json"), ("seed", "s.json"),
+         ("script", "t.json"), ("query", "q.json")],
+    )
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path, write_json, kind, name):
+        path = tmp_path / name
+        path.write_bytes(b'model "a\xff" { }' if kind == "model" else b'["a\xff"]')
+        assert main(_reading(kind, str(path), write_json)) == 2
+        label = str(path) if kind == "model" else f"{kind} file {path}"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {label}: not valid UTF-8 (byte ")
+        assert "Traceback" not in captured.err
+
+    def test_too_deeply_nested_model_is_e_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E-JSON [error] document: malformed JSON: ")
+        assert err.endswith(f"error: {path}: model has errors\n")
+
+    @pytest.mark.parametrize("kind", ["seed", "script", "query"])
+    def test_too_deeply_nested_json_file_exits_two(self, capsys, tmp_path, write_json, kind):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(_reading(kind, str(path), write_json)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed {kind} file {path}: ")
+        assert "Traceback" not in captured.err
+
+
+def test_import_leaves_out_heavy_stdlib_modules():
+    """``import csm.cli`` loads every csm module and none of the stdlib
+    modules whose import dominated start-up (a module set, not a timing)."""
+    src = str(Path(csm.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import csm.cli, sys, json; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"dataclasses", "typing", "inspect", "pathlib"}
+    assert {
+        "csm.classifier", "csm.diagnostics", "csm.dsl", "csm.model",
+        "csm.render", "csm.simulator", "csm.validator",
+    } <= loaded
+
+
 class TestRenderAndFmt:
     def test_render_dot_to_stdout(self, capsys):
         assert main(["render", fx("gp_lab"), "--format", "dot"]) == 0

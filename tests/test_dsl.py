@@ -217,6 +217,15 @@ class TestJson:
         assert result.model is None
         assert codes(result) == ["E-JSON"]
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, '{"name": ' * 100_000], ids=["array", "object"]
+    )
+    def test_too_deeply_nested_json_is_malformed(self, text):
+        result = parse_json(text)
+        assert result.model is None
+        [diag] = result.diagnostics
+        assert diag.code == "E-JSON" and diag.message.startswith("malformed JSON: ")
+
     def test_missing_keys(self):
         result = parse_json(json.dumps({"name": "m"}))
         assert result.model is None

@@ -1,0 +1,163 @@
+"""The contracts of the immutable model and result records.
+
+Construction by keyword with defaults, the coercions applied on
+construction, immutability, equality and hashing, the cached model index
+and ``repr``.
+"""
+
+import pytest
+
+from csm.classifier import CollaborationReport, Level, LevelFinding
+from csm.diagnostics import Diagnostic, Severity, SourceSpan
+from csm.dsl import ParseResult
+from csm.model import (
+    ClassDef,
+    Model,
+    Privilege,
+    ProcessDef,
+    ProcessPrivilege,
+    StatusPoint,
+    Transform,
+    TransformMode,
+)
+from csm.simulator import (
+    Outcome,
+    QueryResult,
+    ReachabilitySummary,
+    SimState,
+    Token,
+    TraceEvent,
+)
+
+LEAVE = Transform(source="A", target="B", mode=TransformMode.LEAVING)
+OWNER = {"R": ProcessPrivilege.OWNER}
+
+
+class TestConstruction:
+    def test_keywords_and_defaults(self):
+        assert ClassDef(name="X") == ClassDef("X", False, frozenset())
+        assert ProcessDef(name="P") == ProcessDef("P", (), (), (), {})
+        assert Model(name="m") == Model("m", (), (), (), {})
+        assert SourceSpan(file="f", line=1, column=2).length == 0
+        d = Diagnostic(code="E-X", severity=Severity.ERROR, site="s", message="m")
+        assert (d.suggestion, d.span) == (None, None)
+        assert SimState().tokens == frozenset()
+        assert TraceEvent(step=1, process="P", object_id="o", outcome=Outcome.FIRED).detail == ""
+        summary = ReachabilitySummary(state_count=3, complete=True)
+        assert (summary.queries, summary.stats) == ((), {})
+
+    def test_fields_by_keyword(self):
+        t = Transform(source="A", target="B", mode=TransformMode.REMAINING)
+        assert (t.source, t.target, t.mode) == ("A", "B", TransformMode.REMAINING)
+        f = LevelFinding(
+            producer="R1", consumer="R2", artifact="P", artifact_kind="process",
+            level=Level.TIGHT, evidence=("e",),
+        )
+        assert (f.producer, f.consumer, f.artifact, f.artifact_kind, f.level, f.evidence) == (
+            "R1", "R2", "P", "process", Level.TIGHT, ("e",)
+        )
+        assert CollaborationReport(findings=(f,)).findings == (f,)
+        assert ParseResult(model=None, diagnostics=[]).ok is False
+        assert ParseResult(model=Model("m"), diagnostics=[]).ok is True
+        q = QueryResult(predicate="p", reachable=True, witness=(("P", "o"),))
+        assert (q.predicate, q.reachable, q.witness) == ("p", True, (("P", "o"),))
+        span = SourceSpan("f", 1, 2, 3)
+        assert (span.file, span.line, span.column, span.length) == ("f", 1, 2, 3)
+
+
+class TestCoercion:
+    def test_status_points_become_a_frozenset(self):
+        c = ClassDef("X", True, [StatusPoint.WAITING, StatusPoint.WAITING])
+        assert c.status_points == frozenset({StatusPoint.WAITING})
+        assert isinstance(c.status_points, frozenset)
+
+    def test_process_sequences_become_tuples_and_privileges_are_copied(self):
+        privileges = dict(OWNER)
+        p = ProcessDef("P", ["A"], ["B"], [LEAVE], privileges)
+        assert (p.inputs, p.outputs, p.transforms) == (("A",), ("B",), (LEAVE,))
+        privileges["S"] = ProcessPrivilege.RESPONSIBILITY
+        assert p.role_privileges == OWNER
+
+    def test_model_sequences_become_tuples_and_grants_are_copied(self):
+        grants = {("R", "X"): {Privilege.REFERENCE}}
+        m = Model("m", ["R"], [ClassDef("X")], [ProcessDef("P")], grants)
+        assert (m.roles, m.classes, m.processes) == (("R",), (ClassDef("X"),), (ProcessDef("P"),))
+        assert m.class_grants == {("R", "X"): frozenset({Privilege.REFERENCE})}
+        assert isinstance(m.class_grants[("R", "X")], frozenset)
+        grants[("R", "Y")] = {Privilege.CREATION}
+        assert list(m.class_grants) == [("R", "X")]
+
+    def test_sim_state_tokens_become_a_frozenset(self):
+        state = SimState([Token("o", "A"), Token("o", "A")])
+        assert state.tokens == frozenset({Token("o", "A")})
+
+
+# Each record with one of its fields.
+RECORDS = [
+    (ClassDef("X"), "name"),
+    (LEAVE, "mode"),
+    (ProcessDef("P"), "inputs"),
+    (Model("m"), "classes"),
+    (SourceSpan("f", 1, 1), "line"),
+    (Diagnostic("E-X", Severity.ERROR, "s", "m"), "message"),
+    (ParseResult(None, []), "model"),
+    (LevelFinding("R1", "R2", "P", "process", Level.TIGHT, ()), "level"),
+    (CollaborationReport(()), "findings"),
+    (SimState(), "tokens"),
+    (TraceEvent(1, "P", "o", Outcome.FIRED), "outcome"),
+    (QueryResult("p", False, None), "reachable"),
+    (ReachabilitySummary(0, True), "state_count"),
+]
+
+
+@pytest.mark.parametrize("record, field", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_fields_cannot_be_assigned(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+class TestEqualityAndHashing:
+    def test_class_defs(self):
+        a = ClassDef("X", True, [StatusPoint.FAIL])
+        b = ClassDef("X", True, frozenset({StatusPoint.FAIL}))
+        assert a == b and hash(a) == hash(b)
+        assert a != ClassDef("X", False, [StatusPoint.FAIL])
+        assert len({a, b, ClassDef("Y")}) == 2
+
+    def test_transforms(self):
+        other = Transform("A", "B", TransformMode.LEAVING)
+        assert LEAVE == other and hash(LEAVE) == hash(other)
+        assert LEAVE != Transform("A", "B", TransformMode.REMAINING)
+        assert len({LEAVE, other}) == 1
+
+    def test_process_defs_compare_by_value_and_are_unhashable(self):
+        a = ProcessDef("P", ("A",), ("B",), (LEAVE,), OWNER)
+        assert a == ProcessDef("P", ["A"], ["B"], [LEAVE], dict(OWNER))
+        responsible = {"R": ProcessPrivilege.RESPONSIBILITY}
+        assert a != ProcessDef("P", ("A",), ("B",), (LEAVE,), responsible)
+        with pytest.raises(TypeError):
+            hash(a)  # role_privileges is a dict
+
+    def test_summaries_differing_only_in_stats_are_equal(self):
+        q = (QueryResult("p", False, None),)
+        a = ReachabilitySummary(5, False, q, {"states": 5})
+        b = ReachabilitySummary(5, False, q, {"states": 5, "stop": "step_bound"})
+        assert a == b
+        assert a != ReachabilitySummary(6, False, q, {"states": 5})
+
+
+def test_model_class_index_is_cached():
+    m = Model("m", ("R",), (ClassDef("X"),), (), {("R", "X"): {Privilege.CREATION}})
+    first = m.class_index
+    assert m.class_index is first
+    assert first["X"].creators == frozenset({"R"})
+
+
+def test_repr():
+    assert repr(LEAVE) == (
+        "Transform(source='A', target='B', mode=<TransformMode.LEAVING: 'leaving'>)"
+    )
+    assert repr(ClassDef("X", True, [StatusPoint.WAITING])) == (
+        "ClassDef(name='X', dynamic=True, "
+        "status_points=frozenset({<StatusPoint.WAITING: 'waiting'>}))"
+    )
