@@ -29,7 +29,6 @@ from .model import (
     TransformMode,
     canonicalize,
     shared_classes,
-    shared_processes,
 )
 from .render import to_dot, to_mermaid
 from .simulator import (

@@ -13,7 +13,7 @@ import sys
 
 from . import classifier, dsl, render, simulator, validator
 from .diagnostics import Severity
-from .model import Model, ModelError
+from .model import Model
 
 
 class _CliError(Exception):
@@ -75,8 +75,18 @@ def _load_pairs(path: str, what: str, keys: tuple[str, str]) -> list[tuple[str, 
     return pairs
 
 
-def _load_seed(path: str) -> list[tuple[str, str]]:
-    return _load_pairs(path, "seed", ("object", "class"))
+def _load_seed(path: str, model: Model) -> list[tuple[str, str]]:
+    """Seed entries that name declared classes, each entry at most once."""
+    seed = _load_pairs(path, "seed", ("object", "class"))
+    declared = set(model.class_names)
+    seen = set()
+    for object_id, class_name in seed:
+        if class_name not in declared:
+            raise _CliError(f"seed file {path} names no declared class: {class_name!r}", 2)
+        if (object_id, class_name) in seen:
+            raise _CliError(f"seed file {path} repeats {object_id!r} in {class_name!r}", 2)
+        seen.add((object_id, class_name))
+    return seed
 
 
 def _load_script(path: str) -> list[tuple[str, str]]:
@@ -150,13 +160,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
-    seed = _load_seed(args.seed)
+    seed = _load_seed(args.seed, model)
     script = _load_script(args.script)
-    try:
-        events = simulator.run_script(model, seed, script)
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    events = simulator.run_script(model, seed, script)
     for e in events:
         print(json.dumps(e.to_dict(), sort_keys=True))
     failed = any(e.outcome is not simulator.Outcome.FIRED for e in events)
@@ -164,17 +170,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    for option, value in (("--max-steps", args.max_steps), ("--max-objects", args.max_objects)):
+        if value < 1:
+            raise _CliError(f"{option} must be at least 1: {value}", 2)
     model = _load_model(args.file)
-    seed = _load_seed(args.seed)
+    seed = _load_seed(args.seed, model)
     queries = _load_queries(args.query, model) if args.query else []
-    try:
-        summary = simulator.explore(
-            model, seed, max_steps=args.max_steps, max_objects=args.max_objects,
-            queries=queries,
-        )
-    except (ModelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    summary = simulator.explore(
+        model, seed, max_steps=args.max_steps, max_objects=args.max_objects, queries=queries
+    )
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     if args.stats:
         print(json.dumps(summary.stats, sort_keys=True), file=sys.stderr)

@@ -112,18 +112,10 @@ class StatusPoint(enum.Enum):
 
 
 _POINT_ORDER = {s: i for i, s in enumerate(StatusPoint)}
-_POINT_BY_TEXT = {s.value: s for s in StatusPoint}
 
 
 def status_point_sort_key(point: StatusPoint) -> int:
     return _POINT_ORDER[point]
-
-
-def status_point_from_text(text: str) -> StatusPoint:
-    try:
-        return _POINT_BY_TEXT[text]
-    except KeyError:
-        raise ModelError(f"unknown status point {text!r}") from None
 
 
 class TransformMode(enum.Enum):
@@ -187,10 +179,6 @@ class ProcessDef(
                 dict(role_privileges or {}),
             ),
         )
-
-    @property
-    def privileged_roles(self) -> frozenset[str]:
-        return frozenset(self.role_privileges)
 
     @property
     def owners(self) -> tuple[str, ...]:
@@ -529,17 +517,6 @@ def canonicalize(model: Model) -> Model:
         first = diags[0]
         raise _ERROR_BY_CODE[first.code](f"{first.site}: {first.message}")
     return canonical
-
-
-def shared_processes(model: Model, r1: str, r2: str) -> frozenset[str]:
-    """Processes on which both roles hold some process privilege."""
-    model.require_role(r1)
-    model.require_role(r2)
-    return frozenset(
-        p.name
-        for p in model.processes
-        if r1 in p.role_privileges and r2 in p.role_privileges
-    )
 
 
 class SharedClass(namedtuple("SharedClass", "class_name producer consumer")):

@@ -1,20 +1,21 @@
-"""Token-based execution of a model.
+"""Execution of a model on class masks.
 
-Each object is a set of tokens, one per class the object currently occupies.
-Firing a process on an object adds a token in every output class; an input
-token is consumed only when some declared transform from that input is a
-leaving one ("leaving dominates" when a single input feeds several outputs
-with mixed modes). Inputs without any transform are pure reads.
+Each class gets one bit, and an object's state is the mask of the classes
+it holds a token in. Each process compiles once to input, keep and output
+masks (``_compile``): it is enabled on an object holding every input
+class, and firing it clears the source class of every leaving transform
+("leaving dominates" when a single input feeds several outputs with mixed
+modes) and sets every output class. Inputs without any transform are pure
+reads. Processes with no inputs are generators: firing one mints a fresh
+object.
 
-Processes with no inputs are generators: firing one mints a fresh object.
-
-``explore`` enumerates the reachable states breadth-first under these rules
-and answers co-occurrence and ordering queries with witness traces; it is
-meant as an exact oracle at desk scale, not a model checker. It does not
-build token sets: each class gets one bit, an object's state is the mask of
-the classes it holds a token in, and each process is compiled once to
-input, keep and output masks (see ``build_graph``). ``fire`` and
-``run_script`` keep the token form for scripted runs.
+That is the one firing rule. ``run_script`` steps through a script on a
+mask per object, and ``build_graph`` enumerates the reachable states
+breadth-first on the same masks; ``explore`` answers co-occurrence and
+ordering queries over that graph with witness traces, as an exact oracle
+at desk scale, not a model checker. ``Token`` and ``SimState`` are the
+boundary form: ``init_state``, ``enabled`` and ``fire`` encode a token
+configuration into masks, apply the rule and decode the result.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from functools import cached_property
 from .model import (
     Model,
     ModelError,
+    ProcessDef,
     StatusPoint,
     TransformMode,
     UnknownClass,
@@ -107,18 +109,75 @@ class TraceEvent(
         }
 
 
+# A process as (name, is_generator, need, keep, out): ``need`` holds its
+# input classes, ``keep`` clears the source of every leaving transform and
+# ``out`` holds its outputs; a plain tuple, which unpacks faster than a named one.
+_Compiled = tuple[str, bool, int, int, int]
+
+
+def _mask(bits: dict[str, int], names: Iterable[str]) -> int:
+    """The mask of the named classes; a name without a bit gets the next one."""
+    m = 0
+    for name in names:
+        m |= bits.setdefault(name, 1 << len(bits))
+    return m
+
+
+def _class_bits(model: Model) -> dict[str, int]:
+    """One bit per declared class, in declaration order."""
+    return {name: 1 << i for i, name in enumerate(dict.fromkeys(model.class_names))}
+
+
+def _compile(bits: dict[str, int], p: ProcessDef) -> _Compiled:
+    leaving = _mask(bits, (t.source for t in p.transforms if t.mode is TransformMode.LEAVING))
+    return p.name, p.is_generator, _mask(bits, p.inputs), ~leaving, _mask(bits, p.outputs)
+
+
+def _encode(bits: Mapping[str, int], seed: Iterable[tuple[str, str]]) -> dict[str, int]:
+    """Per seeded object id, the mask of its seed classes; ``bits`` holds the
+    declared classes, so an entry naming another class is ``UnknownClass``."""
+    held: dict[str, int] = {}
+    for object_id, class_name in seed:
+        bit = bits.get(class_name)
+        if bit is None:
+            raise UnknownClass(class_name)
+        mask = held.get(object_id, 0)
+        if mask & bit:
+            raise DuplicateToken(f"{object_id!r} already seeded in {class_name!r}")
+        held[object_id] = mask | bit
+    return held
+
+
+def _decode(bits: Mapping[str, int], mask: int) -> list[str]:
+    """The names of the classes in a mask, sorted."""
+    return sorted(name for name, bit in bits.items() if mask & bit)
+
+
+def _step(
+    model: Model, bits: Mapping[str, int], proc: _Compiled, object_id: str, held: int
+) -> int:
+    """The mask of the object after the process fires on it, from the mask
+    it holds before (0 when the object does not exist)."""
+    name, is_generator, need, keep, out = proc
+    if is_generator:
+        if held:
+            raise StaleObject(f"generator {name!r} fired with existing object {object_id!r}")
+        return out
+    if held & need != need:
+        missing = _decode(bits, need & ~held)
+        blocked = any(
+            StatusPoint.WAITING in model.class_def(c).status_points for c in missing
+        )
+        raise NotEnabled(name, object_id, missing, blocked)
+    return held & keep | out
+
+
 def init_state(model: Model, seed: Iterable[tuple[str, str]]) -> SimState:
     """State holding exactly the seed tokens."""
-    tokens: set[Token] = set()
-    declared = set(model.class_names)
-    for object_id, class_name in seed:
-        if class_name not in declared:
-            raise UnknownClass(class_name)
-        token = Token(object_id, class_name)
-        if token in tokens:
-            raise DuplicateToken(f"{object_id!r} already seeded in {class_name!r}")
-        tokens.add(token)
-    return SimState(frozenset(tokens))
+    bits = _class_bits(model)
+    return SimState(
+        Token(oid, c) for oid, mask in _encode(bits, seed).items() for c in _decode(bits, mask)
+    )
 
 
 def enabled(model: Model, state: SimState, object_id: str) -> frozenset[str]:
@@ -126,37 +185,22 @@ def enabled(model: Model, state: SimState, object_id: str) -> frozenset[str]:
 
     Generators are excluded: they mint objects rather than consume them.
     """
-    have = state.classes_of(object_id)
+    bits = _class_bits(model)
+    held = _mask(bits, state.classes_of(object_id))
+    compiled = (_compile(bits, p) for p in model.processes)
     return frozenset(
-        p.name
-        for p in model.processes
-        if p.inputs and set(p.inputs) <= have
+        name for name, generator, need, _, _ in compiled if not generator and held & need == need
     )
 
 
 def fire(model: Model, state: SimState, process: str, object_id: str) -> SimState:
     """Fire the process on the object, returning the successor state."""
-    p = model.process_def(process)
-    tokens = set(state.tokens)
-    if p.is_generator:
-        if object_id in state.object_ids:
-            raise StaleObject(
-                f"generator {process!r} fired with existing object {object_id!r}"
-            )
-    else:
-        missing = sorted(set(p.inputs) - state.classes_of(object_id))
-        if missing:
-            blocked = any(
-                StatusPoint.WAITING in model.class_def(c).status_points
-                for c in missing
-            )
-            raise NotEnabled(process, object_id, missing, blocked)
-        leaving = {
-            t.source for t in p.transforms if t.mode is TransformMode.LEAVING
-        }
-        tokens -= {Token(object_id, c) for c in leaving}
-    tokens |= {Token(object_id, c) for c in p.outputs}
-    return SimState(frozenset(tokens))
+    bits = _class_bits(model)
+    proc = _compile(bits, model.process_def(process))
+    after = _step(model, bits, proc, object_id, _mask(bits, state.classes_of(object_id)))
+    tokens = {t for t in state.tokens if t.object_id != object_id}
+    tokens.update(Token(object_id, c) for c in _decode(bits, after))
+    return SimState(tokens)
 
 
 NEW_OBJECT = "new"
@@ -179,31 +223,35 @@ def run_script(
 
     A script entry names a process and an object id, or ``"new"`` to let a
     generator mint a fresh object. Unknown process or class names abort the
-    run with an ``aborted`` event.
+    run with an ``aborted`` event. Each object is a class mask, and one
+    whose mask becomes 0 holds no token and is dropped.
     """
-    state = init_state(model, seed)
+    bits = _class_bits(model)
+    objects = _encode(bits, seed)
     minted = 0
     events: list[TraceEvent] = []
     for step, (process, object_id) in enumerate(script, start=1):
         try:
-            pdef = model.process_def(process)
+            proc = _compile(bits, model.process_def(process))
         except UnknownProcess:
             events.append(
                 TraceEvent(step, process, object_id, Outcome.ABORTED,
                            f"unknown process {process!r}")
             )
             break
-        was_new = object_id == NEW_OBJECT
-        if was_new:
-            if not pdef.is_generator:
+        _, is_generator, _, _, out = proc
+        if object_id == NEW_OBJECT:
+            if not is_generator:
                 events.append(
                     TraceEvent(step, process, object_id, Outcome.ABORTED,
                                f"{process!r} is not a generator; 'new' needs one")
                 )
                 break
-            object_id = _mint_id(state.object_ids, minted)
+            object_id = _mint_id(objects, minted)
+            minted += 1  # a generator always fires on a fresh id
+        held = objects.get(object_id, 0)
         try:
-            nxt = fire(model, state, process, object_id)
+            after = _step(model, bits, proc, object_id, held)
         except NotEnabled as exc:
             outcome = (
                 Outcome.BLOCKED_WAITING if exc.blocked_waiting else Outcome.NOT_ENABLED
@@ -218,24 +266,20 @@ def run_script(
                 TraceEvent(step, process, object_id, Outcome.ABORTED, str(exc))
             )
             break
-        if was_new:
-            minted += 1
-        noop = sorted(
-            c for c in pdef.outputs if Token(object_id, c) in state.tokens
-        )
+        if after:
+            objects[object_id] = after
+        else:
+            objects.pop(object_id, None)
         detail = f"object {object_id}"
-        if noop:
-            detail += f"; already present in {', '.join(noop)}"
+        if held & out:
+            detail += f"; already present in {', '.join(_decode(bits, held & out))}"
         events.append(TraceEvent(step, process, object_id, Outcome.FIRED, detail))
-        state = nxt
     return events
 
 
 Action = tuple[str, str]  # (process, object_id)
 # (object_id, class mask) pairs sorted by id, plus the count of minted objects.
 _State = tuple[tuple[tuple[str, int], ...], int]
-# (name, is_generator, input mask, keep mask, output mask)
-_Compiled = tuple[str, bool, int, int, int]
 
 
 class QueryResult(namedtuple("QueryResult", "predicate reachable witness")):
@@ -322,13 +366,9 @@ class ReachabilityGraph:
 
     def tokens(self, state: int) -> frozenset[Token]:
         """The token configuration of a state."""
-        names = list(self.classes)
         objects, _ = self.states[state]
         return frozenset(
-            Token(oid, names[i])
-            for oid, mask in objects
-            for i in range(mask.bit_length())
-            if mask >> i & 1
+            Token(oid, c) for oid, mask in objects for c in _decode(self.classes, mask)
         )
 
     @cached_property
@@ -355,26 +395,6 @@ class ReachabilityGraph:
         return tuple(reversed(path))
 
 
-def _compile(model: Model) -> tuple[dict[str, int], list[_Compiled]]:
-    """One bit per class, and every process as masks, sorted by name."""
-    bits: dict[str, int] = {}
-
-    def mask(names: Iterable[str]) -> int:
-        m = 0
-        for name in names:
-            m |= bits.setdefault(name, 1 << len(bits))
-        return m
-
-    mask(model.class_names)
-    processes = []
-    for p in sorted(model.processes, key=lambda p: p.name):
-        leaving = mask(t.source for t in p.transforms if t.mode is TransformMode.LEAVING)
-        processes.append(
-            (p.name, p.is_generator, mask(p.inputs), ~leaving, mask(p.outputs))
-        )
-    return bits, processes
-
-
 def build_graph(
     model: Model,
     seed: Iterable[tuple[str, str]],
@@ -388,10 +408,10 @@ def build_graph(
     ``(object_id, s)`` pairs sorted by id plus the count of minted objects.
     A process compiles to ``(in, keep, out)`` masks, where ``keep`` clears
     the source of every leaving transform: it is enabled on an object when
-    ``s & in == in``, and firing gives ``(s & keep) | out``, as ``fire``
-    does with tokens. A generator mints ``obj<k>`` holding ``out`` while
-    fewer than max_objects objects exist. An object whose mask becomes 0
-    holds no token and is dropped.
+    ``s & in == in``, and firing gives ``(s & keep) | out``, the rule
+    ``run_script`` applies one step at a time. A generator mints
+    ``obj<k>`` holding ``out`` while fewer than max_objects objects exist.
+    An object whose mask becomes 0 holds no token and is dropped.
 
     Successors are listed by process name, then by object id. The graph is
     complete only when every state was expanded within max_steps and the
@@ -399,11 +419,9 @@ def build_graph(
     """
     if max_steps < 1 or max_objects < 1:
         raise ValueError("bounds must be positive")
-    bits, processes = _compile(model)
-    masks: dict[str, int] = {}
-    for t in init_state(model, seed).tokens:
-        masks[t.object_id] = masks.get(t.object_id, 0) | bits[t.class_name]
-    initial: _State = (tuple(sorted(masks.items())), 0)
+    bits = _class_bits(model)
+    initial: _State = (tuple(sorted(_encode(bits, seed).items())), 0)
+    processes = [_compile(bits, p) for p in sorted(model.processes, key=lambda p: p.name)]
     index = {initial: 0}
     states = [initial]
     parents: list[tuple[int, Action] | None] = [None]

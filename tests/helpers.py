@@ -5,9 +5,12 @@ catalog by direct set arithmetic over all (role, process, class) triples;
 it shares no code with ``csm.validator`` and serves as its oracle.
 ``brute_classify`` is the classifier's all-pairs loop: every ordered role
 pair against every process and class, with no use of the model's index.
+``brute_fire`` is the firing rule on token sets, written without the class
+masks the simulator compiles: ``brute_init_state`` and ``brute_run_script``
+build on it to give what ``init_state`` and ``run_script`` should, and
 ``brute_explore`` is the explorer on token sets: each state is a
-``frozenset`` of ``Token``s, every successor comes from ``fire``, and each
-sequence query runs a product search per candidate object.
+``frozenset`` of ``Token``s, every successor comes from ``brute_fire``, and
+each sequence query runs a product search per candidate object.
 """
 
 from __future__ import annotations
@@ -16,7 +19,17 @@ import random
 import re
 
 from csm.classifier import CollaborationReport, Level, LevelFinding
-from csm.simulator import SimState, _mint_id, fire, init_state
+from csm.simulator import (
+    NEW_OBJECT,
+    DuplicateToken,
+    NotEnabled,
+    Outcome,
+    SimState,
+    StaleObject,
+    Token,
+    TraceEvent,
+    _mint_id,
+)
 from csm.model import (
     ClassDef,
     Model,
@@ -27,6 +40,8 @@ from csm.model import (
     StatusPoint,
     Transform,
     TransformMode,
+    UnknownClass,
+    UnknownProcess,
     canonicalize,
 )
 
@@ -322,6 +337,82 @@ A4_SEEDS = {
 }
 
 
+def brute_init_state(model: Model, seed) -> SimState:
+    """The seed tokens; an undeclared class or a repeated entry raises."""
+    tokens: set[Token] = set()
+    for object_id, class_name in seed:
+        if class_name not in model.class_names:
+            raise UnknownClass(class_name)
+        token = Token(object_id, class_name)
+        if token in tokens:
+            raise DuplicateToken(f"{object_id!r} already seeded in {class_name!r}")
+        tokens.add(token)
+    return SimState(tokens)
+
+
+def brute_fire(model: Model, state: SimState, process: str, object_id: str) -> SimState:
+    """The successor state on token sets: a generator needs a fresh object,
+    any other process every input token; leaving sources go, outputs come."""
+    p = model.process_def(process)
+    tokens = set(state.tokens)
+    if p.is_generator:
+        if object_id in state.object_ids:
+            raise StaleObject(
+                f"generator {process!r} fired with existing object {object_id!r}"
+            )
+    else:
+        missing = sorted(set(p.inputs) - state.classes_of(object_id))
+        if missing:
+            blocked = any(
+                StatusPoint.WAITING in model.class_def(c).status_points for c in missing
+            )
+            raise NotEnabled(process, object_id, missing, blocked)
+        leaving = {t.source for t in p.transforms if t.mode is TransformMode.LEAVING}
+        tokens -= {Token(object_id, c) for c in leaving}
+    tokens |= {Token(object_id, c) for c in p.outputs}
+    return SimState(tokens)
+
+
+def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
+    """The events ``run_script`` should give, stepping with ``brute_fire``."""
+    state = brute_init_state(model, seed)
+    minted = 0
+    events = []
+    for step, (process, object_id) in enumerate(script, start=1):
+        try:
+            pdef = model.process_def(process)
+        except UnknownProcess:
+            events.append(TraceEvent(step, process, object_id, Outcome.ABORTED,
+                                     f"unknown process {process!r}"))
+            break
+        was_new = object_id == NEW_OBJECT
+        if was_new:
+            if not pdef.is_generator:
+                events.append(TraceEvent(step, process, object_id, Outcome.ABORTED,
+                                         f"{process!r} is not a generator; 'new' needs one"))
+                break
+            object_id = _mint_id(state.object_ids, minted)
+        try:
+            nxt = brute_fire(model, state, process, object_id)
+        except NotEnabled as exc:
+            outcome = Outcome.BLOCKED_WAITING if exc.blocked_waiting else Outcome.NOT_ENABLED
+            events.append(TraceEvent(step, process, object_id, outcome,
+                                     f"missing input tokens: {', '.join(exc.missing)}"))
+            continue
+        except StaleObject as exc:
+            events.append(TraceEvent(step, process, object_id, Outcome.ABORTED, str(exc)))
+            break
+        if was_new:
+            minted += 1
+        noop = sorted(c for c in pdef.outputs if Token(object_id, c) in state.tokens)
+        detail = f"object {object_id}"
+        if noop:
+            detail += f"; already present in {', '.join(noop)}"
+        events.append(TraceEvent(step, process, object_id, Outcome.FIRED, detail))
+        state = nxt
+    return events
+
+
 def _brute_successors(model: Model, key, max_objects: int):
     """Successor (action, key) pairs and whether the object bound skipped a generator."""
     tokens, minted = key
@@ -333,7 +424,7 @@ def _brute_successors(model: Model, key, max_objects: int):
         if p.is_generator:
             if len(oids) < max_objects:
                 nid = _mint_id(state.object_ids, minted)
-                nxt = fire(model, state, p.name, nid)
+                nxt = brute_fire(model, state, p.name, nid)
                 out.append(((p.name, nid), (nxt.tokens, minted + 1)))
             else:
                 pruned = True
@@ -341,7 +432,7 @@ def _brute_successors(model: Model, key, max_objects: int):
             need = set(p.inputs)
             for oid in oids:
                 if need <= state.classes_of(oid):
-                    nxt = fire(model, state, p.name, oid)
+                    nxt = brute_fire(model, state, p.name, oid)
                     out.append(((p.name, oid), (nxt.tokens, minted)))
     return out, pruned
 
@@ -397,7 +488,7 @@ def brute_explore(model: Model, seed, max_steps: int, max_objects: int, queries=
     The search is complete only when it closes within max_steps and the
     object bound never skipped a generator firing.
     """
-    initial = (init_state(model, seed).tokens, 0)
+    initial = (brute_init_state(model, seed).tokens, 0)
     parents = {initial: None}
     edges = {}
     frontier = [initial]

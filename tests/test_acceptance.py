@@ -25,13 +25,13 @@ from csm.simulator import (
     _mint_id,
     build_graph,
     explore,
-    fire,
     run_script,
     SimState,
 )
 from csm.validator import validate
 from helpers import (
     A4_SEEDS,
+    brute_fire,
     brute_validate,
     check_dot_syntax,
     check_mermaid_syntax,
@@ -181,8 +181,8 @@ def _graph_path_exists(graph, script) -> bool:
 
 
 def _assert_edges_match_fire(model: Model, graph) -> None:
-    """Every expanded state agrees with step-by-step firing semantics, and
-    lists its successors by process name, then by object id.
+    """Every expanded state agrees with ``brute_fire``, the firing rule on
+    token sets, and lists its successors by process name, then by object id.
 
     Per-transition agreement at every reachable state extends the script
     equivalence to all scripts within the exploration bounds by induction.
@@ -199,14 +199,14 @@ def _assert_edges_match_fire(model: Model, graph) -> None:
                 if len(state.object_ids) < MAX_OBJECTS:
                     oid = _mint_id(state.object_ids, minted)
                     expected[(p.name, oid)] = (
-                        fire(model, state, p.name, oid).tokens,
+                        brute_fire(model, state, p.name, oid).tokens,
                         minted + 1,
                     )
             else:
                 for oid in sorted(state.object_ids):
                     if set(p.inputs) <= state.classes_of(oid):
                         expected[(p.name, oid)] = (
-                            fire(model, state, p.name, oid).tokens,
+                            brute_fire(model, state, p.name, oid).tokens,
                             minted,
                         )
         assert [(action, decoded[target]) for action, target in succs] == list(expected.items())

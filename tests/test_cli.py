@@ -165,6 +165,26 @@ class TestSimulate:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["simulate", "explore"])
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{"object": "r", "class": "Lobby"}], "names no declared class: 'Lobby'"),
+            (
+                [{"object": "r", "class": "OccupiedRoom"}] * 2,
+                "repeats 'r' in 'OccupiedRoom'",
+            ),
+        ],
+    )
+    def test_bad_seed_entry_exits_two(self, capsys, write_json, command, entries, message):
+        seed = write_json("seed.json", entries)
+        script = write_json("script.json", [])
+        argv = [command, fx("hospital_cleaning"), "--seed", seed]
+        assert main(argv + (["--script", script] if command == "simulate" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed file {seed} {message}\n"
+
 
 class TestExplore:
     def test_queries(self, capsys, write_json):
@@ -229,6 +249,16 @@ class TestExplore:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["complete"] is False
         assert json.loads(captured.err)["stop"] == "object_bound_pruned"
+
+    @pytest.mark.parametrize(
+        "option, value", [("--max-steps", "0"), ("--max-objects", "-1")]
+    )
+    def test_bound_below_one_exits_two(self, capsys, write_json, option, value):
+        seed = write_json("seed.json", [])
+        assert main(["explore", fx("gp_lab"), "--seed", seed, option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option} must be at least 1: {value}\n"
 
     def test_defaults_without_query(self, capsys, write_json):
         seed = write_json("seed.json", [])

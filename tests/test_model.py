@@ -25,7 +25,6 @@ from csm.model import (
     privilege_from_text,
     privilege_sort_key,
     shared_classes,
-    shared_processes,
 )
 
 
@@ -211,12 +210,6 @@ class TestLookups:
 
 
 class TestQueries:
-    def test_shared_processes(self, scenarios):
-        m = scenarios["hotel_agency"]
-        assert shared_processes(m, "Hotel", "Agency") == {"MakeBooking"}
-        m2 = scenarios["gp_hospital"]
-        assert shared_processes(m2, "GP", "Hospital") == frozenset()
-
     def test_shared_classes_directional(self, scenarios):
         m = scenarios["hotel_agency"]
         shared = shared_classes(m, "Hotel", "Agency")

@@ -19,8 +19,24 @@ from csm.simulator import (
     run_script,
     run_query,
 )
-from csm.model import ModelError, UnknownClass
-from helpers import A4_SEEDS, brute_explore, random_model, random_valid_model
+from csm.model import (
+    ClassDef,
+    Model,
+    ModelError,
+    ProcessDef,
+    Transform,
+    TransformMode,
+    UnknownClass,
+)
+from helpers import (
+    A4_SEEDS,
+    brute_explore,
+    brute_fire,
+    brute_init_state,
+    brute_run_script,
+    random_model,
+    random_valid_model,
+)
 
 
 def outcomes(events):
@@ -267,8 +283,8 @@ class TestExplore:
         graph = build_graph(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
         assert graph.tokens(graph.initial) == {Token("r", "OccupiedRoom")}
         [(action, target)] = [s for s in graph.edges[graph.initial] if s[0][0] == "CleanRoom"]
-        assert graph.tokens(target) == fire(
-            m, init_state(m, [("r", "OccupiedRoom")]), "CleanRoom", "r"
+        assert graph.tokens(target) == brute_fire(
+            m, brute_init_state(m, [("r", "OccupiedRoom")]), "CleanRoom", "r"
         ).tokens
 
     def test_undeclared_names_are_unreachable(self, scenarios):
@@ -398,3 +414,82 @@ class TestReferenceOracle:
             assert got == brute_explore(m, seed, *bounds, queries), (m, seed, bounds)
             reachable += sum(q["reachable"] for q in got["queries"])
         assert reachable > 100
+
+
+def _result(fn, *args):
+    """What a call returns, or the type and message of the ``ModelError`` it raises."""
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+def _consume_inputs(p: ProcessDef) -> ProcessDef:
+    leaving = (Transform(c, "Gone", TransformMode.LEAVING) for c in p.inputs)
+    return ProcessDef(p.name, p.inputs, (), leaving, p.role_privileges)
+
+
+class TestTokenOracle:
+    """Scripted runs and ``fire``/``enabled`` on class masks agree with the
+    firing rule on token sets (``brute_run_script``, ``brute_fire``)."""
+
+    @pytest.mark.parametrize("generate", [random_model, random_valid_model])
+    def test_random_scripts(self, generate):
+        rng = random.Random(6)
+        seen = {"fired": 0, "emptied": 0, "stale": 0, "seed error": 0}
+        for _ in range(500):
+            m = generate(rng)
+            # Hand-built variants: class bits follow declaration order, not
+            # name order; and a process that consumes every input without
+            # outputs can empty an object.
+            classes, processes = m.classes, m.processes
+            if rng.random() < 0.5:
+                classes = classes[::-1]
+            if rng.random() < 0.3:
+                processes = tuple(_consume_inputs(p) if p.inputs else p for p in processes)
+            m = Model(m.name, m.roles, classes, processes, m.class_grants)
+            seed = sorted({
+                (rng.choice(SEED_IDS), rng.choice(m.class_names))
+                for _ in range(rng.randint(0, 3))
+            })
+            if rng.random() < 0.1:
+                seed.insert(rng.randint(0, len(seed)), ("a", "Lobby"))
+            if seed and rng.random() < 0.1:
+                seed.append(rng.choice(seed))
+            names = m.process_names or ("Ghost",)
+            ids = [*SEED_IDS, "new", "x"]
+            script = [
+                (rng.choice(names) if rng.random() > 0.05 else "Ghost", rng.choice(ids))
+                for _ in range(rng.randint(0, 10))
+            ]
+            events = _result(run_script, m, seed, script)
+            assert events == _result(brute_run_script, m, seed, script), (m, seed, script)
+            if not isinstance(events, list):
+                seen["seed error"] += 1
+                continue
+            # Walk the fired steps on token sets, checking ``fire`` and
+            # ``enabled`` at every state on the way.
+            state = brute_init_state(m, seed)
+            for e in events:
+                held = state.classes_of(e.object_id)
+                want = {p.name for p in m.processes if p.inputs and set(p.inputs) <= held}
+                assert enabled(m, state, e.object_id) == want
+                nxt = _result(brute_fire, m, state, e.process, e.object_id)
+                assert _result(fire, m, state, e.process, e.object_id) == nxt
+                seen["stale"] += "existing object" in e.detail
+                if e.outcome is Outcome.FIRED:
+                    seen["fired"] += 1
+                    seen["emptied"] += e.object_id in state.object_ids - nxt.object_ids
+                    state = nxt
+        assert min(seen.values()) >= 5, seen
+
+    def test_first_of_duplicate_processes_wins(self):
+        # A hand-built model that repeats a process name, as process_def reads it.
+        m = Model(
+            "dup", ("R",), (ClassDef("A", True), ClassDef("B", True)),
+            (ProcessDef("P", ("A",), ("B",)), ProcessDef("P", ("B",), ("A",))),
+        )
+        script = [("P", "o"), ("P", "o")]
+        events = run_script(m, [("o", "A")], script)
+        assert events == brute_run_script(m, [("o", "A")], script)
+        assert [e.detail for e in events] == ["object o", "object o; already present in B"]
