@@ -76,11 +76,14 @@ def _load_pairs(path: str, what: str, keys: tuple[str, str]) -> list[tuple[str, 
 
 
 def _load_seed(path: str, model: Model) -> list[tuple[str, str]]:
-    """Seed entries that name declared classes, each entry at most once."""
+    """Seed entries that name declared classes, each entry at most once, and
+    no object ``"new"``, which a script reads as a request to mint."""
     seed = _load_pairs(path, "seed", ("object", "class"))
     declared = set(model.class_names)
     seen = set()
     for object_id, class_name in seed:
+        if object_id == simulator.NEW_OBJECT:
+            raise _CliError(f"seed file {path} uses the reserved object id {object_id!r}", 2)
         if class_name not in declared:
             raise _CliError(f"seed file {path} names no declared class: {class_name!r}", 2)
         if (object_id, class_name) in seen:

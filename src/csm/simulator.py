@@ -10,12 +10,15 @@ reads. Processes with no inputs are generators: firing one mints a fresh
 object.
 
 That is the one firing rule. ``run_script`` steps through a script on a
-mask per object, and ``build_graph`` enumerates the reachable states
-breadth-first on the same masks; ``explore`` answers co-occurrence and
-ordering queries over that graph with witness traces, as an exact oracle
-at desk scale, not a model checker. ``Token`` and ``SimState`` are the
-boundary form: ``init_state``, ``enabled`` and ``fire`` encode a token
-configuration into masks, apply the rule and decode the result.
+mask per object, and ``build_graph`` enumerates the reachable global
+states breadth-first on the same masks, for the state count and whether
+the search closed. A firing touches one object, and both query kinds ask
+about one object, so ``explore`` answers co-occurrence and ordering
+queries on one object's lifecycle (``Lifecycles``) with witness traces of
+at most ``max_steps`` steps, as an exact oracle at desk scale, not a
+model checker. ``Token`` and ``SimState`` are the boundary form:
+``init_state``, ``enabled`` and ``fire`` encode a token configuration
+into masks, apply the rule and decode the result.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import enum
 import time
 from collections import namedtuple
 from collections.abc import Container, Iterable, Mapping, Sequence
-from functools import cached_property
 
 from .model import (
     Model,
@@ -131,6 +133,15 @@ def _class_bits(model: Model) -> dict[str, int]:
 def _compile(bits: dict[str, int], p: ProcessDef) -> _Compiled:
     leaving = _mask(bits, (t.source for t in p.transforms if t.mode is TransformMode.LEAVING))
     return p.name, p.is_generator, _mask(bits, p.inputs), ~leaving, _mask(bits, p.outputs)
+
+
+def _processes(model: Model, bits: dict[str, int]) -> list[_Compiled]:
+    """The first definition of each process name, as ``process_def`` reads
+    it, compiled, in name order."""
+    first: dict[str, ProcessDef] = {}
+    for p in model.processes:
+        first.setdefault(p.name, p)
+    return [_compile(bits, first[name]) for name in sorted(first)]
 
 
 def _encode(bits: Mapping[str, int], seed: Iterable[tuple[str, str]]) -> dict[str, int]:
@@ -326,35 +337,21 @@ class ReachabilitySummary(
         }
 
 
-class ReachabilityGraph:
+class ReachabilityGraph(
+    namedtuple("ReachabilityGraph", "classes states edges frontier stop")
+):
     """Explicit reachable-state graph within the given bounds.
 
     ``classes`` maps each class name to its bit. States are numbered in
     discovery order; ``states[i]`` is the encoded state (see
-    ``build_graph``), ``edges`` maps each expanded state to its
-    ``(action, successor)`` list in firing order, and ``parents[i]`` is the
-    ``(state, action)`` that first reached state ``i``. ``frontier`` counts
-    the states first reached at each depth, and ``stop`` says why the search
+    ``build_graph``) and ``edges`` maps each expanded state to its
+    ``(action, successor)`` list in firing order. ``frontier`` counts the
+    states first reached at each depth, and ``stop`` says why the search
     ended: ``closed``, ``step_bound`` or ``object_bound_pruned``.
     """
 
+    __slots__ = ()
     initial = 0  # states are numbered from the initial one
-
-    def __init__(
-        self,
-        classes: dict[str, int],
-        states: list[_State],
-        edges: dict[int, list[tuple[Action, int]]],
-        parents: list[tuple[int, Action] | None],
-        frontier: list[int],
-        stop: str,
-    ) -> None:
-        self.classes = classes
-        self.states = states
-        self.edges = edges
-        self.parents = parents
-        self.frontier = frontier
-        self.stop = stop
 
     @property
     def complete(self) -> bool:
@@ -371,29 +368,6 @@ class ReachabilityGraph:
             Token(oid, c) for oid, mask in objects for c in _decode(self.classes, mask)
         )
 
-    @cached_property
-    def firings(self) -> dict[Action, tuple[list[int], list[int]]]:
-        """Per action, the states it fires from and the states it leads to,
-        as two lists in edge order; built on first use."""
-        index: dict[Action, tuple[list[int], list[int]]] = {}
-        for sid, succs in self.edges.items():
-            for action, target in succs:
-                entry = index.get(action)
-                if entry is None:
-                    entry = index[action] = ([], [])
-                entry[0].append(sid)
-                entry[1].append(target)
-        return index
-
-    def path_to(self, state: int) -> tuple[Action, ...]:
-        path: list[Action] = []
-        parent = self.parents[state]
-        while parent is not None:
-            state, action = parent
-            path.append(action)
-            parent = self.parents[state]
-        return tuple(reversed(path))
-
 
 def build_graph(
     model: Model,
@@ -401,7 +375,7 @@ def build_graph(
     max_steps: int,
     max_objects: int,
 ) -> ReachabilityGraph:
-    """Breadth-first enumeration of states reachable in at most max_steps firings.
+    """Breadth-first enumeration of states reachable in at most max_steps steps.
 
     Each class gets one bit, so an object's state is the mask ``s`` of the
     classes it holds a token in, and a state is the tuple of
@@ -411,20 +385,21 @@ def build_graph(
     ``s & in == in``, and firing gives ``(s & keep) | out``, the rule
     ``run_script`` applies one step at a time. A generator mints
     ``obj<k>`` holding ``out`` while fewer than max_objects objects exist.
-    An object whose mask becomes 0 holds no token and is dropped.
+    An object whose mask becomes 0 holds no token and is dropped. Only the
+    first definition of a process name fires.
 
     Successors are listed by process name, then by object id. The graph is
     complete only when every state was expanded within max_steps and the
-    object bound never skipped a generator firing.
+    object bound never skipped a generator firing. ``explore`` reads the
+    state count and ``complete`` from it; its queries do not walk it.
     """
     if max_steps < 1 or max_objects < 1:
         raise ValueError("bounds must be positive")
     bits = _class_bits(model)
     initial: _State = (tuple(sorted(_encode(bits, seed).items())), 0)
-    processes = [_compile(bits, p) for p in sorted(model.processes, key=lambda p: p.name)]
+    processes = _processes(model, bits)
     index = {initial: 0}
     states = [initial]
-    parents: list[tuple[int, Action] | None] = [None]
     edges: dict[int, list[tuple[Action, int]]] = {}
     frontier = [0]
     sizes = [1]
@@ -455,7 +430,6 @@ def build_graph(
                 if target is None:
                     target = index[key] = len(states)
                     states.append(key)
-                    parents.append((sid, action))
                     next_frontier.append(target)
                 succs.append((action, target))
             edges[sid] = succs
@@ -469,96 +443,105 @@ def build_graph(
         stop = "object_bound_pruned"
     else:
         stop = "closed"
-    return ReachabilityGraph(bits, states, edges, parents, sizes, stop)
+    return ReachabilityGraph(bits, states, edges, sizes, stop)
 
 
-def _co_occurrence(
-    graph: ReachabilityGraph, class_a: str, class_b: str
-) -> QueryResult:
-    predicate = f"co-occurrence({class_a}, {class_b})"
-    if class_a in graph.classes and class_b in graph.classes:
-        want = graph.classes[class_a] | graph.classes[class_b]
-        for sid, (objects, _) in enumerate(graph.states):
-            for _, s in objects:
-                if s & want == want:
-                    return QueryResult(predicate, True, graph.path_to(sid))
-    return QueryResult(predicate, False, None)
+class Lifecycles:
+    """The runs one object makes on its own, which the queries of ``explore`` ask about.
+
+    Firings on different objects are independent, so a shortest run that
+    leaves some object in a goal fires only on that object. It starts at
+    an *origin*: a seeded object or, while the seed leaves room under
+    max_objects, the first id that a generator with outputs mints, which
+    takes one of the max_steps. This is exact because no firing empties an
+    object in a model ``canonicalize`` accepts (a leaving transform's
+    target is an output); a non-generator process with leaving transforms
+    and no outputs is a ``ModelError``.
+    """
+
+    def __init__(
+        self,
+        model: Model,
+        seed: Iterable[tuple[str, str]],
+        max_steps: int,
+        max_objects: int,
+    ) -> None:
+        bits = _class_bits(model)
+        held = _encode(bits, seed)
+        # (actions that create the object, its id, its class mask)
+        self.origins = [((), oid, mask) for oid, mask in held.items()]
+        self.processes: list[_Compiled] = []  # the non-generators, in name order
+        for proc in _processes(model, bits):
+            name, is_generator, _, keep, out = proc
+            if is_generator:
+                if out and len(held) < max_objects:
+                    oid = _mint_id(held, 0)
+                    self.origins.append((((name, oid),), oid, out))
+            elif ~keep and not out:  # ~keep holds the leaving sources
+                raise ModelError(
+                    f"process {name!r} can empty an object: it has leaving "
+                    "transforms and no outputs"
+                )
+            else:
+                self.processes.append(proc)
+        self.classes = bits
+        self.max_steps = max_steps
+
+    def shortest(self, marks: tuple[str, ...], want: int) -> tuple[Action, ...] | None:
+        """The shortest run, least among equals as ``(process, object)``
+        pairs, that fires the processes in ``marks`` in that order on one
+        object and leaves it holding every class in ``want``; ``None`` when
+        no run within the bounds does.
+
+        Each origin is searched breadth first over ``(class mask, phase)``
+        nodes, where the phase counts the ``marks`` fired so far, and the
+        non-generator processes fire in name order.
+        """
+
+        def advance(phase: int, name: str) -> int:
+            return phase + (phase < len(marks) and name == marks[phase])
+
+        best: tuple[Action, ...] | None = None
+        for prefix, oid, mask in self.origins:
+            phase = advance(0, prefix[0][0]) if prefix else 0
+            paths = {(mask, phase): prefix}
+            queue = [(mask, phase)]
+            for node in queue:  # grows while it is read: first in, first out
+                path = paths[node]
+                if best is not None and len(path) > len(best):
+                    break
+                mask, phase = node
+                if phase == len(marks) and mask & want == want:
+                    if best is None or (len(path), path) < (len(best), best):
+                        best = path
+                    break
+                if len(path) >= self.max_steps:
+                    continue
+                for name, _, need, keep, out in self.processes:
+                    if mask & need == need:
+                        child = (mask & keep | out, advance(phase, name))
+                        if child not in paths:
+                            paths[child] = (*path, (name, oid))
+                            queue.append(child)
+        return best
 
 
-def _reaches(
-    edges: Mapping[int, list[tuple[Action, int]]], starts: list[int], goals: set[int]
-) -> bool:
-    """Whether some state reachable from ``starts`` (inclusive) is in ``goals``."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        sid = stack.pop()
-        if sid in goals:
-            return True
-        for _, target in edges.get(sid, ()):
-            if target not in seen:
-                seen.add(target)
-                stack.append(target)
-    return False
-
-
-def _sequence_witness(
-    graph: ReachabilityGraph, first: Action, then: Action
-) -> tuple[Action, ...]:
-    """The first ``then`` after ``first`` in a breadth-first search over
-    (state, fired-first-yet); the caller has checked that one exists."""
-    start = (graph.initial, False)
-    parents: dict[tuple[int, bool], tuple[tuple[int, bool], Action] | None]
-    parents = {start: None}
-    queue = [start]
-    while queue:
-        next_queue = []
-        for node in queue:
-            sid, fired_first = node
-            for action, target in graph.edges.get(sid, ()):
-                if fired_first and action == then:
-                    path = [action]
-                    link = parents[node]
-                    while link is not None:
-                        node, act = link
-                        path.append(act)
-                        link = parents[node]
-                    return tuple(reversed(path))
-                nnode = (target, fired_first or action == first)
-                if nnode not in parents:
-                    parents[nnode] = (node, action)
-                    next_queue.append(nnode)
-        queue = next_queue
-    raise AssertionError(f"no witness for {first} then {then}")
-
-
-def _sequence(graph: ReachabilityGraph, first: str, then: str) -> QueryResult:
-    predicate = f"sequence({first} then {then})"
-    # Per object: the states a `first` firing leads to, and the states
-    # where `then` can fire. The sequence holds for an object exactly when
-    # the second set is reachable from the first.
-    after_first: dict[str, list[int]] = {}
-    then_from: dict[str, set[int]] = {}
-    for (process, oid), (sources, targets) in graph.firings.items():
-        if process == first:
-            after_first[oid] = targets
-        if process == then:
-            then_from[oid] = set(sources)
-    for oid in sorted(after_first.keys() & then_from.keys()):
-        if _reaches(graph.edges, after_first[oid], then_from[oid]):
-            witness = _sequence_witness(graph, (first, oid), (then, oid))
-            return QueryResult(predicate, True, witness)
-    return QueryResult(predicate, False, None)
-
-
-def run_query(graph: ReachabilityGraph, query: Mapping) -> QueryResult:
+def run_query(lifecycles: Lifecycles, query: Mapping) -> QueryResult:
     kind = query.get("type")
     if kind == "co_occurrence":
         a, b = query["classes"]
-        return _co_occurrence(graph, a, b)
-    if kind == "sequence":
-        return _sequence(graph, query["first"], query["then"])
-    raise ModelError(f"unknown query type {kind!r}")
+        predicate = f"co-occurrence({a}, {b})"
+        classes = lifecycles.classes
+        witness = None
+        if a in classes and b in classes:
+            witness = lifecycles.shortest((), classes[a] | classes[b])
+    elif kind == "sequence":
+        first, then = query["first"], query["then"]
+        predicate = f"sequence({first} then {then})"
+        witness = lifecycles.shortest((first, then), 0)
+    else:
+        raise ModelError(f"unknown query type {kind!r}")
+    return QueryResult(predicate, witness is not None, witness)
 
 
 def explore(
@@ -568,11 +551,18 @@ def explore(
     max_objects: int,
     queries: Sequence[Mapping] = (),
 ) -> ReachabilitySummary:
-    """Enumerate reachable states and answer the given queries."""
+    """Enumerate reachable states and answer the given queries.
+
+    A query holds when some run of at most max_steps steps within the
+    object bound satisfies it on one existing object; its witness is the
+    shortest such run, least among equals (see ``Lifecycles``).
+    """
     started = time.perf_counter()
+    seed = list(seed)
     graph = build_graph(model, seed, max_steps, max_objects)
     built = time.perf_counter()
-    results = tuple(run_query(graph, q) for q in queries)
+    lifecycles = Lifecycles(model, seed, max_steps, max_objects)
+    results = tuple(run_query(lifecycles, q) for q in queries)
     stats = {
         "states": graph.state_count,
         "edges": sum(len(succs) for succs in graph.edges.values()),

@@ -10,7 +10,8 @@ masks the simulator compiles: ``brute_init_state`` and ``brute_run_script``
 build on it to give what ``init_state`` and ``run_script`` should, and
 ``brute_explore`` is the explorer on token sets: each state is a
 ``frozenset`` of ``Token``s, every successor comes from ``brute_fire``, and
-each sequence query runs a product search per candidate object.
+each sequence query runs a product search over the global states per
+candidate object, within max_steps firings, and keeps the shortest witness.
 """
 
 from __future__ import annotations
@@ -458,28 +459,45 @@ def _brute_co_occurrence(parents, class_a: str, class_b: str) -> dict:
     return {"predicate": predicate, "reachable": False, "witness": None}
 
 
-def _brute_sequence(initial, edges, first: str, then: str) -> dict:
+def _holds_tokens(key, oid: str) -> bool:
+    return any(t.object_id == oid for t in key[0])
+
+
+def _brute_first_then(initial, edges, first: str, then: str, oid: str, max_steps: int):
+    """The first witness of a breadth-first search over (state, fired-first-yet)
+    within max_steps firings: ``first`` counts when the object holds tokens
+    after it, ``then`` when it holds tokens before it."""
+    start = (initial, False)
+    parents = {start: None}
+    queue = [start]
+    for _ in range(max_steps):
+        nxt_queue = []
+        for node in queue:
+            key, fired_first = node
+            for action, nkey in edges.get(key, []):
+                if fired_first and action == (then, oid) and _holds_tokens(key, oid):
+                    return _brute_path(parents, node) + [list(action)]
+                nnode = (nkey, fired_first or (
+                    action == (first, oid) and _holds_tokens(nkey, oid)
+                ))
+                if nnode not in parents:
+                    parents[nnode] = (node, action)
+                    nxt_queue.append(nnode)
+        queue = nxt_queue
+    return None
+
+
+def _brute_sequence(initial, edges, first: str, then: str, max_steps: int) -> dict:
     predicate = f"sequence({first} then {then})"
     candidates = sorted({action[1] for succs in edges.values() for action, _ in succs})
+    found = []
     for oid in candidates:
-        # BFS over (state, fired-first-yet) with parent links for the witness.
-        start = (initial, False)
-        parents = {start: None}
-        queue = [start]
-        while queue:
-            nxt_queue = []
-            for node in queue:
-                key, fired_first = node
-                for action, nkey in edges.get(key, []):
-                    if fired_first and action == (then, oid):
-                        witness = _brute_path(parents, node) + [list(action)]
-                        return {"predicate": predicate, "reachable": True, "witness": witness}
-                    nnode = (nkey, fired_first or action == (first, oid))
-                    if nnode not in parents:
-                        parents[nnode] = (node, action)
-                        nxt_queue.append(nnode)
-            queue = nxt_queue
-    return {"predicate": predicate, "reachable": False, "witness": None}
+        witness = _brute_first_then(initial, edges, first, then, oid, max_steps)
+        if witness is not None:
+            found.append((len(witness), witness))
+    if not found:
+        return {"predicate": predicate, "reachable": False, "witness": None}
+    return {"predicate": predicate, "reachable": True, "witness": min(found)[1]}
 
 
 def brute_explore(model: Model, seed, max_steps: int, max_objects: int, queries=()) -> dict:
@@ -512,7 +530,9 @@ def brute_explore(model: Model, seed, max_steps: int, max_objects: int, queries=
         if q["type"] == "co_occurrence":
             results.append(_brute_co_occurrence(parents, *q["classes"]))
         else:
-            results.append(_brute_sequence(initial, edges, q["first"], q["then"]))
+            results.append(
+                _brute_sequence(initial, edges, q["first"], q["then"], max_steps)
+            )
     return {"state_count": len(parents), "complete": complete,
             "bound_exceeded": not complete, "queries": results}
 

@@ -174,6 +174,11 @@ class TestSimulate:
                 [{"object": "r", "class": "OccupiedRoom"}] * 2,
                 "repeats 'r' in 'OccupiedRoom'",
             ),
+            (
+                # A witness step on it would read as a mint request.
+                [{"object": "new", "class": "OccupiedRoom"}],
+                "uses the reserved object id 'new'",
+            ),
         ],
     )
     def test_bad_seed_entry_exits_two(self, capsys, write_json, command, entries, message):
@@ -259,6 +264,21 @@ class TestExplore:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {option} must be at least 1: {value}\n"
+
+    def test_shortest_witness_over_every_object(self, capsys, write_json):
+        # The seeded patient needs 4 steps; a minted one would need 6.
+        seed = write_json("seed.json", [{"object": "p", "class": "CaredPatient"},
+                                        {"object": "p", "class": "DiagnosedPatient"}])
+        query = write_json(
+            "query.json", [{"type": "sequence", "first": "ReviewResult", "then": "RequestTest"}]
+        )
+        argv = ["explore", fx("healthcare"), "--seed", seed, "--query", query,
+                "--max-steps", "40", "--max-objects", "5"]
+        assert main(argv) == 0
+        [result] = json.loads(capsys.readouterr().out)["queries"]
+        assert result["witness"] == [
+            ["RequestTest", "p"], ["PerformTest", "p"], ["ReviewResult", "p"], ["RequestTest", "p"]
+        ]
 
     def test_defaults_without_query(self, capsys, write_json):
         seed = write_json("seed.json", [])

@@ -6,6 +6,7 @@ from csm.dsl import parse_text
 from csm.fixtures import FIXTURES
 from csm.simulator import (
     DuplicateToken,
+    Lifecycles,
     NotEnabled,
     Outcome,
     SimState,
@@ -216,7 +217,7 @@ class TestExplore:
         m = scenarios["hotel_agency"]
         g1 = build_graph(m, [], max_steps=5, max_objects=2)
         g2 = build_graph(m, [], max_steps=5, max_objects=2)
-        assert g1.edges == g2.edges and g1.parents == g2.parents
+        assert g1.edges == g2.edges
         decode = lambda g: [(g.tokens(s), g.states[s][1]) for s in range(g.state_count)]
         assert decode(g1) == decode(g2)
 
@@ -276,7 +277,8 @@ class TestExplore:
             ("DischargeHospital", "r1"),
             ("DischargeHospital", "r2"),
         ]
-        assert graph.parents[1:] == [(graph.initial, a) for a, _ in graph.edges[graph.initial]]
+        # States are numbered in discovery order: the seed state, then its successors.
+        assert graph.states[1:] == [graph.states[t] for _, t in graph.edges[graph.initial]]
 
     def test_tokens_decodes_a_state(self, scenarios):
         m = scenarios["hospital_cleaning"]
@@ -288,13 +290,13 @@ class TestExplore:
         ).tokens
 
     def test_undeclared_names_are_unreachable(self, scenarios):
-        graph = build_graph(scenarios["gp_lab"], [], max_steps=4, max_objects=1)
+        lifecycles = Lifecycles(scenarios["gp_lab"], [], max_steps=4, max_objects=1)
         for query in (
             {"type": "co_occurrence", "classes": ["Ghost", "TestRequest"]},
             {"type": "sequence", "first": "Ghost", "then": "PerformTest"},
             {"type": "sequence", "first": "RequestTest", "then": "Ghost"},
         ):
-            result = run_query(graph, query)
+            result = run_query(lifecycles, query)
             assert not result.reachable and result.witness is None
 
     def test_bounds_must_be_positive(self, scenarios):
@@ -303,16 +305,22 @@ class TestExplore:
 
     def test_co_occurrence_query(self, scenarios):
         m = scenarios["hospital_cleaning"]
-        graph = build_graph(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
-        hit = run_query(graph, {"type": "co_occurrence", "classes": ["OccupiedRoom", "CleanedRoom"]})
+        lifecycles = Lifecycles(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
+        hit = run_query(
+            lifecycles, {"type": "co_occurrence", "classes": ["OccupiedRoom", "CleanedRoom"]}
+        )
         assert hit.reachable and hit.witness == (("CleanRoom", "r"),)
-        miss = run_query(graph, {"type": "co_occurrence", "classes": ["VacantRoom", "OccupiedRoom"]})
+        miss = run_query(
+            lifecycles, {"type": "co_occurrence", "classes": ["VacantRoom", "OccupiedRoom"]}
+        )
         assert not miss.reachable and miss.witness is None
 
     def test_sequence_query_with_witness_replay(self, scenarios):
         m = scenarios["hospital_cleaning"]
-        graph = build_graph(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
-        result = run_query(graph, {"type": "sequence", "first": "CleanRoom", "then": "DischargeHospital"})
+        lifecycles = Lifecycles(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
+        result = run_query(
+            lifecycles, {"type": "sequence", "first": "CleanRoom", "then": "DischargeHospital"}
+        )
         assert result.reachable
         events = run_script(m, [("r", "OccupiedRoom")], list(result.witness))
         assert all(e.outcome is Outcome.FIRED for e in events)
@@ -323,14 +331,58 @@ class TestExplore:
         # Each booking has one fate; with two bookings both processes can
         # fire, but never on the same object.
         m = scenarios["hotel_agency"]
-        graph = build_graph(m, [], max_steps=6, max_objects=2)
-        result = run_query(graph, {"type": "sequence", "first": "Cancel", "then": "CheckIn"})
+        lifecycles = Lifecycles(m, [], max_steps=6, max_objects=2)
+        result = run_query(lifecycles, {"type": "sequence", "first": "Cancel", "then": "CheckIn"})
         assert not result.reachable
 
+    def test_witness_fits_the_step_bound(self):
+        # P0 reads C3 and outputs it again: firing it twice takes two steps.
+        m = Model("reread", ("R",), (ClassDef("C3", True),), (ProcessDef("P0", ("C3",), ("C3",)),))
+        query = {"type": "sequence", "first": "P0", "then": "P0"}
+        [result] = explore(m, [("o", "C3")], 1, 1, queries=[query]).queries
+        assert not result.reachable and result.witness is None
+        [result] = explore(m, [("o", "C3")], 2, 1, queries=[query]).queries
+        assert result.witness == (("P0", "o"), ("P0", "o"))
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [
+            ("Void", "Mint"),  # a generator `then` fires on an object that does not exist
+            ("Void", "Read"),  # a `first` from a generator without outputs makes none
+        ],
+    )
+    def test_sequence_needs_an_existing_object(self, first, then):
+        # Void mints obj2 (obj1 is seeded) without outputs, so obj2 does not
+        # exist, and Mint would mint obj2 next.
+        m = Model(
+            "ghosts", ("R",), (ClassDef("A", True),),
+            (ProcessDef("Void", (), ()), ProcessDef("Mint", (), ("A",)),
+             ProcessDef("Read", ("A",), ("A",))),
+        )
+        queries = [{"type": "sequence", "first": first, "then": then},
+                   {"type": "sequence", "first": "Mint", "then": "Read"}]
+        summary = explore(m, [("obj1", "A")], max_steps=4, max_objects=3, queries=queries)
+        mint_then_read = (("Mint", "obj2"), ("Read", "obj2"))
+        assert [q.witness for q in summary.queries] == [None, mint_then_read]
+
+    def test_a_process_that_can_empty_an_object_is_refused(self):
+        m = Model("join", JOIN.roles, JOIN.classes, tuple(map(_consume_inputs, JOIN.processes)))
+        with pytest.raises(ModelError, match="'Join' can empty an object"):
+            explore(m, [("o", "A"), ("o", "B")], max_steps=2, max_objects=1)
+
+    def test_first_of_duplicate_processes_fires_once(self):
+        # A hand-built model that repeats a process name, as process_def reads it.
+        m = Model(
+            "dup", ("R",), (ClassDef("A", True), ClassDef("B", True)),
+            (ProcessDef("P", ("A",), ("B",)), ProcessDef("P", ("B",), ("A",))),
+        )
+        graph = build_graph(m, [("o", "A")], max_steps=2, max_objects=1)
+        assert [action for action, _ in graph.edges[1]] == [("P", "o")]
+
     def test_unknown_query_type(self, scenarios):
-        graph = build_graph(scenarios["gp_lab"], [], max_steps=2, max_objects=1)
+        lifecycles = Lifecycles(scenarios["gp_lab"], [], max_steps=2, max_objects=1)
         with pytest.raises(ModelError):
-            run_query(graph, {"type": "eventually"})
+            run_query(lifecycles, {"type": "eventually"})
 
     def test_explore_summary_document(self, scenarios):
         m = scenarios["hospital_cleaning"]
@@ -412,6 +464,13 @@ class TestReferenceOracle:
             queries = _random_queries(rng, m)
             got = explore(m, seed, *bounds, queries).to_dict()
             assert got == brute_explore(m, seed, *bounds, queries), (m, seed, bounds)
+            for q in got["queries"]:
+                # A witness is a run within the step bound that fires as listed.
+                witness = [tuple(step) for step in q["witness"] or ()]
+                assert len(witness) <= bounds[0]
+                events = run_script(m, seed, witness)
+                assert all(e.outcome is Outcome.FIRED for e in events), (m, seed, q)
+                assert [(e.process, e.object_id) for e in events] == witness
             reachable += sum(q["reachable"] for q in got["queries"])
         assert reachable > 100
 
