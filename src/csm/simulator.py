@@ -10,13 +10,16 @@ reads. Processes with no inputs are generators: firing one mints a fresh
 object.
 
 That is the one firing rule. ``run_script`` steps through a script on a
-mask per object, and ``build_graph`` enumerates the reachable global
-states breadth-first on the same masks, for the state count and whether
-the search closed. A firing touches one object, and both query kinds ask
-about one object, so ``explore`` answers co-occurrence and ordering
-queries on one object's lifecycle (``Lifecycles``) with witness traces of
-at most ``max_steps`` steps, as an exact oracle at desk scale, not a
-model checker. ``Token`` and ``SimState`` are the boundary form:
+mask per object. A firing touches one object and, in a model
+``canonicalize`` accepts, never empties it, so a global state is one
+lifecycle position per object plus the history of mints: ``build_graph``
+counts the reachable states, their edges and whether the search closed
+from per-object lifecycles, and enumerates the global states
+breadth-first on the same masks only when asked for them. Both query
+kinds ask about one object, so ``explore`` answers co-occurrence and
+ordering queries on one object's lifecycle (``Lifecycles``) with witness
+traces of at most ``max_steps`` steps, as an exact oracle at desk scale,
+not a model checker. ``Token`` and ``SimState`` are the boundary form:
 ``init_state``, ``enabled`` and ``fire`` encode a token configuration
 into masks, apply the rule and decode the result.
 """
@@ -198,9 +201,10 @@ def enabled(model: Model, state: SimState, object_id: str) -> frozenset[str]:
     """
     bits = _class_bits(model)
     held = _mask(bits, state.classes_of(object_id))
-    compiled = (_compile(bits, p) for p in model.processes)
     return frozenset(
-        name for name, generator, need, _, _ in compiled if not generator and held & need == need
+        name
+        for name, generator, need, _, _ in _processes(model, bits)
+        if not generator and held & need == need
     )
 
 
@@ -337,21 +341,35 @@ class ReachabilitySummary(
         }
 
 
-class ReachabilityGraph(
-    namedtuple("ReachabilityGraph", "classes states edges frontier stop")
-):
-    """Explicit reachable-state graph within the given bounds.
+class ReachabilityGraph:
+    """The reachable-state space within the given bounds, counted.
 
-    ``classes`` maps each class name to its bit. States are numbered in
-    discovery order; ``states[i]`` is the encoded state (see
-    ``build_graph``) and ``edges`` maps each expanded state to its
-    ``(action, successor)`` list in firing order. ``frontier`` counts the
-    states first reached at each depth, and ``stop`` says why the search
-    ended: ``closed``, ``step_bound`` or ``object_bound_pruned``.
+    ``classes`` maps each class name to its bit. ``frontier`` counts the
+    states first reached at each depth, ``edge_count`` the firings out of
+    every state at a depth below max_steps, and ``stop`` says why the
+    search ends: ``closed``, ``step_bound`` or ``object_bound_pruned``.
+    These come from per-object lifecycles (see ``build_graph``).
+
+    The explicit graph is enumerated breadth-first on first access to
+    ``states`` or ``edges``. States are numbered in discovery order;
+    ``states[i]`` is the encoded state (see ``build_graph``) and ``edges``
+    maps each expanded state to its ``(action, successor)`` list in firing
+    order.
     """
 
-    __slots__ = ()
+    __slots__ = ("classes", "frontier", "stop", "edge_count", "_space", "_graph")
     initial = 0  # states are numbered from the initial one
+
+    def __init__(
+        self, classes: dict[str, int], frontier: list[int], stop: str, edge_count: int,
+        space: tuple,
+    ) -> None:
+        self.classes = classes
+        self.frontier = frontier
+        self.stop = stop
+        self.edge_count = edge_count
+        self._space = space  # what _enumerate needs, until it has run
+        self._graph = None
 
     @property
     def complete(self) -> bool:
@@ -359,7 +377,21 @@ class ReachabilityGraph(
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return sum(self.frontier)
+
+    @property
+    def states(self) -> list[_State]:
+        return self._enumerated()[0]
+
+    @property
+    def edges(self) -> dict[int, list[tuple[Action, int]]]:
+        return self._enumerated()[1]
+
+    def _enumerated(self):
+        if self._graph is None:
+            self._graph = _enumerate(*self._space)
+            self._space = None
+        return self._graph
 
     def tokens(self, state: int) -> frozenset[Token]:
         """The token configuration of a state."""
@@ -369,41 +401,139 @@ class ReachabilityGraph(
         )
 
 
-def build_graph(
-    model: Model,
-    seed: Iterable[tuple[str, str]],
-    max_steps: int,
-    max_objects: int,
-) -> ReachabilityGraph:
-    """Breadth-first enumeration of states reachable in at most max_steps steps.
+def _lifecycle_processes(model: Model, bits: dict[str, int]) -> list[_Compiled]:
+    """``_processes``, refusing a model where a firing can empty an object.
 
-    Each class gets one bit, so an object's state is the mask ``s`` of the
-    classes it holds a token in, and a state is the tuple of
-    ``(object_id, s)`` pairs sorted by id plus the count of minted objects.
-    A process compiles to ``(in, keep, out)`` masks, where ``keep`` clears
-    the source of every leaving transform: it is enabled on an object when
-    ``s & in == in``, and firing gives ``(s & keep) | out``, the rule
-    ``run_script`` applies one step at a time. A generator mints
-    ``obj<k>`` holding ``out`` while fewer than max_objects objects exist.
-    An object whose mask becomes 0 holds no token and is dropped. Only the
-    first definition of a process name fires.
-
-    Successors are listed by process name, then by object id. The graph is
-    complete only when every state was expanded within max_steps and the
-    object bound never skipped a generator firing. ``explore`` reads the
-    state count and ``complete`` from it; its queries do not walk it.
+    Objects then persist once they exist, which is what lets an object's
+    runs be searched, and the state space counted, one object at a time.
+    That holds in every model ``canonicalize`` accepts (a leaving
+    transform's target is an output); a non-generator process with leaving
+    transforms and no outputs is a ``ModelError``.
     """
-    if max_steps < 1 or max_objects < 1:
-        raise ValueError("bounds must be positive")
-    bits = _class_bits(model)
-    initial: _State = (tuple(sorted(_encode(bits, seed).items())), 0)
     processes = _processes(model, bits)
+    for name, is_generator, _, keep, out in processes:
+        if not is_generator and ~keep and not out:  # ~keep holds the leaving sources
+            raise ModelError(
+                f"process {name!r} can empty an object: it has leaving "
+                "transforms and no outputs"
+            )
+    return processes
+
+
+# Per depth, the count of states first reached there and the sum of their
+# out-degrees: a polynomial in the depth, as a pair of coefficient lists.
+_Histogram = tuple[list[int], list[int]]
+
+
+def _lifecycle(starts: Iterable[int], depth: int, movers: list[_Compiled]) -> _Histogram:
+    """The masks one object reaches from any of ``starts`` within ``depth``
+    firings of ``movers``, by the depth they are first reached at, with
+    their out-degrees (the number of movers enabled on each)."""
+    seen = set(starts)
+    level = list(seen)
+    counts: list[int] = []
+    degrees: list[int] = []
+    while level and len(counts) <= depth:
+        counts.append(len(level))
+        degree = 0
+        found: list[int] = []
+        for mask in level:
+            for _, _, need, keep, out in movers:
+                if mask & need == need:
+                    degree += 1
+                    child = mask & keep | out
+                    if child not in seen:
+                        seen.add(child)
+                        found.append(child)
+        degrees.append(degree)
+        level = found
+    return counts, degrees
+
+
+def _times(a: _Histogram, b: _Histogram, depth: int) -> _Histogram:
+    """The histogram of pairs of independent objects, up to ``depth``: depths
+    add, and a pair's out-degree is the sum of its two."""
+    (ac, ad), (bc, bd) = a, b
+    size = min(len(ac) + len(bc) - 1, depth + 1)
+    counts = [0] * size
+    degrees = [0] * size
+    for i in range(min(len(ac), size)):
+        x, dx = ac[i], ad[i]
+        for j in range(min(len(bc), size - i)):
+            counts[i + j] += x * bc[j]
+            degrees[i + j] += x * bd[j] + dx * bc[j]
+    return counts, degrees
+
+
+def _count(
+    held: dict[str, int], processes: list[_Compiled], max_steps: int, max_objects: int
+) -> tuple[list[int], str, int]:
+    """``frontier``, ``stop`` and ``edge_count`` of the space ``_enumerate``
+    builds, from per-object lifecycles (see ``build_graph``)."""
+    movers = [p for p in processes if not p[1]]
+    outs = [p[4] for p in processes if p[1]]
+    makes = any(outs)  # some generator mints an object
+    keeps = not all(outs)  # some generator mints none
+    room = max_objects - len(held)
+    # powers[k]: the seeded objects together with k minted ones.
+    powers = [([1], [0])]
+    for mask in held.values():
+        powers[0] = _times(powers[0], _lifecycle((mask,), max_steps, movers), max_steps)
+    minted = None
+    if makes and room > 0:
+        minted = _lifecycle({out for out in outs if out}, max_steps - 1, movers)
+    frontier = [0] * (max_steps + 1)
+    edge_count = 0
+    pruned = False
+    histories = {frozenset()}  # the distinct sets of minted ids after m generator firings
+    for m in range(max_steps + 1):
+        sizes: dict[int, int] = {}
+        for ids in histories:
+            sizes[len(ids)] = sizes.get(len(ids), 0) + 1
+        for k, n in sizes.items():
+            while len(powers) <= k:
+                powers.append(_times(powers[-1], minted, max_steps))
+            counts, degrees = powers[k]
+            for t, c in enumerate(counts[:max_steps + 1 - m]):
+                frontier[m + t] += n * c
+            below = max_steps - m  # states at depth m + t < max_steps are expanded
+            mints = len(outs) if k < room else 0  # every generator fires while there is room
+            edge_count += n * (sum(degrees[:below]) + mints * sum(counts[:below]))
+            if outs and not mints and below:
+                pruned = True
+        if m == max_steps:
+            break
+        grown = set()
+        for ids in histories:
+            if len(ids) < room:
+                if makes:
+                    grown.add(ids | {_mint_id({*held, *ids}, m)})
+                if keeps:
+                    grown.add(ids)
+        if not grown:
+            break
+        histories = grown
+    if frontier[max_steps]:
+        stop = "step_bound"  # states at depth max_steps stay unexpanded
+    elif pruned:
+        stop = "object_bound_pruned"
+    else:
+        stop = "closed"
+    while not frontier[-1]:
+        frontier.pop()
+    return frontier, stop, edge_count
+
+
+def _enumerate(
+    held: dict[str, int], processes: list[_Compiled], max_steps: int, max_objects: int
+) -> tuple[list[_State], dict[int, list[tuple[Action, int]]]]:
+    """The explicit graph, breadth first: the states in discovery order and
+    each expanded state's ``(action, successor)`` list."""
+    initial: _State = (tuple(sorted(held.items())), 0)
     index = {initial: 0}
     states = [initial]
     edges: dict[int, list[tuple[Action, int]]] = {}
     frontier = [0]
-    sizes = [1]
-    pruned = False
     for _ in range(max_steps):
         next_frontier: list[int] = []
         for sid in frontier:
@@ -411,18 +541,14 @@ def build_graph(
             fired: list[tuple[Action, _State]] = []
             for name, is_generator, need, keep, out in processes:
                 if is_generator:
-                    if len(objects) >= max_objects:
-                        pruned = True
-                        continue
-                    oid = _mint_id({o for o, _ in objects}, minted)
-                    born = tuple(sorted((*objects, (oid, out)))) if out else objects
-                    fired.append(((name, oid), (born, minted + 1)))
+                    if len(objects) < max_objects:
+                        oid = _mint_id({o for o, _ in objects}, minted)
+                        born = tuple(sorted((*objects, (oid, out)))) if out else objects
+                        fired.append(((name, oid), (born, minted + 1)))
                     continue
                 for i, (oid, s) in enumerate(objects):
                     if s & need == need:
-                        s = s & keep | out
-                        rest = objects[i + 1:]
-                        changed = (*objects[:i], (oid, s), *rest) if s else objects[:i] + rest
+                        changed = (*objects[:i], (oid, s & keep | out), *objects[i + 1:])
                         fired.append(((name, oid), (changed, minted)))
             succs = []
             for action, key in fired:
@@ -436,14 +562,51 @@ def build_graph(
         frontier = next_frontier
         if not frontier:
             break
-        sizes.append(len(frontier))
-    if frontier:
-        stop = "step_bound"  # unexpanded states remain
-    elif pruned:
-        stop = "object_bound_pruned"
-    else:
-        stop = "closed"
-    return ReachabilityGraph(bits, states, edges, sizes, stop)
+    return states, edges
+
+
+def build_graph(
+    model: Model,
+    seed: Iterable[tuple[str, str]],
+    max_steps: int,
+    max_objects: int,
+) -> ReachabilityGraph:
+    """The states reachable in at most max_steps steps, counted.
+
+    Each class gets one bit, so an object's state is the mask ``s`` of the
+    classes it holds a token in, and a state is the tuple of
+    ``(object_id, s)`` pairs sorted by id plus the count of minted objects.
+    A process compiles to ``(in, keep, out)`` masks, where ``keep`` clears
+    the source of every leaving transform: it is enabled on an object when
+    ``s & in == in``, and firing gives ``(s & keep) | out``, the rule
+    ``run_script`` applies one step at a time. A generator mints
+    ``obj<k>`` holding ``out`` (or nothing, without outputs) while fewer
+    than max_objects objects exist. Only the first definition of a
+    process name fires. Successors are listed by process name, then by
+    object id.
+
+    A firing touches one object and no firing empties one (a model where
+    one could is a ``ModelError``), so a state is one lifecycle position
+    per object plus the history of mints, and its depth is the count of
+    mints plus the sum of its objects' depths. The counts come from
+    that: a breadth-first search per seeded object from its seed mask,
+    one from the ``out`` masks of the generators for every minted object
+    (whose mint took a step), and a forward pass over the distinct sets
+    of minted ids after each number of mints; convolving the per-object
+    histograms gives the states and edges per depth. The graph is
+    complete only when every state was expanded within max_steps and the
+    object bound never skipped a generator firing. ``states`` and
+    ``edges`` are enumerated on first access; ``explore`` reads neither.
+    """
+    if max_steps < 1 or max_objects < 1:
+        raise ValueError("bounds must be positive")
+    bits = _class_bits(model)
+    held = _encode(bits, seed)
+    processes = _lifecycle_processes(model, bits)
+    frontier, stop, edge_count = _count(held, processes, max_steps, max_objects)
+    return ReachabilityGraph(
+        bits, frontier, stop, edge_count, (held, processes, max_steps, max_objects)
+    )
 
 
 class Lifecycles:
@@ -454,9 +617,7 @@ class Lifecycles:
     an *origin*: a seeded object or, while the seed leaves room under
     max_objects, the first id that a generator with outputs mints, which
     takes one of the max_steps. This is exact because no firing empties an
-    object in a model ``canonicalize`` accepts (a leaving transform's
-    target is an output); a non-generator process with leaving transforms
-    and no outputs is a ``ModelError``.
+    object (``_lifecycle_processes``).
     """
 
     def __init__(
@@ -471,19 +632,13 @@ class Lifecycles:
         # (actions that create the object, its id, its class mask)
         self.origins = [((), oid, mask) for oid, mask in held.items()]
         self.processes: list[_Compiled] = []  # the non-generators, in name order
-        for proc in _processes(model, bits):
-            name, is_generator, _, keep, out = proc
-            if is_generator:
-                if out and len(held) < max_objects:
-                    oid = _mint_id(held, 0)
-                    self.origins.append((((name, oid),), oid, out))
-            elif ~keep and not out:  # ~keep holds the leaving sources
-                raise ModelError(
-                    f"process {name!r} can empty an object: it has leaving "
-                    "transforms and no outputs"
-                )
-            else:
+        for proc in _lifecycle_processes(model, bits):
+            name, is_generator, _, _, out = proc
+            if not is_generator:
                 self.processes.append(proc)
+            elif out and len(held) < max_objects:
+                oid = _mint_id(held, 0)
+                self.origins.append((((name, oid),), oid, out))
         self.classes = bits
         self.max_steps = max_steps
 
@@ -551,7 +706,7 @@ def explore(
     max_objects: int,
     queries: Sequence[Mapping] = (),
 ) -> ReachabilitySummary:
-    """Enumerate reachable states and answer the given queries.
+    """Count reachable states and answer the given queries.
 
     A query holds when some run of at most max_steps steps within the
     object bound satisfies it on one existing object; its witness is the
@@ -565,7 +720,7 @@ def explore(
     results = tuple(run_query(lifecycles, q) for q in queries)
     stats = {
         "states": graph.state_count,
-        "edges": sum(len(succs) for succs in graph.edges.values()),
+        "edges": graph.edge_count,
         "frontier": graph.frontier,
         "build_s": round(built - started, 6),
         "query_s": round(time.perf_counter() - built, 6),

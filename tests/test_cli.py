@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import csm
+from csm import simulator
 from csm.cli import main
 from csm.dsl import emit_json, emit_text, parse_json
 from csm.fixtures import fixture_path, fixture_text, load
@@ -254,6 +255,26 @@ class TestExplore:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["complete"] is False
         assert json.loads(captured.err)["stop"] == "object_bound_pruned"
+
+    @pytest.mark.parametrize("cycle", ["DiagnosedPatient", "TestRequest", "SentTestResult"])
+    def test_corpus_explore_is_counted(self, capsys, write_json, monkeypatch, cycle):
+        # One patient on the diagnose/test/review cycle, 40 steps, 5 objects:
+        # the space is counted from lifecycles, never enumerated.
+        def enumerate_(*args):
+            raise AssertionError("explore enumerated the global states")
+
+        monkeypatch.setattr(simulator, "_enumerate", enumerate_)
+        seed = write_json("seed.json", [{"object": "pat", "class": "CaredPatient"},
+                                        {"object": "pat", "class": cycle}])
+        argv = ["explore", fx("healthcare"), "--seed", seed,
+                "--max-steps", "40", "--max-objects", "5", "--stats"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        stats = json.loads(captured.err)
+        assert (stats["states"], stats["edges"], stats["stop"]) == (
+            16806, 104843, "object_bound_pruned"
+        )
+        assert json.loads(captured.out)["state_count"] == 16806
 
     @pytest.mark.parametrize(
         "option, value", [("--max-steps", "0"), ("--max-objects", "-1")]

@@ -1,7 +1,9 @@
 import random
+from collections.abc import Mapping
 
 import pytest
 
+from csm import simulator
 from csm.dsl import parse_text
 from csm.fixtures import FIXTURES
 from csm.simulator import (
@@ -97,6 +99,18 @@ class TestEnabled:
         m = scenarios["hospital_cleaning"]
         state = init_state(m, [("r1", "OccupiedRoom")])
         assert enabled(m, state, "r2") == frozenset()
+
+    def test_first_of_duplicate_processes(self):
+        # A hand-built model that repeats a process name, as process_def reads it.
+        m = Model(
+            "dup", ("R",), (ClassDef("A", True), ClassDef("B", True), ClassDef("C", True)),
+            (ProcessDef("P", ("A",), ("B",)), ProcessDef("P", ("C",), ("B",))),
+        )
+        in_c = init_state(m, [("o", "C")])
+        assert enabled(m, in_c, "o") == frozenset()
+        with pytest.raises(NotEnabled, match="missing A"):
+            fire(m, in_c, "P", "o")
+        assert enabled(m, init_state(m, [("o", "A")]), "o") == {"P"}
 
 
 class TestFire:
@@ -379,6 +393,23 @@ class TestExplore:
         graph = build_graph(m, [("o", "A")], max_steps=2, max_objects=1)
         assert [action for action, _ in graph.edges[1]] == [("P", "o")]
 
+    def test_explore_builds_the_graph_through_the_module(self, scenarios, monkeypatch):
+        # Tracing wraps ``csm.simulator.build_graph`` and reads the state
+        # count and the edges of what it returns.
+        results = []
+
+        def traced(*args):
+            results.append(build_graph(*args))
+            return results[-1]
+
+        monkeypatch.setattr(simulator, "build_graph", traced)
+        summary = explore(scenarios["hospital_cleaning"], [("r", "OccupiedRoom")], 8, 1)
+        [graph] = results
+        assert summary.state_count == graph.state_count == 4
+        assert isinstance(graph.edges, Mapping)
+        assert all(isinstance(succs, list) for succs in graph.edges.values())
+        assert summary.stats["edges"] == sum(len(succs) for succs in graph.edges.values())
+
     def test_unknown_query_type(self, scenarios):
         lifecycles = Lifecycles(scenarios["gp_lab"], [], max_steps=2, max_objects=1)
         with pytest.raises(ModelError):
@@ -473,6 +504,86 @@ class TestReferenceOracle:
                 assert [(e.process, e.object_id) for e in events] == witness
             reachable += sum(q["reachable"] for q in got["queries"])
         assert reachable > 100
+
+
+def _depths(graph) -> list[int]:
+    """The states first reached at each depth, recomputed from the edges."""
+    depth = {graph.initial: 0}
+    for sid, succs in graph.edges.items():  # expanded in discovery order
+        for _, target in succs:
+            depth.setdefault(target, depth[sid] + 1)
+    frontier = [0] * (max(depth.values()) + 1)
+    for d in depth.values():
+        frontier[d] += 1
+    return frontier
+
+
+def _enumerated_stop(model, graph, max_steps: int, max_objects: int) -> str:
+    """Why the enumeration stopped, read from its states and edges."""
+    if len(_depths(graph)) > max_steps:
+        return "step_bound"
+    if any(p.is_generator for p in model.processes) and any(
+        len(graph.states[sid][0]) >= max_objects for sid in graph.edges
+    ):
+        return "object_bound_pruned"
+    return "closed"
+
+
+GZ = Model(
+    # G mints an object in C, Z mints none: both take a step and a mint id.
+    "gz", ("R",), (ClassDef("C", True),), (ProcessDef("G", (), ("C",)), ProcessDef("Z", (), ())),
+)
+
+
+class TestCountedSpace:
+    """``build_graph`` counts states, edges, the frontier and the stop reason
+    from per-object lifecycles; the explicit enumeration of ``states`` and
+    ``edges`` agrees with every count."""
+
+    def _check(self, m, seed, max_steps, max_objects):
+        g = build_graph(m, seed, max_steps, max_objects)
+        counted = (g.state_count, g.edge_count, g.frontier, g.stop)
+        enumerated = (
+            len(g.states),
+            sum(len(succs) for succs in g.edges.values()),
+            _depths(g),
+            _enumerated_stop(m, g, max_steps, max_objects),
+        )
+        assert counted == enumerated, (m, seed, max_steps, max_objects)
+        return g
+
+    @pytest.mark.parametrize(
+        "seed_id, states, frontier", [("obj1", 6, [1, 2, 3]), ("a", 7, [1, 2, 4])]
+    )
+    def test_mint_orders_meeting_a_seed_id(self, seed_id, states, frontier):
+        # With obj1 seeded, G then Z and Z then G both mint obj2 only; with
+        # a seeded, they mint obj1 and obj2, two states.
+        g = self._check(GZ, [(seed_id, "C")], 2, 3)
+        assert (g.state_count, g.frontier) == (states, frontier)
+
+    @pytest.mark.parametrize("generate", [random_model, random_valid_model])
+    def test_random_models(self, generate):
+        rng = random.Random(9)
+        stops = set()
+        for _ in range(500):
+            m = generate(rng)
+            # Hand-built variants: class bits out of name order, and a
+            # generator without outputs.
+            classes, processes = m.classes, m.processes
+            if rng.random() < 0.5:
+                classes = classes[::-1]
+            if rng.random() < 0.3:
+                processes = (*processes, ProcessDef("Void", (), ()))
+            m = Model(m.name, m.roles, classes, processes, m.class_grants)
+            seed = sorted({
+                (rng.choice(SEED_IDS), rng.choice(m.class_names))
+                for _ in range(rng.randint(0, 4))
+            })
+            bounds = rng.randint(1, 9), rng.randint(1, 5)
+            g = self._check(m, seed, *bounds)
+            assert g.complete == brute_explore(m, seed, *bounds)["complete"]
+            stops.add(g.stop)
+        assert stops == {"closed", "step_bound", "object_bound_pruned"}
 
 
 def _result(fn, *args):
