@@ -12,14 +12,15 @@ object.
 That is the one firing rule. ``run_script`` steps through a script on a
 mask per object. A firing touches one object and, in a model
 ``canonicalize`` accepts, never empties it, so a global state is one
-lifecycle position per object plus the history of mints: ``build_graph``
-counts the reachable states, their edges and whether the search closed
-from per-object lifecycles, and enumerates the global states
-breadth-first on the same masks only when asked for them. Both query
-kinds ask about one object, so ``explore`` answers co-occurrence and
-ordering queries on one object's lifecycle (``Lifecycles``) with witness
-traces of at most ``max_steps`` steps, as an exact oracle at desk scale,
-not a model checker. ``Token`` and ``SimState`` are the boundary form:
+lifecycle position per object plus the history of mints. ``build_graph``
+compiles the model once into that per-object space (``ReachabilityGraph``)
+and counts the reachable states, their edges and whether the search
+closed from it. Both query kinds ask about one object, so ``explore``
+searches one object's lifecycle in the same compiled space for
+co-occurrence and ordering queries, with witness traces of at most
+``max_steps`` steps: an exact oracle at desk scale, not a model checker.
+The global states are enumerated breadth-first on the same masks only
+when asked for. ``Token`` and ``SimState`` are the boundary form:
 ``init_state``, ``enabled`` and ``fire`` encode a token configuration
 into masks, apply the rule and decode the result.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Container, Iterable, Mapping, Sequence
 
 from .model import (
@@ -139,12 +140,9 @@ def _compile(bits: dict[str, int], p: ProcessDef) -> _Compiled:
 
 
 def _processes(model: Model, bits: dict[str, int]) -> list[_Compiled]:
-    """The first definition of each process name, as ``process_def`` reads
-    it, compiled, in name order."""
-    first: dict[str, ProcessDef] = {}
-    for p in model.processes:
-        first.setdefault(p.name, p)
-    return [_compile(bits, first[name]) for name in sorted(first)]
+    """The definition ``process_def`` reads for each process name, compiled,
+    in name order."""
+    return [_compile(bits, model.process_def(n)) for n in sorted(set(model.process_names))]
 
 
 def _encode(bits: Mapping[str, int], seed: Iterable[tuple[str, str]]) -> dict[str, int]:
@@ -342,11 +340,16 @@ class ReachabilitySummary(
 
 
 class ReachabilityGraph:
-    """The reachable-state space within the given bounds, counted.
+    """The model compiled once into one object's lifecycle space, and the
+    reachable-state space within the given bounds, counted from it.
 
-    ``classes`` maps each class name to its bit. ``frontier`` counts the
-    states first reached at each depth, ``edge_count`` the firings out of
-    every state at a depth below max_steps, and ``stop`` says why the
+    ``classes`` maps each class name to its bit and ``held`` each seeded
+    object id to its mask. ``processes`` holds every compiled process and
+    ``movers`` the non-generators, both in name order. ``origins`` lists
+    where an object's lifecycle starts (see ``shortest``), and
+    ``max_steps`` and ``max_objects`` are the bounds. ``frontier`` counts
+    the states first reached at each depth, ``edge_count`` the firings out
+    of every state at a depth below max_steps, and ``stop`` says why the
     search ends: ``closed``, ``step_bound`` or ``object_bound_pruned``.
     These come from per-object lifecycles (see ``build_graph``).
 
@@ -357,18 +360,35 @@ class ReachabilityGraph:
     order.
     """
 
-    __slots__ = ("classes", "frontier", "stop", "edge_count", "_space", "_graph")
+    __slots__ = ("classes", "held", "processes", "movers", "origins", "max_steps",
+                 "max_objects", "frontier", "stop", "edge_count", "_graph")
     initial = 0  # states are numbered from the initial one
 
     def __init__(
-        self, classes: dict[str, int], frontier: list[int], stop: str, edge_count: int,
-        space: tuple,
+        self, classes: dict[str, int], held: dict[str, int], processes: list[_Compiled],
+        max_steps: int, max_objects: int,
     ) -> None:
         self.classes = classes
-        self.frontier = frontier
-        self.stop = stop
-        self.edge_count = edge_count
-        self._space = space  # what _enumerate needs, until it has run
+        self.held = held
+        self.processes = processes
+        self.max_steps = max_steps
+        self.max_objects = max_objects
+        self.movers: list[_Compiled] = []
+        # (actions that create the object, its id, its class mask)
+        self.origins = [((), oid, mask) for oid, mask in held.items()]
+        for proc in processes:
+            name, is_generator, _, keep, out = proc
+            if not is_generator:
+                if ~keep and not out:  # ~keep holds the leaving sources
+                    raise ModelError(
+                        f"process {name!r} can empty an object: it has leaving "
+                        "transforms and no outputs"
+                    )
+                self.movers.append(proc)
+            elif out and len(held) < max_objects:
+                oid = _mint_id(held, 0)
+                self.origins.append((((name, oid),), oid, out))
+        self.frontier, self.stop, self.edge_count = _count(self)
         self._graph = None
 
     @property
@@ -389,8 +409,7 @@ class ReachabilityGraph:
 
     def _enumerated(self):
         if self._graph is None:
-            self._graph = _enumerate(*self._space)
-            self._space = None
+            self._graph = _enumerate(self)
         return self._graph
 
     def tokens(self, state: int) -> frozenset[Token]:
@@ -400,24 +419,47 @@ class ReachabilityGraph:
             Token(oid, c) for oid, mask in objects for c in _decode(self.classes, mask)
         )
 
+    def shortest(self, marks: tuple[str, ...], want: int) -> tuple[Action, ...] | None:
+        """The shortest run, least among equals as ``(process, object)``
+        pairs, that fires the processes in ``marks`` in that order on one
+        object and leaves it holding every class in ``want``; ``None`` when
+        no run within the bounds does.
 
-def _lifecycle_processes(model: Model, bits: dict[str, int]) -> list[_Compiled]:
-    """``_processes``, refusing a model where a firing can empty an object.
+        Firings on different objects are independent and no firing empties
+        an object, so such a run fires only on that object, from an origin:
+        a seeded object or, while the seed leaves room under max_objects,
+        the first id that a generator with outputs mints, which takes one of
+        the max_steps. Each origin is searched breadth first over ``(class
+        mask, phase)`` nodes, where the phase counts the ``marks`` fired so
+        far, and the movers fire in name order.
+        """
 
-    Objects then persist once they exist, which is what lets an object's
-    runs be searched, and the state space counted, one object at a time.
-    That holds in every model ``canonicalize`` accepts (a leaving
-    transform's target is an output); a non-generator process with leaving
-    transforms and no outputs is a ``ModelError``.
-    """
-    processes = _processes(model, bits)
-    for name, is_generator, _, keep, out in processes:
-        if not is_generator and ~keep and not out:  # ~keep holds the leaving sources
-            raise ModelError(
-                f"process {name!r} can empty an object: it has leaving "
-                "transforms and no outputs"
-            )
-    return processes
+        def advance(phase: int, name: str) -> int:
+            return phase + (phase < len(marks) and name == marks[phase])
+
+        best: tuple[Action, ...] | None = None
+        for prefix, oid, mask in self.origins:
+            phase = advance(0, prefix[0][0]) if prefix else 0
+            paths = {(mask, phase): prefix}
+            queue = [(mask, phase)]
+            for node in queue:  # grows while it is read: first in, first out
+                path = paths[node]
+                if best is not None and len(path) > len(best):
+                    break
+                mask, phase = node
+                if phase == len(marks) and mask & want == want:
+                    if best is None or (len(path), path) < (len(best), best):
+                        best = path
+                    break
+                if len(path) >= self.max_steps:
+                    continue
+                for name, _, need, keep, out in self.movers:
+                    if mask & need == need:
+                        child = (mask & keep | out, advance(phase, name))
+                        if child not in paths:
+                            paths[child] = (*path, (name, oid))
+                            queue.append(child)
+        return best
 
 
 # Per depth, the count of states first reached there and the sum of their
@@ -465,37 +507,34 @@ def _times(a: _Histogram, b: _Histogram, depth: int) -> _Histogram:
     return counts, degrees
 
 
-def _count(
-    held: dict[str, int], processes: list[_Compiled], max_steps: int, max_objects: int
-) -> tuple[list[int], str, int]:
+def _count(graph: ReachabilityGraph) -> tuple[list[int], str, int]:
     """``frontier``, ``stop`` and ``edge_count`` of the space ``_enumerate``
     builds, from per-object lifecycles (see ``build_graph``)."""
-    movers = [p for p in processes if not p[1]]
-    outs = [p[4] for p in processes if p[1]]
-    makes = any(outs)  # some generator mints an object
+    held, movers, max_steps = graph.held, graph.movers, graph.max_steps
+    outs = [p[4] for p in graph.processes if p[1]]
     keeps = not all(outs)  # some generator mints none
-    room = max_objects - len(held)
+    room = graph.max_objects - len(held)
     # powers[k]: the seeded objects together with k minted ones.
     powers = [([1], [0])]
     for mask in held.values():
         powers[0] = _times(powers[0], _lifecycle((mask,), max_steps, movers), max_steps)
-    minted = None
-    if makes and room > 0:
-        minted = _lifecycle({out for out in outs if out}, max_steps - 1, movers)
-    frontier = [0] * (max_steps + 1)
+    # The minted origins, one step in; there are some only while the seed
+    # leaves room and some generator mints an object.
+    starts = {mask for prefix, _, mask in graph.origins if prefix}
+    minted = _lifecycle(starts, max_steps - 1, movers)
+    frontier: list[int] = []  # grows with the depths reached, not with max_steps
     edge_count = 0
     pruned = False
     histories = {frozenset()}  # the distinct sets of minted ids after m generator firings
     for m in range(max_steps + 1):
-        sizes: dict[int, int] = {}
-        for ids in histories:
-            sizes[len(ids)] = sizes.get(len(ids), 0) + 1
-        for k, n in sizes.items():
+        for k, n in Counter(map(len, histories)).items():
             while len(powers) <= k:
                 powers.append(_times(powers[-1], minted, max_steps))
             counts, degrees = powers[k]
-            for t, c in enumerate(counts[:max_steps + 1 - m]):
-                frontier[m + t] += n * c
+            reached = counts[:max_steps + 1 - m]
+            frontier += [0] * (m + len(reached) - len(frontier))
+            for t, c in enumerate(reached, m):
+                frontier[t] += n * c
             below = max_steps - m  # states at depth m + t < max_steps are expanded
             mints = len(outs) if k < room else 0  # every generator fires while there is room
             edge_count += n * (sum(degrees[:below]) + mints * sum(counts[:below]))
@@ -506,42 +545,40 @@ def _count(
         grown = set()
         for ids in histories:
             if len(ids) < room:
-                if makes:
+                if starts:
                     grown.add(ids | {_mint_id({*held, *ids}, m)})
                 if keeps:
                     grown.add(ids)
         if not grown:
             break
         histories = grown
-    if frontier[max_steps]:
+    if len(frontier) > max_steps:
         stop = "step_bound"  # states at depth max_steps stay unexpanded
     elif pruned:
         stop = "object_bound_pruned"
     else:
         stop = "closed"
-    while not frontier[-1]:
-        frontier.pop()
     return frontier, stop, edge_count
 
 
 def _enumerate(
-    held: dict[str, int], processes: list[_Compiled], max_steps: int, max_objects: int
+    graph: ReachabilityGraph,
 ) -> tuple[list[_State], dict[int, list[tuple[Action, int]]]]:
     """The explicit graph, breadth first: the states in discovery order and
     each expanded state's ``(action, successor)`` list."""
-    initial: _State = (tuple(sorted(held.items())), 0)
+    initial: _State = (tuple(sorted(graph.held.items())), 0)
     index = {initial: 0}
     states = [initial]
     edges: dict[int, list[tuple[Action, int]]] = {}
     frontier = [0]
-    for _ in range(max_steps):
+    for _ in range(graph.max_steps):
         next_frontier: list[int] = []
         for sid in frontier:
             objects, minted = states[sid]
             fired: list[tuple[Action, _State]] = []
-            for name, is_generator, need, keep, out in processes:
+            for name, is_generator, need, keep, out in graph.processes:
                 if is_generator:
-                    if len(objects) < max_objects:
+                    if len(objects) < graph.max_objects:
                         oid = _mint_id({o for o, _ in objects}, minted)
                         born = tuple(sorted((*objects, (oid, out)))) if out else objects
                         fired.append(((name, oid), (born, minted + 1)))
@@ -566,12 +603,10 @@ def _enumerate(
 
 
 def build_graph(
-    model: Model,
-    seed: Iterable[tuple[str, str]],
-    max_steps: int,
-    max_objects: int,
+    model: Model, seed: Iterable[tuple[str, str]], max_steps: int, max_objects: int
 ) -> ReachabilityGraph:
-    """The states reachable in at most max_steps steps, counted.
+    """The model compiled once, and the states reachable in at most
+    max_steps steps, counted.
 
     Each class gets one bit, so an object's state is the mask ``s`` of the
     classes it holds a token in, and a state is the tuple of
@@ -595,105 +630,31 @@ def build_graph(
     of minted ids after each number of mints; convolving the per-object
     histograms gives the states and edges per depth. The graph is
     complete only when every state was expanded within max_steps and the
-    object bound never skipped a generator firing. ``states`` and
-    ``edges`` are enumerated on first access; ``explore`` reads neither.
+    object bound never skipped a generator firing. The same compiled
+    space answers the queries of ``explore`` (``shortest``); ``states``
+    and ``edges`` are enumerated on first access, and ``explore`` reads
+    neither.
     """
     if max_steps < 1 or max_objects < 1:
         raise ValueError("bounds must be positive")
     bits = _class_bits(model)
     held = _encode(bits, seed)
-    processes = _lifecycle_processes(model, bits)
-    frontier, stop, edge_count = _count(held, processes, max_steps, max_objects)
-    return ReachabilityGraph(
-        bits, frontier, stop, edge_count, (held, processes, max_steps, max_objects)
-    )
+    return ReachabilityGraph(bits, held, _processes(model, bits), max_steps, max_objects)
 
 
-class Lifecycles:
-    """The runs one object makes on its own, which the queries of ``explore`` ask about.
-
-    Firings on different objects are independent, so a shortest run that
-    leaves some object in a goal fires only on that object. It starts at
-    an *origin*: a seeded object or, while the seed leaves room under
-    max_objects, the first id that a generator with outputs mints, which
-    takes one of the max_steps. This is exact because no firing empties an
-    object (``_lifecycle_processes``).
-    """
-
-    def __init__(
-        self,
-        model: Model,
-        seed: Iterable[tuple[str, str]],
-        max_steps: int,
-        max_objects: int,
-    ) -> None:
-        bits = _class_bits(model)
-        held = _encode(bits, seed)
-        # (actions that create the object, its id, its class mask)
-        self.origins = [((), oid, mask) for oid, mask in held.items()]
-        self.processes: list[_Compiled] = []  # the non-generators, in name order
-        for proc in _lifecycle_processes(model, bits):
-            name, is_generator, _, _, out = proc
-            if not is_generator:
-                self.processes.append(proc)
-            elif out and len(held) < max_objects:
-                oid = _mint_id(held, 0)
-                self.origins.append((((name, oid),), oid, out))
-        self.classes = bits
-        self.max_steps = max_steps
-
-    def shortest(self, marks: tuple[str, ...], want: int) -> tuple[Action, ...] | None:
-        """The shortest run, least among equals as ``(process, object)``
-        pairs, that fires the processes in ``marks`` in that order on one
-        object and leaves it holding every class in ``want``; ``None`` when
-        no run within the bounds does.
-
-        Each origin is searched breadth first over ``(class mask, phase)``
-        nodes, where the phase counts the ``marks`` fired so far, and the
-        non-generator processes fire in name order.
-        """
-
-        def advance(phase: int, name: str) -> int:
-            return phase + (phase < len(marks) and name == marks[phase])
-
-        best: tuple[Action, ...] | None = None
-        for prefix, oid, mask in self.origins:
-            phase = advance(0, prefix[0][0]) if prefix else 0
-            paths = {(mask, phase): prefix}
-            queue = [(mask, phase)]
-            for node in queue:  # grows while it is read: first in, first out
-                path = paths[node]
-                if best is not None and len(path) > len(best):
-                    break
-                mask, phase = node
-                if phase == len(marks) and mask & want == want:
-                    if best is None or (len(path), path) < (len(best), best):
-                        best = path
-                    break
-                if len(path) >= self.max_steps:
-                    continue
-                for name, _, need, keep, out in self.processes:
-                    if mask & need == need:
-                        child = (mask & keep | out, advance(phase, name))
-                        if child not in paths:
-                            paths[child] = (*path, (name, oid))
-                            queue.append(child)
-        return best
-
-
-def run_query(lifecycles: Lifecycles, query: Mapping) -> QueryResult:
+def run_query(graph: ReachabilityGraph, query: Mapping) -> QueryResult:
     kind = query.get("type")
     if kind == "co_occurrence":
         a, b = query["classes"]
         predicate = f"co-occurrence({a}, {b})"
-        classes = lifecycles.classes
+        classes = graph.classes
         witness = None
         if a in classes and b in classes:
-            witness = lifecycles.shortest((), classes[a] | classes[b])
+            witness = graph.shortest((), classes[a] | classes[b])
     elif kind == "sequence":
         first, then = query["first"], query["then"]
         predicate = f"sequence({first} then {then})"
-        witness = lifecycles.shortest((first, then), 0)
+        witness = graph.shortest((first, then), 0)
     else:
         raise ModelError(f"unknown query type {kind!r}")
     return QueryResult(predicate, witness is not None, witness)
@@ -710,14 +671,12 @@ def explore(
 
     A query holds when some run of at most max_steps steps within the
     object bound satisfies it on one existing object; its witness is the
-    shortest such run, least among equals (see ``Lifecycles``).
+    shortest such run, least among equals (see ``ReachabilityGraph.shortest``).
     """
     started = time.perf_counter()
-    seed = list(seed)
     graph = build_graph(model, seed, max_steps, max_objects)
     built = time.perf_counter()
-    lifecycles = Lifecycles(model, seed, max_steps, max_objects)
-    results = tuple(run_query(lifecycles, q) for q in queries)
+    results = tuple(run_query(graph, q) for q in queries)
     stats = {
         "states": graph.state_count,
         "edges": graph.edge_count,

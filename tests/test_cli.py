@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -372,6 +374,18 @@ def test_import_leaves_out_heavy_stdlib_modules():
         "csm.classifier", "csm.diagnostics", "csm.dsl", "csm.model",
         "csm.render", "csm.simulator", "csm.validator",
     } <= loaded
+
+
+def test_traced_functions_exist():
+    """Every ``(module, function)`` that ``csmbench/spans.py`` wraps is
+    defined, so a rename in csm cannot silently break a traced run."""
+    path = Path(__file__).parents[1] / "csmbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("csmbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, function in spans.TRACED:
+        target = getattr(importlib.import_module(f"csm.{module}"), function, None)
+        assert callable(target), (module, function)
 
 
 class TestRenderAndFmt:

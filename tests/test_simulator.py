@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections.abc import Mapping
 
 import pytest
@@ -8,7 +9,6 @@ from csm.dsl import parse_text
 from csm.fixtures import FIXTURES
 from csm.simulator import (
     DuplicateToken,
-    Lifecycles,
     NotEnabled,
     Outcome,
     SimState,
@@ -281,6 +281,21 @@ class TestExplore:
         assert graph.frontier == [1, 1, 3, 6, 10, 12, 12, 8, 4]
         assert sum(graph.frontier) == graph.state_count
 
+    def test_cost_follows_the_states_not_the_step_bound(self, scenarios):
+        # Eight states, all within four steps: a bound of a million steps
+        # must not cost memory per step.
+        m, seed = scenarios["healthcare"], [("p", "CaredPatient")]
+        small = build_graph(m, seed, max_steps=8, max_objects=2)
+        tracemalloc.start()
+        try:
+            big = build_graph(m, seed, max_steps=10**6, max_objects=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        counts = lambda g: (g.state_count, g.edge_count, g.frontier, g.stop)
+        assert counts(big) == counts(small) == (8, 10, [1, 1, 2, 2, 2], "object_bound_pruned")
+
     def test_successors_by_process_then_object(self, scenarios):
         m = scenarios["hospital_cleaning"]
         seed = [("r2", "OccupiedRoom"), ("r1", "OccupiedRoom")]
@@ -304,13 +319,13 @@ class TestExplore:
         ).tokens
 
     def test_undeclared_names_are_unreachable(self, scenarios):
-        lifecycles = Lifecycles(scenarios["gp_lab"], [], max_steps=4, max_objects=1)
+        graph = build_graph(scenarios["gp_lab"], [], max_steps=4, max_objects=1)
         for query in (
             {"type": "co_occurrence", "classes": ["Ghost", "TestRequest"]},
             {"type": "sequence", "first": "Ghost", "then": "PerformTest"},
             {"type": "sequence", "first": "RequestTest", "then": "Ghost"},
         ):
-            result = run_query(lifecycles, query)
+            result = run_query(graph, query)
             assert not result.reachable and result.witness is None
 
     def test_bounds_must_be_positive(self, scenarios):
@@ -319,21 +334,21 @@ class TestExplore:
 
     def test_co_occurrence_query(self, scenarios):
         m = scenarios["hospital_cleaning"]
-        lifecycles = Lifecycles(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
+        graph = build_graph(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
         hit = run_query(
-            lifecycles, {"type": "co_occurrence", "classes": ["OccupiedRoom", "CleanedRoom"]}
+            graph, {"type": "co_occurrence", "classes": ["OccupiedRoom", "CleanedRoom"]}
         )
         assert hit.reachable and hit.witness == (("CleanRoom", "r"),)
         miss = run_query(
-            lifecycles, {"type": "co_occurrence", "classes": ["VacantRoom", "OccupiedRoom"]}
+            graph, {"type": "co_occurrence", "classes": ["VacantRoom", "OccupiedRoom"]}
         )
         assert not miss.reachable and miss.witness is None
 
     def test_sequence_query_with_witness_replay(self, scenarios):
         m = scenarios["hospital_cleaning"]
-        lifecycles = Lifecycles(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
+        graph = build_graph(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
         result = run_query(
-            lifecycles, {"type": "sequence", "first": "CleanRoom", "then": "DischargeHospital"}
+            graph, {"type": "sequence", "first": "CleanRoom", "then": "DischargeHospital"}
         )
         assert result.reachable
         events = run_script(m, [("r", "OccupiedRoom")], list(result.witness))
@@ -345,8 +360,8 @@ class TestExplore:
         # Each booking has one fate; with two bookings both processes can
         # fire, but never on the same object.
         m = scenarios["hotel_agency"]
-        lifecycles = Lifecycles(m, [], max_steps=6, max_objects=2)
-        result = run_query(lifecycles, {"type": "sequence", "first": "Cancel", "then": "CheckIn"})
+        graph = build_graph(m, [], max_steps=6, max_objects=2)
+        result = run_query(graph, {"type": "sequence", "first": "Cancel", "then": "CheckIn"})
         assert not result.reachable
 
     def test_witness_fits_the_step_bound(self):
@@ -410,10 +425,24 @@ class TestExplore:
         assert all(isinstance(succs, list) for succs in graph.edges.values())
         assert summary.stats["edges"] == sum(len(succs) for succs in graph.edges.values())
 
+    def test_explore_compiles_each_process_once(self, scenarios, monkeypatch):
+        # The counts and the queries read one compiled space.
+        compiled = []
+        compile_ = simulator._compile
+
+        def counted(bits, p):
+            compiled.append(p.name)
+            return compile_(bits, p)
+
+        monkeypatch.setattr(simulator, "_compile", counted)
+        m = scenarios["healthcare"]
+        explore(m, [("p", "CaredPatient")], 8, 2, _all_queries(m))
+        assert sorted(compiled) == sorted(set(m.process_names))
+
     def test_unknown_query_type(self, scenarios):
-        lifecycles = Lifecycles(scenarios["gp_lab"], [], max_steps=2, max_objects=1)
+        graph = build_graph(scenarios["gp_lab"], [], max_steps=2, max_objects=1)
         with pytest.raises(ModelError):
-            run_query(lifecycles, {"type": "eventually"})
+            run_query(graph, {"type": "eventually"})
 
     def test_explore_summary_document(self, scenarios):
         m = scenarios["hospital_cleaning"]
