@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import classifier, dsl, render, simulator, validator
-from .diagnostics import Severity
+from .diagnostics import has_errors
 from .model import Model
 
 
@@ -144,7 +144,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     diags = validator.validate(model)
     for d in diags:
         print(json.dumps(d.to_dict(), sort_keys=True))
-    return 1 if any(d.severity is Severity.ERROR for d in diags) else 0
+    return 1 if has_errors(diags) else 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

@@ -39,8 +39,6 @@ from .model import (
     _quotable_name,
     _resolve,
     canonicalize,
-    privilege_sort_key,
-    status_point_sort_key,
 )
 
 ITEM_KEYWORDS = frozenset({"role", "class", "process", "grant"})
@@ -58,8 +56,9 @@ class ParseResult(namedtuple("ParseResult", "model diagnostics")):
         return self.model is not None
 
 
-# kind is "ident", "string", "punct", "junk" or "eof".
-_Token = namedtuple("_Token", "kind text line column")
+# kind is "ident", "string", "punct", "junk" or "eof"; offset is where the
+# token starts in the source. A string token keeps its quotes.
+_Token = namedtuple("_Token", "kind text offset")
 
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
@@ -72,25 +71,15 @@ _NEWLINE_RE = re.compile(r"\n")
 
 
 def _lex(text: str) -> list[_Token]:
-    line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
-
-    def at(offset: int) -> tuple[int, int]:
-        li = bisect.bisect_right(line_starts, offset) - 1
-        return li + 1, offset - line_starts[li] + 1
-
     tokens: list[_Token] = []
     # Ending the search at the last non-space character keeps the leading
     # \s* from backtracking over trailing whitespace at every position.
     for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
         group = m.lastindex
         kind = _KIND_BY_GROUP[group]
-        if kind == "comment":
-            continue
-        lexeme = m.group(group)
-        if kind == "string":
-            lexeme = lexeme[1:-1]
-        tokens.append(_Token(kind, lexeme, *at(m.start(group))))
-    tokens.append(_Token("eof", "", *at(len(text))))
+        if kind != "comment":
+            tokens.append(_Token(kind, m.group(group), m.start(group)))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -99,8 +88,9 @@ class _Recover(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], file_label: str) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str, file_label: str) -> None:
+        self.tokens = _lex(text)
+        self.line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
         self.pos = 0
         self.file = file_label
         self.diagnostics: list[Diagnostic] = []
@@ -117,8 +107,15 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def at(self, kind: str, text: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == kind and tok.text == text
+
     def span(self, tok: _Token) -> SourceSpan:
-        return SourceSpan(self.file, tok.line, tok.column, max(len(tok.text), 1))
+        """The token's line and column; the only place that works them out."""
+        li = bisect.bisect_right(self.line_starts, tok.offset) - 1
+        column = tok.offset - self.line_starts[li] + 1
+        return SourceSpan(self.file, li + 1, column, max(len(tok.text), 1))
 
     def error(self, code: str, message: str, tok: _Token, site: str = "") -> None:
         self.diagnostics.append(
@@ -131,24 +128,12 @@ class _Parser:
             )
         )
 
-    def expect_ident(self, what: str) -> _Token:
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
+        """Consume a token of ``kind`` (and ``text``, if given); otherwise
+        report "expected ``what``" (default: the quoted text) and recover."""
         tok = self.peek()
-        if tok.kind != "ident":
-            self.error("E-SYN", f"expected {what}, got {tok.text!r}", tok)
-            raise _Recover
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            self.error("E-SYN", f"expected {word!r}, got {tok.text!r}", tok)
-            raise _Recover
-        return self.advance()
-
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            self.error("E-SYN", f"expected {text!r}, got {tok.text!r}", tok)
+        if tok.kind != kind or (text is not None and tok.text != text):
+            self.error("E-SYN", f"expected {what or repr(text)}, got {tok.text!r}", tok)
             raise _Recover
         return self.advance()
 
@@ -159,9 +144,9 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "eof":
                 return
-            if tok.kind == "punct" and tok.text == "{":
+            if self.at("punct", "{"):
                 depth += 1
-            elif tok.kind == "punct" and tok.text == "}":
+            elif self.at("punct", "}"):
                 if depth == 0:
                     return
                 depth -= 1
@@ -169,183 +154,162 @@ class _Parser:
                 return
             self.advance()
 
+    def sync_pitem(self) -> None:
+        """Skip ahead to the next process item keyword or closing brace."""
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof" or self.at("punct", "}"):
+                return
+            if tok.kind == "ident" and tok.text in PITEM_KEYWORDS:
+                return
+            self.advance()
+
+    def block(self, keywords: frozenset[str], noun: str, eof_message: str, read, sync) -> None:
+        """Read items up to the closing brace. Each starts with one of
+        ``keywords``; ``read`` gets that keyword's token, and after an error
+        ``sync`` skips to where the next item can start."""
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                self.error("E-SYN", eof_message, tok)
+                return
+            if self.at("punct", "}"):
+                self.advance()
+                return
+            if tok.kind == "ident" and tok.text in keywords:
+                try:
+                    read(self.advance())
+                except _Recover:
+                    sync()
+            else:
+                self.error("E-SYN", f"expected {noun}, got {tok.text!r}", tok)
+                self.advance()
+                sync()
+
+    def comma_list(self, kind, noun: str) -> frozenset:
+        """Read ``name ("," name)* "}"`` into members of the enum ``kind``;
+        a privilege name may end in ``+``."""
+        members = set()
+        while True:
+            tok = self.expect("ident", what=noun)
+            text = tok.text
+            if kind is Privilege and self.at("punct", "+"):
+                self.advance()
+                text += "+"
+            try:
+                members.add(kind(text))
+            except ValueError:
+                self.error("E-SYN", f"unknown {noun} {text!r}", tok)
+            if not self.at("punct", ","):
+                break
+            self.advance()
+        self.expect("punct", "}")
+        return frozenset(members)
+
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> _Draft | None:
         try:
-            self.expect_keyword("model")
+            self.expect("ident", "model")
             name_tok = self.peek()
             if name_tok.kind != "string":
                 self.error("E-SYN", "expected quoted model name", name_tok)
                 raise _Recover
             self.advance()
-            self.draft.name = name_tok.text
-            self.expect_punct("{")
+            self.draft.name = name_tok.text[1:-1]
+            self.expect("punct", "{")
         except _Recover:
             return None
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.error("E-SYN", "unexpected end of input, missing '}'", tok)
-                break
-            if tok.kind == "punct" and tok.text == "}":
-                self.advance()
-                break
-            if tok.kind == "ident" and tok.text in ITEM_KEYWORDS:
-                try:
-                    self.parse_item(tok.text)
-                except _Recover:
-                    self.sync_item()
-            else:
-                self.error("E-SYN", f"expected a declaration, got {tok.text!r}", tok)
-                self.advance()
-                self.sync_item()
+        # Each item keyword names its reader: "role" is read by parse_role.
+        self.block(
+            ITEM_KEYWORDS,
+            "a declaration",
+            "unexpected end of input, missing '}'",
+            lambda kw: getattr(self, f"parse_{kw.text}")(),
+            self.sync_item,
+        )
         trailing = self.peek()
         if trailing.kind != "eof":
             self.error("E-SYN", f"unexpected input after model: {trailing.text!r}", trailing)
         return self.draft
 
-    def parse_item(self, keyword: str) -> None:
-        if keyword == "role":
-            self.advance()
-            tok = self.expect_ident("role name")
-            self.draft.roles.append((tok.text, self.span(tok)))
-        elif keyword == "class":
-            self.parse_class()
-        elif keyword == "process":
-            self.parse_process()
-        else:
-            self.parse_grant()
+    def parse_role(self) -> None:
+        tok = self.expect("ident", what="role name")
+        self.draft.roles.append((tok.text, self.span(tok)))
 
     def parse_class(self) -> None:
-        self.advance()
-        name_tok = self.expect_ident("class name")
-        dynamic = False
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "dynamic":
+        name_tok = self.expect("ident", what="class name")
+        dynamic = self.at("ident", "dynamic")
+        if dynamic:
             self.advance()
-            dynamic = True
-        points: set[StatusPoint] = set()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "{":
+        points = frozenset()
+        if self.at("punct", "{"):
             self.advance()
-            while True:
-                pt = self.expect_ident("status point")
-                try:
-                    points.add(StatusPoint(pt.text))
-                except ValueError:
-                    self.error("E-SYN", f"unknown status point {pt.text!r}", pt)
-                tok = self.peek()
-                if tok.kind == "punct" and tok.text == ",":
-                    self.advance()
-                    continue
-                break
-            self.expect_punct("}")
+            points = self.comma_list(StatusPoint, "status point")
         self.draft.classes.append(
             (
-                ClassDef(name_tok.text, dynamic=dynamic, status_points=frozenset(points)),
+                ClassDef(name_tok.text, dynamic=dynamic, status_points=points),
                 self.span(name_tok),
             )
         )
 
     def parse_process(self) -> None:
-        self.advance()
-        name_tok = self.expect_ident("process name")
+        name_tok = self.expect("ident", what="process name")
         proc = _ProcessItem(name=name_tok.text, span=self.span(name_tok))
-        self.expect_punct("{")
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "}":
-                self.advance()
-                break
-            if tok.kind == "eof":
-                self.error("E-SYN", "unexpected end of input in process body", tok)
-                break
-            if tok.kind == "ident" and tok.text in PITEM_KEYWORDS:
-                try:
-                    self.parse_pitem(proc, tok.text)
-                except _Recover:
-                    self.sync_pitem()
-            else:
-                self.error("E-SYN", f"expected a process item, got {tok.text!r}", tok)
-                self.advance()
-                self.sync_pitem()
+        self.expect("punct", "{")
+        names = {
+            "owner": proc.owners,
+            "responsible": proc.responsibles,
+            "input": proc.inputs,
+            "output": proc.outputs,
+        }
+
+        def read(kw_tok: _Token) -> None:
+            if kw_tok.text == "transform":
+                self.parse_transform(proc, kw_tok)
+                return
+            tok = self.expect("ident", what=f"{kw_tok.text} name")
+            names[kw_tok.text].append((tok.text, self.span(tok)))
+
+        self.block(
+            PITEM_KEYWORDS,
+            "a process item",
+            "unexpected end of input in process body",
+            read,
+            self.sync_pitem,
+        )
         self.draft.processes.append(proc)
 
-    def sync_pitem(self) -> None:
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "punct" and tok.text == "}":
-                return
-            if tok.kind == "ident" and tok.text in PITEM_KEYWORDS:
-                return
+    def parse_transform(self, proc: _ProcessItem, kw_tok: _Token) -> None:
+        src = self.expect("ident", what="transform source class")
+        self.expect("punct", "->")
+        dst = self.expect("ident", what="transform target class")
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text in ("remaining", "leaving"):
             self.advance()
-
-    def parse_pitem(self, proc: _ProcessItem, keyword: str) -> None:
-        kw_tok = self.advance()
-        if keyword == "transform":
-            src = self.expect_ident("transform source class")
-            self.expect_punct("->")
-            dst = self.expect_ident("transform target class")
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text in ("remaining", "leaving"):
-                self.advance()
-                proc.transforms.append(
-                    (src.text, dst.text, TransformMode(tok.text), self.span(src))
-                )
-            else:
-                self.error(
-                    "E-TRF-MODE",
-                    "transform requires an explicit 'remaining' or 'leaving' mode",
-                    kw_tok,
-                    site=f"process={proc.name} transform={src.text}->{dst.text}",
-                )
-            return
-        tok = self.expect_ident(f"{keyword} name")
-        entry = (tok.text, self.span(tok))
-        if keyword == "owner":
-            proc.owners.append(entry)
-        elif keyword == "responsible":
-            proc.responsibles.append(entry)
-        elif keyword == "input":
-            proc.inputs.append(entry)
+            proc.transforms.append(
+                (src.text, dst.text, TransformMode(tok.text), self.span(src))
+            )
         else:
-            proc.outputs.append(entry)
+            self.error(
+                "E-TRF-MODE",
+                "transform requires an explicit 'remaining' or 'leaving' mode",
+                kw_tok,
+                site=f"process={proc.name} transform={src.text}->{dst.text}",
+            )
 
     def parse_grant(self) -> None:
-        self.advance()
-        role_tok = self.expect_ident("role name")
-        self.expect_keyword("on")
-        class_tok = self.expect_ident("class name")
-        self.expect_punct("{")
-        privs: set[Privilege] = set()
-        while True:
-            pt = self.expect_ident("privilege")
-            text = pt.text
-            nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text == "+":
-                self.advance()
-                text += "+"
-            try:
-                privs.add(Privilege(text))
-            except ValueError:
-                self.error("E-SYN", f"unknown privilege {text!r}", pt)
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == ",":
-                self.advance()
-                continue
-            break
-        self.expect_punct("}")
-        self.draft.grants.append(
-            (role_tok.text, class_tok.text, frozenset(privs), self.span(role_tok))
-        )
+        role_tok = self.expect("ident", what="role name")
+        self.expect("ident", "on")
+        class_tok = self.expect("ident", what="class name")
+        self.expect("punct", "{")
+        privs = self.comma_list(Privilege, "privilege")
+        self.draft.grants.append((role_tok.text, class_tok.text, privs, self.span(role_tok)))
 
 
 def parse_text(source: str, file_label: str = "<string>") -> ParseResult:
     """Parse model source text; recover at item boundaries on errors."""
-    parser = _Parser(_lex(source), file_label)
+    parser = _Parser(source, file_label)
     draft = parser.parse()
     diagnostics = list(parser.diagnostics)
     model: Model | None = None
@@ -371,9 +335,7 @@ def emit_text(model: Model) -> str:
         if c.dynamic:
             head += " dynamic"
         if c.status_points:
-            pts = ", ".join(
-                s.value for s in sorted(c.status_points, key=status_point_sort_key)
-            )
+            pts = ", ".join(s.value for s in StatusPoint if s in c.status_points)
             head += f" {{ {pts} }}"
         lines.append(head)
     for p in m.processes:
@@ -390,7 +352,7 @@ def emit_text(model: Model) -> str:
             lines.append(f"    transform {t.source} -> {t.target} {t.mode.value}")
         lines.append("  }")
     for (role, class_name), privs in m.class_grants.items():
-        listed = ", ".join(p.value for p in sorted(privs, key=privilege_sort_key))
+        listed = ", ".join(p.value for p in Privilege if p in privs)
         lines.append(f"  grant {role} on {class_name} {{ {listed} }}")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -406,9 +368,7 @@ def model_to_dict(model: Model) -> dict:
             {
                 "name": c.name,
                 "dynamic": c.dynamic,
-                "status_points": [
-                    s.value for s in sorted(c.status_points, key=status_point_sort_key)
-                ],
+                "status_points": [s.value for s in StatusPoint if s in c.status_points],
             }
             for c in m.classes
         ],
@@ -430,9 +390,7 @@ def model_to_dict(model: Model) -> dict:
             {
                 "role": role,
                 "class": class_name,
-                "privileges": [
-                    p.value for p in sorted(privs, key=privilege_sort_key)
-                ],
+                "privileges": [p.value for p in Privilege if p in privs],
             }
             for (role, class_name), privs in m.class_grants.items()
         ],

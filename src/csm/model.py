@@ -87,35 +87,14 @@ _WRITE_PRIVILEGES = frozenset(
     }
 )
 
-_PRIV_ORDER = {p: i for i, p in enumerate(Privilege)}
-_PRIV_BY_TEXT = {p.value: p for p in Privilege}
-
-
-def privilege_sort_key(priv: Privilege) -> int:
-    """Position of a privilege in the canonical listing order."""
-    return _PRIV_ORDER[priv]
-
-
-def privilege_from_text(text: str) -> Privilege:
-    try:
-        return _PRIV_BY_TEXT[text]
-    except KeyError:
-        raise ModelError(f"unknown privilege {text!r}") from None
-
 
 class StatusPoint(enum.Enum):
-    """Class annotations that matter to service realization."""
+    """Class annotations that matter to service realization. Declaration
+    order here is the canonical listing order."""
 
     WAITING = "waiting"
     FAIL = "fail"
     DECISION = "decision"
-
-
-_POINT_ORDER = {s: i for i, s in enumerate(StatusPoint)}
-
-
-def status_point_sort_key(point: StatusPoint) -> int:
-    return _POINT_ORDER[point]
 
 
 class TransformMode(enum.Enum):

@@ -16,7 +16,6 @@ from .model import (
     StatusPoint,
     TransformMode,
     canonicalize,
-    privilege_sort_key,
 )
 from .validator import ensure_valid
 
@@ -40,20 +39,14 @@ _PRIV_ABBREV = {
 def _class_label(model: Model, name: str, show_privileges: bool) -> str:
     cdef = model.class_def(name)
     label = name
-    letters = [
-        _POINT_LETTER[pt]
-        for pt in (StatusPoint.WAITING, StatusPoint.FAIL, StatusPoint.DECISION)
-        if pt in cdef.status_points
-    ]
+    letters = [_POINT_LETTER[pt] for pt in StatusPoint if pt in cdef.status_points]
     if letters:
         label += f" [{''.join(letters)}]"
     if show_privileges:
         for role in model.roles:
             privs = model.grants(role, name)
             if privs:
-                listed = ",".join(
-                    _PRIV_ABBREV[p] for p in sorted(privs, key=privilege_sort_key)
-                )
+                listed = ",".join(_PRIV_ABBREV[p] for p in Privilege if p in privs)
                 label += f"\\n{role}: {listed}"
     return label
 

@@ -7,6 +7,8 @@ status-point annotations are justified by the surrounding structure.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .diagnostics import Diagnostic, Severity
 from .model import (
     ClassIndex,
@@ -200,10 +202,7 @@ def validate(model: Model) -> list[Diagnostic]:
             )
 
     # Status-point warnings.
-    consumers: dict[str, int] = {c.name: 0 for c in model.classes}
-    for p in model.processes:
-        for c in p.inputs:
-            consumers[c] += 1
+    consumers = Counter(c for p in model.processes for c in p.inputs)
     index = model.class_index
     for c in model.classes:
         n = consumers[c.name]

@@ -12,6 +12,7 @@ build on it to give what ``init_state`` and ``run_script`` should, and
 ``frozenset`` of ``Token``s, every successor comes from ``brute_fire``, and
 each sequence query runs a product search over the global states per
 candidate object, within max_steps firings, and keeps the shortest witness.
+``random_token_soup`` makes text-parser inputs, from valid to garbage.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from csm.model import (
     UnknownProcess,
     canonicalize,
 )
+from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
 
 
 def random_model(rng: random.Random, name: str = "random") -> Model:
@@ -577,6 +579,62 @@ def toggle_waiting(model: Model, cname: str) -> Model:
             classes.append(c)
     return canonicalize(
         Model(model.name, model.roles, tuple(classes), model.processes, model.class_grants)
+    )
+
+
+# -- text parser inputs ------------------------------------------------------
+
+_SOUP_WORDS = (
+    "model", "role", "class", "process", "grant", "on", "dynamic",
+    "owner", "responsible", "input", "output", "transform", "remaining",
+    "leaving", "waiting", "fail", "decision", "creation", "modification",
+    "reference", "suppression", "A", "B", "C", "P", "Q", "soon",
+)
+_SOUP_STRINGS = ('""', '"m"', '"a#b"', '"# x"', '"two words"', '"role"')
+_SOUP_PUNCT = ("{", "}", ",", "+", "->")
+_SOUP_JUNK = ('"', "-", ">", ";", "@", "é", "!")
+# A lexeme, a comment or a run of whitespace: the units a mutation edits.
+_SOUP_UNIT_RE = re.compile(r'"[^"\n]*"|#[^\n]*|[A-Za-z0-9_]+|->|\s+|\S')
+
+
+def _soup_piece(rng: random.Random) -> str:
+    r = rng.random()
+    if r < 0.45:
+        return rng.choice(_SOUP_WORDS)
+    if r < 0.7:
+        return rng.choice(_SOUP_PUNCT)
+    if r < 0.8:
+        return rng.choice(_SOUP_STRINGS)
+    if r < 0.87:
+        return "# " + rng.choice(_SOUP_STRINGS + _SOUP_WORDS) + "\n"
+    if r < 0.95:
+        return rng.choice(_SOUP_JUNK)
+    return "\n"
+
+
+def random_token_soup(rng: random.Random) -> str:
+    """Model text for the text parser: a bundled fixture with a few units
+    deleted, doubled or replaced, or a soup of keywords, identifiers,
+    punctuation, strings (some holding ``#``), comments, junk characters
+    and line breaks, usually inside a model header."""
+    if rng.random() < 0.3:
+        units = _SOUP_UNIT_RE.findall(fixture_text(rng.choice(FIXTURES + BAD_FIXTURES)))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(units))
+            op = rng.random()
+            if op < 0.35:
+                del units[i]
+            elif op < 0.5:
+                units.insert(i, units[i])
+            else:
+                units[i] = _soup_piece(rng)
+        return "".join(units)
+    pieces = ['model "m" {'] if rng.random() < 0.8 else []
+    pieces += [_soup_piece(rng) for _ in range(rng.randint(0, 30))]
+    if rng.random() < 0.6:
+        pieces.append("}")
+    return "".join(
+        piece + rng.choice((" ", " ", "\n", "\t", "")) for piece in pieces
     )
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from csm.dsl import emit_json, emit_text, model_to_dict, parse_json, parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
-from helpers import random_model
+from csm.model import Privilege, StatusPoint
+from helpers import random_model, random_token_soup
 
 MINIMAL = 'model "m" { }\n'
 
@@ -110,6 +111,35 @@ class TestParseText:
         result = parse_text('model "m" { role A class C { soon } grant A on C { magic } }')
         assert codes(result) == ["E-SYN", "E-SYN"]
 
+    def test_string_token_span_covers_its_quotes(self):
+        [diag] = parse_text('model "m" { "oops" }').diagnostics
+        assert (diag.span.line, diag.span.column, diag.span.length) == (1, 13, 6)
+        assert diag.site == '"oops"'
+        assert diag.message == "expected a declaration, got '\"oops\"'"
+
+
+def _offset(text, line, column):
+    return sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + column - 1
+
+
+class TestTokenSoup:
+    def test_syntax_errors_point_at_their_tokens(self):
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            text = random_token_soup(rng)
+            diagnostics = parse_text(text).diagnostics
+            positions = [(d.span.line, d.span.column) for d in diagnostics]
+            assert positions == sorted(positions), text
+            for d in diagnostics:
+                if d.code != "E-SYN":
+                    continue
+                at = _offset(text, d.span.line, d.span.column)
+                if d.site == "end of input":
+                    assert (at, d.span.length) == (len(text), 1), text
+                else:
+                    assert text.startswith(d.site, at), text
+                    assert d.span.length == len(d.site), text
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", FIXTURES + BAD_FIXTURES)
@@ -190,6 +220,26 @@ class TestRoundTrip:
         assert model is not None
         assert parse_text(emit_text(model)).model == model
         assert parse_json(emit_json(model)).model == model
+
+    def test_emit_lists_members_in_declaration_order(self):
+        privileges = [
+            "creation", "modification", "reference", "suppression",
+            "modification+", "reference+", "suppression+",
+        ]
+        points = ["waiting", "fail", "decision"]
+        model = parse_text(
+            'model "m" { role A class C dynamic { decision, fail, waiting } '
+            "grant A on C { suppression+, reference+, modification+, suppression, "
+            "reference, modification, creation } }"
+        ).model
+        assert model.class_def("C").status_points == set(StatusPoint)
+        assert model.grants("A", "C") == set(Privilege)
+        text = emit_text(model)
+        assert f"class C dynamic {{ {', '.join(points)} }}" in text
+        assert f"grant A on C {{ {', '.join(privileges)} }}" in text
+        doc = json.loads(emit_json(model))
+        assert doc["classes"][0]["status_points"] == points
+        assert doc["grants"][0]["privileges"] == privileges
 
     def test_emit_is_canonical(self):
         text = 'model "m" { role B role A class Z class Y }'

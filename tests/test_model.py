@@ -22,8 +22,6 @@ from csm.model import (
     UnknownRole,
     UnresolvedReference,
     canonicalize,
-    privilege_from_text,
-    privilege_sort_key,
     shared_classes,
 )
 
@@ -200,13 +198,6 @@ class TestLookups:
     def test_grants_default_empty(self):
         m = canonicalize(_tiny())
         assert m.grants("B", "X") == frozenset()
-
-    def test_privilege_text_round_trip(self):
-        for p in Privilege:
-            assert privilege_from_text(p.value) is p
-        order = sorted(Privilege, key=privilege_sort_key)
-        assert order[0] is Privilege.CREATION
-        assert order[-1] is Privilege.SUPPRESSION_PLUS
 
 
 class TestQueries:
