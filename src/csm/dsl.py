@@ -15,9 +15,11 @@ that runs to end of line):
     priv   := "creation" | "modification" | "reference" | "suppression"
             | "modification+" | "reference+" | "suppression+"
 
-Parsing recovers at item boundaries so several independent mistakes are
-reported in one pass. A transform's mode keyword is mandatory: there is no
-default for whether the source token survives the firing.
+Well-formed text is read one declaration per pattern match; other text goes
+to the recovering token parser, which reports every diagnostic and recovers
+at item boundaries so several independent mistakes are reported in one
+pass. A transform's mode keyword is mandatory: there is no default for
+whether the source token survives the firing.
 """
 
 from __future__ import annotations
@@ -69,6 +71,41 @@ _TOKEN_RE = re.compile(rf'\s*(?:("[^"\n]*")|(#[^\n]*)|({_IDENT})|(->|[{{}}+,])|(
 _KIND_BY_GROUP = (None, "string", "comment", "ident", "punct", "junk")
 _NEWLINE_RE = re.compile(r"\n")
 
+# Value to member, one table per enum: a dict lookup instead of an Enum call.
+_PRIVILEGE = {p.value: p for p in Privilege}
+_STATUS_POINT = {s.value: s for s in StatusPoint}
+_MODE = {m.value: m for m in TransformMode}
+
+# The patterns of ``_scan``, one match per declaration, each after
+# whitespace and comments. Under ``re.ASCII`` the ``\b`` after a name means
+# that no ``[A-Za-z0-9_]`` follows, and a comment runs to the end of its
+# line, so backtracking cannot split a token the lexer reads whole. Lists are
+# checked entry by entry in ``_scan``: every command compiles these patterns.
+_SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"
+_NAME = r"([A-Za-z]\w*)\b"
+_HEADER_RE = re.compile(rf'{_SKIP}model\s*"([^"\n]*)"\s*\{{', re.ASCII)
+_ITEM_RE = re.compile(
+    rf"{_SKIP}(?:role\s+{_NAME}|class\s+{_NAME}(\s+dynamic\b)?(?:\s*\{{([^{{}}]*)\}})?"
+    rf"|grant\s+{_NAME}\s+on\s+{_NAME}\s*\{{([^{{}}]*)\}}|process\s+{_NAME}\s*\{{|\}}{_SKIP}\Z)",
+    re.ASCII,
+)
+_PITEM_RE = re.compile(
+    rf"{_SKIP}(?:(owner|responsible|input|output)\s+{_NAME}"
+    rf"|transform\s+{_NAME}\s*->\s*{_NAME}\s+(remaining|leaving)\b|\}})",
+    re.ASCII,
+)
+
+
+def _spans(text: str, file_label: str):
+    """A token's offset and text to its ``SourceSpan``: the one line-and-column rule."""
+    line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
+
+    def span(offset: int, token: str) -> SourceSpan:
+        li = bisect.bisect_right(line_starts, offset) - 1
+        return SourceSpan(file_label, li + 1, offset - line_starts[li] + 1, max(len(token), 1))
+
+    return span
+
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
@@ -90,9 +127,8 @@ class _Recover(Exception):
 class _Parser:
     def __init__(self, text: str, file_label: str) -> None:
         self.tokens = _lex(text)
-        self.line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
+        self.spans = _spans(text, file_label)
         self.pos = 0
-        self.file = file_label
         self.diagnostics: list[Diagnostic] = []
         self.draft = _Draft()
 
@@ -112,10 +148,7 @@ class _Parser:
         return tok.kind == kind and tok.text == text
 
     def span(self, tok: _Token) -> SourceSpan:
-        """The token's line and column; the only place that works them out."""
-        li = bisect.bisect_right(self.line_starts, tok.offset) - 1
-        column = tok.offset - self.line_starts[li] + 1
-        return SourceSpan(self.file, li + 1, column, max(len(tok.text), 1))
+        return self.spans(tok.offset, tok.text)
 
     def error(self, code: str, message: str, tok: _Token, site: str = "") -> None:
         self.diagnostics.append(
@@ -186,25 +219,33 @@ class _Parser:
                 self.advance()
                 sync()
 
-    def comma_list(self, kind, noun: str) -> frozenset:
-        """Read ``name ("," name)* "}"`` into members of the enum ``kind``;
-        a privilege name may end in ``+``."""
-        members = set()
-        while True:
-            tok = self.expect("ident", what=noun)
-            text = tok.text
-            if kind is Privilege and self.at("punct", "+"):
+    def comma_list(self, members: dict, noun: str) -> frozenset:
+        """Read ``name ("," name)* "}"`` into the values of ``members`` (a
+        value-to-member table); a privilege name may end in ``+``."""
+        found = set()
+        try:
+            while True:
+                tok = self.expect("ident", what=noun)
+                text = tok.text
+                if members is _PRIVILEGE and self.at("punct", "+"):
+                    self.advance()
+                    text += "+"
+                if text in members:
+                    found.add(members[text])
+                else:
+                    self.error("E-SYN", f"unknown {noun} {text!r}", tok)
+                if not self.at("punct", ","):
+                    break
                 self.advance()
-                text += "+"
-            try:
-                members.add(kind(text))
-            except ValueError:
-                self.error("E-SYN", f"unknown {noun} {text!r}", tok)
-            if not self.at("punct", ","):
-                break
-            self.advance()
-        self.expect("punct", "}")
-        return frozenset(members)
+            self.expect("punct", "}")
+        except _Recover:
+            # Skip past the list's own '}', so that recovery does not take
+            # it for the end of the model.
+            self.sync_item()
+            if self.at("punct", "}"):
+                self.advance()
+            raise
+        return frozenset(found)
 
     # -- grammar ------------------------------------------------------------
 
@@ -245,7 +286,7 @@ class _Parser:
         points = frozenset()
         if self.at("punct", "{"):
             self.advance()
-            points = self.comma_list(StatusPoint, "status point")
+            points = self.comma_list(_STATUS_POINT, "status point")
         self.draft.classes.append(
             (
                 ClassDef(name_tok.text, dynamic=dynamic, status_points=points),
@@ -257,19 +298,13 @@ class _Parser:
         name_tok = self.expect("ident", what="process name")
         proc = _ProcessItem(name=name_tok.text, span=self.span(name_tok))
         self.expect("punct", "{")
-        names = {
-            "owner": proc.owners,
-            "responsible": proc.responsibles,
-            "input": proc.inputs,
-            "output": proc.outputs,
-        }
 
         def read(kw_tok: _Token) -> None:
             if kw_tok.text == "transform":
                 self.parse_transform(proc, kw_tok)
                 return
             tok = self.expect("ident", what=f"{kw_tok.text} name")
-            names[kw_tok.text].append((tok.text, self.span(tok)))
+            getattr(proc, kw_tok.text + "s").append((tok.text, self.span(tok)))
 
         self.block(
             PITEM_KEYWORDS,
@@ -288,7 +323,7 @@ class _Parser:
         if tok.kind == "ident" and tok.text in ("remaining", "leaving"):
             self.advance()
             proc.transforms.append(
-                (src.text, dst.text, TransformMode(tok.text), self.span(src))
+                (src.text, dst.text, _MODE[tok.text], self.span(src))
             )
         else:
             self.error(
@@ -303,15 +338,64 @@ class _Parser:
         self.expect("ident", "on")
         class_tok = self.expect("ident", what="class name")
         self.expect("punct", "{")
-        privs = self.comma_list(Privilege, "privilege")
+        privs = self.comma_list(_PRIVILEGE, "privilege")
         self.draft.grants.append((role_tok.text, class_tok.text, privs, self.span(role_tok)))
+
+
+def _scan(text: str, file_label: str) -> _Draft | None:
+    """The draft ``_Parser`` builds from well-formed text, one declaration per
+    match; ``None`` at the first mismatch (a mistake, or text such as a
+    comment inside a declaration), which only that parser may report."""
+    m = _HEADER_RE.match(text)
+    if m is None:
+        return None
+    span = _spans(text, file_label)
+    draft = _Draft(m[1])
+    pos = m.end()
+    while True:
+        m = _ITEM_RE.match(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        if m[1]:
+            draft.roles.append((m[1], span(m.start(1), m[1])))
+        elif m[2]:
+            listed = m[4].split(",") if m[4] is not None else ()
+            points = frozenset(_STATUS_POINT.get(p.strip()) for p in listed)
+            if None in points:
+                return None
+            draft.classes.append((ClassDef(m[2], bool(m[3]), points), span(m.start(2), m[2])))
+        elif m[5]:
+            privs = frozenset(_PRIVILEGE.get(p.strip()) for p in m[7].split(","))
+            if None in privs:
+                return None
+            draft.grants.append((m[5], m[6], privs, span(m.start(5), m[5])))
+        elif m[8]:
+            proc = _ProcessItem(m[8], span(m.start(8), m[8]))
+            while True:
+                m = _PITEM_RE.match(text, pos)
+                if m is None:
+                    return None
+                pos = m.end()
+                if m[1]:
+                    getattr(proc, m[1] + "s").append((m[2], span(m.start(2), m[2])))
+                elif m[3]:
+                    proc.transforms.append((m[3], m[4], _MODE[m[5]], span(m.start(3), m[3])))
+                else:
+                    break
+            draft.processes.append(proc)
+        else:
+            return draft
 
 
 def parse_text(source: str, file_label: str = "<string>") -> ParseResult:
     """Parse model source text; recover at item boundaries on errors."""
-    parser = _Parser(source, file_label)
-    draft = parser.parse()
-    diagnostics = list(parser.diagnostics)
+    draft = _scan(source, file_label)
+    diagnostics = []
+    if draft is None:
+        parser = _Parser(source, file_label)
+        draft = parser.parse()
+        diagnostics = parser.diagnostics
     model: Model | None = None
     if draft is not None:
         model, semantic = _resolve(draft)
@@ -480,8 +564,8 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
         points: set[StatusPoint] = set()
         for pt in array(entry, "status_points", site):
             try:
-                points.add(StatusPoint(pt))
-            except (ValueError, TypeError):
+                points.add(_STATUS_POINT[pt])
+            except (KeyError, TypeError):
                 diags.append(_json_error(f"unknown status point {pt!r}", site))
         draft.classes.append(
             (ClassDef(cname, dynamic=dynamic, status_points=frozenset(points)), None)
@@ -512,8 +596,8 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
                 diags.append(_json_error("transform needs 'from' and 'to' strings", site))
                 continue
             try:
-                tmode = TransformMode(mode)
-            except ValueError:
+                tmode = _MODE[mode]
+            except (KeyError, TypeError):
                 diags.append(
                     _json_error(
                         f"transform mode must be 'remaining' or 'leaving', got {mode!r}",
@@ -536,8 +620,8 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
         privs: set[Privilege] = set()
         for pv in array(entry, "privileges", site):
             try:
-                privs.add(Privilege(pv))
-            except (ValueError, TypeError):
+                privs.add(_PRIVILEGE[pv])
+            except (KeyError, TypeError):
                 diags.append(_json_error(f"unknown privilege {pv!r}", site))
         draft.grants.append((role, cname, frozenset(privs), None))
 

@@ -71,6 +71,9 @@ class Privilege(enum.Enum):
     REFERENCE_PLUS = "reference+"
     SUPPRESSION_PLUS = "suppression+"
 
+    # Identity hash: Enum's own is Python code, run on every set lookup.
+    __hash__ = object.__hash__
+
 
 PLUS_PRIVILEGES = frozenset(
     {Privilege.MODIFICATION_PLUS, Privilege.REFERENCE_PLUS, Privilege.SUPPRESSION_PLUS}
@@ -95,6 +98,8 @@ class StatusPoint(enum.Enum):
     WAITING = "waiting"
     FAIL = "fail"
     DECISION = "decision"
+
+    __hash__ = object.__hash__
 
 
 class TransformMode(enum.Enum):

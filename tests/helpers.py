@@ -12,7 +12,8 @@ build on it to give what ``init_state`` and ``run_script`` should, and
 ``frozenset`` of ``Token``s, every successor comes from ``brute_fire``, and
 each sequence query runs a product search over the global states per
 candidate object, within max_steps firings, and keeps the shortest witness.
-``random_token_soup`` makes text-parser inputs, from valid to garbage.
+``random_token_soup`` makes text-parser inputs, from valid to garbage;
+``random_model_text`` makes well-formed ones, laid out unlike the emitter's.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import random
 import re
 
 from csm.classifier import CollaborationReport, Level, LevelFinding
+from csm.dsl import emit_text
 from csm.simulator import (
     NEW_OBJECT,
     DuplicateToken,
@@ -635,6 +637,25 @@ def random_token_soup(rng: random.Random) -> str:
         pieces.append("}")
     return "".join(
         piece + rng.choice((" ", " ", "\n", "\t", "")) for piece in pieces
+    )
+
+
+# Whitespace that may stand for a space between tokens, and what may stand
+# for a line break: a break always ends a declaration, so a comment fits.
+_TEXT_GAPS = (" ", " ", "\t", "  ", "\n", " \r\n\t")
+_TEXT_BREAKS = (
+    "\n", "\n", "\r\n", "\n\n\n", "\t\n", " # an aside\n",
+    ' # "quoted" and { braced }\n', "\n# {\r\n", '\n  #"\n',
+)
+
+
+def random_model_text(rng: random.Random) -> str:
+    """``emit_text(random_model(rng))`` with tabs, ``\\r\\n``, extra line
+    breaks and comments (some holding ``"`` or ``{``) between its tokens."""
+    return rng.choice(_TEXT_BREAKS) + re.sub(
+        r"[ \n]",
+        lambda m: rng.choice(_TEXT_GAPS if m[0] == " " else _TEXT_BREAKS),
+        emit_text(random_model(rng)),
     )
 
 

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from csm.dsl import emit_json, emit_text, model_to_dict, parse_json, parse_text
+from csm.dsl import _Parser, _scan, emit_json, emit_text, model_to_dict, parse_json, parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
 from csm.model import Privilege, StatusPoint
-from helpers import random_model, random_token_soup
+from helpers import random_model, random_model_text, random_token_soup
 
 MINIMAL = 'model "m" { }\n'
 
@@ -111,6 +111,29 @@ class TestParseText:
         result = parse_text('model "m" { role A class C { soon } grant A on C { magic } }')
         assert codes(result) == ["E-SYN", "E-SYN"]
 
+    @pytest.mark.parametrize(
+        "text, messages",
+        [
+            (
+                'model "m" { class D class C { soon, } role B grant B on D { magic } }',
+                [
+                    "unknown status point 'soon'",
+                    "expected status point, got '}'",
+                    "unknown privilege 'magic'",
+                ],
+            ),
+            (
+                'model "m" { class D class C { waiting role B grant B on D { magic } }',
+                ["expected '}', got 'role'", "unknown privilege 'magic'"],
+            ),
+        ],
+    )
+    def test_recovery_after_a_mistake_inside_a_list(self, text, messages):
+        # The list's own '}' is not the end of the model, and an item
+        # keyword inside an unclosed list starts the next declaration.
+        result = parse_text(text)
+        assert [d.message for d in result.diagnostics] == messages
+
     def test_string_token_span_covers_its_quotes(self):
         [diag] = parse_text('model "m" { "oops" }').diagnostics
         assert (diag.span.line, diag.span.column, diag.span.length) == (1, 13, 6)
@@ -139,6 +162,50 @@ class TestTokenSoup:
                 else:
                     assert text.startswith(d.site, at), text
                     assert d.span.length == len(d.site), text
+
+
+def _draft_fields(draft):
+    processes = [vars(p) for p in draft.processes]
+    return (draft.name, draft.roles, draft.classes, processes, draft.grants)
+
+
+class TestScan:
+    """``_scan`` reads well-formed text into the draft ``_Parser`` builds."""
+
+    def test_agrees_with_the_parser(self):
+        rng = random.Random(20261019)
+        texts = [(random_token_soup(rng), False) for _ in range(2000)]
+        texts += [(random_model_text(rng), True) for _ in range(300)]
+        # A non-ASCII letter is junk to the lexer, and other whitespace is not.
+        texts += [
+            ('model "m" { role Aé }', False),
+            ('model "m" { class C dynamic é }', False),
+            ('model "m" {\u00a0role A }', False),
+        ]
+        for text, well_formed in texts:
+            draft = _scan(text, "f.csm")
+            assert draft is not None or not well_formed, text
+            if draft is not None:
+                parser = _Parser(text, "f.csm")
+                assert _draft_fields(parser.parse()) == _draft_fields(draft), text
+                assert parser.diagnostics == [], text
+
+    @pytest.mark.parametrize("name", FIXTURES + BAD_FIXTURES)
+    def test_accepts_fixtures_and_their_resolution_mistakes(self, name):
+        # As in the benchmark's broken inputs: a grant on an undeclared
+        # class (E-REF), or a role line written twice (E-DUP).
+        lines = fixture_text(name).split("\n")
+        variants = [(lines, None)]
+        for i, ln in enumerate(lines):
+            if ln.strip().startswith("grant "):
+                mistake = ln.replace(" on ", " on Undeclared", 1)
+                variants.append(([*lines[:i], mistake, *lines[i + 1 :]], "E-REF"))
+            if ln.strip().startswith("role "):
+                variants.append(([*lines[:i], ln, *lines[i:]], "E-DUP"))
+        for variant, code in variants:
+            text = "\n".join(variant)
+            assert _scan(text, name) is not None, text
+            assert code is None or code in codes(parse_text(text)), text
 
 
 class TestRoundTrip:
@@ -321,6 +388,32 @@ class TestJson:
         }
         result = parse_json(json.dumps(doc))
         assert codes(result) == ["E-DUP"]
+
+    def test_values_that_cannot_be_hashed(self):
+        doc = {
+            "name": "m",
+            "roles": ["A"],
+            "classes": [
+                {"name": "C", "dynamic": True, "status_points": [{}]},
+                {"name": "D", "dynamic": True},
+            ],
+            "processes": [
+                {
+                    "name": "P",
+                    "owners": ["A"],
+                    "inputs": ["C"],
+                    "outputs": ["D"],
+                    "transforms": [{"from": "C", "to": "D", "mode": []}],
+                }
+            ],
+            "grants": [{"role": "A", "class": "C", "privileges": [[]]}],
+        }
+        result = parse_json(json.dumps(doc))
+        assert [d.message for d in result.diagnostics] == [
+            "unknown status point {}",
+            "transform mode must be 'remaining' or 'leaving', got []",
+            "unknown privilege []",
+        ]
 
     def test_not_utf8(self):
         result = parse_json(b"\xff\xfe{}")
