@@ -25,6 +25,7 @@ whether the source token survives the firing.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import re
 from collections import namedtuple
@@ -80,20 +81,28 @@ _MODE = {m.value: m for m in TransformMode}
 # whitespace and comments. Under ``re.ASCII`` the ``\b`` after a name means
 # that no ``[A-Za-z0-9_]`` follows, and a comment runs to the end of its
 # line, so backtracking cannot split a token the lexer reads whole. Lists are
-# checked entry by entry in ``_scan``: every command compiles these patterns.
+# checked entry by entry in ``_scan``. Compiled on the first scan, so that
+# commands which read no text do not pay for them.
 _SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"
 _NAME = r"([A-Za-z]\w*)\b"
-_HEADER_RE = re.compile(rf'{_SKIP}model\s*"([^"\n]*)"\s*\{{', re.ASCII)
-_ITEM_RE = re.compile(
-    rf"{_SKIP}(?:role\s+{_NAME}|class\s+{_NAME}(\s+dynamic\b)?(?:\s*\{{([^{{}}]*)\}})?"
-    rf"|grant\s+{_NAME}\s+on\s+{_NAME}\s*\{{([^{{}}]*)\}}|process\s+{_NAME}\s*\{{|\}}{_SKIP}\Z)",
-    re.ASCII,
-)
-_PITEM_RE = re.compile(
-    rf"{_SKIP}(?:(owner|responsible|input|output)\s+{_NAME}"
-    rf"|transform\s+{_NAME}\s*->\s*{_NAME}\s+(remaining|leaving)\b|\}})",
-    re.ASCII,
-)
+
+
+@functools.cache
+def _scan_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The header, declaration and process-item patterns, compiled once."""
+    return (
+        re.compile(rf'{_SKIP}model\s*"([^"\n]*)"\s*\{{', re.ASCII),
+        re.compile(
+            rf"{_SKIP}(?:role\s+{_NAME}|class\s+{_NAME}(\s+dynamic\b)?(?:\s*\{{([^{{}}]*)\}})?"
+            rf"|grant\s+{_NAME}\s+on\s+{_NAME}\s*\{{([^{{}}]*)\}}|process\s+{_NAME}\s*\{{|\}}{_SKIP}\Z)",
+            re.ASCII,
+        ),
+        re.compile(
+            rf"{_SKIP}(?:(owner|responsible|input|output)\s+{_NAME}"
+            rf"|transform\s+{_NAME}\s*->\s*{_NAME}\s+(remaining|leaving)\b|\}})",
+            re.ASCII,
+        ),
+    )
 
 
 def _spans(text: str, file_label: str):
@@ -346,14 +355,15 @@ def _scan(text: str, file_label: str) -> _Draft | None:
     """The draft ``_Parser`` builds from well-formed text, one declaration per
     match; ``None`` at the first mismatch (a mistake, or text such as a
     comment inside a declaration), which only that parser may report."""
-    m = _HEADER_RE.match(text)
+    header_re, item_re, process_item_re = _scan_patterns()
+    m = header_re.match(text)
     if m is None:
         return None
     span = _spans(text, file_label)
     draft = _Draft(m[1])
     pos = m.end()
     while True:
-        m = _ITEM_RE.match(text, pos)
+        m = item_re.match(text, pos)
         if m is None:
             return None
         pos = m.end()
@@ -373,7 +383,7 @@ def _scan(text: str, file_label: str) -> _Draft | None:
         elif m[8]:
             proc = _ProcessItem(m[8], span(m.start(8), m[8]))
             while True:
-                m = _PITEM_RE.match(text, pos)
+                m = process_item_re.match(text, pos)
                 if m is None:
                     return None
                 pos = m.end()
@@ -435,8 +445,11 @@ def emit_text(model: Model) -> str:
         for t in p.transforms:
             lines.append(f"    transform {t.source} -> {t.target} {t.mode.value}")
         lines.append("  }")
+    listings: dict[frozenset[Privilege], str] = {}
     for (role, class_name), privs in m.class_grants.items():
-        listed = ", ".join(p.value for p in Privilege if p in privs)
+        listed = listings.get(privs)
+        if listed is None:
+            listed = listings[privs] = ", ".join(p.value for p in Privilege if p in privs)
         lines.append(f"  grant {role} on {class_name} {{ {listed} }}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -215,7 +215,10 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
 
     Lookup indexes are built on first use and cached on the instance: the
     name-to-definition maps for ``class_def``/``process_def``, and apart
-    from them the per-class grant index ``class_index``.
+    from them the per-class grant index ``class_index``. The instance also
+    records whether name resolution built it, so ``canonicalize`` returns
+    such a model as it is. Both rely on the values never changing after
+    construction; ``_replace`` and ``_make`` give a copy with neither.
     """
 
     # No __slots__: the cached indexes live in the instance __dict__.
@@ -334,8 +337,9 @@ class _Draft:
 def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
     """Name resolution and duplicate checks over a draft.
 
-    Returns the canonical model when no check fails, else ``None`` and one
-    error diagnostic (E-DUP, E-REF or E-TRF-END) per failed check.
+    Returns the canonical model, marked for ``canonicalize`` to pass
+    through, when no check fails, else ``None`` and one error diagnostic
+    (E-DUP, E-REF or E-TRF-END) per failed check.
     """
     diags: list[Diagnostic] = []
 
@@ -459,6 +463,7 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
         processes=tuple(processes[n] for n in sorted(processes)),
         class_grants={key: grants[key] for key in sorted(grants) if grants[key]},
     )
+    model.__dict__["_canonical"] = True
     return model, diags
 
 
@@ -478,8 +483,12 @@ def canonicalize(model: Model) -> Model:
     is raised as ``DuplicateName``, ``UnresolvedReference`` or
     ``InvalidTransform``; a model name the text form cannot quote raises
     ``InvalidModelName``. Idempotent; two models are equal exactly when
-    their canonical forms are equal.
+    their canonical forms are equal. A model that came out of name
+    resolution (a parser's, or an earlier call's) is returned unchanged:
+    it is sorted, checked, and has a name the parsers could read.
     """
+    if model.__dict__.get("_canonical"):
+        return model
     if not _quotable_name(model.name):
         raise InvalidModelName(
             f"model name {model.name!r} may not contain '\"' or a line break"

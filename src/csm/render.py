@@ -11,8 +11,10 @@ suffixes on the class label; transform output edges carry "remains" or
 from __future__ import annotations
 
 from .model import (
+    ClassDef,
     Model,
     Privilege,
+    ProcessDef,
     StatusPoint,
     TransformMode,
     canonicalize,
@@ -36,19 +38,25 @@ _PRIV_ABBREV = {
 }
 
 
-def _class_label(model: Model, name: str, show_privileges: bool) -> str:
-    cdef = model.class_def(name)
-    label = name
+def _class_label(cdef: ClassDef, privileges: str = "") -> str:
+    label = cdef.name
     letters = [_POINT_LETTER[pt] for pt in StatusPoint if pt in cdef.status_points]
     if letters:
         label += f" [{''.join(letters)}]"
-    if show_privileges:
-        for role in model.roles:
-            privs = model.grants(role, name)
-            if privs:
-                listed = ",".join(_PRIV_ABBREV[p] for p in Privilege if p in privs)
-                label += f"\\n{role}: {listed}"
-    return label
+    return label + privileges
+
+
+def _privilege_lines(m: Model) -> dict[str, str]:
+    """Per class name, the ``\\n role: c,m,...`` lines of its label, in role
+    order: canonical grants are sorted by (role, class)."""
+    listed: dict[frozenset[Privilege], str] = {}
+    lines: dict[str, str] = {}
+    for (role, class_name), privs in m.class_grants.items():
+        text = listed.get(privs)
+        if text is None:
+            text = listed[privs] = ",".join(_PRIV_ABBREV[p] for p in Privilege if p in privs)
+        lines[class_name] = lines.get(class_name, "") + f"\\n{role}: {text}"
+    return lines
 
 
 def _home_role(p) -> str | None:
@@ -58,6 +66,17 @@ def _home_role(p) -> str | None:
     if p.responsibles:
         return p.responsibles[0]
     return None
+
+
+def _lanes(m: Model) -> dict[str, list[tuple[ProcessDef, bool]]]:
+    """Per role, in process order, each process the role holds a privilege
+    on and whether the role is its home lane."""
+    lanes: dict[str, list[tuple[ProcessDef, bool]]] = {role: [] for role in m.roles}
+    for p in m.processes:
+        home = _home_role(p)
+        for role in p.role_privileges:
+            lanes[role].append((p, role == home))
+    return lanes
 
 
 def _pid(name: str) -> str:
@@ -87,22 +106,23 @@ def to_dot(model: Model, show_privileges: bool = False) -> str:
     lines = [f'digraph "{name}" {{']
     if m.roles or m.classes or m.processes:
         lines.append("  rankdir=LR;")
-    for role in m.roles:
+    for role, lane in _lanes(m).items():
         lines.append(f'  subgraph "cluster_{role}" {{')
         lines.append(f'    label="{role}";')
-        for p in m.processes:
-            if _home_role(p) == role:
+        for p, home in lane:
+            if home:
                 lines.append(f'    "{_pid(p.name)}" [shape=box, label="{p.name}"];')
-            elif role in p.role_privileges:
+            else:
                 lines.append(
                     f'    "{_pid(p.name)}__{role}" '
                     f'[shape=box, style=dashed, label="{p.name}"];'
                 )
         lines.append("  }")
+    privileges = _privilege_lines(m) if show_privileges else {}
     for c in m.classes:
         lines.append(
             f'  "{_cid(c.name)}" '
-            f'[shape=oval, label="{_class_label(m, c.name, show_privileges)}"];'
+            f'[shape=oval, label="{_class_label(c, privileges.get(c.name, ""))}"];'
         )
     for p in m.processes:
         for c in p.inputs:
@@ -121,18 +141,18 @@ def to_mermaid(model: Model) -> str:
     m = canonicalize(model)
     lines = ["flowchart LR"]
     dashed: list[str] = []
-    for role in m.roles:
+    for role, lane in _lanes(m).items():
         lines.append(f"  subgraph {role}")
-        for p in m.processes:
-            if _home_role(p) == role:
+        for p, home in lane:
+            if home:
                 lines.append(f'    {_pid(p.name)}["{p.name}"]')
-            elif role in p.role_privileges:
+            else:
                 alias = f"{_pid(p.name)}__{role}"
                 lines.append(f'    {alias}["{p.name}"]')
                 dashed.append(alias)
         lines.append("  end")
     for c in m.classes:
-        lines.append(f'  {_cid(c.name)}(["{_class_label(m, c.name, False)}"])')
+        lines.append(f'  {_cid(c.name)}(["{_class_label(c)}"])')
     for p in m.processes:
         for c in p.inputs:
             lines.append(f"  {_cid(c)} --> {_pid(p.name)}")

@@ -12,6 +12,8 @@ build on it to give what ``init_state`` and ``run_script`` should, and
 ``frozenset`` of ``Token``s, every successor comes from ``brute_fire``, and
 each sequence query runs a product search over the global states per
 candidate object, within max_steps firings, and keeps the shortest witness.
+``brute_to_dot`` and ``brute_to_mermaid`` draw the swim lanes by visiting
+every process once per role, the rule the renderer's one pass must keep.
 ``random_token_soup`` makes text-parser inputs, from valid to garbage;
 ``random_model_text`` makes well-formed ones, laid out unlike the emitter's.
 """
@@ -657,6 +659,109 @@ def random_model_text(rng: random.Random) -> str:
         lambda m: rng.choice(_TEXT_GAPS if m[0] == " " else _TEXT_BREAKS),
         emit_text(random_model(rng)),
     )
+
+
+# -- diagram reference --------------------------------------------------------
+
+_BRUTE_ABBREV = {
+    "creation": "c",
+    "modification": "m",
+    "reference": "r",
+    "suppression": "s",
+    "modification+": "m+",
+    "reference+": "r+",
+    "suppression+": "s+",
+}
+
+
+def _brute_home(p: ProcessDef) -> str | None:
+    owners = sorted(r for r, pp in p.role_privileges.items() if pp is ProcessPrivilege.OWNER)
+    others = sorted(r for r in p.role_privileges if r not in owners)
+    return (owners or others or [None])[0]
+
+
+def _brute_lane(m: Model, role: str):
+    """(process, is home) for every process drawn in ``role``'s lane: the
+    home node when the role is the process's first owner (else first
+    responsible), an alias when the role holds any other privilege on it."""
+    for p in m.processes:
+        if _brute_home(p) == role:
+            yield p, True
+        elif role in p.role_privileges:
+            yield p, False
+
+
+def _brute_class_label(m: Model, c: ClassDef, show_privileges: bool) -> str:
+    letters = "".join(ch for pt, ch in zip(StatusPoint, "WFD") if pt in c.status_points)
+    label = c.name + (f" [{letters}]" if letters else "")
+    if show_privileges:
+        for role in m.roles:
+            privs = m.grants(role, c.name)
+            if privs:
+                listed = ",".join(_BRUTE_ABBREV[p.value] for p in Privilege if p in privs)
+                label += f"\\n{role}: {listed}"
+    return label
+
+
+def _brute_edge_label(p: ProcessDef, output: str) -> str | None:
+    modes = {
+        "remains" if t.mode is TransformMode.REMAINING else "leaves"
+        for t in p.transforms
+        if t.target == output
+    }
+    return "/".join(sorted(modes)) or None
+
+
+def brute_to_dot(model: Model, show_privileges: bool = False) -> str:
+    """``render.to_dot`` as a loop over every role and every process."""
+    m = canonicalize(model)
+    name = m.name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{name}" {{']
+    if m.roles or m.classes or m.processes:
+        lines.append("  rankdir=LR;")
+    for role in m.roles:
+        lines += [f'  subgraph "cluster_{role}" {{', f'    label="{role}";']
+        for p, home in _brute_lane(m, role):
+            if home:
+                lines.append(f'    "p_{p.name}" [shape=box, label="{p.name}"];')
+            else:
+                lines.append(f'    "p_{p.name}__{role}" [shape=box, style=dashed, label="{p.name}"];')
+        lines.append("  }")
+    for c in m.classes:
+        label = _brute_class_label(m, c, show_privileges)
+        lines.append(f'  "c_{c.name}" [shape=oval, label="{label}"];')
+    for p in m.processes:
+        lines += [f'  "c_{c}" -> "p_{p.name}";' for c in p.inputs]
+        for c in p.outputs:
+            label = _brute_edge_label(p, c)
+            attr = f' [label="{label}"]' if label else ""
+            lines.append(f'  "p_{p.name}" -> "c_{c}"{attr};')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def brute_to_mermaid(model: Model) -> str:
+    """``render.to_mermaid`` as a loop over every role and every process."""
+    m = canonicalize(model)
+    lines = ["flowchart LR"]
+    dashed = []
+    for role in m.roles:
+        lines.append(f"  subgraph {role}")
+        for p, home in _brute_lane(m, role):
+            node = f"p_{p.name}" if home else f"p_{p.name}__{role}"
+            lines.append(f'    {node}["{p.name}"]')
+            if not home:
+                dashed.append(node)
+        lines.append("  end")
+    for c in m.classes:
+        lines.append(f'  c_{c.name}(["{_brute_class_label(m, c, False)}"])')
+    for p in m.processes:
+        lines += [f"  c_{c} --> p_{p.name}" for c in p.inputs]
+        for c in p.outputs:
+            label = _brute_edge_label(p, c)
+            arrow = f" -->|{label}| " if label else " --> "
+            lines.append(f"  p_{p.name}{arrow}c_{c}")
+    lines += [f"  style {node} stroke-dasharray: 5 5" for node in dashed]
+    return "\n".join(lines) + "\n"
 
 
 # -- minimal structural syntax checks for the diagram formats ---------------

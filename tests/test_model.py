@@ -1,8 +1,11 @@
+import copy
 import json
+import pickle
 
 import pytest
 
 from csm.dsl import emit_json, emit_text, parse_json, parse_text
+from csm.fixtures import fixture_text
 from csm.model import (
     ClassDef,
     DuplicateName,
@@ -113,6 +116,38 @@ class TestCanonicalize:
         )
         with pytest.raises(InvalidTransform):
             canonicalize(_tiny(processes=(bad,)))
+
+
+class TestCanonicalMark:
+    """A model out of name resolution is canonical as it stands."""
+
+    @pytest.fixture(params=["text", "json"])
+    def parsed(self, request):
+        if request.param == "text":
+            return parse_text(fixture_text("hotel_agency")).model
+        return parse_json(emit_json(parse_text(fixture_text("hotel_agency")).model)).model
+
+    def test_parsed_model_is_returned_as_is(self, parsed):
+        assert canonicalize(parsed) is parsed
+
+    def test_hand_built_model_is_still_sorted(self):
+        m = _tiny()
+        assert canonicalize(m) is not m
+        assert canonicalize(m).roles == ("A", "B")
+        assert canonicalize(m).class_names == ("X", "Y")
+
+    def test_mark_does_not_survive_replace(self, parsed):
+        # Every process owner is left undeclared.
+        with pytest.raises(UnresolvedReference):
+            canonicalize(parsed._replace(roles=("Nobody",)))
+        unsorted = parsed._replace(roles=parsed.roles[::-1])
+        assert canonicalize(unsorted) == parsed
+
+    def test_copies_stay_equal(self, parsed):
+        for clone in (copy.copy(parsed), pickle.loads(pickle.dumps(parsed))):
+            assert clone == parsed
+            assert canonicalize(clone) == parsed
+            assert emit_text(clone) == emit_text(parsed)
 
 
 def _raw_json(m: Model) -> str:

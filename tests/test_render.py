@@ -1,14 +1,22 @@
+import random
 import shutil
 import subprocess
 
 import pytest
 
+from csm import cli, dsl, model
 from csm.dsl import parse_text
-from csm.fixtures import FIXTURES, load
+from csm.fixtures import FIXTURES, fixture_path, load
 from csm.model import InvalidModelName, Model
 from csm.render import to_dot, to_mermaid
 from csm.validator import InvalidModel
-from helpers import check_dot_syntax, check_mermaid_syntax
+from helpers import (
+    brute_to_dot,
+    brute_to_mermaid,
+    check_dot_syntax,
+    check_mermaid_syntax,
+    random_valid_model,
+)
 
 
 class TestDot:
@@ -101,3 +109,36 @@ class TestMermaid:
         subprocess.run(
             ["mmdc", "-i", str(src), "-o", str(tmp_path / "m.svg")], check=True
         )
+
+
+class TestLanes:
+    def test_one_pass_matches_the_role_by_process_rule(self, scenarios):
+        rng = random.Random(1313)
+        models = list(scenarios.values())
+        models += [random_valid_model(rng) for _ in range(300)]
+        # Reversed members: a copy the renderer must sort again.
+        models += [m._replace(roles=m.roles[::-1], processes=m.processes[::-1]) for m in models[-20:]]
+        for m in models:
+            assert to_dot(m) == brute_to_dot(m)
+            assert to_dot(m, show_privileges=True) == brute_to_dot(m, show_privileges=True)
+            assert to_mermaid(m) == brute_to_mermaid(m)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["render", "--format", "dot"], ["render", "--format", "mermaid"], ["fmt"]],
+    )
+    def test_commands_resolve_names_once(self, argv, monkeypatch, capsys):
+        # The parser's model is already canonical; neither the renderers
+        # nor the emitter resolve it again.
+        calls = []
+        resolve = model._resolve
+
+        def counted(draft):
+            calls.append(draft.name)
+            return resolve(draft)
+
+        monkeypatch.setattr(model, "_resolve", counted)
+        monkeypatch.setattr(dsl, "_resolve", counted)
+        assert cli.main([*argv, str(fixture_path("hotel_agency"))]) == 0
+        assert capsys.readouterr().out
+        assert len(calls) == 1
