@@ -34,6 +34,7 @@ import enum
 from collections import namedtuple
 from functools import cached_property
 
+from .dsl import _esc, _json_array
 from .model import (
     Model,
     ModelError,
@@ -108,6 +109,39 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
             },
         }
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written
+        one finding a template, without building the dicts."""
+        pad = "      "
+        findings = [
+            _FINDING_JSON % (
+                _esc(f.artifact),
+                _esc(f.artifact_kind),
+                _esc(f.consumer),
+                _json_array(map(_esc, f.evidence), pad),
+                _LEVEL_JSON[f.level],
+                _esc(f.producer),
+            )
+            for f in self.findings
+        ]
+        # Keyed as to_dict keys them, then sorted by key string as sort_keys
+        # does: "A B->Z" comes before "A->Z", though ("A", "Z") < ("A B", "Z").
+        summary = {
+            f"{producer}->{consumer}": levels
+            for (producer, consumer), levels in sorted(self.pair_summary.items())
+        }
+        pairs = ",\n    ".join(
+            "%s: %s" % (
+                _esc(key),
+                _json_array(map(_esc, sorted(l.value for l in summary[key])), "    "),
+            )
+            for key in sorted(summary)
+        )
+        return _REPORT_JSON % (
+            _json_array(findings, "  "),
+            "{\n    %s\n  }" % pairs if pairs else "{}",
+        )
+
     def to_table(self) -> str:
         header = ("LEVEL", "PRODUCER", "CONSUMER", "ARTIFACT")
         rows = [
@@ -123,6 +157,13 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
         lines.extend(fmt.format(*r) for r in rows)
         return "\n".join(lines) + "\n"
 
+
+_LEVEL_JSON = {level: _esc(level.value) for level in Level}
+_REPORT_JSON = '{\n  "findings": %s,\n  "pair_summary": %s\n}'
+_FINDING_JSON = (
+    '{\n      "artifact": %s,\n      "artifact_kind": %s,\n      "consumer": %s,\n'
+    '      "evidence": %s,\n      "level": %s,\n      "producer": %s\n    }'
+)
 
 _WRITE_PLUS = frozenset({Privilege.MODIFICATION_PLUS, Privilege.SUPPRESSION_PLUS})
 

@@ -1,14 +1,16 @@
 """Command-line front end: parse, validate, classify, simulate, render.
 
 Exit codes: 0 success, 1 model-level failures (error diagnostics, strict
-simulation failures), 2 usage errors or unreadable files. Diagnostics go to
-stderr; machine-readable payloads go to stdout.
+simulation failures), 2 usage errors, unreadable files or output that cannot
+be written, a closed stdout included. Diagnostics go to stderr;
+machine-readable payloads go to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classifier, dsl, render, simulator, validator
@@ -155,7 +157,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(report.to_json())
     else:
         sys.stdout.write(report.to_table())
     return 0
@@ -273,4 +275,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader closed stdout. Point fd 1 at the null device so that
+        # the interpreter's own flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = 2
+    raise SystemExit(code)

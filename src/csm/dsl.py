@@ -494,10 +494,89 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
+_esc = json.encoder.encode_basestring_ascii
+
+
+def _json_array(items, pad: str) -> str:
+    """An array of JSON texts as ``json.dumps(indent=2)`` writes it when its
+    closing bracket is indented by ``pad``: ``[]``, or one item a line.
+
+    ``items`` are written as given, so strings come escaped
+    (``map(_esc, strings)``) and objects as their own indented text.
+    """
+    body = (",\n  " + pad).join(items)
+    return f"[\n  {pad}{body}\n{pad}]" if body else "[]"
+
+
+_MODEL_JSON = (
+    '{\n  "classes": %s,\n  "grants": %s,\n  "name": %s,\n'
+    '  "processes": %s,\n  "roles": %s\n}\n'
+)
+_CLASS_JSON = '{\n      "dynamic": %s,\n      "name": %s,\n      "status_points": %s\n    }'
+_PROCESS_JSON = (
+    '{\n      "inputs": %s,\n      "name": %s,\n      "outputs": %s,\n'
+    '      "owners": %s,\n      "responsibles": %s,\n      "transforms": %s\n    }'
+)
+_TRANSFORM_JSON = '{\n          "from": %s,\n          "mode": %s,\n          "to": %s\n        }'
+_GRANT_JSON = '{\n      "class": %s,\n      "privileges": %s,\n      "role": %s\n    }'
+
+
 def emit_json(model: Model) -> bytes:
-    """Deterministic JSON bytes: sorted keys, canonical member order."""
+    """Deterministic JSON bytes: sorted keys, canonical member order.
+
+    The bytes of ``json.dumps(model_to_dict(model), indent=2,
+    sort_keys=True) + "\\n"``, written record by record from templates.
+    """
+    m = canonicalize(model)
+    pad = "      "
+    listings: dict[frozenset, str] = {}
+
+    def listing(members: frozenset, kind: type) -> str:
+        """``members`` in ``kind``'s declaration order, formatted once per set."""
+        listed = listings.get(members)
+        if listed is None:
+            listed = listings[members] = _json_array(
+                (_esc(x.value) for x in kind if x in members), pad
+            )
+        return listed
+
+    classes = [
+        _CLASS_JSON % (
+            "true" if c.dynamic else "false",
+            _esc(c.name),
+            listing(c.status_points, StatusPoint),
+        )
+        for c in m.classes
+    ]
+    processes = [
+        _PROCESS_JSON % (
+            _json_array(map(_esc, p.inputs), pad),
+            _esc(p.name),
+            _json_array(map(_esc, p.outputs), pad),
+            _json_array(map(_esc, p.owners), pad),
+            _json_array(map(_esc, p.responsibles), pad),
+            _json_array(
+                (
+                    _TRANSFORM_JSON % (_esc(t.source), _esc(t.mode.value), _esc(t.target))
+                    for t in p.transforms
+                ),
+                pad,
+            ),
+        )
+        for p in m.processes
+    ]
+    grants = [
+        _GRANT_JSON % (_esc(class_name), listing(privs, Privilege), _esc(role))
+        for (role, class_name), privs in m.class_grants.items()
+    ]
     return (
-        json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
+        _MODEL_JSON % (
+            _json_array(classes, "  "),
+            _json_array(grants, "  "),
+            _esc(m.name),
+            _json_array(processes, "  "),
+            _json_array(map(_esc, m.roles), "  "),
+        )
     ).encode("utf-8")
 
 

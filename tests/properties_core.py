@@ -7,10 +7,12 @@ fixed-count loops for the acceptance gate.
 
 from __future__ import annotations
 
+import json
 import random
 
 from csm.classifier import Level, classify_all
 from csm.diagnostics import Severity
+from csm.dsl import emit_json, model_to_dict
 from csm.model import (
     ClassDef,
     Model,
@@ -21,7 +23,7 @@ from csm.model import (
     canonicalize,
 )
 from csm.simulator import SimState, Token, enabled, fire
-from csm.validator import validate
+from csm.validator import InvalidModel, validate
 
 from helpers import apply_suggestion, random_model, random_valid_model, toggle_waiting
 
@@ -132,6 +134,34 @@ def check_c2_repair_monotone(seed: int) -> None:
         after = error_set(fixed)
         assert (diag.code, diag.site) not in after
         assert after <= before - {(diag.code, diag.site)}
+
+
+def reference_report_json(report) -> str:
+    """The report text that ``CollaborationReport.to_json`` must equal."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+def reference_emit_json(model: Model) -> bytes:
+    """The model bytes that ``emit_json`` must equal."""
+    return (json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def check_report_json(seed: int) -> None:
+    """The direct report writer equals the indented, key-sorted dump."""
+    rng = random.Random(seed)
+    for m in (random_valid_model(rng), random_model(rng)):
+        try:
+            report = classify_all(m)
+        except InvalidModel:
+            continue
+        assert report.to_json() == reference_report_json(report)
+
+
+def check_emit_json(seed: int) -> None:
+    """The direct model writer equals the indented, key-sorted dump."""
+    rng = random.Random(seed)
+    for m in (random_valid_model(rng), random_model(rng)):
+        assert emit_json(m) == reference_emit_json(m)
 
 
 ALL_CHECKS = (

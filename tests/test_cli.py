@@ -10,9 +10,10 @@ import pytest
 
 import csm
 from csm import simulator
+from csm.classifier import CollaborationReport, classify_all
 from csm.cli import main
 from csm.dsl import emit_json, emit_text, parse_json
-from csm.fixtures import fixture_path, fixture_text, load
+from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_path, fixture_text, load
 
 
 @pytest.fixture
@@ -121,6 +122,33 @@ class TestClassify:
     def test_invalid_model_exits_one(self, capsys):
         assert main(["classify", fx("bad_c1")]) == 1
         assert "E-C1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".csm", ".json"])
+    @pytest.mark.parametrize("name", FIXTURES + BAD_FIXTURES)
+    def test_json_bytes(self, capsys, tmp_path, name, suffix):
+        # The report is the indented, key-sorted dump of to_dict, byte for byte.
+        path = fx(name)
+        if suffix == ".json":
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(emit_json(load(name)))
+        code = main(["classify", "--json", str(path)])
+        captured = capsys.readouterr()
+        if name in BAD_FIXTURES:
+            assert (code, captured.out) == (1, "")
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+        else:
+            report = classify_all(load(name))
+            assert code == 0
+            assert captured.out == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    def test_json_skips_the_report_dict(self, capsys, monkeypatch):
+        def to_dict(self):
+            raise AssertionError("classify --json built the report dict")
+
+        monkeypatch.setattr(CollaborationReport, "to_dict", to_dict)
+        assert main(["classify", "--json", fx("healthcare")]) == 0
+        assert '"GP->Laboratory": [\n      "loose"\n    ]' in capsys.readouterr().out
 
 
 class TestSimulate:
@@ -356,6 +384,27 @@ class TestUndecodableInput:
         assert captured.out == ""
         assert captured.err.startswith(f"error: malformed {kind} file {path}: ")
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["classify", "--json"], ["validate"]])
+def test_closed_stdout_exits_two(argv):
+    # Python ignores SIGPIPE, so a write to a pipe nobody reads raises
+    # BrokenPipeError, at the latest when the output is flushed at exit.
+    src = str(Path(csm.__file__).parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "csm", *argv, fx("healthcare")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_import_leaves_out_heavy_stdlib_modules():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from csm import dsl
 from csm.dsl import _Parser, _scan, emit_json, emit_text, model_to_dict, parse_json, parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
 from csm.model import Privilege, StatusPoint
@@ -320,6 +321,16 @@ class TestJson:
         m = scenarios["healthcare"]
         assert emit_json(m) == emit_json(m)
         assert emit_json(m).endswith(b"\n")
+
+    def test_emit_json_skips_the_model_dict(self, scenarios, monkeypatch):
+        m = scenarios["healthcare"]
+        expected = (json.dumps(model_to_dict(m), indent=2, sort_keys=True) + "\n").encode()
+
+        def model_to_dict_(model):
+            raise AssertionError("emit_json built the model dict")
+
+        monkeypatch.setattr(dsl, "model_to_dict", model_to_dict_)
+        assert emit_json(m) == expected
 
     def test_document_shape(self, scenarios):
         doc = model_to_dict(scenarios["gp_lab"])

@@ -1,15 +1,20 @@
 """Hypothesis property suites; the acceptance gate reruns the same checks
-in fixed 500-case loops (see test_acceptance.py)."""
+in fixed 500-case loops (see test_acceptance.py). The JSON writer checks
+run here only, in smaller counts and one fixed-seed loop."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import properties_core as core
+from csm.classifier import CollaborationReport, classify_all
+from csm.dsl import emit_json, parse_text
+from csm.model import ClassDef, Model, canonicalize
 
 seeds = st.integers(min_value=0, max_value=2**48)
 prop = settings(
     max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+small = settings(prop, max_examples=100)
 
 
 @prop
@@ -40,3 +45,79 @@ def test_waiting_toggle_swaps_levels(seed):
 @given(seeds)
 def test_c2_repair_monotone(seed):
     core.check_c2_repair_monotone(seed)
+
+
+@small
+@given(seeds)
+def test_report_json_matches_reference(seed):
+    core.check_report_json(seed)
+
+
+@small
+@given(seeds)
+def test_emit_json_matches_reference(seed):
+    core.check_emit_json(seed)
+
+
+def test_writers_match_reference_on_fixed_seeds():
+    for seed in range(100):
+        core.check_report_json(seed)
+        core.check_emit_json(seed)
+
+
+def test_writers_on_empty_documents():
+    report = CollaborationReport(())
+    assert report.to_json() == core.reference_report_json(report)
+    assert '"findings": []' in report.to_json()
+    assert '"pair_summary": {}' in report.to_json()
+    empty = Model("empty", (), (), ())
+    assert emit_json(empty) == core.reference_emit_json(empty)
+    assert b'"classes": []' in emit_json(empty)
+    assert classify_all(empty).to_json() == report.to_json()
+
+
+def test_emit_json_escapes_like_json_dumps():
+    m = Model("back\\slash\ttab caf\u00e9 \u2603", ("R",), (ClassDef("C", dynamic=True),), ())
+    text = emit_json(m)
+    assert text == core.reference_emit_json(m)
+    assert b'"back\\\\slash\\ttab caf\\u00e9 \\u2603"' in text
+
+
+_TWO_PRODUCERS = """model "pairs" {
+  role A
+  role B
+  role Z
+  class CA dynamic
+  class CB dynamic
+  process PA { owner A responsible Z output CA }
+  process PB { owner B responsible Z output CB }
+  grant A on CA { creation, modification, reference, suppression, modification+, reference+, suppression+ }
+  grant Z on CA { creation, modification, reference, suppression, reference+ }
+  grant B on CB { creation, modification, reference, suppression, modification+, reference+, suppression+ }
+  grant Z on CB { creation, modification, reference, suppression, reference+ }
+}
+"""
+
+
+def test_pair_summary_sorted_by_key_string():
+    # Renaming B to "A B" makes the key order ("A B->Z" < "A->Z", since
+    # " " < "-") differ from the order of the (producer, consumer) pairs.
+    m = parse_text(_TWO_PRODUCERS).model
+    rename = {"A": "A", "B": "A B", "Z": "Z"}
+    renamed = canonicalize(
+        Model(
+            m.name,
+            tuple(rename[r] for r in m.roles),
+            m.classes,
+            tuple(
+                p._replace(role_privileges={rename[r]: pp for r, pp in p.role_privileges.items()})
+                for p in m.processes
+            ),
+            {(rename[r], c): privs for (r, c), privs in m.class_grants.items()},
+        )
+    )
+    report = classify_all(renamed)
+    assert sorted(report.pair_summary) == [("A", "Z"), ("A B", "Z")]
+    text = report.to_json()
+    assert text == core.reference_report_json(report)
+    assert text.index('"A B->Z"') < text.index('"A->Z"')
