@@ -15,11 +15,12 @@ that runs to end of line):
     priv   := "creation" | "modification" | "reference" | "suppression"
             | "modification+" | "reference+" | "suppression+"
 
-Well-formed text is read one declaration per pattern match; other text goes
-to the recovering token parser, which reports every diagnostic and recovers
-at item boundaries so several independent mistakes are reported in one
-pass. A transform's mode keyword is mandatory: there is no default for
-whether the source token survives the firing.
+Well-formed text is read one declaration per pattern match. A declaration
+the patterns do not read (a mistake, or a comment inside it) goes to the
+recovering token parser and the scan resumes after it; that parser reports
+every diagnostic and recovers at item boundaries, so several independent
+mistakes are reported in one pass. A transform's mode keyword is mandatory:
+there is no default for whether the source token survives the firing.
 """
 
 from __future__ import annotations
@@ -77,23 +78,25 @@ _PRIVILEGE = {p.value: p for p in Privilege}
 _STATUS_POINT = {s.value: s for s in StatusPoint}
 _MODE = {m.value: m for m in TransformMode}
 
-# The patterns of ``_scan``, one match per declaration, each after
+# The patterns of ``_Parser.scan``, one match per declaration, each after
 # whitespace and comments. Under ``re.ASCII`` the ``\b`` after a name means
 # that no ``[A-Za-z0-9_]`` follows, and a comment runs to the end of its
-# line, so backtracking cannot split a token the lexer reads whole. Lists are
-# checked entry by entry in ``_scan``. Compiled on the first scan, so that
-# commands which read no text do not pay for them.
+# line, so backtracking cannot split a token the lexer reads whole. A class
+# matches whole or not at all: no ``dynamic`` or ``{`` may follow it after
+# whitespace as the lexer reads it, non-ASCII included. Lists are checked
+# entry by entry in ``scan``. Compiled on the first scan, so that commands
+# which read no text do not pay for them.
 _SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"
 _NAME = r"([A-Za-z]\w*)\b"
 
 
 @functools.cache
-def _scan_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The header, declaration and process-item patterns, compiled once."""
+def _scan_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """The declaration and process-item patterns, compiled once."""
     return (
-        re.compile(rf'{_SKIP}model\s*"([^"\n]*)"\s*\{{', re.ASCII),
         re.compile(
             rf"{_SKIP}(?:role\s+{_NAME}|class\s+{_NAME}(\s+dynamic\b)?(?:\s*\{{([^{{}}]*)\}})?"
+            rf"(?!(?u:{_SKIP})(?:dynamic\b|\{{))"
             rf"|grant\s+{_NAME}\s+on\s+{_NAME}\s*\{{([^{{}}]*)\}}|process\s+{_NAME}\s*\{{|\}}{_SKIP}\Z)",
             re.ASCII,
         ),
@@ -116,44 +119,47 @@ def _spans(text: str, file_label: str):
     return span
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    # Ending the search at the last non-space character keeps the leading
-    # \s* from backtracking over trailing whitespace at every position.
-    for m in _TOKEN_RE.finditer(text, 0, len(text.rstrip())):
-        group = m.lastindex
-        kind = _KIND_BY_GROUP[group]
-        if kind != "comment":
-            tokens.append(_Token(kind, m.group(group), m.start(group)))
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
-
-
 class _Recover(Exception):
     """Internal signal: abandon the current item and resynchronize."""
 
 
 class _Parser:
     def __init__(self, text: str, file_label: str) -> None:
-        self.tokens = _lex(text)
+        self.text = text
+        # Ending each match at the last non-space character keeps the
+        # lexer's leading \s* from backtracking over trailing whitespace.
+        self.endpos = len(text.rstrip())
         self.spans = _spans(text, file_label)
-        self.pos = 0
+        self.offset = 0  # where the next token's lexing starts
+        self.tok: _Token | None = None  # the current token, once lexed
         self.diagnostics: list[Diagnostic] = []
         self.draft = _Draft()
 
     # -- token plumbing -----------------------------------------------------
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        """The current token, lexed at ``offset`` on first use; comments are skipped."""
+        while self.tok is None:
+            m = _TOKEN_RE.match(self.text, self.offset, self.endpos)
+            if m is None:
+                self.tok = _Token("eof", "", len(self.text))
+                break
+            kind = _KIND_BY_GROUP[m.lastindex]
+            if kind == "comment":
+                self.offset = m.end()
+            else:
+                self.tok = _Token(kind, m[m.lastindex], m.start(m.lastindex))
+        return self.tok
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "eof":
-            self.pos += 1
+            self.offset = tok.offset + len(tok.text)
+            self.tok = None
         return tok
 
     def at(self, kind: str, text: str) -> bool:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         return tok.kind == kind and tok.text == text
 
     def span(self, tok: _Token) -> SourceSpan:
@@ -206,11 +212,12 @@ class _Parser:
                 return
             self.advance()
 
-    def block(self, keywords: frozenset[str], noun: str, eof_message: str, read, sync) -> None:
+    def block(self, keywords: frozenset, noun: str, eof_message: str, read, sync, scan) -> None:
         """Read items up to the closing brace. Each starts with one of
         ``keywords``; ``read`` gets that keyword's token, and after an error
-        ``sync`` skips to where the next item can start."""
-        while True:
+        ``sync`` skips to where the next item can start. ``scan`` runs before
+        each item and returns True once it has read the closing brace."""
+        while not scan():
             tok = self.peek()
             if tok.kind == "eof":
                 self.error("E-SYN", eof_message, tok)
@@ -277,6 +284,7 @@ class _Parser:
             "unexpected end of input, missing '}'",
             lambda kw: getattr(self, f"parse_{kw.text}")(),
             self.sync_item,
+            self.scan,
         )
         trailing = self.peek()
         if trailing.kind != "eof":
@@ -321,6 +329,7 @@ class _Parser:
             "unexpected end of input in process body",
             read,
             self.sync_pitem,
+            lambda: False,
         )
         self.draft.processes.append(proc)
 
@@ -350,62 +359,53 @@ class _Parser:
         privs = self.comma_list(_PRIVILEGE, "privilege")
         self.draft.grants.append((role_tok.text, class_tok.text, privs, self.span(role_tok)))
 
-
-def _scan(text: str, file_label: str) -> _Draft | None:
-    """The draft ``_Parser`` builds from well-formed text, one declaration per
-    match; ``None`` at the first mismatch (a mistake, or text such as a
-    comment inside a declaration), which only that parser may report."""
-    header_re, item_re, process_item_re = _scan_patterns()
-    m = header_re.match(text)
-    if m is None:
-        return None
-    span = _spans(text, file_label)
-    draft = _Draft(m[1])
-    pos = m.end()
-    while True:
-        m = item_re.match(text, pos)
-        if m is None:
-            return None
-        pos = m.end()
-        if m[1]:
-            draft.roles.append((m[1], span(m.start(1), m[1])))
-        elif m[2]:
-            listed = m[4].split(",") if m[4] is not None else ()
-            points = frozenset(_STATUS_POINT.get(p.strip()) for p in listed)
-            if None in points:
-                return None
-            draft.classes.append((ClassDef(m[2], bool(m[3]), points), span(m.start(2), m[2])))
-        elif m[5]:
-            privs = frozenset(_PRIVILEGE.get(p.strip()) for p in m[7].split(","))
-            if None in privs:
-                return None
-            draft.grants.append((m[5], m[6], privs, span(m.start(5), m[5])))
-        elif m[8]:
-            proc = _ProcessItem(m[8], span(m.start(8), m[8]))
-            while True:
-                m = process_item_re.match(text, pos)
-                if m is None:
-                    return None
-                pos = m.end()
-                if m[1]:
-                    getattr(proc, m[1] + "s").append((m[2], span(m.start(2), m[2])))
-                elif m[3]:
-                    proc.transforms.append((m[3], m[4], _MODE[m[5]], span(m.start(3), m[3])))
-                else:
+    def scan(self) -> bool:
+        """Read declarations by pattern from ``offset``, as the readers above
+        would, up to one the patterns do not read (a process as a whole); True
+        once the model's closing brace ends the text."""
+        item_re, process_item_re = _scan_patterns()
+        text, pos, span, draft = self.text, self.offset, self.spans, self.draft
+        closed = False
+        while not closed:
+            m = item_re.match(text, pos)
+            if m is None:
+                break
+            if m[1]:
+                draft.roles.append((m[1], span(m.start(1), m[1])))
+            elif m[2]:
+                listed = m[4].split(",") if m[4] is not None else ()
+                points = frozenset(_STATUS_POINT.get(p.strip()) for p in listed)
+                if None in points:
                     break
-            draft.processes.append(proc)
-        else:
-            return draft
+                draft.classes.append((ClassDef(m[2], bool(m[3]), points), span(m.start(2), m[2])))
+            elif m[5]:
+                privs = frozenset(_PRIVILEGE.get(p.strip()) for p in m[7].split(","))
+                if None in privs:
+                    break
+                draft.grants.append((m[5], m[6], privs, span(m.start(5), m[5])))
+            elif m[8]:
+                proc = _ProcessItem(m[8], span(m.start(8), m[8]))
+                # An item has groups; the process's closing brace has none.
+                while (m := process_item_re.match(text, m.end())) and m.lastindex:
+                    if m[1]:
+                        getattr(proc, m[1] + "s").append((m[2], span(m.start(2), m[2])))
+                    else:
+                        proc.transforms.append((m[3], m[4], _MODE[m[5]], span(m.start(3), m[3])))
+                if m is None:
+                    break
+                draft.processes.append(proc)
+            else:
+                closed = True
+            pos = m.end()
+        self.offset, self.tok = pos, None
+        return closed
 
 
 def parse_text(source: str, file_label: str = "<string>") -> ParseResult:
     """Parse model source text; recover at item boundaries on errors."""
-    draft = _scan(source, file_label)
-    diagnostics = []
-    if draft is None:
-        parser = _Parser(source, file_label)
-        draft = parser.parse()
-        diagnostics = parser.diagnostics
+    parser = _Parser(source, file_label)
+    draft = parser.parse()
+    diagnostics = parser.diagnostics
     model: Model | None = None
     if draft is not None:
         model, semantic = _resolve(draft)

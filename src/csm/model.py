@@ -122,7 +122,7 @@ class ClassDef(namedtuple("ClassDef", "name dynamic status_points")):
     def __new__(
         cls, name: str, dynamic: bool = False, status_points: Iterable[StatusPoint] = ()
     ) -> ClassDef:
-        return tuple.__new__(cls, (name, dynamic, frozenset(status_points)))
+        return tuple.__new__(cls, (name, bool(dynamic), frozenset(status_points)))
 
 
 class Transform(namedtuple("Transform", "source target mode")):

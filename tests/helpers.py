@@ -16,12 +16,14 @@ candidate object, within max_steps firings, and keeps the shortest witness.
 every process once per role, the rule the renderer's one pass must keep.
 ``random_token_soup`` makes text-parser inputs, from valid to garbage;
 ``random_model_text`` makes well-formed ones, laid out unlike the emitter's.
+``reference_tokens`` is the text lexer as a character loop, with no regex.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import string
 
 from csm.classifier import CollaborationReport, Level, LevelFinding
 from csm.dsl import emit_text
@@ -659,6 +661,49 @@ def random_model_text(rng: random.Random) -> str:
         lambda m: rng.choice(_TEXT_GAPS if m[0] == " " else _TEXT_BREAKS),
         emit_text(random_model(rng)),
     )
+
+
+_LETTERS = frozenset(string.ascii_letters)
+_WORD_CHARS = _LETTERS | frozenset(string.digits + "_")
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` of each token of ``text``, comments left out,
+    ending with ``("eof", "", len(text))``: a ``"`` opens a string only when
+    another ``"`` closes it on the same line, and ``#`` outside a string
+    starts a comment that runs to the end of its line."""
+    tokens = []
+    i = 0
+    while True:
+        while i < len(text) and text[i].isspace():
+            i += 1
+        if i == len(text):
+            tokens.append(("eof", "", i))
+            return tokens
+        c = text[i]
+        end = i + 1
+        if c == "#":
+            while end < len(text) and text[end] != "\n":
+                end += 1
+            i = end
+            continue
+        if c == '"':
+            while end < len(text) and text[end] not in '"\n':
+                end += 1
+            kind = "string" if end < len(text) and text[end] == '"' else "junk"
+            end = end + 1 if kind == "string" else i + 1
+        elif c in _LETTERS:
+            while end < len(text) and text[end] in _WORD_CHARS:
+                end += 1
+            kind = "ident"
+        elif text.startswith("->", i):
+            kind, end = "punct", i + 2
+        elif c in "{}+,":
+            kind = "punct"
+        else:
+            kind = "junk"
+        tokens.append((kind, text[i:end], i))
+        i = end
 
 
 # -- diagram reference --------------------------------------------------------

@@ -158,9 +158,11 @@ def check_report_json(seed: int) -> None:
 
 
 def check_emit_json(seed: int) -> None:
-    """The direct model writer equals the indented, key-sorted dump."""
+    """The direct model writer equals the indented, key-sorted dump; also on
+    a class built with a truthy ``dynamic`` that is not ``True``."""
     rng = random.Random(seed)
-    for m in (random_valid_model(rng), random_model(rng)):
+    truthy = Model("m", ("R",), (ClassDef("C", dynamic=1),), ())
+    for m in (random_valid_model(rng), random_model(rng), truthy):
         assert emit_json(m) == reference_emit_json(m)
 
 

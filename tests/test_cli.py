@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -423,6 +424,14 @@ def test_import_leaves_out_heavy_stdlib_modules():
         "csm.classifier", "csm.diagnostics", "csm.dsl", "csm.model",
         "csm.render", "csm.simulator", "csm.validator",
     } <= loaded
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in Path(csm.__file__).parent.glob("*.py")))
+def test_source_keeps_the_python_3_10_floor(module):
+    """``pyproject.toml`` says ``requires-python >=3.10``: no module uses
+    syntax that Python 3.10 cannot parse."""
+    source = (Path(csm.__file__).parent / module).read_text(encoding="utf-8")
+    ast.parse(source, filename=module, feature_version=(3, 10))
 
 
 def test_traced_functions_exist():

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from csm import dsl
-from csm.dsl import _Parser, _scan, emit_json, emit_text, model_to_dict, parse_json, parse_text
+from csm.dsl import _Parser, emit_json, emit_text, model_to_dict, parse_json, parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
 from csm.model import Privilege, StatusPoint
-from helpers import random_model, random_model_text, random_token_soup
+from helpers import random_model, random_model_text, random_token_soup, reference_tokens
 
 MINIMAL = 'model "m" { }\n'
 
@@ -127,11 +127,25 @@ class TestParseText:
                 'model "m" { class D class C { waiting role B grant B on D { magic } }',
                 ["expected '}', got 'role'", "unknown privilege 'magic'"],
             ),
+            ('model "m" { model >\n} # responsible\n ', ["expected a declaration, got 'model'"]),
+            ('model "m" { class C # c\n { soon } }', ["unknown status point 'soon'"]),
+            ('model "m" { class C # c\n dynamic role A }', []),
+            ('model "m" { class C\u2028dynamic { soon } }', ["unknown status point 'soon'"]),
+            (
+                'model "m" { class C dynamic { waiting } { } }',
+                ["expected a declaration, got '{'", "unexpected input after model: '}'"],
+            ),
+            (
+                'model "m" { role A grant A # c\n on C { magic } }',
+                ["class 'C' is not declared", "unknown privilege 'magic'"],
+            ),
         ],
     )
     def test_recovery_after_a_mistake_inside_a_list(self, text, messages):
         # The list's own '}' is not the end of the model, and an item
-        # keyword inside an unclosed list starts the next declaration.
+        # keyword inside an unclosed list starts the next declaration. A
+        # comment inside a declaration, or after the model's '}', changes
+        # nothing: a class is read whole, by pattern or by tokens.
         result = parse_text(text)
         assert [d.message for d in result.diagnostics] == messages
 
@@ -170,29 +184,34 @@ def _draft_fields(draft):
     return (draft.name, draft.roles, draft.classes, processes, draft.grants)
 
 
-class TestScan:
-    """``_scan`` reads well-formed text into the draft ``_Parser`` builds."""
+def _parsed(text):
+    parser = _Parser(text, "f.csm")
+    draft = parser.parse()
+    return (draft and _draft_fields(draft)), parser.diagnostics
 
-    def test_agrees_with_the_parser(self):
+
+class TestScan:
+    """``_Parser.scan`` reads declarations into the draft the token readers
+    build, and hands them every declaration it does not read."""
+
+    def test_agrees_with_the_parser(self, monkeypatch):
         rng = random.Random(20261019)
-        texts = [(random_token_soup(rng), False) for _ in range(2000)]
-        texts += [(random_model_text(rng), True) for _ in range(300)]
+        texts = [random_token_soup(rng) for _ in range(2000)]
+        texts += [random_model_text(rng) for _ in range(300)]
         # A non-ASCII letter is junk to the lexer, and other whitespace is not.
         texts += [
-            ('model "m" { role Aé }', False),
-            ('model "m" { class C dynamic é }', False),
-            ('model "m" {\u00a0role A }', False),
+            'model "m" { role Aé }',
+            'model "m" { class C dynamic é }',
+            'model "m" {\u00a0role A }',
+            'model "m" { class C\u2028dynamic\u00a0{ waiting } }',
         ]
-        for text, well_formed in texts:
-            draft = _scan(text, "f.csm")
-            assert draft is not None or not well_formed, text
-            if draft is not None:
-                parser = _Parser(text, "f.csm")
-                assert _draft_fields(parser.parse()) == _draft_fields(draft), text
-                assert parser.diagnostics == [], text
+        scanned = [_parsed(text) for text in texts]
+        monkeypatch.setattr(_Parser, "scan", lambda self: False)
+        for text, result in zip(texts, scanned):
+            assert _parsed(text) == result, text
 
     @pytest.mark.parametrize("name", FIXTURES + BAD_FIXTURES)
-    def test_accepts_fixtures_and_their_resolution_mistakes(self, name):
+    def test_accepts_fixtures_and_their_resolution_mistakes(self, name, monkeypatch):
         # As in the benchmark's broken inputs: a grant on an undeclared
         # class (E-REF), or a role line written twice (E-DUP).
         lines = fixture_text(name).split("\n")
@@ -203,10 +222,39 @@ class TestScan:
                 variants.append(([*lines[:i], mistake, *lines[i + 1 :]], "E-REF"))
             if ln.strip().startswith("role "):
                 variants.append(([*lines[:i], ln, *lines[i:]], "E-DUP"))
+        for reader in ("parse_role", "parse_class", "parse_grant", "parse_process"):
+            monkeypatch.setattr(_Parser, reader, None)
         for variant, code in variants:
-            text = "\n".join(variant)
-            assert _scan(text, name) is not None, text
-            assert code is None or code in codes(parse_text(text)), text
+            result = parse_text("\n".join(variant))
+            assert result.ok if code is None else code in codes(result), variant
+
+    def test_resumes_after_a_declaration_read_by_tokens(self, monkeypatch):
+        text = fixture_text("healthcare")
+        at = text.index("{", text.index("\n  grant "))
+        text = text[:at] + "# note\n" + text[at:]
+        calls = {}
+        for reader in ("parse_role", "parse_class", "parse_grant", "parse_process"):
+            original = getattr(_Parser, reader)
+
+            def counted(self, reader=reader, original=original):
+                calls[reader] = calls.get(reader, 0) + 1
+                original(self)
+
+            monkeypatch.setattr(_Parser, reader, counted)
+        result = parse_text(text)
+        assert result.ok and result.model == parse_text(fixture_text("healthcare")).model
+        assert calls == {"parse_grant": 1}
+
+    def test_tokens_match_a_reference_lexer(self):
+        rng = random.Random(20261020)
+        for _ in range(2000):
+            text = random_token_soup(rng)
+            parser = _Parser(text, "f.csm")
+            tokens = [tuple(parser.peek())]
+            while tokens[-1][0] != "eof":
+                parser.advance()
+                tokens.append(tuple(parser.peek()))
+            assert tokens == reference_tokens(text), text
 
 
 class TestRoundTrip:

@@ -71,6 +71,11 @@ class TestCoercion:
         assert c.status_points == frozenset({StatusPoint.WAITING})
         assert isinstance(c.status_points, frozenset)
 
+    def test_dynamic_becomes_a_bool(self):
+        assert ClassDef("X", dynamic=1).dynamic is True
+        assert ClassDef("X", 0).dynamic is False
+        assert ClassDef("X", dynamic=1) == ClassDef("X", dynamic=True)
+
     def test_process_sequences_become_tuples_and_privileges_are_copied(self):
         privileges = dict(OWNER)
         p = ProcessDef("P", ["A"], ["B"], [LEAVE], privileges)
