@@ -20,12 +20,17 @@ Level patterns, checked in precedence order per artifact (first match wins):
 A class pattern does not apply to two roles that are both privileged on a
 process that outputs the class.
 
-Findings are found by artifact, not by role pair: the process patterns are
-judged for the ordered pairs of roles privileged on each process, and the
-class patterns for each class's creators and read-only ``reference+``
-readers, read from the model's per-class index (``Model.class_index``).
-The cost grows with the privileges held, not with the square of the
-number of roles.
+Findings are found by artifact, not by role pair: very tight is judged
+once for each owner and responsible role of a process, tight once for each
+unordered pair of its owners (two owners are judged once, not once per
+order), and the class patterns for each class's creators and read-only
+``reference+`` readers, read from the model's per-class index
+(``Model.class_index``). The cost grows with the privileges held, not with
+the square of the number of roles.
+
+The report lists the findings sorted once: by (producer, consumer) pair,
+and within a pair the process findings before the class findings, each in
+name order. A tight finding appears once, under its sorted pair.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .model import (
     Model,
     ModelError,
     Privilege,
-    ProcessDef,
     ProcessPrivilege,
     StatusPoint,
 )
@@ -124,18 +128,22 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
             )
             for f in self.findings
         ]
-        # Keyed as to_dict keys them, then sorted by key string as sort_keys
-        # does: "A B->Z" comes before "A->Z", though ("A", "Z") < ("A B", "Z").
+        # Keyed as to_dict keys them and sorted once, by key string as
+        # sort_keys does: "A B->Z" comes before "A->Z", though ("A", "Z") <
+        # ("A B", "Z"). Pairs whose keys coincide follow in pair order, so the
+        # last one wins as in to_dict.
         summary = {
-            f"{producer}->{consumer}": levels
-            for (producer, consumer), levels in sorted(self.pair_summary.items())
+            "%s->%s" % pair: levels
+            for pair, levels in sorted(
+                self.pair_summary.items(), key=lambda item: ("%s->%s" % item[0], item[0])
+            )
         }
         pairs = ",\n    ".join(
             "%s: %s" % (
                 _esc(key),
-                _json_array(map(_esc, sorted(l.value for l in summary[key])), "    "),
+                _json_array(map(_esc, sorted(l.value for l in levels)), "    "),
             )
-            for key in sorted(summary)
+            for key, levels in summary.items()
         )
         return _REPORT_JSON % (
             _json_array(findings, "  "),
@@ -168,80 +176,83 @@ _FINDING_JSON = (
 _WRITE_PLUS = frozenset({Privilege.MODIFICATION_PLUS, Privilege.SUPPRESSION_PLUS})
 
 
-def _process_finding(model: Model, p: ProcessDef, r1: str, r2: str) -> LevelFinding | None:
-    """Very tight or tight finding for two roles both privileged on ``p``."""
-    pp1 = p.role_privileges[r1]
-    pp2 = p.role_privileges[r2]
-    if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.RESPONSIBILITY:
-        hits = [
-            c
-            for c in sorted(p.outputs)
-            if Privilege.MODIFICATION_PLUS in model.grants(r1, c)
-            and Privilege.REFERENCE_PLUS in model.grants(r2, c)
-        ]
-        if not hits:
-            return None
-        return LevelFinding(
-            producer=r1,
-            consumer=r2,
-            artifact=p.name,
-            artifact_kind="process",
-            level=Level.VERY_TIGHT,
-            evidence=(
-                f"owner({r1},{p.name})",
-                f"responsibility({r2},{p.name})",
-                *(f"modification+({r1},{c}) & reference+({r2},{c})" for c in hits),
-            ),
-        )
-    if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.OWNER:
-        shared_outputs = [
-            c for c in sorted(p.outputs) if model.grants(r1, c) and model.grants(r2, c)
-        ]
-        if shared_outputs and all(
-            Privilege.REFERENCE_PLUS in model.grants(r, c)
-            and not (model.grants(r, c) & _WRITE_PLUS)
-            for c in shared_outputs
-            for r in (r1, r2)
-        ):
-            lo, hi = sorted((r1, r2))
-            return LevelFinding(
-                producer=lo,
-                consumer=hi,
-                artifact=p.name,
-                artifact_kind="process",
-                level=Level.TIGHT,
-                evidence=(
-                    f"owner({lo},{p.name})",
-                    f"owner({hi},{p.name})",
-                    *(
-                        f"read-only sharing of {c} (reference+ both ways)"
-                        for c in shared_outputs
-                    ),
-                ),
-            )
-    return None
+def _findings(model: Model) -> list[LevelFinding]:
+    """Every finding of the model, artifact by artifact, unsorted.
 
-
-def _findings_by_pair(model: Model) -> dict[tuple[str, str], list[LevelFinding]]:
-    """Findings per ordered pair of declared roles, as ``classify_pair`` lists them.
-
-    One pass over each process's privileged role pairs and one over each
-    class's creators and read-only readers, in name order. A tight finding
-    is listed under both orders of its pair.
+    Each process is judged very tight once per (owner, responsible role)
+    pair and tight once per pair of owners, the lower name as producer; each
+    class pairs its creators with its read-only ``reference+`` readers.
     """
     roles = set(model.roles)
-    by_pair: dict[tuple[str, str], list[LevelFinding]] = {}
-    for p in sorted(model.processes, key=lambda p: p.name):
-        privileged = [r for r in p.role_privileges if r in roles]
-        for r1 in privileged:
-            for r2 in privileged:
-                if r1 != r2:
-                    f = _process_finding(model, p, r1, r2)
-                    if f is not None:
-                        by_pair.setdefault((r1, r2), []).append(f)
+    findings: list[LevelFinding] = []
+    for p in model.processes:
+        owners = [
+            r for r, pp in p.role_privileges.items()
+            if r in roles and pp is ProcessPrivilege.OWNER
+        ]
+        responsible = [
+            r for r, pp in p.role_privileges.items()
+            if r in roles and pp is ProcessPrivilege.RESPONSIBILITY
+        ]
+        outputs = sorted(p.outputs)
+        for r1 in owners:
+            for r2 in responsible:
+                hits = [
+                    c
+                    for c in outputs
+                    if Privilege.MODIFICATION_PLUS in model.grants(r1, c)
+                    and Privilege.REFERENCE_PLUS in model.grants(r2, c)
+                ]
+                if hits:
+                    findings.append(
+                        LevelFinding(
+                            producer=r1,
+                            consumer=r2,
+                            artifact=p.name,
+                            artifact_kind="process",
+                            level=Level.VERY_TIGHT,
+                            evidence=(
+                                f"owner({r1},{p.name})",
+                                f"responsibility({r2},{p.name})",
+                                *(
+                                    f"modification+({r1},{c}) & reference+({r2},{c})"
+                                    for c in hits
+                                ),
+                            ),
+                        )
+                    )
+            for r2 in owners:
+                if r1 >= r2:
+                    continue
+                shared_outputs = [
+                    c for c in outputs if model.grants(r1, c) and model.grants(r2, c)
+                ]
+                if shared_outputs and all(
+                    Privilege.REFERENCE_PLUS in model.grants(r, c)
+                    and not (model.grants(r, c) & _WRITE_PLUS)
+                    for c in shared_outputs
+                    for r in (r1, r2)
+                ):
+                    findings.append(
+                        LevelFinding(
+                            producer=r1,
+                            consumer=r2,
+                            artifact=p.name,
+                            artifact_kind="process",
+                            level=Level.TIGHT,
+                            evidence=(
+                                f"owner({r1},{p.name})",
+                                f"owner({r2},{p.name})",
+                                *(
+                                    f"read-only sharing of {c} (reference+ both ways)"
+                                    for c in shared_outputs
+                                ),
+                            ),
+                        )
+                    )
 
     index = model.class_index
-    for c in sorted(model.classes, key=lambda c: c.name):
+    for c in model.classes:
         idx = index[c.name]
         waiting = StatusPoint.WAITING in c.status_points
         # A read-only reader holds no creation, so it is never the creator.
@@ -252,7 +263,7 @@ def _findings_by_pair(model: Model) -> dict[tuple[str, str], list[LevelFinding]]
                     for q in idx.producers
                 ):
                     continue
-                by_pair.setdefault((r1, r2), []).append(
+                findings.append(
                     LevelFinding(
                         producer=r1,
                         consumer=r2,
@@ -266,41 +277,47 @@ def _findings_by_pair(model: Model) -> dict[tuple[str, str], list[LevelFinding]]
                         ),
                     )
                 )
-    return by_pair
+    return findings
 
 
 def classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
     """Findings for the ordered pair: r1 as owner/producer side.
 
     Tight is symmetric and is reported with the roles in lexicographic
-    order regardless of the argument order. Each call judges every shared
+    order regardless of the argument order. Process findings come before
+    class findings, each in name order. Each call judges every shared
     artifact of the model; use ``classify_all`` for all pairs at once.
     """
     model.require_role(r1)
     model.require_role(r2)
     if r1 == r2:
         raise SameRole(r1)
-    return list(_findings_by_pair(model).get((r1, r2), ()))
+    return sorted(
+        (
+            f
+            for f in _findings(model)
+            if (f.producer, f.consumer) == (r1, r2)
+            or (f.level is Level.TIGHT and (f.consumer, f.producer) == (r1, r2))
+        ),
+        key=lambda f: (f.artifact_kind == "class", f.artifact),
+    )
 
 
 def classify_all(model: Model) -> CollaborationReport:
     """Findings for every ordered pair of distinct roles.
 
     Pairs come in sorted order, each with its process findings before its
-    class findings; a tight finding appears once, under its sorted pair.
-    Raises InvalidModel when the model carries error-level diagnostics;
-    level patterns assume the privilege-closure rules hold.
+    class findings, each in name order; a tight finding appears once, under
+    its sorted pair. Raises InvalidModel when the model carries error-level
+    diagnostics; level patterns assume the privilege-closure rules hold.
     """
     ensure_valid(model)
-    by_pair = _findings_by_pair(model)
-    findings: list[LevelFinding] = []
-    seen: set[LevelFinding] = set()
-    for pair in sorted(by_pair):
-        for f in by_pair[pair]:
-            if f not in seen:
-                seen.add(f)
-                findings.append(f)
-    return CollaborationReport(findings=tuple(findings))
+    findings = sorted(
+        _findings(model),
+        key=lambda f: (f.producer, f.consumer, f.artifact_kind == "class", f.artifact),
+    )
+    # A model built in Python can repeat a name, and so a finding.
+    return CollaborationReport(findings=tuple(dict.fromkeys(findings)))
 
 
 __all__ = [

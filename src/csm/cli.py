@@ -150,12 +150,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    model = _load_model(args.file)
-    try:
-        report = classifier.classify_all(model)
-    except validator.InvalidModel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = classifier.classify_all(_load_model(args.file))
     if args.json:
         print(report.to_json())
     else:
@@ -192,14 +187,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     model = _load_model(args.file)
-    try:
-        if args.format == "dot":
-            text = render.to_dot(model, show_privileges=args.show_privileges)
-        else:
-            text = render.to_mermaid(model)
-    except validator.InvalidModel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.format == "dot":
+        text = render.to_dot(model, show_privileges=args.show_privileges)
+    else:
+        text = render.to_mermaid(model)
     _write_output(text, args.output)
     return 0
 
@@ -272,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except validator.InvalidModel as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

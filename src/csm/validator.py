@@ -33,6 +33,40 @@ class InvalidModel(ModelError):
 
 
 CATALOG: dict[str, tuple[Severity, str]] = {
+    # Reader codes: the text and JSON parsers and the name resolution
+    # pass report these; ``validate`` never does.
+    "E-SYN": (
+        Severity.ERROR,
+        "Model text must follow the csm grammar: a quoted model name, then "
+        "role, class, process and grant declarations inside one pair of "
+        "braces.",
+    ),
+    "E-REF": (
+        Severity.ERROR,
+        "Every role and class that a process or grant names must be "
+        "declared in the model.",
+    ),
+    "E-DUP": (
+        Severity.ERROR,
+        "A role, class or process is declared once, a role holds one "
+        "privilege on a process, and a role has one grant per class.",
+    ),
+    "E-TRF-MODE": (
+        Severity.ERROR,
+        "A transform must state its mode: 'remaining' keeps the source "
+        "token, 'leaving' consumes it.",
+    ),
+    "E-TRF-END": (
+        Severity.ERROR,
+        "A transform maps an input of its process to a different output of "
+        "the same process.",
+    ),
+    "E-JSON": (
+        Severity.ERROR,
+        "A JSON model must be well-formed JSON in the interchange layout: "
+        "the documented keys with values of the documented types, and names "
+        "that the text form can write.",
+    ),
     "E-C1": (
         Severity.ERROR,
         "Every class that appears as a transform endpoint must be declared a "

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from csm import classifier
 from csm.classifier import (
     CollaborationReport,
     Level,
+    LevelFinding,
     SameRole,
     classify_all,
     classify_pair,
@@ -190,3 +192,28 @@ class TestReferenceOracle:
             _assert_matches_reference(_reversed_members(m))
             found += len(brute_classify(m).findings)
         assert found > 20
+
+
+def test_each_finding_is_built_once(monkeypatch, scenarios):
+    # A two-owner process is judged once, not once per role order, so no
+    # finding is built only to be dropped as a repeat.
+    built = []
+
+    class CountedFinding(LevelFinding):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            built.append(None)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(classifier, "LevelFinding", CountedFinding)
+    rng = random.Random(5)
+    models = [scenarios[name] for name in FIXTURES]
+    models += [random_valid_model(rng) for _ in range(200)]
+    total = 0
+    for m in models:
+        built.clear()
+        findings = classify_all(m).findings
+        assert len(built) == len(findings)
+        total += len(findings)
+    assert total > 50

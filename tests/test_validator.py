@@ -1,6 +1,10 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
+
+import csm
 
 from csm.classifier import classify_all
 from csm.diagnostics import Severity
@@ -56,12 +60,26 @@ class TestScenarioFixtures:
         assert found == [("W-FP", "class=ReportOfPatient")]
 
 
+_CODE_LITERAL = re.compile(r"""["']([EW]-[A-Z0-9]+(?:-[A-Z0-9]+)*)["']""")
+
+
 class TestCatalog:
     def test_explain_known_codes(self):
         assert "Dynamic state" in explain("E-C1")
         assert "reference+ privilege on all input" in explain("E-C5")
         for code in CATALOG:
             assert explain(code)
+
+    def test_every_code_in_the_source_has_an_entry(self):
+        # Every "E-..." or "W-..." string literal in the package is a code
+        # the tool can report, the reader codes of the parsers included.
+        codes = {
+            code
+            for path in Path(csm.__file__).parent.glob("*.py")
+            for code in _CODE_LITERAL.findall(path.read_text(encoding="utf-8"))
+        }
+        assert {"E-SYN", "E-REF", "E-DUP", "E-TRF-MODE", "E-TRF-END", "E-JSON"} <= codes
+        assert sorted(codes - set(CATALOG)) == []
 
     def test_explain_unknown_code(self):
         with pytest.raises(UnknownCode):
