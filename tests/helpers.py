@@ -17,14 +17,18 @@ every process once per role, the rule the renderer's one pass must keep.
 ``random_token_soup`` makes text-parser inputs, from valid to garbage;
 ``random_model_text`` makes well-formed ones, laid out unlike the emitter's.
 ``reference_tokens`` is the text lexer as a character loop, with no regex.
+``argparse_reference`` is the CLI's command line as an ``argparse`` parser,
+the reference that ``csm.cli``'s command table and argv reader answer to.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 import re
 import string
 
+from csm import cli
 from csm.classifier import CollaborationReport, Level, LevelFinding
 from csm.dsl import emit_text
 from csm.simulator import (
@@ -856,3 +860,58 @@ def check_mermaid_syntax(text: str) -> None:
             depth -= 1
         assert depth >= 0
     assert depth == 0, "unbalanced subgraph/end"
+
+
+def argparse_reference() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="csm", description="Collaborative service model toolkit."
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="check a model against the rule catalog")
+    p.add_argument("file")
+    p.set_defaults(func=cli._cmd_validate)
+
+    p = sub.add_parser("classify", help="infer collaboration levels per role pair")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    p.set_defaults(func=cli._cmd_classify)
+
+    p = sub.add_parser("simulate", help="run a scripted token trace")
+    p.add_argument("file")
+    p.add_argument("--seed", required=True, help="JSON array of {object, class}")
+    p.add_argument("--script", required=True, help="JSON array of {process, object}")
+    p.add_argument(
+        "--strict", action="store_true", help="exit 1 when any step fails to fire"
+    )
+    p.set_defaults(func=cli._cmd_simulate)
+
+    p = sub.add_parser("explore", help="enumerate reachable states and run queries")
+    p.add_argument("file")
+    p.add_argument("--seed", required=True)
+    p.add_argument("--query", help="JSON array of reachability queries")
+    p.add_argument("--max-steps", type=int, default=8)
+    p.add_argument("--max-objects", type=int, default=2)
+    p.add_argument(
+        "--stats", action="store_true",
+        help="write state, edge and frontier counts, phase times and the stop "
+        "reason to stderr as one JSON object",
+    )
+    p.set_defaults(func=cli._cmd_explore)
+
+    p = sub.add_parser("render", help="emit a DOT or Mermaid diagram")
+    p.add_argument("file")
+    p.add_argument("--format", choices=("dot", "mermaid"), required=True)
+    p.add_argument("-o", "--output", help="write to a file instead of stdout")
+    p.add_argument("--show-privileges", action="store_true")
+    p.set_defaults(func=cli._cmd_render)
+
+    p = sub.add_parser("fmt", help="pretty-print the canonical model text")
+    p.add_argument("file")
+    p.set_defaults(func=cli._cmd_fmt)
+
+    p = sub.add_parser("explain", help="print the rule text of a diagnostic code")
+    p.add_argument("code")
+    p.set_defaults(func=cli._cmd_explain)
+
+    return parser

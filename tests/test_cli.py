@@ -409,17 +409,26 @@ def test_closed_stdout_exits_two(argv):
 
 
 def test_import_leaves_out_heavy_stdlib_modules():
-    """``import csm.cli`` loads every csm module and none of the stdlib
-    modules whose import dominated start-up (a module set, not a timing)."""
+    """``import csm.cli`` loads every csm module, and a whole ``validate``
+    run loads none of the stdlib modules whose import dominated start-up:
+    argparse and what its help formatter and messages pull in (a module
+    set, not a timing)."""
     src = str(Path(csm.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import csm.cli, sys, json; print(json.dumps(sorted(sys.modules)))"],
+         "import csm.cli, sys, json; code = csm.cli.main(['validate', sys.argv[1]]); "
+         "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)",
+         fx("healthcare")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    code, modules = json.loads(proc.stderr)
+    assert code == 0 and proc.stdout.startswith('{"code": "W-FP"')
+    loaded = set(modules)
     assert not loaded & {"dataclasses", "typing", "inspect", "pathlib"}
+    assert not loaded & {
+        "argparse", "gettext", "locale", "shutil", "bz2", "lzma", "zlib", "fnmatch",
+    }
     assert {
         "csm.classifier", "csm.diagnostics", "csm.dsl", "csm.model",
         "csm.render", "csm.simulator", "csm.validator",

@@ -7,7 +7,9 @@ it is, that text or its ``emit_json`` document with a few random edits, or
 the document with one value replaced. Seed, script and query files hold
 random JSON values or entries that name the base model's classes and
 processes. The argument lists draw on every command and option, the
-exploration bounds from -1 to 6 included.
+exploration bounds from -1 to 6 included, and on every form the argv
+reader reads: ``-h``, ``--``, ``=`` values, unique and ambiguous option
+prefixes, option-like values and extra positionals.
 """
 
 import contextlib
@@ -78,6 +80,9 @@ OWN_OPTIONS = {
 ANY_OPTION = [
     *(group for groups in OWN_OPTIONS.values() for group in groups),
     ["--format", "svg"], ["--max-steps"], ["--max-objects", "x"], ["--help"], ["--bogus"],
+    ["-h"], ["--"], ["--", "@model"], ["--format=dot"], ["--max-steps=3"], ["--out", "@out"],
+    ["--max", "3"], ["--max-s", "3"], ["--js"], ["--st"], ["--seed", "--stats"],
+    ["--seed", "-1"], ["--seed=--"], ["--max-steps=--"], ["@model"], ["extra"],
 ]
 
 
