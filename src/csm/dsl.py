@@ -39,7 +39,9 @@ from .model import (
     StatusPoint,
     TransformMode,
     _Draft,
+    _IDENT,
     _ProcessItem,
+    _identifier_problem,
     _quotable_name,
     _resolve,
     canonicalize,
@@ -65,8 +67,6 @@ class ParseResult(namedtuple("ParseResult", "model diagnostics")):
 _Token = namedtuple("_Token", "kind text offset")
 
 
-_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
-_IDENT_RE = re.compile(_IDENT)
 # One token after optional whitespace; the group that matched gives its
 # kind. A '#' starts a comment only where no string has started.
 _TOKEN_RE = re.compile(rf'\s*(?:("[^"\n]*")|(#[^\n]*)|({_IDENT})|(->|[{{}}+,])|(\S))')
@@ -624,10 +624,9 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
         return value
 
     def identifier(name, kind: str, site: str) -> bool:
-        if isinstance(name, str) and _IDENT_RE.fullmatch(name):
-            return True
-        diags.append(_json_error(f"{kind} name must be an identifier, got {name!r}", site))
-        return False
+        if problem := _identifier_problem(kind, name):
+            diags.append(_json_error(problem, site))
+        return not problem
 
     if not isinstance(doc, dict):
         return ParseResult(None, [_json_error("top-level value must be an object")])

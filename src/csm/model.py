@@ -11,6 +11,7 @@ caches on first use come out the same whichever thread builds them).
 from __future__ import annotations
 
 import enum
+import re
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from functools import cached_property
@@ -35,7 +36,21 @@ class InvalidTransform(ModelError):
 
 
 class InvalidModelName(ModelError):
-    """The model name cannot be written as a quoted string of the text form."""
+    """A name the text form cannot write: a model name it cannot quote, or a
+    role, class or process name that is not an identifier."""
+
+
+# The text form's identifier: the only role, class and process names it reads.
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
+
+
+def _identifier_problem(kind: str, name) -> str | None:
+    """Why a role, class or process name is not an identifier, or ``None``
+    when it is one."""
+    if isinstance(name, str) and _IDENT_RE.fullmatch(name):
+        return None
+    return f"{kind} name must be an identifier, got {name!r}"
 
 
 def _quotable_name(name: str) -> bool:
@@ -477,15 +492,17 @@ _ERROR_BY_CODE = {
 def canonicalize(model: Model) -> Model:
     """Return the canonical form of ``model``.
 
-    Members are sorted lexicographically by name, empty grants are dropped,
-    and every reference is checked against the declarations by the same
-    resolution pass that text and JSON parsing use. The first failed check
-    is raised as ``DuplicateName``, ``UnresolvedReference`` or
-    ``InvalidTransform``; a model name the text form cannot quote raises
-    ``InvalidModelName``. Idempotent; two models are equal exactly when
+    A model name the text form cannot quote, or a role, class or process
+    name that is not an identifier (``[A-Za-z][A-Za-z0-9_]*``), raises
+    ``InvalidModelName``, with the message ``parse_json`` gives. Then
+    members are sorted lexicographically by name, empty grants are
+    dropped, and every reference is checked against the declarations by
+    the same resolution pass that text and JSON parsing use. The first
+    failed check is raised as ``DuplicateName``, ``UnresolvedReference``
+    or ``InvalidTransform``. Idempotent; two models are equal exactly when
     their canonical forms are equal. A model that came out of name
     resolution (a parser's, or an earlier call's) is returned unchanged:
-    it is sorted, checked, and has a name the parsers could read.
+    it is sorted, checked, and has names the parsers could read.
     """
     if model.__dict__.get("_canonical"):
         return model
@@ -493,6 +510,11 @@ def canonicalize(model: Model) -> Model:
         raise InvalidModelName(
             f"model name {model.name!r} may not contain '\"' or a line break"
         )
+    for kind, names in (("role", model.roles), ("class", model.class_names),
+                        ("process", model.process_names)):
+        for name in names:
+            if problem := _identifier_problem(kind, name):
+                raise InvalidModelName(problem)
     draft = _Draft(model.name)
     draft.roles = [(r, None) for r in model.roles]
     draft.classes = [(c, None) for c in model.classes]

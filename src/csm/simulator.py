@@ -19,8 +19,8 @@ closed from it. Both query kinds ask about one object, so ``explore``
 searches one object's lifecycle in the same compiled space for
 co-occurrence and ordering queries, with witness traces of at most
 ``max_steps`` steps: an exact oracle at desk scale, not a model checker.
-The global states are enumerated breadth-first on the same masks only
-when asked for. ``Token`` and ``SimState`` are the boundary form:
+The global graph is enumerated breadth-first on the same masks only when
+its ``edges`` are read. ``Token`` and ``SimState`` are the boundary form:
 ``init_state``, ``enabled`` and ``fire`` encode a token configuration
 into masks, apply the rule and decode the result.
 """
@@ -353,16 +353,13 @@ class ReachabilityGraph:
     search ends: ``closed``, ``step_bound`` or ``object_bound_pruned``.
     These come from per-object lifecycles (see ``build_graph``).
 
-    The explicit graph is enumerated breadth-first on first access to
-    ``states`` or ``edges``. States are numbered in discovery order;
-    ``states[i]`` is the encoded state (see ``build_graph``) and ``edges``
-    maps each expanded state to its ``(action, successor)`` list in firing
-    order.
+    ``edges`` enumerates the explicit graph breadth-first on each read: it
+    maps each expanded state, numbered in discovery order from 0 for the
+    initial one, to its ``(action, successor)`` list in firing order.
     """
 
     __slots__ = ("classes", "held", "processes", "movers", "origins", "max_steps",
-                 "max_objects", "frontier", "stop", "edge_count", "_graph")
-    initial = 0  # states are numbered from the initial one
+                 "max_objects", "frontier", "stop", "edge_count")
 
     def __init__(
         self, classes: dict[str, int], held: dict[str, int], processes: list[_Compiled],
@@ -389,7 +386,6 @@ class ReachabilityGraph:
                 oid = _mint_id(held, 0)
                 self.origins.append((((name, oid),), oid, out))
         self.frontier, self.stop, self.edge_count = _count(self)
-        self._graph = None
 
     @property
     def complete(self) -> bool:
@@ -400,24 +396,8 @@ class ReachabilityGraph:
         return sum(self.frontier)
 
     @property
-    def states(self) -> list[_State]:
-        return self._enumerated()[0]
-
-    @property
     def edges(self) -> dict[int, list[tuple[Action, int]]]:
-        return self._enumerated()[1]
-
-    def _enumerated(self):
-        if self._graph is None:
-            self._graph = _enumerate(self)
-        return self._graph
-
-    def tokens(self, state: int) -> frozenset[Token]:
-        """The token configuration of a state."""
-        objects, _ = self.states[state]
-        return frozenset(
-            Token(oid, c) for oid, mask in objects for c in _decode(self.classes, mask)
-        )
+        return _enumerate(self)
 
     def shortest(self, marks: tuple[str, ...], want: int) -> tuple[Action, ...] | None:
         """The shortest run, least among equals as ``(process, object)``
@@ -561,20 +541,16 @@ def _count(graph: ReachabilityGraph) -> tuple[list[int], str, int]:
     return frontier, stop, edge_count
 
 
-def _enumerate(
-    graph: ReachabilityGraph,
-) -> tuple[list[_State], dict[int, list[tuple[Action, int]]]]:
-    """The explicit graph, breadth first: the states in discovery order and
-    each expanded state's ``(action, successor)`` list."""
-    initial: _State = (tuple(sorted(graph.held.items())), 0)
-    index = {initial: 0}
-    states = [initial]
+def _enumerate(graph: ReachabilityGraph) -> dict[int, list[tuple[Action, int]]]:
+    """The explicit graph, breadth first: each expanded state's
+    ``(action, successor)`` list, with states numbered in discovery order."""
+    frontier: list[_State] = [(tuple(sorted(graph.held.items())), 0)]
+    index = {frontier[0]: 0}
     edges: dict[int, list[tuple[Action, int]]] = {}
-    frontier = [0]
     for _ in range(graph.max_steps):
-        next_frontier: list[int] = []
-        for sid in frontier:
-            objects, minted = states[sid]
+        next_frontier: list[_State] = []
+        for state in frontier:
+            objects, minted = state
             fired: list[tuple[Action, _State]] = []
             for name, is_generator, need, keep, out in graph.processes:
                 if is_generator:
@@ -591,15 +567,14 @@ def _enumerate(
             for action, key in fired:
                 target = index.get(key)
                 if target is None:
-                    target = index[key] = len(states)
-                    states.append(key)
-                    next_frontier.append(target)
+                    target = index[key] = len(index)
+                    next_frontier.append(key)
                 succs.append((action, target))
-            edges[sid] = succs
+            edges[index[state]] = succs
         frontier = next_frontier
         if not frontier:
             break
-    return states, edges
+    return edges
 
 
 def build_graph(
@@ -631,9 +606,8 @@ def build_graph(
     histograms gives the states and edges per depth. The graph is
     complete only when every state was expanded within max_steps and the
     object bound never skipped a generator firing. The same compiled
-    space answers the queries of ``explore`` (``shortest``); ``states``
-    and ``edges`` are enumerated on first access, and ``explore`` reads
-    neither.
+    space answers the queries of ``explore`` (``shortest``); ``edges`` is
+    enumerated on each read, and ``explore`` does not read it.
     """
     if max_steps < 1 or max_objects < 1:
         raise ValueError("bounds must be positive")

@@ -8,9 +8,10 @@ pair against every process and class, with no use of the model's index.
 ``brute_fire`` is the firing rule on token sets, written without the class
 masks the simulator compiles: ``brute_init_state`` and ``brute_run_script``
 build on it to give what ``init_state`` and ``run_script`` should, and
-``brute_explore`` is the explorer on token sets: each state is a
-``frozenset`` of ``Token``s, every successor comes from ``brute_fire``, and
-each sequence query runs a product search over the global states per
+``brute_graph`` is the global state graph on token sets: each state is a
+``frozenset`` of ``Token``s with its count of minted objects, and every
+successor comes from ``brute_fire``. ``brute_explore`` is the explorer on
+it: each sequence query runs a product search over the global states per
 candidate object, within max_steps firings, and keeps the shortest witness.
 ``brute_to_dot`` and ``brute_to_mermaid`` draw the swim lanes by visiting
 every process once per role, the rule the renderer's one pass must keep.
@@ -19,14 +20,18 @@ every process once per role, the rule the renderer's one pass must keep.
 ``reference_tokens`` is the text lexer as a character loop, with no regex.
 ``argparse_reference`` is the CLI's command line as an ``argparse`` parser,
 the reference that ``csm.cli``'s command table and argv reader answer to.
+``load_bench`` loads a module of the benchmark by path.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import random
 import re
 import string
+from collections import Counter, namedtuple
+from pathlib import Path
 
 from csm import cli
 from csm.classifier import CollaborationReport, Level, LevelFinding
@@ -339,6 +344,16 @@ def brute_classify(model: Model) -> CollaborationReport:
     return CollaborationReport(tuple(findings))
 
 
+def load_bench(name: str):
+    """The benchmark module ``csmbench/<name>.py``, loaded by path: the
+    benchmark is a directory of scripts, not a package."""
+    path = Path(__file__).parents[1] / "csmbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"csmbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # Seeds under which each fixture is explored in the oracle checks.
 A4_SEEDS = {
     "airline_alliance": [("f1", "FlightRecord")],
@@ -427,27 +442,83 @@ def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
 
 
 def _brute_successors(model: Model, key, max_objects: int):
-    """Successor (action, key) pairs and whether the object bound skipped a generator."""
+    """Successor (action, key) pairs, by process name then object id, and
+    whether the object bound skipped a generator. Only the first definition
+    of a process name fires, as ``process_def`` reads it."""
     tokens, minted = key
     state = SimState(tokens)
     oids = sorted(state.object_ids)
     out = []
     pruned = False
-    for p in sorted(model.processes, key=lambda p: p.name):
+    for name in sorted(set(model.process_names)):
+        p = model.process_def(name)
         if p.is_generator:
             if len(oids) < max_objects:
                 nid = _mint_id(state.object_ids, minted)
-                nxt = brute_fire(model, state, p.name, nid)
-                out.append(((p.name, nid), (nxt.tokens, minted + 1)))
+                nxt = brute_fire(model, state, name, nid)
+                out.append(((name, nid), (nxt.tokens, minted + 1)))
             else:
                 pruned = True
         else:
             need = set(p.inputs)
             for oid in oids:
                 if need <= state.classes_of(oid):
-                    nxt = brute_fire(model, state, p.name, oid)
-                    out.append(((p.name, oid), (nxt.tokens, minted)))
+                    nxt = brute_fire(model, state, name, oid)
+                    out.append(((name, oid), (nxt.tokens, minted)))
     return out, pruned
+
+
+class BruteGraph(namedtuple("BruteGraph", "states edges pruned")):
+    """The global state graph on token sets, from ``brute_graph``.
+
+    A state is a ``(frozenset of Token, count of minted objects)`` pair.
+    ``states`` maps each one, in discovery order, to the depth it was first
+    reached at; ``edges`` maps each expanded state to its ``(action,
+    successor)`` list in firing order; ``pruned`` says whether the object
+    bound skipped a generator firing.
+    """
+
+    __slots__ = ()
+
+    @property
+    def initial(self):
+        return next(iter(self.states))
+
+    @property
+    def frontier(self) -> list[int]:
+        """The count of states first reached at each depth."""
+        counts = Counter(self.states.values())
+        return [counts[d] for d in range(len(counts))]
+
+    def stop(self, max_steps: int) -> str:
+        """Why the search ends, as ``ReachabilityGraph.stop`` names it."""
+        if len(self.frontier) > max_steps:
+            return "step_bound"  # states at depth max_steps stay unexpanded
+        return "object_bound_pruned" if self.pruned else "closed"
+
+
+def brute_graph(model: Model, seed, max_steps: int, max_objects: int) -> BruteGraph:
+    """The states reachable in at most max_steps firings, breadth first,
+    every successor from ``brute_fire``."""
+    initial = (brute_init_state(model, seed).tokens, 0)
+    states = {initial: 0}
+    edges = {}
+    frontier = [initial]
+    pruned = False
+    for depth in range(1, max_steps + 1):
+        nxt_frontier = []
+        for key in frontier:
+            succs, skipped = _brute_successors(model, key, max_objects)
+            pruned = pruned or skipped
+            edges[key] = succs
+            for _, nkey in succs:
+                if nkey not in states:
+                    states[nkey] = depth
+                    nxt_frontier.append(nkey)
+        frontier = nxt_frontier
+        if not frontier:
+            break
+    return BruteGraph(states, edges, pruned)
 
 
 def _brute_path(parents, key) -> list:
@@ -513,39 +584,27 @@ def _brute_sequence(initial, edges, first: str, then: str, max_steps: int) -> di
 
 
 def brute_explore(model: Model, seed, max_steps: int, max_objects: int, queries=()) -> dict:
-    """The document ``explore(...).to_dict()`` should give, from token sets.
+    """The document ``explore(...).to_dict()`` should give, from ``brute_graph``.
 
     The search is complete only when it closes within max_steps and the
     object bound never skipped a generator firing.
     """
-    initial = (brute_init_state(model, seed).tokens, 0)
-    parents = {initial: None}
-    edges = {}
-    frontier = [initial]
-    pruned = False
-    for _ in range(max_steps):
-        nxt_frontier = []
-        for key in frontier:
-            succs, skipped = _brute_successors(model, key, max_objects)
-            pruned = pruned or skipped
-            edges[key] = succs
-            for action, nkey in succs:
-                if nkey not in parents:
-                    parents[nkey] = (key, action)
-                    nxt_frontier.append(nkey)
-        frontier = nxt_frontier
-        if not frontier:
-            break
-    complete = not frontier and not pruned
+    graph = brute_graph(model, seed, max_steps, max_objects)
+    # Each state's first discovery: the parent it was reached from, and how.
+    parents = {graph.initial: None}
+    for key, succs in graph.edges.items():
+        for action, nkey in succs:
+            parents.setdefault(nkey, (key, action))
+    complete = graph.stop(max_steps) == "closed"
     results = []
     for q in queries:
         if q["type"] == "co_occurrence":
             results.append(_brute_co_occurrence(parents, *q["classes"]))
         else:
             results.append(
-                _brute_sequence(initial, edges, q["first"], q["then"], max_steps)
+                _brute_sequence(graph.initial, graph.edges, q["first"], q["then"], max_steps)
             )
-    return {"state_count": len(parents), "complete": complete,
+    return {"state_count": len(graph.states), "complete": complete,
             "bound_exceeded": not complete, "queries": results}
 
 

@@ -17,25 +17,28 @@ from csm.classifier import Level, classify_all
 from csm.diagnostics import Severity
 from csm.dsl import emit_json, emit_text, parse_json, parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
-from csm.model import Model
+from csm.model import Model, ModelError, ProcessDef, Transform, canonicalize
 from csm.render import to_dot, to_mermaid
 from csm.simulator import (
     NEW_OBJECT,
     Outcome,
+    SimState,
     _mint_id,
     build_graph,
+    enabled,
     explore,
+    fire,
     run_script,
-    SimState,
 )
 from csm.validator import validate
 from helpers import (
     A4_SEEDS,
-    brute_fire,
+    brute_graph,
     brute_validate,
     check_dot_syntax,
     check_mermaid_syntax,
     random_model,
+    random_valid_model,
 )
 
 
@@ -163,15 +166,10 @@ def _alphabet(model: Model, seed: list) -> list:
     return sorted(actions)
 
 
-def _decoded(graph, state: int) -> tuple:
-    """A graph state as (token set, count of minted objects)."""
-    return graph.tokens(state), graph.states[state][1]
-
-
-def _graph_path_exists(graph, script) -> bool:
+def _brute_path_exists(graph, script) -> bool:
     state = graph.initial
     for process, oid in script:
-        tokens, minted = _decoded(graph, state)
+        tokens, minted = state
         if oid == NEW_OBJECT:
             oid = _mint_id(frozenset(t.object_id for t in tokens), minted)
         state = dict(graph.edges.get(state, ())).get((process, oid))
@@ -180,36 +178,32 @@ def _graph_path_exists(graph, script) -> bool:
     return True
 
 
-def _assert_edges_match_fire(model: Model, graph) -> None:
-    """Every expanded state agrees with ``brute_fire``, the firing rule on
-    token sets, and lists its successors by process name, then by object id.
+def _assert_fire_matches_brute(model: Model, graph) -> None:
+    """At every expanded state of ``brute_graph``, ``enabled`` and ``fire``
+    give exactly its successors, by process name, then by object id.
 
     Per-transition agreement at every reachable state extends the script
     equivalence to all scripts within the exploration bounds by induction.
-    Distinct state ids must decode to distinct token configurations.
     """
-    decoded = [_decoded(graph, s) for s in range(graph.state_count)]
-    assert len(set(decoded)) == len(decoded)
-    for sid, succs in graph.edges.items():
-        tokens, minted = decoded[sid]
+    names = sorted(set(model.process_names))
+    for (tokens, minted), succs in graph.edges.items():
         state = SimState(tokens)
-        expected = {}
-        for p in model.processes:
-            if p.is_generator:
-                if len(state.object_ids) < MAX_OBJECTS:
+        oids = sorted(state.object_ids)
+        ready = {oid: enabled(model, state, oid) for oid in oids}
+        expected = []
+        for name in names:
+            if model.process_def(name).is_generator:
+                if len(oids) < MAX_OBJECTS:
                     oid = _mint_id(state.object_ids, minted)
-                    expected[(p.name, oid)] = (
-                        brute_fire(model, state, p.name, oid).tokens,
-                        minted + 1,
-                    )
+                    born = fire(model, state, name, oid).tokens
+                    expected.append(((name, oid), (born, minted + 1)))
             else:
-                for oid in sorted(state.object_ids):
-                    if set(p.inputs) <= state.classes_of(oid):
-                        expected[(p.name, oid)] = (
-                            brute_fire(model, state, p.name, oid).tokens,
-                            minted,
-                        )
-        assert [(action, decoded[target]) for action, target in succs] == list(expected.items())
+                expected.extend(
+                    ((name, oid), (fire(model, state, name, oid).tokens, minted))
+                    for oid in oids
+                    if name in ready[oid]
+                )
+        assert succs == expected
 
 
 def test_criterion_4_oracle_equivalence(scenarios):
@@ -217,8 +211,11 @@ def test_criterion_4_oracle_equivalence(scenarios):
         for name in FIXTURES:
             model = scenarios[name]
             seed = A4_SEEDS[name]
-            graph = build_graph(model, seed, max_steps=MAX_STEPS, max_objects=MAX_OBJECTS)
-            _assert_edges_match_fire(model, graph)
+            graph = brute_graph(model, seed, max_steps=MAX_STEPS, max_objects=MAX_OBJECTS)
+            _assert_fire_matches_brute(model, graph)
+            counted = build_graph(model, seed, max_steps=MAX_STEPS, max_objects=MAX_OBJECTS)
+            assert counted.state_count == len(graph.states)
+            assert counted.edge_count == sum(len(succs) for succs in graph.edges.values())
 
             alphabet = _alphabet(model, seed)
             depth, total = 0, 0
@@ -235,14 +232,15 @@ def test_criterion_4_oracle_equivalence(scenarios):
                     all_fired = len(events) == length and all(
                         e.outcome is Outcome.FIRED for e in events
                     )
-                    assert all_fired == _graph_path_exists(graph, script), (
+                    assert all_fired == _brute_path_exists(graph, script), (
                         name,
                         script,
                     )
 
     _report(
         4,
-        "exploration graph and scripted runs agree (per-state induction plus "
+        "the token-set graph agrees with enabled/fire at every state, with the "
+        "counted space and with scripted runs (per-state induction plus "
         "exhaustive short-script enumeration) on every scenario",
         run,
         budget=60.0,
@@ -279,6 +277,37 @@ def test_criterion_5_directional_asymmetry(scenarios):
 
 # -- 6: round-trips and rendering --------------------------------------------------
 
+# Keywords of the text form, which are also identifiers, and names that no
+# text form can write.
+KEYWORD_NAMES = ("role", "on", "dynamic", "class", "process", "model", "leaving")
+NON_IDENTIFIERS = ("a b", 'A"x', "C 1", "", "1a", "_u", "x-y", "caf\u00e9", "p\n")
+
+
+def _renamed(m: Model, new: dict) -> Model:
+    """``m`` built by hand with every role, class and process name ``n``
+    replaced by ``new.get(n, n)``."""
+
+    def rename(name: str) -> str:
+        return new.get(name, name)
+
+    return Model(
+        m.name,
+        tuple(map(rename, m.roles)),
+        tuple(c._replace(name=rename(c.name)) for c in m.classes),
+        tuple(
+            ProcessDef(
+                rename(p.name),
+                map(rename, p.inputs),
+                map(rename, p.outputs),
+                (Transform(rename(t.source), rename(t.target), t.mode) for t in p.transforms),
+                {rename(r): pp for r, pp in p.role_privileges.items()},
+            )
+            for p in m.processes
+        ),
+        {(rename(r), rename(c)): privs for (r, c), privs in m.class_grants.items()},
+    )
+
+
 def test_criterion_6_round_trips(scenarios):
     def run():
         for name in (*FIXTURES, *BAD_FIXTURES):
@@ -294,6 +323,28 @@ def test_criterion_6_round_trips(scenarios):
             m = random_model(rng)
             assert parse_text(emit_text(m)).model == m
             assert parse_json(emit_json(m)).model == m
+        # Hand-built models whose names may be keywords or non-identifiers:
+        # canonicalize rejects them, or what it returns round-trips and draws.
+        accepted = rejected = 0
+        for _ in range(300):
+            m = random_valid_model(rng)
+            names = (*m.roles, *m.class_names, *m.process_names)
+            m = _renamed(m, {
+                n: rng.choice(rng.choice((KEYWORD_NAMES, NON_IDENTIFIERS)))
+                for n in names
+                if rng.random() < 0.15
+            })
+            try:
+                c = canonicalize(m)
+            except ModelError:
+                rejected += 1
+                continue
+            accepted += 1
+            assert parse_text(emit_text(c)).model == c
+            assert parse_json(emit_json(c)).model == c
+            check_dot_syntax(to_dot(c, show_privileges=True))
+            check_mermaid_syntax(to_mermaid(c))
+        assert accepted > 50 and rejected > 50
         for name in FIXTURES:
             m = scenarios[name]
             dot, mermaid = to_dot(m), to_mermaid(m)
@@ -308,8 +359,9 @@ def test_criterion_6_round_trips(scenarios):
 
     _report(
         6,
-        "text and JSON forms round-trip on fixtures and 1000 random models; "
-        "diagram output is deterministic and well-formed",
+        "text and JSON forms round-trip on fixtures, 1000 random models and "
+        "every hand-built model canonicalize accepts; diagram output is "
+        "deterministic and well-formed",
         run,
     )
 

@@ -1,6 +1,5 @@
 import ast
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +14,7 @@ from csm.classifier import CollaborationReport, classify_all
 from csm.cli import main
 from csm.dsl import emit_json, emit_text, parse_json
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_path, fixture_text, load
+from helpers import A4_SEEDS, load_bench
 
 
 @pytest.fixture
@@ -446,13 +446,26 @@ def test_source_keeps_the_python_3_10_floor(module):
 def test_traced_functions_exist():
     """Every ``(module, function)`` that ``csmbench/spans.py`` wraps is
     defined, so a rename in csm cannot silently break a traced run."""
-    path = Path(__file__).parents[1] / "csmbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("csmbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    for module, function in spans.TRACED:
+    for module, function in load_bench("spans").TRACED:
         target = getattr(importlib.import_module(f"csm.{module}"), function, None)
         assert callable(target), (module, function)
+
+
+@pytest.mark.parametrize(
+    "name, seed, max_steps, max_objects",
+    [
+        *((name, A4_SEEDS[name], 8, 2) for name in FIXTURES),  # criterion 4's inputs
+        ("healthcare", [], 4, 2),
+        ("healthcare", [("p", "CaredPatient")], 6, 3),
+    ],
+)
+def test_traced_graph_counts_are_the_counted_space(name, seed, max_steps, max_objects):
+    """A traced run counts the edges of what ``build_graph`` returns by
+    reading ``edges``, the explicit graph's one view left in csm; its counts
+    equal the counted ``state_count`` and ``edge_count``."""
+    graph = simulator.build_graph(load(name), seed, max_steps, max_objects)
+    counts = load_bench("spans")._counts("simulator.build_graph", (), graph)
+    assert counts == {"states": graph.state_count, "edges": graph.edge_count}
 
 
 class TestRenderAndFmt:

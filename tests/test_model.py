@@ -220,6 +220,23 @@ def test_canonicalize_and_parse_json_name_the_same_rule(fault):
     assert str(raised.value) == f"{diag.site}: {diag.message}"
 
 
+@pytest.mark.parametrize("name", ["a b", 'A"x', "C 1", "", "1a", "_a", "x-y", "caf\u00e9", "A\n"])
+@pytest.mark.parametrize("kind", ["role", "class", "process"])
+def test_non_identifier_names_rejected_like_parse_json(kind, name):
+    # The name is declared and referenced nowhere: only the name rule fails.
+    declared = {
+        "role": dict(roles=("B", "A", name)),
+        "class": dict(classes=(ClassDef("Y", True), ClassDef("X", True), ClassDef(name))),
+        "process": dict(processes=(_process(), ProcessDef(name))),
+    }
+    model = _tiny(**declared[kind])
+    with pytest.raises(InvalidModelName) as raised:
+        canonicalize(model)
+    [diag] = parse_json(_raw_json(model)).diagnostics
+    assert diag.code == "E-JSON"
+    assert str(raised.value) == diag.message == f"{kind} name must be an identifier, got {name!r}"
+
+
 class TestLookups:
     def test_unknown_names_raise(self):
         m = canonicalize(_tiny())

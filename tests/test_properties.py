@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import properties_core as core
 from csm.classifier import CollaborationReport, classify_all
 from csm.dsl import emit_json, parse_text
-from csm.model import ClassDef, Model, canonicalize
+from csm.model import ClassDef, Model
 
 seeds = st.integers(min_value=0, max_value=2**48)
 prop = settings(
@@ -102,19 +102,19 @@ _TWO_PRODUCERS = """model "pairs" {
 def test_pair_summary_sorted_by_key_string():
     # Renaming B to "A B" makes the key order ("A B->Z" < "A->Z", since
     # " " < "-") differ from the order of the (producer, consumer) pairs.
+    # No text form can name a role "A B", so the renamed model is built by
+    # hand and not canonicalized; the rename keeps every member sorted.
     m = parse_text(_TWO_PRODUCERS).model
     rename = {"A": "A", "B": "A B", "Z": "Z"}
-    renamed = canonicalize(
-        Model(
-            m.name,
-            tuple(rename[r] for r in m.roles),
-            m.classes,
-            tuple(
-                p._replace(role_privileges={rename[r]: pp for r, pp in p.role_privileges.items()})
-                for p in m.processes
-            ),
-            {(rename[r], c): privs for (r, c), privs in m.class_grants.items()},
-        )
+    renamed = Model(
+        m.name,
+        tuple(rename[r] for r in m.roles),
+        m.classes,
+        tuple(
+            p._replace(role_privileges={rename[r]: pp for r, pp in p.role_privileges.items()})
+            for p in m.processes
+        ),
+        {(rename[r], c): privs for (r, c), privs in m.class_grants.items()},
     )
     report = classify_all(renamed)
     assert sorted(report.pair_summary) == [("A", "Z"), ("A B", "Z")]

@@ -35,6 +35,7 @@ from helpers import (
     A4_SEEDS,
     brute_explore,
     brute_fire,
+    brute_graph,
     brute_init_state,
     brute_run_script,
     random_model,
@@ -232,8 +233,6 @@ class TestExplore:
         g1 = build_graph(m, [], max_steps=5, max_objects=2)
         g2 = build_graph(m, [], max_steps=5, max_objects=2)
         assert g1.edges == g2.edges
-        decode = lambda g: [(g.tokens(s), g.states[s][1]) for s in range(g.state_count)]
-        assert decode(g1) == decode(g2)
 
     def test_complete_when_space_is_closed(self, scenarios):
         m = scenarios["hospital_cleaning"]
@@ -248,11 +247,13 @@ class TestExplore:
         assert not summary.complete
 
     def test_object_bound_respected(self, scenarios):
+        # The counted space is the token-set graph's, where no state holds
+        # more objects than the bound.
         m = scenarios["gp_lab"]
         graph = build_graph(m, [], max_steps=8, max_objects=1)
-        for succs in graph.edges.values():
-            for _, target in succs:
-                assert len({t.object_id for t in graph.tokens(target)}) <= 1
+        brute = brute_graph(m, [], max_steps=8, max_objects=1)
+        assert all(len(SimState(tokens).object_ids) <= 1 for tokens, _ in brute.states)
+        assert (graph.state_count, graph.frontier) == (len(brute.states), brute.frontier)
 
     def test_pruned_generator_is_not_a_proof(self, scenarios):
         # The seed fills the object bound, so CheckUp can never mint.
@@ -300,23 +301,15 @@ class TestExplore:
         m = scenarios["hospital_cleaning"]
         seed = [("r2", "OccupiedRoom"), ("r1", "OccupiedRoom")]
         graph = build_graph(m, seed, max_steps=1, max_objects=2)
-        assert [action for action, _ in graph.edges[graph.initial]] == [
+        edges = graph.edges
+        assert [action for action, _ in edges[0]] == [
             ("CleanRoom", "r1"),
             ("CleanRoom", "r2"),
             ("DischargeHospital", "r1"),
             ("DischargeHospital", "r2"),
         ]
-        # States are numbered in discovery order: the seed state, then its successors.
-        assert graph.states[1:] == [graph.states[t] for _, t in graph.edges[graph.initial]]
-
-    def test_tokens_decodes_a_state(self, scenarios):
-        m = scenarios["hospital_cleaning"]
-        graph = build_graph(m, [("r", "OccupiedRoom")], max_steps=8, max_objects=1)
-        assert graph.tokens(graph.initial) == {Token("r", "OccupiedRoom")}
-        [(action, target)] = [s for s in graph.edges[graph.initial] if s[0][0] == "CleanRoom"]
-        assert graph.tokens(target) == brute_fire(
-            m, brute_init_state(m, [("r", "OccupiedRoom")]), "CleanRoom", "r"
-        ).tokens
+        # States are numbered in discovery order: the seed state 0, then its successors.
+        assert [target for _, target in edges[0]] == [1, 2, 3, 4]
 
     def test_undeclared_names_are_unreachable(self, scenarios):
         graph = build_graph(scenarios["gp_lab"], [], max_steps=4, max_objects=1)
@@ -535,29 +528,6 @@ class TestReferenceOracle:
         assert reachable > 100
 
 
-def _depths(graph) -> list[int]:
-    """The states first reached at each depth, recomputed from the edges."""
-    depth = {graph.initial: 0}
-    for sid, succs in graph.edges.items():  # expanded in discovery order
-        for _, target in succs:
-            depth.setdefault(target, depth[sid] + 1)
-    frontier = [0] * (max(depth.values()) + 1)
-    for d in depth.values():
-        frontier[d] += 1
-    return frontier
-
-
-def _enumerated_stop(model, graph, max_steps: int, max_objects: int) -> str:
-    """Why the enumeration stopped, read from its states and edges."""
-    if len(_depths(graph)) > max_steps:
-        return "step_bound"
-    if any(p.is_generator for p in model.processes) and any(
-        len(graph.states[sid][0]) >= max_objects for sid in graph.edges
-    ):
-        return "object_bound_pruned"
-    return "closed"
-
-
 GZ = Model(
     # G mints an object in C, Z mints none: both take a step and a mint id.
     "gz", ("R",), (ClassDef("C", True),), (ProcessDef("G", (), ("C",)), ProcessDef("Z", (), ())),
@@ -566,19 +536,21 @@ GZ = Model(
 
 class TestCountedSpace:
     """``build_graph`` counts states, edges, the frontier and the stop reason
-    from per-object lifecycles; the explicit enumeration of ``states`` and
-    ``edges`` agrees with every count."""
+    from per-object lifecycles; they equal those of ``brute_graph``, the
+    explicit graph on token sets, and ``edges`` agrees with the edge count."""
 
     def _check(self, m, seed, max_steps, max_objects):
         g = build_graph(m, seed, max_steps, max_objects)
+        brute = brute_graph(m, seed, max_steps, max_objects)
         counted = (g.state_count, g.edge_count, g.frontier, g.stop)
-        enumerated = (
-            len(g.states),
-            sum(len(succs) for succs in g.edges.values()),
-            _depths(g),
-            _enumerated_stop(m, g, max_steps, max_objects),
+        expected = (
+            len(brute.states),
+            sum(len(succs) for succs in brute.edges.values()),
+            brute.frontier,
+            brute.stop(max_steps),
         )
-        assert counted == enumerated, (m, seed, max_steps, max_objects)
+        assert counted == expected, (m, seed, max_steps, max_objects)
+        assert sum(len(succs) for succs in g.edges.values()) == g.edge_count
         return g
 
     @pytest.mark.parametrize(
@@ -609,9 +581,7 @@ class TestCountedSpace:
                 for _ in range(rng.randint(0, 4))
             })
             bounds = rng.randint(1, 9), rng.randint(1, 5)
-            g = self._check(m, seed, *bounds)
-            assert g.complete == brute_explore(m, seed, *bounds)["complete"]
-            stops.add(g.stop)
+            stops.add(self._check(m, seed, *bounds).stop)
         assert stops == {"closed", "step_bound", "object_bound_pruned"}
 
 
