@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from collections import namedtuple
 from types import SimpleNamespace as _Args
@@ -213,307 +212,155 @@ def _cmd_explain(args: _Args) -> int:
     return 0
 
 
-# The command line as a table. Each command reads one positional and its
-# options; every command also takes -h/--help. An option row gives its
-# strings, the attribute it sets, its kind (None for a flag, str or int for a
-# value, or the tuple of allowed values), whether it is required, and its
-# default. Usage and help are the bytes that argparse printed for the same
-# command line at 80 columns; tests/helpers.py keeps that parser as the
-# reference.
-_Option = namedtuple("_Option", "strings dest kind required default")
-_Command = namedtuple("_Command", "handler positional options usage help")
-
-_HELP = _Option(("-h", "--help"), None, None, False, None)
-_FILE_ONLY_HELP = """
-positional arguments:
-  file
-
-options:
-  -h, --help  show this help message and exit
-"""
+# The command line as one table. A command row gives its handler, its one
+# positional and its help line. An option row gives its strings, the
+# attribute it sets, its kind (None for a flag, str or int for a value, or
+# the tuple of allowed values), whether it is required, its default and its
+# help. _read_exact reads the lines that name the command first and spell
+# every option in full, which is how scripts write them; _parser builds the
+# argparse parser from the same rows for every other line. tests/helpers.py
+# keeps an argparse parser written by hand as the reference for both.
+_Option = namedtuple("_Option", "strings dest kind required default help")
+_Command = namedtuple("_Command", "handler positional help options")
 
 _COMMANDS = {
-    "validate": _Command(
-        _cmd_validate, "file", (), "usage: csm validate [-h] file\n", _FILE_ONLY_HELP
-    ),
+    "validate": _Command(_cmd_validate, "file", "check a model against the rule catalog", ()),
     "classify": _Command(
         _cmd_classify,
         "file",
-        (_Option(("--json",), "json", None, False, False),),
-        "usage: csm classify [-h] [--json] file\n",
-        """
-positional arguments:
-  file
-
-options:
-  -h, --help  show this help message and exit
-  --json      emit the report as JSON
-""",
+        "infer collaboration levels per role pair",
+        (_Option(("--json",), "json", None, False, False, "emit the report as JSON"),),
     ),
     "simulate": _Command(
         _cmd_simulate,
         "file",
+        "run a scripted token trace",
         (
-            _Option(("--seed",), "seed", str, True, None),
-            _Option(("--script",), "script", str, True, None),
-            _Option(("--strict",), "strict", None, False, False),
+            _Option(("--seed",), "seed", str, True, None, "JSON array of {object, class}"),
+            _Option(("--script",), "script", str, True, None, "JSON array of {process, object}"),
+            _Option(
+                ("--strict",), "strict", None, False, False, "exit 1 when any step fails to fire"
+            ),
         ),
-        "usage: csm simulate [-h] --seed SEED --script SCRIPT [--strict] file\n",
-        """
-positional arguments:
-  file
-
-options:
-  -h, --help       show this help message and exit
-  --seed SEED      JSON array of {object, class}
-  --script SCRIPT  JSON array of {process, object}
-  --strict         exit 1 when any step fails to fire
-""",
     ),
     "explore": _Command(
         _cmd_explore,
         "file",
+        "enumerate reachable states and run queries",
         (
-            _Option(("--seed",), "seed", str, True, None),
-            _Option(("--query",), "query", str, False, None),
-            _Option(("--max-steps",), "max_steps", int, False, 8),
-            _Option(("--max-objects",), "max_objects", int, False, 2),
-            _Option(("--stats",), "stats", None, False, False),
+            _Option(("--seed",), "seed", str, True, None, None),
+            _Option(("--query",), "query", str, False, None, "JSON array of reachability queries"),
+            _Option(("--max-steps",), "max_steps", int, False, 8, None),
+            _Option(("--max-objects",), "max_objects", int, False, 2, None),
+            _Option(("--stats",), "stats", None, False, False, "write state, edge and frontier "
+                    "counts, phase times and the stop reason to stderr as one JSON object"),
         ),
-        """usage: csm explore [-h] --seed SEED [--query QUERY] [--max-steps MAX_STEPS]
-                   [--max-objects MAX_OBJECTS] [--stats]
-                   file
-""",
-        """
-positional arguments:
-  file
-
-options:
-  -h, --help            show this help message and exit
-  --seed SEED
-  --query QUERY         JSON array of reachability queries
-  --max-steps MAX_STEPS
-  --max-objects MAX_OBJECTS
-  --stats               write state, edge and frontier counts, phase times and
-                        the stop reason to stderr as one JSON object
-""",
     ),
     "render": _Command(
         _cmd_render,
         "file",
+        "emit a DOT or Mermaid diagram",
         (
-            _Option(("--format",), "format", ("dot", "mermaid"), True, None),
-            _Option(("-o", "--output"), "output", str, False, None),
-            _Option(("--show-privileges",), "show_privileges", None, False, False),
+            _Option(("--format",), "format", ("dot", "mermaid"), True, None, None),
+            _Option(
+                ("-o", "--output"), "output", str, False, None, "write to a file instead of stdout"
+            ),
+            _Option(("--show-privileges",), "show_privileges", None, False, False, None),
         ),
-        """usage: csm render [-h] --format {dot,mermaid} [-o OUTPUT] [--show-privileges]
-                  file
-""",
-        """
-positional arguments:
-  file
-
-options:
-  -h, --help            show this help message and exit
-  --format {dot,mermaid}
-  -o OUTPUT, --output OUTPUT
-                        write to a file instead of stdout
-  --show-privileges
-""",
     ),
-    "fmt": _Command(_cmd_fmt, "file", (), "usage: csm fmt [-h] file\n", _FILE_ONLY_HELP),
-    "explain": _Command(
-        _cmd_explain,
-        "code",
-        (),
-        "usage: csm explain [-h] code\n",
-        """
-positional arguments:
-  code
-
-options:
-  -h, --help  show this help message and exit
-""",
-    ),
+    "fmt": _Command(_cmd_fmt, "file", "pretty-print the canonical model text", ()),
+    "explain": _Command(_cmd_explain, "code", "print the rule text of a diagnostic code", ()),
 }
 
-# The top level reads only -h/--help before the command; the command
-# positional takes the rest of the line.
-_TOP = _Command(
-    None,
-    "command",
-    (),
-    "usage: csm [-h] {validate,classify,simulate,explore,render,fmt,explain} ...\n",
-    """
-Collaborative service model toolkit.
 
-positional arguments:
-  {validate,classify,simulate,explore,render,fmt,explain}
-    validate            check a model against the rule catalog
-    classify            infer collaboration levels per role pair
-    simulate            run a scripted token trace
-    explore             enumerate reachable states and run queries
-    render              emit a DOT or Mermaid diagram
-    fmt                 pretty-print the canonical model text
-    explain             print the rule text of a diagnostic code
-
-options:
-  -h, --help            show this help message and exit
-""",
-)
-
-# A dash and a number is a value, not an option, as in argparse.
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-class _Stop(Exception):
-    """The command line was answered with help (exit 0) or a usage error (exit 2)."""
-
-    def __init__(self, code: int) -> None:
-        super().__init__(code)
-        self.code = code
-
-
-def _usage_error(prog: str, usage: str, message: str) -> _Stop:
-    sys.stderr.write(f"{usage}{prog}: error: {message}\n")
-    return _Stop(2)
-
-
-def _read(prog: str, command: _Command, args: list[str]) -> tuple[dict, list[str]]:
-    """The values ``command`` reads from ``args`` and the arguments left over.
-
-    Each argument is a positional or an option string, with an explicit
-    value after ``=`` or, for a short option, after its letter. A long
-    option may be cut to a unique prefix. Every argument after the first
-    ``--`` is a positional. The top level's positional takes the rest of
-    the line, from the command name on.
-    """
-    table = {s: option for option in (_HELP, *command.options) for s in option.strings}
-
-    def fail(message: str, option: _Option | None = None) -> _Stop:
-        if option is not None:
-            message = f"argument {'/'.join(option.strings)}: {message}"
-        return _usage_error(prog, command.usage, message)
-
-    def read_arg(arg: str):
-        """None for a positional, else (option string or None when the
-        command has no such option, explicit value or None)."""
-        if not arg.startswith("-") or arg == "-":
-            return None
-        if arg in table:
-            return arg, None
-        name, eq, value = arg.partition("=")
-        if eq and name in table:
-            return name, value
-        if arg[1] == "-":
-            matches = [s for s in table if s.startswith(name)]
-            explicit = value if eq else None
-        else:
-            matches = [arg[:2]] if arg[:2] in table else []
-            explicit = arg[2:]
-        if len(matches) > 1:
-            raise fail(f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], explicit
-        if _NEGATIVE_NUMBER.match(arg) or " " in arg:
-            return None
-        return None, None
-
-    kinds = []
-    for i, arg in enumerate(args):
-        if arg == "--":
-            kinds += ["--"] + [None] * (len(args) - i - 1)
-            break
-        kinds.append(read_arg(arg))
-
+def _read_exact(argv: list[str]) -> _Args | None:
+    """The command line read from the table, when argparse would read it the
+    same way: the command first, then the positional (which does not start
+    with "-") and options spelt in full, each value after "=" or as the next
+    argument, none starting with "-". None for any other line."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    table = {s: option for option in command.options for s in option.strings}
     values = {option.dest: option.default for option in command.options}
-    seen, extras, i = set(), [], 0
-    while i < len(args):
-        if kinds[i] is None or kinds[i] == "--":
-            # A "--" right before or after the positional goes with it.
-            j = i + (kinds[i] == "--")
-            if command.positional in seen or j == len(args):
-                extras.append(args[i])
-                i += 1
-            elif command is _TOP:
-                values["command"] = args[i:]
-                seen.add("command")
-                break
-            else:
-                values[command.positional] = args[j]
-                seen.add(command.positional)
-                i = j + 1 + (kinds[j + 1 : j + 2] == ["--"])
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if command.positional in values:
+                return None
+            values[command.positional] = arg
             continue
-        string, explicit = kinds[i]
-        if string is None:
-            extras.append(args[i])
-            i += 1
+        string, eq, value = arg.partition("=")
+        option = table.get(string)
+        if option is None or (eq and option.kind is None):
+            return None
+        if option.kind is None:
+            values[option.dest] = True
             continue
-        # Read the whole argument before acting on it: the letters after a
-        # short flag are more short options (-hh), as argparse reads them.
-        actions = []
-        while True:
-            option = table[string]
-            if explicit is None:
-                if option.kind is None:
-                    actions.append((option, None))
-                    i += 1
-                elif kinds[i + 1 : i + 2] == [None]:
-                    actions.append((option, args[i + 1]))
-                    i += 2
-                else:
-                    raise fail("expected one argument", option)
-                break
-            if option.kind is not None:
-                actions.append((option, explicit))
-                i += 1
-                break
-            if string[1] == "-" or explicit == "" or "-" + explicit[0] not in table:
-                raise fail(f"ignored explicit argument {explicit!r}", option)
-            actions.append((option, None))
-            string, explicit = "-" + explicit[0], explicit[1:] or None
-        for option, value in actions:
-            if option is _HELP:
-                sys.stdout.write(command.usage + command.help)
-                raise _Stop(0)
-            if option.kind is None:
-                value = True
-            elif option.kind is int:
-                try:
-                    value = int(value)
-                except ValueError:
-                    raise fail(f"invalid int value: {value!r}", option) from None
-            elif option.kind is not str and value not in option.kind:
-                choices = ", ".join(map(repr, option.kind))
-                raise fail(f"invalid choice: {value!r} (choose from {choices})", option)
-            values[option.dest] = value
-            seen.add(option.dest)
+        if not eq:
+            value = next(rest, "-")
+        if value.startswith("-"):
+            return None
+        if option.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif option.kind is not str and value not in option.kind:
+            return None
+        values[option.dest] = value
+    if command.positional not in values or any(
+        option.required and values[option.dest] is None for option in command.options
+    ):
+        return None
+    return _Args(command=argv[0], func=command.handler, **values)
 
-    missing = [command.positional] if command.positional not in seen else []
-    missing += ["/".join(o.strings) for o in command.options if o.required and o.dest not in seen]
-    if missing:
-        raise fail(f"the following arguments are required: {', '.join(missing)}")
-    return values, extras
+
+def _parser():
+    """The argparse parser built from the table, and its parser per command.
+    Help keeps the 80-column layout whatever the terminal width."""
+    import argparse
+
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=78)
+
+    parser = argparse.ArgumentParser(
+        prog="csm", description="Collaborative service model toolkit.", formatter_class=formatter
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, formatter_class=formatter)
+        p.add_argument(command.positional)
+        p.set_defaults(func=command.handler)
+        for option in command.options:
+            if option.kind is None:
+                kind = {"action": "store_true"}
+            elif isinstance(option.kind, tuple):
+                kind = {"choices": option.kind}
+            else:
+                kind = {"type": option.kind}
+            p.add_argument(*option.strings, dest=option.dest, required=option.required,
+                           default=option.default, help=option.help, **kind)
+    return parser, sub.choices
 
 
 def _read_argv(argv: list[str]) -> _Args | int:
-    """The parsed command line, or the exit code once help (exit 0) or a
-    usage error (exit 2) has been printed."""
+    """The parsed command line, or the exit code once argparse has printed
+    help (exit 0) or a usage error (exit 2)."""
+    args = _read_exact(argv)
+    if args is not None:
+        return args
+    parser, commands = _parser()
     try:
-        top, extras = _read("csm", _TOP, argv)
-        name, *rest = top["command"]
-        command = _COMMANDS.get(name)
-        if command is None:
-            choices = ", ".join(map(repr, _COMMANDS))
-            message = f"argument command: invalid choice: {name!r} (choose from {choices})"
-            raise _usage_error("csm", _TOP.usage, message)
-        values, more = _read(f"csm {name}", command, rest)
-        if extras + more:
-            message = f"unrecognized arguments: {' '.join(extras + more)}"
-            raise _usage_error("csm", _TOP.usage, message)
-    except _Stop as stop:
+        args = parser.parse_args(argv)
+        # argparse stores an explicit value of "--" (--seed=--) as [].
+        for option in _COMMANDS[args.command].options:
+            if getattr(args, option.dest) == []:
+                strings = "/".join(option.strings)
+                commands[args.command].error(f"argument {strings}: expected one argument")
+    except SystemExit as stop:
         return stop.code
-    return _Args(command=name, func=command.handler, **values)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -87,7 +87,7 @@ _MODE = {m.value: m for m in TransformMode}
 # entry by entry in ``scan``. Compiled on the first scan, so that commands
 # which read no text do not pay for them.
 _SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"
-_NAME = r"([A-Za-z]\w*)\b"
+_NAME = rf"({_IDENT})\b"
 
 
 @functools.cache

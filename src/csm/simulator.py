@@ -305,7 +305,7 @@ class QueryResult(namedtuple("QueryResult", "predicate reachable witness")):
         return {
             "predicate": self.predicate,
             "reachable": self.reachable,
-            "witness": [list(a) for a in self.witness] if self.witness else None,
+            "witness": None if self.witness is None else [list(a) for a in self.witness],
         }
 
 

@@ -538,7 +538,7 @@ def _brute_co_occurrence(parents, class_a: str, class_b: str) -> dict:
         for classes in per_object.values():
             if class_a in classes and class_b in classes:
                 return {"predicate": predicate, "reachable": True,
-                        "witness": _brute_path(parents, key) or None}
+                        "witness": _brute_path(parents, key)}
     return {"predicate": predicate, "reachable": False, "witness": None}
 
 

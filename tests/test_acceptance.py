@@ -5,6 +5,7 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
 """
 
 import itertools
+import json
 import random
 import shutil
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 import properties_core as core
 from csm.classifier import Level, classify_all
 from csm.diagnostics import Severity
-from csm.dsl import emit_json, emit_text, parse_json, parse_text
+from csm.dsl import emit_json, emit_text, model_to_dict, parse_json, parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
 from csm.model import Model, ModelError, ProcessDef, Transform, canonicalize
 from csm.render import to_dot, to_mermaid
@@ -281,6 +282,9 @@ def test_criterion_5_directional_asymmetry(scenarios):
 # text form can write.
 KEYWORD_NAMES = ("role", "on", "dynamic", "class", "process", "model", "leaving")
 NON_IDENTIFIERS = ("a b", 'A"x', "C 1", "", "1a", "_u", "x-y", "caf\u00e9", "p\n")
+# Pieces of model names in JSON documents: comment, escape, brace, line
+# break and quote characters of the text form.
+NAME_PIECES = ("#", "\\", "\t", "\r", "{", "}", "\u00e9", "\x00", "\x85", "->", '"', "\n")
 
 
 def _renamed(m: Model, new: dict) -> Model:
@@ -345,6 +349,25 @@ def test_criterion_6_round_trips(scenarios):
             check_dot_syntax(to_dot(c, show_privileges=True))
             check_mermaid_syntax(to_mermaid(c))
         assert accepted > 50 and rejected > 50
+        # JSON documents with odd model names and without the optional class
+        # keys: each document parse_json accepts round-trips both ways.
+        accepted = 0
+        for _ in range(400):
+            doc = model_to_dict(random_model(rng))
+            doc["name"] = "".join(rng.choices(NAME_PIECES, k=rng.randint(0, 4)))
+            for c in doc["classes"]:
+                for key in ("dynamic", "status_points"):
+                    if rng.random() < 0.3:
+                        del c[key]
+            m = parse_json(json.dumps(doc)).model
+            if m is None:
+                continue
+            accepted += 1
+            text = emit_text(m)
+            assert parse_text(text).model == m and emit_text(parse_text(text).model) == text
+            blob = emit_json(m)
+            assert parse_json(blob).model == m and emit_json(parse_json(blob).model) == blob
+        assert accepted > 200
         for name in FIXTURES:
             m = scenarios[name]
             dot, mermaid = to_dot(m), to_mermaid(m)
@@ -359,8 +382,9 @@ def test_criterion_6_round_trips(scenarios):
 
     _report(
         6,
-        "text and JSON forms round-trip on fixtures, 1000 random models and "
-        "every hand-built model canonicalize accepts; diagram output is "
+        "text and JSON forms round-trip on fixtures, 1000 random models, "
+        "every hand-built model canonicalize accepts and every JSON document "
+        "parse_json accepts; diagram output is "
         "deterministic and well-formed",
         run,
     )

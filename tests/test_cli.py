@@ -332,6 +332,21 @@ class TestExplore:
             ["RequestTest", "p"], ["PerformTest", "p"], ["ReviewResult", "p"], ["RequestTest", "p"]
         ]
 
+    def test_query_holding_in_the_seed_has_an_empty_witness(self, capsys, write_json):
+        # [] is "holds with no step"; null is kept for "unreachable".
+        seed = write_json("seed.json", [{"object": "r", "class": "OccupiedRoom"}])
+        query = write_json(
+            "query.json",
+            [{"type": "co_occurrence", "classes": ["OccupiedRoom", "OccupiedRoom"]},
+             {"type": "sequence", "first": "DischargeHospital", "then": "CleanRoom"}],
+        )
+        argv = ["explore", fx("hospital_cleaning"), "--seed", seed, "--query", query,
+                "--max-steps", "8", "--max-objects", "1"]
+        assert main(argv) == 0
+        held, unreachable = json.loads(capsys.readouterr().out)["queries"]
+        assert (held["reachable"], held["witness"]) == (True, [])
+        assert (unreachable["reachable"], unreachable["witness"]) == (False, None)
+
     def test_defaults_without_query(self, capsys, write_json):
         seed = write_json("seed.json", [])
         assert main(["explore", fx("gp_lab"), "--seed", seed]) == 0
@@ -408,31 +423,70 @@ def test_closed_stdout_exits_two(argv):
     assert "Exception ignored" not in proc.stderr
 
 
-def test_import_leaves_out_heavy_stdlib_modules():
-    """``import csm.cli`` loads every csm module, and a whole ``validate``
-    run loads none of the stdlib modules whose import dominated start-up:
-    argparse and what its help formatter and messages pull in (a module
-    set, not a timing)."""
+# Every command line shape the benchmark runs, and the options it leaves
+# out; "@name" stands for a file in the test's directory.
+BENCH_SHAPES = [
+    ["validate", "@model"],
+    ["classify", "--json", "@model"],
+    ["simulate", "@model", "--seed", "@seed", "--script", "@script"],
+    ["simulate", "@model", "--seed", "@seed", "--script", "@script", "--strict"],
+    ["explore", "@model", "--seed", "@seed", "--query", "@query",
+     "--max-steps", "40", "--max-objects", "5"],
+    ["explore", "@model", "--seed", "@seed", "--query", "@query",
+     "--max-steps", "4", "--max-objects", "2", "--stats"],
+    ["render", "@model", "--format", "dot"],
+    ["render", "@model", "--format", "mermaid"],
+    ["render", "@model", "--format", "dot", "-o", "@out", "--show-privileges"],
+    ["fmt", "@model"],
+    ["explain", "E-C1"],
+]
+HEAVY = {"argparse", "gettext", "locale", "shutil", "bz2", "lzma", "zlib", "fnmatch"}
+
+
+def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
+    """``import csm.cli`` loads every csm module, and no command line the
+    benchmark runs loads any of the stdlib modules whose import dominated
+    start-up: argparse and what its help formatter and messages pull in (a
+    module set, not a timing)."""
+    files = {
+        "@model": fx("healthcare"),
+        "@seed": write_json("seed.json", [{"object": "p", "class": "CaredPatient"}]),
+        "@script": write_json("script.json", [{"process": "CheckUp", "object": "new"}]),
+        "@query": write_json(
+            "query.json", [{"type": "sequence", "first": "ReviewResult", "then": "RequestTest"}]
+        ),
+        "@out": str(tmp_path / "out.dot"),
+    }
+    # Last, an abbreviated option, which only argparse reads.
+    shapes = [*BENCH_SHAPES, ["classify", "--js", "@model"]]
+    argvs = [[files.get(a, a) for a in shape] for shape in shapes]
     src = str(Path(csm.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import csm.cli, sys, json; code = csm.cli.main(['validate', sys.argv[1]]); "
-         "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)",
-         fx("healthcare")],
+         "import contextlib, io, json, sys, csm.cli\n"
+         "runs = []\n"
+         "for argv in json.loads(sys.argv[1]):\n"
+         "    out = io.StringIO()\n"
+         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+         "        code = csm.cli.main(argv)\n"
+         "    runs.append([code, out.getvalue()[:20], sorted(sys.modules)])\n"
+         "print(json.dumps(runs))",
+         json.dumps(argvs)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stderr)
-    assert code == 0 and proc.stdout.startswith('{"code": "W-FP"')
-    loaded = set(modules)
-    assert not loaded & {"dataclasses", "typing", "inspect", "pathlib"}
-    assert not loaded & {
-        "argparse", "gettext", "locale", "shutil", "bz2", "lzma", "zlib", "fnmatch",
-    }
+    runs = json.loads(proc.stdout)
+    assert [code for code, _, _ in runs] == [0] * len(shapes)
+    assert runs[0][1].startswith('{"code": "W-FP"')
+    for shape, (_, _, modules) in zip(BENCH_SHAPES, runs):
+        loaded = set(modules)
+        assert not loaded & {"dataclasses", "typing", "inspect", "pathlib"}, shape
+        assert not loaded & HEAVY, shape
     assert {
         "csm.classifier", "csm.diagnostics", "csm.dsl", "csm.model",
         "csm.render", "csm.simulator", "csm.validator",
-    } <= loaded
+    } <= set(runs[0][2])
+    assert "argparse" in runs[-1][2]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in Path(csm.__file__).parent.glob("*.py")))
