@@ -109,10 +109,14 @@ def _scan_patterns() -> tuple[re.Pattern, re.Pattern]:
 
 
 def _spans(text: str, file_label: str):
-    """A token's offset and text to its ``SourceSpan``: the one line-and-column rule."""
-    line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
+    """A token's offset and text to its ``SourceSpan``: the one line-and-column
+    rule. The line index is built on the first call, since only a diagnostic
+    makes one."""
+    line_starts: list[int] = []
 
     def span(offset: int, token: str) -> SourceSpan:
+        if not line_starts:
+            line_starts.extend([0, *(m.end() for m in _NEWLINE_RE.finditer(text))])
         li = bisect.bisect_right(line_starts, offset) - 1
         return SourceSpan(file_label, li + 1, offset - line_starts[li] + 1, max(len(token), 1))
 
@@ -134,6 +138,11 @@ class _Parser:
         self.tok: _Token | None = None  # the current token, once lexed
         self.diagnostics: list[Diagnostic] = []
         self.draft = _Draft()
+        # Per raw ``{...}`` listing, what ``scan`` read from it (``None`` for
+        # a class without one). One table per list kind, since a word valid
+        # in one kind of list is unknown in the other.
+        self.point_lists: dict[str | None, frozenset] = {None: frozenset()}
+        self.privilege_lists: dict[str, frozenset] = {}
 
     # -- token plumbing -----------------------------------------------------
 
@@ -293,7 +302,7 @@ class _Parser:
 
     def parse_role(self) -> None:
         tok = self.expect("ident", what="role name")
-        self.draft.roles.append((tok.text, self.span(tok)))
+        self.draft.roles.append((tok.text, tok.offset))
 
     def parse_class(self) -> None:
         name_tok = self.expect("ident", what="class name")
@@ -305,15 +314,12 @@ class _Parser:
             self.advance()
             points = self.comma_list(_STATUS_POINT, "status point")
         self.draft.classes.append(
-            (
-                ClassDef(name_tok.text, dynamic=dynamic, status_points=points),
-                self.span(name_tok),
-            )
+            (ClassDef(name_tok.text, dynamic=dynamic, status_points=points), name_tok.offset)
         )
 
     def parse_process(self) -> None:
         name_tok = self.expect("ident", what="process name")
-        proc = _ProcessItem(name=name_tok.text, span=self.span(name_tok))
+        proc = _ProcessItem(name=name_tok.text, offset=name_tok.offset)
         self.expect("punct", "{")
 
         def read(kw_tok: _Token) -> None:
@@ -321,7 +327,7 @@ class _Parser:
                 self.parse_transform(proc, kw_tok)
                 return
             tok = self.expect("ident", what=f"{kw_tok.text} name")
-            getattr(proc, kw_tok.text + "s").append((tok.text, self.span(tok)))
+            getattr(proc, kw_tok.text + "s").append((tok.text, tok.offset))
 
         self.block(
             PITEM_KEYWORDS,
@@ -340,9 +346,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident" and tok.text in ("remaining", "leaving"):
             self.advance()
-            proc.transforms.append(
-                (src.text, dst.text, _MODE[tok.text], self.span(src))
-            )
+            proc.transforms.append((src.text, dst.text, _MODE[tok.text], src.offset))
         else:
             self.error(
                 "E-TRF-MODE",
@@ -357,40 +361,48 @@ class _Parser:
         class_tok = self.expect("ident", what="class name")
         self.expect("punct", "{")
         privs = self.comma_list(_PRIVILEGE, "privilege")
-        self.draft.grants.append((role_tok.text, class_tok.text, privs, self.span(role_tok)))
+        self.draft.grants.append((role_tok.text, class_tok.text, privs, role_tok.offset))
 
     def scan(self) -> bool:
         """Read declarations by pattern from ``offset``, as the readers above
         would, up to one the patterns do not read (a process as a whole); True
         once the model's closing brace ends the text."""
         item_re, process_item_re = _scan_patterns()
-        text, pos, span, draft = self.text, self.offset, self.spans, self.draft
+        text, pos, draft = self.text, self.offset, self.draft
+        point_lists, privilege_lists = self.point_lists, self.privilege_lists
         closed = False
         while not closed:
             m = item_re.match(text, pos)
             if m is None:
                 break
             if m[1]:
-                draft.roles.append((m[1], span(m.start(1), m[1])))
+                draft.roles.append((m[1], m.start(1)))
             elif m[2]:
-                listed = m[4].split(",") if m[4] is not None else ()
-                points = frozenset(_STATUS_POINT.get(p.strip()) for p in listed)
+                points = point_lists.get(m[4])
+                if points is None:
+                    points = point_lists[m[4]] = frozenset(
+                        _STATUS_POINT.get(p.strip()) for p in m[4].split(",")
+                    )
                 if None in points:
                     break
-                draft.classes.append((ClassDef(m[2], bool(m[3]), points), span(m.start(2), m[2])))
+                draft.classes.append((ClassDef(m[2], bool(m[3]), points), m.start(2)))
             elif m[5]:
-                privs = frozenset(_PRIVILEGE.get(p.strip()) for p in m[7].split(","))
+                privs = privilege_lists.get(m[7])
+                if privs is None:
+                    privs = privilege_lists[m[7]] = frozenset(
+                        _PRIVILEGE.get(p.strip()) for p in m[7].split(",")
+                    )
                 if None in privs:
                     break
-                draft.grants.append((m[5], m[6], privs, span(m.start(5), m[5])))
+                draft.grants.append((m[5], m[6], privs, m.start(5)))
             elif m[8]:
-                proc = _ProcessItem(m[8], span(m.start(8), m[8]))
+                proc = _ProcessItem(m[8], m.start(8))
                 # An item has groups; the process's closing brace has none.
                 while (m := process_item_re.match(text, m.end())) and m.lastindex:
                     if m[1]:
-                        getattr(proc, m[1] + "s").append((m[2], span(m.start(2), m[2])))
+                        getattr(proc, m[1] + "s").append((m[2], m.start(2)))
                     else:
-                        proc.transforms.append((m[3], m[4], _MODE[m[5]], span(m.start(3), m[3])))
+                        proc.transforms.append((m[3], m[4], _MODE[m[5]], m.start(3)))
                 if m is None:
                     break
                 draft.processes.append(proc)
@@ -408,6 +420,7 @@ def parse_text(source: str, file_label: str = "<string>") -> ParseResult:
     diagnostics = parser.diagnostics
     model: Model | None = None
     if draft is not None:
+        draft.locate = parser.spans
         model, semantic = _resolve(draft)
         diagnostics.extend(semantic)
     diagnostics.sort(

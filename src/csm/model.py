@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from functools import cached_property
 
 from .diagnostics import Diagnostic, Severity, SourceSpan
@@ -322,31 +322,36 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
 
 class _ProcessItem:
     """One process declaration before name resolution; parsers append to
-    its lists."""
+    its lists. Offsets are as in ``_Draft``."""
 
-    def __init__(self, name: str, span: SourceSpan | None = None) -> None:
+    def __init__(self, name: str, offset: int | None = None) -> None:
         self.name = name
-        self.span = span
-        self.owners: list[tuple[str, SourceSpan | None]] = []
-        self.responsibles: list[tuple[str, SourceSpan | None]] = []
-        self.inputs: list[tuple[str, SourceSpan | None]] = []
-        self.outputs: list[tuple[str, SourceSpan | None]] = []
-        self.transforms: list[tuple[str, str, TransformMode, SourceSpan | None]] = []
+        self.offset = offset
+        self.owners: list[tuple[str, int | None]] = []
+        self.responsibles: list[tuple[str, int | None]] = []
+        self.inputs: list[tuple[str, int | None]] = []
+        self.outputs: list[tuple[str, int | None]] = []
+        self.transforms: list[tuple[str, str, TransformMode, int | None]] = []
 
 
 class _Draft:
     """Raw declarations, before name resolution; parsers append to its lists.
 
-    Spans point into the source text; they are ``None`` for declarations
-    that come from JSON or from a ``Model`` built in Python.
+    Each entry keeps the offset in the source text where its first name
+    starts (the role, class, process, item name, transform source or grant
+    role), or ``None`` for declarations that come from JSON or from a
+    ``Model`` built in Python. ``locate(offset, name)`` turns an offset into
+    the ``SourceSpan`` of that name; it is called only for a diagnostic, and
+    is ``None`` when there is no source text.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.roles: list[tuple[str, SourceSpan | None]] = []
-        self.classes: list[tuple[ClassDef, SourceSpan | None]] = []
+        self.roles: list[tuple[str, int | None]] = []
+        self.classes: list[tuple[ClassDef, int | None]] = []
         self.processes: list[_ProcessItem] = []
-        self.grants: list[tuple[str, str, frozenset[Privilege], SourceSpan | None]] = []
+        self.grants: list[tuple[str, str, frozenset[Privilege], int | None]] = []
+        self.locate: Callable[[int, str], SourceSpan] | None = None
 
 
 def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
@@ -358,22 +363,29 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
     """
     diags: list[Diagnostic] = []
 
-    def err(code: str, site: str, message: str, span: SourceSpan | None) -> None:
+    def err(code: str, site: str, message: str, offset: int | None, name: str) -> None:
+        span = None if offset is None else draft.locate(offset, name)
         diags.append(
             Diagnostic(code=code, severity=Severity.ERROR, site=site, message=message, span=span)
         )
 
     roles: set[str] = set()
-    for name, span in draft.roles:
+    for name, offset in draft.roles:
         if name in roles:
-            err("E-DUP", f"role={name}", f"role {name!r} declared twice", span)
+            err("E-DUP", f"role={name}", f"role {name!r} declared twice", offset, name)
         else:
             roles.add(name)
 
     classes: dict[str, ClassDef] = {}
-    for cdef, span in draft.classes:
+    for cdef, offset in draft.classes:
         if cdef.name in classes:
-            err("E-DUP", f"class={cdef.name}", f"class {cdef.name!r} declared twice", span)
+            err(
+                "E-DUP",
+                f"class={cdef.name}",
+                f"class {cdef.name!r} declared twice",
+                offset,
+                cdef.name,
+            )
         else:
             classes[cdef.name] = cdef
 
@@ -384,7 +396,8 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
                 "E-DUP",
                 f"process={proc.name}",
                 f"process {proc.name!r} declared twice",
-                proc.span,
+                proc.offset,
+                proc.name,
             )
             continue
         role_privileges: dict[str, ProcessPrivilege] = {}
@@ -392,41 +405,44 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
             (proc.owners, ProcessPrivilege.OWNER),
             (proc.responsibles, ProcessPrivilege.RESPONSIBILITY),
         ):
-            for rname, span in entries:
+            for rname, offset in entries:
                 if rname not in roles:
                     err(
                         "E-REF",
                         f"process={proc.name} role={rname}",
                         f"role {rname!r} is not declared",
-                        span,
+                        offset,
+                        rname,
                     )
                 elif rname in role_privileges:
                     err(
                         "E-DUP",
                         f"process={proc.name} role={rname}",
                         f"role {rname!r} already holds a privilege on this process",
-                        span,
+                        offset,
+                        rname,
                     )
                 else:
                     role_privileges[rname] = priv
         inputs: set[str] = set()
         outputs: set[str] = set()
         for entries, target in ((proc.inputs, inputs), (proc.outputs, outputs)):
-            for cname, span in entries:
+            for cname, offset in entries:
                 if cname not in classes:
                     err(
                         "E-REF",
                         f"process={proc.name} class={cname}",
                         f"class {cname!r} is not declared",
-                        span,
+                        offset,
+                        cname,
                     )
                 else:
                     target.add(cname)
         transforms: set[Transform] = set()
-        for src, dst, mode, span in proc.transforms:
+        for src, dst, mode, offset in proc.transforms:
             site = f"process={proc.name} transform={src}->{dst}"
             if src == dst:
-                err("E-TRF-END", site, "a transform may not map a class to itself", span)
+                err("E-TRF-END", site, "a transform may not map a class to itself", offset, src)
                 continue
             ok = True
             if src not in inputs:
@@ -434,7 +450,8 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
                     "E-TRF-END",
                     site,
                     f"transform source {src!r} is not an input of the process",
-                    span,
+                    offset,
+                    src,
                 )
                 ok = False
             if dst not in outputs:
@@ -442,7 +459,8 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
                     "E-TRF-END",
                     site,
                     f"transform target {dst!r} is not an output of the process",
-                    span,
+                    offset,
+                    src,
                 )
                 ok = False
             if ok:
@@ -458,14 +476,14 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
         )
 
     grants: dict[tuple[str, str], frozenset[Privilege]] = {}
-    for role, class_name, privs, span in draft.grants:
+    for role, class_name, privs, offset in draft.grants:
         site = f"grant role={role} class={class_name}"
         if role not in roles:
-            err("E-REF", site, f"role {role!r} is not declared", span)
+            err("E-REF", site, f"role {role!r} is not declared", offset, role)
         elif class_name not in classes:
-            err("E-REF", site, f"class {class_name!r} is not declared", span)
+            err("E-REF", site, f"class {class_name!r} is not declared", offset, role)
         elif (role, class_name) in grants:
-            err("E-DUP", site, "grant declared twice for this role and class", span)
+            err("E-DUP", site, "grant declared twice for this role and class", offset, role)
         else:
             grants[(role, class_name)] = privs
 

@@ -716,13 +716,16 @@ _TEXT_BREAKS = (
 )
 
 
-def random_model_text(rng: random.Random) -> str:
+def random_model_text(rng: random.Random, edit=None) -> str:
     """``emit_text(random_model(rng))`` with tabs, ``\\r\\n``, extra line
-    breaks and comments (some holding ``"`` or ``{``) between its tokens."""
-    return rng.choice(_TEXT_BREAKS) + re.sub(
-        r"[ \n]",
-        lambda m: rng.choice(_TEXT_GAPS if m[0] == " " else _TEXT_BREAKS),
-        emit_text(random_model(rng)),
+    breaks and comments (some holding ``"`` or ``{``) between its tokens.
+    ``edit(rng, text)``, if given, changes the emitted text first."""
+    first = rng.choice(_TEXT_BREAKS)
+    text = emit_text(random_model(rng))
+    if edit is not None:
+        text = edit(rng, text)
+    return first + re.sub(
+        r"[ \n]", lambda m: rng.choice(_TEXT_GAPS if m[0] == " " else _TEXT_BREAKS), text
     )
 
 

@@ -1,0 +1,133 @@
+"""Deliberate defects that the test suite must catch, one row per mutant.
+
+Each row is ``(file, old, new, tests)``: replacing the text ``old``, which
+occurs exactly once in ``file``, by ``new`` must make at least one of the
+pytest node ids in ``tests`` fail. A fast path that sits next to a slow
+path, or an invariant a test pins, gets a row, so that the test which
+guards it is known and can be rerun.
+
+Run every row with ``python tests/mutants.py`` from the repository root, or
+some rows by their numbers (``python tests/mutants.py 0 3``). For each row
+the runner copies ``src``, ``tests``, ``csmbench`` and ``pyproject.toml`` to
+a temporary directory, applies the edit there, and runs the named tests
+with ``-x``. It exits 1 when a mutant survives (its tests pass) or its tests
+do not run. The name of this file does not start with ``test_``, so pytest
+does not collect it; ``test_mutants.py`` checks that each row still applies.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "csmbench", "pyproject.toml")
+
+Mutant = namedtuple("Mutant", "file old new tests")
+
+MUTANTS = (
+    # Leaving transforms no longer clear their source class.
+    Mutant(
+        "src/csm/simulator.py",
+        "_mask(bits, p.inputs), ~leaving, _mask(bits, p.outputs)",
+        "_mask(bits, p.inputs), ~0, _mask(bits, p.outputs)",
+        ("tests/test_simulator.py::TestCountedSpace::test_random_models",),
+    ),
+    # Every command line falls back to argparse.
+    Mutant(
+        "src/csm/cli.py",
+        "    command = _COMMANDS.get(argv[0]) if argv else None\n",
+        "    command = None\n",
+        ("tests/test_cli.py::test_import_leaves_out_heavy_stdlib_modules",),
+    ),
+    # The exact reader takes an option value that starts with "-".
+    Mutant(
+        "src/csm/cli.py",
+        '        if value.startswith("-"):\n            return None\n',
+        "",
+        ("tests/test_cli_argv.py::test_every_error_kind",),
+    ),
+    # A command's help line is reworded.
+    Mutant(
+        "src/csm/cli.py",
+        '"check a model against the rule catalog"',
+        '"check a model against the rules"',
+        ("tests/test_cli_argv.py::test_every_error_kind",),
+    ),
+    # Help follows the terminal width again.
+    Mutant(
+        "src/csm/cli.py",
+        "argparse.HelpFormatter(prog, width=78)",
+        "argparse.HelpFormatter(prog)",
+        ("tests/test_cli_argv.py::test_help_ignores_the_terminal_width",),
+    ),
+    # The locator's column is off by one.
+    Mutant(
+        "src/csm/dsl.py",
+        "offset - line_starts[li] + 1,",
+        "offset - line_starts[li] + 2,",
+        ("tests/test_dsl.py::TestResolutionSpans::test_resolution_errors_point_at_their_names",),
+    ),
+    # The line index is built on every parse, not for the first diagnostic.
+    Mutant(
+        "src/csm/dsl.py",
+        "    line_starts: list[int] = []\n",
+        "    line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]\n",
+        ("tests/test_dsl.py::TestResolutionSpans::test_a_well_formed_parse_builds_no_span",),
+    ),
+    # Status-point and privilege listings share one memo.
+    Mutant(
+        "src/csm/dsl.py",
+        "point_lists, privilege_lists = self.point_lists, self.privilege_lists",
+        "point_lists = privilege_lists = self.point_lists",
+        ("tests/test_dsl.py::TestResolutionSpans::test_listings_are_read_per_list_kind",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> int:
+    """The exit code of the mutant's tests on a mutated copy of the tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, work / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, work / name)
+        path = work / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.file}: the old text does not occur exactly once")
+        path.write_text(text.replace(mutant.old, mutant.new))
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        return subprocess.run(
+            [*command, *mutant.tests],
+            cwd=work,
+            env={**os.environ, "PYTHONPATH": str(work / "src")},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        ).returncode
+
+
+def main(argv: list[str]) -> int:
+    picked = [int(a) for a in argv] or range(len(MUTANTS))
+    bad = 0
+    for i in picked:
+        mutant = MUTANTS[i]
+        code = run(mutant)
+        # pytest exits 1 when a test failed; any other code means the tests
+        # passed (0) or did not run.
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"NOT RUN (pytest exit {code})")
+        print(f"{i}: {mutant.file}: {verdict}", flush=True)
+        bad += code != 1
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,13 +1,28 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from csm import dsl
-from csm.dsl import _Parser, emit_json, emit_text, model_to_dict, parse_json, parse_text
+from csm.dsl import (
+    PITEM_KEYWORDS,
+    _Parser,
+    emit_json,
+    emit_text,
+    model_to_dict,
+    parse_json,
+    parse_text,
+)
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
 from csm.model import Privilege, StatusPoint
-from helpers import random_model, random_model_text, random_token_soup, reference_tokens
+from helpers import (
+    load_bench,
+    random_model,
+    random_model_text,
+    random_token_soup,
+    reference_tokens,
+)
 
 MINIMAL = 'model "m" { }\n'
 
@@ -177,6 +192,91 @@ class TestTokenSoup:
                 else:
                     assert text.startswith(d.site, at), text
                     assert d.span.length == len(d.site), text
+
+
+def _plant_mistakes(rng, text):
+    """Emitted model text with one to four resolution mistakes on random
+    lines: a role line written twice, a grant on an undeclared class, or a
+    process item naming an undeclared role or class."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(lines))
+        keyword, _, rest = lines[i].strip().partition(" ")
+        if keyword == "role":
+            lines.insert(i, lines[i])
+        elif keyword == "grant":
+            lines[i] = lines[i].replace(" on ", " on Undeclared", 1)
+        elif keyword in PITEM_KEYWORDS - {"transform"}:
+            lines[i] = lines[i].replace(rest, "Undeclared" + rest)
+    return "\n".join(lines)
+
+
+def _located_name(site):
+    """The name a resolution diagnostic's span covers: a grant's role, a
+    transform's source, else the last name of the site."""
+    fields = dict(field.partition("=")[::2] for field in site.split())
+    if "transform" in fields:
+        return fields["transform"].split("->")[0]
+    return fields["role"] if "grant" in fields else site.rsplit("=", 1)[1]
+
+
+class TestResolutionSpans:
+    def test_resolution_errors_point_at_their_names(self):
+        rng = random.Random(20261021)
+        seen = set()
+        for _ in range(400):
+            text = random_model_text(rng, _plant_mistakes)
+            for d in parse_text(text).diagnostics:
+                assert d.code in ("E-DUP", "E-REF", "E-TRF-END"), (d.render(), text)
+                name = _located_name(d.site)
+                at = _offset(text, d.span.line, d.span.column)
+                assert text.startswith(name, at), (d.render(), text)
+                assert d.span.length == len(name), (d.render(), text)
+                seen.add((d.code, d.site.split("=")[0]))
+        assert seen >= {
+            ("E-DUP", "role"),
+            ("E-REF", "grant role"),
+            ("E-REF", "process"),
+            ("E-TRF-END", "process"),
+        }
+
+    def test_a_well_formed_parse_builds_no_span(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
+        synth = load_bench("synth")
+        texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES]
+        texts.append(synth.to_text(synth.generate(24, 100, 100, 0.08, 511)["model"]))
+
+        class NoLineIndex:
+            def finditer(self, *args):
+                raise AssertionError("line index built")
+
+        def no_span(*args):
+            raise AssertionError("span built")
+
+        monkeypatch.setattr(dsl, "_NEWLINE_RE", NoLineIndex())
+        monkeypatch.setattr(dsl, "SourceSpan", no_span)
+        for text in texts:
+            assert parse_text(text).ok
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                'model "m" { role A class C { waiting } grant A on C { waiting } }',
+                "unknown privilege 'waiting'",
+            ),
+            (
+                'model "m" { role A class D grant A on D { reference } class C { reference } }',
+                "unknown status point 'reference'",
+            ),
+        ],
+    )
+    def test_listings_are_read_per_list_kind(self, text, message):
+        # The scan remembers what each listing read, once per list kind: a
+        # grant's listing spelled like an earlier class's is still read as
+        # privileges, and the other way round.
+        [diag] = parse_text(text).diagnostics
+        assert (diag.code, diag.message) == ("E-SYN", message)
 
 
 def _draft_fields(draft):
