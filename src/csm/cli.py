@@ -8,6 +8,7 @@ machine-readable payloads go to stdout.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -378,15 +379,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """The ``csm`` script: one command per process. Nothing a command builds
+    forms a reference cycle, so the cyclic collector is off. Once both
+    streams are flushed the process ends with ``os._exit``, which skips the
+    teardown that frees the model object by object, and ``atexit`` handlers;
+    code that embeds csm calls ``main`` instead."""
+    gc.disable()
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError as exc:
-        # The reader closed stdout. Point fd 1 at the null device so that
-        # the interpreter's own flush at exit does not fail a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         code = 2
-    raise SystemExit(code)
+    sys.stderr.flush()
+    os._exit(code)

@@ -148,12 +148,11 @@ def _shared(idx: ClassIndex) -> bool:
     return bool(idx.creators and idx.plus_readers) and len(idx.creators | idx.plus_readers) > 1
 
 
-def validate(model: Model) -> list[Diagnostic]:
-    """Evaluate every rule; returns diagnostics sorted by (code, site).
+_NO_PRIVILEGES: frozenset[Privilege] = frozenset()
 
-    W-WP reads ``model.class_index``: a waiting point is shared when some
-    role creates the class and some other role holds a ``+`` privilege on it.
-    """
+
+def _errors(model: Model) -> list[Diagnostic]:
+    """The diagnostics of the six error rules, unsorted."""
     out: list[Diagnostic] = []
 
     # E-C1: transform endpoints must be dynamic states.
@@ -183,10 +182,11 @@ def validate(model: Model) -> list[Diagnostic]:
             )
 
     # E-C3 / E-C4 / E-C5: process privileges imply data privileges.
+    grants = model.class_grants.get
     for p in model.processes:
         for role, ppriv in p.role_privileges.items():
             for c in p.inputs:
-                if Privilege.REFERENCE not in model.grants(role, c):
+                if Privilege.REFERENCE not in grants((role, c), _NO_PRIVILEGES):
                     out.append(
                         _diag(
                             "E-C3",
@@ -197,7 +197,7 @@ def validate(model: Model) -> list[Diagnostic]:
                         )
                     )
             for c in p.outputs:
-                privs = model.grants(role, c)
+                privs = grants((role, c), _NO_PRIVILEGES)
                 if Privilege.CREATION not in privs:
                     wanted = "creation"
                     if Privilege.REFERENCE not in privs:
@@ -213,7 +213,7 @@ def validate(model: Model) -> list[Diagnostic]:
                     )
             if ppriv is ProcessPrivilege.OWNER:
                 for c in sorted({*p.inputs, *p.outputs}):
-                    if Privilege.REFERENCE_PLUS not in model.grants(role, c):
+                    if Privilege.REFERENCE_PLUS not in grants((role, c), _NO_PRIVILEGES):
                         out.append(
                             _diag(
                                 "E-C5",
@@ -234,6 +234,17 @@ def validate(model: Model) -> list[Diagnostic]:
                     f"declare an owner or responsible role for process {p.name}",
                 )
             )
+
+    return out
+
+
+def validate(model: Model) -> list[Diagnostic]:
+    """Evaluate every rule; returns diagnostics sorted by (code, site).
+
+    W-WP reads ``model.class_index``: a waiting point is shared when some
+    role creates the class and some other role holds a ``+`` privilege on it.
+    """
+    out = _errors(model)
 
     # Status-point warnings.
     consumers = Counter(c for p in model.processes for c in p.inputs)
@@ -286,7 +297,9 @@ def validate(model: Model) -> list[Diagnostic]:
 
 
 def ensure_valid(model: Model) -> None:
-    """Raise InvalidModel when any error-level rule fires."""
-    codes = [d.code for d in validate(model) if d.severity is Severity.ERROR]
-    if codes:
-        raise InvalidModel(codes)
+    """Raise InvalidModel when any error-level rule fires, with the codes in
+    ``validate``'s order. Only the error rules run: no warning is built."""
+    errors = _errors(model)
+    if errors:
+        errors.sort(key=lambda d: d.sort_key)
+        raise InvalidModel([d.code for d in errors])

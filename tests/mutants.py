@@ -87,6 +87,27 @@ MUTANTS = (
         "point_lists = privilege_lists = self.point_lists",
         ("tests/test_dsl.py::TestResolutionSpans::test_listings_are_read_per_list_kind",),
     ),
+    # The script ends the process without flushing stdout.
+    Mutant(
+        "src/csm/cli.py",
+        "        code = main()\n        sys.stdout.flush()\n",
+        "        code = main()\n",
+        ("tests/test_cli.py::test_entry_exits_with_what_main_wrote",),
+    ),
+    # The gate runs every rule again, warnings included.
+    Mutant(
+        "src/csm/validator.py",
+        "    errors = _errors(model)\n",
+        "    errors = [d for d in validate(model) if d.severity is Severity.ERROR]\n",
+        ("tests/test_validator.py::TestEnsureValid::test_builds_no_warning",),
+    ),
+    # The gate lets every model through.
+    Mutant(
+        "src/csm/validator.py",
+        "        raise InvalidModel([d.code for d in errors])\n",
+        "        pass\n",
+        ("tests/test_validator.py::TestEnsureValid::test_agrees_with_the_oracle",),
+    ),
 )
 
 

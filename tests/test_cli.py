@@ -1,5 +1,8 @@
 import ast
+import contextlib
+import gc
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -421,6 +424,77 @@ def test_closed_stdout_exits_two(argv):
     assert proc.stderr.startswith("error: cannot write stdout: ")
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+def _entry_child(argv):
+    """stdout, stderr and exit code of the ``csm`` script's process, its
+    stdout block-buffered as in any run without PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(csm.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "from csm.cli import entry; entry()", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return out.getvalue().encode(), err.getvalue().encode(), code
+
+
+@pytest.mark.parametrize(
+    "argv, want_code",
+    [
+        (["fmt", "@synth"], 0),
+        (["classify", "--json", "@synth"], 0),
+        (["render", fx("healthcare"), "--format", "dot", "-o", "@out"], 0),
+        (["validate", fx("bad_c1")], 1),
+        (["validate", "@missing"], 2),
+    ],
+)
+def test_entry_exits_with_what_main_wrote(argv, want_code, tmp_path, monkeypatch):
+    # entry ends the process with os._exit, so whatever main wrote must be
+    # flushed first; the synth outputs are larger than one stdio buffer.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
+    synth = load_bench("synth")
+    model_path = tmp_path / "synth.csm"
+    model_path.write_text(synth.to_text(synth.generate(24, 100, 100, 0.08, 511)["model"]))
+    files = {"@synth": str(model_path), "@missing": str(tmp_path / "missing.csm")}
+    results = []
+    for name, run in (("child", _entry_child), ("main", _main_in_process)):
+        out_path = tmp_path / f"{name}.dot"
+        out, err, code = run([files.get(a, str(out_path) if a == "@out" else a) for a in argv])
+        results.append((out, err, code, out_path.read_bytes() if out_path.exists() else None))
+    assert results[0] == results[1]
+    assert results[0][2] == want_code
+    if "@synth" in argv:
+        assert len(results[0][0]) > 8192
+
+
+def test_no_reference_cycle_per_explored_state(capsys, write_json):
+    # entry turns the cyclic collector off: garbage cycles made per state
+    # would grow with the explored space and show only as memory.
+    seed = write_json("seed.json", [{"object": "pat", "class": "CaredPatient"},
+                                    {"object": "pat", "class": "DiagnosedPatient"}])
+    query = write_json(
+        "query.json", [{"type": "sequence", "first": "ReviewResult", "then": "RequestTest"}]
+    )
+    found = []
+    gc.disable()
+    try:
+        gc.collect()
+        for steps, objects in (("4", "2"), ("40", "5")):
+            argv = ["explore", fx("healthcare"), "--seed", seed, "--query", query,
+                    "--max-steps", steps, "--max-objects", objects]
+            assert main(argv) == 0
+            capsys.readouterr()
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found[0] == found[1]
 
 
 # Every command line shape the benchmark runs, and the options it leaves

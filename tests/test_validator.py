@@ -6,13 +6,15 @@ import pytest
 
 import csm
 
+from csm import validator
 from csm.classifier import classify_all
 from csm.diagnostics import Severity
+from csm.dsl import parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, load
 from csm.model import ClassDef, Model, ProcessDef, ProcessPrivilege
 from csm.render import to_dot, to_mermaid
 from csm.validator import CATALOG, InvalidModel, UnknownCode, ensure_valid, explain, validate
-from helpers import apply_suggestion, brute_validate, random_model
+from helpers import apply_suggestion, brute_validate, load_bench, random_model
 
 EXPECTED_BAD_CODE = {
     "bad_c1": "E-C1",
@@ -137,6 +139,42 @@ class TestEnsureValid:
 
     def test_warnings_do_not_block(self, scenarios):
         ensure_valid(scenarios["healthcare"])
+
+    def test_agrees_with_the_oracle(self):
+        # The gate raises exactly when the brute-force rules find an error,
+        # with the error codes of validate in validate's order.
+        rng = random.Random(23)
+        models = [load(name) for name in FIXTURES + BAD_FIXTURES]
+        models += [random_model(rng) for _ in range(300)]
+        raised = 0
+        for model in models:
+            has_error = any(code.startswith("E-") for code, _ in brute_validate(model))
+            try:
+                ensure_valid(model)
+            except InvalidModel as exc:
+                assert has_error and exc.codes == [d.code for d in errors(model)]
+                raised += 1
+            else:
+                assert not has_error
+        assert raised > 100
+
+    def test_builds_no_warning(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
+        synth = load_bench("synth")
+        text = synth.to_text(synth.generate(24, 100, 100, 0.08, 511)["model"])
+        models = [load("healthcare"), parse_text(text).model]
+        assert all(warnings(model) for model in models)
+        made = []
+        real_diag = validator._diag
+
+        def recording_diag(code, *args):
+            made.append(code)
+            return real_diag(code, *args)
+
+        monkeypatch.setattr(validator, "_diag", recording_diag)
+        for model in models:
+            ensure_valid(model)
+        assert [code for code in made if code.startswith("W-")] == []
 
 
 class TestHandBuiltModels:
