@@ -20,17 +20,22 @@ Level patterns, checked in precedence order per artifact (first match wins):
 A class pattern does not apply to two roles that are both privileged on a
 process that outputs the class.
 
-Findings are found by artifact, not by role pair: very tight is judged
-once for each owner and responsible role of a process, tight once for each
-unordered pair of its owners (two owners are judged once, not once per
-order), and the class patterns for each class's creators and read-only
-``reference+`` readers, read from the model's per-class index
-(``Model.class_index``). The cost grows with the privileges held, not with
-the square of the number of roles.
+Findings are built by artifact, not by role pair, walking the processes
+and then the classes in name order: very tight is judged once for each
+owner and responsible role of a process, tight once for each unordered
+pair of its owners (two owners are judged once, not once per order), and
+the class patterns for each class's creators and read-only ``reference+``
+readers, read from the model's per-class index (``Model.class_index``,
+built in one pass over the grants). The cost grows with the privileges
+held, not with the square of the number of roles.
 
-The report lists the findings sorted once: by (producer, consumer) pair,
-and within a pair the process findings before the class findings, each in
-name order. A tight finding appears once, under its sorted pair.
+The report lists the findings by (producer, consumer) pair, and within a
+pair the process findings before the class findings, each in name order.
+The walk already gives every pair's findings in that order, so a stable
+sort by pair orders the report. A tight finding appears once, under its
+sorted pair. Only a model built in Python can repeat a name, and so a
+finding; its repeats are dropped. A model from name resolution has none,
+and its findings are not checked for them.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from functools import cached_property
+from operator import attrgetter, itemgetter
 
 from .dsl import _esc, _json_array
 from .model import (
@@ -59,6 +65,8 @@ class Level(enum.Enum):
     TIGHT = "tight"
     LOOSE = "loose"
     VERY_LOOSE = "very loose"
+
+    __hash__ = object.__hash__
 
 
 class LevelFinding(
@@ -94,7 +102,10 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
     def pair_summary(self) -> dict[tuple[str, str], frozenset[Level]]:
         summary: dict[tuple[str, str], set[Level]] = {}
         for f in self.findings:
-            summary.setdefault((f.producer, f.consumer), set()).add(f.level)
+            levels = summary.get(pair := (f.producer, f.consumer))
+            if levels is None:
+                levels = summary[pair] = set()
+            levels.add(f.level)
         return {pair: frozenset(levels) for pair, levels in summary.items()}
 
     def levels_between(self, r1: str, r2: str) -> frozenset[Level]:
@@ -115,19 +126,17 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written
-        one finding a template, without building the dicts."""
-        pad = "      "
-        findings = [
-            _FINDING_JSON % (
-                _esc(f.artifact),
-                _esc(f.artifact_kind),
-                _esc(f.consumer),
-                _json_array(map(_esc, f.evidence), pad),
-                _LEVEL_JSON[f.level],
-                _esc(f.producer),
+        one finding an f-string, without building the dicts."""
+        findings = []
+        for producer, consumer, artifact, kind, level, evidence in self.findings:
+            # The evidence array inline: one item a line, "[]" when empty.
+            items = ",\n        ".join(map(_esc, evidence))
+            evidence_json = f"[\n        {items}\n      ]" if items else "[]"
+            findings.append(
+                f'{{\n      "artifact": {_esc(artifact)},\n      "artifact_kind": {_esc(kind)},'
+                f'\n      "consumer": {_esc(consumer)},\n      "evidence": {evidence_json},'
+                f'\n      "level": {_LEVEL_JSON[level]},\n      "producer": {_esc(producer)}\n    }}'
             )
-            for f in self.findings
-        ]
         # Keyed as to_dict keys them and sorted once, by key string as
         # sort_keys does: "A B->Z" comes before "A->Z", though ("A", "Z") <
         # ("A B", "Z"). Pairs whose keys coincide follow in pair order, so the
@@ -168,52 +177,65 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
 
 _LEVEL_JSON = {level: _esc(level.value) for level in Level}
 _REPORT_JSON = '{\n  "findings": %s,\n  "pair_summary": %s\n}'
-_FINDING_JSON = (
-    '{\n      "artifact": %s,\n      "artifact_kind": %s,\n      "consumer": %s,\n'
-    '      "evidence": %s,\n      "level": %s,\n      "producer": %s\n    }'
-)
 
 _WRITE_PLUS = frozenset({Privilege.MODIFICATION_PLUS, Privilege.SUPPRESSION_PLUS})
+_NONE: frozenset[Privilege] = frozenset()
+_NAME = attrgetter("name")
+_PRODUCER = itemgetter(0)
+_CONSUMER = itemgetter(1)
 
 
 def _findings(model: Model) -> list[LevelFinding]:
-    """Every finding of the model, artifact by artifact, unsorted.
+    """Every finding of the model: processes, then classes, each in name order.
 
     Each process is judged very tight once per (owner, responsible role)
     pair and tight once per pair of owners, the lower name as producer; each
-    class pairs its creators with its read-only ``reference+`` readers.
+    class pairs its creators with its read-only ``reference+`` readers. The
+    findings of any one (producer, consumer) pair therefore come in report
+    order, and a stable sort by pair orders them all.
     """
     roles = set(model.roles)
+    grants = model.class_grants.get
+    # The members are bound once: reading one off its enum class is slow.
+    owner, responsibility = ProcessPrivilege.OWNER, ProcessPrivilege.RESPONSIBILITY
+    modification_plus, reference_plus = Privilege.MODIFICATION_PLUS, Privilege.REFERENCE_PLUS
     findings: list[LevelFinding] = []
-    for p in model.processes:
-        owners = [
-            r for r, pp in p.role_privileges.items()
-            if r in roles and pp is ProcessPrivilege.OWNER
-        ]
-        responsible = [
-            r for r, pp in p.role_privileges.items()
-            if r in roles and pp is ProcessPrivilege.RESPONSIBILITY
-        ]
+    add = findings.append
+    for p in sorted(model.processes, key=_NAME):
+        if len(p.role_privileges) < 2:
+            continue  # both process patterns need two roles on the process
+        owners = []
+        responsible = []
+        for r, pp in p.role_privileges.items():
+            if r not in roles:
+                continue
+            if pp is owner:
+                owners.append(r)
+            elif pp is responsibility:
+                responsible.append(r)
+        if not owners:
+            continue
+        name = p.name
         outputs = sorted(p.outputs)
         for r1 in owners:
             for r2 in responsible:
                 hits = [
                     c
                     for c in outputs
-                    if Privilege.MODIFICATION_PLUS in model.grants(r1, c)
-                    and Privilege.REFERENCE_PLUS in model.grants(r2, c)
+                    if modification_plus in grants((r1, c), _NONE)
+                    and reference_plus in grants((r2, c), _NONE)
                 ]
                 if hits:
-                    findings.append(
+                    add(
                         LevelFinding(
-                            producer=r1,
-                            consumer=r2,
-                            artifact=p.name,
-                            artifact_kind="process",
-                            level=Level.VERY_TIGHT,
-                            evidence=(
-                                f"owner({r1},{p.name})",
-                                f"responsibility({r2},{p.name})",
+                            r1,
+                            r2,
+                            name,
+                            "process",
+                            Level.VERY_TIGHT,
+                            (
+                                f"owner({r1},{name})",
+                                f"responsibility({r2},{name})",
                                 *(
                                     f"modification+({r1},{c}) & reference+({r2},{c})"
                                     for c in hits
@@ -224,59 +246,57 @@ def _findings(model: Model) -> list[LevelFinding]:
             for r2 in owners:
                 if r1 >= r2:
                     continue
-                shared_outputs = [
-                    c for c in outputs if model.grants(r1, c) and model.grants(r2, c)
+                shared = [
+                    (c, g1, g2)
+                    for c in outputs
+                    if (g1 := grants((r1, c))) and (g2 := grants((r2, c)))
                 ]
-                if shared_outputs and all(
-                    Privilege.REFERENCE_PLUS in model.grants(r, c)
-                    and not (model.grants(r, c) & _WRITE_PLUS)
-                    for c in shared_outputs
-                    for r in (r1, r2)
+                if shared and all(
+                    reference_plus in a
+                    and reference_plus in b
+                    and _WRITE_PLUS.isdisjoint(a)
+                    and _WRITE_PLUS.isdisjoint(b)
+                    for _, a, b in shared
                 ):
-                    findings.append(
+                    add(
                         LevelFinding(
-                            producer=r1,
-                            consumer=r2,
-                            artifact=p.name,
-                            artifact_kind="process",
-                            level=Level.TIGHT,
-                            evidence=(
-                                f"owner({r1},{p.name})",
-                                f"owner({r2},{p.name})",
+                            r1,
+                            r2,
+                            name,
+                            "process",
+                            Level.TIGHT,
+                            (
+                                f"owner({r1},{name})",
+                                f"owner({r2},{name})",
                                 *(
                                     f"read-only sharing of {c} (reference+ both ways)"
-                                    for c in shared_outputs
+                                    for c, _, _ in shared
                                 ),
                             ),
                         )
                     )
 
     index = model.class_index
-    for c in model.classes:
-        idx = index[c.name]
-        waiting = StatusPoint.WAITING in c.status_points
+    waiting, loose, very_loose = StatusPoint.WAITING, Level.LOOSE, Level.VERY_LOOSE
+    for c in sorted(model.classes, key=_NAME):
+        name = c.name
+        idx = index[name]
+        if not idx.read_only_readers:
+            continue
+        if waiting in c.status_points:
+            level, point = loose, "waiting point"
+        else:
+            level, point = very_loose, "no waiting point"
+        readers = [(r2, f"reference+({r2},{name})") for r2 in idx.read_only_readers]
+        producers = [q.role_privileges for q in idx.producers]
         # A read-only reader holds no creation, so it is never the creator.
         for r1 in idx.creators:
-            for r2 in idx.read_only_readers:
-                if any(
-                    r1 in q.role_privileges and r2 in q.role_privileges
-                    for q in idx.producers
-                ):
-                    continue
-                findings.append(
-                    LevelFinding(
-                        producer=r1,
-                        consumer=r2,
-                        artifact=c.name,
-                        artifact_kind="class",
-                        level=Level.LOOSE if waiting else Level.VERY_LOOSE,
-                        evidence=(
-                            f"creation({r1},{c.name})",
-                            f"reference+({r2},{c.name})",
-                            "waiting point" if waiting else "no waiting point",
-                        ),
-                    )
-                )
+            # Roles privileged with r1 on a process that outputs the class.
+            partners = {r for privileged in producers if r1 in privileged for r in privileged}
+            creation = f"creation({r1},{name})"
+            for r2, reference in readers:
+                if r2 not in partners:
+                    add(LevelFinding(r1, r2, name, "class", level, (creation, reference, point)))
     return findings
 
 
@@ -292,15 +312,12 @@ def classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
     model.require_role(r2)
     if r1 == r2:
         raise SameRole(r1)
-    return sorted(
-        (
-            f
-            for f in _findings(model)
-            if (f.producer, f.consumer) == (r1, r2)
-            or (f.level is Level.TIGHT and (f.consumer, f.producer) == (r1, r2))
-        ),
-        key=lambda f: (f.artifact_kind == "class", f.artifact),
-    )
+    return [
+        f
+        for f in _findings(model)
+        if (f.producer, f.consumer) == (r1, r2)
+        or (f.level is Level.TIGHT and (f.consumer, f.producer) == (r1, r2))
+    ]
 
 
 def classify_all(model: Model) -> CollaborationReport:
@@ -312,12 +329,16 @@ def classify_all(model: Model) -> CollaborationReport:
     diagnostics; level patterns assume the privilege-closure rules hold.
     """
     ensure_valid(model)
-    findings = sorted(
-        _findings(model),
-        key=lambda f: (f.producer, f.consumer, f.artifact_kind == "class", f.artifact),
-    )
-    # A model built in Python can repeat a name, and so a finding.
-    return CollaborationReport(findings=tuple(dict.fromkeys(findings)))
+    findings = _findings(model)
+    # One stable order by (producer, consumer), sorted as two stable passes
+    # on string keys, which compare faster than tuples.
+    findings.sort(key=_CONSUMER)
+    findings.sort(key=_PRODUCER)
+    if not model.__dict__.get("_canonical"):
+        # A model built in Python can repeat a name, and so a finding; name
+        # resolution rules that out.
+        findings = dict.fromkeys(findings)
+    return CollaborationReport(tuple(findings))
 
 
 __all__ = [

@@ -16,6 +16,8 @@ class Severity(enum.Enum):
     ERROR = "error"
     WARNING = "warning"
 
+    __hash__ = object.__hash__
+
 
 class Diagnostic(
     namedtuple(

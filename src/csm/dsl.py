@@ -40,6 +40,7 @@ from .model import (
     TransformMode,
     _Draft,
     _IDENT,
+    _IDENT_RE,
     _ProcessItem,
     _identifier_problem,
     _quotable_name,
@@ -593,6 +594,12 @@ def emit_json(model: Model) -> bytes:
     ).encode("utf-8")
 
 
+# The value of an absent array key: read, never written.
+_NO_ENTRIES: list = []
+# The one element type of a well-typed name array.
+_STR_TYPE = frozenset({str})
+
+
 def _json_error(message: str, site: str = "document") -> Diagnostic:
     return Diagnostic(
         code="E-JSON", severity=Severity.ERROR, site=site, message=message
@@ -652,12 +659,43 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
         diags.append(_json_error("'name' may not contain '\"' or a line break"))
 
     draft = _Draft(name=name or "")
+    # Each entry is first read by inline type checks, which accept only a
+    # well-typed entry and report nothing; any other entry is read again by
+    # the checks after them, which report its diagnostics.
+    ident = _IDENT_RE.fullmatch
 
     for r in array(doc, "roles", "document", required=True):
-        if identifier(r, "role", "roles"):
+        if (type(r) is str and ident(r)) or identifier(r, "role", "roles"):
             draft.roles.append((r, None))
 
+    # Equal listings share one set, read once; one memo per list kind.
+    point_lists: dict[tuple, frozenset[StatusPoint]] = {}
+    privilege_lists: dict[tuple, frozenset[Privilege]] = {}
+
+    def listing(listed: list, members: dict, memo: dict) -> frozenset:
+        """The set of ``members`` (a value-to-member table) that ``listed``
+        names; raises KeyError or TypeError for an entry that is none."""
+        found = memo.get(key := tuple(listed))
+        if found is None:
+            found = memo[key] = frozenset([members[x] for x in listed])
+        return found
+
     for entry in array(doc, "classes", "document", required=True):
+        if type(entry) is dict:
+            cname = entry.get("name")
+            dynamic = entry.get("dynamic", False)
+            listed = entry.get("status_points", _NO_ENTRIES)
+            if (
+                type(cname) is str and ident(cname)
+                and type(dynamic) is bool and type(listed) is list
+            ):
+                try:
+                    points = listing(listed, _STATUS_POINT, point_lists)
+                except (KeyError, TypeError):
+                    pass
+                else:
+                    draft.classes.append((ClassDef(cname, dynamic, points), None))
+                    continue
         cname = need(entry, "name", "classes")
         if cname is None or not identifier(cname, "class", "classes"):
             continue
@@ -676,6 +714,45 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
         )
 
     for entry in array(doc, "processes", "document", required=True):
+        if type(entry) is dict:
+            pname = entry.get("name")
+            owners = entry.get("owners", _NO_ENTRIES)
+            responsibles = entry.get("responsibles", _NO_ENTRIES)
+            inputs = entry.get("inputs", _NO_ENTRIES)
+            outputs = entry.get("outputs", _NO_ENTRIES)
+            transforms = entry.get("transforms", _NO_ENTRIES)
+            if (
+                type(pname) is str
+                and ident(pname)
+                and type(owners) is list
+                and type(responsibles) is list
+                and type(inputs) is list
+                and type(outputs) is list
+                and {*map(type, owners), *map(type, responsibles),
+                     *map(type, inputs), *map(type, outputs)} <= _STR_TYPE
+                and type(transforms) is list
+                and (
+                    not transforms
+                    or all(
+                        type(t) is dict
+                        and type(t.get("from")) is str
+                        and type(t.get("to")) is str
+                        and type(mode := t.get("mode")) is str
+                        and mode in _MODE
+                        for t in transforms
+                    )
+                )
+            ):
+                proc = _ProcessItem(pname)
+                proc.owners = [(r, None) for r in owners]
+                proc.responsibles = [(r, None) for r in responsibles]
+                proc.inputs = [(c, None) for c in inputs]
+                proc.outputs = [(c, None) for c in outputs]
+                proc.transforms = [
+                    (t["from"], t["to"], _MODE[t["mode"]], None) for t in transforms
+                ]
+                draft.processes.append(proc)
+                continue
         pname = need(entry, "name", "processes")
         if pname is None or not identifier(pname, "process", "processes"):
             continue
@@ -713,6 +790,18 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
         draft.processes.append(proc)
 
     for entry in array(doc, "grants", "document", required=True):
+        if type(entry) is dict:
+            role = entry.get("role")
+            cname = entry.get("class")
+            listed = entry.get("privileges", _NO_ENTRIES)
+            if type(role) is str and type(cname) is str and type(listed) is list:
+                try:
+                    privs = listing(listed, _PRIVILEGE, privilege_lists)
+                except (KeyError, TypeError):
+                    pass
+                else:
+                    draft.grants.append((role, cname, privs, None))
+                    continue
         role = need(entry, "role", "grants")
         cname = need(entry, "class", "grants")
         if role is None or cname is None:

@@ -123,10 +123,14 @@ class TransformMode(enum.Enum):
     REMAINING = "remaining"
     LEAVING = "leaving"
 
+    __hash__ = object.__hash__
+
 
 class ProcessPrivilege(enum.Enum):
     OWNER = "owner"
     RESPONSIBILITY = "responsibility"
+
+    __hash__ = object.__hash__
 
 
 class ClassDef(namedtuple("ClassDef", "name dynamic status_points")):
@@ -283,33 +287,47 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
 
     @cached_property
     def class_index(self) -> dict[str, ClassIndex]:
-        """Per declared class name: its grant holders and producing processes."""
+        """Per declared class name: its grant holders and producing processes.
+
+        One pass over the grants; each distinct privilege set is classified
+        once, since a model holds far fewer of them than grants.
+        """
         roles = set(self.roles)
-        creators: dict[str, set[str]] = {c.name: set() for c in self.classes}
-        plus_readers: dict[str, set[str]] = {name: set() for name in creators}
-        read_only: dict[str, set[str]] = {name: set() for name in creators}
-        producers: dict[str, list[ProcessDef]] = {name: [] for name in creators}
+        # Per class: creators, plus readers, read-only readers, producers.
+        holders: dict[str, tuple[list, list, list, list]] = {
+            c.name: ([], [], [], []) for c in self.classes
+        }
+        kinds: dict[frozenset[Privilege], tuple[bool, bool, bool]] = {}
         for (role, class_name), privs in self.class_grants.items():
-            if role not in roles or class_name not in creators:
+            lists = holders.get(class_name)
+            if lists is None or role not in roles:
                 continue
-            if Privilege.CREATION in privs:
-                creators[class_name].add(role)
-            if privs & PLUS_PRIVILEGES:
-                plus_readers[class_name].add(role)
-            if Privilege.REFERENCE_PLUS in privs and not privs & _WRITE_PRIVILEGES:
-                read_only[class_name].add(role)
+            kind = kinds.get(privs)
+            if kind is None:
+                kind = kinds[privs] = (
+                    Privilege.CREATION in privs,
+                    not PLUS_PRIVILEGES.isdisjoint(privs),
+                    Privilege.REFERENCE_PLUS in privs and _WRITE_PRIVILEGES.isdisjoint(privs),
+                )
+            creates, reads_plus, read_only = kind
+            if creates:
+                lists[0].append(role)
+            if reads_plus:
+                lists[1].append(role)
+            if read_only:
+                lists[2].append(role)
         for p in self.processes:
             for class_name in p.outputs:
-                if class_name in producers:
-                    producers[class_name].append(p)
+                lists = holders.get(class_name)
+                if lists is not None:
+                    lists[3].append(p)
         return {
-            name: ClassIndex(
-                frozenset(creators[name]),
-                frozenset(plus_readers[name]),
-                frozenset(read_only[name]),
-                tuple(producers[name]),
+            name: tuple.__new__(
+                ClassIndex,
+                (frozenset(creators), frozenset(plus_readers), frozenset(read_only),
+                 tuple(producers)),
             )
-            for name in creators
+            for name, (creators, plus_readers, read_only, producers) in holders.items()
         }
 
     def require_role(self, name: str) -> None:
@@ -354,6 +372,10 @@ class _Draft:
         self.locate: Callable[[int, str], SourceSpan] | None = None
 
 
+def _transform_order(t: Transform) -> tuple[str, str, str]:
+    return (t.source, t.target, t.mode.value)
+
+
 def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
     """Name resolution and duplicate checks over a draft.
 
@@ -390,6 +412,7 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
             classes[cdef.name] = cdef
 
     processes: dict[str, ProcessDef] = {}
+    owner, responsible = ProcessPrivilege.OWNER, ProcessPrivilege.RESPONSIBILITY
     for proc in draft.processes:
         if proc.name in processes:
             err(
@@ -401,10 +424,7 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
             )
             continue
         role_privileges: dict[str, ProcessPrivilege] = {}
-        for entries, priv in (
-            (proc.owners, ProcessPrivilege.OWNER),
-            (proc.responsibles, ProcessPrivilege.RESPONSIBILITY),
-        ):
+        for entries, priv in ((proc.owners, owner), (proc.responsibles, responsible)):
             for rname, offset in entries:
                 if rname not in roles:
                     err(
@@ -440,61 +460,61 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
                     target.add(cname)
         transforms: set[Transform] = set()
         for src, dst, mode, offset in proc.transforms:
-            site = f"process={proc.name} transform={src}->{dst}"
             if src == dst:
-                err("E-TRF-END", site, "a transform may not map a class to itself", offset, src)
-                continue
-            ok = True
-            if src not in inputs:
-                err(
-                    "E-TRF-END",
-                    site,
-                    f"transform source {src!r} is not an input of the process",
-                    offset,
-                    src,
-                )
-                ok = False
-            if dst not in outputs:
-                err(
-                    "E-TRF-END",
-                    site,
-                    f"transform target {dst!r} is not an output of the process",
-                    offset,
-                    src,
-                )
-                ok = False
-            if ok:
+                problems = ["a transform may not map a class to itself"]
+            else:
+                problems = []
+                if src not in inputs:
+                    problems.append(f"transform source {src!r} is not an input of the process")
+                if dst not in outputs:
+                    problems.append(f"transform target {dst!r} is not an output of the process")
+            if not problems:
                 transforms.add(Transform(src, dst, mode))
-        processes[proc.name] = ProcessDef(
-            name=proc.name,
-            inputs=tuple(sorted(inputs)),
-            outputs=tuple(sorted(outputs)),
-            transforms=tuple(
-                sorted(transforms, key=lambda t: (t.source, t.target, t.mode.value))
+            for message in problems:
+                err("E-TRF-END", f"process={proc.name} transform={src}->{dst}", message,
+                    offset, src)
+        # Records are built with tuple.__new__: their fields are already the
+        # tuples and dict that the constructors would copy them into. Role
+        # names are unique, so sorting the items never compares privileges.
+        if len(role_privileges) > 1:
+            role_privileges = dict(sorted(role_privileges.items()))
+        processes[proc.name] = tuple.__new__(
+            ProcessDef,
+            (
+                proc.name,
+                tuple(sorted(inputs)),
+                tuple(sorted(outputs)),
+                tuple(sorted(transforms, key=_transform_order)) if transforms else (),
+                role_privileges,
             ),
-            role_privileges={r: role_privileges[r] for r in sorted(role_privileges)},
         )
 
     grants: dict[tuple[str, str], frozenset[Privilege]] = {}
     for role, class_name, privs, offset in draft.grants:
-        site = f"grant role={role} class={class_name}"
+        key = (role, class_name)
+        if role in roles and class_name in classes and key not in grants:
+            grants[key] = privs
+            continue
         if role not in roles:
-            err("E-REF", site, f"role {role!r} is not declared", offset, role)
+            code, message = "E-REF", f"role {role!r} is not declared"
         elif class_name not in classes:
-            err("E-REF", site, f"class {class_name!r} is not declared", offset, role)
-        elif (role, class_name) in grants:
-            err("E-DUP", site, "grant declared twice for this role and class", offset, role)
+            code, message = "E-REF", f"class {class_name!r} is not declared"
         else:
-            grants[(role, class_name)] = privs
+            code, message = "E-DUP", "grant declared twice for this role and class"
+        err(code, f"grant role={role} class={class_name}", message, offset, role)
 
     if diags:
         return None, diags
-    model = Model(
-        name=draft.name,
-        roles=tuple(sorted(roles)),
-        classes=tuple(classes[n] for n in sorted(classes)),
-        processes=tuple(processes[n] for n in sorted(processes)),
-        class_grants={key: grants[key] for key in sorted(grants) if grants[key]},
+    # Keys are unique, so sorting the items never compares two privilege sets.
+    model = tuple.__new__(
+        Model,
+        (
+            draft.name,
+            tuple(sorted(roles)),
+            tuple(classes[n] for n in sorted(classes)),
+            tuple(processes[n] for n in sorted(processes)),
+            {key: privs for key, privs in sorted(grants.items()) if privs},
+        ),
     )
     model.__dict__["_canonical"] = True
     return model, diags

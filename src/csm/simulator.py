@@ -96,6 +96,8 @@ class Outcome(enum.Enum):
     BLOCKED_WAITING = "blocked-waiting"
     ABORTED = "aborted"
 
+    __hash__ = object.__hash__
+
 
 class TraceEvent(
     namedtuple("TraceEvent", "step process object_id outcome detail", defaults=("",))

@@ -169,24 +169,35 @@ def _errors(model: Model) -> list[Diagnostic]:
                         )
                     )
 
-    # E-C2: creation implies reference.
-    for (role, class_name), privs in model.class_grants.items():
-        if Privilege.CREATION in privs and Privilege.REFERENCE not in privs:
-            out.append(
-                _diag(
-                    "E-C2",
-                    f"role={role} class={class_name}",
-                    f"role {role!r} creates {class_name!r} without the reference privilege",
-                    f"add reference to grant {role} on {class_name}",
+    # E-C2: creation implies reference. Judged once per distinct privilege
+    # set: a model holds far fewer of them than grants.
+    lacking = {
+        privs
+        for privs in set(model.class_grants.values())
+        if Privilege.CREATION in privs and Privilege.REFERENCE not in privs
+    }
+    if lacking:
+        for (role, class_name), privs in model.class_grants.items():
+            if privs in lacking:
+                out.append(
+                    _diag(
+                        "E-C2",
+                        f"role={role} class={class_name}",
+                        f"role {role!r} creates {class_name!r} without the reference privilege",
+                        f"add reference to grant {role} on {class_name}",
+                    )
                 )
-            )
 
-    # E-C3 / E-C4 / E-C5: process privileges imply data privileges.
+    # E-C3 / E-C4 / E-C5: process privileges imply data privileges. The
+    # members are bound once: reading one off its enum class is slow.
     grants = model.class_grants.get
+    reference, creation = Privilege.REFERENCE, Privilege.CREATION
+    reference_plus, owner = Privilege.REFERENCE_PLUS, ProcessPrivilege.OWNER
     for p in model.processes:
+        owned = None  # the process's classes in name order, sorted for its first owner
         for role, ppriv in p.role_privileges.items():
             for c in p.inputs:
-                if Privilege.REFERENCE not in grants((role, c), _NO_PRIVILEGES):
+                if reference not in grants((role, c), _NO_PRIVILEGES):
                     out.append(
                         _diag(
                             "E-C3",
@@ -198,9 +209,9 @@ def _errors(model: Model) -> list[Diagnostic]:
                     )
             for c in p.outputs:
                 privs = grants((role, c), _NO_PRIVILEGES)
-                if Privilege.CREATION not in privs:
+                if creation not in privs:
                     wanted = "creation"
-                    if Privilege.REFERENCE not in privs:
+                    if reference not in privs:
                         wanted = "creation and reference"
                     out.append(
                         _diag(
@@ -211,9 +222,11 @@ def _errors(model: Model) -> list[Diagnostic]:
                             f"add {wanted} to grant {role} on {c}",
                         )
                     )
-            if ppriv is ProcessPrivilege.OWNER:
-                for c in sorted({*p.inputs, *p.outputs}):
-                    if Privilege.REFERENCE_PLUS not in grants((role, c), _NO_PRIVILEGES):
+            if ppriv is owner:
+                if owned is None:
+                    owned = sorted({*p.inputs, *p.outputs})
+                for c in owned:
+                    if reference_plus not in grants((role, c), _NO_PRIVILEGES):
                         out.append(
                             _diag(
                                 "E-C5",

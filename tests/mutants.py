@@ -108,6 +108,27 @@ MUTANTS = (
         "        pass\n",
         ("tests/test_validator.py::TestEnsureValid::test_agrees_with_the_oracle",),
     ),
+    # Findings follow the model's process order, not name order.
+    Mutant(
+        "src/csm/classifier.py",
+        "    for p in sorted(model.processes, key=_NAME):\n",
+        "    for p in model.processes:\n",
+        ("tests/test_classifier.py::TestReferenceOracle::test_random_models",),
+    ),
+    # The JSON reader's fast path takes a class name that is not an identifier.
+    Mutant(
+        "src/csm/dsl.py",
+        "type(cname) is str and ident(cname)\n",
+        "type(cname) is str\n",
+        ("tests/test_dsl.py::TestJson::test_ill_typed_entries_between_well_typed_ones",),
+    ),
+    # Repeated findings are kept in a model that name resolution did not build.
+    Mutant(
+        "src/csm/classifier.py",
+        '    if not model.__dict__.get("_canonical"):\n',
+        "    if False:\n",
+        ("tests/test_classifier.py::test_repeated_names_give_each_finding_once",),
+    ),
 )
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +16,15 @@ from csm.classifier import (
 from csm.diagnostics import Severity
 from csm.dsl import parse_text
 from csm.fixtures import FIXTURES, load
-from csm.model import Model, ProcessDef
+from csm.model import ClassDef, Model, Privilege, ProcessDef, ProcessPrivilege, StatusPoint
 from csm.validator import InvalidModel, validate
-from helpers import brute_classify, brute_classify_pair, random_model, random_valid_model
+from helpers import (
+    brute_classify,
+    brute_classify_pair,
+    load_bench,
+    random_model,
+    random_valid_model,
+)
 
 VT = Level.VERY_TIGHT
 T = Level.TIGHT
@@ -192,6 +199,50 @@ class TestReferenceOracle:
             _assert_matches_reference(_reversed_members(m))
             found += len(brute_classify(m).findings)
         assert found > 20
+
+
+    @pytest.mark.parametrize("seed", [511, 7, 2024])
+    def test_synthetic_models(self, seed, monkeypatch):
+        # Two dozen roles give every level many (producer, consumer) pairs,
+        # each with several findings to keep in report order.
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
+        synth = load_bench("synth")
+        m = parse_text(synth.to_text(synth.generate(24, 60, 60, 0.08, seed)["model"])).model
+        report, expected = classify_all(m), brute_classify(m)
+        assert len(report.findings) > 100
+        assert report.findings == expected.findings
+        assert report.to_json() == expected.to_json()
+
+
+def test_repeated_names_give_each_finding_once():
+    # A model built in Python is not resolved, so it can declare a process
+    # and a class twice: each copy is judged, and the repeats are dropped.
+    P = ProcessPrivilege
+    C, R, RP, MP = (
+        Privilege.CREATION, Privilege.REFERENCE, Privilege.REFERENCE_PLUS,
+        Privilege.MODIFICATION_PLUS,
+    )
+    booking = ProcessDef("Book", (), ("Booking",), (), {"A": P.OWNER, "B": P.RESPONSIBILITY})
+    notice = ProcessDef("Notify", (), ("Notice",), (), {"A": P.OWNER})
+    m = Model(
+        "m",
+        ("A", "B", "Reader"),
+        (ClassDef("Booking"), ClassDef("Notice", status_points=[StatusPoint.WAITING]),
+         ClassDef("Booking"), ClassDef("Notice", status_points=[StatusPoint.WAITING])),
+        (notice, booking, booking, notice),
+        {
+            ("A", "Booking"): {C, R, RP, MP},
+            ("B", "Booking"): {C, R, RP},
+            ("A", "Notice"): {C, R, RP},
+            ("Reader", "Notice"): {RP},
+        },
+    )
+    report = classify_all(m)
+    assert [(f.level, f.artifact) for f in report.findings] == [
+        (VT, "Book"), (L, "Notice"),
+    ]
+    assert report.findings == brute_classify(m).findings
+    assert len(classifier._findings(m)) == 4
 
 
 def test_each_finding_is_built_once(monkeypatch, scenarios):

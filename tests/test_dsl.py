@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -573,6 +574,84 @@ class TestJson:
             "transform mode must be 'remaining' or 'leaving', got []",
             "unknown privilege []",
         ]
+
+    def test_ill_typed_entries_between_well_typed_ones(self):
+        # Per kind, ill-typed entries sit between well-typed ones: each
+        # ill-typed entry is reported in document order, and the well-typed
+        # ones around it are read as in a document without it.
+        good = {
+            "roles": ["A", "B", "C"],
+            "classes": [
+                {"name": "C", "dynamic": True, "status_points": ["waiting"]},
+                {"name": "D", "dynamic": True},
+                {"name": "F", "status_points": []},
+                {"name": "I"},
+            ],
+            "processes": [
+                {"name": "P", "owners": ["A"], "inputs": ["C"], "outputs": ["D"],
+                 "transforms": [{"from": "C", "to": "D", "mode": "leaving"}]},
+                {"name": "R", "responsibles": ["B"], "outputs": ["F"]},
+                {"name": "U", "owners": ["B"]},
+                {"name": "W"},
+            ],
+            "grants": [
+                {"role": "A", "class": "C", "privileges": ["creation", "reference"]},
+                {"role": "B", "class": "F", "privileges": ["creation", "reference"]},
+                {"role": "A", "class": "F", "privileges": ["reference+"]},
+                {"role": "B", "class": "D"},
+            ],
+        }
+        bad = {
+            "roles": ["not a name", 7],
+            "classes": ["D", {"name": "E", "dynamic": 1}, {"name": "G-1"},
+                        {"name": "H", "status_points": ["waiting", ["fail"]]}],
+            "processes": [
+                {"name": "Q", "transforms": [{"from": "C", "to": "D", "mode": ["leaving"]}]},
+                ["S"],
+                {"name": "T", "owners": ["A", 1], "inputs": "C"},
+                {"name": "V", "transforms": [{"from": "C"}]},
+            ],
+            "grants": [
+                {"role": "A", "class": "D", "privileges": ["reference", 1]},
+                "grant",
+                {"role": "B", "class": 3, "privileges": ["reference"]},
+                {"role": "B", "class": "C", "privileges": [["reference"]]},
+            ],
+        }
+        mixed = {"name": "m"}
+        for kind in good:
+            mixed[kind] = [
+                entry
+                for pair in itertools.zip_longest(good[kind], bad[kind], fillvalue=None)
+                for entry in pair
+                if entry is not None
+            ]
+        result = parse_json(json.dumps(mixed))
+        assert result.model is None
+        assert [(d.code, d.site, d.message) for d in result.diagnostics] == [
+            ("E-JSON", "roles", "role name must be an identifier, got 'not a name'"),
+            ("E-JSON", "roles", "role name must be an identifier, got 7"),
+            ("E-JSON", "classes", "missing required key 'name'"),
+            ("E-JSON", "class=E", "'dynamic' must be true or false"),
+            ("E-JSON", "classes", "class name must be an identifier, got 'G-1'"),
+            ("E-JSON", "class=H", "unknown status point ['fail']"),
+            ("E-JSON", "process=Q",
+             "transform mode must be 'remaining' or 'leaving', got ['leaving']"),
+            ("E-JSON", "processes", "missing required key 'name'"),
+            ("E-JSON", "process=T", "'owners' entries must be strings"),
+            ("E-JSON", "process=T", "'inputs' must be an array"),
+            ("E-JSON", "process=V", "transform needs 'from' and 'to' strings"),
+            ("E-JSON", "grant role=A class=D", "unknown privilege 1"),
+            ("E-JSON", "grants", "missing required key 'role'"),
+            ("E-JSON", "grants", "missing required key 'class'"),
+            ("E-JSON", "grants", "grant needs 'role' and 'class' strings"),
+            ("E-JSON", "grant role=B class=C", "unknown privilege ['reference']"),
+        ]
+        model = parse_json(json.dumps({"name": "m", **good})).model
+        assert model.roles == ("A", "B", "C")
+        assert model.class_names == ("C", "D", "F", "I")
+        assert model.process_names == ("P", "R", "U", "W")
+        assert list(model.class_grants) == [("A", "C"), ("A", "F"), ("B", "F")]
 
     def test_not_utf8(self):
         result = parse_json(b"\xff\xfe{}")

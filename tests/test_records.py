@@ -5,8 +5,15 @@ construction, immutability, equality and hashing, the cached model index
 and ``repr``.
 """
 
+import enum
+import importlib
+import itertools
+import json
+import pkgutil
+
 import pytest
 
+import csm
 from csm.classifier import CollaborationReport, Level, LevelFinding
 from csm.diagnostics import Diagnostic, Severity, SourceSpan
 from csm.dsl import ParseResult
@@ -19,6 +26,7 @@ from csm.model import (
     StatusPoint,
     Transform,
     TransformMode,
+    canonicalize,
 )
 from csm.simulator import (
     Outcome,
@@ -149,6 +157,58 @@ class TestEqualityAndHashing:
         b = ReachabilitySummary(5, False, q, {"states": 5, "stop": "step_bound"})
         assert a == b
         assert a != ReachabilitySummary(6, False, q, {"states": 5})
+
+
+def _csm_enums() -> list[type[enum.Enum]]:
+    """Every ``enum.Enum`` subclass defined in a module of the package."""
+    found = []
+    for info in pkgutil.iter_modules(csm.__path__):
+        module = importlib.import_module(f"csm.{info.name}")
+        found += [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, enum.Enum)
+            and obj.__module__ == module.__name__
+        ]
+    return found
+
+
+class TestEnumHashing:
+    def test_every_enum_hashes_by_identity(self):
+        enums = _csm_enums()
+        assert {e.__name__ for e in enums} == {
+            "Level", "Outcome", "Privilege", "ProcessPrivilege", "Severity",
+            "StatusPoint", "TransformMode",
+        }
+        for kind in enums:
+            for member in kind:
+                assert type(member).__hash__ is object.__hash__, member
+
+    def test_level_sets_list_in_sorted_order(self):
+        # Set order follows the hash; the report lists levels by value
+        # whatever order the findings came in.
+        findings = [
+            LevelFinding("A", "B", f"X{i}", "process", level, ("e",))
+            for i, level in enumerate(Level)
+        ]
+        expected = sorted(level.value for level in Level)
+        for order in itertools.permutations(findings):
+            report = CollaborationReport(order)
+            assert report.to_dict()["pair_summary"] == {"A->B": expected}
+            assert json.loads(report.to_json())["pair_summary"] == {"A->B": expected}
+            assert report.levels_between("B", "A") == frozenset(Level)
+
+    def test_resolved_transforms_list_in_sorted_order(self):
+        transforms = [
+            Transform("A", "B", TransformMode.LEAVING),
+            Transform("A", "B", TransformMode.REMAINING),
+            Transform("A", "C", TransformMode.REMAINING),
+            Transform("D", "B", TransformMode.LEAVING),
+        ]
+        classes = tuple(ClassDef(name, dynamic=True) for name in "ABCD")
+        for order in itertools.permutations(transforms):
+            process = ProcessDef("P", ("A", "D"), ("B", "C"), order, OWNER)
+            model = canonicalize(Model("m", ("R",), classes, (process,)))
+            assert list(model.processes[0].transforms) == transforms
 
 
 def test_model_class_index_is_cached():
