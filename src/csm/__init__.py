@@ -7,42 +7,54 @@ co-providers, simulates token-based execution with remaining/leaving state
 semantics, and renders swim-lane diagrams.
 """
 
-from .classifier import (
-    CollaborationReport,
-    Level,
-    LevelFinding,
-    classify_all,
-    classify_pair,
-)
-from .diagnostics import Diagnostic, Severity, SourceSpan
-from .dsl import ParseResult, emit_json, emit_text, parse_json, parse_text
-from .model import (
-    ClassDef,
-    Model,
-    ModelError,
-    Privilege,
-    ProcessDef,
-    ProcessPrivilege,
-    SharedClass,
-    StatusPoint,
-    Transform,
-    TransformMode,
-    canonicalize,
-    shared_classes,
-)
-from .render import to_dot, to_mermaid
-from .simulator import (
-    Outcome,
-    ReachabilitySummary,
-    SimState,
-    Token,
-    TraceEvent,
-    enabled,
-    explore,
-    fire,
-    init_state,
-    run_script,
-)
-from .validator import InvalidModel, explain, validate
+import gc as _gc
+
+# Importing the layers makes many objects and no garbage, so the cyclic
+# collector, which would only walk them, is off meanwhile; the state it was
+# found in comes back.
+_collecting = _gc.isenabled()
+_gc.disable()
+try:
+    from .classifier import (
+        CollaborationReport,
+        Level,
+        LevelFinding,
+        classify_all,
+        classify_pair,
+    )
+    from .diagnostics import Diagnostic, Severity, SourceSpan
+    from .dsl import ParseResult, emit_json, emit_text, parse_json, parse_text
+    from .model import (
+        ClassDef,
+        Model,
+        ModelError,
+        Privilege,
+        ProcessDef,
+        ProcessPrivilege,
+        SharedClass,
+        StatusPoint,
+        Transform,
+        TransformMode,
+        canonicalize,
+        shared_classes,
+    )
+    from .render import to_dot, to_mermaid
+    from .simulator import (
+        Outcome,
+        ReachabilitySummary,
+        SimState,
+        Token,
+        TraceEvent,
+        enabled,
+        explore,
+        fire,
+        init_state,
+        run_script,
+    )
+    from .validator import InvalidModel, explain, validate
+finally:
+    if _collecting:
+        _gc.enable()
+    del _gc, _collecting
 
 __version__ = "0.1.0"

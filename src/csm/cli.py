@@ -9,7 +9,6 @@ machine-readable payloads go to stdout.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 from collections import namedtuple
@@ -54,6 +53,8 @@ def _load_model(path: str) -> Model:
 
 
 def _load_json(path: str, what: str):
+    import json
+
     text = _read_file(path, f"{what} file {path}")
     try:
         return json.loads(text)
@@ -144,6 +145,8 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_validate(args: _Args) -> int:
+    import json
+
     model = _load_model(args.file)
     diags = validator.validate(model)
     for d in diags:
@@ -161,6 +164,8 @@ def _cmd_classify(args: _Args) -> int:
 
 
 def _cmd_simulate(args: _Args) -> int:
+    import json
+
     model = _load_model(args.file)
     seed = _load_seed(args.seed, model)
     script = _load_script(args.script)
@@ -172,6 +177,8 @@ def _cmd_simulate(args: _Args) -> int:
 
 
 def _cmd_explore(args: _Args) -> int:
+    import json
+
     for option, value in (("--max-steps", args.max_steps), ("--max-objects", args.max_objects)):
         if value < 1:
             raise _CliError(f"{option} must be at least 1: {value}", 2)

@@ -15,19 +15,24 @@ that runs to end of line):
     priv   := "creation" | "modification" | "reference" | "suppression"
             | "modification+" | "reference+" | "suppression+"
 
-Well-formed text is read one declaration per pattern match. A declaration
-the patterns do not read (a mistake, or a comment inside it) goes to the
-recovering token parser and the scan resumes after it; that parser reports
-every diagnostic and recovers at item boundaries, so several independent
-mistakes are reported in one pass. A transform's mode keyword is mandatory:
-there is no default for whether the source token survives the firing.
+Well-formed text is read in one pass (``_read_text``): one pattern match
+per declaration, process item or comment, each record straight into the
+lists the canonical model is built from, with duplicates and references
+checked in bulk at the end. Any text it does not accept (a mistake, a
+comment inside a declaration, non-ASCII whitespace) goes whole to the
+reporting path: the recovering token parser, which reads by the same
+pattern wherever it can, reports every diagnostic and recovers at item
+boundaries, so several independent mistakes are reported in one pass. JSON
+is split the same way: a document whose entries are all well-typed and
+resolve becomes the model right after decoding (``_read_json``), and any
+other goes to the checks that report it. Both paths give the same model.
+A transform's mode keyword is mandatory: there is no default for whether
+the source token survives the firing.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import json
 import re
 from collections import namedtuple
 
@@ -37,16 +42,23 @@ from .model import (
     Model,
     Privilege,
     StatusPoint,
+    Transform,
     TransformMode,
     _Draft,
     _IDENT,
     _IDENT_RE,
     _ProcessItem,
+    _canonical_model,
     _identifier_problem,
     _quotable_name,
     _resolve,
     canonicalize,
 )
+
+try:
+    from _json import encode_basestring_ascii as _esc
+except ImportError:  # an interpreter built without the C accelerator
+    from json.encoder import encode_basestring_ascii as _esc
 
 ITEM_KEYWORDS = frozenset({"role", "class", "process", "grant"})
 PITEM_KEYWORDS = frozenset({"owner", "responsible", "input", "output", "transform"})
@@ -68,9 +80,14 @@ class ParseResult(namedtuple("ParseResult", "model diagnostics")):
 _Token = namedtuple("_Token", "kind text offset")
 
 
-# One token after optional whitespace; the group that matched gives its
-# kind. A '#' starts a comment only where no string has started.
-_TOKEN_RE = re.compile(rf'\s*(?:("[^"\n]*")|(#[^\n]*)|({_IDENT})|(->|[{{}}+,])|(\S))')
+@functools.cache
+def _token_pattern() -> re.Pattern:
+    """One token after optional whitespace; the group that matched gives its
+    kind. A '#' starts a comment only where no string has started. Compiled
+    on first use: only the reporting path lexes."""
+    return re.compile(rf'\s*(?:("[^"\n]*")|(#[^\n]*)|({_IDENT})|(->|[{{}}+,])|(\S))')
+
+
 _KIND_BY_GROUP = (None, "string", "comment", "ident", "punct", "junk")
 _NEWLINE_RE = re.compile(r"\n")
 
@@ -79,46 +96,147 @@ _PRIVILEGE = {p.value: p for p in Privilege}
 _STATUS_POINT = {s.value: s for s in StatusPoint}
 _MODE = {m.value: m for m in TransformMode}
 
-# The patterns of ``_Parser.scan``, one match per declaration, each after
-# whitespace and comments. Under ``re.ASCII`` the ``\b`` after a name means
+# The grammar by pattern, shared by ``_read_text`` and ``_Parser.scan``: one
+# match per declaration, process item, closing brace or comment, each after
+# whitespace. Both read with ``scanner(text).match``, which starts each
+# match where the last one ended, so the first gap ends the matches where a
+# search would skip it. Under ``re.ASCII`` the ``\b`` after a name means
 # that no ``[A-Za-z0-9_]`` follows, and a comment runs to the end of its
 # line, so backtracking cannot split a token the lexer reads whole. A class
 # matches whole or not at all: no ``dynamic`` or ``{`` may follow it after
-# whitespace as the lexer reads it, non-ASCII included. Lists are checked
-# entry by entry in ``scan``. Compiled on the first scan, so that commands
-# which read no text do not pay for them.
-_SKIP = r"(?:\s|#[^\n]*(?![^\n]))*"
+# whitespace and comments as the lexer reads them, non-ASCII included.
+# Lists are checked entry by entry by their readers. The last group to
+# close tells which alternative matched:
+#
+#   3 grant (1 role, 2 class, 3 listing)   4 owner   5 input   6 output
+#   7 responsible   10 transform (8 source, 9 target, 10 mode)
+#   11 a closing brace, 12 one that only comments follow to the end
+#   13 process   14 class (15 name, 16 dynamic, 17 listing)   18 role
+#   19 model header (the name)   20 comment
+#
+# ``_SKIP`` takes no possessive quantifier or atomic group, so that the
+# pattern compiles on Python 3.10. Compiled on first use, so that commands
+# which read no text do not pay for it.
+_SKIP = r"\s*(?:#[^\n]*(?![^\n])\s*)*"
 _NAME = rf"({_IDENT})\b"
 
 
 @functools.cache
-def _scan_patterns() -> tuple[re.Pattern, re.Pattern]:
-    """The declaration and process-item patterns, compiled once."""
-    return (
-        re.compile(
-            rf"{_SKIP}(?:role\s+{_NAME}|class\s+{_NAME}(\s+dynamic\b)?(?:\s*\{{([^{{}}]*)\}})?"
-            rf"(?!(?u:{_SKIP})(?:dynamic\b|\{{))"
-            rf"|grant\s+{_NAME}\s+on\s+{_NAME}\s*\{{([^{{}}]*)\}}|process\s+{_NAME}\s*\{{|\}}{_SKIP}\Z)",
-            re.ASCII,
-        ),
-        re.compile(
-            rf"{_SKIP}(?:(owner|responsible|input|output)\s+{_NAME}"
-            rf"|transform\s+{_NAME}\s*->\s*{_NAME}\s+(remaining|leaving)\b|\}})",
-            re.ASCII,
-        ),
+def _pattern() -> re.Pattern:
+    """The grammar's one pattern, compiled once."""
+    return re.compile(
+        rf"\s*(?:grant\s+{_NAME}\s+on\s+{_NAME}\s*\{{([^{{}}]*)\}}"
+        rf"|owner\s+{_NAME}|input\s+{_NAME}|output\s+{_NAME}|responsible\s+{_NAME}"
+        rf"|transform\s+{_NAME}\s*->\s*{_NAME}\s+(remaining|leaving)\b"
+        rf"|(\}})(?:{_SKIP}(\Z))?|process\s+{_NAME}\s*\{{"
+        rf"|(class\s+{_NAME}(\s+dynamic\b)?(?:\s*\{{([^{{}}]*)\}})?)"
+        rf"(?!(?u:{_SKIP})(?:dynamic\b|\{{))"
+        rf'|role\s+{_NAME}|model\s*"([^"\n]*)"\s*\{{|(#[^\n]*))',
+        re.ASCII,
     )
+
+
+_GRANT, _OWNER, _INPUT, _OUTPUT, _RESPONSIBLE, _TRANSFORM = 3, 4, 5, 6, 7, 10
+_CLOSE, _END, _PROCESS, _CLASS, _ROLE, _HEADER, _COMMENT = 11, 12, 13, 14, 18, 19, 20
+# The process items that name one role or class: group to draft list.
+_ITEM_LISTS = {
+    _OWNER: "owners", _INPUT: "inputs", _OUTPUT: "outputs", _RESPONSIBLE: "responsibles"
+}
+
+
+def _listed(raw: str, members: dict, memo: dict) -> frozenset:
+    """The members that a raw ``{...}`` listing names (``members`` is a
+    value-to-member table), stored in ``memo`` so that each listing is read
+    once; ``None`` stands in for a word that names none."""
+    found = memo[raw] = frozenset([members.get(word.strip()) for word in raw.split(",")])
+    return found
+
+
+def _read_text(text: str) -> Model | None:
+    """The canonical model of well-formed text, read in one pass: each match
+    goes straight into the lists that ``_canonical_model`` checks in bulk.
+    ``None`` for any other text, which the reporting path then reads: a gap
+    between matches (a comment inside a declaration, a stray token, non-ASCII
+    whitespace), an unknown point or privilege, a missing or repeated brace,
+    trailing input, or a declaration that does not resolve."""
+    matches = iter(_pattern().scanner(text).match, None)
+    head = next(matches, None)
+    while head is not None and head.lastindex == _COMMENT:
+        head = next(matches, None)
+    if head is None or head.lastindex != _HEADER:
+        return None
+    roles: list[str] = []
+    classes: list[ClassDef] = []
+    processes: list[tuple] = []
+    grants: list[tuple] = []
+    point_lists: dict = {None: frozenset()}
+    privilege_lists: dict = {}
+    pname = None  # the open process
+    for m in matches:
+        k = m.lastindex
+        if k == _GRANT:
+            raw = m[3]
+            privs = privilege_lists.get(raw)
+            if privs is None:
+                privs = _listed(raw, _PRIVILEGE, privilege_lists)
+            if None in privs:
+                return None
+            grants.append((m.group(1, 2), privs))
+        elif k <= _TRANSFORM:
+            if pname is None:
+                return None
+            if k == _INPUT:
+                inputs.append(m[k])
+            elif k == _OUTPUT:
+                outputs.append(m[k])
+            elif k == _OWNER:
+                owners.append(m[k])
+            elif k == _RESPONSIBLE:
+                responsibles.append(m[k])
+            else:
+                transforms.append(tuple.__new__(Transform, (m[8], m[9], _MODE[m[10]])))
+        elif k == _CLOSE:
+            if pname is None:
+                return None
+            processes.append((pname, owners, responsibles, inputs, outputs, transforms))
+            pname = None
+        elif k == _COMMENT:
+            continue
+        elif pname is not None:
+            return None
+        elif k == _PROCESS:
+            pname = m[13]
+            owners, responsibles, inputs, outputs, transforms = [], [], [], [], []
+        elif k == _CLASS:
+            raw = m[17]
+            points = point_lists.get(raw)
+            if points is None:
+                points = _listed(raw, _STATUS_POINT, point_lists)
+            if None in points:
+                return None
+            classes.append(tuple.__new__(ClassDef, (m[15], m[16] is not None, points)))
+        elif k == _ROLE:
+            roles.append(m[18])
+        elif k == _END:
+            return _canonical_model(head[19], roles, classes, processes, grants)
+        else:
+            return None
+    return None
 
 
 def _spans(text: str, file_label: str):
     """A token's offset and text to its ``SourceSpan``: the one line-and-column
     rule. The line index is built on the first call, since only a diagnostic
-    makes one."""
+    makes one. Only the reporting path makes a locator, so only it imports
+    ``bisect``."""
+    from bisect import bisect_right
+
     line_starts: list[int] = []
 
     def span(offset: int, token: str) -> SourceSpan:
         if not line_starts:
             line_starts.extend([0, *(m.end() for m in _NEWLINE_RE.finditer(text))])
-        li = bisect.bisect_right(line_starts, offset) - 1
+        li = bisect_right(line_starts, offset) - 1
         return SourceSpan(file_label, li + 1, offset - line_starts[li] + 1, max(len(token), 1))
 
     return span
@@ -131,6 +249,7 @@ class _Recover(Exception):
 class _Parser:
     def __init__(self, text: str, file_label: str) -> None:
         self.text = text
+        self.match_token = _token_pattern().match
         # Ending each match at the last non-space character keeps the
         # lexer's leading \s* from backtracking over trailing whitespace.
         self.endpos = len(text.rstrip())
@@ -150,7 +269,7 @@ class _Parser:
     def peek(self) -> _Token:
         """The current token, lexed at ``offset`` on first use; comments are skipped."""
         while self.tok is None:
-            m = _TOKEN_RE.match(self.text, self.offset, self.endpos)
+            m = self.match_token(self.text, self.offset, self.endpos)
             if m is None:
                 self.tok = _Token("eof", "", len(self.text))
                 break
@@ -365,57 +484,69 @@ class _Parser:
         self.draft.grants.append((role_tok.text, class_tok.text, privs, role_tok.offset))
 
     def scan(self) -> bool:
-        """Read declarations by pattern from ``offset``, as the readers above
-        would, up to one the patterns do not read (a process as a whole); True
-        once the model's closing brace ends the text."""
-        item_re, process_item_re = _scan_patterns()
+        """Read declarations by ``_pattern`` from ``offset``, as the readers
+        above would, up to one the pattern does not read (a process as a
+        whole); True once the model's closing brace ends the text."""
         text, pos, draft = self.text, self.offset, self.draft
         point_lists, privilege_lists = self.point_lists, self.privilege_lists
-        closed = False
-        while not closed:
-            m = item_re.match(text, pos)
-            if m is None:
-                break
-            if m[1]:
-                draft.roles.append((m[1], m.start(1)))
-            elif m[2]:
-                points = point_lists.get(m[4])
-                if points is None:
-                    points = point_lists[m[4]] = frozenset(
-                        _STATUS_POINT.get(p.strip()) for p in m[4].split(",")
-                    )
-                if None in points:
+        proc = None  # the open process, appended once its brace closes
+        for m in iter(_pattern().scanner(text, pos).match, None):
+            k = m.lastindex
+            if proc is not None:
+                if k in _ITEM_LISTS:
+                    getattr(proc, _ITEM_LISTS[k]).append((m[k], m.start(k)))
+                elif k == _TRANSFORM:
+                    proc.transforms.append((m[8], m[9], _MODE[m[10]], m.start(8)))
+                elif k == _CLOSE or k == _END:
+                    draft.processes.append(proc)
+                    proc, pos = None, m.end()
+                elif k != _COMMENT:
                     break
-                draft.classes.append((ClassDef(m[2], bool(m[3]), points), m.start(2)))
-            elif m[5]:
-                privs = privilege_lists.get(m[7])
+                continue
+            if k == _GRANT:
+                raw = m[3]
+                privs = privilege_lists.get(raw)
                 if privs is None:
-                    privs = privilege_lists[m[7]] = frozenset(
-                        _PRIVILEGE.get(p.strip()) for p in m[7].split(",")
-                    )
+                    privs = _listed(raw, _PRIVILEGE, privilege_lists)
                 if None in privs:
                     break
-                draft.grants.append((m[5], m[6], privs, m.start(5)))
-            elif m[8]:
-                proc = _ProcessItem(m[8], m.start(8))
-                # An item has groups; the process's closing brace has none.
-                while (m := process_item_re.match(text, m.end())) and m.lastindex:
-                    if m[1]:
-                        getattr(proc, m[1] + "s").append((m[2], m.start(2)))
-                    else:
-                        proc.transforms.append((m[3], m[4], _MODE[m[5]], m.start(3)))
-                if m is None:
+                draft.grants.append((m[1], m[2], privs, m.start(1)))
+            elif k == _CLASS:
+                raw = m[17]
+                points = point_lists.get(raw)
+                if points is None:
+                    points = _listed(raw, _STATUS_POINT, point_lists)
+                if None in points:
                     break
-                draft.processes.append(proc)
-            else:
-                closed = True
+                draft.classes.append((ClassDef(m[15], m[16] is not None, points), m.start(15)))
+            elif k == _ROLE:
+                draft.roles.append((m[18], m.start(18)))
+            elif k == _PROCESS:
+                proc = _ProcessItem(m[13], m.start(13))
+                continue
+            elif k == _END:
+                self.offset, self.tok = m.end(), None
+                return True
+            elif k != _COMMENT:
+                break
             pos = m.end()
         self.offset, self.tok = pos, None
-        return closed
+        return False
 
 
 def parse_text(source: str, file_label: str = "<string>") -> ParseResult:
-    """Parse model source text; recover at item boundaries on errors."""
+    """Parse model source text: well-formed text in one pass by
+    ``_read_text``, any other by the reporting path, which recovers at item
+    boundaries and reports every diagnostic."""
+    model = _read_text(source)
+    if model is not None:
+        return ParseResult(model, [])
+    return _report_text(source, file_label)
+
+
+def _report_text(source: str, file_label: str) -> ParseResult:
+    """The reporting path for text: the model and every diagnostic, found by
+    the token parser and name resolution."""
     parser = _Parser(source, file_label)
     draft = parser.parse()
     diagnostics = parser.diagnostics
@@ -508,9 +639,6 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
-_esc = json.encoder.encode_basestring_ascii
-
-
 def _json_array(items, pad: str) -> str:
     """An array of JSON texts as ``json.dumps(indent=2)`` writes it when its
     closing bracket is indented by ``pad``: ``[]``, or one item a line.
@@ -596,8 +724,6 @@ def emit_json(model: Model) -> bytes:
 
 # The value of an absent array key: read, never written.
 _NO_ENTRIES: list = []
-# The one element type of a well-typed name array.
-_STR_TYPE = frozenset({str})
 
 
 def _json_error(message: str, site: str = "document") -> Diagnostic:
@@ -606,12 +732,103 @@ def _json_error(message: str, site: str = "document") -> Diagnostic:
     )
 
 
+def _read_json(doc) -> Model | None:
+    """The canonical model of a document whose entries are all well-typed,
+    read straight into the lists that ``_canonical_model`` checks in bulk;
+    ``None`` for any other document, which the reporting path then reads.
+
+    Declared names must be identifiers. A name that refers to a declaration
+    (an owner, an input, a transform's end, a grant's role or class) is not
+    type-checked here: one that is not a string matches no declaration, or
+    cannot be hashed, and either way the document is not read.
+    """
+    if type(doc) is not dict:
+        return None
+    name = doc.get("name")
+    roles = doc.get("roles")
+    class_entries = doc.get("classes")
+    process_entries = doc.get("processes")
+    grant_entries = doc.get("grants")
+    ident = _IDENT_RE.fullmatch
+    if not (
+        type(name) is str
+        and _quotable_name(name)
+        and type(roles) is list
+        and type(class_entries) is list
+        and type(process_entries) is list
+        and type(grant_entries) is list
+        and all(type(r) is str and ident(r) for r in roles)
+    ):
+        return None
+    # Equal listings share one set, read once; one memo per list kind.
+    point_lists: dict[tuple, frozenset[StatusPoint]] = {}
+    privilege_lists: dict[tuple, frozenset[Privilege]] = {}
+    classes = []
+    processes = []
+    grants = []
+    try:
+        for entry in class_entries:
+            cname = entry["name"]
+            dynamic = entry.get("dynamic", False)
+            listed = entry.get("status_points", _NO_ENTRIES)
+            if not (
+                type(cname) is str and ident(cname)
+                and type(dynamic) is bool and type(listed) is list
+            ):
+                return None
+            points = point_lists.get(key := tuple(listed))
+            if points is None:
+                points = point_lists[key] = frozenset([_STATUS_POINT[x] for x in listed])
+            classes.append(tuple.__new__(ClassDef, (cname, dynamic, points)))
+        for entry in process_entries:
+            pname = entry["name"]
+            owners = entry.get("owners", _NO_ENTRIES)
+            responsibles = entry.get("responsibles", _NO_ENTRIES)
+            inputs = entry.get("inputs", _NO_ENTRIES)
+            outputs = entry.get("outputs", _NO_ENTRIES)
+            transforms = entry.get("transforms", _NO_ENTRIES)
+            if not (
+                type(pname) is str
+                and ident(pname)
+                and type(owners) is list
+                and type(responsibles) is list
+                and type(inputs) is list
+                and type(outputs) is list
+                and type(transforms) is list
+            ):
+                return None
+            if transforms:
+                transforms = [
+                    tuple.__new__(Transform, (t["from"], t["to"], _MODE[t["mode"]]))
+                    for t in transforms
+                ]
+            processes.append((pname, owners, responsibles, inputs, outputs, transforms))
+        for entry in grant_entries:
+            listed = entry.get("privileges", _NO_ENTRIES)
+            if type(listed) is not list:
+                return None
+            privs = privilege_lists.get(key := tuple(listed))
+            if privs is None:
+                privs = privilege_lists[key] = frozenset([_PRIVILEGE[x] for x in listed])
+            grants.append(((entry["role"], entry["class"]), privs))
+        return _canonical_model(name, roles, classes, processes, grants)
+    except (AttributeError, KeyError, TypeError):
+        # An entry that is not an object or lacks a required key, a mode,
+        # point or privilege that names no member, or a name that cannot be
+        # hashed.
+        return None
+
+
 def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
     """Parse the JSON interchange form into a canonical model.
 
     Names follow the text grammar: role, class and process names are
     identifiers, and the model name is a string the text form can quote.
+    A document ``_read_json`` does not read goes to the reporting checks,
+    which give its diagnostics.
     """
+    import json
+
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -622,7 +839,15 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the interpreter's stack allows.
         return ParseResult(None, [_json_error(f"malformed JSON: {exc}")])
+    model = _read_json(doc)
+    if model is not None:
+        return ParseResult(model, [])
+    return _report_json(doc)
 
+
+def _report_json(doc) -> ParseResult:
+    """The reporting path for a decoded document: the model and every
+    diagnostic, found by the checks of each key and name resolution."""
     diags: list[Diagnostic] = []
 
     def need(obj: dict, key: str, site: str):
@@ -659,43 +884,11 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
         diags.append(_json_error("'name' may not contain '\"' or a line break"))
 
     draft = _Draft(name=name or "")
-    # Each entry is first read by inline type checks, which accept only a
-    # well-typed entry and report nothing; any other entry is read again by
-    # the checks after them, which report its diagnostics.
-    ident = _IDENT_RE.fullmatch
-
     for r in array(doc, "roles", "document", required=True):
-        if (type(r) is str and ident(r)) or identifier(r, "role", "roles"):
+        if identifier(r, "role", "roles"):
             draft.roles.append((r, None))
 
-    # Equal listings share one set, read once; one memo per list kind.
-    point_lists: dict[tuple, frozenset[StatusPoint]] = {}
-    privilege_lists: dict[tuple, frozenset[Privilege]] = {}
-
-    def listing(listed: list, members: dict, memo: dict) -> frozenset:
-        """The set of ``members`` (a value-to-member table) that ``listed``
-        names; raises KeyError or TypeError for an entry that is none."""
-        found = memo.get(key := tuple(listed))
-        if found is None:
-            found = memo[key] = frozenset([members[x] for x in listed])
-        return found
-
     for entry in array(doc, "classes", "document", required=True):
-        if type(entry) is dict:
-            cname = entry.get("name")
-            dynamic = entry.get("dynamic", False)
-            listed = entry.get("status_points", _NO_ENTRIES)
-            if (
-                type(cname) is str and ident(cname)
-                and type(dynamic) is bool and type(listed) is list
-            ):
-                try:
-                    points = listing(listed, _STATUS_POINT, point_lists)
-                except (KeyError, TypeError):
-                    pass
-                else:
-                    draft.classes.append((ClassDef(cname, dynamic, points), None))
-                    continue
         cname = need(entry, "name", "classes")
         if cname is None or not identifier(cname, "class", "classes"):
             continue
@@ -714,45 +907,6 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
         )
 
     for entry in array(doc, "processes", "document", required=True):
-        if type(entry) is dict:
-            pname = entry.get("name")
-            owners = entry.get("owners", _NO_ENTRIES)
-            responsibles = entry.get("responsibles", _NO_ENTRIES)
-            inputs = entry.get("inputs", _NO_ENTRIES)
-            outputs = entry.get("outputs", _NO_ENTRIES)
-            transforms = entry.get("transforms", _NO_ENTRIES)
-            if (
-                type(pname) is str
-                and ident(pname)
-                and type(owners) is list
-                and type(responsibles) is list
-                and type(inputs) is list
-                and type(outputs) is list
-                and {*map(type, owners), *map(type, responsibles),
-                     *map(type, inputs), *map(type, outputs)} <= _STR_TYPE
-                and type(transforms) is list
-                and (
-                    not transforms
-                    or all(
-                        type(t) is dict
-                        and type(t.get("from")) is str
-                        and type(t.get("to")) is str
-                        and type(mode := t.get("mode")) is str
-                        and mode in _MODE
-                        for t in transforms
-                    )
-                )
-            ):
-                proc = _ProcessItem(pname)
-                proc.owners = [(r, None) for r in owners]
-                proc.responsibles = [(r, None) for r in responsibles]
-                proc.inputs = [(c, None) for c in inputs]
-                proc.outputs = [(c, None) for c in outputs]
-                proc.transforms = [
-                    (t["from"], t["to"], _MODE[t["mode"]], None) for t in transforms
-                ]
-                draft.processes.append(proc)
-                continue
         pname = need(entry, "name", "processes")
         if pname is None or not identifier(pname, "process", "processes"):
             continue
@@ -790,18 +944,6 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
         draft.processes.append(proc)
 
     for entry in array(doc, "grants", "document", required=True):
-        if type(entry) is dict:
-            role = entry.get("role")
-            cname = entry.get("class")
-            listed = entry.get("privileges", _NO_ENTRIES)
-            if type(role) is str and type(cname) is str and type(listed) is list:
-                try:
-                    privs = listing(listed, _PRIVILEGE, privilege_lists)
-                except (KeyError, TypeError):
-                    pass
-                else:
-                    draft.grants.append((role, cname, privs, None))
-                    continue
         role = need(entry, "role", "grants")
         cname = need(entry, "class", "grants")
         if role is None or cname is None:

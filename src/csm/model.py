@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from functools import cached_property
 
 from .diagnostics import Diagnostic, Severity, SourceSpan
@@ -473,20 +473,8 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
             for message in problems:
                 err("E-TRF-END", f"process={proc.name} transform={src}->{dst}", message,
                     offset, src)
-        # Records are built with tuple.__new__: their fields are already the
-        # tuples and dict that the constructors would copy them into. Role
-        # names are unique, so sorting the items never compares privileges.
-        if len(role_privileges) > 1:
-            role_privileges = dict(sorted(role_privileges.items()))
-        processes[proc.name] = tuple.__new__(
-            ProcessDef,
-            (
-                proc.name,
-                tuple(sorted(inputs)),
-                tuple(sorted(outputs)),
-                tuple(sorted(transforms, key=_transform_order)) if transforms else (),
-                role_privileges,
-            ),
+        processes[proc.name] = _process_def(
+            proc.name, role_privileges, inputs, outputs, transforms
         )
 
     grants: dict[tuple[str, str], frozenset[Privilege]] = {}
@@ -505,19 +493,115 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
 
     if diags:
         return None, diags
-    # Keys are unique, so sorting the items never compares two privilege sets.
+    return _sealed(draft.name, roles, classes, processes, grants), diags
+
+
+def _sorted_once(items: Collection, key=None) -> tuple:
+    """``items`` sorted, each once; most lists of a process hold one item."""
+    if len(items) < 2:
+        return tuple(items)
+    return tuple(sorted(set(items), key=key))
+
+
+def _process_def(
+    name: str,
+    role_privileges: dict[str, ProcessPrivilege],
+    inputs: Collection[str],
+    outputs: Collection[str],
+    transforms: Collection[Transform],
+) -> ProcessDef:
+    """The canonical ``ProcessDef`` of checked parts, which may repeat an
+    input, output or transform. Role names are unique, so sorting the items
+    never compares privileges. Built with ``tuple.__new__``: its fields are
+    already the tuples and dict that the constructor would copy them into."""
+    if len(role_privileges) > 1:
+        role_privileges = dict(sorted(role_privileges.items()))
+    return tuple.__new__(
+        ProcessDef,
+        (
+            name,
+            _sorted_once(inputs),
+            _sorted_once(outputs),
+            _sorted_once(transforms, _transform_order),
+            role_privileges,
+        ),
+    )
+
+
+def _sealed(
+    name: str,
+    roles: set[str],
+    classes: dict[str, ClassDef],
+    processes: dict[str, ProcessDef],
+    grants: dict[tuple[str, str], frozenset[Privilege]],
+) -> Model:
+    """The canonical model of checked parts, marked for ``canonicalize`` to
+    pass through, and built as ``_process_def`` builds a process. Keys are
+    unique, so sorting the grants never compares two privilege sets."""
     model = tuple.__new__(
         Model,
         (
-            draft.name,
+            name,
             tuple(sorted(roles)),
-            tuple(classes[n] for n in sorted(classes)),
-            tuple(processes[n] for n in sorted(processes)),
+            tuple([classes[n] for n in sorted(classes)]),
+            tuple([processes[n] for n in sorted(processes)]),
             {key: privs for key, privs in sorted(grants.items()) if privs},
         ),
     )
     model.__dict__["_canonical"] = True
-    return model, diags
+    return model
+
+
+def _canonical_model(
+    name: str,
+    roles: list[str],
+    classes: list[ClassDef],
+    processes: list[tuple[str, list, list, list, list, list]],
+    grants: list[tuple[tuple[str, str], frozenset[Privilege]]],
+) -> Model | None:
+    """The model ``_resolve`` builds from the same declarations when none of
+    its checks fails, with every check made in bulk and nothing located;
+    ``None`` when a check fails, and then ``_resolve`` says which.
+
+    A process is ``(name, owners, responsibles, inputs, outputs,
+    transforms)``: four lists of role or class names and a list of
+    ``Transform``s. A grant is ``((role, class), privileges)``. A name that
+    is not a string matches no declaration; one that cannot be hashed or
+    ordered raises ``TypeError``.
+    """
+    role_set = set(roles)
+    class_defs = {c.name: c for c in classes}
+    grant_map = dict(grants)
+    if (
+        len(role_set) != len(roles)
+        or len(class_defs) != len(classes)
+        or len(grant_map) != len(grants)
+    ):
+        return None
+    defs: dict[str, ProcessDef] = {}
+    used_roles: set[str] = set()
+    used_classes: set[str] = set()
+    owner, responsible = ProcessPrivilege.OWNER, ProcessPrivilege.RESPONSIBILITY
+    for pname, owners, responsibles, inputs, outputs, transforms in processes:
+        role_privileges = dict.fromkeys(owners, owner)
+        if responsibles:
+            role_privileges.update(dict.fromkeys(responsibles, responsible))
+        if pname in defs or len(role_privileges) != len(owners) + len(responsibles):
+            return None
+        for src, dst, _ in transforms:
+            if src == dst or src not in inputs or dst not in outputs:
+                return None
+        used_roles.update(role_privileges)
+        used_classes.update(inputs)
+        used_classes.update(outputs)
+        defs[pname] = _process_def(pname, role_privileges, inputs, outputs, transforms)
+    if grant_map:
+        granted_roles, granted_classes = zip(*grant_map)
+        used_roles.update(granted_roles)
+        used_classes.update(granted_classes)
+    if not (used_roles <= role_set and class_defs.keys() >= used_classes):
+        return None
+    return _sealed(name, role_set, class_defs, defs, grant_map)
 
 
 _ERROR_BY_CODE = {

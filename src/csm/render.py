@@ -15,6 +15,7 @@ from .model import (
     Model,
     Privilege,
     ProcessDef,
+    ProcessPrivilege,
     StatusPoint,
     TransformMode,
     canonicalize,
@@ -38,12 +39,17 @@ _PRIV_ABBREV = {
 }
 
 
+# The [WFD] suffix of a class label, per status-point set: a model holds at
+# most eight distinct sets.
+_POINT_SUFFIX: dict[frozenset[StatusPoint], str] = {}
+
+
 def _class_label(cdef: ClassDef, privileges: str = "") -> str:
-    label = cdef.name
-    letters = [_POINT_LETTER[pt] for pt in StatusPoint if pt in cdef.status_points]
-    if letters:
-        label += f" [{''.join(letters)}]"
-    return label + privileges
+    suffix = _POINT_SUFFIX.get(cdef.status_points)
+    if suffix is None:
+        letters = "".join(_POINT_LETTER[pt] for pt in StatusPoint if pt in cdef.status_points)
+        suffix = _POINT_SUFFIX[cdef.status_points] = f" [{letters}]" if letters else ""
+    return cdef.name + suffix + privileges
 
 
 def _privilege_lines(m: Model) -> dict[str, str]:
@@ -59,13 +65,13 @@ def _privilege_lines(m: Model) -> dict[str, str]:
     return lines
 
 
-def _home_role(p) -> str | None:
-    """Lane a process is drawn in: first owner, else first responsible."""
-    if p.owners:
-        return p.owners[0]
-    if p.responsibles:
-        return p.responsibles[0]
-    return None
+def _home_role(p: ProcessDef) -> str | None:
+    """Lane a process is drawn in: first owner, else first responsible. A
+    canonical process lists its roles in name order."""
+    for role, pp in p.role_privileges.items():
+        if pp is ProcessPrivilege.OWNER:
+            return role
+    return next(iter(p.role_privileges), None)
 
 
 def _lanes(m: Model) -> dict[str, list[tuple[ProcessDef, bool]]]:
@@ -79,23 +85,19 @@ def _lanes(m: Model) -> dict[str, list[tuple[ProcessDef, bool]]]:
     return lanes
 
 
-def _pid(name: str) -> str:
-    return f"p_{name}"
+_NO_LABELS: dict[str, str] = {}
 
 
-def _cid(name: str) -> str:
-    return f"c_{name}"
-
-
-def _edge_label(p, output: str) -> str | None:
-    modes = sorted(
-        {
-            "remains" if t.mode is TransformMode.REMAINING else "leaves"
-            for t in p.transforms
-            if t.target == output
-        }
-    )
-    return "/".join(modes) if modes else None
+def _edge_labels(p: ProcessDef) -> dict[str, str]:
+    """Per output a transform of ``p`` targets, the label of its edge:
+    "remains", "leaves", or both."""
+    if not p.transforms:
+        return _NO_LABELS
+    modes: dict[str, set[str]] = {}
+    for t in p.transforms:
+        word = "remains" if t.mode is TransformMode.REMAINING else "leaves"
+        modes.setdefault(t.target, set()).add(word)
+    return {target: "/".join(sorted(words)) for target, words in modes.items()}
 
 
 def to_dot(model: Model, show_privileges: bool = False) -> str:
@@ -111,26 +113,25 @@ def to_dot(model: Model, show_privileges: bool = False) -> str:
         lines.append(f'    label="{role}";')
         for p, home in lane:
             if home:
-                lines.append(f'    "{_pid(p.name)}" [shape=box, label="{p.name}"];')
+                lines.append(f'    "p_{p.name}" [shape=box, label="{p.name}"];')
             else:
                 lines.append(
-                    f'    "{_pid(p.name)}__{role}" '
-                    f'[shape=box, style=dashed, label="{p.name}"];'
+                    f'    "p_{p.name}__{role}" [shape=box, style=dashed, label="{p.name}"];'
                 )
         lines.append("  }")
-    privileges = _privilege_lines(m) if show_privileges else {}
+    privileges = _privilege_lines(m) if show_privileges else _NO_LABELS
     for c in m.classes:
         lines.append(
-            f'  "{_cid(c.name)}" '
-            f'[shape=oval, label="{_class_label(c, privileges.get(c.name, ""))}"];'
+            f'  "c_{c.name}" [shape=oval, label="{_class_label(c, privileges.get(c.name, ""))}"];'
         )
     for p in m.processes:
         for c in p.inputs:
-            lines.append(f'  "{_cid(c)}" -> "{_pid(p.name)}";')
+            lines.append(f'  "c_{c}" -> "p_{p.name}";')
+        labels = _edge_labels(p)
         for c in p.outputs:
-            label = _edge_label(p, c)
+            label = labels.get(c)
             attr = f' [label="{label}"]' if label else ""
-            lines.append(f'  "{_pid(p.name)}" -> "{_cid(c)}"{attr};')
+            lines.append(f'  "p_{p.name}" -> "c_{c}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -145,21 +146,22 @@ def to_mermaid(model: Model) -> str:
         lines.append(f"  subgraph {role}")
         for p, home in lane:
             if home:
-                lines.append(f'    {_pid(p.name)}["{p.name}"]')
+                lines.append(f'    p_{p.name}["{p.name}"]')
             else:
-                alias = f"{_pid(p.name)}__{role}"
+                alias = f"p_{p.name}__{role}"
                 lines.append(f'    {alias}["{p.name}"]')
                 dashed.append(alias)
         lines.append("  end")
     for c in m.classes:
-        lines.append(f'  {_cid(c.name)}(["{_class_label(c)}"])')
+        lines.append(f'  c_{c.name}(["{_class_label(c)}"])')
     for p in m.processes:
         for c in p.inputs:
-            lines.append(f"  {_cid(c)} --> {_pid(p.name)}")
+            lines.append(f"  c_{c} --> p_{p.name}")
+        labels = _edge_labels(p)
         for c in p.outputs:
-            label = _edge_label(p, c)
+            label = labels.get(c)
             arrow = f" -->|{label}| " if label else " --> "
-            lines.append(f"  {_pid(p.name)}{arrow}{_cid(c)}")
+            lines.append(f"  p_{p.name}{arrow}c_{c}")
     for alias in dashed:
         lines.append(f"  style {alias} stroke-dasharray: 5 5")
     return "\n".join(lines) + "\n"

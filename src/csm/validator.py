@@ -151,6 +151,15 @@ def _shared(idx: ClassIndex) -> bool:
 _NO_PRIVILEGES: frozenset[Privilege] = frozenset()
 
 
+def _lacks_reference_plus(role: str, process: str, c: str) -> Diagnostic:
+    return _diag(
+        "E-C5",
+        f"role={role} process={process} class={c}",
+        f"owner {role!r} of {process!r} lacks reference+ on {c!r}",
+        f"add reference+ to grant {role} on {c}",
+    )
+
+
 def _errors(model: Model) -> list[Diagnostic]:
     """The diagnostics of the six error rules, unsorted."""
     out: list[Diagnostic] = []
@@ -188,16 +197,19 @@ def _errors(model: Model) -> list[Diagnostic]:
                     )
                 )
 
-    # E-C3 / E-C4 / E-C5: process privileges imply data privileges. The
-    # members are bound once: reading one off its enum class is slow.
+    # E-C3 / E-C4 / E-C5: process privileges imply data privileges. Each
+    # (role, class) grant is looked up once per process and judged for every
+    # rule that reads it; the callers sort what is appended. The members are
+    # bound once: reading one off its enum class is slow.
     grants = model.class_grants.get
     reference, creation = Privilege.REFERENCE, Privilege.CREATION
     reference_plus, owner = Privilege.REFERENCE_PLUS, ProcessPrivilege.OWNER
     for p in model.processes:
-        owned = None  # the process's classes in name order, sorted for its first owner
         for role, ppriv in p.role_privileges.items():
+            owns = ppriv is owner
             for c in p.inputs:
-                if reference not in grants((role, c), _NO_PRIVILEGES):
+                privs = grants((role, c), _NO_PRIVILEGES)
+                if reference not in privs:
                     out.append(
                         _diag(
                             "E-C3",
@@ -207,6 +219,8 @@ def _errors(model: Model) -> list[Diagnostic]:
                             f"add reference to grant {role} on {c}",
                         )
                     )
+                if owns and reference_plus not in privs:
+                    out.append(_lacks_reference_plus(role, p.name, c))
             for c in p.outputs:
                 privs = grants((role, c), _NO_PRIVILEGES)
                 if creation not in privs:
@@ -222,19 +236,8 @@ def _errors(model: Model) -> list[Diagnostic]:
                             f"add {wanted} to grant {role} on {c}",
                         )
                     )
-            if ppriv is owner:
-                if owned is None:
-                    owned = sorted({*p.inputs, *p.outputs})
-                for c in owned:
-                    if reference_plus not in grants((role, c), _NO_PRIVILEGES):
-                        out.append(
-                            _diag(
-                                "E-C5",
-                                f"role={role} process={p.name} class={c}",
-                                f"owner {role!r} of {p.name!r} lacks reference+ on {c!r}",
-                                f"add reference+ to grant {role} on {c}",
-                            )
-                        )
+                if owns and reference_plus not in privs and c not in p.inputs:
+                    out.append(_lacks_reference_plus(role, p.name, c))
 
     # E-ORPHAN-P: every process has a responsible party.
     for p in model.processes:
@@ -262,9 +265,10 @@ def validate(model: Model) -> list[Diagnostic]:
     # Status-point warnings.
     consumers = Counter(c for p in model.processes for c in p.inputs)
     index = model.class_index
+    decision, fail, waiting = StatusPoint.DECISION, StatusPoint.FAIL, StatusPoint.WAITING
     for c in model.classes:
         n = consumers[c.name]
-        if StatusPoint.DECISION in c.status_points and n < 2:
+        if decision in c.status_points and n < 2:
             out.append(
                 _diag(
                     "W-DP",
@@ -274,7 +278,7 @@ def validate(model: Model) -> list[Diagnostic]:
                     f"add a second consuming process or drop the decision flag on {c.name}",
                 )
             )
-        if StatusPoint.DECISION not in c.status_points and n >= 2:
+        if decision not in c.status_points and n >= 2:
             out.append(
                 _diag(
                     "W-DP-MISS",
@@ -284,7 +288,7 @@ def validate(model: Model) -> list[Diagnostic]:
                     f"flag class {c.name} as a decision point",
                 )
             )
-        if StatusPoint.FAIL in c.status_points and n < 2:
+        if fail in c.status_points and n < 2:
             out.append(
                 _diag(
                     "W-FP",
@@ -294,7 +298,7 @@ def validate(model: Model) -> list[Diagnostic]:
                     f"add a backup process consuming {c.name}",
                 )
             )
-        if StatusPoint.WAITING in c.status_points and not _shared(index[c.name]):
+        if waiting in c.status_points and not _shared(index[c.name]):
             out.append(
                 _diag(
                     "W-WP",

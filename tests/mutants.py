@@ -115,12 +115,15 @@ MUTANTS = (
         "    for p in model.processes:\n",
         ("tests/test_classifier.py::TestReferenceOracle::test_random_models",),
     ),
-    # The JSON reader's fast path takes a class name that is not an identifier.
+    # The one-pass JSON reader takes a class name that is not an identifier.
     Mutant(
         "src/csm/dsl.py",
         "type(cname) is str and ident(cname)\n",
         "type(cname) is str\n",
-        ("tests/test_dsl.py::TestJson::test_ill_typed_entries_between_well_typed_ones",),
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_json_mistake_reaches_the_reporting_path",
+        ),
     ),
     # Repeated findings are kept in a model that name resolution did not build.
     Mutant(
@@ -128,6 +131,36 @@ MUTANTS = (
         '    if not model.__dict__.get("_canonical"):\n',
         "    if False:\n",
         ("tests/test_classifier.py::test_repeated_names_give_each_finding_once",),
+    ),
+    # The one-pass readers take a role declared twice.
+    Mutant(
+        "src/csm/model.py",
+        "        len(role_set) != len(roles)\n        or len(class_defs)",
+        "        len(class_defs)",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_text_mistake_reaches_the_reporting_path",
+        ),
+    ),
+    # The one-pass readers take a grant on an undeclared role or class.
+    Mutant(
+        "src/csm/model.py",
+        "        used_roles.update(granted_roles)\n        used_classes.update(granted_classes)\n",
+        "",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_json_mistake_reaches_the_reporting_path",
+        ),
+    ),
+    # The one-pass readers take a transform whose source is not an input.
+    Mutant(
+        "src/csm/model.py",
+        "if src == dst or src not in inputs or dst not in outputs:",
+        "if src == dst or dst not in outputs:",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_text_mistake_reaches_the_reporting_path",
+        ),
     ),
 )
 

@@ -562,6 +562,47 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
     } <= set(runs[0][2])
     assert "argparse" in runs[-1][2]
 
+    # Commands that read a .csm file and write no JSON through the json
+    # package never load it; each runs alone, since the harness above does.
+    for argv in (
+        ["render", "--format", "dot"],
+        ["render", "--format", "mermaid"],
+        ["fmt"],
+        ["classify", "--json"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, csm.cli\n"
+             "code = csm.cli.main(sys.argv[1:])\n"
+             "sys.stdout.flush()\n"
+             "json = sorted(m for m in sys.modules if m.partition('.')[0] == 'json')\n"
+             "sys.stderr.write(repr((code, json)))",
+             *argv, fx("healthcare")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.stdout and proc.stderr == "(0, [])", (argv, proc.stderr)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_leaves_the_collector_as_found(enabled):
+    """``import csm`` runs no collection while it imports its layers (the
+    last is ``csm.validator``), and leaves the cyclic collector on or off as
+    it found it. A collection just before the import starts its count anew."""
+    src = str(Path(csm.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import gc, sys\n"
+         f"gc.enable() if {enabled} else gc.disable()\n"
+         "gc.collect()\n"
+         "early = []\n"
+         "gc.callbacks.append(lambda phase, info: phase == 'start'"
+         " and early.append('csm.validator' not in sys.modules))\n"
+         "import csm\n"
+         "print(gc.isenabled(), any(early))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.stdout.split() == [str(enabled), "False"], proc.stderr
+
 
 @pytest.mark.parametrize("module", sorted(p.name for p in Path(csm.__file__).parent.glob("*.py")))
 def test_source_keeps_the_python_3_10_floor(module):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,12 @@ import pytest
 from csm import dsl
 from csm.dsl import (
     PITEM_KEYWORDS,
+    ParseResult,
     _Parser,
+    _read_json,
+    _read_text,
+    _report_json,
+    _report_text,
     emit_json,
     emit_text,
     model_to_dict,
@@ -258,6 +264,7 @@ class TestResolutionSpans:
         monkeypatch.setattr(dsl, "SourceSpan", no_span)
         for text in texts:
             assert parse_text(text).ok
+            assert _report_text(text, "f.csm").ok
 
     @pytest.mark.parametrize(
         "text, message",
@@ -356,6 +363,223 @@ class TestScan:
                 parser.advance()
                 tokens.append(tuple(parser.peek()))
             assert tokens == reference_tokens(text), text
+
+
+# A small well-formed model, and one planted mistake per row: the text it
+# replaces (once), its replacement, and the diagnostics as (code, site, line,
+# column). A row without diagnostics still leaves the one-pass reader.
+_PLANTED = """model "m" {
+  role A
+  role B
+  class C dynamic { waiting }
+  class D dynamic
+  class E
+  process P {
+    owner A
+    responsible B
+    input C
+    output D
+    transform C -> D leaving
+  }
+  process Q {
+    owner B
+    input D
+    output E
+  }
+  grant A on C { creation, reference, reference+ }
+  grant B on C { reference+ }
+}
+"""
+_PLANTED_TEXT = [
+    ("duplicate role", "  role B\n", "  role B\n  role A\n", [("E-DUP", "role=A", 4, 8)]),
+    ("duplicate class", "  class E\n", "  class E\n  class D\n", [("E-DUP", "class=D", 7, 9)]),
+    ("duplicate process", "  process Q {", "  process P {", [("E-DUP", "process=P", 14, 11)]),
+    (
+        "owner also responsible",
+        "    responsible B\n",
+        "    responsible B\n    responsible A\n",
+        [("E-DUP", "process=P role=A", 10, 17)],
+    ),
+    ("undeclared role in a process", "    owner B\n", "    owner Z\n",
+     [("E-REF", "process=Q role=Z", 15, 11)]),
+    ("undeclared class in a process", "    output E\n", "    output Z\n",
+     [("E-REF", "process=Q class=Z", 17, 12)]),
+    ("undeclared role in a grant", "  grant B on C", "  grant Z on C",
+     [("E-REF", "grant role=Z class=C", 20, 9)]),
+    ("undeclared class in a grant", "  grant B on C", "  grant B on Z",
+     [("E-REF", "grant role=B class=Z", 20, 9)]),
+    ("transform source not an input", "transform C -> D", "transform E -> D",
+     [("E-TRF-END", "process=P transform=E->D", 12, 15)]),
+    ("transform target not an output", "transform C -> D", "transform C -> E",
+     [("E-TRF-END", "process=P transform=C->E", 12, 15)]),
+    ("self transform", "transform C -> D", "transform C -> C",
+     [("E-TRF-END", "process=P transform=C->C", 12, 15)]),
+    ("missing transform mode", " leaving\n", "\n",
+     [("E-TRF-MODE", "process=P transform=C->D", 12, 5)]),
+    ("unknown status point", "{ waiting }", "{ waiting, later }", [("E-SYN", "later", 4, 30)]),
+    ("unknown privilege", "{ reference+ }", "{ reference+, ownership }",
+     [("E-SYN", "ownership", 20, 30)]),
+    ("comment inside a declaration", "  grant B on C {", "  grant B on C # shared\n  {", []),
+    ("comment inside a process item", "    input D\n", "    input # from P\n D\n", []),
+    ("trailing input", " }\n}\n", " }\n}\nrole X\n", [("E-SYN", "role", 22, 1)]),
+    ("missing closing brace", " }\n}\n", " }\n", [("E-SYN", "end of input", 21, 1)]),
+    ("non-ASCII whitespace", "  role A\n", "  role\u00a0A\n", []),
+    ("non-ASCII whitespace after the model", " }\n}\n", " }\n}\u3000\n", []),
+]
+# The same for the JSON form of _PLANTED: the path of the value to set (an
+# index one past the end appends), the value, and the diagnostics as (code,
+# site).
+_PLANTED_JSON = [
+    ("duplicate role", ("roles", 2), "A", [("E-DUP", "role=A")]),
+    ("duplicate class", ("classes", 3), {"name": "D", "dynamic": True}, [("E-DUP", "class=D")]),
+    ("duplicate process", ("processes", 1, "name"), "P", [("E-DUP", "process=P")]),
+    ("owner also responsible", ("processes", 0, "responsibles", 1), "A",
+     [("E-DUP", "process=P role=A")]),
+    ("undeclared role in a process", ("processes", 1, "owners", 0), "Z",
+     [("E-REF", "process=Q role=Z")]),
+    ("undeclared class in a process", ("processes", 1, "outputs", 0), "Z",
+     [("E-REF", "process=Q class=Z")]),
+    ("undeclared role in a grant", ("grants", 1, "role"), "Z",
+     [("E-REF", "grant role=Z class=C")]),
+    ("undeclared class in a grant", ("grants", 1, "class"), "Z",
+     [("E-REF", "grant role=B class=Z")]),
+    ("transform source not an input", ("processes", 0, "transforms", 0, "from"), "E",
+     [("E-TRF-END", "process=P transform=E->D")]),
+    ("transform target not an output", ("processes", 0, "transforms", 0, "to"), "E",
+     [("E-TRF-END", "process=P transform=C->E")]),
+    ("unknown status point", ("classes", 0, "status_points", 1), "later",
+     [("E-JSON", "class=C")]),
+    ("unknown privilege", ("grants", 1, "privileges", 1), "ownership",
+     [("E-JSON", "grant role=B class=C")]),
+    ("unknown transform mode", ("processes", 0, "transforms", 0, "mode"), "later",
+     [("E-JSON", "process=P")]),
+    ("class name not an identifier", ("classes", 3), {"name": "F-1"}, [("E-JSON", "classes")]),
+    ("role name not an identifier", ("roles", 2), "not a name", [("E-JSON", "roles")]),
+    ("grant not an object", ("grants", 2), "grant", [("E-JSON", "grants"), ("E-JSON", "grants")]),
+    ("dynamic not a boolean", ("classes", 1, "dynamic"), 1, [("E-JSON", "class=D")]),
+    # Names that refer to a declaration are type-checked by resolving them.
+    ("owner not a string", ("processes", 1, "owners", 0), 5, [("E-JSON", "process=Q")]),
+    ("owner that cannot be hashed", ("processes", 1, "owners", 0), ["B"],
+     [("E-JSON", "process=Q")]),
+    ("input that cannot be hashed", ("processes", 1, "inputs", 0), {"D": 1},
+     [("E-JSON", "process=Q")]),
+    ("inputs not an array", ("processes", 1, "inputs"), "D", [("E-JSON", "process=Q")]),
+    ("transform not an object", ("processes", 0, "transforms", 0), "C->D",
+     [("E-JSON", "process=P")]),
+    ("transform source not a string", ("processes", 0, "transforms", 0, "from"), 1,
+     [("E-JSON", "process=P")]),
+    ("transform mode that cannot be hashed", ("processes", 0, "transforms", 0, "mode"),
+     ["leaving"], [("E-JSON", "process=P")]),
+    ("grant role not a string", ("grants", 1, "role"), 1, [("E-JSON", "grants")]),
+    ("grant class that cannot be hashed", ("grants", 1, "class"), ["C"],
+     [("E-JSON", "grants")]),
+    ("privileges not an array", ("grants", 1, "privileges"), {"reference+": 1},
+     [("E-JSON", "grant role=B class=C")]),
+    ("process not an object", ("processes", 2), "R", [("E-JSON", "processes")]),
+    ("model name with a line break", ("name",), "a\nb", [("E-JSON", "document")]),
+    ("class without a name", ("classes", 3), {"dynamic": True}, [("E-JSON", "classes")]),
+    ("transform without a mode", ("processes", 0, "transforms", 0), {"from": "C", "to": "D"},
+     [("E-JSON", "process=P")]),
+    ("grant without a class", ("grants", 1), {"role": "B", "privileges": ["reference+"]},
+     [("E-JSON", "grants")]),
+]
+
+
+def _exact(result):
+    """A parse result, with the orders that equal dicts may differ in: each
+    process's roles and the grants, which the renderers and emitters follow."""
+    m = result.model
+    return result, m and ([list(p.role_privileges.items()) for p in m.processes],
+                          list(m.class_grants))
+
+
+def _put(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if isinstance(doc, list) and last == len(doc):
+        doc.append(value)
+    else:
+        doc[last] = value
+
+
+class TestOnePassReader:
+    """``parse_text`` and ``parse_json`` read well-formed input in one pass
+    and hand any other input to the reporting path; either way they return
+    what the reporting path alone returns, model and diagnostics alike."""
+
+    def test_text_agrees_with_the_reporting_path(self):
+        rng = random.Random(20261025)
+        texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES]
+        texts += [random_model_text(rng) for _ in range(300)]
+        texts += [random_token_soup(rng) for _ in range(2000)]
+        for text in texts:
+            assert _exact(parse_text(text, "f.csm")) == _exact(_report_text(text, "f.csm")), text
+
+    def test_json_agrees_with_the_reporting_path(self):
+        rng = random.Random(20261026)
+        models = [parse_text(fixture_text(name)).model for name in FIXTURES + BAD_FIXTURES]
+        models += [random_model(rng) for _ in range(100)]
+        for m in models:
+            blob = emit_json(m)
+            assert _exact(parse_json(blob)) == _exact(_report_json(json.loads(blob))), blob
+
+    def test_reads_well_formed_input_in_one_pass(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
+        synth = load_bench("synth")
+        doc = synth.generate(24, 100, 100, 0.08, 511)["model"]
+        rng = random.Random(20261027)
+        texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES]
+        texts += [emit_text(random_model(rng)) for _ in range(100)]
+        texts += [_PLANTED, synth.to_text(doc)]
+        for text in texts:
+            model = _read_text(text)
+            assert model is not None, text
+            assert _exact(ParseResult(model, [])) == _exact(_report_text(text, "f.csm"))
+            blob = emit_json(model)
+            assert _read_json(json.loads(blob)) == model
+        assert _read_json(json.loads(synth.to_json(doc))) == _read_text(synth.to_text(doc))
+        # Keys that may be left out are left out of every entry.
+        short = json.loads(emit_json(_read_text(_PLANTED)))
+        for entry in short["classes"] + short["processes"] + short["grants"]:
+            for key in ("dynamic", "status_points", "owners", "responsibles", "inputs",
+                        "outputs", "transforms", "privileges"):
+                if key in entry and not entry[key]:
+                    del entry[key]
+        assert _read_json(short) == _read_text(_PLANTED)
+
+    def test_pattern_compiles_on_python_3_10(self):
+        # requires-python is >=3.10, whose re has no possessive quantifier
+        # and no atomic group (both new in 3.11).
+        source = dsl._pattern().pattern
+        assert not re.search(r"[*+?}]\+|\(\?>", source.replace("\\+", "").replace("\\}", ""))
+
+    @pytest.mark.parametrize(
+        "old, new, expected", [row[1:] for row in _PLANTED_TEXT], ids=[r[0] for r in _PLANTED_TEXT]
+    )
+    def test_planted_text_mistake_reaches_the_reporting_path(self, old, new, expected):
+        assert _PLANTED.count(old) == 1
+        text = _PLANTED.replace(old, new)
+        assert _read_text(text) is None
+        result = parse_text(text, "m.csm")
+        assert _exact(result) == _exact(_report_text(text, "m.csm"))
+        found = [(d.code, d.site, d.span.line, d.span.column) for d in result.diagnostics]
+        assert found == expected
+        if not expected:
+            assert result.model == _read_text(_PLANTED)
+
+    @pytest.mark.parametrize(
+        "path, value, expected", [row[1:] for row in _PLANTED_JSON],
+        ids=[r[0] for r in _PLANTED_JSON],
+    )
+    def test_planted_json_mistake_reaches_the_reporting_path(self, path, value, expected):
+        doc = json.loads(emit_json(_read_text(_PLANTED)))
+        _put(doc, path, value)
+        assert _read_json(doc) is None
+        result = parse_json(json.dumps(doc))
+        assert result == _report_json(doc)
+        assert result.model is None
+        assert [(d.code, d.site) for d in result.diagnostics] == expected
 
 
 class TestRoundTrip:

@@ -127,9 +127,12 @@ class TestLanes:
         "argv",
         [["render", "--format", "dot"], ["render", "--format", "mermaid"], ["fmt"]],
     )
-    def test_commands_resolve_names_once(self, argv, monkeypatch, capsys):
-        # The parser's model is already canonical; neither the renderers
-        # nor the emitter resolve it again.
+    def test_commands_resolve_names_once(self, argv, monkeypatch, capsys, tmp_path):
+        # A well-formed model is resolved once, by the one-pass reader: the
+        # reporting path's resolution never runs, and neither the renderers
+        # nor the emitter resolve the canonical model again. Text with a
+        # comment inside the model header goes to the reporting path, which
+        # resolves it exactly once.
         calls = []
         resolve = model._resolve
 
@@ -140,5 +143,11 @@ class TestLanes:
         monkeypatch.setattr(model, "_resolve", counted)
         monkeypatch.setattr(dsl, "_resolve", counted)
         assert cli.main([*argv, str(fixture_path("hotel_agency"))]) == 0
-        assert capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out and calls == []
+        text = fixture_path("hotel_agency").read_text(encoding="utf-8")
+        fallback = tmp_path / "commented.csm"
+        fallback.write_text(text.replace(" {", " # a note\n {", 1), encoding="utf-8")
+        assert cli.main([*argv, str(fallback)]) == 0
+        assert capsys.readouterr().out == out
         assert len(calls) == 1
