@@ -20,12 +20,12 @@ per declaration, process item or comment, each record straight into the
 lists the canonical model is built from, with duplicates and references
 checked in bulk at the end. Any text it does not accept (a mistake, a
 comment inside a declaration, non-ASCII whitespace) goes whole to the
-reporting path: the recovering token parser, which reads by the same
-pattern wherever it can, reports every diagnostic and recovers at item
-boundaries, so several independent mistakes are reported in one pass. JSON
-is split the same way: a document whose entries are all well-typed and
-resolve becomes the model right after decoding (``_read_json``), and any
-other goes to the checks that report it. Both paths give the same model.
+reporting path: the recovering token parser alone, which reports every
+diagnostic and recovers at item boundaries, so several independent mistakes
+are reported in one pass. JSON is split the same way: a document whose
+entries are all well-typed and resolve becomes the model right after
+decoding (``_read_json``), and any other goes to the checks that report it.
+Both paths give the same model.
 A transform's mode keyword is mandatory: there is no default for whether
 the source token survives the firing.
 """
@@ -96,17 +96,16 @@ _PRIVILEGE = {p.value: p for p in Privilege}
 _STATUS_POINT = {s.value: s for s in StatusPoint}
 _MODE = {m.value: m for m in TransformMode}
 
-# The grammar by pattern, shared by ``_read_text`` and ``_Parser.scan``: one
-# match per declaration, process item, closing brace or comment, each after
-# whitespace. Both read with ``scanner(text).match``, which starts each
-# match where the last one ended, so the first gap ends the matches where a
-# search would skip it. Under ``re.ASCII`` the ``\b`` after a name means
-# that no ``[A-Za-z0-9_]`` follows, and a comment runs to the end of its
-# line, so backtracking cannot split a token the lexer reads whole. A class
-# matches whole or not at all: no ``dynamic`` or ``{`` may follow it after
-# whitespace and comments as the lexer reads them, non-ASCII included.
-# Lists are checked entry by entry by their readers. The last group to
-# close tells which alternative matched:
+# The grammar by pattern, read by ``_read_text``: one match per declaration,
+# process item, closing brace or comment, each after whitespace. It reads
+# with ``scanner(text).match``, which starts each match where the last one
+# ended, so the first gap ends the matches where a search would skip it.
+# Under ``re.ASCII`` the ``\b`` after a name means that no ``[A-Za-z0-9_]``
+# follows, and a comment runs to the end of its line, so backtracking cannot
+# split a token the lexer reads whole. A class matches whole or not at all:
+# no ``dynamic`` or ``{`` may follow it after whitespace and comments as the
+# lexer reads them, non-ASCII included. Lists are checked entry by entry by
+# ``_listed``. The last group to close tells which alternative matched:
 #
 #   3 grant (1 role, 2 class, 3 listing)   4 owner   5 input   6 output
 #   7 responsible   10 transform (8 source, 9 target, 10 mode)
@@ -138,10 +137,6 @@ def _pattern() -> re.Pattern:
 
 _GRANT, _OWNER, _INPUT, _OUTPUT, _RESPONSIBLE, _TRANSFORM = 3, 4, 5, 6, 7, 10
 _CLOSE, _END, _PROCESS, _CLASS, _ROLE, _HEADER, _COMMENT = 11, 12, 13, 14, 18, 19, 20
-# The process items that name one role or class: group to draft list.
-_ITEM_LISTS = {
-    _OWNER: "owners", _INPUT: "inputs", _OUTPUT: "outputs", _RESPONSIBLE: "responsibles"
-}
 
 
 def _listed(raw: str, members: dict, memo: dict) -> frozenset:
@@ -169,6 +164,8 @@ def _read_text(text: str) -> Model | None:
     classes: list[ClassDef] = []
     processes: list[tuple] = []
     grants: list[tuple] = []
+    # What each raw listing read (``None`` for a class without one), one
+    # table per list kind: a word valid in one kind is unknown in the other.
     point_lists: dict = {None: frozenset()}
     privilege_lists: dict = {}
     pname = None  # the open process
@@ -258,11 +255,6 @@ class _Parser:
         self.tok: _Token | None = None  # the current token, once lexed
         self.diagnostics: list[Diagnostic] = []
         self.draft = _Draft()
-        # Per raw ``{...}`` listing, what ``scan`` read from it (``None`` for
-        # a class without one). One table per list kind, since a word valid
-        # in one kind of list is unknown in the other.
-        self.point_lists: dict[str | None, frozenset] = {None: frozenset()}
-        self.privilege_lists: dict[str, frozenset] = {}
 
     # -- token plumbing -----------------------------------------------------
 
@@ -341,12 +333,11 @@ class _Parser:
                 return
             self.advance()
 
-    def block(self, keywords: frozenset, noun: str, eof_message: str, read, sync, scan) -> None:
+    def block(self, keywords: frozenset, noun: str, eof_message: str, read, sync) -> None:
         """Read items up to the closing brace. Each starts with one of
         ``keywords``; ``read`` gets that keyword's token, and after an error
-        ``sync`` skips to where the next item can start. ``scan`` runs before
-        each item and returns True once it has read the closing brace."""
-        while not scan():
+        ``sync`` skips to where the next item can start."""
+        while True:
             tok = self.peek()
             if tok.kind == "eof":
                 self.error("E-SYN", eof_message, tok)
@@ -413,7 +404,6 @@ class _Parser:
             "unexpected end of input, missing '}'",
             lambda kw: getattr(self, f"parse_{kw.text}")(),
             self.sync_item,
-            self.scan,
         )
         trailing = self.peek()
         if trailing.kind != "eof":
@@ -455,7 +445,6 @@ class _Parser:
             "unexpected end of input in process body",
             read,
             self.sync_pitem,
-            lambda: False,
         )
         self.draft.processes.append(proc)
 
@@ -482,56 +471,6 @@ class _Parser:
         self.expect("punct", "{")
         privs = self.comma_list(_PRIVILEGE, "privilege")
         self.draft.grants.append((role_tok.text, class_tok.text, privs, role_tok.offset))
-
-    def scan(self) -> bool:
-        """Read declarations by ``_pattern`` from ``offset``, as the readers
-        above would, up to one the pattern does not read (a process as a
-        whole); True once the model's closing brace ends the text."""
-        text, pos, draft = self.text, self.offset, self.draft
-        point_lists, privilege_lists = self.point_lists, self.privilege_lists
-        proc = None  # the open process, appended once its brace closes
-        for m in iter(_pattern().scanner(text, pos).match, None):
-            k = m.lastindex
-            if proc is not None:
-                if k in _ITEM_LISTS:
-                    getattr(proc, _ITEM_LISTS[k]).append((m[k], m.start(k)))
-                elif k == _TRANSFORM:
-                    proc.transforms.append((m[8], m[9], _MODE[m[10]], m.start(8)))
-                elif k == _CLOSE or k == _END:
-                    draft.processes.append(proc)
-                    proc, pos = None, m.end()
-                elif k != _COMMENT:
-                    break
-                continue
-            if k == _GRANT:
-                raw = m[3]
-                privs = privilege_lists.get(raw)
-                if privs is None:
-                    privs = _listed(raw, _PRIVILEGE, privilege_lists)
-                if None in privs:
-                    break
-                draft.grants.append((m[1], m[2], privs, m.start(1)))
-            elif k == _CLASS:
-                raw = m[17]
-                points = point_lists.get(raw)
-                if points is None:
-                    points = _listed(raw, _STATUS_POINT, point_lists)
-                if None in points:
-                    break
-                draft.classes.append((ClassDef(m[15], m[16] is not None, points), m.start(15)))
-            elif k == _ROLE:
-                draft.roles.append((m[18], m.start(18)))
-            elif k == _PROCESS:
-                proc = _ProcessItem(m[13], m.start(13))
-                continue
-            elif k == _END:
-                self.offset, self.tok = m.end(), None
-                return True
-            elif k != _COMMENT:
-                break
-            pos = m.end()
-        self.offset, self.tok = pos, None
-        return False
 
 
 def parse_text(source: str, file_label: str = "<string>") -> ParseResult:

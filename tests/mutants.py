@@ -83,8 +83,8 @@ MUTANTS = (
     # Status-point and privilege listings share one memo.
     Mutant(
         "src/csm/dsl.py",
-        "point_lists, privilege_lists = self.point_lists, self.privilege_lists",
-        "point_lists = privilege_lists = self.point_lists",
+        "    privilege_lists: dict = {}\n",
+        "    privilege_lists = point_lists\n",
         ("tests/test_dsl.py::TestResolutionSpans::test_listings_are_read_per_list_kind",),
     ),
     # The script ends the process without flushing stdout.

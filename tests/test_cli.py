@@ -585,9 +585,12 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_import_leaves_the_collector_as_found(enabled):
-    """``import csm`` runs no collection while it imports its layers (the
-    last is ``csm.validator``), and leaves the cyclic collector on or off as
-    it found it. A collection just before the import starts its count anew."""
+    """``import csm`` runs no collection while it imports its layers (from
+    the first ``csm.`` submodule to ``csm.validator``, the last), and leaves
+    the cyclic collector on or off as it found it. A collection just before
+    the import starts its count anew. One that starts before any layer is
+    loaded, as importlib compiles ``csm/__init__.py`` when it has no valid
+    bytecode, comes before any csm statement runs and is not counted."""
     src = str(Path(csm.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
@@ -595,8 +598,11 @@ def test_import_leaves_the_collector_as_found(enabled):
          f"gc.enable() if {enabled} else gc.disable()\n"
          "gc.collect()\n"
          "early = []\n"
-         "gc.callbacks.append(lambda phase, info: phase == 'start'"
-         " and early.append('csm.validator' not in sys.modules))\n"
+         "def seen(phase, info):\n"
+         "    loaded = [name for name in sys.modules if name.startswith('csm.')]\n"
+         "    if phase == 'start' and loaded and 'csm.validator' not in loaded:\n"
+         "        early.append(True)\n"
+         "gc.callbacks.append(seen)\n"
          "import csm\n"
          "print(gc.isenabled(), any(early))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,

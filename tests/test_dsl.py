@@ -280,78 +280,15 @@ class TestResolutionSpans:
         ],
     )
     def test_listings_are_read_per_list_kind(self, text, message):
-        # The scan remembers what each listing read, once per list kind: a
-        # grant's listing spelled like an earlier class's is still read as
-        # privileges, and the other way round.
+        # The one-pass reader remembers what each listing read, once per list
+        # kind: a grant's listing spelled like an earlier class's is still
+        # read as privileges, and the other way round.
         [diag] = parse_text(text).diagnostics
         assert (diag.code, diag.message) == ("E-SYN", message)
 
 
-def _draft_fields(draft):
-    processes = [vars(p) for p in draft.processes]
-    return (draft.name, draft.roles, draft.classes, processes, draft.grants)
-
-
-def _parsed(text):
-    parser = _Parser(text, "f.csm")
-    draft = parser.parse()
-    return (draft and _draft_fields(draft)), parser.diagnostics
-
-
-class TestScan:
-    """``_Parser.scan`` reads declarations into the draft the token readers
-    build, and hands them every declaration it does not read."""
-
-    def test_agrees_with_the_parser(self, monkeypatch):
-        rng = random.Random(20261019)
-        texts = [random_token_soup(rng) for _ in range(2000)]
-        texts += [random_model_text(rng) for _ in range(300)]
-        # A non-ASCII letter is junk to the lexer, and other whitespace is not.
-        texts += [
-            'model "m" { role Aé }',
-            'model "m" { class C dynamic é }',
-            'model "m" {\u00a0role A }',
-            'model "m" { class C\u2028dynamic\u00a0{ waiting } }',
-        ]
-        scanned = [_parsed(text) for text in texts]
-        monkeypatch.setattr(_Parser, "scan", lambda self: False)
-        for text, result in zip(texts, scanned):
-            assert _parsed(text) == result, text
-
-    @pytest.mark.parametrize("name", FIXTURES + BAD_FIXTURES)
-    def test_accepts_fixtures_and_their_resolution_mistakes(self, name, monkeypatch):
-        # As in the benchmark's broken inputs: a grant on an undeclared
-        # class (E-REF), or a role line written twice (E-DUP).
-        lines = fixture_text(name).split("\n")
-        variants = [(lines, None)]
-        for i, ln in enumerate(lines):
-            if ln.strip().startswith("grant "):
-                mistake = ln.replace(" on ", " on Undeclared", 1)
-                variants.append(([*lines[:i], mistake, *lines[i + 1 :]], "E-REF"))
-            if ln.strip().startswith("role "):
-                variants.append(([*lines[:i], ln, *lines[i:]], "E-DUP"))
-        for reader in ("parse_role", "parse_class", "parse_grant", "parse_process"):
-            monkeypatch.setattr(_Parser, reader, None)
-        for variant, code in variants:
-            result = parse_text("\n".join(variant))
-            assert result.ok if code is None else code in codes(result), variant
-
-    def test_resumes_after_a_declaration_read_by_tokens(self, monkeypatch):
-        text = fixture_text("healthcare")
-        at = text.index("{", text.index("\n  grant "))
-        text = text[:at] + "# note\n" + text[at:]
-        calls = {}
-        for reader in ("parse_role", "parse_class", "parse_grant", "parse_process"):
-            original = getattr(_Parser, reader)
-
-            def counted(self, reader=reader, original=original):
-                calls[reader] = calls.get(reader, 0) + 1
-                original(self)
-
-            monkeypatch.setattr(_Parser, reader, counted)
-        result = parse_text(text)
-        assert result.ok and result.model == parse_text(fixture_text("healthcare")).model
-        assert calls == {"parse_grant": 1}
+class TestLexer:
+    """The reporting path's tokens are those of a lexer written apart from it."""
 
     def test_tokens_match_a_reference_lexer(self):
         rng = random.Random(20261020)
@@ -513,6 +450,13 @@ class TestOnePassReader:
         texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES]
         texts += [random_model_text(rng) for _ in range(300)]
         texts += [random_token_soup(rng) for _ in range(2000)]
+        # A non-ASCII letter is junk to the lexer, and other whitespace is not.
+        texts += [
+            'model "m" { role Aé }',
+            'model "m" { class C dynamic é }',
+            'model "m" {\u00a0role A }',
+            'model "m" { class C\u2028dynamic\u00a0{ waiting } }',
+        ]
         for text in texts:
             assert _exact(parse_text(text, "f.csm")) == _exact(_report_text(text, "f.csm")), text
 
