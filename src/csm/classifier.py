@@ -33,9 +33,7 @@ The report lists the findings by (producer, consumer) pair, and within a
 pair the process findings before the class findings, each in name order.
 The walk already gives every pair's findings in that order, so a stable
 sort by pair orders the report. A tight finding appears once, under its
-sorted pair. Only a model built in Python can repeat a name, and so a
-finding; its repeats are dropped. A model from name resolution has none,
-and its findings are not checked for them.
+sorted pair.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .dsl import _esc, _json_array
 from .model import (
@@ -52,6 +50,7 @@ from .model import (
     Privilege,
     ProcessPrivilege,
     StatusPoint,
+    canonicalize,
 )
 from .validator import InvalidModel, ensure_valid
 
@@ -100,13 +99,14 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
 
     @cached_property
     def pair_summary(self) -> dict[tuple[str, str], frozenset[Level]]:
+        """The levels found per (producer, consumer) pair, in pair order."""
         summary: dict[tuple[str, str], set[Level]] = {}
         for f in self.findings:
             levels = summary.get(pair := (f.producer, f.consumer))
             if levels is None:
                 levels = summary[pair] = set()
             levels.add(f.level)
-        return {pair: frozenset(levels) for pair, levels in summary.items()}
+        return {pair: frozenset(levels) for pair, levels in sorted(summary.items())}
 
     def levels_between(self, r1: str, r2: str) -> frozenset[Level]:
         """Levels found for the unordered pair, either direction."""
@@ -120,7 +120,7 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
             "findings": [f.to_dict() for f in self.findings],
             "pair_summary": {
                 f"{producer}->{consumer}": sorted(l.value for l in levels)
-                for (producer, consumer), levels in sorted(self.pair_summary.items())
+                for (producer, consumer), levels in self.pair_summary.items()
             },
         }
 
@@ -137,22 +137,14 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
                 f'\n      "consumer": {_esc(consumer)},\n      "evidence": {evidence_json},'
                 f'\n      "level": {_LEVEL_JSON[level]},\n      "producer": {_esc(producer)}\n    }}'
             )
-        # Keyed as to_dict keys them and sorted once, by key string as
-        # sort_keys does: "A B->Z" comes before "A->Z", though ("A", "Z") <
-        # ("A B", "Z"). Pairs whose keys coincide follow in pair order, so the
-        # last one wins as in to_dict.
-        summary = {
-            "%s->%s" % pair: levels
-            for pair, levels in sorted(
-                self.pair_summary.items(), key=lambda item: ("%s->%s" % item[0], item[0])
-            )
-        }
+        # Pair order is sort_keys order: names hold no "-" or ">", and "-"
+        # sorts before every identifier character.
         pairs = ",\n    ".join(
             "%s: %s" % (
-                _esc(key),
+                _esc("%s->%s" % pair),
                 _json_array(map(_esc, sorted(l.value for l in levels)), "    "),
             )
-            for key, levels in summary.items()
+            for pair, levels in self.pair_summary.items()
         )
         return _REPORT_JSON % (
             _json_array(findings, "  "),
@@ -180,13 +172,13 @@ _REPORT_JSON = '{\n  "findings": %s,\n  "pair_summary": %s\n}'
 
 _WRITE_PLUS = frozenset({Privilege.MODIFICATION_PLUS, Privilege.SUPPRESSION_PLUS})
 _NONE: frozenset[Privilege] = frozenset()
-_NAME = attrgetter("name")
 _PRODUCER = itemgetter(0)
 _CONSUMER = itemgetter(1)
 
 
 def _findings(model: Model) -> list[LevelFinding]:
-    """Every finding of the model: processes, then classes, each in name order.
+    """Every finding of a canonical model: processes, then classes, each in
+    name order.
 
     Each process is judged very tight once per (owner, responsible role)
     pair and tight once per pair of owners, the lower name as producer; each
@@ -194,29 +186,25 @@ def _findings(model: Model) -> list[LevelFinding]:
     findings of any one (producer, consumer) pair therefore come in report
     order, and a stable sort by pair orders them all.
     """
-    roles = set(model.roles)
     grants = model.class_grants.get
     # The members are bound once: reading one off its enum class is slow.
     owner, responsibility = ProcessPrivilege.OWNER, ProcessPrivilege.RESPONSIBILITY
     modification_plus, reference_plus = Privilege.MODIFICATION_PLUS, Privilege.REFERENCE_PLUS
     findings: list[LevelFinding] = []
     add = findings.append
-    for p in sorted(model.processes, key=_NAME):
+    for p in model.processes:
         if len(p.role_privileges) < 2:
             continue  # both process patterns need two roles on the process
         owners = []
         responsible = []
         for r, pp in p.role_privileges.items():
-            if r not in roles:
-                continue
             if pp is owner:
                 owners.append(r)
             elif pp is responsibility:
                 responsible.append(r)
         if not owners:
             continue
-        name = p.name
-        outputs = sorted(p.outputs)
+        name, outputs = p.name, p.outputs
         for r1 in owners:
             for r2 in responsible:
                 hits = [
@@ -278,7 +266,7 @@ def _findings(model: Model) -> list[LevelFinding]:
 
     index = model.class_index
     waiting, loose, very_loose = StatusPoint.WAITING, Level.LOOSE, Level.VERY_LOOSE
-    for c in sorted(model.classes, key=_NAME):
+    for c in model.classes:
         name = c.name
         idx = index[name]
         if not idx.read_only_readers:
@@ -308,6 +296,7 @@ def classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
     class findings, each in name order. Each call judges every shared
     artifact of the model; use ``classify_all`` for all pairs at once.
     """
+    model = canonicalize(model)
     model.require_role(r1)
     model.require_role(r2)
     if r1 == r2:
@@ -328,16 +317,13 @@ def classify_all(model: Model) -> CollaborationReport:
     its sorted pair. Raises InvalidModel when the model carries error-level
     diagnostics; level patterns assume the privilege-closure rules hold.
     """
+    model = canonicalize(model)
     ensure_valid(model)
     findings = _findings(model)
     # One stable order by (producer, consumer), sorted as two stable passes
     # on string keys, which compare faster than tuples.
     findings.sort(key=_CONSUMER)
     findings.sort(key=_PRODUCER)
-    if not model.__dict__.get("_canonical"):
-        # A model built in Python can repeat a name, and so a finding; name
-        # resolution rules that out.
-        findings = dict.fromkeys(findings)
     return CollaborationReport(tuple(findings))
 
 

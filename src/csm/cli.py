@@ -9,10 +9,14 @@ machine-readable payloads go to stdout.
 from __future__ import annotations
 
 import gc
-import os
 import sys
 from collections import namedtuple
 from types import SimpleNamespace as _Args
+
+try:
+    from posix import _exit  # loaded at start-up, unlike os
+except ImportError:  # an interpreter without the posix module
+    from os import _exit
 
 from . import classifier, dsl, render, simulator, validator
 from .diagnostics import has_errors
@@ -388,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
 def entry() -> None:
     """The ``csm`` script: one command per process. Nothing a command builds
     forms a reference cycle, so the cyclic collector is off. Once both
-    streams are flushed the process ends with ``os._exit``, which skips the
+    streams are flushed the process ends with ``_exit``, which skips the
     teardown that frees the model object by object, and ``atexit`` handlers;
     code that embeds csm calls ``main`` instead."""
     gc.disable()
@@ -399,4 +403,4 @@ def entry() -> None:
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         code = 2
     sys.stderr.flush()
-    os._exit(code)
+    _exit(code)

@@ -214,11 +214,10 @@ class ClassIndex(
 ):
     """Who holds what on one class, and which processes output it.
 
-    Only declared roles are listed. ``creators`` hold creation,
-    ``plus_readers`` any ``+`` privilege, and ``read_only_readers``
-    reference+ with no creation or write privilege (each a frozenset of
-    role names); ``producers`` is the tuple of ``ProcessDef``s that output
-    the class.
+    ``creators`` hold creation, ``plus_readers`` any ``+`` privilege, and
+    ``read_only_readers`` reference+ with no creation or write privilege
+    (each a frozenset of role names); ``producers`` is the tuple of
+    ``ProcessDef``s that output the class.
     """
 
     __slots__ = ()
@@ -263,15 +262,13 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
     def process_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.processes)
 
-    # Built in reverse so that, in a model that repeats a name, the first
-    # definition wins.
     @cached_property
     def _classes_by_name(self) -> dict[str, ClassDef]:
-        return {c.name: c for c in reversed(self.classes)}
+        return {c.name: c for c in self.classes}
 
     @cached_property
     def _processes_by_name(self) -> dict[str, ProcessDef]:
-        return {p.name: p for p in reversed(self.processes)}
+        return {p.name: p for p in self.processes}
 
     def class_def(self, name: str) -> ClassDef:
         try:
@@ -287,21 +284,19 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
 
     @cached_property
     def class_index(self) -> dict[str, ClassIndex]:
-        """Per declared class name: its grant holders and producing processes.
+        """Per class name of a canonical model: its grant holders and
+        producing processes.
 
         One pass over the grants; each distinct privilege set is classified
         once, since a model holds far fewer of them than grants.
         """
-        roles = set(self.roles)
         # Per class: creators, plus readers, read-only readers, producers.
         holders: dict[str, tuple[list, list, list, list]] = {
             c.name: ([], [], [], []) for c in self.classes
         }
         kinds: dict[frozenset[Privilege], tuple[bool, bool, bool]] = {}
         for (role, class_name), privs in self.class_grants.items():
-            lists = holders.get(class_name)
-            if lists is None or role not in roles:
-                continue
+            lists = holders[class_name]
             kind = kinds.get(privs)
             if kind is None:
                 kind = kinds[privs] = (
@@ -318,9 +313,7 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
                 lists[2].append(role)
         for p in self.processes:
             for class_name in p.outputs:
-                lists = holders.get(class_name)
-                if lists is not None:
-                    lists[3].append(p)
+                holders[class_name][3].append(p)
         return {
             name: tuple.__new__(
                 ClassIndex,
@@ -670,6 +663,7 @@ def shared_classes(model: Model, r1: str, r2: str) -> frozenset[SharedClass]:
     holds any of the ``+`` privileges (rights over foreign data). Read
     from ``model.class_index``.
     """
+    model = canonicalize(model)
     model.require_role(r1)
     model.require_role(r2)
     return frozenset(

@@ -102,8 +102,8 @@ def _edge_labels(p: ProcessDef) -> dict[str, str]:
 
 def to_dot(model: Model, show_privileges: bool = False) -> str:
     """Render the model as a Graphviz digraph."""
-    ensure_valid(model)
     m = canonicalize(model)
+    ensure_valid(m)
     name = m.name.replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'digraph "{name}" {{']
     if m.roles or m.classes or m.processes:
@@ -138,8 +138,8 @@ def to_dot(model: Model, show_privileges: bool = False) -> str:
 
 def to_mermaid(model: Model) -> str:
     """Render the model as a Mermaid flowchart."""
-    ensure_valid(model)
     m = canonicalize(model)
+    ensure_valid(m)
     lines = ["flowchart LR"]
     dashed: list[str] = []
     for role, lane in _lanes(m).items():

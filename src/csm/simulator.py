@@ -10,8 +10,8 @@ reads. Processes with no inputs are generators: firing one mints a fresh
 object.
 
 That is the one firing rule. ``run_script`` steps through a script on a
-mask per object. A firing touches one object and, in a model
-``canonicalize`` accepts, never empties it, so a global state is one
+mask per object. A firing touches one object and never empties it (a
+leaving transform's target is an output), so a global state is one
 lifecycle position per object plus the history of mints. ``build_graph``
 compiles the model once into that per-object space (``ReachabilityGraph``)
 and counts the reachable states, their edges and whether the search
@@ -22,7 +22,9 @@ co-occurrence and ordering queries, with witness traces of at most
 The global graph is enumerated breadth-first on the same masks only when
 its ``edges`` are read. ``Token`` and ``SimState`` are the boundary form:
 ``init_state``, ``enabled`` and ``fire`` encode a token configuration
-into masks, apply the rule and decode the result.
+into masks, apply the rule and decode the result. Each of them, like
+``run_script`` and ``build_graph``, reads the model through
+``canonicalize``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .model import (
     TransformMode,
     UnknownClass,
     UnknownProcess,
+    canonicalize,
 )
 
 
@@ -132,8 +135,8 @@ def _mask(bits: dict[str, int], names: Iterable[str]) -> int:
 
 
 def _class_bits(model: Model) -> dict[str, int]:
-    """One bit per declared class, in declaration order."""
-    return {name: 1 << i for i, name in enumerate(dict.fromkeys(model.class_names))}
+    """One bit per class, in name order."""
+    return {c.name: 1 << i for i, c in enumerate(model.classes)}
 
 
 def _compile(bits: dict[str, int], p: ProcessDef) -> _Compiled:
@@ -142,9 +145,8 @@ def _compile(bits: dict[str, int], p: ProcessDef) -> _Compiled:
 
 
 def _processes(model: Model, bits: dict[str, int]) -> list[_Compiled]:
-    """The definition ``process_def`` reads for each process name, compiled,
-    in name order."""
-    return [_compile(bits, model.process_def(n)) for n in sorted(set(model.process_names))]
+    """Every process compiled, in name order."""
+    return [_compile(bits, p) for p in model.processes]
 
 
 def _encode(bits: Mapping[str, int], seed: Iterable[tuple[str, str]]) -> dict[str, int]:
@@ -188,6 +190,7 @@ def _step(
 
 def init_state(model: Model, seed: Iterable[tuple[str, str]]) -> SimState:
     """State holding exactly the seed tokens."""
+    model = canonicalize(model)
     bits = _class_bits(model)
     return SimState(
         Token(oid, c) for oid, mask in _encode(bits, seed).items() for c in _decode(bits, mask)
@@ -199,6 +202,7 @@ def enabled(model: Model, state: SimState, object_id: str) -> frozenset[str]:
 
     Generators are excluded: they mint objects rather than consume them.
     """
+    model = canonicalize(model)
     bits = _class_bits(model)
     held = _mask(bits, state.classes_of(object_id))
     return frozenset(
@@ -210,6 +214,7 @@ def enabled(model: Model, state: SimState, object_id: str) -> frozenset[str]:
 
 def fire(model: Model, state: SimState, process: str, object_id: str) -> SimState:
     """Fire the process on the object, returning the successor state."""
+    model = canonicalize(model)
     bits = _class_bits(model)
     proc = _compile(bits, model.process_def(process))
     after = _step(model, bits, proc, object_id, _mask(bits, state.classes_of(object_id)))
@@ -238,9 +243,10 @@ def run_script(
 
     A script entry names a process and an object id, or ``"new"`` to let a
     generator mint a fresh object. Unknown process or class names abort the
-    run with an ``aborted`` event. Each object is a class mask, and one
-    whose mask becomes 0 holds no token and is dropped.
+    run with an ``aborted`` event. Each object is a class mask; a generator
+    without outputs mints no object.
     """
+    model = canonicalize(model)
     bits = _class_bits(model)
     objects = _encode(bits, seed)
     minted = 0
@@ -283,8 +289,6 @@ def run_script(
             break
         if after:
             objects[object_id] = after
-        else:
-            objects.pop(object_id, None)
         detail = f"object {object_id}"
         if held & out:
             detail += f"; already present in {', '.join(_decode(bits, held & out))}"
@@ -376,13 +380,8 @@ class ReachabilityGraph:
         # (actions that create the object, its id, its class mask)
         self.origins = [((), oid, mask) for oid, mask in held.items()]
         for proc in processes:
-            name, is_generator, _, keep, out = proc
+            name, is_generator, _, _, out = proc
             if not is_generator:
-                if ~keep and not out:  # ~keep holds the leaving sources
-                    raise ModelError(
-                        f"process {name!r} can empty an object: it has leaving "
-                        "transforms and no outputs"
-                    )
                 self.movers.append(proc)
             elif out and len(held) < max_objects:
                 oid = _mint_id(held, 0)
@@ -593,24 +592,23 @@ def build_graph(
     ``s & in == in``, and firing gives ``(s & keep) | out``, the rule
     ``run_script`` applies one step at a time. A generator mints
     ``obj<k>`` holding ``out`` (or nothing, without outputs) while fewer
-    than max_objects objects exist. Only the first definition of a
-    process name fires. Successors are listed by process name, then by
-    object id.
+    than max_objects objects exist. Successors are listed by process name,
+    then by object id.
 
-    A firing touches one object and no firing empties one (a model where
-    one could is a ``ModelError``), so a state is one lifecycle position
-    per object plus the history of mints, and its depth is the count of
-    mints plus the sum of its objects' depths. The counts come from
-    that: a breadth-first search per seeded object from its seed mask,
-    one from the ``out`` masks of the generators for every minted object
-    (whose mint took a step), and a forward pass over the distinct sets
-    of minted ids after each number of mints; convolving the per-object
-    histograms gives the states and edges per depth. The graph is
+    A firing touches one object and no firing empties one, so a state is
+    one lifecycle position per object plus the history of mints, and its
+    depth is the count of mints plus the sum of its objects' depths. The
+    counts come from that: a breadth-first search per seeded object from
+    its seed mask, one from the ``out`` masks of the generators for every
+    minted object (whose mint took a step), and a forward pass over the
+    distinct sets of minted ids after each number of mints; convolving the
+    per-object histograms gives the states and edges per depth. The graph is
     complete only when every state was expanded within max_steps and the
     object bound never skipped a generator firing. The same compiled
     space answers the queries of ``explore`` (``shortest``); ``edges`` is
     enumerated on each read, and ``explore`` does not read it.
     """
+    model = canonicalize(model)
     if max_steps < 1 or max_objects < 1:
         raise ValueError("bounds must be positive")
     bits = _class_bits(model)

@@ -17,6 +17,7 @@ from .model import (
     Privilege,
     ProcessPrivilege,
     StatusPoint,
+    canonicalize,
 )
 
 
@@ -260,6 +261,7 @@ def validate(model: Model) -> list[Diagnostic]:
     W-WP reads ``model.class_index``: a waiting point is shared when some
     role creates the class and some other role holds a ``+`` privilege on it.
     """
+    model = canonicalize(model)
     out = _errors(model)
 
     # Status-point warnings.
@@ -316,6 +318,7 @@ def validate(model: Model) -> list[Diagnostic]:
 def ensure_valid(model: Model) -> None:
     """Raise InvalidModel when any error-level rule fires, with the codes in
     ``validate``'s order. Only the error rules run: no warning is built."""
+    model = canonicalize(model)
     errors = _errors(model)
     if errors:
         errors.sort(key=lambda d: d.sort_key)

@@ -166,6 +166,17 @@ def random_valid_model(rng: random.Random, name: str = "valid") -> Model:
     )
 
 
+def reversed_members(m: Model) -> Model:
+    """A copy of ``m`` built in Python, every member listed in reverse."""
+    processes = tuple(
+        ProcessDef(p.name, p.inputs[::-1], p.outputs[::-1], p.transforms[::-1],
+                   dict(reversed(p.role_privileges.items())))
+        for p in reversed(m.processes)
+    )
+    grants = dict(reversed(m.class_grants.items()))
+    return Model(m.name, m.roles[::-1], m.classes[::-1], processes, grants)
+
+
 def brute_validate(model: Model) -> list[tuple[str, str]]:
     """(code, site) pairs by direct enumeration; independent of the validator."""
     found: list[tuple[str, str]] = []
@@ -443,8 +454,7 @@ def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
 
 def _brute_successors(model: Model, key, max_objects: int):
     """Successor (action, key) pairs, by process name then object id, and
-    whether the object bound skipped a generator. Only the first definition
-    of a process name fires, as ``process_def`` reads it."""
+    whether the object bound skipped a generator."""
     tokens, minted = key
     state = SimState(tokens)
     oids = sorted(state.object_ids)

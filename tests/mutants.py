@@ -97,7 +97,7 @@ MUTANTS = (
     # The gate runs every rule again, warnings included.
     Mutant(
         "src/csm/validator.py",
-        "    errors = _errors(model)\n",
+        "    model = canonicalize(model)\n    errors = _errors(model)\n",
         "    errors = [d for d in validate(model) if d.severity is Severity.ERROR]\n",
         ("tests/test_validator.py::TestEnsureValid::test_builds_no_warning",),
     ),
@@ -108,11 +108,11 @@ MUTANTS = (
         "        pass\n",
         ("tests/test_validator.py::TestEnsureValid::test_agrees_with_the_oracle",),
     ),
-    # Findings follow the model's process order, not name order.
+    # Findings are judged on the model as built, not on its canonical form.
     Mutant(
         "src/csm/classifier.py",
-        "    for p in sorted(model.processes, key=_NAME):\n",
-        "    for p in model.processes:\n",
+        "    model = canonicalize(model)\n    ensure_valid(model)\n",
+        "    ensure_valid(model)\n",
         ("tests/test_classifier.py::TestReferenceOracle::test_random_models",),
     ),
     # The one-pass JSON reader takes a class name that is not an identifier.
@@ -125,12 +125,12 @@ MUTANTS = (
             "test_planted_json_mistake_reaches_the_reporting_path",
         ),
     ),
-    # Repeated findings are kept in a model that name resolution did not build.
+    # One pair's findings are judged on the model as built.
     Mutant(
         "src/csm/classifier.py",
-        '    if not model.__dict__.get("_canonical"):\n',
-        "    if False:\n",
-        ("tests/test_classifier.py::test_repeated_names_give_each_finding_once",),
+        "    model = canonicalize(model)\n    model.require_role(r1)\n",
+        "    model.require_role(r1)\n",
+        ("tests/test_model.py::test_every_entry_point_reads_the_model_through_canonicalize",),
     ),
     # The one-pass readers take a role declared twice.
     Mutant(
@@ -161,6 +161,13 @@ MUTANTS = (
             "tests/test_dsl.py::TestOnePassReader::"
             "test_planted_text_mistake_reaches_the_reporting_path",
         ),
+    ),
+    # The simulator compiles the model as built, not its canonical form.
+    Mutant(
+        "src/csm/simulator.py",
+        "    model = canonicalize(model)\n    if max_steps < 1",
+        "    if max_steps < 1",
+        ("tests/test_model.py::test_every_entry_point_reads_the_model_through_canonicalize",),
     ),
 )
 

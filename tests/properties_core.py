@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 
-from csm.classifier import Level, classify_all
+from csm.classifier import CollaborationReport, Level, classify_all
 from csm.diagnostics import Severity
 from csm.dsl import emit_json, model_to_dict
 from csm.model import (
@@ -147,14 +147,16 @@ def reference_emit_json(model: Model) -> bytes:
 
 
 def check_report_json(seed: int) -> None:
-    """The direct report writer equals the indented, key-sorted dump."""
+    """The direct report writer equals the indented, key-sorted dump; also on
+    a report built with its findings in reverse."""
     rng = random.Random(seed)
     for m in (random_valid_model(rng), random_model(rng)):
         try:
             report = classify_all(m)
         except InvalidModel:
             continue
-        assert report.to_json() == reference_report_json(report)
+        for r in (report, CollaborationReport(report.findings[::-1])):
+            assert r.to_json() == reference_report_json(r)
 
 
 def check_emit_json(seed: int) -> None:

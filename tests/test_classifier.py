@@ -16,7 +16,7 @@ from csm.classifier import (
 from csm.diagnostics import Severity
 from csm.dsl import parse_text
 from csm.fixtures import FIXTURES, load
-from csm.model import ClassDef, Model, Privilege, ProcessDef, ProcessPrivilege, StatusPoint
+from csm.model import Model
 from csm.validator import InvalidModel, validate
 from helpers import (
     brute_classify,
@@ -24,6 +24,7 @@ from helpers import (
     load_bench,
     random_model,
     random_valid_model,
+    reversed_members,
 )
 
 VT = Level.VERY_TIGHT
@@ -164,15 +165,6 @@ class TestReport:
         assert CollaborationReport(()).to_table().splitlines()[0].startswith("LEVEL")
 
 
-def _reversed_members(m: Model) -> Model:
-    """The same model with roles, classes, processes and outputs out of order."""
-    processes = tuple(
-        ProcessDef(p.name, p.inputs[::-1], p.outputs[::-1], p.transforms[::-1], p.role_privileges)
-        for p in reversed(m.processes)
-    )
-    return Model(m.name, m.roles[::-1], m.classes[::-1], processes, m.class_grants)
-
-
 def _assert_matches_reference(m: Model) -> None:
     for r1 in m.roles:
         for r2 in m.roles:
@@ -196,7 +188,7 @@ class TestReferenceOracle:
         for _ in range(300):
             m = generate(rng)
             _assert_matches_reference(m)
-            _assert_matches_reference(_reversed_members(m))
+            _assert_matches_reference(reversed_members(m))
             found += len(brute_classify(m).findings)
         assert found > 20
 
@@ -212,37 +204,6 @@ class TestReferenceOracle:
         assert len(report.findings) > 100
         assert report.findings == expected.findings
         assert report.to_json() == expected.to_json()
-
-
-def test_repeated_names_give_each_finding_once():
-    # A model built in Python is not resolved, so it can declare a process
-    # and a class twice: each copy is judged, and the repeats are dropped.
-    P = ProcessPrivilege
-    C, R, RP, MP = (
-        Privilege.CREATION, Privilege.REFERENCE, Privilege.REFERENCE_PLUS,
-        Privilege.MODIFICATION_PLUS,
-    )
-    booking = ProcessDef("Book", (), ("Booking",), (), {"A": P.OWNER, "B": P.RESPONSIBILITY})
-    notice = ProcessDef("Notify", (), ("Notice",), (), {"A": P.OWNER})
-    m = Model(
-        "m",
-        ("A", "B", "Reader"),
-        (ClassDef("Booking"), ClassDef("Notice", status_points=[StatusPoint.WAITING]),
-         ClassDef("Booking"), ClassDef("Notice", status_points=[StatusPoint.WAITING])),
-        (notice, booking, booking, notice),
-        {
-            ("A", "Booking"): {C, R, RP, MP},
-            ("B", "Booking"): {C, R, RP},
-            ("A", "Notice"): {C, R, RP},
-            ("Reader", "Notice"): {RP},
-        },
-    )
-    report = classify_all(m)
-    assert [(f.level, f.artifact) for f in report.findings] == [
-        (VT, "Book"), (L, "Notice"),
-    ]
-    assert report.findings == brute_classify(m).findings
-    assert len(classifier._findings(m)) == 4
 
 
 def test_each_finding_is_built_once(monkeypatch, scenarios):

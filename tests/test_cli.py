@@ -456,7 +456,7 @@ def _main_in_process(argv):
     ],
 )
 def test_entry_exits_with_what_main_wrote(argv, want_code, tmp_path, monkeypatch):
-    # entry ends the process with os._exit, so whatever main wrote must be
+    # entry ends the process with _exit, so whatever main wrote must be
     # flushed first; the synth outputs are larger than one stdio buffer.
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
     synth = load_bench("synth")
@@ -563,7 +563,8 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
     assert "argparse" in runs[-1][2]
 
     # Commands that read a .csm file and write no JSON through the json
-    # package never load it; each runs alone, since the harness above does.
+    # package never load it, and no command loads os; each runs alone, since
+    # the harness above loads both.
     for argv in (
         ["render", "--format", "dot"],
         ["render", "--format", "mermaid"],
@@ -576,11 +577,11 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
              "code = csm.cli.main(sys.argv[1:])\n"
              "sys.stdout.flush()\n"
              "json = sorted(m for m in sys.modules if m.partition('.')[0] == 'json')\n"
-             "sys.stderr.write(repr((code, json)))",
+             "sys.stderr.write(repr((code, json, 'os' in sys.modules)))",
              *argv, fx("healthcare")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
-        assert proc.stdout and proc.stderr == "(0, [])", (argv, proc.stderr)
+        assert proc.stdout and proc.stderr == "(0, [], False)", (argv, proc.stderr)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

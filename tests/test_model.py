@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from csm.classifier import classify_all, classify_pair
 from csm.dsl import emit_json, emit_text, parse_json, parse_text
 from csm.fixtures import fixture_text
 from csm.model import (
@@ -27,6 +28,19 @@ from csm.model import (
     canonicalize,
     shared_classes,
 )
+from csm.render import to_dot, to_mermaid
+from csm.simulator import (
+    SimState,
+    Token,
+    build_graph,
+    enabled,
+    explore,
+    fire,
+    init_state,
+    run_script,
+)
+from csm.validator import ensure_valid, validate
+from helpers import reversed_members
 
 
 def _tiny(**overrides) -> Model:
@@ -273,3 +287,51 @@ class TestQueries:
             StatusPoint.FAIL,
             StatusPoint.DECISION,
         }
+
+
+def _graph_facts(g) -> tuple:
+    """What a ``ReachabilityGraph`` holds, with its class bits in order."""
+    return list(g.classes.items()), g.held, g.processes, g.frontier, g.stop, g.edges
+
+
+_PATIENT = [("p", "CheckUpPatient")]
+_IN_CHECK_UP = SimState({Token("p", "CheckUpPatient")})
+_SCRIPT = [("CheckUp", "new"), ("Diagnose", "obj1"), ("RequestTest", "obj1"),
+           ("PerformTest", "obj1"), ("Diagnose", "p"), ("QuickCare", "p")]
+_QUERIES = [
+    {"type": "co_occurrence", "classes": ["DiagnosedPatient", "TestRequest"]},
+    {"type": "sequence", "first": "Diagnose", "then": "ReviewResult"},
+]
+
+# Every function that takes a model, called with arguments that fit the
+# healthcare fixture.
+ENTRY_POINTS = {
+    "validate": validate,
+    "ensure_valid": ensure_valid,
+    "classify_all": classify_all,
+    "classify_pair": lambda m: classify_pair(m, "GP", "Laboratory"),
+    "to_dot": lambda m: to_dot(m, show_privileges=True),
+    "to_mermaid": to_mermaid,
+    "init_state": lambda m: init_state(m, _PATIENT),
+    "enabled": lambda m: enabled(m, _IN_CHECK_UP, "p"),
+    "fire": lambda m: fire(m, _IN_CHECK_UP, "Diagnose", "p"),
+    "run_script": lambda m: run_script(m, _PATIENT, _SCRIPT),
+    "build_graph": lambda m: _graph_facts(build_graph(m, _PATIENT, 4, 2)),
+    "explore": lambda m: explore(m, _PATIENT, 6, 2, _QUERIES).to_dict(),
+    "shared_classes": lambda m: shared_classes(m, "GP", "Laboratory"),
+    "emit_text": emit_text,
+    "emit_json": emit_json,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_reads_the_model_through_canonicalize(entry, scenarios):
+    # A hand-built model gets the parsed model's result or canonicalize's error.
+    call, m = ENTRY_POINTS[entry], scenarios["healthcare"]
+    assert call(reversed_members(m)) == call(m)
+    first, *rest = m.processes
+    with pytest.raises(DuplicateName):
+        call(m._replace(processes=(*m.processes, first)))
+    ghost = first._replace(inputs=(*first.inputs, "Ghost"))
+    with pytest.raises(UnresolvedReference):
+        call(m._replace(processes=(ghost, *rest)))

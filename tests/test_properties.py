@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import properties_core as core
 from csm.classifier import CollaborationReport, classify_all
-from csm.dsl import emit_json, parse_text
+from csm.dsl import emit_json
 from csm.model import ClassDef, Model
 
 seeds = st.integers(min_value=0, max_value=2**48)
@@ -81,43 +81,3 @@ def test_emit_json_escapes_like_json_dumps():
     text = emit_json(m)
     assert text == core.reference_emit_json(m)
     assert b'"back\\\\slash\\ttab caf\\u00e9 \\u2603"' in text
-
-
-_TWO_PRODUCERS = """model "pairs" {
-  role A
-  role B
-  role Z
-  class CA dynamic
-  class CB dynamic
-  process PA { owner A responsible Z output CA }
-  process PB { owner B responsible Z output CB }
-  grant A on CA { creation, modification, reference, suppression, modification+, reference+, suppression+ }
-  grant Z on CA { creation, modification, reference, suppression, reference+ }
-  grant B on CB { creation, modification, reference, suppression, modification+, reference+, suppression+ }
-  grant Z on CB { creation, modification, reference, suppression, reference+ }
-}
-"""
-
-
-def test_pair_summary_sorted_by_key_string():
-    # Renaming B to "A B" makes the key order ("A B->Z" < "A->Z", since
-    # " " < "-") differ from the order of the (producer, consumer) pairs.
-    # No text form can name a role "A B", so the renamed model is built by
-    # hand and not canonicalized; the rename keeps every member sorted.
-    m = parse_text(_TWO_PRODUCERS).model
-    rename = {"A": "A", "B": "A B", "Z": "Z"}
-    renamed = Model(
-        m.name,
-        tuple(rename[r] for r in m.roles),
-        m.classes,
-        tuple(
-            p._replace(role_privileges={rename[r]: pp for r, pp in p.role_privileges.items()})
-            for p in m.processes
-        ),
-        {(rename[r], c): privs for (r, c), privs in m.class_grants.items()},
-    )
-    report = classify_all(renamed)
-    assert sorted(report.pair_summary) == [("A", "Z"), ("A B", "Z")]
-    text = report.to_json()
-    assert text == core.reference_report_json(report)
-    assert text.index('"A B->Z"') < text.index('"A->Z"')

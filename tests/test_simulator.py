@@ -27,8 +27,6 @@ from csm.model import (
     Model,
     ModelError,
     ProcessDef,
-    Transform,
-    TransformMode,
     UnknownClass,
 )
 from helpers import (
@@ -100,19 +98,6 @@ class TestEnabled:
         m = scenarios["hospital_cleaning"]
         state = init_state(m, [("r1", "OccupiedRoom")])
         assert enabled(m, state, "r2") == frozenset()
-
-    def test_first_of_duplicate_processes(self):
-        # A hand-built model that repeats a process name, as process_def reads it.
-        m = Model(
-            "dup", ("R",), (ClassDef("A", True), ClassDef("B", True), ClassDef("C", True)),
-            (ProcessDef("P", ("A",), ("B",)), ProcessDef("P", ("C",), ("B",))),
-        )
-        in_c = init_state(m, [("o", "C")])
-        assert enabled(m, in_c, "o") == frozenset()
-        with pytest.raises(NotEnabled, match="missing A"):
-            fire(m, in_c, "P", "o")
-        assert enabled(m, init_state(m, [("o", "A")]), "o") == {"P"}
-
 
 class TestFire:
     def test_remaining_keeps_the_source_token(self, scenarios):
@@ -387,20 +372,6 @@ class TestExplore:
         mint_then_read = (("Mint", "obj2"), ("Read", "obj2"))
         assert [q.witness for q in summary.queries] == [None, mint_then_read]
 
-    def test_a_process_that_can_empty_an_object_is_refused(self):
-        m = Model("join", JOIN.roles, JOIN.classes, tuple(map(_consume_inputs, JOIN.processes)))
-        with pytest.raises(ModelError, match="'Join' can empty an object"):
-            explore(m, [("o", "A"), ("o", "B")], max_steps=2, max_objects=1)
-
-    def test_first_of_duplicate_processes_fires_once(self):
-        # A hand-built model that repeats a process name, as process_def reads it.
-        m = Model(
-            "dup", ("R",), (ClassDef("A", True), ClassDef("B", True)),
-            (ProcessDef("P", ("A",), ("B",)), ProcessDef("P", ("B",), ("A",))),
-        )
-        graph = build_graph(m, [("o", "A")], max_steps=2, max_objects=1)
-        assert [action for action, _ in graph.edges[1]] == [("P", "o")]
-
     def test_explore_builds_the_graph_through_the_module(self, scenarios, monkeypatch):
         # Tracing wraps ``csm.simulator.build_graph`` and reads the state
         # count and the edges of what it returns.
@@ -568,7 +539,7 @@ class TestCountedSpace:
         stops = set()
         for _ in range(500):
             m = generate(rng)
-            # Hand-built variants: class bits out of name order, and a
+            # Hand-built variants: classes out of name order, and a
             # generator without outputs.
             classes, processes = m.classes, m.processes
             if rng.random() < 0.5:
@@ -593,11 +564,6 @@ def _result(fn, *args):
         return type(exc), str(exc)
 
 
-def _consume_inputs(p: ProcessDef) -> ProcessDef:
-    leaving = (Transform(c, "Gone", TransformMode.LEAVING) for c in p.inputs)
-    return ProcessDef(p.name, p.inputs, (), leaving, p.role_privileges)
-
-
 class TestTokenOracle:
     """Scripted runs and ``fire``/``enabled`` on class masks agree with the
     firing rule on token sets (``brute_run_script``, ``brute_fire``)."""
@@ -605,18 +571,12 @@ class TestTokenOracle:
     @pytest.mark.parametrize("generate", [random_model, random_valid_model])
     def test_random_scripts(self, generate):
         rng = random.Random(6)
-        seen = {"fired": 0, "emptied": 0, "stale": 0, "seed error": 0}
+        seen = {"fired": 0, "stale": 0, "seed error": 0}
         for _ in range(500):
             m = generate(rng)
-            # Hand-built variants: class bits follow declaration order, not
-            # name order; and a process that consumes every input without
-            # outputs can empty an object.
-            classes, processes = m.classes, m.processes
+            # A hand-built variant with the classes out of name order.
             if rng.random() < 0.5:
-                classes = classes[::-1]
-            if rng.random() < 0.3:
-                processes = tuple(_consume_inputs(p) if p.inputs else p for p in processes)
-            m = Model(m.name, m.roles, classes, processes, m.class_grants)
+                m = Model(m.name, m.roles, m.classes[::-1], m.processes, m.class_grants)
             seed = sorted({
                 (rng.choice(SEED_IDS), rng.choice(m.class_names))
                 for _ in range(rng.randint(0, 3))
@@ -648,17 +608,5 @@ class TestTokenOracle:
                 seen["stale"] += "existing object" in e.detail
                 if e.outcome is Outcome.FIRED:
                     seen["fired"] += 1
-                    seen["emptied"] += e.object_id in state.object_ids - nxt.object_ids
                     state = nxt
         assert min(seen.values()) >= 5, seen
-
-    def test_first_of_duplicate_processes_wins(self):
-        # A hand-built model that repeats a process name, as process_def reads it.
-        m = Model(
-            "dup", ("R",), (ClassDef("A", True), ClassDef("B", True)),
-            (ProcessDef("P", ("A",), ("B",)), ProcessDef("P", ("B",), ("A",))),
-        )
-        script = [("P", "o"), ("P", "o")]
-        events = run_script(m, [("o", "A")], script)
-        assert events == brute_run_script(m, [("o", "A")], script)
-        assert [e.detail for e in events] == ["object o", "object o; already present in B"]

@@ -7,12 +7,9 @@ import pytest
 import csm
 
 from csm import validator
-from csm.classifier import classify_all
 from csm.diagnostics import Severity
 from csm.dsl import parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, load
-from csm.model import ClassDef, Model, ProcessDef, ProcessPrivilege
-from csm.render import to_dot, to_mermaid
 from csm.validator import CATALOG, InvalidModel, UnknownCode, ensure_valid, explain, validate
 from helpers import apply_suggestion, brute_validate, load_bench, random_model
 
@@ -175,24 +172,3 @@ class TestEnsureValid:
         for model in models:
             ensure_valid(model)
         assert [code for code in made if code.startswith("W-")] == []
-
-
-class TestHandBuiltModels:
-    def test_undeclared_input_class_is_reported_not_raised(self):
-        model = Model(
-            "m",
-            roles=["A"],
-            classes=[ClassDef("C", dynamic=True)],
-            processes=[
-                ProcessDef(
-                    "P",
-                    inputs=["Ghost"],
-                    outputs=["C"],
-                    role_privileges={"A": ProcessPrivilege.OWNER},
-                )
-            ],
-        )
-        assert {"E-C3", "E-C4", "E-C5"} <= {d.code for d in errors(model)}
-        for operation in (classify_all, to_dot, to_mermaid):
-            with pytest.raises(InvalidModel):
-                operation(model)
