@@ -15,17 +15,19 @@ that runs to end of line):
     priv   := "creation" | "modification" | "reference" | "suppression"
             | "modification+" | "reference+" | "suppression+"
 
-Well-formed text is read in one pass (``_read_text``): one pattern match
-per declaration, process item or comment, each record straight into the
-lists the canonical model is built from, with duplicates and references
-checked in bulk at the end. Any text it does not accept (a mistake, a
-comment inside a declaration, non-ASCII whitespace) goes whole to the
-reporting path: the recovering token parser alone, which reports every
-diagnostic and recovers at item boundaries, so several independent mistakes
-are reported in one pass. JSON is split the same way: a document whose
-entries are all well-typed and resolve becomes the model right after
-decoding (``_read_json``), and any other goes to the checks that report it.
-Both paths give the same model.
+Text is read in one pass (``_read_text``) when its syntax allows: one
+pattern match per declaration, process item or comment, each record
+straight into a draft with the offset where its first name starts. Text
+whose syntax it does not accept (a syntax mistake, a comment inside a
+declaration, non-ASCII whitespace) goes whole to the recovering token
+parser, which reports every syntax diagnostic and recovers at item
+boundaries, so several independent mistakes are reported in one pass.
+Either draft then goes through the one name-resolution pass
+(``model._resolve``), which checks duplicates and references and locates
+each that fails. JSON is split the same way: a document whose entries are
+all well-typed and resolve becomes the model right after decoding
+(``_read_json``, through the same pass), and any other goes to the checks
+that report it. Both paths give the same model.
 A transform's mode keyword is mandatory: there is no default for whether
 the source token survives the firing.
 """
@@ -47,8 +49,8 @@ from .model import (
     _Draft,
     _IDENT,
     _IDENT_RE,
+    _NO_OFFSET,
     _ProcessItem,
-    _canonical_model,
     _identifier_problem,
     _quotable_name,
     _resolve,
@@ -147,28 +149,26 @@ def _listed(raw: str, members: dict, memo: dict) -> frozenset:
     return found
 
 
-def _read_text(text: str) -> Model | None:
-    """The canonical model of well-formed text, read in one pass: each match
-    goes straight into the lists that ``_canonical_model`` checks in bulk.
-    ``None`` for any other text, which the reporting path then reads: a gap
-    between matches (a comment inside a declaration, a stray token, non-ASCII
-    whitespace), an unknown point or privilege, a missing or repeated brace,
-    trailing input, or a declaration that does not resolve."""
+def _read_text(text: str) -> _Draft | None:
+    """The draft of text whose syntax is accepted, read in one pass: each
+    match goes straight into the draft, with the offset where its first name
+    starts, for ``_resolve`` to check. ``None`` for any other text, which the
+    token parser then reads: a gap between matches (a comment inside a
+    declaration, a stray token, non-ASCII whitespace), an unknown point or
+    privilege, a missing or repeated brace, or trailing input."""
     matches = iter(_pattern().scanner(text).match, None)
     head = next(matches, None)
     while head is not None and head.lastindex == _COMMENT:
         head = next(matches, None)
     if head is None or head.lastindex != _HEADER:
         return None
-    roles: list[str] = []
-    classes: list[ClassDef] = []
-    processes: list[tuple] = []
-    grants: list[tuple] = []
+    draft = _Draft(head[19])
+    roles, classes, processes, grants = draft.roles, draft.classes, draft.processes, draft.grants
     # What each raw listing read (``None`` for a class without one), one
     # table per list kind: a word valid in one kind is unknown in the other.
     point_lists: dict = {None: frozenset()}
     privilege_lists: dict = {}
-    pname = None  # the open process
+    proc = None  # the open process
     for m in matches:
         k = m.lastindex
         if k == _GRANT:
@@ -178,32 +178,34 @@ def _read_text(text: str) -> Model | None:
                 privs = _listed(raw, _PRIVILEGE, privilege_lists)
             if None in privs:
                 return None
-            grants.append((m.group(1, 2), privs))
+            grants.append((m[1], m[2], privs, m.start(1)))
         elif k <= _TRANSFORM:
-            if pname is None:
+            if proc is None:
                 return None
             if k == _INPUT:
-                inputs.append(m[k])
+                inputs.append((m[k], m.start(k)))
             elif k == _OUTPUT:
-                outputs.append(m[k])
+                outputs.append((m[k], m.start(k)))
             elif k == _OWNER:
-                owners.append(m[k])
+                owners.append((m[k], m.start(k)))
             elif k == _RESPONSIBLE:
-                responsibles.append(m[k])
+                responsibles.append((m[k], m.start(k)))
             else:
-                transforms.append(tuple.__new__(Transform, (m[8], m[9], _MODE[m[10]])))
+                transforms.append(
+                    (tuple.__new__(Transform, (m[8], m[9], _MODE[m[10]])), m.start(8))
+                )
         elif k == _CLOSE:
-            if pname is None:
+            if proc is None:
                 return None
-            processes.append((pname, owners, responsibles, inputs, outputs, transforms))
-            pname = None
+            processes.append(proc)
+            proc = None
         elif k == _COMMENT:
             continue
-        elif pname is not None:
+        elif proc is not None:
             return None
         elif k == _PROCESS:
-            pname = m[13]
-            owners, responsibles, inputs, outputs, transforms = [], [], [], [], []
+            proc = tuple.__new__(_ProcessItem, (m[13], m.start(13), [], [], [], [], []))
+            _, _, owners, responsibles, inputs, outputs, transforms = proc
         elif k == _CLASS:
             raw = m[17]
             points = point_lists.get(raw)
@@ -211,11 +213,13 @@ def _read_text(text: str) -> Model | None:
                 points = _listed(raw, _STATUS_POINT, point_lists)
             if None in points:
                 return None
-            classes.append(tuple.__new__(ClassDef, (m[15], m[16] is not None, points)))
+            classes.append(
+                (tuple.__new__(ClassDef, (m[15], m[16] is not None, points)), m.start(15))
+            )
         elif k == _ROLE:
-            roles.append(m[18])
+            roles.append((m[18], m.start(18)))
         elif k == _END:
-            return _canonical_model(head[19], roles, classes, processes, grants)
+            return draft
         else:
             return None
     return None
@@ -223,14 +227,13 @@ def _read_text(text: str) -> Model | None:
 
 def _spans(text: str, file_label: str):
     """A token's offset and text to its ``SourceSpan``: the one line-and-column
-    rule. The line index is built on the first call, since only a diagnostic
-    makes one. Only the reporting path makes a locator, so only it imports
-    ``bisect``."""
-    from bisect import bisect_right
-
+    rule. The line index is built, and ``bisect`` loaded, on the first call,
+    since only a diagnostic makes one."""
     line_starts: list[int] = []
 
     def span(offset: int, token: str) -> SourceSpan:
+        from bisect import bisect_right
+
         if not line_starts:
             line_starts.extend([0, *(m.end() for m in _NEWLINE_RE.finditer(text))])
         li = bisect_right(line_starts, offset) - 1
@@ -429,7 +432,7 @@ class _Parser:
 
     def parse_process(self) -> None:
         name_tok = self.expect("ident", what="process name")
-        proc = _ProcessItem(name=name_tok.text, offset=name_tok.offset)
+        proc = _ProcessItem(name_tok.text, name_tok.offset, [], [], [], [], [])
         self.expect("punct", "{")
 
         def read(kw_tok: _Token) -> None:
@@ -455,7 +458,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident" and tok.text in ("remaining", "leaving"):
             self.advance()
-            proc.transforms.append((src.text, dst.text, _MODE[tok.text], src.offset))
+            proc.transforms.append((Transform(src.text, dst.text, _MODE[tok.text]), src.offset))
         else:
             self.error(
                 "E-TRF-MODE",
@@ -474,24 +477,29 @@ class _Parser:
 
 
 def parse_text(source: str, file_label: str = "<string>") -> ParseResult:
-    """Parse model source text: well-formed text in one pass by
-    ``_read_text``, any other by the reporting path, which recovers at item
-    boundaries and reports every diagnostic."""
-    model = _read_text(source)
-    if model is not None:
-        return ParseResult(model, [])
-    return _report_text(source, file_label)
+    """Parse model source text: text whose syntax ``_read_text`` accepts in
+    one pass, any other by the token parser, which recovers at item
+    boundaries and reports every syntax diagnostic. Either draft then goes
+    through name resolution."""
+    draft = _read_text(source)
+    if draft is None:
+        return _report_text(source, file_label)
+    return _resolved_text(draft, [], _spans(source, file_label))
 
 
 def _report_text(source: str, file_label: str) -> ParseResult:
-    """The reporting path for text: the model and every diagnostic, found by
-    the token parser and name resolution."""
+    """What ``parse_text`` returns, found by the token parser alone."""
     parser = _Parser(source, file_label)
-    draft = parser.parse()
-    diagnostics = parser.diagnostics
+    return _resolved_text(parser.parse(), parser.diagnostics, parser.spans)
+
+
+def _resolved_text(draft: _Draft | None, diagnostics: list[Diagnostic], locate) -> ParseResult:
+    """The model and every diagnostic of a text: name resolution of its
+    draft, if it has one, after the syntax ``diagnostics``, sorted by
+    position."""
     model: Model | None = None
     if draft is not None:
-        draft.locate = parser.spans
+        draft.locate = locate
         model, semantic = _resolve(draft)
         diagnostics.extend(semantic)
     diagnostics.sort(
@@ -672,9 +680,10 @@ def _json_error(message: str, site: str = "document") -> Diagnostic:
 
 
 def _read_json(doc) -> Model | None:
-    """The canonical model of a document whose entries are all well-typed,
-    read straight into the lists that ``_canonical_model`` checks in bulk;
-    ``None`` for any other document, which the reporting path then reads.
+    """The canonical model of a document whose entries are all well-typed
+    and resolve: each entry goes straight into a draft, without offsets, for
+    ``_resolve`` to check. ``None`` for any other document, which the
+    reporting path then reads.
 
     Declared names must be identifiers. A name that refers to a declaration
     (an owner, an input, a transform's end, a grant's role or class) is not
@@ -702,9 +711,11 @@ def _read_json(doc) -> Model | None:
     # Equal listings share one set, read once; one memo per list kind.
     point_lists: dict[tuple, frozenset[StatusPoint]] = {}
     privilege_lists: dict[tuple, frozenset[Privilege]] = {}
+    draft = _Draft(name)
+    draft.roles = zip(roles, _NO_OFFSET)
     classes = []
-    processes = []
-    grants = []
+    processes = draft.processes
+    grants = draft.grants
     try:
         for entry in class_entries:
             cname = entry["name"]
@@ -738,10 +749,23 @@ def _read_json(doc) -> Model | None:
                 return None
             if transforms:
                 transforms = [
-                    tuple.__new__(Transform, (t["from"], t["to"], _MODE[t["mode"]]))
+                    (tuple.__new__(Transform, (t["from"], t["to"], _MODE[t["mode"]])), None)
                     for t in transforms
                 ]
-            processes.append((pname, owners, responsibles, inputs, outputs, transforms))
+            processes.append(
+                tuple.__new__(
+                    _ProcessItem,
+                    (
+                        pname,
+                        None,
+                        zip(owners, _NO_OFFSET),
+                        zip(responsibles, _NO_OFFSET),
+                        zip(inputs, _NO_OFFSET),
+                        zip(outputs, _NO_OFFSET),
+                        transforms,
+                    ),
+                )
+            )
         for entry in grant_entries:
             listed = entry.get("privileges", _NO_ENTRIES)
             if type(listed) is not list:
@@ -749,12 +773,13 @@ def _read_json(doc) -> Model | None:
             privs = privilege_lists.get(key := tuple(listed))
             if privs is None:
                 privs = privilege_lists[key] = frozenset([_PRIVILEGE[x] for x in listed])
-            grants.append(((entry["role"], entry["class"]), privs))
-        return _canonical_model(name, roles, classes, processes, grants)
+            grants.append((entry["role"], entry["class"], privs, None))
+        draft.classes = zip(classes, _NO_OFFSET)
+        return _resolve(draft)[0]
     except (AttributeError, KeyError, TypeError):
         # An entry that is not an object or lacks a required key, a mode,
         # point or privilege that names no member, or a name that cannot be
-        # hashed.
+        # hashed (which ``_resolve`` finds).
         return None
 
 
@@ -850,7 +875,7 @@ def _report_json(doc) -> ParseResult:
         if pname is None or not identifier(pname, "process", "processes"):
             continue
         site = f"process={pname}"
-        proc = _ProcessItem(name=pname)
+        proc = _ProcessItem(pname, None, [], [], [], [], [])
         for key, target in (
             ("owners", proc.owners),
             ("responsibles", proc.responsibles),
@@ -879,7 +904,7 @@ def _report_json(doc) -> ParseResult:
                     )
                 )
                 continue
-            proc.transforms.append((src, dst, tmode, None))
+            proc.transforms.append((Transform(src, dst, tmode), None))
         draft.processes.append(proc)
 
     for entry in array(doc, "grants", "document", required=True):

@@ -13,8 +13,9 @@ from __future__ import annotations
 import enum
 import re
 from collections import namedtuple
-from collections.abc import Callable, Collection, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from functools import cached_property
+from itertools import repeat
 
 from .diagnostics import Diagnostic, Severity, SourceSpan
 
@@ -331,18 +332,13 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
         return self.class_grants.get((role, class_name), frozenset())
 
 
-class _ProcessItem:
-    """One process declaration before name resolution; parsers append to
-    its lists. Offsets are as in ``_Draft``."""
-
-    def __init__(self, name: str, offset: int | None = None) -> None:
-        self.name = name
-        self.offset = offset
-        self.owners: list[tuple[str, int | None]] = []
-        self.responsibles: list[tuple[str, int | None]] = []
-        self.inputs: list[tuple[str, int | None]] = []
-        self.outputs: list[tuple[str, int | None]] = []
-        self.transforms: list[tuple[str, str, TransformMode, int | None]] = []
+# One process declaration before name resolution. ``owners``,
+# ``responsibles``, ``inputs`` and ``outputs`` hold ``(name, offset)``
+# entries and ``transforms`` ``(Transform, offset)`` entries, offsets as in
+# ``_Draft``; a parser appends to them as it reads.
+_ProcessItem = namedtuple(
+    "_ProcessItem", "name offset owners responsibles inputs outputs transforms"
+)
 
 
 class _Draft:
@@ -351,9 +347,11 @@ class _Draft:
     Each entry keeps the offset in the source text where its first name
     starts (the role, class, process, item name, transform source or grant
     role), or ``None`` for declarations that come from JSON or from a
-    ``Model`` built in Python. ``locate(offset, name)`` turns an offset into
-    the ``SourceSpan`` of that name; it is called only for a diagnostic, and
-    is ``None`` when there is no source text.
+    ``Model`` built in Python; those may come as any iterable of entries,
+    such as ``zip(names, _NO_OFFSET)``, since ``_resolve`` reads each once.
+    ``locate(offset, name)`` turns an offset into the ``SourceSpan`` of that
+    name; it is called only for a diagnostic, and is ``None`` when there is
+    no source text.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -363,6 +361,11 @@ class _Draft:
         self.processes: list[_ProcessItem] = []
         self.grants: list[tuple[str, str, frozenset[Privilege], int | None]] = []
         self.locate: Callable[[int, str], SourceSpan] | None = None
+
+
+# The offset of every entry without source text: ``zip(names, _NO_OFFSET)``.
+# It never runs out and keeps no position, so one serves every draft.
+_NO_OFFSET = repeat(None)
 
 
 def _transform_order(t: Transform) -> tuple[str, str, str]:
@@ -407,52 +410,37 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
     processes: dict[str, ProcessDef] = {}
     owner, responsible = ProcessPrivilege.OWNER, ProcessPrivilege.RESPONSIBILITY
     for proc in draft.processes:
-        if proc.name in processes:
-            err(
-                "E-DUP",
-                f"process={proc.name}",
-                f"process {proc.name!r} declared twice",
-                proc.offset,
-                proc.name,
-            )
+        name, offset, owners, responsibles, input_entries, output_entries, transform_entries = proc
+        if name in processes:
+            err("E-DUP", f"process={name}", f"process {name!r} declared twice", offset, name)
             continue
         role_privileges: dict[str, ProcessPrivilege] = {}
-        for entries, priv in ((proc.owners, owner), (proc.responsibles, responsible)):
+        for entries, priv in ((owners, owner), (responsibles, responsible)):
             for rname, offset in entries:
                 if rname not in roles:
-                    err(
-                        "E-REF",
-                        f"process={proc.name} role={rname}",
-                        f"role {rname!r} is not declared",
-                        offset,
-                        rname,
-                    )
+                    err("E-REF", f"process={name} role={rname}",
+                        f"role {rname!r} is not declared", offset, rname)
                 elif rname in role_privileges:
-                    err(
-                        "E-DUP",
-                        f"process={proc.name} role={rname}",
+                    err("E-DUP", f"process={name} role={rname}",
                         f"role {rname!r} already holds a privilege on this process",
-                        offset,
-                        rname,
-                    )
+                        offset, rname)
                 else:
                     role_privileges[rname] = priv
         inputs: set[str] = set()
         outputs: set[str] = set()
-        for entries, target in ((proc.inputs, inputs), (proc.outputs, outputs)):
+        for entries, target in ((input_entries, inputs), (output_entries, outputs)):
             for cname, offset in entries:
-                if cname not in classes:
-                    err(
-                        "E-REF",
-                        f"process={proc.name} class={cname}",
-                        f"class {cname!r} is not declared",
-                        offset,
-                        cname,
-                    )
-                else:
+                if cname in classes:
                     target.add(cname)
+                else:
+                    err("E-REF", f"process={name} class={cname}",
+                        f"class {cname!r} is not declared", offset, cname)
         transforms: set[Transform] = set()
-        for src, dst, mode, offset in proc.transforms:
+        for t, offset in transform_entries:
+            src, dst, _ = t
+            if src != dst and src in inputs and dst in outputs:
+                transforms.add(t)
+                continue
             if src == dst:
                 problems = ["a transform may not map a class to itself"]
             else:
@@ -461,14 +449,10 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
                     problems.append(f"transform source {src!r} is not an input of the process")
                 if dst not in outputs:
                     problems.append(f"transform target {dst!r} is not an output of the process")
-            if not problems:
-                transforms.add(Transform(src, dst, mode))
             for message in problems:
-                err("E-TRF-END", f"process={proc.name} transform={src}->{dst}", message,
+                err("E-TRF-END", f"process={name} transform={src}->{dst}", message,
                     offset, src)
-        processes[proc.name] = _process_def(
-            proc.name, role_privileges, inputs, outputs, transforms
-        )
+        processes[name] = _process_def(name, role_privileges, inputs, outputs, transforms)
 
     grants: dict[tuple[str, str], frozenset[Privilege]] = {}
     for role, class_name, privs, offset in draft.grants:
@@ -489,36 +473,37 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
     return _sealed(draft.name, roles, classes, processes, grants), diags
 
 
-def _sorted_once(items: Collection, key=None) -> tuple:
-    """``items`` sorted, each once; most lists of a process hold one item."""
-    if len(items) < 2:
-        return tuple(items)
-    return tuple(sorted(set(items), key=key))
-
-
 def _process_def(
     name: str,
     role_privileges: dict[str, ProcessPrivilege],
-    inputs: Collection[str],
-    outputs: Collection[str],
-    transforms: Collection[Transform],
+    inputs: set[str],
+    outputs: set[str],
+    transforms: set[Transform],
 ) -> ProcessDef:
-    """The canonical ``ProcessDef`` of checked parts, which may repeat an
-    input, output or transform. Role names are unique, so sorting the items
-    never compares privileges. Built with ``tuple.__new__``: its fields are
-    already the tuples and dict that the constructor would copy them into."""
+    """The canonical ``ProcessDef`` of checked parts. Role names are unique,
+    so sorting the items never compares privileges. Built with
+    ``tuple.__new__``: its fields are already the tuples and dict that the
+    constructor would copy them into."""
     if len(role_privileges) > 1:
         role_privileges = dict(sorted(role_privileges.items()))
     return tuple.__new__(
         ProcessDef,
         (
             name,
-            _sorted_once(inputs),
-            _sorted_once(outputs),
-            _sorted_once(transforms, _transform_order),
+            tuple(sorted(inputs)),
+            tuple(sorted(outputs)),
+            # Most processes have at most one transform: no key to compute.
+            tuple(sorted(transforms, key=_transform_order) if len(transforms) > 1 else transforms),
             role_privileges,
         ),
     )
+
+
+def _in_order(items: dict) -> dict:
+    """``items`` with its keys in sorted order: itself when they already are,
+    as in any model the emitters wrote."""
+    keys = sorted(items)
+    return items if keys == list(items) else {key: items[key] for key in keys}
 
 
 def _sealed(
@@ -529,72 +514,22 @@ def _sealed(
     grants: dict[tuple[str, str], frozenset[Privilege]],
 ) -> Model:
     """The canonical model of checked parts, marked for ``canonicalize`` to
-    pass through, and built as ``_process_def`` builds a process. Keys are
-    unique, so sorting the grants never compares two privilege sets."""
+    pass through, and built as ``_process_def`` builds a process."""
+    grants = _in_order(grants)
+    if not all(grants.values()):
+        grants = {key: privs for key, privs in grants.items() if privs}
     model = tuple.__new__(
         Model,
         (
             name,
             tuple(sorted(roles)),
-            tuple([classes[n] for n in sorted(classes)]),
-            tuple([processes[n] for n in sorted(processes)]),
-            {key: privs for key, privs in sorted(grants.items()) if privs},
+            tuple(_in_order(classes).values()),
+            tuple(_in_order(processes).values()),
+            grants,
         ),
     )
     model.__dict__["_canonical"] = True
     return model
-
-
-def _canonical_model(
-    name: str,
-    roles: list[str],
-    classes: list[ClassDef],
-    processes: list[tuple[str, list, list, list, list, list]],
-    grants: list[tuple[tuple[str, str], frozenset[Privilege]]],
-) -> Model | None:
-    """The model ``_resolve`` builds from the same declarations when none of
-    its checks fails, with every check made in bulk and nothing located;
-    ``None`` when a check fails, and then ``_resolve`` says which.
-
-    A process is ``(name, owners, responsibles, inputs, outputs,
-    transforms)``: four lists of role or class names and a list of
-    ``Transform``s. A grant is ``((role, class), privileges)``. A name that
-    is not a string matches no declaration; one that cannot be hashed or
-    ordered raises ``TypeError``.
-    """
-    role_set = set(roles)
-    class_defs = {c.name: c for c in classes}
-    grant_map = dict(grants)
-    if (
-        len(role_set) != len(roles)
-        or len(class_defs) != len(classes)
-        or len(grant_map) != len(grants)
-    ):
-        return None
-    defs: dict[str, ProcessDef] = {}
-    used_roles: set[str] = set()
-    used_classes: set[str] = set()
-    owner, responsible = ProcessPrivilege.OWNER, ProcessPrivilege.RESPONSIBILITY
-    for pname, owners, responsibles, inputs, outputs, transforms in processes:
-        role_privileges = dict.fromkeys(owners, owner)
-        if responsibles:
-            role_privileges.update(dict.fromkeys(responsibles, responsible))
-        if pname in defs or len(role_privileges) != len(owners) + len(responsibles):
-            return None
-        for src, dst, _ in transforms:
-            if src == dst or src not in inputs or dst not in outputs:
-                return None
-        used_roles.update(role_privileges)
-        used_classes.update(inputs)
-        used_classes.update(outputs)
-        defs[pname] = _process_def(pname, role_privileges, inputs, outputs, transforms)
-    if grant_map:
-        granted_roles, granted_classes = zip(*grant_map)
-        used_roles.update(granted_roles)
-        used_classes.update(granted_classes)
-    if not (used_roles <= role_set and class_defs.keys() >= used_classes):
-        return None
-    return _sealed(name, role_set, class_defs, defs, grant_map)
 
 
 _ERROR_BY_CODE = {
@@ -631,16 +566,20 @@ def canonicalize(model: Model) -> Model:
             if problem := _identifier_problem(kind, name):
                 raise InvalidModelName(problem)
     draft = _Draft(model.name)
-    draft.roles = [(r, None) for r in model.roles]
-    draft.classes = [(c, None) for c in model.classes]
-    for p in model.processes:
-        item = _ProcessItem(p.name)
-        item.owners = [(r, None) for r in p.owners]
-        item.responsibles = [(r, None) for r in p.responsibles]
-        item.inputs = [(c, None) for c in p.inputs]
-        item.outputs = [(c, None) for c in p.outputs]
-        item.transforms = [(t.source, t.target, t.mode, None) for t in p.transforms]
-        draft.processes.append(item)
+    draft.roles = zip(model.roles, _NO_OFFSET)
+    draft.classes = zip(model.classes, _NO_OFFSET)
+    draft.processes = [
+        _ProcessItem(
+            p.name,
+            None,
+            zip(p.owners, _NO_OFFSET),
+            zip(p.responsibles, _NO_OFFSET),
+            zip(p.inputs, _NO_OFFSET),
+            zip(p.outputs, _NO_OFFSET),
+            [(Transform(t.source, t.target, t.mode), None) for t in p.transforms],
+        )
+        for p in model.processes
+    ]
     draft.grants = [(r, c, privs, None) for (r, c), privs in model.class_grants.items()]
     canonical, diags = _resolve(draft)
     if diags:

@@ -132,31 +132,31 @@ MUTANTS = (
         "    model.require_role(r1)\n",
         ("tests/test_model.py::test_every_entry_point_reads_the_model_through_canonicalize",),
     ),
-    # The one-pass readers take a role declared twice.
+    # Name resolution takes a role declared twice.
     Mutant(
         "src/csm/model.py",
-        "        len(role_set) != len(roles)\n        or len(class_defs)",
-        "        len(class_defs)",
+        "        if name in roles:\n",
+        "        if False:\n",
         (
             "tests/test_dsl.py::TestOnePassReader::"
             "test_planted_text_mistake_reaches_the_reporting_path",
         ),
     ),
-    # The one-pass readers take a grant on an undeclared role or class.
+    # Name resolution takes a grant on an undeclared role or class.
     Mutant(
         "src/csm/model.py",
-        "        used_roles.update(granted_roles)\n        used_classes.update(granted_classes)\n",
-        "",
+        "if role in roles and class_name in classes and key not in grants:",
+        "if key not in grants:",
         (
             "tests/test_dsl.py::TestOnePassReader::"
             "test_planted_json_mistake_reaches_the_reporting_path",
         ),
     ),
-    # The one-pass readers take a transform whose source is not an input.
+    # Name resolution takes a transform whose source is not an input.
     Mutant(
         "src/csm/model.py",
-        "if src == dst or src not in inputs or dst not in outputs:",
-        "if src == dst or dst not in outputs:",
+        "if src != dst and src in inputs and dst in outputs:",
+        "if src != dst and dst in outputs:",
         (
             "tests/test_dsl.py::TestOnePassReader::"
             "test_planted_text_mistake_reaches_the_reporting_path",

@@ -563,8 +563,9 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
     assert "argparse" in runs[-1][2]
 
     # Commands that read a .csm file and write no JSON through the json
-    # package never load it, and no command loads os; each runs alone, since
-    # the harness above loads both.
+    # package never load it, no command loads os, and a well-formed model
+    # loads no bisect, which only a diagnostic's line and column need; each
+    # runs alone, since the harness above loads them.
     for argv in (
         ["render", "--format", "dot"],
         ["render", "--format", "mermaid"],
@@ -577,11 +578,11 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
              "code = csm.cli.main(sys.argv[1:])\n"
              "sys.stdout.flush()\n"
              "json = sorted(m for m in sys.modules if m.partition('.')[0] == 'json')\n"
-             "sys.stderr.write(repr((code, json, 'os' in sys.modules)))",
+             "sys.stderr.write(repr((code, json, 'os' in sys.modules, 'bisect' in sys.modules)))",
              *argv, fx("healthcare")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
-        assert proc.stdout and proc.stderr == "(0, [], False)", (argv, proc.stderr)
+        assert proc.stdout and proc.stderr == "(0, [], False, False)", (argv, proc.stderr)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -9,7 +9,6 @@ import pytest
 from csm import dsl
 from csm.dsl import (
     PITEM_KEYWORDS,
-    ParseResult,
     _Parser,
     _read_json,
     _read_text,
@@ -430,6 +429,15 @@ def _exact(result):
                           list(m.class_grants))
 
 
+# The codes of name resolution: a planted row with only these is read by the
+# one-pass reader, and any other row by the token parser.
+_RESOLUTION_CODES = {"E-DUP", "E-REF", "E-TRF-END"}
+
+
+def _no_token_parser(*args):
+    raise AssertionError("text read token by token")
+
+
 def _put(doc, path, value):
     *parents, last = path
     for key in parents:
@@ -476,21 +484,51 @@ class TestOnePassReader:
         texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES]
         texts += [emit_text(random_model(rng)) for _ in range(100)]
         texts += [_PLANTED, synth.to_text(doc)]
-        for text in texts:
-            model = _read_text(text)
-            assert model is not None, text
-            assert _exact(ParseResult(model, [])) == _exact(_report_text(text, "f.csm"))
-            blob = emit_json(model)
-            assert _read_json(json.loads(blob)) == model
-        assert _read_json(json.loads(synth.to_json(doc))) == _read_text(synth.to_text(doc))
+        reported = [_report_text(text, "f.csm") for text in texts]
+        base = parse_text(_PLANTED).model
+        monkeypatch.setattr(dsl, "_Parser", _no_token_parser)
+        for text, report in zip(texts, reported):
+            assert _read_text(text) is not None, text
+            result = parse_text(text, "f.csm")
+            assert result.ok and _exact(result) == _exact(report)
+            blob = emit_json(result.model)
+            assert _read_json(json.loads(blob)) == result.model
+        assert _read_json(json.loads(synth.to_json(doc))) == parse_text(synth.to_text(doc)).model
         # Keys that may be left out are left out of every entry.
-        short = json.loads(emit_json(_read_text(_PLANTED)))
+        short = json.loads(emit_json(base))
         for entry in short["classes"] + short["processes"] + short["grants"]:
             for key in ("dynamic", "status_points", "owners", "responsibles", "inputs",
                         "outputs", "transforms", "privileges"):
                 if key in entry and not entry[key]:
                     del entry[key]
-        assert _read_json(short) == _read_text(_PLANTED)
+        assert _read_json(short) == base
+
+    def test_reports_resolution_mistakes_from_the_one_pass_draft(self, monkeypatch):
+        # Text whose syntax the one-pass reader accepts is never read token
+        # by token, not even when a name does not resolve.
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
+        synth = load_bench("synth")
+        scale = synth.to_text(synth.generate(24, 100, 100, 0.08, 511)["model"])
+        undeclared = scale.replace("\n    owner ", "\n    owner Zz", 1)
+        line = undeclared[: undeclared.index("owner Zz")].count("\n") + 1
+        cases = [
+            (_PLANTED.replace(old, new), expected)
+            for _, old, new, expected in _PLANTED_TEXT
+            if expected and {row[0] for row in expected} <= _RESOLUTION_CODES
+        ]
+        assert len(cases) == 11
+        reported = [_report_text(text, "m.csm") for text, _ in cases]
+        scale_report = _report_text(undeclared, "m.csm")
+        monkeypatch.setattr(dsl, "_Parser", _no_token_parser)
+        for (text, expected), report in zip(cases, reported):
+            result = parse_text(text, "m.csm")
+            assert _exact(result) == _exact(report)
+            found = [(d.code, d.site, d.span.line, d.span.column) for d in result.diagnostics]
+            assert found == expected
+        result = parse_text(undeclared, "m.csm")
+        assert _exact(result) == _exact(scale_report)
+        [diag] = result.diagnostics
+        assert (diag.code, diag.span.line, diag.span.column) == ("E-REF", line, 11)
 
     def test_pattern_compiles_on_python_3_10(self):
         # requires-python is >=3.10, whose re has no possessive quantifier
@@ -504,20 +542,21 @@ class TestOnePassReader:
     def test_planted_text_mistake_reaches_the_reporting_path(self, old, new, expected):
         assert _PLANTED.count(old) == 1
         text = _PLANTED.replace(old, new)
-        assert _read_text(text) is None
+        resolution = bool(expected) and {row[0] for row in expected} <= _RESOLUTION_CODES
+        assert (_read_text(text) is not None) == resolution
         result = parse_text(text, "m.csm")
         assert _exact(result) == _exact(_report_text(text, "m.csm"))
         found = [(d.code, d.site, d.span.line, d.span.column) for d in result.diagnostics]
         assert found == expected
         if not expected:
-            assert result.model == _read_text(_PLANTED)
+            assert result.model == parse_text(_PLANTED).model
 
     @pytest.mark.parametrize(
         "path, value, expected", [row[1:] for row in _PLANTED_JSON],
         ids=[r[0] for r in _PLANTED_JSON],
     )
     def test_planted_json_mistake_reaches_the_reporting_path(self, path, value, expected):
-        doc = json.loads(emit_json(_read_text(_PLANTED)))
+        doc = json.loads(emit_json(parse_text(_PLANTED).model))
         _put(doc, path, value)
         assert _read_json(doc) is None
         result = parse_json(json.dumps(doc))

@@ -128,11 +128,10 @@ class TestLanes:
         [["render", "--format", "dot"], ["render", "--format", "mermaid"], ["fmt"]],
     )
     def test_commands_resolve_names_once(self, argv, monkeypatch, capsys, tmp_path):
-        # A well-formed model is resolved once, by the one-pass reader: the
-        # reporting path's resolution never runs, and neither the renderers
-        # nor the emitter resolve the canonical model again. Text with a
-        # comment inside the model header goes to the reporting path, which
-        # resolves it exactly once.
+        # A model is resolved once, whether the one-pass reader or, for text
+        # with a comment inside the model header, the token parser read it:
+        # neither the renderers nor the emitter resolve the canonical model
+        # again.
         calls = []
         resolve = model._resolve
 
@@ -144,7 +143,8 @@ class TestLanes:
         monkeypatch.setattr(dsl, "_resolve", counted)
         assert cli.main([*argv, str(fixture_path("hotel_agency"))]) == 0
         out = capsys.readouterr().out
-        assert out and calls == []
+        assert out and len(calls) == 1
+        calls.clear()
         text = fixture_path("hotel_agency").read_text(encoding="utf-8")
         fallback = tmp_path / "commented.csm"
         fallback.write_text(text.replace(" {", " # a note\n {", 1), encoding="utf-8")
