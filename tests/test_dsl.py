@@ -363,61 +363,96 @@ _PLANTED_TEXT = [
     ("non-ASCII whitespace after the model", " }\n}\n", " }\n}\u3000\n", []),
 ]
 # The same for the JSON form of _PLANTED: the path of the value to set (an
-# index one past the end appends), the value, and the diagnostics as (code,
-# site).
+# index one past the end appends; the empty path replaces the document), the
+# value, and the diagnostics as (code, site, message). A row with several
+# mistakes gives a list of paths and a list of their values.
 _PLANTED_JSON = [
-    ("duplicate role", ("roles", 2), "A", [("E-DUP", "role=A")]),
-    ("duplicate class", ("classes", 3), {"name": "D", "dynamic": True}, [("E-DUP", "class=D")]),
-    ("duplicate process", ("processes", 1, "name"), "P", [("E-DUP", "process=P")]),
+    ("duplicate role", ("roles", 2), "A", [("E-DUP", "role=A", "role 'A' declared twice")]),
+    ("duplicate class", ("classes", 3), {"name": "D", "dynamic": True},
+     [("E-DUP", "class=D", "class 'D' declared twice")]),
+    ("duplicate process", ("processes", 1, "name"), "P",
+     [("E-DUP", "process=P", "process 'P' declared twice")]),
     ("owner also responsible", ("processes", 0, "responsibles", 1), "A",
-     [("E-DUP", "process=P role=A")]),
+     [("E-DUP", "process=P role=A", "role 'A' already holds a privilege on this process")]),
     ("undeclared role in a process", ("processes", 1, "owners", 0), "Z",
-     [("E-REF", "process=Q role=Z")]),
+     [("E-REF", "process=Q role=Z", "role 'Z' is not declared")]),
     ("undeclared class in a process", ("processes", 1, "outputs", 0), "Z",
-     [("E-REF", "process=Q class=Z")]),
+     [("E-REF", "process=Q class=Z", "class 'Z' is not declared")]),
     ("undeclared role in a grant", ("grants", 1, "role"), "Z",
-     [("E-REF", "grant role=Z class=C")]),
+     [("E-REF", "grant role=Z class=C", "role 'Z' is not declared")]),
     ("undeclared class in a grant", ("grants", 1, "class"), "Z",
-     [("E-REF", "grant role=B class=Z")]),
+     [("E-REF", "grant role=B class=Z", "class 'Z' is not declared")]),
     ("transform source not an input", ("processes", 0, "transforms", 0, "from"), "E",
-     [("E-TRF-END", "process=P transform=E->D")]),
+     [("E-TRF-END", "process=P transform=E->D",
+       "transform source 'E' is not an input of the process")]),
     ("transform target not an output", ("processes", 0, "transforms", 0, "to"), "E",
-     [("E-TRF-END", "process=P transform=C->E")]),
+     [("E-TRF-END", "process=P transform=C->E",
+       "transform target 'E' is not an output of the process")]),
     ("unknown status point", ("classes", 0, "status_points", 1), "later",
-     [("E-JSON", "class=C")]),
+     [("E-JSON", "class=C", "unknown status point 'later'")]),
+    ("status point that cannot be hashed", ("classes", 0, "status_points", 1), ["waiting"],
+     [("E-JSON", "class=C", "unknown status point ['waiting']")]),
     ("unknown privilege", ("grants", 1, "privileges", 1), "ownership",
-     [("E-JSON", "grant role=B class=C")]),
+     [("E-JSON", "grant role=B class=C", "unknown privilege 'ownership'")]),
     ("unknown transform mode", ("processes", 0, "transforms", 0, "mode"), "later",
-     [("E-JSON", "process=P")]),
-    ("class name not an identifier", ("classes", 3), {"name": "F-1"}, [("E-JSON", "classes")]),
-    ("role name not an identifier", ("roles", 2), "not a name", [("E-JSON", "roles")]),
-    ("grant not an object", ("grants", 2), "grant", [("E-JSON", "grants"), ("E-JSON", "grants")]),
-    ("dynamic not a boolean", ("classes", 1, "dynamic"), 1, [("E-JSON", "class=D")]),
+     [("E-JSON", "process=P", "transform mode must be 'remaining' or 'leaving', got 'later'")]),
+    ("class name not an identifier", ("classes", 3), {"name": "F-1"},
+     [("E-JSON", "classes", "class name must be an identifier, got 'F-1'")]),
+    ("role name not an identifier", ("roles", 2), "not a name",
+     [("E-JSON", "roles", "role name must be an identifier, got 'not a name'")]),
+    ("grant not an object", ("grants", 2), "grant",
+     [("E-JSON", "grants", "missing required key 'role'"),
+      ("E-JSON", "grants", "missing required key 'class'")]),
+    ("dynamic not a boolean", ("classes", 1, "dynamic"), 1,
+     [("E-JSON", "class=D", "'dynamic' must be true or false")]),
     # Names that refer to a declaration are type-checked by resolving them.
-    ("owner not a string", ("processes", 1, "owners", 0), 5, [("E-JSON", "process=Q")]),
+    ("owner not a string", ("processes", 1, "owners", 0), 5,
+     [("E-JSON", "process=Q", "'owners' entries must be strings")]),
     ("owner that cannot be hashed", ("processes", 1, "owners", 0), ["B"],
-     [("E-JSON", "process=Q")]),
+     [("E-JSON", "process=Q", "'owners' entries must be strings")]),
     ("input that cannot be hashed", ("processes", 1, "inputs", 0), {"D": 1},
-     [("E-JSON", "process=Q")]),
-    ("inputs not an array", ("processes", 1, "inputs"), "D", [("E-JSON", "process=Q")]),
+     [("E-JSON", "process=Q", "'inputs' entries must be strings")]),
+    ("inputs not an array", ("processes", 1, "inputs"), "D",
+     [("E-JSON", "process=Q", "'inputs' must be an array")]),
+    ("owners null", ("processes", 1, "owners"), None,
+     [("E-JSON", "process=Q", "'owners' must be an array")]),
     ("transform not an object", ("processes", 0, "transforms", 0), "C->D",
-     [("E-JSON", "process=P")]),
+     [("E-JSON", "process=P", "transform needs 'from' and 'to' strings")]),
     ("transform source not a string", ("processes", 0, "transforms", 0, "from"), 1,
-     [("E-JSON", "process=P")]),
+     [("E-JSON", "process=P", "transform needs 'from' and 'to' strings")]),
     ("transform mode that cannot be hashed", ("processes", 0, "transforms", 0, "mode"),
-     ["leaving"], [("E-JSON", "process=P")]),
-    ("grant role not a string", ("grants", 1, "role"), 1, [("E-JSON", "grants")]),
+     ["leaving"],
+     [("E-JSON", "process=P",
+       "transform mode must be 'remaining' or 'leaving', got ['leaving']")]),
+    ("grant role not a string", ("grants", 1, "role"), 1,
+     [("E-JSON", "grants", "grant needs 'role' and 'class' strings")]),
     ("grant class that cannot be hashed", ("grants", 1, "class"), ["C"],
-     [("E-JSON", "grants")]),
+     [("E-JSON", "grants", "grant needs 'role' and 'class' strings")]),
     ("privileges not an array", ("grants", 1, "privileges"), {"reference+": 1},
-     [("E-JSON", "grant role=B class=C")]),
-    ("process not an object", ("processes", 2), "R", [("E-JSON", "processes")]),
-    ("model name with a line break", ("name",), "a\nb", [("E-JSON", "document")]),
-    ("class without a name", ("classes", 3), {"dynamic": True}, [("E-JSON", "classes")]),
+     [("E-JSON", "grant role=B class=C", "'privileges' must be an array")]),
+    ("process not an object", ("processes", 2), "R",
+     [("E-JSON", "processes", "missing required key 'name'")]),
+    ("class not an object", ("classes", 1), "D",
+     [("E-JSON", "classes", "missing required key 'name'")]),
+    ("model name with a line break", ("name",), "a\nb",
+     [("E-JSON", "document", "'name' may not contain '\"' or a line break")]),
+    ("model name null", ("name",), None,
+     [("E-JSON", "document", "missing required key 'name'")]),
+    ("top-level array", (), ["roles"],
+     [("E-JSON", "document", "top-level value must be an object")]),
+    ("class without a name", ("classes", 3), {"dynamic": True},
+     [("E-JSON", "classes", "missing required key 'name'")]),
     ("transform without a mode", ("processes", 0, "transforms", 0), {"from": "C", "to": "D"},
-     [("E-JSON", "process=P")]),
+     [("E-JSON", "process=P", "transform mode must be 'remaining' or 'leaving', got None")]),
     ("grant without a class", ("grants", 1), {"role": "B", "privileges": ["reference+"]},
-     [("E-JSON", "grants")]),
+     [("E-JSON", "grants", "missing required key 'class'")]),
+    # The document lists grants before roles; the kinds are reported in a
+    # fixed order: the name, roles, classes, processes, grants.
+    ("mistakes in roles, classes and grants",
+     [("grants", 0, "privileges", 0), ("classes", 2, "dynamic"), ("roles", 1)], ["x", "no", 7],
+     [("E-JSON", "roles", "role name must be an identifier, got 7"),
+      ("E-JSON", "class=E", "'dynamic' must be true or false"),
+      ("E-JSON", "grant role=A class=C", "unknown privilege 'x'")]),
 ]
 
 
@@ -439,6 +474,10 @@ def _no_token_parser(*args):
 
 
 def _put(doc, path, value):
+    """``doc`` with ``value`` set at ``path``."""
+    if not path:
+        return value
+    root = doc
     *parents, last = path
     for key in parents:
         doc = doc[key]
@@ -446,6 +485,7 @@ def _put(doc, path, value):
         doc.append(value)
     else:
         doc[last] = value
+    return root
 
 
 class TestOnePassReader:
@@ -557,12 +597,14 @@ class TestOnePassReader:
     )
     def test_planted_json_mistake_reaches_the_reporting_path(self, path, value, expected):
         doc = json.loads(emit_json(parse_text(_PLANTED).model))
-        _put(doc, path, value)
+        edits = zip(path, value) if isinstance(path, list) else [(path, value)]
+        for at, planted in edits:
+            doc = _put(doc, at, planted)
         assert _read_json(doc) is None
         result = parse_json(json.dumps(doc))
         assert result == _report_json(doc)
         assert result.model is None
-        assert [(d.code, d.site) for d in result.diagnostics] == expected
+        assert [(d.code, d.site, d.message) for d in result.diagnostics] == expected
 
 
 class TestRoundTrip:
