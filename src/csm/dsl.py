@@ -24,10 +24,9 @@ parser, which reports every syntax diagnostic and recovers at item
 boundaries, so several independent mistakes are reported in one pass.
 Either draft then goes through the one name-resolution pass
 (``model._resolve``), which checks duplicates and references and locates
-each that fails. JSON is split the same way: a document whose entries are
-all well-typed and resolve becomes the model right after decoding
-(``_read_json``, through the same pass), and any other goes to the checks
-that report it. Both paths give the same model.
+each that fails. JSON has one reader, since ``json.loads`` has lexed it:
+``_read_json`` walks the decoded document once, fills a draft for the same
+pass, and reports each ill-typed entry where it finds it.
 A transform's mode keyword is mandatory: there is no default for whether
 the source token survives the firing.
 """
@@ -679,117 +678,12 @@ def _json_error(message: str, site: str = "document") -> Diagnostic:
     )
 
 
-def _read_json(doc) -> Model | None:
-    """The canonical model of a document whose entries are all well-typed
-    and resolve: each entry goes straight into a draft, without offsets, for
-    ``_resolve`` to check. ``None`` for any other document, which the
-    reporting path then reads.
-
-    Declared names must be identifiers. A name that refers to a declaration
-    (an owner, an input, a transform's end, a grant's role or class) is not
-    type-checked here: one that is not a string matches no declaration, or
-    cannot be hashed, and either way the document is not read.
-    """
-    if type(doc) is not dict:
-        return None
-    name = doc.get("name")
-    roles = doc.get("roles")
-    class_entries = doc.get("classes")
-    process_entries = doc.get("processes")
-    grant_entries = doc.get("grants")
-    ident = _IDENT_RE.fullmatch
-    if not (
-        type(name) is str
-        and _quotable_name(name)
-        and type(roles) is list
-        and type(class_entries) is list
-        and type(process_entries) is list
-        and type(grant_entries) is list
-        and all(type(r) is str and ident(r) for r in roles)
-    ):
-        return None
-    # Equal listings share one set, read once; one memo per list kind.
-    point_lists: dict[tuple, frozenset[StatusPoint]] = {}
-    privilege_lists: dict[tuple, frozenset[Privilege]] = {}
-    draft = _Draft(name)
-    draft.roles = zip(roles, _NO_OFFSET)
-    classes = []
-    processes = draft.processes
-    grants = draft.grants
-    try:
-        for entry in class_entries:
-            cname = entry["name"]
-            dynamic = entry.get("dynamic", False)
-            listed = entry.get("status_points", _NO_ENTRIES)
-            if not (
-                type(cname) is str and ident(cname)
-                and type(dynamic) is bool and type(listed) is list
-            ):
-                return None
-            points = point_lists.get(key := tuple(listed))
-            if points is None:
-                points = point_lists[key] = frozenset([_STATUS_POINT[x] for x in listed])
-            classes.append(tuple.__new__(ClassDef, (cname, dynamic, points)))
-        for entry in process_entries:
-            pname = entry["name"]
-            owners = entry.get("owners", _NO_ENTRIES)
-            responsibles = entry.get("responsibles", _NO_ENTRIES)
-            inputs = entry.get("inputs", _NO_ENTRIES)
-            outputs = entry.get("outputs", _NO_ENTRIES)
-            transforms = entry.get("transforms", _NO_ENTRIES)
-            if not (
-                type(pname) is str
-                and ident(pname)
-                and type(owners) is list
-                and type(responsibles) is list
-                and type(inputs) is list
-                and type(outputs) is list
-                and type(transforms) is list
-            ):
-                return None
-            if transforms:
-                transforms = [
-                    (tuple.__new__(Transform, (t["from"], t["to"], _MODE[t["mode"]])), None)
-                    for t in transforms
-                ]
-            processes.append(
-                tuple.__new__(
-                    _ProcessItem,
-                    (
-                        pname,
-                        None,
-                        zip(owners, _NO_OFFSET),
-                        zip(responsibles, _NO_OFFSET),
-                        zip(inputs, _NO_OFFSET),
-                        zip(outputs, _NO_OFFSET),
-                        transforms,
-                    ),
-                )
-            )
-        for entry in grant_entries:
-            listed = entry.get("privileges", _NO_ENTRIES)
-            if type(listed) is not list:
-                return None
-            privs = privilege_lists.get(key := tuple(listed))
-            if privs is None:
-                privs = privilege_lists[key] = frozenset([_PRIVILEGE[x] for x in listed])
-            grants.append((entry["role"], entry["class"], privs, None))
-        draft.classes = zip(classes, _NO_OFFSET)
-        return _resolve(draft)[0]
-    except (AttributeError, KeyError, TypeError):
-        # An entry that is not an object or lacks a required key, a mode,
-        # point or privilege that names no member, or a name that cannot be
-        # hashed (which ``_resolve`` finds).
-        return None
-
-
 def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
     """Parse the JSON interchange form into a canonical model.
 
     Names follow the text grammar: role, class and process names are
     identifiers, and the model name is a string the text form can quote.
-    A document ``_read_json`` does not read goes to the reporting checks,
-    which give its diagnostics.
+    The decoded document is read in one walk (``_read_json``).
     """
     import json
 
@@ -803,128 +697,174 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the interpreter's stack allows.
         return ParseResult(None, [_json_error(f"malformed JSON: {exc}")])
-    model = _read_json(doc)
-    if model is not None:
-        return ParseResult(model, [])
-    return _report_json(doc)
+    return _read_json(doc)
 
 
-def _report_json(doc) -> ParseResult:
-    """The reporting path for a decoded document: the model and every
-    diagnostic, found by the checks of each key and name resolution."""
-    diags: list[Diagnostic] = []
+def _read_json(doc) -> ParseResult:
+    """The model and every diagnostic of a decoded document, in one walk:
+    the name, then the roles, classes, processes and grants in document
+    order. An entry that one test finds well-typed goes straight into a
+    draft, without offsets; any other is explained key by key, and its
+    E-JSON diagnostics are kept where they were found. A document with none
+    goes through ``_resolve``, which checks duplicates and references.
 
-    def need(obj: dict, key: str, site: str):
-        if not isinstance(obj, dict) or obj.get(key) is None:
-            diags.append(_json_error(f"missing required key {key!r}", site))
-            return None
-        return obj[key]
+    Declared names must be identifiers. A name that refers to a declaration
+    (an owner, an input, a transform's end, a grant's role or class) must be
+    a string, which ``_resolve`` then looks up.
+    """
+    if type(doc) is not dict:
+        return ParseResult(None, [_json_error("top-level value must be an object")])
+    errors: list[Diagnostic] = []
 
-    def array(obj: dict, key: str, site: str, required: bool = False) -> list:
-        """The array under ``key``; ``[]`` when absent or not an array."""
-        if key not in obj:
-            if required:
-                diags.append(_json_error(f"missing required key {key!r}", site))
-            return []
-        value = obj[key]
-        if not isinstance(value, list):
-            diags.append(_json_error(f"{key!r} must be an array", site))
-            return []
+    def error(message: str, site: str = "document") -> None:
+        errors.append(_json_error(message, site))
+
+    def array(obj: dict, key: str, site: str = "document") -> list:
+        """The array under ``key``, else ``[]`` after its diagnostic: a key of
+        the document is required, and one of an entry is not."""
+        value = obj.get(key)
+        if type(value) is list:
+            return value
+        if key in obj:
+            error(f"{key!r} must be an array", site)
+        elif site == "document":
+            error(f"missing required key {key!r}")
+        return _NO_ENTRIES
+
+    def need(entry, key: str, site: str):
+        """``entry[key]``, else ``None`` after its diagnostic."""
+        value = entry.get(key) if type(entry) is dict else None
+        if value is None:
+            error(f"missing required key {key!r}", site)
         return value
 
-    def identifier(name, kind: str, site: str) -> bool:
-        if problem := _identifier_problem(kind, name):
-            diags.append(_json_error(problem, site))
-        return not problem
+    def declared(entry, kind: str, site: str) -> str | None:
+        """The entry's name if it is an identifier, else ``None`` after its diagnostic."""
+        name = need(entry, "name", site)
+        if name is not None and (problem := _identifier_problem(kind, name)):
+            error(problem, site)
+            return None
+        return name
 
-    if not isinstance(doc, dict):
-        return ParseResult(None, [_json_error("top-level value must be an object")])
+    def unknown(entry: dict, key: str, members: dict, noun: str, site: str) -> None:
+        """A diagnostic for each entry under ``key`` that names no member."""
+        for value in array(entry, key, site):
+            if type(value) is not str or value not in members:
+                error(f"unknown {noun} {value!r}", site)
 
-    name = need(doc, "name", "document")
-    if name is not None and not isinstance(name, str):
-        diags.append(_json_error("'name' must be a string"))
-        name = None
-    elif name is not None and not _quotable_name(name):
-        diags.append(_json_error("'name' may not contain '\"' or a line break"))
+    name = doc.get("name")
+    if name is None:
+        error("missing required key 'name'")
+    elif type(name) is not str:
+        error("'name' must be a string")
+    elif not _quotable_name(name):
+        error("'name' may not contain '\"' or a line break")
+    draft = _Draft(name)
 
-    draft = _Draft(name=name or "")
-    for r in array(doc, "roles", "document", required=True):
-        if identifier(r, "role", "roles"):
-            draft.roles.append((r, None))
+    roles = array(doc, "roles")
+    for r in roles:
+        if problem := _identifier_problem("role", r):
+            error(problem, "roles")
+    draft.roles = zip(roles, _NO_OFFSET)
 
-    for entry in array(doc, "classes", "document", required=True):
-        cname = need(entry, "name", "classes")
-        if cname is None or not identifier(cname, "class", "classes"):
-            continue
-        site = f"class={cname}"
-        dynamic = entry.get("dynamic", False)
-        if not isinstance(dynamic, bool):
-            diags.append(_json_error("'dynamic' must be true or false", site))
-        points: set[StatusPoint] = set()
-        for pt in array(entry, "status_points", site):
-            try:
-                points.add(_STATUS_POINT[pt])
-            except (KeyError, TypeError):
-                diags.append(_json_error(f"unknown status point {pt!r}", site))
-        draft.classes.append(
-            (ClassDef(cname, dynamic=dynamic, status_points=frozenset(points)), None)
-        )
+    # Equal listings share one set, read once; one memo per list kind.
+    point_lists: dict[tuple, frozenset[StatusPoint]] = {}
+    privilege_lists: dict[tuple, frozenset[Privilege]] = {}
+    # Each entry's test fails, or raises KeyError or TypeError, for any
+    # wrong type: an entry that is not an object, an absent required key, a
+    # member name that names none or cannot be hashed, or a name that is not
+    # a string (``"".join`` takes only strings).
+    classes = []
+    for entry in array(doc, "classes"):
+        try:
+            cname = entry["name"]
+            dynamic = entry.get("dynamic", False)
+            points = entry.get("status_points", _NO_ENTRIES)
+            if (
+                type(cname) is str and _IDENT_RE.fullmatch(cname)
+                and type(dynamic) is bool and type(points) is list
+            ):
+                found = point_lists.get(key := tuple(points))
+                if found is None:
+                    found = point_lists[key] = frozenset([_STATUS_POINT[x] for x in points])
+                classes.append(tuple.__new__(ClassDef, (cname, dynamic, found)))
+                continue
+        except (KeyError, TypeError):
+            pass
+        cname = declared(entry, "class", "classes")
+        if cname is not None:
+            site = f"class={cname}"
+            if type(entry.get("dynamic", False)) is not bool:
+                error("'dynamic' must be true or false", site)
+            unknown(entry, "status_points", _STATUS_POINT, "status point", site)
+    draft.classes = zip(classes, _NO_OFFSET)
 
-    for entry in array(doc, "processes", "document", required=True):
-        pname = need(entry, "name", "processes")
-        if pname is None or not identifier(pname, "process", "processes"):
+    for entry in array(doc, "processes"):
+        try:
+            pname = entry["name"]
+            owners = entry.get("owners", _NO_ENTRIES)
+            responsibles = entry.get("responsibles", _NO_ENTRIES)
+            inputs = entry.get("inputs", _NO_ENTRIES)
+            outputs = entry.get("outputs", _NO_ENTRIES)
+            transforms = entry.get("transforms", _NO_ENTRIES)
+            if (
+                type(pname) is str and _IDENT_RE.fullmatch(pname) and type(transforms) is list
+                and type(owners) is list and type(responsibles) is list
+                and type(inputs) is list and type(outputs) is list
+            ):
+                "".join([*owners, *responsibles, *inputs, *outputs])
+                items = []
+                for t in transforms:
+                    src, dst = t["from"], t["to"]
+                    if type(src) is not str or type(dst) is not str:
+                        break
+                    items.append((tuple.__new__(Transform, (src, dst, _MODE[t["mode"]])), None))
+                else:
+                    draft.processes.append(tuple.__new__(_ProcessItem, (
+                        pname, None, zip(owners, _NO_OFFSET), zip(responsibles, _NO_OFFSET),
+                        zip(inputs, _NO_OFFSET), zip(outputs, _NO_OFFSET), items,
+                    )))
+                    continue
+        except (KeyError, TypeError):
+            pass
+        pname = declared(entry, "process", "processes")
+        if pname is None:
             continue
         site = f"process={pname}"
-        proc = _ProcessItem(pname, None, [], [], [], [], [])
-        for key, target in (
-            ("owners", proc.owners),
-            ("responsibles", proc.responsibles),
-            ("inputs", proc.inputs),
-            ("outputs", proc.outputs),
-        ):
+        for key in ("owners", "responsibles", "inputs", "outputs"):
             for v in array(entry, key, site):
-                if isinstance(v, str):
-                    target.append((v, None))
-                else:
-                    diags.append(_json_error(f"'{key}' entries must be strings", site))
+                if type(v) is not str:
+                    error(f"'{key}' entries must be strings", site)
         for t in array(entry, "transforms", site):
-            src = t.get("from") if isinstance(t, dict) else None
-            dst = t.get("to") if isinstance(t, dict) else None
-            mode = t.get("mode") if isinstance(t, dict) else None
-            if not (isinstance(src, str) and isinstance(dst, str)):
-                diags.append(_json_error("transform needs 'from' and 'to' strings", site))
-                continue
-            try:
-                tmode = _MODE[mode]
-            except (KeyError, TypeError):
-                diags.append(
-                    _json_error(
-                        f"transform mode must be 'remaining' or 'leaving', got {mode!r}",
-                        site,
-                    )
-                )
-                continue
-            proc.transforms.append((Transform(src, dst, tmode), None))
-        draft.processes.append(proc)
+            t = t if type(t) is dict else {}
+            mode = t.get("mode")
+            if type(t.get("from")) is not str or type(t.get("to")) is not str:
+                error("transform needs 'from' and 'to' strings", site)
+            elif type(mode) is not str or mode not in _MODE:
+                error(f"transform mode must be 'remaining' or 'leaving', got {mode!r}", site)
 
-    for entry in array(doc, "grants", "document", required=True):
+    for entry in array(doc, "grants"):
+        try:
+            role = entry["role"]
+            cname = entry["class"]
+            privileges = entry.get("privileges", _NO_ENTRIES)
+            if type(role) is str and type(cname) is str and type(privileges) is list:
+                found = privilege_lists.get(key := tuple(privileges))
+                if found is None:
+                    found = privilege_lists[key] = frozenset([_PRIVILEGE[x] for x in privileges])
+                draft.grants.append((role, cname, found, None))
+                continue
+        except (KeyError, TypeError):
+            pass
         role = need(entry, "role", "grants")
         cname = need(entry, "class", "grants")
         if role is None or cname is None:
             continue
-        if not (isinstance(role, str) and isinstance(cname, str)):
-            diags.append(_json_error("grant needs 'role' and 'class' strings", "grants"))
+        if type(role) is not str or type(cname) is not str:
+            error("grant needs 'role' and 'class' strings", "grants")
             continue
-        site = f"grant role={role} class={cname}"
-        privs: set[Privilege] = set()
-        for pv in array(entry, "privileges", site):
-            try:
-                privs.add(_PRIVILEGE[pv])
-            except (KeyError, TypeError):
-                diags.append(_json_error(f"unknown privilege {pv!r}", site))
-        draft.grants.append((role, cname, frozenset(privs), None))
+        unknown(entry, "privileges", _PRIVILEGE, "privilege", f"grant role={role} class={cname}")
 
-    if diags:
-        return ParseResult(None, diags)
-    model, semantic = _resolve(draft)
-    return ParseResult(model=model, diagnostics=semantic)
+    if errors:
+        return ParseResult(None, errors)
+    return ParseResult(*_resolve(draft))

@@ -115,10 +115,10 @@ MUTANTS = (
         "    ensure_valid(model)\n",
         ("tests/test_classifier.py::TestReferenceOracle::test_random_models",),
     ),
-    # The one-pass JSON reader takes a class name that is not an identifier.
+    # The JSON reader's fast test takes a class name that is not an identifier.
     Mutant(
         "src/csm/dsl.py",
-        "type(cname) is str and ident(cname)\n",
+        "type(cname) is str and _IDENT_RE.fullmatch(cname)\n",
         "type(cname) is str\n",
         (
             "tests/test_dsl.py::TestOnePassReader::"
@@ -168,6 +168,17 @@ MUTANTS = (
         "    model = canonicalize(model)\n    if max_steps < 1",
         "    if max_steps < 1",
         ("tests/test_model.py::test_every_entry_point_reads_the_model_through_canonicalize",),
+    ),
+    # The JSON reader's fast test takes owners, responsibles, inputs and
+    # outputs that are not strings, so name resolution reports them.
+    Mutant(
+        "src/csm/dsl.py",
+        '                "".join([*owners, *responsibles, *inputs, *outputs])\n',
+        "",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_json_mistake_reaches_the_reporting_path",
+        ),
     ),
 )
 

@@ -10,9 +10,7 @@ from csm import dsl
 from csm.dsl import (
     PITEM_KEYWORDS,
     _Parser,
-    _read_json,
     _read_text,
-    _report_json,
     _report_text,
     emit_json,
     emit_text,
@@ -489,9 +487,10 @@ def _put(doc, path, value):
 
 
 class TestOnePassReader:
-    """``parse_text`` and ``parse_json`` read well-formed input in one pass
-    and hand any other input to the reporting path; either way they return
-    what the reporting path alone returns, model and diagnostics alike."""
+    """``parse_text`` reads well-formed text in one pass and hands any other
+    text to the token parser; either way it returns what the token parser
+    alone returns, model and diagnostics alike. ``parse_json`` reads every
+    document in one walk, which reports each mistake where it finds it."""
 
     def test_text_agrees_with_the_reporting_path(self):
         rng = random.Random(20261025)
@@ -508,14 +507,6 @@ class TestOnePassReader:
         for text in texts:
             assert _exact(parse_text(text, "f.csm")) == _exact(_report_text(text, "f.csm")), text
 
-    def test_json_agrees_with_the_reporting_path(self):
-        rng = random.Random(20261026)
-        models = [parse_text(fixture_text(name)).model for name in FIXTURES + BAD_FIXTURES]
-        models += [random_model(rng) for _ in range(100)]
-        for m in models:
-            blob = emit_json(m)
-            assert _exact(parse_json(blob)) == _exact(_report_json(json.loads(blob))), blob
-
     def test_reads_well_formed_input_in_one_pass(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
         synth = load_bench("synth")
@@ -531,9 +522,8 @@ class TestOnePassReader:
             assert _read_text(text) is not None, text
             result = parse_text(text, "f.csm")
             assert result.ok and _exact(result) == _exact(report)
-            blob = emit_json(result.model)
-            assert _read_json(json.loads(blob)) == result.model
-        assert _read_json(json.loads(synth.to_json(doc))) == parse_text(synth.to_text(doc)).model
+            assert parse_json(emit_json(result.model)).model == result.model
+        assert parse_json(synth.to_json(doc)).model == parse_text(synth.to_text(doc)).model
         # Keys that may be left out are left out of every entry.
         short = json.loads(emit_json(base))
         for entry in short["classes"] + short["processes"] + short["grants"]:
@@ -541,7 +531,7 @@ class TestOnePassReader:
                         "outputs", "transforms", "privileges"):
                 if key in entry and not entry[key]:
                     del entry[key]
-        assert _read_json(short) == base
+        assert parse_json(json.dumps(short)).model == base
 
     def test_reports_resolution_mistakes_from_the_one_pass_draft(self, monkeypatch):
         # Text whose syntax the one-pass reader accepts is never read token
@@ -600,9 +590,7 @@ class TestOnePassReader:
         edits = zip(path, value) if isinstance(path, list) else [(path, value)]
         for at, planted in edits:
             doc = _put(doc, at, planted)
-        assert _read_json(doc) is None
         result = parse_json(json.dumps(doc))
-        assert result == _report_json(doc)
         assert result.model is None
         assert [(d.code, d.site, d.message) for d in result.diagnostics] == expected
 
@@ -630,6 +618,14 @@ class TestRoundTrip:
             m = random_model(rng)
             assert parse_text(emit_text(m)).model == m
             assert parse_json(emit_json(m)).model == m
+
+    def test_json_round_trip_reads_what_text_reads(self):
+        rng = random.Random(20261026)
+        models = [parse_text(fixture_text(name)).model for name in FIXTURES + BAD_FIXTURES]
+        models += [random_model(rng) for _ in range(100)]
+        for m in models:
+            blob = emit_json(m)
+            assert _exact(parse_json(blob)) == _exact(parse_text(emit_text(m))), blob
 
     @pytest.mark.parametrize(
         "path, name",

@@ -88,6 +88,11 @@ class TestCanonicalize:
             canonicalize(_tiny(name=name))
         assert parse_json(_raw_json(_tiny(name=name))).model is None
 
+    @pytest.mark.parametrize("name", [3, None, b"m", ("m",)])
+    def test_name_that_is_not_a_string_rejected(self, name):
+        with pytest.raises(InvalidModelName, match="model name must be a string"):
+            canonicalize(_tiny(name=name))
+
     @pytest.mark.parametrize("name", ["a#b", "back\\slash", "ends\\", "# \\ #", ""])
     def test_hash_and_backslash_names_round_trip(self, name):
         m = canonicalize(_tiny(name=name))
