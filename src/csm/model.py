@@ -542,10 +542,10 @@ _ERROR_BY_CODE = {
 def canonicalize(model: Model) -> Model:
     """Return the canonical form of ``model``.
 
-    A model name that is not a string or that the text form cannot quote,
-    or a role, class or process name that is not an identifier
-    (``[A-Za-z][A-Za-z0-9_]*``), raises ``InvalidModelName``; a role, class
-    or process name with the message ``parse_json`` gives. Then
+    A model name that is not a string or that the text form cannot quote
+    raises ``InvalidModelName``, and so does a role, class or process name
+    that is not an identifier (``[A-Za-z][A-Za-z0-9_]*``), with the message
+    ``parse_json`` gives. Then
     members are sorted lexicographically by name, empty grants are
     dropped, and every reference is checked against the declarations by
     the same resolution pass that text and JSON parsing use. The first
