@@ -405,6 +405,52 @@ class TestUndecodableInput:
         assert "Traceback" not in captured.err
 
 
+    # Python 3.11 and later refuse to decode an integer of more than 4 300
+    # digits; an interpreter without that limit reads a value of the wrong
+    # type. Either way the file is refused with its exit code.
+    def test_number_past_the_digit_limit_in_a_model_is_e_json(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        doc = json.loads(emit_json(load("gp_lab")))
+        doc["classes"][0]["dynamic"] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', "9" * 5000))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("E-JSON [error] ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind, entry",
+        [("seed", '{"object": %s, "class": "TestRequest"}'),
+         ("script", '{"process": %s, "object": "p"}'),
+         ("query", '{"type": "sequence", "first": %s, "then": "PerformTest"}')],
+        ids=["seed", "script", "query"],
+    )
+    def test_number_past_the_digit_limit_in_a_json_file_exits_two(
+        self, capsys, tmp_path, write_json, kind, entry
+    ):
+        path = tmp_path / "big.json"
+        path.write_text(f"[{entry % ('9' * 5000)}]")
+        assert main(_reading(kind, str(path), write_json)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["fmt"], ["render", "--format", "dot"]], ids=lambda a: a[0]
+    )
+    def test_model_name_that_is_not_utf8_is_e_json(self, capsys, tmp_path, argv):
+        # A lone surrogate decodes from a JSON escape, but no output can hold it.
+        doc = json.loads(emit_json(load("gp_lab")))
+        doc["name"] = "\ud800"
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "E-JSON [error] document: 'name' must encode as UTF-8\n"
+            f"error: {path}: model has errors\n"
+        )
+
 @pytest.mark.parametrize("argv", [["classify", "--json"], ["validate"]])
 def test_closed_stdout_exits_two(argv):
     # Python ignores SIGPIPE, so a write to a pipe nobody reads raises

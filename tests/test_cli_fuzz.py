@@ -18,7 +18,7 @@ import json
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from csm.cli import main
@@ -44,6 +44,9 @@ JSON_PIECES = [
     "{", "}", "[", "]", ":", ",", '"', "null", "true", "0", "-1", "1e999",
     '"\\u0000"', '"name"', '"roles"', '"classes"', '"dynamic"', '"owners"',
     '"inputs"', '"transforms"', '"mode"', '"privileges"', '"a b"',
+    # A lone surrogate, which no UTF-8 stream can hold, and a number past
+    # the interpreter's int-string limit (4 300 digits since Python 3.11).
+    '"\\ud800"', "9" * 5000,
 ]
 KEYS = ["object", "class", "process", "type", "classes", "first", "then"]
 
@@ -168,8 +171,25 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+_BIG = "9" * 5000
+_SURROGATE_NAME = JSONS[0].replace(json.dumps(BASES[0].name), '"\\ud800"', 1)
+
+
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
+# The pieces above seldom land where they matter; these cases put each one
+# there: a model name no stream can write, and the long number in a model
+# and in a seed file.
+@example(case=(["fmt", "@model"], {"@model": ("model.json", _SURROGATE_NAME)}))
+@example(case=(["render", "@model", "--format", "dot"],
+               {"@model": ("model.json", _SURROGATE_NAME)}))
+@example(case=(["validate", "@model"],
+               {"@model": ("model.json", JSONS[0].replace("false", _BIG, 1))}))
+@example(case=(
+    ["simulate", "@model", "--seed", "@seed", "--script", "@script"],
+    {"@model": ("model.csm", TEXTS[0]), "@seed": ("seed.json", f'[{{"object": {_BIG}}}]'),
+     "@script": ("script.json", "[]")},
+))
 def test_cli_ends_in_an_exit_code_without_a_traceback(workdir, case):
     argv, files = case
     paths = {"@out": workdir / "out.txt", "@dir": workdir, "@missing": workdir / "missing.json"}
@@ -177,7 +197,9 @@ def test_cli_ends_in_an_exit_code_without_a_traceback(workdir, case):
         paths[token] = workdir / name
         paths[token].write_text(text, encoding="utf-8")
     argv = [str(paths[a]) if a in paths else a for a in argv]
-    out, err = io.StringIO(), io.StringIO()
+    # stdout encodes as the real stream does, so a string it cannot hold
+    # fails here as it would in a terminal.
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)

@@ -436,6 +436,8 @@ _PLANTED_JSON = [
      [("E-JSON", "document", "'name' may not contain '\"' or a line break")]),
     ("model name null", ("name",), None,
      [("E-JSON", "document", "missing required key 'name'")]),
+    ("model name that is not UTF-8", ("name",), "\ud800",
+     [("E-JSON", "document", "'name' must encode as UTF-8")]),
     ("top-level array", (), ["roles"],
      [("E-JSON", "document", "top-level value must be an object")]),
     ("class without a name", ("classes", 3), {"dynamic": True},
@@ -747,6 +749,15 @@ class TestJson:
         assert result.model is None
         [diag] = result.diagnostics
         assert diag.code == "E-JSON" and diag.message.startswith("malformed JSON: ")
+
+    def test_number_past_the_digit_limit(self, scenarios):
+        # Python 3.11 and later refuse to decode an integer of more than 4 300
+        # digits; an interpreter without that limit reads a wrong type.
+        doc = json.loads(emit_json(scenarios["gp_lab"]))
+        doc["classes"][0]["dynamic"] = "@"
+        result = parse_json(json.dumps(doc).replace('"@"', "9" * 5000))
+        assert result.model is None
+        assert {d.code for d in result.diagnostics} == {"E-JSON"}
 
     def test_missing_keys(self):
         result = parse_json(json.dumps({"name": "m"}))

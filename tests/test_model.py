@@ -93,6 +93,34 @@ class TestCanonicalize:
         with pytest.raises(InvalidModelName, match="model name must be a string"):
             canonicalize(_tiny(name=name))
 
+    def test_name_that_does_not_encode_as_utf8_rejected(self):
+        # A lone surrogate: neither form can be written as UTF-8.
+        with pytest.raises(InvalidModelName) as raised:
+            canonicalize(_tiny(name="a\ud800"))
+        assert str(raised.value) == "model name 'a\\ud800' must encode as UTF-8"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(classes=(ClassDef("Y", True), ClassDef("X", True, {"waiting"}))),
+             "class=X: status points must be StatusPoint members"),
+            (dict(classes=(ClassDef("X", True, {StatusPoint.FAIL, Privilege.CREATION}),
+                           ClassDef("Y", True))),
+             "class=X: status points must be StatusPoint members"),
+            (dict(class_grants={("A", "X"): frozenset({"reference"})}),
+             "grant role=A class=X: privileges must be Privilege members"),
+            (dict(class_grants={("B", "Y"): {Privilege.REFERENCE, StatusPoint.WAITING}}),
+             "grant role=B class=Y: privileges must be Privilege members"),
+        ],
+        ids=["point string", "point of another kind", "privilege string",
+             "privilege of another kind"],
+    )
+    def test_members_of_the_wrong_kind_rejected(self, overrides, message):
+        # Emitted, such a set would be an empty listing that no parser reads.
+        with pytest.raises(ModelError) as raised:
+            canonicalize(_tiny(**overrides))
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("name", ["a#b", "back\\slash", "ends\\", "# \\ #", ""])
     def test_hash_and_backslash_names_round_trip(self, name):
         m = canonicalize(_tiny(name=name))
