@@ -62,7 +62,7 @@ def _load_json(path: str, what: str):
     text = _read_file(path, f"{what} file {path}")
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # see dsl.parse_json
         raise _CliError(f"malformed {what} file {path}: {exc}", 2) from exc
 
 

@@ -51,7 +51,7 @@ from .model import (
     _NO_OFFSET,
     _ProcessItem,
     _identifier_problem,
-    _quotable_name,
+    _name_problem,
     _resolve,
     canonicalize,
 )
@@ -694,8 +694,10 @@ def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
             return ParseResult(None, [_json_error(f"not valid UTF-8: {exc}")])
     try:
         doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the interpreter's stack allows.
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer past the interpreter's
+        # int-string limit. RecursionError: nesting deeper than the
+        # interpreter's stack allows.
         return ParseResult(None, [_json_error(f"malformed JSON: {exc}")])
     return _read_json(doc)
 
@@ -757,8 +759,8 @@ def _read_json(doc) -> ParseResult:
         error("missing required key 'name'")
     elif type(name) is not str:
         error("'name' must be a string")
-    elif not _quotable_name(name):
-        error("'name' may not contain '\"' or a line break")
+    elif problem := _name_problem(name):
+        error(f"'name' {problem}")
     draft = _Draft(name)
 
     roles = array(doc, "roles")

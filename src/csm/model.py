@@ -54,9 +54,17 @@ def _identifier_problem(kind: str, name) -> str | None:
     return f"{kind} name must be an identifier, got {name!r}"
 
 
-def _quotable_name(name: str) -> bool:
-    """Whether the text form can quote the model name: no ``"``, no line break."""
-    return '"' not in name and "\n" not in name
+def _name_problem(name: str) -> str | None:
+    """Why neither form can write the model name, or ``None`` when both can:
+    the text form quotes it, so it holds no ``"`` and no line break, and both
+    are UTF-8, so it holds no lone surrogate."""
+    if '"' in name or "\n" in name:
+        return "may not contain '\"' or a line break"
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return "must encode as UTF-8"
+    return None
 
 
 class UnknownRole(ModelError):
@@ -545,7 +553,8 @@ def canonicalize(model: Model) -> Model:
     A model name that is not a string or that the text form cannot quote
     raises ``InvalidModelName``, and so does a role, class or process name
     that is not an identifier (``[A-Za-z][A-Za-z0-9_]*``), with the message
-    ``parse_json`` gives. Then
+    ``parse_json`` gives. A status point or privilege that is not a
+    ``StatusPoint`` or ``Privilege`` raises ``ModelError``. Then
     members are sorted lexicographically by name, empty grants are
     dropped, and every reference is checked against the declarations by
     the same resolution pass that text and JSON parsing use. The first
@@ -559,15 +568,22 @@ def canonicalize(model: Model) -> Model:
         return model
     if not isinstance(model.name, str):
         raise InvalidModelName(f"model name must be a string, got {model.name!r}")
-    if not _quotable_name(model.name):
-        raise InvalidModelName(
-            f"model name {model.name!r} may not contain '\"' or a line break"
-        )
+    if problem := _name_problem(model.name):
+        raise InvalidModelName(f"model name {model.name!r} {problem}")
     for kind, names in (("role", model.roles), ("class", model.class_names),
                         ("process", model.process_names)):
         for name in names:
             if problem := _identifier_problem(kind, name):
                 raise InvalidModelName(problem)
+    points, privileges = frozenset(StatusPoint), frozenset(Privilege)
+    for c in model.classes:
+        if not c.status_points <= points:
+            raise ModelError(f"class={c.name}: status points must be StatusPoint members")
+    for (role, class_name), privs in model.class_grants.items():
+        if not privs <= privileges:
+            raise ModelError(
+                f"grant role={role} class={class_name}: privileges must be Privilege members"
+            )
     draft = _Draft(model.name)
     draft.roles = zip(model.roles, _NO_OFFSET)
     draft.classes = zip(model.classes, _NO_OFFSET)

@@ -180,6 +180,44 @@ MUTANTS = (
             "test_planted_json_mistake_reaches_the_reporting_path",
         ),
     ),
+    # The JSON reader lets a number past the int-string limit raise.
+    Mutant(
+        "src/csm/dsl.py",
+        "    except (ValueError, RecursionError) as exc:\n        # ValueError:",
+        "    except (json.JSONDecodeError, RecursionError) as exc:\n        # ValueError:",
+        ("tests/test_dsl.py::TestJson::test_number_past_the_digit_limit",),
+    ),
+    # A seed, script or query file does too.
+    Mutant(
+        "src/csm/cli.py",
+        "    except (ValueError, RecursionError) as exc:  # see dsl.parse_json",
+        "    except (json.JSONDecodeError, RecursionError) as exc:",
+        (
+            "tests/test_cli.py::TestUndecodableInput::"
+            "test_number_past_the_digit_limit_in_a_json_file_exits_two",
+        ),
+    ),
+    # A model name that holds a lone surrogate is taken.
+    Mutant(
+        "src/csm/model.py",
+        '        name.encode("utf-8")\n',
+        '        name.encode("utf-8", "surrogatepass")\n',
+        ("tests/test_model.py::TestCanonicalize::test_name_that_does_not_encode_as_utf8_rejected",),
+    ),
+    # canonicalize takes status points that are not StatusPoint members.
+    Mutant(
+        "src/csm/model.py",
+        "        if not c.status_points <= points:\n",
+        "        if False:\n",
+        ("tests/test_model.py::TestCanonicalize::test_members_of_the_wrong_kind_rejected",),
+    ),
+    # canonicalize takes privileges that are not Privilege members.
+    Mutant(
+        "src/csm/model.py",
+        "        if not privs <= privileges:\n",
+        "        if False:\n",
+        ("tests/test_model.py::TestCanonicalize::test_members_of_the_wrong_kind_rejected",),
+    ),
 )
 
 
