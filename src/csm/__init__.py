@@ -42,13 +42,8 @@ try:
     from .simulator import (
         Outcome,
         ReachabilitySummary,
-        SimState,
-        Token,
         TraceEvent,
-        enabled,
         explore,
-        fire,
-        init_state,
         run_script,
     )
     from .validator import InvalidModel, explain, validate

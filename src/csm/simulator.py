@@ -20,11 +20,8 @@ searches one object's lifecycle in the same compiled space for
 co-occurrence and ordering queries, with witness traces of at most
 ``max_steps`` steps: an exact oracle at desk scale, not a model checker.
 The global graph is enumerated breadth-first on the same masks only when
-its ``edges`` are read. ``Token`` and ``SimState`` are the boundary form:
-``init_state``, ``enabled`` and ``fire`` encode a token configuration
-into masks, apply the rule and decode the result. Each of them, like
-``run_script`` and ``build_graph``, reads the model through
-``canonicalize``.
+its ``edges`` are read. ``run_script`` and ``build_graph`` read the model
+through ``canonicalize``.
 """
 
 from __future__ import annotations
@@ -44,30 +41,6 @@ from .model import (
     UnknownProcess,
     canonicalize,
 )
-
-
-Token = namedtuple("Token", "object_id class_name")
-
-
-class SimState(namedtuple("SimState", "tokens")):
-    """An immutable token configuration; at most one token per (object, class).
-
-    ``tokens`` is kept as a frozenset of ``Token``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, tokens: Iterable[Token] = ()) -> SimState:
-        return tuple.__new__(cls, (frozenset(tokens),))
-
-    @property
-    def object_ids(self) -> frozenset[str]:
-        return frozenset(t.object_id for t in self.tokens)
-
-    def classes_of(self, object_id: str) -> frozenset[str]:
-        return frozenset(
-            t.class_name for t in self.tokens if t.object_id == object_id
-        )
 
 
 class DuplicateToken(ModelError):
@@ -186,41 +159,6 @@ def _step(
         )
         raise NotEnabled(name, object_id, missing, blocked)
     return held & keep | out
-
-
-def init_state(model: Model, seed: Iterable[tuple[str, str]]) -> SimState:
-    """State holding exactly the seed tokens."""
-    model = canonicalize(model)
-    bits = _class_bits(model)
-    return SimState(
-        Token(oid, c) for oid, mask in _encode(bits, seed).items() for c in _decode(bits, mask)
-    )
-
-
-def enabled(model: Model, state: SimState, object_id: str) -> frozenset[str]:
-    """Processes whose every input class holds a token for the object.
-
-    Generators are excluded: they mint objects rather than consume them.
-    """
-    model = canonicalize(model)
-    bits = _class_bits(model)
-    held = _mask(bits, state.classes_of(object_id))
-    return frozenset(
-        name
-        for name, generator, need, _, _ in _processes(model, bits)
-        if not generator and held & need == need
-    )
-
-
-def fire(model: Model, state: SimState, process: str, object_id: str) -> SimState:
-    """Fire the process on the object, returning the successor state."""
-    model = canonicalize(model)
-    bits = _class_bits(model)
-    proc = _compile(bits, model.process_def(process))
-    after = _step(model, bits, proc, object_id, _mask(bits, state.classes_of(object_id)))
-    tokens = {t for t in state.tokens if t.object_id != object_id}
-    tokens.update(Token(object_id, c) for c in _decode(bits, after))
-    return SimState(tokens)
 
 
 NEW_OBJECT = "new"

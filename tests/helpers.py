@@ -5,12 +5,15 @@ catalog by direct set arithmetic over all (role, process, class) triples;
 it shares no code with ``csm.validator`` and serves as its oracle.
 ``brute_classify`` is the classifier's all-pairs loop: every ordered role
 pair against every process and class, with no use of the model's index.
-``brute_fire`` is the firing rule on token sets, written without the class
-masks the simulator compiles: ``brute_init_state`` and ``brute_run_script``
-build on it to give what ``init_state`` and ``run_script`` should, and
-``brute_graph`` is the global state graph on token sets: each state is a
-``frozenset`` of ``Token``s with its count of minted objects, and every
-successor comes from ``brute_fire``. ``brute_explore`` is the explorer on
+``brute_fire`` is the firing rule on token sets, a ``frozenset`` of this
+module's ``Token``s, written without the class masks the simulator
+compiles: ``brute_init_state`` and ``brute_run_script`` build on it to give
+the seed tokens and what ``run_script`` should, and ``brute_graph`` is the
+global state graph on token sets: each state is a token set with its count
+of minted objects, and every successor comes from ``brute_fire``.
+``step_tokens`` and ``step_enabled`` apply the simulator's own rule
+(``_step`` on ``_compile``d masks) to a token set, so that the checks can
+compare the two rules state by state. ``brute_explore`` is the explorer on
 it: each sequence query runs a product search over the global states per
 candidate object, within max_steps firings, and keeps the shortest witness.
 ``brute_to_dot`` and ``brute_to_mermaid`` draw the swim lanes by visiting
@@ -41,11 +44,14 @@ from csm.simulator import (
     DuplicateToken,
     NotEnabled,
     Outcome,
-    SimState,
     StaleObject,
-    Token,
     TraceEvent,
+    _class_bits,
+    _compile,
+    _decode,
+    _encode,
     _mint_id,
+    _step,
 )
 from csm.model import (
     ClassDef,
@@ -376,7 +382,20 @@ A4_SEEDS = {
 }
 
 
-def brute_init_state(model: Model, seed) -> SimState:
+# The reference's own state: a frozenset of tokens, at most one per
+# (object, class).
+Token = namedtuple("Token", "object_id class_name")
+
+
+def object_ids(tokens: frozenset) -> frozenset[str]:
+    return frozenset(t.object_id for t in tokens)
+
+
+def classes_of(tokens: frozenset, object_id: str) -> frozenset[str]:
+    return frozenset(t.class_name for t in tokens if t.object_id == object_id)
+
+
+def brute_init_state(model: Model, seed) -> frozenset:
     """The seed tokens; an undeclared class or a repeated entry raises."""
     tokens: set[Token] = set()
     for object_id, class_name in seed:
@@ -386,35 +405,64 @@ def brute_init_state(model: Model, seed) -> SimState:
         if token in tokens:
             raise DuplicateToken(f"{object_id!r} already seeded in {class_name!r}")
         tokens.add(token)
-    return SimState(tokens)
+    return frozenset(tokens)
 
 
-def brute_fire(model: Model, state: SimState, process: str, object_id: str) -> SimState:
-    """The successor state on token sets: a generator needs a fresh object,
-    any other process every input token; leaving sources go, outputs come."""
+def brute_fire(model: Model, tokens: frozenset, process: str, object_id: str) -> frozenset:
+    """The successor tokens: a generator needs a fresh object, any other
+    process every input token; leaving sources go, outputs come."""
     p = model.process_def(process)
-    tokens = set(state.tokens)
+    after = set(tokens)
     if p.is_generator:
-        if object_id in state.object_ids:
+        if object_id in object_ids(tokens):
             raise StaleObject(
                 f"generator {process!r} fired with existing object {object_id!r}"
             )
     else:
-        missing = sorted(set(p.inputs) - state.classes_of(object_id))
+        missing = sorted(set(p.inputs) - classes_of(tokens, object_id))
         if missing:
             blocked = any(
                 StatusPoint.WAITING in model.class_def(c).status_points for c in missing
             )
             raise NotEnabled(process, object_id, missing, blocked)
         leaving = {t.source for t in p.transforms if t.mode is TransformMode.LEAVING}
-        tokens -= {Token(object_id, c) for c in leaving}
-    tokens |= {Token(object_id, c) for c in p.outputs}
-    return SimState(tokens)
+        after -= {Token(object_id, c) for c in leaving}
+    after |= {Token(object_id, c) for c in p.outputs}
+    return frozenset(after)
+
+
+def step_tokens(model: Model, tokens: frozenset, process: str, object_id: str) -> frozenset:
+    """The successor tokens by the simulator's own rule: ``simulator._step``
+    on the object's class mask, with the process ``_compile``d as
+    ``run_script`` compiles it. The oracle checks compare it with
+    ``brute_fire``."""
+    model = canonicalize(model)
+    bits = _class_bits(model)
+    proc = _compile(bits, model.process_def(process))
+    held = _encode(bits, tokens).get(object_id, 0)
+    after = _step(model, bits, proc, object_id, held)
+    return frozenset(
+        {t for t in tokens if t.object_id != object_id}
+        | {Token(object_id, c) for c in _decode(bits, after)}
+    )
+
+
+def step_enabled(model: Model, tokens: frozenset, object_id: str) -> frozenset[str]:
+    """The processes, generators aside, that ``step_tokens`` fires on the object."""
+    ready = set()
+    for p in model.processes:
+        if not p.is_generator:
+            try:
+                step_tokens(model, tokens, p.name, object_id)
+            except NotEnabled:
+                continue
+            ready.add(p.name)
+    return frozenset(ready)
 
 
 def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
     """The events ``run_script`` should give, stepping with ``brute_fire``."""
-    state = brute_init_state(model, seed)
+    tokens = brute_init_state(model, seed)
     minted = 0
     events = []
     for step, (process, object_id) in enumerate(script, start=1):
@@ -430,9 +478,9 @@ def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
                 events.append(TraceEvent(step, process, object_id, Outcome.ABORTED,
                                          f"{process!r} is not a generator; 'new' needs one"))
                 break
-            object_id = _mint_id(state.object_ids, minted)
+            object_id = _mint_id(object_ids(tokens), minted)
         try:
-            nxt = brute_fire(model, state, process, object_id)
+            nxt = brute_fire(model, tokens, process, object_id)
         except NotEnabled as exc:
             outcome = Outcome.BLOCKED_WAITING if exc.blocked_waiting else Outcome.NOT_ENABLED
             events.append(TraceEvent(step, process, object_id, outcome,
@@ -443,12 +491,12 @@ def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
             break
         if was_new:
             minted += 1
-        noop = sorted(c for c in pdef.outputs if Token(object_id, c) in state.tokens)
+        noop = sorted(c for c in pdef.outputs if Token(object_id, c) in tokens)
         detail = f"object {object_id}"
         if noop:
             detail += f"; already present in {', '.join(noop)}"
         events.append(TraceEvent(step, process, object_id, Outcome.FIRED, detail))
-        state = nxt
+        tokens = nxt
     return events
 
 
@@ -456,25 +504,22 @@ def _brute_successors(model: Model, key, max_objects: int):
     """Successor (action, key) pairs, by process name then object id, and
     whether the object bound skipped a generator."""
     tokens, minted = key
-    state = SimState(tokens)
-    oids = sorted(state.object_ids)
+    oids = sorted(object_ids(tokens))
     out = []
     pruned = False
     for name in sorted(set(model.process_names)):
         p = model.process_def(name)
         if p.is_generator:
             if len(oids) < max_objects:
-                nid = _mint_id(state.object_ids, minted)
-                nxt = brute_fire(model, state, name, nid)
-                out.append(((name, nid), (nxt.tokens, minted + 1)))
+                nid = _mint_id(oids, minted)
+                out.append(((name, nid), (brute_fire(model, tokens, name, nid), minted + 1)))
             else:
                 pruned = True
         else:
             need = set(p.inputs)
             for oid in oids:
-                if need <= state.classes_of(oid):
-                    nxt = brute_fire(model, state, name, oid)
-                    out.append(((name, oid), (nxt.tokens, minted)))
+                if need <= classes_of(tokens, oid):
+                    out.append(((name, oid), (brute_fire(model, tokens, name, oid), minted)))
     return out, pruned
 
 
@@ -510,7 +555,7 @@ class BruteGraph(namedtuple("BruteGraph", "states edges pruned")):
 def brute_graph(model: Model, seed, max_steps: int, max_objects: int) -> BruteGraph:
     """The states reachable in at most max_steps firings, breadth first,
     every successor from ``brute_fire``."""
-    initial = (brute_init_state(model, seed).tokens, 0)
+    initial = (brute_init_state(model, seed), 0)
     states = {initial: 0}
     edges = {}
     frontier = [initial]

@@ -22,10 +22,17 @@ from csm.model import (
     TransformMode,
     canonicalize,
 )
-from csm.simulator import SimState, Token, enabled, fire
 from csm.validator import InvalidModel, validate
 
-from helpers import apply_suggestion, random_model, random_valid_model, toggle_waiting
+from helpers import (
+    Token,
+    apply_suggestion,
+    random_model,
+    random_valid_model,
+    step_enabled,
+    step_tokens,
+    toggle_waiting,
+)
 
 
 def check_canonicalize_idempotent(seed: int) -> None:
@@ -56,9 +63,8 @@ def check_enabled_monotone(seed: int) -> None:
         Token(rng.choice(objects), rng.choice(m.class_names))
         for _ in range(rng.randint(1, 4))
     )
-    small, big = SimState(base), SimState(extra)
     for o in objects:
-        assert enabled(m, small, o) <= enabled(m, big, o)
+        assert step_enabled(m, base, o) <= step_enabled(m, extra, o)
 
 
 def check_leaving_removes_exactly_one(seed: int) -> None:
@@ -84,10 +90,10 @@ def check_leaving_removes_exactly_one(seed: int) -> None:
         Token(rng.choice(("o", "x")), rng.choice(names))
         for _ in range(rng.randint(0, 4))
     }
-    before = SimState(frozenset(tokens))
-    after = fire(m, before, "P", "o")
-    assert before.tokens - after.tokens == {Token("o", src)}
-    assert after.tokens - before.tokens <= {Token("o", c) for c in outputs}
+    before = frozenset(tokens)
+    after = step_tokens(m, before, "P", "o")
+    assert before - after == {Token("o", src)}
+    assert after - before <= {Token("o", c) for c in outputs}
 
 
 def check_waiting_toggle_swaps_levels(seed: int) -> None:

@@ -20,26 +20,19 @@ from csm.dsl import emit_json, emit_text, model_to_dict, parse_json, parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
 from csm.model import Model, ModelError, ProcessDef, Transform, canonicalize
 from csm.render import to_dot, to_mermaid
-from csm.simulator import (
-    NEW_OBJECT,
-    Outcome,
-    SimState,
-    _mint_id,
-    build_graph,
-    enabled,
-    explore,
-    fire,
-    run_script,
-)
+from csm.simulator import NEW_OBJECT, Outcome, _mint_id, build_graph, explore, run_script
 from csm.validator import validate
 from helpers import (
     A4_SEEDS,
     brute_graph,
+    object_ids,
     brute_validate,
     check_dot_syntax,
     check_mermaid_syntax,
     random_model,
     random_valid_model,
+    step_enabled,
+    step_tokens,
 )
 
 
@@ -172,7 +165,7 @@ def _brute_path_exists(graph, script) -> bool:
     for process, oid in script:
         tokens, minted = state
         if oid == NEW_OBJECT:
-            oid = _mint_id(frozenset(t.object_id for t in tokens), minted)
+            oid = _mint_id(object_ids(tokens), minted)
         state = dict(graph.edges.get(state, ())).get((process, oid))
         if state is None:
             return False
@@ -180,27 +173,28 @@ def _brute_path_exists(graph, script) -> bool:
 
 
 def _assert_fire_matches_brute(model: Model, graph) -> None:
-    """At every expanded state of ``brute_graph``, ``enabled`` and ``fire``
-    give exactly its successors, by process name, then by object id.
+    """At every expanded state of ``brute_graph``, the simulator's firing
+    rule (``_step`` on ``_compile``d masks, through ``step_enabled`` and
+    ``step_tokens``) gives exactly its successors, by process name, then by
+    object id.
 
     Per-transition agreement at every reachable state extends the script
     equivalence to all scripts within the exploration bounds by induction.
     """
     names = sorted(set(model.process_names))
     for (tokens, minted), succs in graph.edges.items():
-        state = SimState(tokens)
-        oids = sorted(state.object_ids)
-        ready = {oid: enabled(model, state, oid) for oid in oids}
+        oids = sorted(object_ids(tokens))
+        ready = {oid: step_enabled(model, tokens, oid) for oid in oids}
         expected = []
         for name in names:
             if model.process_def(name).is_generator:
                 if len(oids) < MAX_OBJECTS:
-                    oid = _mint_id(state.object_ids, minted)
-                    born = fire(model, state, name, oid).tokens
+                    oid = _mint_id(oids, minted)
+                    born = step_tokens(model, tokens, name, oid)
                     expected.append(((name, oid), (born, minted + 1)))
             else:
                 expected.extend(
-                    ((name, oid), (fire(model, state, name, oid).tokens, minted))
+                    ((name, oid), (step_tokens(model, tokens, name, oid), minted))
                     for oid in oids
                     if name in ready[oid]
                 )
@@ -240,7 +234,7 @@ def test_criterion_4_oracle_equivalence(scenarios):
 
     _report(
         4,
-        "the token-set graph agrees with enabled/fire at every state, with the "
+        "the token-set graph agrees with the mask firing rule at every state, with the "
         "counted space and with scripted runs (per-state induction plus "
         "exhaustive short-script enumeration) on every scenario",
         run,

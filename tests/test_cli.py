@@ -370,6 +370,16 @@ def _reading(kind: str, path: str, write_json) -> list[str]:
     return ["explore", fx("gp_lab"), "--seed", seed, "--query", path]
 
 
+@pytest.mark.parametrize("kind", ["seed", "script", "query"])
+def test_json_file_that_is_not_an_array_exits_two(capsys, tmp_path, write_json, kind):
+    path = tmp_path / "doc.json"
+    path.write_text('{"object": "r"}')
+    assert main(_reading(kind, str(path), write_json)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind} file {path} must be a JSON array\n"
+
+
 class TestUndecodableInput:
     @pytest.mark.parametrize(
         "kind, name",

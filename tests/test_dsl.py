@@ -120,6 +120,7 @@ class TestParseText:
         [diag] = result.diagnostics
         assert diag.span is not None
         assert (diag.span.file, diag.span.line, diag.span.column) == ("f.csm", 3, 8)
+        assert diag.to_dict()["span"] == {"file": "f.csm", "line": 3, "column": 8, "length": 1}
 
     def test_diagnostics_sorted_by_position(self):
         text = 'model "m" {\n  grant X on Y { reference }\n  role A\n  role A\n}'
@@ -355,6 +356,8 @@ _PLANTED_TEXT = [
      [("E-SYN", "ownership", 20, 30)]),
     ("comment inside a declaration", "  grant B on C {", "  grant B on C # shared\n  {", []),
     ("comment inside a process item", "    input D\n", "    input # from P\n D\n", []),
+    ("model header inside the model", "  role B\n", '  role B\n  model "n" { }\n',
+     [("E-SYN", "model", 4, 3)]),
     ("trailing input", " }\n}\n", " }\n}\nrole X\n", [("E-SYN", "role", 22, 1)]),
     ("missing closing brace", " }\n}\n", " }\n", [("E-SYN", "end of input", 21, 1)]),
     ("non-ASCII whitespace", "  role A\n", "  role\u00a0A\n", []),

@@ -29,16 +29,7 @@ from csm.model import (
     shared_classes,
 )
 from csm.render import to_dot, to_mermaid
-from csm.simulator import (
-    SimState,
-    Token,
-    build_graph,
-    enabled,
-    explore,
-    fire,
-    init_state,
-    run_script,
-)
+from csm.simulator import build_graph, explore, run_script
 from csm.validator import ensure_valid, validate
 from helpers import reversed_members
 
@@ -328,7 +319,6 @@ def _graph_facts(g) -> tuple:
 
 
 _PATIENT = [("p", "CheckUpPatient")]
-_IN_CHECK_UP = SimState({Token("p", "CheckUpPatient")})
 _SCRIPT = [("CheckUp", "new"), ("Diagnose", "obj1"), ("RequestTest", "obj1"),
            ("PerformTest", "obj1"), ("Diagnose", "p"), ("QuickCare", "p")]
 _QUERIES = [
@@ -345,9 +335,6 @@ ENTRY_POINTS = {
     "classify_pair": lambda m: classify_pair(m, "GP", "Laboratory"),
     "to_dot": lambda m: to_dot(m, show_privileges=True),
     "to_mermaid": to_mermaid,
-    "init_state": lambda m: init_state(m, _PATIENT),
-    "enabled": lambda m: enabled(m, _IN_CHECK_UP, "p"),
-    "fire": lambda m: fire(m, _IN_CHECK_UP, "Diagnose", "p"),
     "run_script": lambda m: run_script(m, _PATIENT, _SCRIPT),
     "build_graph": lambda m: _graph_facts(build_graph(m, _PATIENT, 4, 2)),
     "explore": lambda m: explore(m, _PATIENT, 6, 2, _QUERIES).to_dict(),

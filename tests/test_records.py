@@ -28,14 +28,7 @@ from csm.model import (
     TransformMode,
     canonicalize,
 )
-from csm.simulator import (
-    Outcome,
-    QueryResult,
-    ReachabilitySummary,
-    SimState,
-    Token,
-    TraceEvent,
-)
+from csm.simulator import Outcome, QueryResult, ReachabilitySummary, TraceEvent
 
 LEAVE = Transform(source="A", target="B", mode=TransformMode.LEAVING)
 OWNER = {"R": ProcessPrivilege.OWNER}
@@ -49,7 +42,6 @@ class TestConstruction:
         assert SourceSpan(file="f", line=1, column=2).length == 0
         d = Diagnostic(code="E-X", severity=Severity.ERROR, site="s", message="m")
         assert (d.suggestion, d.span) == (None, None)
-        assert SimState().tokens == frozenset()
         assert TraceEvent(step=1, process="P", object_id="o", outcome=Outcome.FIRED).detail == ""
         summary = ReachabilitySummary(state_count=3, complete=True)
         assert (summary.queries, summary.stats) == ((), {})
@@ -100,10 +92,6 @@ class TestCoercion:
         grants[("R", "Y")] = {Privilege.CREATION}
         assert list(m.class_grants) == [("R", "X")]
 
-    def test_sim_state_tokens_become_a_frozenset(self):
-        state = SimState([Token("o", "A"), Token("o", "A")])
-        assert state.tokens == frozenset({Token("o", "A")})
-
 
 # Each record with one of its fields.
 RECORDS = [
@@ -116,7 +104,6 @@ RECORDS = [
     (ParseResult(None, []), "model"),
     (LevelFinding("R1", "R2", "P", "process", Level.TIGHT, ()), "level"),
     (CollaborationReport(()), "findings"),
-    (SimState(), "tokens"),
     (TraceEvent(1, "P", "o", Outcome.FIRED), "outcome"),
     (QueryResult("p", False, None), "reachable"),
     (ReachabilitySummary(0, True), "state_count"),

@@ -11,14 +11,9 @@ from csm.simulator import (
     DuplicateToken,
     NotEnabled,
     Outcome,
-    SimState,
     StaleObject,
-    Token,
     build_graph,
-    enabled,
     explore,
-    fire,
-    init_state,
     run_script,
     run_query,
 )
@@ -31,13 +26,18 @@ from csm.model import (
 )
 from helpers import (
     A4_SEEDS,
+    Token,
     brute_explore,
     brute_fire,
     brute_graph,
     brute_init_state,
     brute_run_script,
+    classes_of,
+    object_ids,
     random_model,
     random_valid_model,
+    step_enabled,
+    step_tokens,
 )
 
 
@@ -64,91 +64,112 @@ MIXED = _inline(
 )
 
 
+def _seeded(model, seed) -> dict[str, list[str]]:
+    """Each seeded object's classes, as ``run_script`` encodes the seed."""
+    bits = simulator._class_bits(model)
+    return {
+        oid: simulator._decode(bits, mask)
+        for oid, mask in simulator._encode(bits, seed).items()
+    }
+
+
 class TestState:
     def test_init_state_holds_seed(self, scenarios):
-        state = init_state(scenarios["hospital_cleaning"], [("room1", "OccupiedRoom")])
-        assert state.tokens == {Token("room1", "OccupiedRoom")}
-        assert state.classes_of("room1") == {"OccupiedRoom"}
+        seed = [("room1", "OccupiedRoom")]
+        assert _seeded(scenarios["hospital_cleaning"], seed) == {"room1": ["OccupiedRoom"]}
 
     def test_duplicate_seed_rejected(self, scenarios):
         with pytest.raises(DuplicateToken):
-            init_state(
+            run_script(
                 scenarios["hospital_cleaning"],
                 [("r", "OccupiedRoom"), ("r", "OccupiedRoom")],
+                [],
             )
 
     def test_unknown_seed_class_rejected(self, scenarios):
         with pytest.raises(UnknownClass):
-            init_state(scenarios["hospital_cleaning"], [("r", "Lobby")])
+            run_script(scenarios["hospital_cleaning"], [("r", "Lobby")], [])
+
+
+def _fires(model, seed, object_id) -> set[str]:
+    """The processes other than generators that fire on the object as the
+    first step of a scripted run."""
+    return {
+        p.name for p in model.processes
+        if not p.is_generator
+        and run_script(model, seed, [(p.name, object_id)])[0].outcome is Outcome.FIRED
+    }
 
 
 class TestEnabled:
     def test_conjunctive_over_inputs(self):
-        partial = SimState(frozenset({Token("o", "A")}))
-        full = SimState(frozenset({Token("o", "A"), Token("o", "B")}))
-        assert enabled(JOIN, partial, "o") == frozenset()
-        assert enabled(JOIN, full, "o") == {"Join"}
+        assert _fires(JOIN, [("o", "A")], "o") == set()
+        assert _fires(JOIN, [("o", "A"), ("o", "B")], "o") == {"Join"}
+        partial = frozenset({Token("o", "A")})
+        assert step_enabled(JOIN, partial, "o") == frozenset()
+        assert step_enabled(JOIN, partial | {Token("o", "B")}, "o") == {"Join"}
 
     def test_generators_excluded(self, scenarios):
         m = scenarios["gp_lab"]
-        state = init_state(m, [("p", "TestRequest")])
-        assert enabled(m, state, "p") == {"PerformTest"}
+        assert _fires(m, [("p", "TestRequest")], "p") == {"PerformTest"}
 
     def test_per_object(self, scenarios):
         m = scenarios["hospital_cleaning"]
-        state = init_state(m, [("r1", "OccupiedRoom")])
-        assert enabled(m, state, "r2") == frozenset()
+        assert _fires(m, [("r1", "OccupiedRoom")], "r2") == set()
+
 
 class TestFire:
+    """One firing on one object's class mask (``_step``), seen as tokens."""
+
     def test_remaining_keeps_the_source_token(self, scenarios):
         m = scenarios["hospital_cleaning"]
-        state = init_state(m, [("r", "OccupiedRoom")])
-        nxt = fire(m, state, "CleanRoom", "r")
-        assert nxt.classes_of("r") == {"OccupiedRoom", "CleanedRoom"}
+        nxt = step_tokens(m, {Token("r", "OccupiedRoom")}, "CleanRoom", "r")
+        assert classes_of(nxt, "r") == {"OccupiedRoom", "CleanedRoom"}
 
     def test_leaving_consumes_the_source_token(self, scenarios):
         m = scenarios["hospital_cleaning"]
-        state = init_state(m, [("r", "OccupiedRoom")])
-        nxt = fire(m, state, "DischargeHospital", "r")
-        assert nxt.classes_of("r") == {"VacantRoom"}
+        nxt = step_tokens(m, {Token("r", "OccupiedRoom")}, "DischargeHospital", "r")
+        assert classes_of(nxt, "r") == {"VacantRoom"}
 
     def test_leaving_dominates_mixed_modes(self):
-        state = SimState(frozenset({Token("o", "A")}))
-        nxt = fire(MIXED, state, "Split", "o")
-        assert nxt.classes_of("o") == {"B", "C"}
+        nxt = step_tokens(MIXED, {Token("o", "A")}, "Split", "o")
+        assert classes_of(nxt, "o") == {"B", "C"}
 
     def test_pure_read_input_without_transform_persists(self):
-        state = SimState(frozenset({Token("o", "A"), Token("o", "B")}))
-        nxt = fire(JOIN, state, "Join", "o")
+        nxt = step_tokens(JOIN, {Token("o", "A"), Token("o", "B")}, "Join", "o")
         # A leaves (transform), B is a pure read and stays.
-        assert nxt.classes_of("o") == {"B", "C"}
+        assert classes_of(nxt, "o") == {"B", "C"}
 
     def test_not_enabled_lists_missing_inputs(self):
-        state = SimState(frozenset({Token("o", "B")}))
         with pytest.raises(NotEnabled) as exc:
-            fire(JOIN, state, "Join", "o")
+            step_tokens(JOIN, {Token("o", "B")}, "Join", "o")
         assert exc.value.missing == ("A",)
         assert exc.value.blocked_waiting is False
+        [event] = run_script(JOIN, [("o", "B")], [("Join", "o")])
+        assert (event.outcome, event.detail) == (Outcome.NOT_ENABLED, "missing input tokens: A")
 
     def test_blocked_waiting_flagged(self, scenarios):
         m = scenarios["gp_lab"]
         with pytest.raises(NotEnabled) as exc:
-            fire(m, init_state(m, []), "CarePatient", "p")
+            step_tokens(m, frozenset(), "CarePatient", "p")
         assert exc.value.blocked_waiting is True
 
     def test_generator_mints_only_fresh_objects(self, scenarios):
         m = scenarios["gp_lab"]
-        state = init_state(m, [("p", "TestRequest")])
+        tokens = {Token("p", "TestRequest")}
         with pytest.raises(StaleObject):
-            fire(m, state, "RequestTest", "p")
-        nxt = fire(m, state, "RequestTest", "q")
-        assert nxt.classes_of("q") == {"TestRequest"}
+            step_tokens(m, tokens, "RequestTest", "p")
+        nxt = step_tokens(m, tokens, "RequestTest", "q")
+        assert classes_of(nxt, "q") == {"TestRequest"}
 
     def test_other_objects_untouched(self, scenarios):
+        # After r1 leaves OccupiedRoom, r2 still holds it and r1 does not.
         m = scenarios["hospital_cleaning"]
-        state = init_state(m, [("r1", "OccupiedRoom"), ("r2", "OccupiedRoom")])
-        nxt = fire(m, state, "DischargeHospital", "r1")
-        assert nxt.classes_of("r2") == {"OccupiedRoom"}
+        seed = [("r1", "OccupiedRoom"), ("r2", "OccupiedRoom")]
+        script = [("DischargeHospital", "r1"), ("CleanRoom", "r2"), ("CleanRoom", "r1")]
+        assert outcomes(run_script(m, seed, script)) == [
+            Outcome.FIRED, Outcome.FIRED, Outcome.NOT_ENABLED
+        ]
 
 
 class TestRunScript:
@@ -237,7 +258,7 @@ class TestExplore:
         m = scenarios["gp_lab"]
         graph = build_graph(m, [], max_steps=8, max_objects=1)
         brute = brute_graph(m, [], max_steps=8, max_objects=1)
-        assert all(len(SimState(tokens).object_ids) <= 1 for tokens, _ in brute.states)
+        assert all(len(object_ids(tokens)) <= 1 for tokens, _ in brute.states)
         assert (graph.state_count, graph.frontier) == (len(brute.states), brute.frontier)
 
     def test_pruned_generator_is_not_a_proof(self, scenarios):
@@ -565,8 +586,8 @@ def _result(fn, *args):
 
 
 class TestTokenOracle:
-    """Scripted runs and ``fire``/``enabled`` on class masks agree with the
-    firing rule on token sets (``brute_run_script``, ``brute_fire``)."""
+    """Scripted runs and each firing on class masks (``_step``) agree with
+    the firing rule on token sets (``brute_run_script``, ``brute_fire``)."""
 
     @pytest.mark.parametrize("generate", [random_model, random_valid_model])
     def test_random_scripts(self, generate):
@@ -596,15 +617,15 @@ class TestTokenOracle:
             if not isinstance(events, list):
                 seen["seed error"] += 1
                 continue
-            # Walk the fired steps on token sets, checking ``fire`` and
-            # ``enabled`` at every state on the way.
+            # Walk the fired steps on token sets, checking the mask rule's
+            # enabled set and successor at every state on the way.
             state = brute_init_state(m, seed)
             for e in events:
-                held = state.classes_of(e.object_id)
+                held = classes_of(state, e.object_id)
                 want = {p.name for p in m.processes if p.inputs and set(p.inputs) <= held}
-                assert enabled(m, state, e.object_id) == want
+                assert step_enabled(m, state, e.object_id) == want
                 nxt = _result(brute_fire, m, state, e.process, e.object_id)
-                assert _result(fire, m, state, e.process, e.object_id) == nxt
+                assert _result(step_tokens, m, state, e.process, e.object_id) == nxt
                 seen["stale"] += "existing object" in e.detail
                 if e.outcome is Outcome.FIRED:
                     seen["fired"] += 1
