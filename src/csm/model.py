@@ -550,14 +550,15 @@ _ERROR_BY_CODE = {
 def canonicalize(model: Model) -> Model:
     """Return the canonical form of ``model``.
 
-    A model name that is not a string or that the text form cannot quote
-    raises ``InvalidModelName``, and so does a role, class or process name
-    that is not an identifier (``[A-Za-z][A-Za-z0-9_]*``), with the message
-    ``parse_json`` gives. A status point or privilege that is not a
-    ``StatusPoint`` or ``Privilege`` raises ``ModelError``. Then
-    members are sorted lexicographically by name, empty grants are
-    dropped, and every reference is checked against the declarations by
-    the same resolution pass that text and JSON parsing use. The first
+    A model name that is not a string or that neither form can write
+    (``_name_problem``) raises ``InvalidModelName``, and so does a role,
+    class or process name that is not an identifier
+    (``[A-Za-z][A-Za-z0-9_]*``), with the message ``parse_json`` gives. A
+    status point or privilege that is not a ``StatusPoint`` or
+    ``Privilege`` raises ``ModelError``. Then members are sorted
+    lexicographically by name, empty grants are dropped, and every
+    reference is checked against the declarations by the same resolution
+    pass that text and JSON parsing use. The first
     failed check is raised as ``DuplicateName``, ``UnresolvedReference``
     or ``InvalidTransform``. Idempotent; two models are equal exactly when
     their canonical forms are equal. A model that came out of name
