@@ -154,12 +154,13 @@ def _read_text(text: str) -> _Draft | None:
     starts, for ``_resolve`` to check. ``None`` for any other text, which the
     token parser then reads: a gap between matches (a comment inside a
     declaration, a stray token, non-ASCII whitespace), an unknown point or
-    privilege, a missing or repeated brace, or trailing input."""
+    privilege, a missing or repeated brace, trailing input, or a model name
+    that neither form can write (``_name_problem``)."""
     matches = iter(_pattern().scanner(text).match, None)
     head = next(matches, None)
     while head is not None and head.lastindex == _COMMENT:
         head = next(matches, None)
-    if head is None or head.lastindex != _HEADER:
+    if head is None or head.lastindex != _HEADER or _name_problem(head[19]):
         return None
     draft = _Draft(head[19])
     roles, classes, processes, grants = draft.roles, draft.classes, draft.processes, draft.grants
@@ -396,6 +397,8 @@ class _Parser:
                 raise _Recover
             self.advance()
             self.draft.name = name_tok.text[1:-1]
+            if problem := _name_problem(self.draft.name):
+                self.error("E-SYN", f"model name {problem}", name_tok, "model")
             self.expect("punct", "{")
         except _Recover:
             return None

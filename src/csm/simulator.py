@@ -9,19 +9,23 @@ modes) and sets every output class. Inputs without any transform are pure
 reads. Processes with no inputs are generators: firing one mints a fresh
 object.
 
-That is the one firing rule. ``run_script`` steps through a script on a
-mask per object. A firing touches one object and never empties it (a
-leaving transform's target is an output), so a global state is one
-lifecycle position per object plus the history of mints. ``build_graph``
-compiles the model once into that per-object space (``ReachabilityGraph``)
-and counts the reachable states, their edges and whether the search
-closed from it. Both query kinds ask about one object, so ``explore``
-searches one object's lifecycle in the same compiled space for
-co-occurrence and ordering queries, with witness traces of at most
-``max_steps`` steps: an exact oracle at desk scale, not a model checker.
-The global graph is enumerated breadth-first on the same masks only when
-its ``edges`` are read. ``run_script`` and ``build_graph`` read the model
-through ``canonicalize``.
+That is the one firing rule, and ``_step`` applies it to one object's
+mask: it gives the mask after the firing, or ``None`` when the process
+cannot fire. ``run_script`` steps through a script on a mask per object
+and makes each ``None`` the step's outcome: ``not-enabled``,
+``blocked-waiting`` when a missing input class has a waiting point, or
+``aborted`` for a generator fired on an existing object. A firing touches
+one object and never empties it (a leaving transform's target is an
+output), so a global state is one lifecycle position per object plus the
+history of mints. ``build_graph`` compiles the model once into that
+per-object space (``ReachabilityGraph``) and counts the reachable states,
+their edges and whether the search closed from it. Both query kinds ask
+about one object, so ``explore`` searches one object's lifecycle in the
+same compiled space for co-occurrence and ordering queries, with witness
+traces of at most ``max_steps`` steps: an exact oracle at desk scale, not
+a model checker. The global graph is enumerated breadth-first on the same
+masks only when its ``edges`` are read. ``run_script`` and ``build_graph``
+read the model through ``canonicalize``.
 """
 
 from __future__ import annotations
@@ -45,25 +49,6 @@ from .model import (
 
 class DuplicateToken(ModelError):
     pass
-
-
-class StaleObject(ModelError):
-    """A generator was fired with an object id that already exists."""
-
-
-class NotEnabled(ModelError):
-    """The object lacks tokens in some input classes of the process."""
-
-    def __init__(
-        self, process: str, object_id: str, missing: Sequence[str], blocked_waiting: bool
-    ) -> None:
-        super().__init__(
-            f"{process!r} not enabled for {object_id!r}: missing {', '.join(missing)}"
-        )
-        self.process = process
-        self.object_id = object_id
-        self.missing = tuple(missing)
-        self.blocked_waiting = blocked_waiting
 
 
 class Outcome(enum.Enum):
@@ -99,11 +84,11 @@ class TraceEvent(
 _Compiled = tuple[str, bool, int, int, int]
 
 
-def _mask(bits: dict[str, int], names: Iterable[str]) -> int:
-    """The mask of the named classes; a name without a bit gets the next one."""
+def _mask(bits: Mapping[str, int], names: Iterable[str]) -> int:
+    """The mask of the named classes."""
     m = 0
     for name in names:
-        m |= bits.setdefault(name, 1 << len(bits))
+        m |= bits[name]
     return m
 
 
@@ -112,12 +97,12 @@ def _class_bits(model: Model) -> dict[str, int]:
     return {c.name: 1 << i for i, c in enumerate(model.classes)}
 
 
-def _compile(bits: dict[str, int], p: ProcessDef) -> _Compiled:
+def _compile(bits: Mapping[str, int], p: ProcessDef) -> _Compiled:
     leaving = _mask(bits, (t.source for t in p.transforms if t.mode is TransformMode.LEAVING))
     return p.name, p.is_generator, _mask(bits, p.inputs), ~leaving, _mask(bits, p.outputs)
 
 
-def _processes(model: Model, bits: dict[str, int]) -> list[_Compiled]:
+def _processes(model: Model, bits: Mapping[str, int]) -> list[_Compiled]:
     """Every process compiled, in name order."""
     return [_compile(bits, p) for p in model.processes]
 
@@ -142,22 +127,16 @@ def _decode(bits: Mapping[str, int], mask: int) -> list[str]:
     return sorted(name for name, bit in bits.items() if mask & bit)
 
 
-def _step(
-    model: Model, bits: Mapping[str, int], proc: _Compiled, object_id: str, held: int
-) -> int:
+def _step(proc: _Compiled, held: int) -> int | None:
     """The mask of the object after the process fires on it, from the mask
-    it holds before (0 when the object does not exist)."""
-    name, is_generator, need, keep, out = proc
+    it holds before (0 when the object does not exist); ``None`` when the
+    process cannot fire: a generator on an existing object, or another
+    process on an object that lacks some input."""
+    _, is_generator, need, keep, out = proc
     if is_generator:
-        if held:
-            raise StaleObject(f"generator {name!r} fired with existing object {object_id!r}")
-        return out
+        return None if held else out
     if held & need != need:
-        missing = _decode(bits, need & ~held)
-        blocked = any(
-            StatusPoint.WAITING in model.class_def(c).status_points for c in missing
-        )
-        raise NotEnabled(name, object_id, missing, blocked)
+        return None
     return held & keep | out
 
 
@@ -181,8 +160,9 @@ def run_script(
 
     A script entry names a process and an object id, or ``"new"`` to let a
     generator mint a fresh object. Unknown process or class names abort the
-    run with an ``aborted`` event. Each object is a class mask; a generator
-    without outputs mints no object.
+    run with an ``aborted`` event, and so does a generator fired on an
+    existing object. Each object is a class mask; a generator without
+    outputs mints no object.
     """
     model = canonicalize(model)
     bits = _class_bits(model)
@@ -198,7 +178,7 @@ def run_script(
                            f"unknown process {process!r}")
             )
             break
-        _, is_generator, _, _, out = proc
+        _, is_generator, need, _, out = proc
         if object_id == NEW_OBJECT:
             if not is_generator:
                 events.append(
@@ -209,22 +189,20 @@ def run_script(
             object_id = _mint_id(objects, minted)
             minted += 1  # a generator always fires on a fresh id
         held = objects.get(object_id, 0)
-        try:
-            after = _step(model, bits, proc, object_id, held)
-        except NotEnabled as exc:
-            outcome = (
-                Outcome.BLOCKED_WAITING if exc.blocked_waiting else Outcome.NOT_ENABLED
+        after = _step(proc, held)
+        if after is None:
+            if is_generator:
+                detail = f"generator {process!r} fired with existing object {object_id!r}"
+                events.append(TraceEvent(step, process, object_id, Outcome.ABORTED, detail))
+                break
+            missing = _decode(bits, need & ~held)
+            waiting = any(
+                StatusPoint.WAITING in model.class_def(c).status_points for c in missing
             )
-            events.append(
-                TraceEvent(step, process, object_id, outcome,
-                           f"missing input tokens: {', '.join(exc.missing)}")
-            )
+            outcome = Outcome.BLOCKED_WAITING if waiting else Outcome.NOT_ENABLED
+            detail = f"missing input tokens: {', '.join(missing)}"
+            events.append(TraceEvent(step, process, object_id, outcome, detail))
             continue
-        except StaleObject as exc:
-            events.append(
-                TraceEvent(step, process, object_id, Outcome.ABORTED, str(exc))
-            )
-            break
         if after:
             objects[object_id] = after
         detail = f"object {object_id}"

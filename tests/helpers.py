@@ -7,10 +7,11 @@ it shares no code with ``csm.validator`` and serves as its oracle.
 pair against every process and class, with no use of the model's index.
 ``brute_fire`` is the firing rule on token sets, a ``frozenset`` of this
 module's ``Token``s, written without the class masks the simulator
-compiles: ``brute_init_state`` and ``brute_run_script`` build on it to give
-the seed tokens and what ``run_script`` should, and ``brute_graph`` is the
-global state graph on token sets: each state is a token set with its count
-of minted objects, and every successor comes from ``brute_fire``.
+compiles (``None`` when the process cannot fire): ``brute_init_state`` and
+``brute_run_script`` build on it to give the seed tokens and what
+``run_script`` should, and ``brute_graph`` is the global state graph on
+token sets: each state is a token set with its count of minted objects,
+and every successor comes from ``brute_fire``.
 ``step_tokens`` and ``step_enabled`` apply the simulator's own rule
 (``_step`` on ``_compile``d masks) to a token set, so that the checks can
 compare the two rules state by state. ``brute_explore`` is the explorer on
@@ -42,9 +43,7 @@ from csm.dsl import emit_text
 from csm.simulator import (
     NEW_OBJECT,
     DuplicateToken,
-    NotEnabled,
     Outcome,
-    StaleObject,
     TraceEvent,
     _class_bits,
     _compile,
@@ -408,39 +407,39 @@ def brute_init_state(model: Model, seed) -> frozenset:
     return frozenset(tokens)
 
 
-def brute_fire(model: Model, tokens: frozenset, process: str, object_id: str) -> frozenset:
+def brute_fire(
+    model: Model, tokens: frozenset, process: str, object_id: str
+) -> frozenset | None:
     """The successor tokens: a generator needs a fresh object, any other
-    process every input token; leaving sources go, outputs come."""
+    process every input token; leaving sources go, outputs come. ``None``
+    when the process cannot fire."""
     p = model.process_def(process)
     after = set(tokens)
     if p.is_generator:
         if object_id in object_ids(tokens):
-            raise StaleObject(
-                f"generator {process!r} fired with existing object {object_id!r}"
-            )
+            return None
+    elif not set(p.inputs) <= classes_of(tokens, object_id):
+        return None
     else:
-        missing = sorted(set(p.inputs) - classes_of(tokens, object_id))
-        if missing:
-            blocked = any(
-                StatusPoint.WAITING in model.class_def(c).status_points for c in missing
-            )
-            raise NotEnabled(process, object_id, missing, blocked)
         leaving = {t.source for t in p.transforms if t.mode is TransformMode.LEAVING}
         after -= {Token(object_id, c) for c in leaving}
     after |= {Token(object_id, c) for c in p.outputs}
     return frozenset(after)
 
 
-def step_tokens(model: Model, tokens: frozenset, process: str, object_id: str) -> frozenset:
+def step_tokens(
+    model: Model, tokens: frozenset, process: str, object_id: str
+) -> frozenset | None:
     """The successor tokens by the simulator's own rule: ``simulator._step``
     on the object's class mask, with the process ``_compile``d as
-    ``run_script`` compiles it. The oracle checks compare it with
-    ``brute_fire``."""
+    ``run_script`` compiles it; ``None`` when ``_step`` gives none. The
+    oracle checks compare it with ``brute_fire``."""
     model = canonicalize(model)
     bits = _class_bits(model)
     proc = _compile(bits, model.process_def(process))
-    held = _encode(bits, tokens).get(object_id, 0)
-    after = _step(model, bits, proc, object_id, held)
+    after = _step(proc, _encode(bits, tokens).get(object_id, 0))
+    if after is None:
+        return None
     return frozenset(
         {t for t in tokens if t.object_id != object_id}
         | {Token(object_id, c) for c in _decode(bits, after)}
@@ -449,15 +448,10 @@ def step_tokens(model: Model, tokens: frozenset, process: str, object_id: str) -
 
 def step_enabled(model: Model, tokens: frozenset, object_id: str) -> frozenset[str]:
     """The processes, generators aside, that ``step_tokens`` fires on the object."""
-    ready = set()
-    for p in model.processes:
-        if not p.is_generator:
-            try:
-                step_tokens(model, tokens, p.name, object_id)
-            except NotEnabled:
-                continue
-            ready.add(p.name)
-    return frozenset(ready)
+    return frozenset(
+        p.name for p in model.processes
+        if not p.is_generator and step_tokens(model, tokens, p.name, object_id) is not None
+    )
 
 
 def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
@@ -479,16 +473,21 @@ def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
                                          f"{process!r} is not a generator; 'new' needs one"))
                 break
             object_id = _mint_id(object_ids(tokens), minted)
-        try:
-            nxt = brute_fire(model, tokens, process, object_id)
-        except NotEnabled as exc:
-            outcome = Outcome.BLOCKED_WAITING if exc.blocked_waiting else Outcome.NOT_ENABLED
-            events.append(TraceEvent(step, process, object_id, outcome,
-                                     f"missing input tokens: {', '.join(exc.missing)}"))
-            continue
-        except StaleObject as exc:
-            events.append(TraceEvent(step, process, object_id, Outcome.ABORTED, str(exc)))
+        nxt = brute_fire(model, tokens, process, object_id)
+        if nxt is None and pdef.is_generator:
+            events.append(TraceEvent(
+                step, process, object_id, Outcome.ABORTED,
+                f"generator {process!r} fired with existing object {object_id!r}"))
             break
+        if nxt is None:
+            missing = sorted(set(pdef.inputs) - classes_of(tokens, object_id))
+            blocked = any(
+                StatusPoint.WAITING in model.class_def(c).status_points for c in missing
+            )
+            outcome = Outcome.BLOCKED_WAITING if blocked else Outcome.NOT_ENABLED
+            events.append(TraceEvent(step, process, object_id, outcome,
+                                     f"missing input tokens: {', '.join(missing)}"))
+            continue
         if was_new:
             minted += 1
         noop = sorted(c for c in pdef.outputs if Token(object_id, c) in tokens)

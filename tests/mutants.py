@@ -218,6 +218,47 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_model.py::TestCanonicalize::test_members_of_the_wrong_kind_rejected",),
     ),
+    # A generator fires again on an object that already exists.
+    Mutant(
+        "src/csm/simulator.py",
+        "        return None if held else out\n",
+        "        return out\n",
+        ("tests/test_simulator.py::TestFire::test_generator_mints_only_fresh_objects",),
+    ),
+    # A step blocked at a waiting point reads as not enabled.
+    Mutant(
+        "src/csm/simulator.py",
+        "            outcome = Outcome.BLOCKED_WAITING if waiting else Outcome.NOT_ENABLED\n",
+        "            outcome = Outcome.NOT_ENABLED\n",
+        ("tests/test_simulator.py::TestFire::test_blocked_waiting_flagged",),
+    ),
+    # The one-pass reader takes a model name that neither form can write.
+    Mutant(
+        "src/csm/dsl.py",
+        "head.lastindex != _HEADER or _name_problem(head[19]):",
+        "head.lastindex != _HEADER:",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_text_mistake_reaches_the_reporting_path",
+        ),
+    ),
+    # So does the token parser.
+    Mutant(
+        "src/csm/dsl.py",
+        '                self.error("E-SYN", f"model name {problem}", name_tok, "model")\n',
+        "                pass\n",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_text_mistake_reaches_the_reporting_path",
+        ),
+    ),
+    # E-C4 asks for creation alone when the role lacks reference too.
+    Mutant(
+        "src/csm/validator.py",
+        "                    if reference not in privs:\n                        wanted",
+        "                    if reference in privs:\n                        wanted",
+        ("tests/test_validator.py::TestSuggestions::test_c4_hint_names_each_missing_privilege",),
+    ),
 )
 
 

@@ -362,6 +362,8 @@ _PLANTED_TEXT = [
     ("missing closing brace", " }\n}\n", " }\n", [("E-SYN", "end of input", 21, 1)]),
     ("non-ASCII whitespace", "  role A\n", "  role\u00a0A\n", []),
     ("non-ASCII whitespace after the model", " }\n}\n", " }\n}\u3000\n", []),
+    ("lone surrogate in the model name", 'model "m"', 'model "m\ud800"',
+     [("E-SYN", "model", 1, 7)]),
 ]
 # The same for the JSON form of _PLANTED: the path of the value to set (an
 # index one past the end appends; the empty path replaces the document), the
@@ -583,6 +585,8 @@ class TestOnePassReader:
         assert _exact(result) == _exact(_report_text(text, "m.csm"))
         found = [(d.code, d.site, d.span.line, d.span.column) for d in result.diagnostics]
         assert found == expected
+        for d in result.diagnostics:
+            d.render().encode("utf-8")  # no diagnostic quotes an unwritable name
         if not expected:
             assert result.model == parse_text(_PLANTED).model
 

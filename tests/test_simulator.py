@@ -9,9 +9,7 @@ from csm.dsl import parse_text
 from csm.fixtures import FIXTURES
 from csm.simulator import (
     DuplicateToken,
-    NotEnabled,
     Outcome,
-    StaleObject,
     build_graph,
     explore,
     run_script,
@@ -141,24 +139,27 @@ class TestFire:
         assert classes_of(nxt, "o") == {"B", "C"}
 
     def test_not_enabled_lists_missing_inputs(self):
-        with pytest.raises(NotEnabled) as exc:
-            step_tokens(JOIN, {Token("o", "B")}, "Join", "o")
-        assert exc.value.missing == ("A",)
-        assert exc.value.blocked_waiting is False
+        assert step_tokens(JOIN, {Token("o", "B")}, "Join", "o") is None
         [event] = run_script(JOIN, [("o", "B")], [("Join", "o")])
         assert (event.outcome, event.detail) == (Outcome.NOT_ENABLED, "missing input tokens: A")
 
     def test_blocked_waiting_flagged(self, scenarios):
         m = scenarios["gp_lab"]
-        with pytest.raises(NotEnabled) as exc:
-            step_tokens(m, frozenset(), "CarePatient", "p")
-        assert exc.value.blocked_waiting is True
+        assert step_tokens(m, frozenset(), "CarePatient", "p") is None
+        [event] = run_script(m, [], [("CarePatient", "p")])
+        assert (event.outcome, event.detail) == (
+            Outcome.BLOCKED_WAITING, "missing input tokens: SentTestResult"
+        )
 
     def test_generator_mints_only_fresh_objects(self, scenarios):
         m = scenarios["gp_lab"]
         tokens = {Token("p", "TestRequest")}
-        with pytest.raises(StaleObject):
-            step_tokens(m, tokens, "RequestTest", "p")
+        assert step_tokens(m, tokens, "RequestTest", "p") is None
+        script = [("RequestTest", "p"), ("RequestTest", "q")]
+        events = run_script(m, [("p", "TestRequest")], script)
+        assert [(e.outcome, e.detail) for e in events] == [
+            (Outcome.ABORTED, "generator 'RequestTest' fired with existing object 'p'")
+        ]
         nxt = step_tokens(m, tokens, "RequestTest", "q")
         assert classes_of(nxt, "q") == {"TestRequest"}
 

@@ -9,7 +9,7 @@ import csm
 from csm import validator
 from csm.diagnostics import Severity
 from csm.dsl import parse_text
-from csm.fixtures import BAD_FIXTURES, FIXTURES, load
+from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
 from csm.validator import CATALOG, InvalidModel, UnknownCode, ensure_valid, explain, validate
 from helpers import apply_suggestion, brute_validate, load_bench, random_model
 
@@ -97,6 +97,17 @@ class TestSuggestions:
         [diag] = errors(model)
         fixed = apply_suggestion(model, diag.suggestion)
         assert (diag.code, diag.site) not in {(d.code, d.site) for d in errors(fixed)}
+
+    @pytest.mark.parametrize("privileges, hint", [
+        ("reference, reference+", "add creation to grant R on B"),
+        ("reference+", "add creation and reference to grant R on B"),
+    ])
+    def test_c4_hint_names_each_missing_privilege(self, privileges, hint):
+        text = fixture_text("bad_c4").replace("reference, reference+", privileges)
+        model = parse_text(text).model
+        [diag] = errors(model)
+        assert (diag.code, diag.suggestion) == ("E-C4", hint)
+        assert errors(apply_suggestion(model, hint)) == []
 
     def test_random_repairs_remove_their_diagnostic(self):
         rng = random.Random(41)
