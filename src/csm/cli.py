@@ -66,19 +66,28 @@ def _load_json(path: str, what: str):
         raise _CliError(f"malformed {what} file {path}: {exc}", 2) from exc
 
 
+def _entry_error(what: str, path: str, at: tuple, message: str) -> _CliError:
+    """The usage error of one entry of a side file: its file, then the RFC
+    6901 pointer of the value at fault (``at``: array indexes and object
+    keys), then ``message`` as given, a predicate after a space or the
+    error after a colon."""
+    pointer = "".join("/" + str(p).replace("~", "~0").replace("/", "~1") for p in at)
+    return _CliError(f"{what} file {path} at {pointer}{message}", 2)
+
+
 def _load_pairs(path: str, what: str, keys: tuple[str, str]) -> list[tuple[str, str]]:
     """Entries of a seed or script file: objects with a string under each key."""
     doc = _load_json(path, what)
     if not isinstance(doc, list):
         raise _CliError(f"{what} file {path} must be a JSON array", 2)
     pairs = []
-    for entry in doc:
+    for i, entry in enumerate(doc):
         values = tuple(entry.get(k) for k in keys) if isinstance(entry, dict) else ()
         if not (values and all(isinstance(v, str) for v in values)):
-            raise _CliError(
-                f"{what} entries need string values for {keys[0]!r} and {keys[1]!r}: "
-                f"{entry!r}",
-                2,
+            at = [k for k, v in zip(keys, values) if not isinstance(v, str)][:1]
+            raise _entry_error(
+                what, path, (i, *at),
+                f": entries need string values for {keys[0]!r} and {keys[1]!r}: {entry!r}",
             )
         pairs.append(values)
     return pairs
@@ -90,13 +99,16 @@ def _load_seed(path: str, model: Model) -> list[tuple[str, str]]:
     seed = _load_pairs(path, "seed", ("object", "class"))
     declared = set(model.class_names)
     seen = set()
-    for object_id, class_name in seed:
+    for i, (object_id, class_name) in enumerate(seed):
         if object_id == simulator.NEW_OBJECT:
-            raise _CliError(f"seed file {path} uses the reserved object id {object_id!r}", 2)
+            message = f" uses the reserved object id {object_id!r}"
+            raise _entry_error("seed", path, (i, "object"), message)
         if class_name not in declared:
-            raise _CliError(f"seed file {path} names no declared class: {class_name!r}", 2)
+            message = f" names no declared class: {class_name!r}"
+            raise _entry_error("seed", path, (i, "class"), message)
         if (object_id, class_name) in seen:
-            raise _CliError(f"seed file {path} repeats {object_id!r} in {class_name!r}", 2)
+            message = f" repeats {object_id!r} in {class_name!r}"
+            raise _entry_error("seed", path, (i, "object"), message)
         seen.add((object_id, class_name))
     return seed
 
@@ -113,27 +125,37 @@ def _load_queries(path: str, model: Model) -> list[dict]:
     doc = _load_json(path, "query")
     if not isinstance(doc, list):
         raise _CliError(f"query file {path} must be a JSON array", 2)
-    for query in doc:
-        kind = query.get("type") if isinstance(query, dict) else None
+    for i, query in enumerate(doc):
+        entry = isinstance(query, dict)
+        kind = query.get("type") if entry else None
         if kind not in _QUERY_OPERANDS:
-            raise _CliError(
-                f"query type must be 'co_occurrence' or 'sequence': {query!r}", 2
+            raise _entry_error(
+                "query", path, (i, "type") if entry else (i,),
+                f": query type must be 'co_occurrence' or 'sequence': {query!r}",
             )
         keys = {"type", *_QUERY_OPERANDS[kind]}
         if set(query) != keys:
-            raise _CliError(
-                f"{kind} query needs exactly the keys {', '.join(sorted(keys))}: {query!r}",
-                2,
+            # An extra key in document order, else the first missing one.
+            at = [k for k in query if k not in keys] or sorted(keys - set(query))
+            raise _entry_error(
+                "query", path, (i, at[0]),
+                f": {kind} query needs exactly the keys {', '.join(sorted(keys))}: {query!r}",
             )
         if kind == "co_occurrence":
-            names, what, declared = query["classes"], "class", model.class_names
-            if not (isinstance(names, list) and len(names) == 2):
-                raise _CliError(f"'classes' must be an array of two class names: {query!r}", 2)
+            what, declared, classes = "class", model.class_names, query["classes"]
+            if not (isinstance(classes, list) and len(classes) == 2):
+                raise _entry_error(
+                    "query", path, (i, "classes"),
+                    f": 'classes' must be an array of two class names: {query!r}",
+                )
+            named = {("classes", j): name for j, name in enumerate(classes)}
         else:
-            names, what, declared = [query["first"], query["then"]], "process", model.process_names
-        for name in names:
+            what, declared = "process", model.process_names
+            named = {(key,): query[key] for key in ("first", "then")}
+        for at, name in named.items():
             if not (isinstance(name, str) and name in declared):
-                raise _CliError(f"query names no declared {what}: {name!r}", 2)
+                message = f": query names no declared {what}: {name!r}"
+                raise _entry_error("query", path, (i, *at), message)
     return doc
 
 

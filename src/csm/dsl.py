@@ -20,8 +20,9 @@ pattern match per declaration, process item or comment, each record
 straight into a draft with the offset where its first name starts. Text
 whose syntax it does not accept (a syntax mistake, a comment inside a
 declaration, non-ASCII whitespace) goes whole to the recovering token
-parser, which reports every syntax diagnostic and recovers at item
-boundaries, so several independent mistakes are reported in one pass.
+parser. It lexes the text as one lazy stream of tokens as it reads,
+reports every syntax diagnostic and recovers at item boundaries, so
+several independent mistakes are reported in one pass.
 Either draft then goes through the one name-resolution pass
 (``model._resolve``), which checks duplicates and references and locates
 each that fails. JSON has one reader, since ``json.loads`` has lexed it:
@@ -90,6 +91,7 @@ def _token_pattern() -> re.Pattern:
 
 
 _KIND_BY_GROUP = (None, "string", "comment", "ident", "punct", "junk")
+_COMMENT_GROUP = _KIND_BY_GROUP.index("comment")
 _NEWLINE_RE = re.compile(r"\n")
 
 # Value to member, one table per enum: a dict lookup instead of an Enum call.
@@ -247,44 +249,37 @@ class _Recover(Exception):
 
 
 class _Parser:
+    """The recovering token parser. It reads the text as one lazy stream of
+    tokens, comments left out, and holds only the current token (``tok``),
+    which is the eof token once the stream ends."""
+
     def __init__(self, text: str, file_label: str) -> None:
-        self.text = text
-        self.match_token = _token_pattern().match
-        # Ending each match at the last non-space character keeps the
-        # lexer's leading \s* from backtracking over trailing whitespace.
-        self.endpos = len(text.rstrip())
+        # Every match consumes a character and can fail only at the end
+        # bound, so the matches lie back to back. Ending them at the last
+        # non-space character keeps the lexer's leading \s* from
+        # backtracking over trailing whitespace.
+        self.stream = (
+            _Token(_KIND_BY_GROUP[k], m[k], m.start(k))
+            for m in _token_pattern().finditer(text, 0, len(text.rstrip()))
+            for k in (m.lastindex,)
+            if k != _COMMENT_GROUP
+        )
+        self.eof = _Token("eof", "", len(text))
+        self.tok = next(self.stream, self.eof)
         self.spans = _spans(text, file_label)
-        self.offset = 0  # where the next token's lexing starts
-        self.tok: _Token | None = None  # the current token, once lexed
         self.diagnostics: list[Diagnostic] = []
         self.draft = _Draft()
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> _Token:
-        """The current token, lexed at ``offset`` on first use; comments are skipped."""
-        while self.tok is None:
-            m = self.match_token(self.text, self.offset, self.endpos)
-            if m is None:
-                self.tok = _Token("eof", "", len(self.text))
-                break
-            kind = _KIND_BY_GROUP[m.lastindex]
-            if kind == "comment":
-                self.offset = m.end()
-            else:
-                self.tok = _Token(kind, m[m.lastindex], m.start(m.lastindex))
-        return self.tok
-
     def advance(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.offset = tok.offset + len(tok.text)
-            self.tok = None
+        """The current token; the next one becomes current."""
+        tok = self.tok
+        self.tok = next(self.stream, self.eof)
         return tok
 
     def at(self, kind: str, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and tok.text == text
+        return self.tok.kind == kind and self.tok.text == text
 
     def span(self, tok: _Token) -> SourceSpan:
         return self.spans(tok.offset, tok.text)
@@ -303,7 +298,7 @@ class _Parser:
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
         """Consume a token of ``kind`` (and ``text``, if given); otherwise
         report "expected ``what``" (default: the quoted text) and recover."""
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind or (text is not None and tok.text != text):
             self.error("E-SYN", f"expected {what or repr(text)}, got {tok.text!r}", tok)
             raise _Recover
@@ -313,7 +308,7 @@ class _Parser:
         """Skip ahead to the next top-level item keyword or closing brace."""
         depth = 0
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "eof":
                 return
             if self.at("punct", "{"):
@@ -329,7 +324,7 @@ class _Parser:
     def sync_pitem(self) -> None:
         """Skip ahead to the next process item keyword or closing brace."""
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "eof" or self.at("punct", "}"):
                 return
             if tok.kind == "ident" and tok.text in PITEM_KEYWORDS:
@@ -341,7 +336,7 @@ class _Parser:
         ``keywords``; ``read`` gets that keyword's token, and after an error
         ``sync`` skips to where the next item can start."""
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "eof":
                 self.error("E-SYN", eof_message, tok)
                 return
@@ -391,7 +386,7 @@ class _Parser:
     def parse(self) -> _Draft | None:
         try:
             self.expect("ident", "model")
-            name_tok = self.peek()
+            name_tok = self.tok
             if name_tok.kind != "string":
                 self.error("E-SYN", "expected quoted model name", name_tok)
                 raise _Recover
@@ -410,7 +405,7 @@ class _Parser:
             lambda kw: getattr(self, f"parse_{kw.text}")(),
             self.sync_item,
         )
-        trailing = self.peek()
+        trailing = self.tok
         if trailing.kind != "eof":
             self.error("E-SYN", f"unexpected input after model: {trailing.text!r}", trailing)
         return self.draft
@@ -457,7 +452,7 @@ class _Parser:
         src = self.expect("ident", what="transform source class")
         self.expect("punct", "->")
         dst = self.expect("ident", what="transform target class")
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "ident" and tok.text in ("remaining", "leaving"):
             self.advance()
             proc.transforms.append((Transform(src.text, dst.text, _MODE[tok.text]), src.offset))

@@ -259,6 +259,13 @@ MUTANTS = (
         "                    if reference in privs:\n                        wanted",
         ("tests/test_validator.py::TestSuggestions::test_c4_hint_names_each_missing_privilege",),
     ),
+    # The token parser reads comments as tokens.
+    Mutant(
+        "src/csm/dsl.py",
+        "            if k != _COMMENT_GROUP\n",
+        "            if True\n",
+        ("tests/test_dsl.py::TestLexer::test_tokens_match_a_reference_lexer",),
+    ),
 )
 
 

@@ -223,7 +223,9 @@ class TestSimulate:
         assert main(argv + (["--script", script] if command == "simulate" else [])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: seed file {seed} {message}\n"
+        # The last entry is at fault, at its class only when that is undeclared.
+        at = f"/{len(entries) - 1}/{'class' if 'class' in message else 'object'}"
+        assert captured.err == f"error: seed file {seed} at {at} {message}\n"
 
 
 class TestExplore:
@@ -378,6 +380,100 @@ def test_json_file_that_is_not_an_array_exits_two(capsys, tmp_path, write_json, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {kind} file {path} must be a JSON array\n"
+
+
+_SEED_NEEDS = "entries need string values for 'object' and 'class'"
+_SCRIPT_NEEDS = "entries need string values for 'process' and 'object'"
+_QUERY_TYPE = "query type must be 'co_occurrence' or 'sequence'"
+
+
+@pytest.mark.parametrize(
+    "kind, entries, message",
+    [
+        ("seed", ["r"], f"at /0: {_SEED_NEEDS}: 'r'"),
+        (
+            "seed",
+            [{"class": "TestRequest"}],
+            f"at /0/object: {_SEED_NEEDS}: {{'class': 'TestRequest'}}",
+        ),
+        (
+            "seed",
+            [{"object": "r", "class": 5}],
+            f"at /0/class: {_SEED_NEEDS}: {{'object': 'r', 'class': 5}}",
+        ),
+        (
+            "seed",
+            [{"object": "new", "class": "TestRequest"}],
+            "at /0/object uses the reserved object id 'new'",
+        ),
+        (
+            "seed",
+            [{"object": "r", "class": "Lobby"}],
+            "at /0/class names no declared class: 'Lobby'",
+        ),
+        (
+            "seed",
+            [{"object": "r", "class": "TestRequest"}] * 2,
+            "at /1/object repeats 'r' in 'TestRequest'",
+        ),
+        (
+            "script",
+            [{"process": "RequestTest", "object": "p"}, None],
+            f"at /1: {_SCRIPT_NEEDS}: None",
+        ),
+        (
+            "script",
+            [{"process": None, "object": 1}],
+            f"at /0/process: {_SCRIPT_NEEDS}: {{'process': None, 'object': 1}}",
+        ),
+        ("query", [[]], f"at /0: {_QUERY_TYPE}: []"),
+        ("query", [{"type": "deadlock"}], f"at /0/type: {_QUERY_TYPE}: {{'type': 'deadlock'}}"),
+        (
+            "query",
+            [{"type": "sequence", "first": "RequestTest"}],
+            "at /0/then: sequence query needs exactly the keys first, then, type: "
+            "{'type': 'sequence', 'first': 'RequestTest'}",
+        ),
+        (
+            # A key holding "~" or "/" is escaped as RFC 6901 says.
+            "query",
+            [{"type": "co_occurrence", "a/b~c": 1, "classes": []}],
+            "at /0/a~1b~0c: co_occurrence query needs exactly the keys classes, type: "
+            "{'type': 'co_occurrence', 'a/b~c': 1, 'classes': []}",
+        ),
+        (
+            "query",
+            [{"type": "co_occurrence", "classes": ["TestRequest"]}],
+            "at /0/classes: 'classes' must be an array of two class names: "
+            "{'type': 'co_occurrence', 'classes': ['TestRequest']}",
+        ),
+        (
+            "query",
+            [{"type": "co_occurrence", "classes": ["TestRequest", "Lobby"]}],
+            "at /0/classes/1: query names no declared class: 'Lobby'",
+        ),
+        (
+            "query",
+            [{"type": "sequence", "first": 5, "then": "PerformTest"}],
+            "at /0/first: query names no declared process: 5",
+        ),
+        (
+            "query",
+            [{"type": "sequence", "first": "PerformTest", "then": "PerformTest"},
+             {"type": "sequence", "first": "PerformTest", "then": "Ghost"}],
+            "at /1/then: query names no declared process: 'Ghost'",
+        ),
+    ],
+)
+def test_side_file_entry_error_names_its_file_and_pointer(
+    capsys, tmp_path, write_json, kind, entries, message
+):
+    path = tmp_path / f"{kind}-entries.json"
+    path.write_text(json.dumps(entries))
+    assert main(_reading(kind, str(path), write_json)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {kind} file {path} {message}\n"
 
 
 class TestUndecodableInput:
