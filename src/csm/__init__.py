@@ -11,7 +11,10 @@ import gc as _gc
 
 # Importing the layers makes many objects and no garbage, so the cyclic
 # collector, which would only walk them, is off meanwhile; the state it was
-# found in comes back.
+# found in comes back. Freezing and then unfreezing moves what the import
+# made into the oldest generation without walking it, so the next
+# allocation starts no gen-0 sweep over it; objects a caller froze stay
+# frozen, and then that move is skipped.
 _collecting = _gc.isenabled()
 _gc.disable()
 try:
@@ -48,6 +51,9 @@ try:
     )
     from .validator import InvalidModel, explain, validate
 finally:
+    if not _gc.get_freeze_count():
+        _gc.freeze()
+        _gc.unfreeze()
     if _collecting:
         _gc.enable()
     del _gc, _collecting

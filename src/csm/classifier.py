@@ -43,7 +43,8 @@ from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
 
-from .dsl import _esc, _json_array
+from .diagnostics import _esc
+from .dsl import _json_array
 from .model import (
     Model,
     ModelError,

@@ -171,12 +171,9 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_validate(args: _Args) -> int:
-    import json
-
     model = _load_model(args.file)
     diags = validator.validate(model)
-    for d in diags:
-        print(json.dumps(d.to_dict(), sort_keys=True))
+    sys.stdout.write("".join(d.to_json() + "\n" for d in diags))
     return 1 if has_errors(diags) else 0
 
 

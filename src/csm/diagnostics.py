@@ -5,6 +5,11 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
+try:
+    from _json import encode_basestring_ascii as _esc
+except ImportError:  # an interpreter built without the C accelerator
+    from json.encoder import encode_basestring_ascii as _esc
+
 
 class SourceSpan(namedtuple("SourceSpan", "file line column length", defaults=(0,))):
     """A location in a source file; line and column are 1-based."""
@@ -56,11 +61,31 @@ class Diagnostic(
             }
         return doc
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, written from one
+        template without building the dict or loading ``json``."""
+        span = self.span
+        return _DIAGNOSTIC_JSON % (
+            _esc(self.code),
+            _esc(self.message),
+            _esc(self.severity.value),
+            _esc(self.site),
+            "" if span is None else _SPAN_JSON % (
+                span.column, _esc(span.file), span.length, span.line
+            ),
+            "null" if self.suggestion is None else _esc(self.suggestion),
+        )
+
     def render(self) -> str:
         loc = ""
         if self.span is not None:
             loc = f"{self.span.file}:{self.span.line}:{self.span.column}: "
         return f"{loc}{self.code} [{self.severity.value}] {self.site}: {self.message}"
+
+
+# Keys in sort_keys order, with json.dumps's default separators.
+_DIAGNOSTIC_JSON = '{"code": %s, "message": %s, "severity": %s, "site": %s, %s"suggestion": %s}'
+_SPAN_JSON = '"span": {"column": %d, "file": %s, "length": %d, "line": %d}, '
 
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:

@@ -38,7 +38,7 @@ import functools
 import re
 from collections import namedtuple
 
-from .diagnostics import Diagnostic, Severity, SourceSpan, has_errors
+from .diagnostics import Diagnostic, Severity, SourceSpan, _esc, has_errors
 from .model import (
     ClassDef,
     Model,
@@ -56,11 +56,6 @@ from .model import (
     _resolve,
     canonicalize,
 )
-
-try:
-    from _json import encode_basestring_ascii as _esc
-except ImportError:  # an interpreter built without the C accelerator
-    from json.encoder import encode_basestring_ascii as _esc
 
 ITEM_KEYWORDS = frozenset({"role", "class", "process", "grant"})
 PITEM_KEYWORDS = frozenset({"owner", "responsible", "input", "output", "transform"})

@@ -266,6 +266,27 @@ MUTANTS = (
         "            if True\n",
         ("tests/test_dsl.py::TestLexer::test_tokens_match_a_reference_lexer",),
     ),
+    # A diagnostic without a suggestion writes "" where json.dumps writes null.
+    Mutant(
+        "src/csm/diagnostics.py",
+        '"null" if self.suggestion is None',
+        '\'""\' if self.suggestion is None',
+        ("tests/test_records.py::TestDiagnosticJson::test_parse_diagnostics_carry_spans",),
+    ),
+    # import csm leaves its objects in generation 0 for the next sweep.
+    Mutant(
+        "src/csm/__init__.py",
+        "        _gc.freeze()\n        _gc.unfreeze()\n",
+        "        pass\n",
+        ("tests/test_cli.py::test_import_leaves_the_collector_as_found",),
+    ),
+    # import csm unfreezes what its caller froze.
+    Mutant(
+        "src/csm/__init__.py",
+        "    if not _gc.get_freeze_count():\n",
+        "    if True:\n",
+        ("tests/test_cli.py::test_import_keeps_a_callers_frozen_objects",),
+    ),
 )
 
 

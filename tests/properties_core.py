@@ -152,6 +152,20 @@ def reference_emit_json(model: Model) -> bytes:
     return (json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def reference_diagnostic_json(diag) -> str:
+    """The line that ``Diagnostic.to_json`` must equal."""
+    return json.dumps(diag.to_dict(), sort_keys=True)
+
+
+def check_diagnostic_json(seed: int) -> None:
+    """The direct diagnostic writer equals the key-sorted dump on every
+    diagnostic of a random model and of a random valid one."""
+    rng = random.Random(seed)
+    for m in (random_valid_model(rng), random_model(rng)):
+        for d in validate(m):
+            assert d.to_json() == reference_diagnostic_json(d)
+
+
 def check_report_json(seed: int) -> None:
     """The direct report writer equals the indented, key-sorted dump; also on
     a report built with its findings in reverse."""

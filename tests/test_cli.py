@@ -714,11 +714,13 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
     } <= set(runs[0][2])
     assert "argparse" in runs[-1][2]
 
-    # Commands that read a .csm file and write no JSON through the json
-    # package never load it, no command loads os, and a well-formed model
-    # loads no bisect, which only a diagnostic's line and column need; each
-    # runs alone, since the harness above loads them.
+    # Commands that read a .csm file never load the json package, since
+    # `validate` and `classify --json` write their JSON from templates; no
+    # command loads os, and a well-formed model loads no bisect, which only a
+    # diagnostic's line and column need; each runs alone, since the harness
+    # above loads them.
     for argv in (
+        ["validate"],
         ["render", "--format", "dot"],
         ["render", "--format", "mermaid"],
         ["fmt"],
@@ -737,31 +739,61 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
         assert proc.stdout and proc.stderr == "(0, [], False, False)", (argv, proc.stderr)
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_import_leaves_the_collector_as_found(enabled):
-    """``import csm`` runs no collection while it imports its layers (from
-    the first ``csm.`` submodule to ``csm.validator``, the last), and leaves
-    the cyclic collector on or off as it found it. A collection just before
-    the import starts its count anew. One that starts before any layer is
-    loaded, as importlib compiles ``csm/__init__.py`` when it has no valid
-    bytecode, comes before any csm statement runs and is not counted."""
+def _import_csm(prelude: str) -> list[str]:
+    """What a ``python -S`` child that runs ``prelude`` and then ``import
+    csm`` prints: whether the collector is on, whether a collection started
+    while the layers were imported (from the first ``csm.`` submodule to
+    ``csm.validator``, the last), whether one started from then on through
+    the end of the import and 100 container allocations after it, and the
+    freeze count before and after the import. A collection that starts
+    before any layer is loaded, as importlib compiles ``csm/__init__.py``
+    when it has no valid bytecode, comes before any csm statement runs and
+    is not counted."""
     src = str(Path(csm.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import gc, sys\n"
-         f"gc.enable() if {enabled} else gc.disable()\n"
-         "gc.collect()\n"
-         "early = []\n"
+         f"{prelude}\n"
+         "early, late = [], []\n"
          "def seen(phase, info):\n"
          "    loaded = [name for name in sys.modules if name.startswith('csm.')]\n"
-         "    if phase == 'start' and loaded and 'csm.validator' not in loaded:\n"
-         "        early.append(True)\n"
+         "    if phase == 'start' and loaded:\n"
+         "        (late if 'csm.validator' in loaded else early).append(True)\n"
          "gc.callbacks.append(seen)\n"
+         "frozen = gc.get_freeze_count()\n"
          "import csm\n"
-         "print(gc.isenabled(), any(early))"],
+         "made = [[] for _ in range(100)]\n"
+         "print(gc.isenabled(), any(early), any(late), frozen, gc.get_freeze_count())"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
-    assert proc.stdout.split() == [str(enabled), "False"], proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_leaves_the_collector_as_found(enabled):
+    """``import csm`` runs no collection while it imports its layers, leaves
+    the cyclic collector on or off as it found it, and moves what it made
+    out of generation 0 without a sweep, so none starts right after it
+    either. A collection just before the import starts its count anew.
+    What the import made is not left frozen. An interpreter that froze
+    objects at start-up (Python 3.12.1 does) keeps them frozen and skips
+    that move, as for a caller's frozen objects."""
+    on, early, late, before, after = _import_csm(
+        f"gc.enable() if {enabled} else gc.disable()\ngc.collect()"
+    )
+    assert (on, early) == (str(enabled), "False")
+    assert after == before
+    if before == "0":
+        assert late == "False"
+
+
+def test_import_keeps_a_callers_frozen_objects():
+    """Objects the caller froze before ``import csm`` stay frozen, and the
+    import adds none to them."""
+    on, early, _, before, after = _import_csm("gc.enable()\ngc.collect()\ngc.freeze()")
+    assert (on, early) == ("True", "False")
+    assert int(before) > 0 and after == before
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in Path(csm.__file__).parent.glob("*.py")))

@@ -16,7 +16,8 @@ import pytest
 import csm
 from csm.classifier import CollaborationReport, Level, LevelFinding
 from csm.diagnostics import Diagnostic, Severity, SourceSpan
-from csm.dsl import ParseResult
+from csm.dsl import ParseResult, parse_text
+from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
 from csm.model import (
     ClassDef,
     Model,
@@ -29,6 +30,7 @@ from csm.model import (
     canonicalize,
 )
 from csm.simulator import Outcome, QueryResult, ReachabilitySummary, TraceEvent
+from csm.validator import validate
 
 LEAVE = Transform(source="A", target="B", mode=TransformMode.LEAVING)
 OWNER = {"R": ProcessPrivilege.OWNER}
@@ -213,3 +215,39 @@ def test_repr():
         "ClassDef(name='X', dynamic=True, "
         "status_points=frozenset({<StatusPoint.WAITING: 'waiting'>}))"
     )
+
+
+class TestDiagnosticJson:
+    """``Diagnostic.to_json`` writes ``json.dumps(to_dict(), sort_keys=True)``
+    byte for byte, as ``csm validate`` prints it."""
+
+    AWKWARD = (
+        "", 'say "hi"', "back\\slash\\", "\x00\x1f\t\n\r\x7f", "caf\u00e9 \u6f22 \U0001f600",
+        "\ud800", "a\udfffb",
+    )
+
+    @staticmethod
+    def check(diag):
+        assert diag.to_json() == json.dumps(diag.to_dict(), sort_keys=True)
+
+    def test_validate_on_every_fixture(self):
+        severities = set()
+        for name in FIXTURES + BAD_FIXTURES:
+            for d in validate(parse_text(fixture_text(name), f"{name}.csm").model):
+                self.check(d)
+                severities.add(d.severity)
+        assert severities == set(Severity)
+
+    def test_parse_diagnostics_carry_spans(self):
+        text = 'model "m" {\n  role A\n  role A\n  grant B on "C\\" { ref }\n}'
+        diags = parse_text(text, 'dir\\"f".csm').diagnostics
+        assert len(diags) > 1 and all(d.span is not None for d in diags)
+        for d in diags:
+            self.check(d)
+
+    @pytest.mark.parametrize("text", AWKWARD)
+    def test_awkward_strings_everywhere(self, text):
+        spans = (None, SourceSpan(text, 3, 7, 2), SourceSpan(text, 1, 1))
+        for severity, span, suggestion in itertools.product(Severity, spans, (None, text)):
+            self.check(Diagnostic(text, severity, text, text, suggestion, span))
+            self.check(Diagnostic("E-C1", severity, "site", text, suggestion, span))
