@@ -19,7 +19,7 @@ except ImportError:  # an interpreter without the posix module
     from os import _exit
 
 from . import classifier, dsl, render, simulator, validator
-from .diagnostics import has_errors
+from .diagnostics import _loads, has_errors
 from .model import Model
 
 
@@ -57,11 +57,9 @@ def _load_model(path: str) -> Model:
 
 
 def _load_json(path: str, what: str):
-    import json
-
     text = _read_file(path, f"{what} file {path}")
     try:
-        return json.loads(text)
+        return _loads(text)
     except (ValueError, RecursionError) as exc:  # see dsl.parse_json
         raise _CliError(f"malformed {what} file {path}: {exc}", 2) from exc
 
@@ -187,21 +185,16 @@ def _cmd_classify(args: _Args) -> int:
 
 
 def _cmd_simulate(args: _Args) -> int:
-    import json
-
     model = _load_model(args.file)
     seed = _load_seed(args.seed, model)
     script = _load_script(args.script)
     events = simulator.run_script(model, seed, script)
-    for e in events:
-        print(json.dumps(e.to_dict(), sort_keys=True))
+    sys.stdout.write("".join(e.to_json() + "\n" for e in events))
     failed = any(e.outcome is not simulator.Outcome.FIRED for e in events)
     return 1 if args.strict and failed else 0
 
 
 def _cmd_explore(args: _Args) -> int:
-    import json
-
     for option, value in (("--max-steps", args.max_steps), ("--max-objects", args.max_objects)):
         if value < 1:
             raise _CliError(f"{option} must be at least 1: {value}", 2)
@@ -211,8 +204,10 @@ def _cmd_explore(args: _Args) -> int:
     summary = simulator.explore(
         model, seed, max_steps=args.max_steps, max_objects=args.max_objects, queries=queries
     )
-    print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+    print(summary.to_json())
     if args.stats:
+        import json
+
         print(json.dumps(summary.stats, sort_keys=True), file=sys.stderr)
     return 0
 

@@ -6,9 +6,56 @@ import enum
 from collections import namedtuple
 
 try:
-    from _json import encode_basestring_ascii as _esc
+    from _json import encode_basestring_ascii as _esc, make_scanner
 except ImportError:  # an interpreter built without the C accelerator
+    from json import loads as _loads
     from json.encoder import encode_basestring_ascii as _esc
+else:
+    from types import SimpleNamespace
+
+    # The C scanner that json.loads' default decoder wraps, on that
+    # decoder's settings; building it here leaves out the regexes that the
+    # json package compiles at import.
+    _scan = make_scanner(SimpleNamespace(
+        strict=True,
+        object_hook=None,
+        object_pairs_hook=None,
+        parse_float=float,
+        parse_int=int,
+        parse_constant={
+            "-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")
+        }.__getitem__,
+    ))
+    _SPACE = " \t\n\r"
+
+    def _loads(s: str):
+        """``json.loads(s)`` for a ``str``: the same value, or the same
+        exception with the same message. ``json.decoder`` is imported only
+        to raise an error."""
+        if s.startswith("\ufeff"):
+            raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
+        # lstrip returns s itself when there is nothing to strip.
+        start = len(s) - len(s.lstrip(_SPACE))
+        try:
+            doc, end = _scan(s, start)
+        except StopIteration as stop:
+            raise _decode_error("Expecting value", s, stop.value) from None
+        except SystemError:
+            # Before Python 3.12 the scanner can raise an error it finds
+            # inside the document only once json.decoder is loaded; scanning
+            # again raises it.
+            import json.decoder  # noqa: F401
+
+            doc, end = _scan(s, start)
+        rest = len(s[end:].lstrip(_SPACE))
+        if rest:
+            raise _decode_error("Extra data", s, len(s) - rest)
+        return doc
+
+    def _decode_error(message: str, s: str, pos: int) -> ValueError:
+        from json.decoder import JSONDecodeError
+
+        return JSONDecodeError(message, s, pos)
 
 
 class SourceSpan(namedtuple("SourceSpan", "file line column length", defaults=(0,))):

@@ -25,9 +25,11 @@ reports every syntax diagnostic and recovers at item boundaries, so
 several independent mistakes are reported in one pass.
 Either draft then goes through the one name-resolution pass
 (``model._resolve``), which checks duplicates and references and locates
-each that fails. JSON has one reader, since ``json.loads`` has lexed it:
-``_read_json`` walks the decoded document once, fills a draft for the same
-pass, and reports each ill-typed entry where it finds it.
+each that fails. JSON has one reader, since the C scanner that
+``json.loads`` wraps lexes it (``diagnostics._loads``, which leaves the
+``json`` package unloaded unless the text is malformed): ``_read_json``
+walks the decoded document once, fills a draft for the same pass, and
+reports each ill-typed entry where it finds it.
 A transform's mode keyword is mandatory: there is no default for whether
 the source token survives the firing.
 """
@@ -38,7 +40,7 @@ import functools
 import re
 from collections import namedtuple
 
-from .diagnostics import Diagnostic, Severity, SourceSpan, _esc, has_errors
+from .diagnostics import Diagnostic, Severity, SourceSpan, _esc, _loads, has_errors
 from .model import (
     ClassDef,
     Model,
@@ -671,22 +673,20 @@ def _json_error(message: str, site: str = "document") -> Diagnostic:
     )
 
 
-def parse_json(data: bytes | str, file_label: str = "<json>") -> ParseResult:
+def parse_json(data: bytes | bytearray | str, file_label: str = "<json>") -> ParseResult:
     """Parse the JSON interchange form into a canonical model.
 
     Names follow the text grammar: role, class and process names are
     identifiers, and the model name is a string the text form can quote.
     The decoded document is read in one walk (``_read_json``).
     """
-    import json
-
-    if isinstance(data, bytes):
+    if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             return ParseResult(None, [_json_error(f"not valid UTF-8: {exc}")])
     try:
-        doc = json.loads(data)
+        doc = _loads(data)
     except (ValueError, RecursionError) as exc:
         # ValueError: JSONDecodeError, or an integer past the interpreter's
         # int-string limit. RecursionError: nesting deeper than the

@@ -35,6 +35,8 @@ import time
 from collections import Counter, namedtuple
 from collections.abc import Container, Iterable, Mapping, Sequence
 
+from .diagnostics import _esc
+from .dsl import _json_array
 from .model import (
     Model,
     ModelError,
@@ -76,6 +78,21 @@ class TraceEvent(
             "outcome": self.outcome.value,
             "detail": self.detail,
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, written from one
+        template without building the dict or loading ``json``."""
+        return _EVENT_JSON % (
+            _esc(self.detail),
+            _esc(self.object_id),
+            _esc(self.outcome.value),
+            _esc(self.process),
+            self.step,
+        )
+
+
+# Keys in sort_keys order, with json.dumps's default separators.
+_EVENT_JSON = '{"detail": %s, "object": %s, "outcome": %s, "process": %s, "step": %d}'
 
 
 # A process as (name, is_generator, need, keep, out): ``need`` holds its
@@ -259,6 +276,35 @@ class ReachabilitySummary(
             "bound_exceeded": not self.complete,
             "queries": [q.to_dict() for q in self.queries],
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written
+        from templates without building the dicts or loading ``json``."""
+        queries = [
+            _QUERY_JSON % (
+                _esc(q.predicate),
+                _JSON_BOOL[q.reachable],
+                "null" if q.witness is None else _json_array(
+                    (_json_array(map(_esc, action), "        ") for action in q.witness),
+                    "      ",
+                ),
+            )
+            for q in self.queries
+        ]
+        return _SUMMARY_JSON % (
+            _JSON_BOOL[not self.complete],
+            _JSON_BOOL[self.complete],
+            _json_array(queries, "  "),
+            self.state_count,
+        )
+
+
+# Keys in sort_keys order, as json.dumps(indent=2) lays them out.
+_SUMMARY_JSON = (
+    '{\n  "bound_exceeded": %s,\n  "complete": %s,\n  "queries": %s,\n  "state_count": %d\n}'
+)
+_QUERY_JSON = '{\n      "predicate": %s,\n      "reachable": %s,\n      "witness": %s\n    }'
+_JSON_BOOL = {True: "true", False: "false"}
 
 
 class ReachabilityGraph:

@@ -25,6 +25,8 @@ every process once per role, the rule the renderer's one pass must keep.
 ``argparse_reference`` is the CLI's command line as an ``argparse`` parser,
 the reference that ``csm.cli``'s command table and argv reader answer to.
 ``load_bench`` loads a module of the benchmark by path.
+``json_outcome`` is what a JSON decoder makes of a text, so that
+``csm.diagnostics._loads`` can be compared with ``json.loads``.
 """
 
 from __future__ import annotations
@@ -368,6 +370,17 @@ def load_bench(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def json_outcome(loads, text: str) -> tuple:
+    """What ``loads`` makes of ``text``: ``("value", repr(value))``, or the
+    type and message of the error it raises. ``repr`` tells ``1`` from
+    ``1.0`` and ``True``, keeps key order, and shows NaN, which equals
+    nothing, as ``nan``."""
+    try:
+        return "value", repr(loads(text))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
 
 
 # Seeds under which each fixture is explored in the oracle checks.

@@ -287,6 +287,20 @@ MUTANTS = (
         "    if True:\n",
         ("tests/test_cli.py::test_import_keeps_a_callers_frozen_objects",),
     ),
+    # The JSON decoder takes what follows the document.
+    Mutant(
+        "src/csm/diagnostics.py",
+        "        if rest:\n",
+        "        if False:\n",
+        ("tests/test_dsl.py::TestLoads::test_edge_cases",),
+    ),
+    # The exploration summary writes bound_exceeded as complete.
+    Mutant(
+        "src/csm/simulator.py",
+        "            _JSON_BOOL[not self.complete],\n",
+        "            _JSON_BOOL[self.complete],\n",
+        ("tests/test_records.py::TestSimulatorJson::test_awkward_summaries",),
+    ),
 )
 
 

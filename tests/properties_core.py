@@ -22,6 +22,7 @@ from csm.model import (
     TransformMode,
     canonicalize,
 )
+from csm.simulator import explore, run_script
 from csm.validator import InvalidModel, validate
 
 from helpers import (
@@ -157,6 +158,16 @@ def reference_diagnostic_json(diag) -> str:
     return json.dumps(diag.to_dict(), sort_keys=True)
 
 
+def reference_event_json(event) -> str:
+    """The line that ``TraceEvent.to_json`` must equal."""
+    return json.dumps(event.to_dict(), sort_keys=True)
+
+
+def reference_summary_json(summary) -> str:
+    """The text that ``ReachabilitySummary.to_json`` must equal."""
+    return json.dumps(summary.to_dict(), indent=2, sort_keys=True)
+
+
 def check_diagnostic_json(seed: int) -> None:
     """The direct diagnostic writer equals the key-sorted dump on every
     diagnostic of a random model and of a random valid one."""
@@ -186,6 +197,35 @@ def check_emit_json(seed: int) -> None:
     truthy = Model("m", ("R",), (ClassDef("C", dynamic=1),), ())
     for m in (random_valid_model(rng), random_model(rng), truthy):
         assert emit_json(m) == reference_emit_json(m)
+
+
+# Object ids that need escaping, or sort around the minted obj1, obj2, ...
+_OBJECT_IDS = ("a", "obj1", "obj2", 'q"x', "back\\slash", "tab\there", "caf\u00e9", "\ud800")
+
+
+def check_simulator_json(seed: int) -> None:
+    """The direct trace and summary writers equal the key-sorted dumps on a
+    scripted run and an exploration of a random valid model and a random
+    one, with object ids that need escaping."""
+    rng = random.Random(seed)
+    for m in (random_valid_model(rng), random_model(rng)):
+        ids = rng.sample(_OBJECT_IDS, rng.randint(0, 3))
+        seed_objects = [(oid, rng.choice(m.class_names)) for oid in ids]
+        script = [
+            (rng.choice(m.process_names), rng.choice([*_OBJECT_IDS, "new"]))
+            for _ in range(rng.randint(0, 8) if m.process_names else 0)
+        ]
+        for event in run_script(m, seed_objects, script):
+            assert event.to_json() == reference_event_json(event)
+        queries = [
+            {"type": "co_occurrence", "classes": rng.choices(m.class_names, k=2)}
+            if rng.random() < 0.5 or not m.process_names else
+            {"type": "sequence", "first": rng.choice(m.process_names),
+             "then": rng.choice(m.process_names)}
+            for _ in range(rng.randint(0, 4))
+        ]
+        summary = explore(m, seed_objects, rng.randint(1, 5), rng.randint(1, 3), queries)
+        assert summary.to_json() == reference_summary_json(summary)
 
 
 ALL_CHECKS = (

@@ -714,17 +714,31 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
     } <= set(runs[0][2])
     assert "argparse" in runs[-1][2]
 
-    # Commands that read a .csm file never load the json package, since
-    # `validate` and `classify --json` write their JSON from templates; no
+    # No command loads the json package but `explore --stats`: every command
+    # writes its JSON from templates, and models, seeds, scripts and queries
+    # are decoded by json's C scanner without it (`diagnostics._loads`). No
     # command loads os, and a well-formed model loads no bisect, which only a
     # diagnostic's line and column need; each runs alone, since the harness
     # above loads them.
-    for argv in (
-        ["validate"],
-        ["render", "--format", "dot"],
-        ["render", "--format", "mermaid"],
-        ["fmt"],
-        ["classify", "--json"],
+    model_json = tmp_path / "healthcare.json"
+    model_json.write_bytes(emit_json(load("healthcare")))
+    simulate = ["simulate", "--seed", files["@seed"], "--script", files["@script"]]
+    explore = ["explore", "--seed", files["@seed"], "--query", files["@query"]]
+    for argv, model in (
+        (["validate"], fx("healthcare")),
+        (["render", "--format", "dot"], fx("healthcare")),
+        (["render", "--format", "mermaid"], fx("healthcare")),
+        (["fmt"], fx("healthcare")),
+        (["classify", "--json"], fx("healthcare")),
+        (simulate, fx("healthcare")),
+        ([*simulate, "--strict"], fx("healthcare")),
+        (explore, fx("healthcare")),
+        (["validate"], str(model_json)),
+        (["classify", "--json"], str(model_json)),
+        (["render", "--format", "dot"], str(model_json)),
+        (["fmt"], str(model_json)),
+        (simulate, str(model_json)),
+        ([*explore, "--stats"], fx("healthcare")),
     ):
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
@@ -732,11 +746,20 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
              "code = csm.cli.main(sys.argv[1:])\n"
              "sys.stdout.flush()\n"
              "json = sorted(m for m in sys.modules if m.partition('.')[0] == 'json')\n"
-             "sys.stderr.write(repr((code, json, 'os' in sys.modules, 'bisect' in sys.modules)))",
-             *argv, fx("healthcare")],
+             "sys.stderr.write(repr((code, json[:1], 'os' in sys.modules, "
+             "'bisect' in sys.modules)))",
+             *argv, model],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
-        assert proc.stdout and proc.stderr == "(0, [], False, False)", (argv, proc.stderr)
+        if "--stats" not in argv:
+            assert proc.stdout and proc.stderr == "(0, [], False, False)", (argv, proc.stderr)
+            continue
+        # The stats line is what json.dumps(sort_keys=True) writes, as before.
+        stats_line, _, rest = proc.stderr.partition("\n")
+        stats = json.loads(stats_line)
+        assert stats_line == json.dumps(stats, sort_keys=True)
+        assert set(stats) == {"build_s", "edges", "frontier", "query_s", "states", "stop"}
+        assert proc.stdout and rest == "(0, ['json'], False, False)", proc.stderr
 
 
 def _import_csm(prelude: str) -> list[str]:

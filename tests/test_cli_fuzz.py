@@ -9,7 +9,8 @@ random JSON values or entries that name the base model's classes and
 processes. The argument lists draw on every command and option, the
 exploration bounds from -1 to 6 included, and on every form the argv
 reader reads: ``-h``, ``--``, ``=`` values, unique and ambiguous option
-prefixes, option-like values and extra positionals.
+prefixes, option-like values and extra positionals. The same JSON pieces
+check the CLI's JSON decoder against ``json.loads``.
 """
 
 import contextlib
@@ -22,9 +23,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from csm.cli import main
+from csm.diagnostics import _loads
 from csm.dsl import emit_json, emit_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
-from helpers import random_valid_model
+from helpers import json_outcome, random_valid_model
 
 _rng = random.Random(16)
 _RANDOM = [random_valid_model(_rng) for _ in range(3)]
@@ -204,3 +206,21 @@ def test_cli_ends_in_an_exit_code_without_a_traceback(workdir, case):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+# JSON-ish soups: a model document with a few random edits, pieces and
+# whitespace strung together, or a random value written out.
+soups = (
+    st.builds(_edit, st.sampled_from(JSONS), _edits(JSON_PIECES))
+    | st.lists(st.sampled_from([*JSON_PIECES, " ", "\n", "\t", "\ufeff", "x"]), max_size=12)
+    .map("".join)
+    | json_values.map(json.dumps)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(soups)
+def test_loads_agrees_with_json_loads(text):
+    """The CLI's decoder (``diagnostics._loads``) gives what ``json.loads``
+    gives on any text: an equal value, or the same error and message."""
+    assert json_outcome(_loads, text) == json_outcome(json.loads, text)

@@ -2,6 +2,8 @@ import itertools
 import json
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,9 +21,11 @@ from csm.dsl import (
     parse_json,
     parse_text,
 )
+from csm.diagnostics import _loads
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
 from csm.model import Privilege, StatusPoint
 from helpers import (
+    json_outcome,
     load_bench,
     random_model,
     random_model_text,
@@ -640,6 +644,7 @@ class TestRoundTrip:
         again = parse_json(blob)
         assert again.ok and again.model == model
         assert emit_json(again.model) == blob
+        assert parse_json(bytearray(blob)) == parse_json(blob.decode("utf-8")) == again
 
     def test_random_round_trips(self):
         rng = random.Random(7)
@@ -939,3 +944,66 @@ class TestJson:
     def test_not_utf8(self):
         result = parse_json(b"\xff\xfe{}")
         assert codes(result) == ["E-JSON"]
+
+
+class TestLoads:
+    """``diagnostics._loads``, the decoder that ``parse_json`` and the CLI's
+    side files use, gives what ``json.loads`` gives: an equal value, or an
+    error of the same type with the same message."""
+
+    @staticmethod
+    def check(text):
+        got = json_outcome(_loads, text)
+        assert got == json_outcome(json.loads, text), text[:200]
+        return got
+
+    @pytest.mark.parametrize("name", FIXTURES + BAD_FIXTURES)
+    def test_fixture_documents(self, name):
+        text = emit_json(parse_text(fixture_text(name)).model).decode("utf-8")
+        for variant in (text, text.rstrip(), json.dumps(json.loads(text)), f"\r\n\t {text}  "):
+            assert self.check(variant)[0] == "value"
+
+    @pytest.mark.parametrize(
+        "path, value", [row[1:3] for row in _PLANTED_JSON], ids=[r[0] for r in _PLANTED_JSON]
+    )
+    def test_planted_json_documents(self, path, value):
+        doc = json.loads(emit_json(parse_text(_PLANTED).model))
+        edits = zip(path, value) if isinstance(path, list) else [(path, value)]
+        for at, planted in edits:
+            doc = _put(doc, at, planted)
+        for text in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(doc)[:-1]):
+            self.check(text)
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff{}", "\ufeff", "{} x", "[]\n\n{}", "[1] 2", " \t\r\n[1]\n ", "\n\n  [] ",
+        "", " ", " \n\t ", "\x0c[]", "[]\x0c", "NaN", "[NaN, Infinity, -Infinity]",
+        '{"x": -Infinity}', "nan", "-NaN", "[1.5e400, -0, -0.0, 1e-400, 10, 1.0]",
+        "9" * 5000, "[" + "9" * 5000 + "]", "-" + "9" * 4300, "[" * 100_000,
+        '{"a": ' * 100_000, "[" * 50 + "]" * 50, '"\\ud800"', '"\\udfff\\ud800x"',
+        '{"\\ud800": "\\udc00"}', '"\\ud83d\\ude00"', '"a\tb"', '["\\x"]', '["abc',
+        "[1,]", '{"a": 1,}', '{"a" 1}', "{1: 2}", '{"a": 1, "a": 2}', "[1 2]", "tru",
+        "\x00", '"\x00"', "\u00a0[]", "[]\u2028", '"\u2028"',
+    ])
+    def test_edge_cases(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("text", ['["a\tb"]', '["\\x"]', '["abc', '{"a" 1}'])
+    def test_error_inside_a_document_before_json_is_loaded(self, text):
+        # Before Python 3.12 the C scanner can raise such an error only once
+        # json.decoder is loaded, so each text runs in a fresh process.
+        src = str(Path(dsl.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys\n"
+             "sys.path.insert(0, sys.argv[2])\n"
+             "from csm.diagnostics import _loads\n"
+             "loaded = [m for m in sys.modules if m.partition('.')[0] == 'json']\n"
+             "try:\n"
+             "    _loads(sys.argv[1])\n"
+             "except ValueError as exc:\n"
+             "    print(loaded, type(exc).__module__, type(exc).__name__, exc)\n",
+             text, src],
+            capture_output=True, text=True, timeout=60,
+        )
+        _, message = json_outcome(json.loads, text)
+        assert (proc.stdout, proc.stderr) == (f"[] json.decoder JSONDecodeError {message}\n", "")

@@ -79,11 +79,18 @@ def test_diagnostic_json_matches_reference(seed):
     core.check_diagnostic_json(seed)
 
 
+@small
+@given(seeds)
+def test_simulator_json_matches_reference(seed):
+    core.check_simulator_json(seed)
+
+
 def test_writers_match_reference_on_fixed_seeds():
     for seed in range(100):
         core.check_report_json(seed)
         core.check_emit_json(seed)
         core.check_diagnostic_json(seed)
+        core.check_simulator_json(seed)
 
 
 def test_writers_on_empty_documents():

@@ -17,7 +17,7 @@ import csm
 from csm.classifier import CollaborationReport, Level, LevelFinding
 from csm.diagnostics import Diagnostic, Severity, SourceSpan
 from csm.dsl import ParseResult, parse_text
-from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
+from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
 from csm.model import (
     ClassDef,
     Model,
@@ -29,8 +29,17 @@ from csm.model import (
     TransformMode,
     canonicalize,
 )
-from csm.simulator import Outcome, QueryResult, ReachabilitySummary, TraceEvent
+from csm.simulator import (
+    Outcome,
+    QueryResult,
+    ReachabilitySummary,
+    TraceEvent,
+    explore,
+    run_script,
+)
 from csm.validator import validate
+from helpers import A4_SEEDS
+from properties_core import reference_event_json, reference_summary_json
 
 LEAVE = Transform(source="A", target="B", mode=TransformMode.LEAVING)
 OWNER = {"R": ProcessPrivilege.OWNER}
@@ -251,3 +260,64 @@ class TestDiagnosticJson:
         for severity, span, suggestion in itertools.product(Severity, spans, (None, text)):
             self.check(Diagnostic(text, severity, text, text, suggestion, span))
             self.check(Diagnostic("E-C1", severity, "site", text, suggestion, span))
+
+
+class TestSimulatorJson:
+    """``TraceEvent.to_json`` and ``ReachabilitySummary.to_json`` write the
+    key-sorted dumps of ``to_dict`` byte for byte, as ``csm simulate`` and
+    ``csm explore`` print them."""
+
+    AWKWARD = TestDiagnosticJson.AWKWARD
+
+    def test_every_fixture_run_and_explore(self):
+        outcomes, witnesses = set(), set()
+        for name in FIXTURES + BAD_FIXTURES:
+            m = load(name)
+            seed = A4_SEEDS.get(name) or [("a", m.class_names[0])]
+            # Each generator mints once, every other process fires twice on
+            # every object, and the first generator fires on an existing one.
+            makers = [p.name for p in m.processes if not p.inputs]
+            ids = [oid for oid, _ in seed] + [f"obj{i}" for i in range(1, len(makers) + 1)]
+            script = [(g, "new") for g in makers] + [
+                (p.name, oid) for _ in range(2) for p in m.processes if p.inputs for oid in ids
+            ] + [(g, ids[-1]) for g in makers[:1]]
+            for event in run_script(m, seed, script):
+                assert event.to_json() == reference_event_json(event)
+                outcomes.add(event.outcome)
+            queries = [
+                {"type": "co_occurrence", "classes": [a, b]}
+                for a in m.class_names[:4] for b in m.class_names[-4:]
+            ] + [{"type": "co_occurrence", "classes": [c, c]} for _, c in seed] + [
+                {"type": "sequence", "first": a, "then": b}
+                for a in m.process_names[:4] for b in m.process_names[-4:]
+            ]
+            for bounds in ((6, 2), (1, 1)):
+                summary = explore(m, seed, *bounds, queries)
+                assert summary.to_json() == reference_summary_json(summary)
+                witnesses.update(q.witness if q.witness is None else len(q.witness)
+                                 for q in summary.queries)
+        assert outcomes == set(Outcome)
+        assert {None, 0, 1, 2} <= witnesses
+
+    @pytest.mark.parametrize("text", AWKWARD)
+    def test_awkward_trace_events(self, text):
+        for step, outcome in zip((1, 7, 10**6, 0), Outcome):
+            for event in (
+                TraceEvent(step, text, text, outcome, text),
+                TraceEvent(step, "P", text, outcome),
+            ):
+                assert event.to_json() == reference_event_json(event)
+
+    @pytest.mark.parametrize("text", AWKWARD)
+    def test_awkward_summaries(self, text):
+        queries = (
+            QueryResult(text, False, None),
+            QueryResult(text, True, ()),
+            QueryResult("p", True, ((text, text),)),
+            QueryResult(text, True, (("P", "o"), (text, "obj1"), ("Q", text))),
+        )
+        for complete, count, picked in itertools.product(
+            (True, False), (0, 1, 12345), ((), queries[:1], queries[1:2], queries)
+        ):
+            summary = ReachabilitySummary(count, complete, picked, {"states": count})
+            assert summary.to_json() == reference_summary_json(summary)
