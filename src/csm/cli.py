@@ -206,9 +206,7 @@ def _cmd_explore(args: _Args) -> int:
     )
     print(summary.to_json())
     if args.stats:
-        import json
-
-        print(json.dumps(summary.stats, sort_keys=True), file=sys.stderr)
+        print(summary.stats_json(), file=sys.stderr)
     return 0
 
 
@@ -370,6 +368,41 @@ def _parser():
     return parser, sub.choices
 
 
+def _without_dashes(argv: list[str]) -> tuple[list[str], set[str]]:
+    """``argv`` with each explicit option value of "--" before a bare "--"
+    (``--seed=--``, ``--se=--``, ``-o--``, ``-o=--``) replaced by a value
+    that the option takes, and the dests of the options that had one.
+    argparse stores such a value as [] before Python 3.13 and as "--" from
+    3.13 on, where it checks it as an int or a choice first; read from the
+    argument itself, the line is the same usage error on every version."""
+    command, dests, out = None, set(), list(argv)
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            break
+        if command is None:
+            if not arg.startswith("-"):
+                command = _COMMANDS.get(arg)
+                if command is None:
+                    break
+            continue
+        name, eq, value = arg.partition("=")
+        if not eq and not arg.startswith("--"):
+            name, value = arg[:2], arg[2:]
+        if value != "--":
+            continue
+        # An exact option string, else the one long option it abbreviates.
+        strings = {s: o for o in command.options for s in o.strings}
+        if name not in strings and name.startswith("--"):
+            found = [s for s in [*strings, "--help"] if s.startswith(name)]
+            name = found[0] if len(found) == 1 else None
+        option = strings.get(name)
+        if option is not None and option.kind is not None:
+            taken = option.kind[0] if isinstance(option.kind, tuple) else "1"
+            out[i] = arg[: len(arg) - 2] + taken
+            dests.add(option.dest)
+    return out, dests
+
+
 def _read_argv(argv: list[str]) -> _Args | int:
     """The parsed command line, or the exit code once argparse has printed
     help (exit 0) or a usage error (exit 2)."""
@@ -377,11 +410,11 @@ def _read_argv(argv: list[str]) -> _Args | int:
     if args is not None:
         return args
     parser, commands = _parser()
+    argv, dashed = _without_dashes(argv)
     try:
         args = parser.parse_args(argv)
-        # argparse stores an explicit value of "--" (--seed=--) as [].
         for option in _COMMANDS[args.command].options:
-            if getattr(args, option.dest) == []:
+            if option.dest in dashed:
                 strings = "/".join(option.strings)
                 commands[args.command].error(f"argument {strings}: expected one argument")
     except SystemExit as stop:

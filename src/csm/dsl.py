@@ -15,14 +15,19 @@ that runs to end of line):
     priv   := "creation" | "modification" | "reference" | "suppression"
             | "modification+" | "reference+" | "suppression+"
 
-Text is read in one pass (``_read_text``) when its syntax allows: one
-pattern match per declaration, process item or comment, each record
-straight into a draft with the offset where its first name starts. Text
-whose syntax it does not accept (a syntax mistake, a comment inside a
-declaration, non-ASCII whitespace) goes whole to the recovering token
-parser. It lexes the text as one lazy stream of tokens as it reads,
-reports every syntax diagnostic and recovers at item boundaries, so
-several independent mistakes are reported in one pass.
+Text laid out one declaration, process item or closing brace a line, as
+``emit_text`` writes it, is read line by line with ``str`` methods
+(``_read_text``): each line is split into words, checked, and goes straight
+into a draft with its line index; no pattern is compiled and ``re`` is not
+loaded. Blank and comment lines may come anywhere and a comment may end any
+line; words are separated by ASCII whitespace, and braces, commas and
+``->`` may touch their neighbours. Any other text (a syntax mistake, a
+declaration split over lines or sharing one, a model written on one line,
+a non-ASCII character outside a comment and the model name) goes whole to
+the recovering token parser, with the same result. It lexes the text as
+one lazy stream of tokens as it reads, reports every syntax diagnostic and
+recovers at item boundaries, so several independent mistakes are reported
+in one pass.
 Either draft then goes through the one name-resolution pass
 (``model._resolve``), which checks duplicates and references and locates
 each that fails. JSON has one reader, since the C scanner that
@@ -37,8 +42,8 @@ the source token survives the firing.
 from __future__ import annotations
 
 import functools
-import re
 from collections import namedtuple
+from itertools import accumulate
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, _esc, _loads, has_errors
 from .model import (
@@ -50,10 +55,10 @@ from .model import (
     TransformMode,
     _Draft,
     _IDENT,
-    _IDENT_RE,
     _NO_OFFSET,
     _ProcessItem,
     _identifier_problem,
+    _is_identifier,
     _name_problem,
     _resolve,
     canonicalize,
@@ -80,161 +85,198 @@ _Token = namedtuple("_Token", "kind text offset")
 
 
 @functools.cache
-def _token_pattern() -> re.Pattern:
+def _token_pattern():
     """One token after optional whitespace; the group that matched gives its
-    kind. A '#' starts a comment only where no string has started. Compiled
-    on first use: only the reporting path lexes."""
+    kind. A '#' starts a comment only where no string has started. Compiled,
+    and ``re`` loaded, on first use: only the reporting path lexes."""
+    import re
+
     return re.compile(rf'\s*(?:("[^"\n]*")|(#[^\n]*)|({_IDENT})|(->|[{{}}+,])|(\S))')
 
 
 _KIND_BY_GROUP = (None, "string", "comment", "ident", "punct", "junk")
 _COMMENT_GROUP = _KIND_BY_GROUP.index("comment")
-_NEWLINE_RE = re.compile(r"\n")
 
 # Value to member, one table per enum: a dict lookup instead of an Enum call.
 _PRIVILEGE = {p.value: p for p in Privilege}
 _STATUS_POINT = {s.value: s for s in StatusPoint}
 _MODE = {m.value: m for m in TransformMode}
 
-# The grammar by pattern, read by ``_read_text``: one match per declaration,
-# process item, closing brace or comment, each after whitespace. It reads
-# with ``scanner(text).match``, which starts each match where the last one
-# ended, so the first gap ends the matches where a search would skip it.
-# Under ``re.ASCII`` the ``\b`` after a name means that no ``[A-Za-z0-9_]``
-# follows, and a comment runs to the end of its line, so backtracking cannot
-# split a token the lexer reads whole. A class matches whole or not at all:
-# no ``dynamic`` or ``{`` may follow it after whitespace and comments as the
-# lexer reads them, non-ASCII included. Lists are checked entry by entry by
-# ``_listed``. The last group to close tells which alternative matched:
-#
-#   3 grant (1 role, 2 class, 3 listing)   4 owner   5 input   6 output
-#   7 responsible   10 transform (8 source, 9 target, 10 mode)
-#   11 a closing brace, 12 one that only comments follow to the end
-#   13 process   14 class (15 name, 16 dynamic, 17 listing)   18 role
-#   19 model header (the name)   20 comment
-#
-# ``_SKIP`` takes no possessive quantifier or atomic group, so that the
-# pattern compiles on Python 3.10. Compiled on first use, so that commands
-# which read no text do not pay for it.
-_SKIP = r"\s*(?:#[^\n]*(?![^\n])\s*)*"
-_NAME = rf"({_IDENT})\b"
 
-
-@functools.cache
-def _pattern() -> re.Pattern:
-    """The grammar's one pattern, compiled once."""
-    return re.compile(
-        rf"\s*(?:grant\s+{_NAME}\s+on\s+{_NAME}\s*\{{([^{{}}]*)\}}"
-        rf"|owner\s+{_NAME}|input\s+{_NAME}|output\s+{_NAME}|responsible\s+{_NAME}"
-        rf"|transform\s+{_NAME}\s*->\s*{_NAME}\s+(remaining|leaving)\b"
-        rf"|(\}})(?:{_SKIP}(\Z))?|process\s+{_NAME}\s*\{{"
-        rf"|(class\s+{_NAME}(\s+dynamic\b)?(?:\s*\{{([^{{}}]*)\}})?)"
-        rf"(?!(?u:{_SKIP})(?:dynamic\b|\{{))"
-        rf'|role\s+{_NAME}|model\s*"([^"\n]*)"\s*\{{|(#[^\n]*))',
-        re.ASCII,
-    )
-
-
-_GRANT, _OWNER, _INPUT, _OUTPUT, _RESPONSIBLE, _TRANSFORM = 3, 4, 5, 6, 7, 10
-_CLOSE, _END, _PROCESS, _CLASS, _ROLE, _HEADER, _COMMENT = 11, 12, 13, 14, 18, 19, 20
-
-
-def _listed(raw: str, members: dict, memo: dict) -> frozenset:
-    """The members that a raw ``{...}`` listing names (``members`` is a
-    value-to-member table), stored in ``memo`` so that each listing is read
-    once; ``None`` stands in for a word that names none."""
-    found = memo[raw] = frozenset([members.get(word.strip()) for word in raw.split(",")])
+def _listed(tail: str, members: dict, memo: dict) -> frozenset | None:
+    """The members that a listing names (``members`` is a value-to-member
+    table), or ``None`` unless every entry names one. ``tail`` is the rest
+    of a line after its ``{``: the entries, then ``}`` and nothing but
+    whitespace. What it names is stored in ``memo`` under ``tail``, so that
+    each listing is read once."""
+    raw, close, after = tail.partition("}")
+    if not close or after.strip() or "{" in raw:
+        return None
+    found = frozenset([members.get(word.strip()) for word in raw.split(",")])
+    if None in found:
+        return None
+    memo[tail] = found
     return found
 
 
-def _read_text(text: str) -> _Draft | None:
-    """The draft of text whose syntax is accepted, read in one pass: each
-    match goes straight into the draft, with the offset where its first name
-    starts, for ``_resolve`` to check. ``None`` for any other text, which the
-    token parser then reads: a gap between matches (a comment inside a
-    declaration, a stray token, non-ASCII whitespace), an unknown point or
-    privilege, a missing or repeated brace, trailing input, or a model name
-    that neither form can write (``_name_problem``)."""
-    matches = iter(_pattern().scanner(text).match, None)
-    head = next(matches, None)
-    while head is not None and head.lastindex == _COMMENT:
-        head = next(matches, None)
-    if head is None or head.lastindex != _HEADER or _name_problem(head[19]):
-        return None
-    draft = _Draft(head[19])
-    roles, classes, processes, grants = draft.roles, draft.classes, draft.processes, draft.grants
-    # What each raw listing read (``None`` for a class without one), one
-    # table per list kind: a word valid in one kind is unknown in the other.
-    point_lists: dict = {None: frozenset()}
-    privilege_lists: dict = {}
-    proc = None  # the open process
-    for m in matches:
-        k = m.lastindex
-        if k == _GRANT:
-            raw = m[3]
-            privs = privilege_lists.get(raw)
-            if privs is None:
-                privs = _listed(raw, _PRIVILEGE, privilege_lists)
-            if None in privs:
-                return None
-            grants.append((m[1], m[2], privs, m.start(1)))
-        elif k <= _TRANSFORM:
-            if proc is None:
-                return None
-            if k == _INPUT:
-                inputs.append((m[k], m.start(k)))
-            elif k == _OUTPUT:
-                outputs.append((m[k], m.start(k)))
-            elif k == _OWNER:
-                owners.append((m[k], m.start(k)))
-            elif k == _RESPONSIBLE:
-                responsibles.append((m[k], m.start(k)))
-            else:
-                transforms.append(
-                    (tuple.__new__(Transform, (m[8], m[9], _MODE[m[10]])), m.start(8))
-                )
-        elif k == _CLOSE:
-            if proc is None:
-                return None
-            processes.append(proc)
-            proc = None
-        elif k == _COMMENT:
-            continue
-        elif proc is not None:
+def _read_text(text: str, file_label: str = "<string>") -> _Draft | None:
+    """The draft of text written one declaration, process item or closing
+    brace a line, read line by line with ``str`` methods: each entry goes
+    straight into the draft with the index of its line, for ``_resolve`` to
+    check. A line may end in a comment, and blank and comment lines may come
+    anywhere. ``None`` for any other text, which the token parser then
+    reads: a line that holds anything else or more than that (a syntax
+    mistake, a declaration split over lines or sharing one, a character
+    that is not ASCII outside a comment and the model name), a missing
+    brace, trailing input, or a model name that neither form can write
+    (``_name_problem``)."""
+    lines = text.split("\n")
+    rows = enumerate(lines)
+    for li, line in rows:
+        code = line.partition("#")[0]
+        if code.strip():
+            break
+        if not code.isascii():
             return None
-        elif k == _PROCESS:
-            proc = tuple.__new__(_ProcessItem, (m[13], m.start(13), [], [], [], [], []))
-            _, _, owners, responsibles, inputs, outputs, transforms = proc
-        elif k == _CLASS:
-            raw = m[17]
-            points = point_lists.get(raw)
-            if points is None:
-                points = _listed(raw, _STATUS_POINT, point_lists)
-            if None in points:
+    else:
+        return None
+    # The header, model "name" {, whose name may hold '#' and any character.
+    head = line.lstrip()
+    quoted = head[5:].lstrip()
+    end = quoted.find('"', 1)
+    if not head.startswith("model") or quoted[:1] != '"' or end < 0:
+        return None
+    name = quoted[1:end]
+    rest = quoted[end + 1 :].partition("#")[0]
+    if rest.split() != ["{"] or not (line[: -len(quoted)] + rest).isascii():
+        return None
+    if _name_problem(name):
+        return None
+    draft = _Draft(name)
+    draft.locate = _line_spans(lines, file_label)
+    roles, classes, processes, grants = draft.roles, draft.classes, draft.processes, draft.grants
+    # What each listing read, one table per list kind: a word valid in one
+    # kind is unknown in the other.
+    point_lists: dict = {}
+    privilege_lists: dict = {}
+    # A text that is ASCII, or holds no '#', needs no test of it per line.
+    all_ascii, comments = text.isascii(), "#" in text
+    proc = None  # the open process
+    for li, line in rows:
+        if comments and "#" in line:
+            line = line[: line.index("#")]
+        if not all_ascii and not line.isascii():
+            return None
+        head, brace, tail = line.partition("{")
+        words = head.split()
+        if not words:
+            if brace:
                 return None
-            classes.append(
-                (tuple.__new__(ClassDef, (m[15], m[16] is not None, points)), m.start(15))
-            )
-        elif k == _ROLE:
-            roles.append((m[18], m.start(18)))
-        elif k == _END:
+            continue
+        kw = words[0]
+        if proc is not None:
+            if brace:
+                return None
+            if len(words) == 2:
+                item = words[1]
+                if not _is_identifier(item):
+                    return None
+                if kw == "input":
+                    inputs.append((item, li))
+                elif kw == "output":
+                    outputs.append((item, li))
+                elif kw == "owner":
+                    owners.append((item, li))
+                elif kw == "responsible":
+                    responsibles.append((item, li))
+                else:
+                    return None
+            elif kw == "transform":
+                source, arrow, target = line.partition("->")
+                source, target = source.split(), target.split()
+                if (
+                    not arrow or len(source) != 2 or len(target) != 2
+                    or target[1] not in _MODE
+                    or not _is_identifier(source[1]) or not _is_identifier(target[0])
+                ):
+                    return None
+                transforms.append(
+                    (tuple.__new__(Transform, (source[1], target[0], _MODE[target[1]])), li)
+                )
+            elif kw == "}" and len(words) == 1:
+                processes.append(proc)
+                proc = None
+            else:
+                return None
+        elif kw == "grant":
+            if len(words) != 4 or words[2] != "on" or not brace:
+                return None
+            if not _is_identifier(words[1]) or not _is_identifier(words[3]):
+                return None
+            privs = privilege_lists.get(tail) or _listed(tail, _PRIVILEGE, privilege_lists)
+            if privs is None:
+                return None
+            grants.append((words[1], words[3], privs, li))
+        elif kw == "class":
+            if not 2 <= len(words) <= 3 or not _is_identifier(words[1]):
+                return None
+            if len(words) == 3 and words[2] != "dynamic":
+                return None
+            points = frozenset()
+            if brace:
+                points = point_lists.get(tail) or _listed(tail, _STATUS_POINT, point_lists)
+                if points is None:
+                    return None
+            classes.append((tuple.__new__(ClassDef, (words[1], len(words) == 3, points)), li))
+        elif kw == "process":
+            if len(words) != 2 or not brace or tail.strip() or not _is_identifier(words[1]):
+                return None
+            proc = tuple.__new__(_ProcessItem, (words[1], li, [], [], [], [], []))
+            _, _, owners, responsibles, inputs, outputs, transforms = proc
+        elif kw == "role":
+            if len(words) != 2 or brace or not _is_identifier(words[1]):
+                return None
+            roles.append((words[1], li))
+        elif kw == "}" and len(words) == 1 and not brace:
+            # The end of the model: only blank and comment lines may follow.
+            for li, line in rows:
+                code = line.partition("#")[0]
+                if code.strip() or not code.isascii():
+                    return None
             return draft
         else:
             return None
     return None
 
 
+def _line_spans(lines: list[str], file_label: str):
+    """The line reader's ``locate``: a line index and a name to the
+    ``SourceSpan`` of that name, the word after the line's keyword."""
+
+    def span(li: int, name: str) -> SourceSpan:
+        line = lines[li]
+        at = len(line) - len(line.lstrip().split(None, 1)[1])
+        return SourceSpan(file_label, li + 1, at + 1, len(name))
+
+    return span
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset where each line of ``text`` starts, and one past its end."""
+    return [*accumulate((len(line) + 1 for line in text.split("\n")), initial=0)]
+
+
 def _spans(text: str, file_label: str):
-    """A token's offset and text to its ``SourceSpan``: the one line-and-column
-    rule. The line index is built, and ``bisect`` loaded, on the first call,
-    since only a diagnostic makes one."""
+    """The token parser's ``locate``: a token's offset and text to its
+    ``SourceSpan``. The line index is built, and ``bisect`` loaded, on the
+    first call, since only a diagnostic makes one."""
     line_starts: list[int] = []
 
     def span(offset: int, token: str) -> SourceSpan:
         from bisect import bisect_right
 
         if not line_starts:
-            line_starts.extend([0, *(m.end() for m in _NEWLINE_RE.finditer(text))])
+            line_starts.extend(_line_starts(text))
         li = bisect_right(line_starts, offset) - 1
         return SourceSpan(file_label, li + 1, offset - line_starts[li] + 1, max(len(token), 1))
 
@@ -471,29 +513,31 @@ class _Parser:
 
 
 def parse_text(source: str, file_label: str = "<string>") -> ParseResult:
-    """Parse model source text: text whose syntax ``_read_text`` accepts in
-    one pass, any other by the token parser, which recovers at item
-    boundaries and reports every syntax diagnostic. Either draft then goes
-    through name resolution."""
-    draft = _read_text(source)
+    """Parse model source text: text that ``_read_text`` accepts line by
+    line, any other by the token parser, which recovers at item boundaries
+    and reports every syntax diagnostic. Either draft then goes through
+    name resolution."""
+    draft = _read_text(source, file_label)
     if draft is None:
         return _report_text(source, file_label)
-    return _resolved_text(draft, [], _spans(source, file_label))
+    return _resolved_text(draft, [])
 
 
 def _report_text(source: str, file_label: str) -> ParseResult:
     """What ``parse_text`` returns, found by the token parser alone."""
     parser = _Parser(source, file_label)
-    return _resolved_text(parser.parse(), parser.diagnostics, parser.spans)
+    draft = parser.parse()
+    if draft is not None:
+        draft.locate = parser.spans
+    return _resolved_text(draft, parser.diagnostics)
 
 
-def _resolved_text(draft: _Draft | None, diagnostics: list[Diagnostic], locate) -> ParseResult:
+def _resolved_text(draft: _Draft | None, diagnostics: list[Diagnostic]) -> ParseResult:
     """The model and every diagnostic of a text: name resolution of its
     draft, if it has one, after the syntax ``diagnostics``, sorted by
     position."""
     model: Model | None = None
     if draft is not None:
-        draft.locate = locate
         model, semantic = _resolve(draft)
         diagnostics.extend(semantic)
     diagnostics.sort(
@@ -776,7 +820,7 @@ def _read_json(doc) -> ParseResult:
             dynamic = entry.get("dynamic", False)
             points = entry.get("status_points", _NO_ENTRIES)
             if (
-                type(cname) is str and _IDENT_RE.fullmatch(cname)
+                type(cname) is str and _is_identifier(cname)
                 and type(dynamic) is bool and type(points) is list
             ):
                 found = point_lists.get(key := tuple(points))
@@ -803,7 +847,7 @@ def _read_json(doc) -> ParseResult:
             outputs = entry.get("outputs", _NO_ENTRIES)
             transforms = entry.get("transforms", _NO_ENTRIES)
             if (
-                type(pname) is str and _IDENT_RE.fullmatch(pname) and type(transforms) is list
+                type(pname) is str and _is_identifier(pname) and type(transforms) is list
                 and type(owners) is list and type(responsibles) is list
                 and type(inputs) is list and type(outputs) is list
             ):

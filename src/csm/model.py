@@ -11,7 +11,6 @@ caches on first use come out the same whichever thread builds them).
 from __future__ import annotations
 
 import enum
-import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from functools import cached_property
@@ -43,13 +42,18 @@ class InvalidModelName(ModelError):
 
 # The text form's identifier: the only role, class and process names it reads.
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
-_IDENT_RE = re.compile(_IDENT)
+
+
+def _is_identifier(name: str) -> bool:
+    """Whether ``name`` matches ``_IDENT`` whole, tested without ``re``: an
+    ASCII Python identifier that does not start with ``_``."""
+    return name.isascii() and name.isidentifier() and name[0] != "_"
 
 
 def _identifier_problem(kind: str, name) -> str | None:
     """Why a role, class or process name is not an identifier, or ``None``
     when it is one."""
-    if isinstance(name, str) and _IDENT_RE.fullmatch(name):
+    if isinstance(name, str) and _is_identifier(name):
         return None
     return f"{kind} name must be an identifier, got {name!r}"
 
@@ -341,9 +345,9 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
 
 
 # One process declaration before name resolution. ``owners``,
-# ``responsibles``, ``inputs`` and ``outputs`` hold ``(name, offset)``
-# entries and ``transforms`` ``(Transform, offset)`` entries, offsets as in
-# ``_Draft``; a parser appends to them as it reads.
+# ``responsibles``, ``inputs`` and ``outputs`` hold ``(name, position)``
+# entries and ``transforms`` ``(Transform, position)`` entries, positions as
+# in ``_Draft``; a parser appends to them as it reads.
 _ProcessItem = namedtuple(
     "_ProcessItem", "name offset owners responsibles inputs outputs transforms"
 )
@@ -352,14 +356,15 @@ _ProcessItem = namedtuple(
 class _Draft:
     """Raw declarations, before name resolution; parsers append to its lists.
 
-    Each entry keeps the offset in the source text where its first name
-    starts (the role, class, process, item name, transform source or grant
-    role), or ``None`` for declarations that come from JSON or from a
-    ``Model`` built in Python; those may come as any iterable of entries,
-    such as ``zip(names, _NO_OFFSET)``, since ``_resolve`` reads each once.
-    ``locate(offset, name)`` turns an offset into the ``SourceSpan`` of that
-    name; it is called only for a diagnostic, and is ``None`` when there is
-    no source text.
+    Each entry keeps where in the source text its first name is (the role,
+    class, process, item name, transform source or grant role): the offset
+    where it starts when the token parser read the text, or the index of
+    its line when the line reader did. Declarations that come from JSON or
+    from a ``Model`` built in Python keep ``None``; those may come as any
+    iterable of entries, such as ``zip(names, _NO_OFFSET)``, since
+    ``_resolve`` reads each once. ``locate(position, name)`` turns a
+    position into the ``SourceSpan`` of that name; it is called only for a
+    diagnostic, and is ``None`` when there is no source text.
     """
 
     def __init__(self, name: str = "") -> None:

@@ -298,6 +298,20 @@ class ReachabilitySummary(
             self.state_count,
         )
 
+    def stats_json(self) -> str:
+        """``json.dumps(self.stats, sort_keys=True)`` for the stats that
+        ``explore`` records, written from a template without loading
+        ``json``: both write a float as its ``repr``."""
+        s = self.stats
+        return _STATS_JSON % (
+            s["build_s"],
+            s["edges"],
+            ", ".join(map(str, s["frontier"])),
+            s["query_s"],
+            s["states"],
+            _esc(s["stop"]),
+        )
+
 
 # Keys in sort_keys order, as json.dumps(indent=2) lays them out.
 _SUMMARY_JSON = (
@@ -305,6 +319,9 @@ _SUMMARY_JSON = (
 )
 _QUERY_JSON = '{\n      "predicate": %s,\n      "reachable": %s,\n      "witness": %s\n    }'
 _JSON_BOOL = {True: "true", False: "false"}
+_STATS_JSON = (
+    '{"build_s": %r, "edges": %d, "frontier": [%s], "query_s": %r, "states": %d, "stop": %s}'
+)
 
 
 class ReachabilityGraph:

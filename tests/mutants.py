@@ -73,11 +73,12 @@ MUTANTS = (
         "offset - line_starts[li] + 2,",
         ("tests/test_dsl.py::TestResolutionSpans::test_resolution_errors_point_at_their_names",),
     ),
-    # The line index is built on every parse, not for the first diagnostic.
+    # The token parser's line index is built on every parse, not for the
+    # first diagnostic.
     Mutant(
         "src/csm/dsl.py",
         "    line_starts: list[int] = []\n",
-        "    line_starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]\n",
+        "    line_starts = _line_starts(text)\n",
         ("tests/test_dsl.py::TestResolutionSpans::test_a_well_formed_parse_builds_no_span",),
     ),
     # Status-point and privilege listings share one memo.
@@ -118,7 +119,7 @@ MUTANTS = (
     # The JSON reader's fast test takes a class name that is not an identifier.
     Mutant(
         "src/csm/dsl.py",
-        "type(cname) is str and _IDENT_RE.fullmatch(cname)\n",
+        "type(cname) is str and _is_identifier(cname)\n",
         "type(cname) is str\n",
         (
             "tests/test_dsl.py::TestOnePassReader::"
@@ -232,11 +233,11 @@ MUTANTS = (
         "            outcome = Outcome.NOT_ENABLED\n",
         ("tests/test_simulator.py::TestFire::test_blocked_waiting_flagged",),
     ),
-    # The one-pass reader takes a model name that neither form can write.
+    # The line reader takes a model name that neither form can write.
     Mutant(
         "src/csm/dsl.py",
-        "head.lastindex != _HEADER or _name_problem(head[19]):",
-        "head.lastindex != _HEADER:",
+        "    if _name_problem(name):\n        return None\n",
+        "",
         (
             "tests/test_dsl.py::TestOnePassReader::"
             "test_planted_text_mistake_reaches_the_reporting_path",
@@ -300,6 +301,58 @@ MUTANTS = (
         "            _JSON_BOOL[not self.complete],\n",
         "            _JSON_BOOL[self.complete],\n",
         ("tests/test_records.py::TestSimulatorJson::test_awkward_summaries",),
+    ),
+    # The identifier test takes a name that starts with "_", which the
+    # token parser reads as junk.
+    Mutant(
+        "src/csm/model.py",
+        'return name.isascii() and name.isidentifier() and name[0] != "_"',
+        "return name.isascii() and name.isidentifier()",
+        ("tests/test_model.py::test_identifier_test_agrees_with_the_grammar",),
+    ),
+    # The line reader takes input after the model's closing brace.
+    Mutant(
+        "src/csm/dsl.py",
+        "            for li, line in rows:\n"
+        '                code = line.partition("#")[0]\n'
+        "                if code.strip() or not code.isascii():\n"
+        "                    return None\n",
+        "",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_text_mistake_reaches_the_reporting_path",
+        ),
+    ),
+    # The line reader takes a line with non-ASCII whitespace.
+    Mutant(
+        "src/csm/dsl.py",
+        "        if not all_ascii and not line.isascii():\n            return None\n",
+        "",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_text_mistake_reaches_the_reporting_path",
+        ),
+    ),
+    # The line reader's locator is a column off.
+    Mutant(
+        "src/csm/dsl.py",
+        "        return SourceSpan(file_label, li + 1, at + 1, len(name))\n",
+        "        return SourceSpan(file_label, li + 1, at + 2, len(name))\n",
+        ("tests/test_dsl.py::TestResolutionSpans::test_resolution_errors_point_at_their_names",),
+    ),
+    # The line reader reads a comment as part of its line.
+    Mutant(
+        "src/csm/dsl.py",
+        '    all_ascii, comments = text.isascii(), "#" in text\n',
+        "    all_ascii, comments = text.isascii(), False\n",
+        ("tests/test_dsl.py::TestOnePassReader::test_layouts_agree_with_the_reporting_path",),
+    ),
+    # The explore --stats line writes the stop reason without escaping it.
+    Mutant(
+        "src/csm/simulator.py",
+        """            _esc(s["stop"]),\n""",
+        """            '"%s"' % s["stop"],\n""",
+        ("tests/test_records.py::TestSimulatorJson::test_stats_line",),
     ),
 )
 

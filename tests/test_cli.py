@@ -714,12 +714,12 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
     } <= set(runs[0][2])
     assert "argparse" in runs[-1][2]
 
-    # No command loads the json package but `explore --stats`: every command
-    # writes its JSON from templates, and models, seeds, scripts and queries
-    # are decoded by json's C scanner without it (`diagnostics._loads`). No
-    # command loads os, and a well-formed model loads no bisect, which only a
-    # diagnostic's line and column need; each runs alone, since the harness
-    # above loads them.
+    # No command loads the json package: every command writes its JSON from
+    # templates, `explore --stats` too, and models, seeds, scripts and
+    # queries are decoded by json's C scanner without it
+    # (`diagnostics._loads`). No command loads os, and a well-formed model
+    # loads no bisect, which only a diagnostic's line and column need; each
+    # runs alone, since the harness above loads them.
     model_json = tmp_path / "healthcare.json"
     model_json.write_bytes(emit_json(load("healthcare")))
     simulate = ["simulate", "--seed", files["@seed"], "--script", files["@script"]]
@@ -751,15 +751,56 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
              *argv, model],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
-        if "--stats" not in argv:
-            assert proc.stdout and proc.stderr == "(0, [], False, False)", (argv, proc.stderr)
-            continue
-        # The stats line is what json.dumps(sort_keys=True) writes, as before.
-        stats_line, _, rest = proc.stderr.partition("\n")
-        stats = json.loads(stats_line)
-        assert stats_line == json.dumps(stats, sort_keys=True)
-        assert set(stats) == {"build_s", "edges", "frontier", "query_s", "states", "stop"}
-        assert proc.stdout and rest == "(0, ['json'], False, False)", proc.stderr
+        *stats, modules = proc.stderr.split("\n")
+        assert proc.stdout and modules == "(0, [], False, False)", (argv, proc.stderr)
+        assert len(stats) == ("--stats" in argv), (argv, proc.stderr)
+        for line in stats:
+            # The stats line is what json.dumps(sort_keys=True) writes.
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+            assert set(json.loads(line)) == {
+                "build_s", "edges", "frontier", "query_s", "states", "stop"
+            }
+
+
+def test_no_benchmark_command_loads_re_or_json(write_json, tmp_path):
+    """Every command line the benchmark runs, on the model text and on its
+    JSON form, in one ``python -S`` child that loads neither ``re`` nor
+    ``json`` itself: none of them loads either. A well-formed model is read
+    line by line with ``str`` methods, and only the token parser, which
+    reads any other text, compiles a pattern."""
+    model_json = tmp_path / "healthcare.json"
+    model_json.write_bytes(emit_json(load("healthcare")))
+    files = {
+        "@seed": write_json("seed.json", [{"object": "p", "class": "CaredPatient"}]),
+        "@script": write_json("script.json", [{"process": "CheckUp", "object": "new"}]),
+        "@query": write_json(
+            "query.json", [{"type": "sequence", "first": "ReviewResult", "then": "RequestTest"}]
+        ),
+        "@out": str(tmp_path / "out.dot"),
+    }
+    lines = [
+        [files.get(a, model if a == "@model" else a) for a in shape]
+        for model in (fx("healthcare"), str(model_json))
+        for shape in BENCH_SHAPES
+    ]
+    src = str(Path(csm.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import io, sys, csm.cli\n"
+         "runs = []\n"
+         "for line in sys.argv[1].split('\\x1e'):\n"
+         "    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
+         "    code = csm.cli.main(line.split('\\x1f'))\n"
+         "    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
+         "    runs.append((code, sorted(m for m in sys.modules\n"
+         "                              if m.partition('.')[0] in ('re', 'json'))))\n"
+         "print(repr(runs))",
+         "\x1e".join("\x1f".join(line) for line in lines)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = ast.literal_eval(proc.stdout)
+    assert runs == [(0, [])] * len(lines), list(zip(lines, runs))
 
 
 def _import_csm(prelude: str) -> list[str]:

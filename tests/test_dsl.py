@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -232,17 +231,22 @@ def _located_name(site):
 
 class TestResolutionSpans:
     def test_resolution_errors_point_at_their_names(self):
-        rng = random.Random(20261021)
+        # Random layouts, read by the token parser, and emitted text, read
+        # by the line reader.
+        rng, lined = random.Random(20261021), random.Random(20261026)
         seen = set()
         for _ in range(400):
-            text = random_model_text(rng, _plant_mistakes)
-            for d in parse_text(text).diagnostics:
-                assert d.code in ("E-DUP", "E-REF", "E-TRF-END"), (d.render(), text)
-                name = _located_name(d.site)
-                at = _offset(text, d.span.line, d.span.column)
-                assert text.startswith(name, at), (d.render(), text)
-                assert d.span.length == len(name), (d.render(), text)
-                seen.add((d.code, d.site.split("=")[0]))
+            for text in (
+                random_model_text(rng, _plant_mistakes),
+                _plant_mistakes(lined, emit_text(random_model(lined))),
+            ):
+                for d in parse_text(text).diagnostics:
+                    assert d.code in ("E-DUP", "E-REF", "E-TRF-END"), (d.render(), text)
+                    name = _located_name(d.site)
+                    at = _offset(text, d.span.line, d.span.column)
+                    assert text.startswith(name, at), (d.render(), text)
+                    assert d.span.length == len(name), (d.render(), text)
+                    seen.add((d.code, d.site.split("=")[0]))
         assert seen >= {
             ("E-DUP", "role"),
             ("E-REF", "grant role"),
@@ -256,14 +260,15 @@ class TestResolutionSpans:
         texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES]
         texts.append(synth.to_text(synth.generate(24, 100, 100, 0.08, 511)["model"]))
 
-        class NoLineIndex:
-            def finditer(self, *args):
-                raise AssertionError("line index built")
+        def no_line_index(*args):
+            raise AssertionError("line index built")
 
         def no_span(*args):
             raise AssertionError("span built")
 
-        monkeypatch.setattr(dsl, "_NEWLINE_RE", NoLineIndex())
+        # The line reader's locator, and the token parser's line index.
+        monkeypatch.setattr(dsl, "_line_spans", lambda lines, file_label: no_span)
+        monkeypatch.setattr(dsl, "_line_starts", no_line_index)
         monkeypatch.setattr(dsl, "SourceSpan", no_span)
         for text in texts:
             assert parse_text(text).ok
@@ -283,11 +288,16 @@ class TestResolutionSpans:
         ],
     )
     def test_listings_are_read_per_list_kind(self, text, message):
-        # The one-pass reader remembers what each listing read, once per list
+        # The line reader remembers what each listing read, once per list
         # kind: a grant's listing spelled like an earlier class's is still
-        # read as privileges, and the other way round.
-        [diag] = parse_text(text).diagnostics
-        assert (diag.code, diag.message) == ("E-SYN", message)
+        # read as privileges, and the other way round. The text is read as
+        # given, by the token parser, and a declaration a line.
+        lined = text.rpartition(" }")[0] + "\n}\n"
+        for keyword in (" role ", " class ", " grant "):
+            lined = lined.replace(keyword, "\n" + keyword)
+        for source in (text, lined):
+            [diag] = parse_text(source).diagnostics
+            assert (diag.code, diag.message) == ("E-SYN", message)
 
 
 class TestLexer:
@@ -306,8 +316,8 @@ class TestLexer:
 
     def test_holds_one_token_at_a_time(self, monkeypatch):
         # The token parser lexes as it reads: on a 239 kB text its peak stays
-        # within 2x that of the one-pass reader (about 1.4x), where a lexer
-        # that lists every token first peaks at about 3.5x.
+        # within 2x that of the line reader (about 0.95x); a lexer that lists
+        # every token first peaks at more than twice as much.
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
         synth = load_bench("synth")
         text = synth.to_text(synth.generate(24, 600, 600, 0.08, 511)["model"])
@@ -326,7 +336,7 @@ class TestLexer:
 
 # A small well-formed model, and one planted mistake per row: the text it
 # replaces (once), its replacement, and the diagnostics as (code, site, line,
-# column). A row without diagnostics still leaves the one-pass reader.
+# column). A row without diagnostics still leaves the line reader.
 _PLANTED = """model "m" {
   role A
   role B
@@ -485,6 +495,32 @@ _PLANTED_JSON = [
 ]
 
 
+def _one_line(text: str) -> str:
+    return " ".join(line.partition("#")[0] for line in text.split("\n"))
+
+
+# Other layouts of a model text, by name. The line reader reads each but
+# those in _TOKEN_LAYOUTS, which only the token parser reads.
+_LAYOUTS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "tabs": lambda t: t.replace("  ", "\t").replace(" ", "\t"),
+    "form feeds": lambda t: t.replace("\n", "\n\x0c"),
+    "file separators": lambda t: t.replace(" ", " \x1c"),
+    "trailing spaces": lambda t: t.replace("\n", "  \n"),
+    "blank lines": lambda t: t.replace("\n", "\n\n"),
+    "comment lines in a process": lambda t: t.replace(" {\n", " {\n    # a comment\n"),
+    "comment after a brace": lambda t: t.replace("}\n", "} # the end }\n"),
+    "glued": lambda t: t.replace(" {", "{").replace("{ ", "{").replace(" }", "}")
+    .replace(", ", ",").replace(" -> ", "->"),
+    "glued crlf tabs": lambda t: t.replace(" {", "{").replace(", ", ",").replace(" -> ", "->")
+    .replace("  ", "\t").replace("\n", " \r\n"),
+    "one line": _one_line,
+    "split declarations": lambda t: t.replace(" {", "\n{"),
+    "non-ASCII whitespace": lambda t: t.replace("  role", "\u00a0 role"),
+}
+_TOKEN_LAYOUTS = {"one line", "split declarations", "non-ASCII whitespace"}
+
+
 def _exact(result):
     """A parse result, with the orders that equal dicts may differ in: each
     process's roles and the grants, which the renderers and emitters follow."""
@@ -494,7 +530,7 @@ def _exact(result):
 
 
 # The codes of name resolution: a planted row with only these is read by the
-# one-pass reader, and any other row by the token parser.
+# line reader, and any other row by the token parser.
 _RESOLUTION_CODES = {"E-DUP", "E-REF", "E-TRF-END"}
 
 
@@ -518,9 +554,10 @@ def _put(doc, path, value):
 
 
 class TestOnePassReader:
-    """``parse_text`` reads well-formed text in one pass and hands any other
-    text to the token parser; either way it returns what the token parser
-    alone returns, model and diagnostics alike. ``parse_json`` reads every
+    """``parse_text`` reads text laid out a declaration a line with the line
+    reader and hands any other text to the token parser; either way it
+    returns what the token parser alone returns, model and diagnostics
+    alike. ``parse_json`` reads every
     document in one walk, which reports each mistake where it finds it."""
 
     def test_text_agrees_with_the_reporting_path(self):
@@ -565,8 +602,8 @@ class TestOnePassReader:
         assert parse_json(json.dumps(short)).model == base
 
     def test_reports_resolution_mistakes_from_the_one_pass_draft(self, monkeypatch):
-        # Text whose syntax the one-pass reader accepts is never read token
-        # by token, not even when a name does not resolve.
+        # Text that the line reader accepts is never read token by token,
+        # not even when a name does not resolve.
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "csmbench"))
         synth = load_bench("synth")
         scale = synth.to_text(synth.generate(24, 100, 100, 0.08, 511)["model"])
@@ -591,11 +628,21 @@ class TestOnePassReader:
         [diag] = result.diagnostics
         assert (diag.code, diag.span.line, diag.span.column) == ("E-REF", line, 11)
 
-    def test_pattern_compiles_on_python_3_10(self):
-        # requires-python is >=3.10, whose re has no possessive quantifier
-        # and no atomic group (both new in 3.11).
-        source = dsl._pattern().pattern
-        assert not re.search(r"[*+?}]\+|\(\?>", source.replace("\\+", "").replace("\\}", ""))
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_layouts_agree_with_the_reporting_path(self, layout):
+        # Every fixture, _PLANTED and each of its rows that only name
+        # resolution rejects, laid out another way: the line reader reads
+        # what it accepts as the token parser does, spans included.
+        texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES] + [_PLANTED]
+        texts += [
+            _PLANTED.replace(old, new)
+            for _, old, new, expected in _PLANTED_TEXT
+            if expected and {row[0] for row in expected} <= _RESOLUTION_CODES
+        ]
+        for text in texts:
+            variant = _LAYOUTS[layout](text)
+            assert _exact(parse_text(variant, "f.csm")) == _exact(_report_text(variant, "f.csm"))
+            assert (_read_text(variant) is not None) == (layout not in _TOKEN_LAYOUTS), variant
 
     @pytest.mark.parametrize(
         "old, new, expected", [row[1:] for row in _PLANTED_TEXT], ids=[r[0] for r in _PLANTED_TEXT]

@@ -1,6 +1,8 @@
 import copy
 import json
+import keyword
 import pickle
+import re
 
 import pytest
 
@@ -8,6 +10,7 @@ from csm.classifier import classify_all, classify_pair
 from csm.dsl import emit_json, emit_text, parse_json, parse_text
 from csm.fixtures import fixture_text
 from csm.model import (
+    _IDENT,
     ClassDef,
     DuplicateName,
     InvalidModelName,
@@ -25,6 +28,7 @@ from csm.model import (
     UnknownProcess,
     UnknownRole,
     UnresolvedReference,
+    _identifier_problem,
     canonicalize,
     shared_classes,
 )
@@ -32,6 +36,23 @@ from csm.render import to_dot, to_mermaid
 from csm.simulator import build_graph, explore, run_script
 from csm.validator import ensure_valid, validate
 from helpers import reversed_members
+
+
+def test_identifier_test_agrees_with_the_grammar():
+    # The one identifier test, made of str methods, against the grammar's
+    # own pattern: every character up to U+0800 alone, after a letter and
+    # before one, and words that str.isidentifier takes but the grammar does
+    # not (non-ASCII letters and digits, a leading underscore), keywords.
+    chars = [chr(c) for c in range(0x800)]
+    words = [
+        "", "a", "A", "z9", "a_", "_a", "_", "__a", "a__b", "9a", "a-b", "a b", "a\n",
+        "é", "aé", "ǅ", "aǅ", "٣", "a٣", "Ａ", "aＡ", "\u212a", "ª", "ſ",
+        *keyword.kwlist, "None", "match", "model", "role", "dynamic",
+        *chars, *("a" + c for c in chars), *(c + "a" for c in chars),
+    ]
+    for word in words:
+        grammar = re.fullmatch(_IDENT, word) is not None
+        assert (_identifier_problem("role", word) is None) == grammar, repr(word)
 
 
 def _tiny(**overrides) -> Model:

@@ -265,7 +265,7 @@ class TestDiagnosticJson:
 class TestSimulatorJson:
     """``TraceEvent.to_json`` and ``ReachabilitySummary.to_json`` write the
     key-sorted dumps of ``to_dict`` byte for byte, as ``csm simulate`` and
-    ``csm explore`` print them."""
+    ``csm explore`` print them, and ``stats_json`` that of ``stats``."""
 
     AWKWARD = TestDiagnosticJson.AWKWARD
 
@@ -298,6 +298,24 @@ class TestSimulatorJson:
                                  for q in summary.queries)
         assert outcomes == set(Outcome)
         assert {None, 0, 1, 2} <= witnesses
+
+    def test_stats_line(self):
+        # The line that `explore --stats` writes to stderr.
+        for name in FIXTURES + BAD_FIXTURES:
+            m = load(name)
+            seed = A4_SEEDS.get(name) or [("a", m.class_names[0])]
+            for bounds in ((6, 2), (1, 1)):
+                summary = explore(m, seed, *bounds)
+                assert summary.stats_json() == json.dumps(summary.stats, sort_keys=True)
+        for seconds, frontier, stop in itertools.product(
+            (0.0, 1e-06, 5e-05, 0.000123, 0.1, 2.5, 12.345678, 123456.0, 1e16),
+            ([], [1], [1, 0, 12345]),
+            ("closed", "step_bound", "object_bound_pruned", *self.AWKWARD),
+        ):
+            stats = {"states": 12345, "edges": 0, "frontier": frontier,
+                     "build_s": seconds, "query_s": round(seconds / 3, 6), "stop": stop}
+            summary = ReachabilitySummary(12345, False, (), stats)
+            assert summary.stats_json() == json.dumps(stats, sort_keys=True)
 
     @pytest.mark.parametrize("text", AWKWARD)
     def test_awkward_trace_events(self, text):

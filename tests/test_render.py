@@ -128,7 +128,7 @@ class TestLanes:
         [["render", "--format", "dot"], ["render", "--format", "mermaid"], ["fmt"]],
     )
     def test_commands_resolve_names_once(self, argv, monkeypatch, capsys, tmp_path):
-        # A model is resolved once, whether the one-pass reader or, for text
+        # A model is resolved once, whether the line reader or, for text
         # with a comment inside the model header, the token parser read it:
         # neither the renderers nor the emitter resolve the canonical model
         # again.
