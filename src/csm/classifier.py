@@ -43,8 +43,7 @@ from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
 
-from .diagnostics import _esc
-from .dsl import _json_array
+from .diagnostics import _esc, _json_array
 from .model import (
     Model,
     ModelError,
@@ -82,16 +81,6 @@ class LevelFinding(
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "producer": self.producer,
-            "consumer": self.consumer,
-            "artifact": self.artifact,
-            "artifact_kind": self.artifact_kind,
-            "level": self.level.value,
-            "evidence": list(self.evidence),
-        }
-
 
 class CollaborationReport(namedtuple("CollaborationReport", "findings")):
     """The tuple of ``LevelFinding``s for a model."""
@@ -116,18 +105,10 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
             levels.update(self.pair_summary.get(pair, frozenset()))
         return frozenset(levels)
 
-    def to_dict(self) -> dict:
-        return {
-            "findings": [f.to_dict() for f in self.findings],
-            "pair_summary": {
-                f"{producer}->{consumer}": sorted(l.value for l in levels)
-                for (producer, consumer), levels in self.pair_summary.items()
-            },
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written
-        one finding an f-string, without building the dicts."""
+        """``{"findings", "pair_summary"}`` as ``json.dumps(..., indent=2,
+        sort_keys=True)`` writes it, ``pair_summary`` keyed by
+        ``"producer->consumer"``; one finding an f-string, without ``json``."""
         findings = []
         for producer, consumer, artifact, kind, level, evidence in self.findings:
             # The evidence array inline: one item a line, "[]" when empty.

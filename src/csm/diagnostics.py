@@ -58,6 +58,17 @@ else:
         return JSONDecodeError(message, s, pos)
 
 
+def _json_array(items, pad: str) -> str:
+    """An array of JSON texts as ``json.dumps(indent=2)`` writes it when its
+    closing bracket is indented by ``pad``: ``[]``, or one item a line.
+
+    ``items`` are written as given, so strings come escaped
+    (``map(_esc, strings)``) and objects as their own indented text.
+    """
+    body = (",\n  " + pad).join(items)
+    return f"[\n  {pad}{body}\n{pad}]" if body else "[]"
+
+
 class SourceSpan(namedtuple("SourceSpan", "file line column length", defaults=(0,))):
     """A location in a source file; line and column are 1-based."""
 
@@ -91,26 +102,10 @@ class Diagnostic(
     def sort_key(self) -> tuple[str, str]:
         return (self.code, self.site)
 
-    def to_dict(self) -> dict:
-        doc = {
-            "code": self.code,
-            "severity": self.severity.value,
-            "site": self.site,
-            "message": self.message,
-            "suggestion": self.suggestion,
-        }
-        if self.span is not None:
-            doc["span"] = {
-                "file": self.span.file,
-                "line": self.span.line,
-                "column": self.span.column,
-                "length": self.span.length,
-            }
-        return doc
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True)``, written from one
-        template without building the dict or loading ``json``."""
+        """``{"code", "message", "severity", "site", "span", "suggestion"}`` on
+        one line as ``json.dumps(..., sort_keys=True)`` writes it, ``span``
+        left out when there is none; from one template, without ``json``."""
         span = self.span
         return _DIAGNOSTIC_JSON % (
             _esc(self.code),

@@ -45,7 +45,8 @@ import functools
 from collections import namedtuple
 from itertools import accumulate
 
-from .diagnostics import Diagnostic, Severity, SourceSpan, _esc, _loads, has_errors
+from .diagnostics import Diagnostic, Severity, SourceSpan, has_errors
+from .diagnostics import _esc, _json_array, _loads
 from .model import (
     ClassDef,
     Model,
@@ -585,56 +586,6 @@ def emit_text(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_to_dict(model: Model) -> dict:
-    """JSON-ready document for the canonical form of the model."""
-    m = canonicalize(model)
-    return {
-        "name": m.name,
-        "roles": list(m.roles),
-        "classes": [
-            {
-                "name": c.name,
-                "dynamic": c.dynamic,
-                "status_points": [s.value for s in StatusPoint if s in c.status_points],
-            }
-            for c in m.classes
-        ],
-        "processes": [
-            {
-                "name": p.name,
-                "inputs": list(p.inputs),
-                "outputs": list(p.outputs),
-                "transforms": [
-                    {"from": t.source, "to": t.target, "mode": t.mode.value}
-                    for t in p.transforms
-                ],
-                "owners": list(p.owners),
-                "responsibles": list(p.responsibles),
-            }
-            for p in m.processes
-        ],
-        "grants": [
-            {
-                "role": role,
-                "class": class_name,
-                "privileges": [p.value for p in Privilege if p in privs],
-            }
-            for (role, class_name), privs in m.class_grants.items()
-        ],
-    }
-
-
-def _json_array(items, pad: str) -> str:
-    """An array of JSON texts as ``json.dumps(indent=2)`` writes it when its
-    closing bracket is indented by ``pad``: ``[]``, or one item a line.
-
-    ``items`` are written as given, so strings come escaped
-    (``map(_esc, strings)``) and objects as their own indented text.
-    """
-    body = (",\n  " + pad).join(items)
-    return f"[\n  {pad}{body}\n{pad}]" if body else "[]"
-
-
 _MODEL_JSON = (
     '{\n  "classes": %s,\n  "grants": %s,\n  "name": %s,\n'
     '  "processes": %s,\n  "roles": %s\n}\n'
@@ -651,8 +602,9 @@ _GRANT_JSON = '{\n      "class": %s,\n      "privileges": %s,\n      "role": %s\
 def emit_json(model: Model) -> bytes:
     """Deterministic JSON bytes: sorted keys, canonical member order.
 
-    The bytes of ``json.dumps(model_to_dict(model), indent=2,
-    sort_keys=True) + "\\n"``, written record by record from templates.
+    ``{"classes", "grants", "name", "processes", "roles"}`` of the canonical
+    model in UTF-8, as ``json.dumps(..., indent=2, sort_keys=True) + "\\n"``
+    writes it; built record by record from templates.
     """
     m = canonicalize(model)
     pad = "      "

@@ -35,8 +35,7 @@ import time
 from collections import Counter, namedtuple
 from collections.abc import Container, Iterable, Mapping, Sequence
 
-from .diagnostics import _esc
-from .dsl import _json_array
+from .diagnostics import _esc, _json_array
 from .model import (
     Model,
     ModelError,
@@ -70,18 +69,10 @@ class TraceEvent(
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "process": self.process,
-            "object": self.object_id,
-            "outcome": self.outcome.value,
-            "detail": self.detail,
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True)``, written from one
-        template without building the dict or loading ``json``."""
+        """``{"detail", "object", "outcome", "process", "step"}`` on one line
+        as ``json.dumps(..., sort_keys=True)`` writes it; from one template,
+        without ``json``."""
         return _EVENT_JSON % (
             _esc(self.detail),
             _esc(self.object_id),
@@ -240,13 +231,6 @@ class QueryResult(namedtuple("QueryResult", "predicate reachable witness")):
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "predicate": self.predicate,
-            "reachable": self.reachable,
-            "witness": None if self.witness is None else [list(a) for a in self.witness],
-        }
-
 
 class ReachabilitySummary(
     namedtuple("ReachabilitySummary", "state_count complete queries")
@@ -255,7 +239,7 @@ class ReachabilitySummary(
     the tuple of ``QueryResult``.
 
     ``stats`` (counts, timings, stop reason) is an attribute outside the
-    tuple, so it takes no part in equality, and it stays out of ``to_dict``.
+    tuple, so it takes no part in equality, and it stays out of ``to_json``.
     """
 
     def __new__(
@@ -269,17 +253,10 @@ class ReachabilitySummary(
         self.stats = {} if stats is None else stats
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "state_count": self.state_count,
-            "complete": self.complete,
-            "bound_exceeded": not self.complete,
-            "queries": [q.to_dict() for q in self.queries],
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written
-        from templates without building the dicts or loading ``json``."""
+        """``{"bound_exceeded", "complete", "queries", "state_count"}``, each
+        query ``{"predicate", "reachable", "witness"}``, as ``json.dumps(...,
+        indent=2, sort_keys=True)`` writes it; from templates, without ``json``."""
         queries = [
             _QUERY_JSON % (
                 _esc(q.predicate),

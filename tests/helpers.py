@@ -24,6 +24,9 @@ every process once per role, the rule the renderer's one pass must keep.
 ``reference_tokens`` is the text lexer as a character loop, with no regex.
 ``argparse_reference`` is the CLI's command line as an ``argparse`` parser,
 the reference that ``csm.cli``'s command table and argv reader answer to.
+``diagnostic_doc``, ``report_doc``, ``event_doc``, ``summary_doc`` and
+``model_doc`` are the JSON documents that csm's writers print, built from
+the records' fields with none of the writers' code.
 ``load_bench`` loads a module of the benchmark by path.
 ``json_outcome`` is what a JSON decoder makes of a text, so that
 ``csm.diagnostics._loads`` can be compared with ``json.loads``.
@@ -41,11 +44,13 @@ from pathlib import Path
 
 from csm import cli
 from csm.classifier import CollaborationReport, Level, LevelFinding
+from csm.diagnostics import Diagnostic
 from csm.dsl import emit_text
 from csm.simulator import (
     NEW_OBJECT,
     DuplicateToken,
     Outcome,
+    ReachabilitySummary,
     TraceEvent,
     _class_bits,
     _compile,
@@ -651,7 +656,7 @@ def _brute_sequence(initial, edges, first: str, then: str, max_steps: int) -> di
 
 
 def brute_explore(model: Model, seed, max_steps: int, max_objects: int, queries=()) -> dict:
-    """The document ``explore(...).to_dict()`` should give, from ``brute_graph``.
+    """The document ``summary_doc(explore(...))`` should give, from ``brute_graph``.
 
     The search is complete only when it closes within max_steps and the
     object bound never skipped a generator firing.
@@ -718,6 +723,118 @@ def toggle_waiting(model: Model, cname: str) -> Model:
     )
 
 
+# -- JSON documents -----------------------------------------------------------
+# What each JSON output of csm holds, as a dict built from the record's fields
+# or the canonical model's members; ``json.dumps`` of it, key-sorted, is the
+# text that the record's writer must equal byte for byte.
+
+
+def diagnostic_doc(d: Diagnostic) -> dict:
+    """A line of ``csm validate``."""
+    doc = {
+        "code": d.code,
+        "severity": d.severity.value,
+        "site": d.site,
+        "message": d.message,
+        "suggestion": d.suggestion,
+    }
+    if d.span is not None:
+        span = d.span
+        doc["span"] = {
+            "file": span.file, "line": span.line, "column": span.column, "length": span.length
+        }
+    return doc
+
+
+def report_doc(report: CollaborationReport) -> dict:
+    """What ``csm classify --json`` prints: every finding, and the levels of
+    each ordered role pair."""
+    pairs: dict[str, set[str]] = {}
+    for f in report.findings:
+        pairs.setdefault(f"{f.producer}->{f.consumer}", set()).add(f.level.value)
+    return {
+        "findings": [
+            {
+                "producer": f.producer,
+                "consumer": f.consumer,
+                "artifact": f.artifact,
+                "artifact_kind": f.artifact_kind,
+                "level": f.level.value,
+                "evidence": list(f.evidence),
+            }
+            for f in report.findings
+        ],
+        "pair_summary": {pair: sorted(levels) for pair, levels in pairs.items()},
+    }
+
+
+def event_doc(event: TraceEvent) -> dict:
+    """A line of ``csm simulate``."""
+    return {
+        "step": event.step,
+        "process": event.process,
+        "object": event.object_id,
+        "outcome": event.outcome.value,
+        "detail": event.detail,
+    }
+
+
+def summary_doc(summary: ReachabilitySummary) -> dict:
+    """What ``csm explore`` prints for a ``ReachabilitySummary``."""
+    return {
+        "state_count": summary.state_count,
+        "complete": summary.complete,
+        "bound_exceeded": not summary.complete,
+        "queries": [
+            {
+                "predicate": q.predicate,
+                "reachable": q.reachable,
+                "witness": None if q.witness is None else [list(a) for a in q.witness],
+            }
+            for q in summary.queries
+        ],
+    }
+
+
+def model_doc(model: Model) -> dict:
+    """The model document of ``emit_json``, from the canonical form."""
+    m = canonicalize(model)
+    return {
+        "name": m.name,
+        "roles": list(m.roles),
+        "classes": [
+            {
+                "name": c.name,
+                "dynamic": c.dynamic,
+                "status_points": [s.value for s in StatusPoint if s in c.status_points],
+            }
+            for c in m.classes
+        ],
+        "processes": [
+            {
+                "name": p.name,
+                "inputs": list(p.inputs),
+                "outputs": list(p.outputs),
+                "transforms": [
+                    {"from": t.source, "to": t.target, "mode": t.mode.value}
+                    for t in p.transforms
+                ],
+                "owners": list(p.owners),
+                "responsibles": list(p.responsibles),
+            }
+            for p in m.processes
+        ],
+        "grants": [
+            {
+                "role": role,
+                "class": class_name,
+                "privileges": [p.value for p in Privilege if p in privs],
+            }
+            for (role, class_name), privs in m.class_grants.items()
+        ],
+    }
+
+
 # -- text parser inputs ------------------------------------------------------
 
 _SOUP_WORDS = (
@@ -774,9 +891,11 @@ def random_token_soup(rng: random.Random) -> str:
     )
 
 
-# Whitespace that may stand for a space between tokens, and what may stand
-# for a line break: a break always ends a declaration, so a comment fits.
+# Whitespace that may stand for a space between tokens (the first four keep
+# the token on its line), and what may stand for a line break: a break always
+# ends a declaration, so a comment fits.
 _TEXT_GAPS = (" ", " ", "\t", "  ", "\n", " \r\n\t")
+_LINE_GAPS = _TEXT_GAPS[:4]
 _TEXT_BREAKS = (
     "\n", "\n", "\r\n", "\n\n\n", "\t\n", " # an aside\n",
     ' # "quoted" and { braced }\n', "\n# {\r\n", '\n  #"\n',
@@ -786,13 +905,16 @@ _TEXT_BREAKS = (
 def random_model_text(rng: random.Random, edit=None) -> str:
     """``emit_text(random_model(rng))`` with tabs, ``\\r\\n``, extra line
     breaks and comments (some holding ``"`` or ``{``) between its tokens.
-    ``edit(rng, text)``, if given, changes the emitted text first."""
+    About half the texts keep the emitter's one declaration a line, so that
+    the line reader reads them; the others may break a line between any two
+    tokens. ``edit(rng, text)``, if given, changes the emitted text first."""
+    gaps = _LINE_GAPS if rng.random() < 0.5 else _TEXT_GAPS
     first = rng.choice(_TEXT_BREAKS)
     text = emit_text(random_model(rng))
     if edit is not None:
         text = edit(rng, text)
     return first + re.sub(
-        r"[ \n]", lambda m: rng.choice(_TEXT_GAPS if m[0] == " " else _TEXT_BREAKS), text
+        r"[ \n]", lambda m: rng.choice(gaps if m[0] == " " else _TEXT_BREAKS), text
     )
 
 

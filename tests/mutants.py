@@ -10,9 +10,12 @@ Run every row with ``python tests/mutants.py`` from the repository root, or
 some rows by their numbers (``python tests/mutants.py 0 3``). For each row
 the runner copies ``src``, ``tests``, ``csmbench`` and ``pyproject.toml`` to
 a temporary directory, applies the edit there, and runs the named tests
-with ``-x``. It exits 1 when a mutant survives (its tests pass) or its tests
-do not run. The name of this file does not start with ``test_``, so pytest
-does not collect it; ``test_mutants.py`` checks that each row still applies.
+with ``-x``, with the copy's ``src`` first on ``PYTHONPATH`` and the
+caller's entries after it. It exits 1 when a mutant survives (its tests
+pass) or its tests do not run, and 2, before any row, when the interpreter
+cannot run pytest in that environment. The name of this file does not
+start with ``test_``, so pytest does not collect it; ``test_mutants.py``
+checks that each row still applies.
 """
 
 from __future__ import annotations
@@ -354,7 +357,55 @@ MUTANTS = (
         """            '"%s"' % s["stop"],\n""",
         ("tests/test_records.py::TestSimulatorJson::test_stats_line",),
     ),
+    # The classify report writes each finding's producer as its consumer.
+    Mutant(
+        "src/csm/classifier.py",
+        '"consumer": {_esc(consumer)}',
+        '"consumer": {_esc(producer)}',
+        ("tests/test_cli.py::TestClassify::test_json_bytes",),
+    ),
+    # A trace event writes its detail without escaping it.
+    Mutant(
+        "src/csm/simulator.py",
+        "            _esc(self.detail),\n",
+        """            '"%s"' % self.detail,\n""",
+        ("tests/test_records.py::TestSimulatorJson::test_awkward_trace_events",),
+    ),
+    # The model document swaps a grant's role and class.
+    Mutant(
+        "src/csm/dsl.py",
+        "_GRANT_JSON % (_esc(class_name), listing(privs, Privilege), _esc(role))",
+        "_GRANT_JSON % (_esc(role), listing(privs, Privilege), _esc(class_name))",
+        ("tests/test_dsl.py::TestJson::test_emit_json_is_deterministic_bytes",),
+    ),
 )
+
+
+def child_env(src: Path) -> dict[str, str]:
+    """The environment a row's tests run in: ``src`` first on ``PYTHONPATH``,
+    then the caller's entries, where pytest itself may be found."""
+    paths = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def pytest_problem() -> str | None:
+    """Why this interpreter cannot run pytest in the rows' environment (it
+    cannot import it, or a plugin fails to load), or ``None`` when it can.
+    The reason is the last line pytest writes to stderr when it collects
+    ``test_mutants.py``."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--co", "-q", "-p", "no:cacheprovider",
+         "tests/test_mutants.py"],
+        cwd=ROOT,
+        env=child_env(ROOT / "src"),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    if result.returncode == 0:
+        return None
+    lines = result.stderr.strip().splitlines()
+    return lines[-1] if lines else f"exit {result.returncode}"
 
 
 def run(mutant: Mutant) -> int:
@@ -376,7 +427,7 @@ def run(mutant: Mutant) -> int:
         return subprocess.run(
             [*command, *mutant.tests],
             cwd=work,
-            env={**os.environ, "PYTHONPATH": str(work / "src")},
+            env=child_env(work / "src"),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         ).returncode
@@ -384,6 +435,12 @@ def run(mutant: Mutant) -> int:
 
 def main(argv: list[str]) -> int:
     picked = [int(a) for a in argv] or range(len(MUTANTS))
+    # A pytest that cannot start exits 1 too, which would read as "killed".
+    problem = pytest_problem()
+    if problem is not None:
+        print(f"{sys.executable} cannot run pytest with this PYTHONPATH ({problem}); "
+              "no row was run", flush=True)
+        return 2
     bad = 0
     for i in picked:
         mutant = MUTANTS[i]

@@ -12,7 +12,7 @@ import random
 
 from csm.classifier import CollaborationReport, Level, classify_all
 from csm.diagnostics import Severity
-from csm.dsl import emit_json, model_to_dict
+from csm.dsl import emit_json
 from csm.model import (
     ClassDef,
     Model,
@@ -28,10 +28,15 @@ from csm.validator import InvalidModel, validate
 from helpers import (
     Token,
     apply_suggestion,
+    diagnostic_doc,
+    event_doc,
+    model_doc,
     random_model,
     random_valid_model,
+    report_doc,
     step_enabled,
     step_tokens,
+    summary_doc,
     toggle_waiting,
 )
 
@@ -145,27 +150,27 @@ def check_c2_repair_monotone(seed: int) -> None:
 
 def reference_report_json(report) -> str:
     """The report text that ``CollaborationReport.to_json`` must equal."""
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    return json.dumps(report_doc(report), indent=2, sort_keys=True)
 
 
 def reference_emit_json(model: Model) -> bytes:
     """The model bytes that ``emit_json`` must equal."""
-    return (json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(model_doc(model), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def reference_diagnostic_json(diag) -> str:
     """The line that ``Diagnostic.to_json`` must equal."""
-    return json.dumps(diag.to_dict(), sort_keys=True)
+    return json.dumps(diagnostic_doc(diag), sort_keys=True)
 
 
 def reference_event_json(event) -> str:
     """The line that ``TraceEvent.to_json`` must equal."""
-    return json.dumps(event.to_dict(), sort_keys=True)
+    return json.dumps(event_doc(event), sort_keys=True)
 
 
 def reference_summary_json(summary) -> str:
     """The text that ``ReachabilitySummary.to_json`` must equal."""
-    return json.dumps(summary.to_dict(), indent=2, sort_keys=True)
+    return json.dumps(summary_doc(summary), indent=2, sort_keys=True)
 
 
 def check_diagnostic_json(seed: int) -> None:

@@ -16,7 +16,7 @@ import pytest
 import properties_core as core
 from csm.classifier import Level, classify_all
 from csm.diagnostics import Severity
-from csm.dsl import emit_json, emit_text, model_to_dict, parse_json, parse_text
+from csm.dsl import emit_json, emit_text, parse_json, parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
 from csm.model import Model, ModelError, ProcessDef, Transform, canonicalize
 from csm.render import to_dot, to_mermaid
@@ -29,6 +29,7 @@ from helpers import (
     brute_validate,
     check_dot_syntax,
     check_mermaid_syntax,
+    model_doc,
     random_model,
     random_valid_model,
     step_enabled,
@@ -347,7 +348,7 @@ def test_criterion_6_round_trips(scenarios):
         # keys: each document parse_json accepts round-trips both ways.
         accepted = 0
         for _ in range(400):
-            doc = model_to_dict(random_model(rng))
+            doc = model_doc(random_model(rng))
             doc["name"] = "".join(rng.choices(NAME_PIECES, k=rng.randint(0, 4)))
             for c in doc["classes"]:
                 for key in ("dynamic", "status_points"):

@@ -8,10 +8,10 @@ would turn the benchmark's ``correct`` flag false fails here first.
 
 import random
 
-from csm.dsl import emit_json, emit_text, model_to_dict
+from csm.dsl import emit_json, emit_text
 from csm.render import to_dot, to_mermaid
 from csm.simulator import explore
-from helpers import load_bench, random_valid_model
+from helpers import load_bench, model_doc, random_valid_model, summary_doc
 
 oracle = load_bench("oracle")
 
@@ -20,7 +20,7 @@ def test_readers_and_diagram_checkers_agree_with_csm():
     rng = random.Random(1018)
     for _ in range(300):
         m = random_valid_model(rng)
-        doc = oracle.canonical(model_to_dict(m))
+        doc = oracle.canonical(model_doc(m))
         assert oracle.read_text(emit_text(m)) == doc
         assert oracle.read_json(emit_json(m).decode("utf-8")) == doc
         assert oracle.check_dot(to_dot(m), doc) is None
@@ -46,7 +46,7 @@ def test_explore_verdicts_and_witnesses_agree_with_lifecycles():
     reachable = unreachable = 0
     for _ in range(300):
         m = random_valid_model(rng)
-        lifecycles = oracle.Lifecycles(oracle.canonical(model_to_dict(m)))
+        lifecycles = oracle.Lifecycles(oracle.canonical(model_doc(m)))
         seed = sorted({
             (rng.choice(("a", "b", "obj1")), rng.choice(m.class_names))
             for _ in range(rng.randint(0, 3))
@@ -55,7 +55,7 @@ def test_explore_verdicts_and_witnesses_agree_with_lifecycles():
         for oid, c in seed:
             seeded[oid] = seeded.get(oid, frozenset()) | {c}
         queries = _queries(rng, m)
-        summary = explore(m, seed, 12, len(seeded) + 1, queries).to_dict()
+        summary = summary_doc(explore(m, seed, 12, len(seeded) + 1, queries))
         for q, res in zip(queries, summary["queries"], strict=True):
             assert res["reachable"] == lifecycles.verdict(list(seeded.values()), q), (m, seed, q)
             if res["reachable"]:

@@ -24,6 +24,7 @@ from helpers import (
     load_bench,
     random_model,
     random_valid_model,
+    report_doc,
     reversed_members,
 )
 
@@ -156,9 +157,10 @@ class TestReport:
         assert header.split() == ["LEVEL", "PRODUCER", "CONSUMER", "ARTIFACT"]
         assert row.split() == ["very", "tight", "Hotel", "Agency", "MakeBooking"]
 
-    def test_to_dict_is_json_ready(self, scenarios):
-        doc = classify_all(scenarios["healthcare"]).to_dict()
-        json.dumps(doc)
+    def test_to_json_is_the_report_document(self, scenarios):
+        report = classify_all(scenarios["healthcare"])
+        doc = json.loads(report.to_json())
+        assert doc == report_doc(report)
         assert doc["pair_summary"]["GP->Laboratory"] == ["loose"]
 
     def test_empty_report_table(self):
@@ -173,7 +175,7 @@ def _assert_matches_reference(m: Model) -> None:
     if not any(d.severity is Severity.ERROR for d in validate(m)):
         report, expected = classify_all(m), brute_classify(m)
         assert report.findings == expected.findings
-        assert report.to_dict() == expected.to_dict()
+        assert json.loads(report.to_json()) == report_doc(expected)
 
 
 class TestReferenceOracle:

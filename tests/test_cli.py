@@ -13,11 +13,12 @@ import pytest
 
 import csm
 from csm import simulator
-from csm.classifier import CollaborationReport, classify_all
+from csm.classifier import classify_all
 from csm.cli import main
 from csm.dsl import emit_json, emit_text, parse_json
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_path, fixture_text, load
 from helpers import A4_SEEDS, load_bench
+from properties_core import reference_report_json
 
 
 @pytest.fixture
@@ -130,7 +131,8 @@ class TestClassify:
     @pytest.mark.parametrize("suffix", [".csm", ".json"])
     @pytest.mark.parametrize("name", FIXTURES + BAD_FIXTURES)
     def test_json_bytes(self, capsys, tmp_path, name, suffix):
-        # The report is the indented, key-sorted dump of to_dict, byte for byte.
+        # The report is the indented, key-sorted dump of its document, byte
+        # for byte, as the reference in tests/helpers.py builds it.
         path = fx(name)
         if suffix == ".json":
             path = tmp_path / f"{name}.json"
@@ -144,15 +146,7 @@ class TestClassify:
         else:
             report = classify_all(load(name))
             assert code == 0
-            assert captured.out == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def test_json_skips_the_report_dict(self, capsys, monkeypatch):
-        def to_dict(self):
-            raise AssertionError("classify --json built the report dict")
-
-        monkeypatch.setattr(CollaborationReport, "to_dict", to_dict)
-        assert main(["classify", "--json", fx("healthcare")]) == 0
-        assert '"GP->Laboratory": [\n      "loose"\n    ]' in capsys.readouterr().out
+            assert captured.out == reference_report_json(report) + "\n"
 
 
 class TestSimulate:

@@ -16,7 +16,6 @@ from csm.dsl import (
     _report_text,
     emit_json,
     emit_text,
-    model_to_dict,
     parse_json,
     parse_text,
 )
@@ -31,6 +30,7 @@ from helpers import (
     random_token_soup,
     reference_tokens,
 )
+from properties_core import reference_emit_json
 
 MINIMAL = 'model "m" { }\n'
 
@@ -124,7 +124,8 @@ class TestParseText:
         [diag] = result.diagnostics
         assert diag.span is not None
         assert (diag.span.file, diag.span.line, diag.span.column) == ("f.csm", 3, 8)
-        assert diag.to_dict()["span"] == {"file": "f.csm", "line": 3, "column": 8, "length": 1}
+        span = json.loads(diag.to_json())["span"]
+        assert span == {"file": "f.csm", "line": 3, "column": 8, "length": 1}
 
     def test_diagnostics_sorted_by_position(self):
         text = 'model "m" {\n  grant X on Y { reference }\n  role A\n  role A\n}'
@@ -231,8 +232,8 @@ def _located_name(site):
 
 class TestResolutionSpans:
     def test_resolution_errors_point_at_their_names(self):
-        # Random layouts, read by the token parser, and emitted text, read
-        # by the line reader.
+        # Random layouts, about half of them read by the line reader and the
+        # rest by the token parser, and emitted text, read by the line reader.
         rng, lined = random.Random(20261021), random.Random(20261026)
         seen = set()
         for _ in range(400):
@@ -563,7 +564,11 @@ class TestOnePassReader:
     def test_text_agrees_with_the_reporting_path(self):
         rng = random.Random(20261025)
         texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES]
-        texts += [random_model_text(rng) for _ in range(300)]
+        layouts = [random_model_text(rng) for _ in range(300)]
+        # Both readers get a fair share of the random layouts.
+        lined = sum(_read_text(text) is not None for text in layouts)
+        assert 100 <= lined <= 200, lined
+        texts += layouts
         texts += [random_token_soup(rng) for _ in range(2000)]
         # A non-ASCII letter is junk to the lexer, and other whitespace is not.
         texts += [
@@ -793,22 +798,12 @@ class TestRoundTrip:
 
 class TestJson:
     def test_emit_json_is_deterministic_bytes(self, scenarios):
-        m = scenarios["healthcare"]
-        assert emit_json(m) == emit_json(m)
-        assert emit_json(m).endswith(b"\n")
-
-    def test_emit_json_skips_the_model_dict(self, scenarios, monkeypatch):
-        m = scenarios["healthcare"]
-        expected = (json.dumps(model_to_dict(m), indent=2, sort_keys=True) + "\n").encode()
-
-        def model_to_dict_(model):
-            raise AssertionError("emit_json built the model dict")
-
-        monkeypatch.setattr(dsl, "model_to_dict", model_to_dict_)
-        assert emit_json(m) == expected
+        for m in scenarios.values():
+            assert emit_json(m) == emit_json(m) == reference_emit_json(m)
+            assert emit_json(m).endswith(b"\n")
 
     def test_document_shape(self, scenarios):
-        doc = model_to_dict(scenarios["gp_lab"])
+        doc = json.loads(emit_json(scenarios["gp_lab"]))
         assert set(doc) == {"name", "roles", "classes", "processes", "grants"}
         [perform] = [p for p in doc["processes"] if p["name"] == "PerformTest"]
         assert perform["transforms"] == [

@@ -358,7 +358,7 @@ ENTRY_POINTS = {
     "to_mermaid": to_mermaid,
     "run_script": lambda m: run_script(m, _PATIENT, _SCRIPT),
     "build_graph": lambda m: _graph_facts(build_graph(m, _PATIENT, 4, 2)),
-    "explore": lambda m: explore(m, _PATIENT, 6, 2, _QUERIES).to_dict(),
+    "explore": lambda m: explore(m, _PATIENT, 6, 2, _QUERIES).to_json(),
     "shared_classes": lambda m: shared_classes(m, "GP", "Laboratory"),
     "emit_text": emit_text,
     "emit_json": emit_json,

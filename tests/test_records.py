@@ -39,7 +39,11 @@ from csm.simulator import (
 )
 from csm.validator import validate
 from helpers import A4_SEEDS
-from properties_core import reference_event_json, reference_summary_json
+from properties_core import (
+    reference_diagnostic_json,
+    reference_event_json,
+    reference_summary_json,
+)
 
 LEAVE = Transform(source="A", target="B", mode=TransformMode.LEAVING)
 OWNER = {"R": ProcessPrivilege.OWNER}
@@ -191,7 +195,6 @@ class TestEnumHashing:
         expected = sorted(level.value for level in Level)
         for order in itertools.permutations(findings):
             report = CollaborationReport(order)
-            assert report.to_dict()["pair_summary"] == {"A->B": expected}
             assert json.loads(report.to_json())["pair_summary"] == {"A->B": expected}
             assert report.levels_between("B", "A") == frozenset(Level)
 
@@ -227,8 +230,8 @@ def test_repr():
 
 
 class TestDiagnosticJson:
-    """``Diagnostic.to_json`` writes ``json.dumps(to_dict(), sort_keys=True)``
-    byte for byte, as ``csm validate`` prints it."""
+    """``Diagnostic.to_json`` writes the key-sorted dump of
+    ``helpers.diagnostic_doc`` byte for byte, as ``csm validate`` prints it."""
 
     AWKWARD = (
         "", 'say "hi"', "back\\slash\\", "\x00\x1f\t\n\r\x7f", "caf\u00e9 \u6f22 \U0001f600",
@@ -237,7 +240,7 @@ class TestDiagnosticJson:
 
     @staticmethod
     def check(diag):
-        assert diag.to_json() == json.dumps(diag.to_dict(), sort_keys=True)
+        assert diag.to_json() == reference_diagnostic_json(diag)
 
     def test_validate_on_every_fixture(self):
         severities = set()
@@ -264,8 +267,9 @@ class TestDiagnosticJson:
 
 class TestSimulatorJson:
     """``TraceEvent.to_json`` and ``ReachabilitySummary.to_json`` write the
-    key-sorted dumps of ``to_dict`` byte for byte, as ``csm simulate`` and
-    ``csm explore`` print them, and ``stats_json`` that of ``stats``."""
+    key-sorted dumps of ``helpers.event_doc`` and ``helpers.summary_doc``
+    byte for byte, as ``csm simulate`` and ``csm explore`` print them, and
+    ``stats_json`` that of ``stats``."""
 
     AWKWARD = TestDiagnosticJson.AWKWARD
 

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections.abc import Mapping
@@ -36,6 +37,7 @@ from helpers import (
     random_valid_model,
     step_enabled,
     step_tokens,
+    summary_doc,
 )
 
 
@@ -230,7 +232,7 @@ class TestRunScript:
     def test_events_are_json_ready(self, scenarios):
         m = scenarios["hospital_cleaning"]
         [event] = run_script(m, [("r", "OccupiedRoom")], [("CleanRoom", "r")])
-        doc = event.to_dict()
+        doc = json.loads(event.to_json())
         assert doc["step"] == 1 and doc["outcome"] == "fired"
 
 
@@ -439,7 +441,7 @@ class TestExplore:
             max_objects=1,
             queries=[{"type": "sequence", "first": "DischargeHospital", "then": "CleanRoom"}],
         )
-        doc = summary.to_dict()
+        doc = json.loads(summary.to_json())
         assert doc["complete"] is True
         assert doc["queries"][0]["reachable"] is False
 
@@ -484,7 +486,7 @@ class TestReferenceOracle:
         m = scenarios[name]
         queries = _all_queries(m)
         for max_steps, max_objects in ((8, 2), (6, 3), (12, 1)):
-            got = explore(m, A4_SEEDS[name], max_steps, max_objects, queries).to_dict()
+            got = summary_doc(explore(m, A4_SEEDS[name], max_steps, max_objects, queries))
             assert got == brute_explore(m, A4_SEEDS[name], max_steps, max_objects, queries)
 
     @pytest.mark.parametrize("name", ["gp_lab", "healthcare", "hotel_agency"])
@@ -493,7 +495,7 @@ class TestReferenceOracle:
         queries = _all_queries(m)
         for ids in (("a",), ("zz",), ("obj1",), ("obj2", "zz"), ("a", "obj10")):
             seed = [(oid, m.class_names[i % len(m.class_names)]) for i, oid in enumerate(ids)]
-            got = explore(m, seed, 5, 3, queries).to_dict()
+            got = summary_doc(explore(m, seed, 5, 3, queries))
             assert got == brute_explore(m, seed, 5, 3, queries)
 
     @pytest.mark.parametrize("generate", [random_model, random_valid_model])
@@ -508,7 +510,7 @@ class TestReferenceOracle:
             })
             bounds = rng.randint(1, 8), rng.randint(1, 4)
             queries = _random_queries(rng, m)
-            got = explore(m, seed, *bounds, queries).to_dict()
+            got = summary_doc(explore(m, seed, *bounds, queries))
             assert got == brute_explore(m, seed, *bounds, queries), (m, seed, bounds)
             for q in got["queries"]:
                 # A witness is a run within the step bound that fires as listed.
