@@ -29,33 +29,23 @@ else:
     _SPACE = " \t\n\r"
 
     def _loads(s: str):
-        """``json.loads(s)`` for a ``str``: the same value, or the same
-        exception with the same message. ``json.decoder`` is imported only
-        to raise an error."""
-        if s.startswith("\ufeff"):
-            raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
+        """``json.loads(s)`` for a ``str``: the scanner reads a well-formed
+        document, and ``json.loads`` itself reads any other text, so every
+        error is json's own and ``json`` is imported only for those."""
         # lstrip returns s itself when there is nothing to strip.
         start = len(s) - len(s.lstrip(_SPACE))
         try:
             doc, end = _scan(s, start)
-        except StopIteration as stop:
-            raise _decode_error("Expecting value", s, stop.value) from None
-        except SystemError:
-            # Before Python 3.12 the scanner can raise an error it finds
-            # inside the document only once json.decoder is loaded; scanning
-            # again raises it.
-            import json.decoder  # noqa: F401
+        except (StopIteration, SystemError):
+            # No value at the start, or, before Python 3.12, an error inside
+            # the document that the scanner raises once json.decoder is loaded.
+            pass
+        else:
+            if not s[end:].lstrip(_SPACE):
+                return doc
+        import json
 
-            doc, end = _scan(s, start)
-        rest = len(s[end:].lstrip(_SPACE))
-        if rest:
-            raise _decode_error("Extra data", s, len(s) - rest)
-        return doc
-
-    def _decode_error(message: str, s: str, pos: int) -> ValueError:
-        from json.decoder import JSONDecodeError
-
-        return JSONDecodeError(message, s, pos)
+        return json.loads(s)
 
 
 def _json_array(items, pad: str) -> str:

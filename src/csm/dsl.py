@@ -20,10 +20,9 @@ Text laid out one declaration, process item or closing brace a line, as
 (``_read_text``): each line is split into words, checked, and goes straight
 into a draft with its line index; no pattern is compiled and ``re`` is not
 loaded. Blank and comment lines may come anywhere and a comment may end any
-line; words are separated by ASCII whitespace, and braces, commas and
-``->`` may touch their neighbours. Any other text (a syntax mistake, a
-declaration split over lines or sharing one, a model written on one line,
-a non-ASCII character outside a comment and the model name) goes whole to
+line; words are separated by whitespace, and braces, commas and ``->`` may
+touch their neighbours. Any other text (a syntax mistake, a declaration
+split over lines or sharing one, a model written on one line) goes whole to
 the recovering token parser, with the same result. It lexes the text as
 one lazy stream of tokens as it reads, reports every syntax diagnostic and
 recovers at item boundaries, so several independent mistakes are reported
@@ -111,7 +110,7 @@ def _listed(tail: str, members: dict, memo: dict) -> frozenset | None:
     whitespace. What it names is stored in ``memo`` under ``tail``, so that
     each listing is read once."""
     raw, close, after = tail.partition("}")
-    if not close or after.strip() or "{" in raw:
+    if not close or after.strip():
         return None
     found = frozenset([members.get(word.strip()) for word in raw.split(",")])
     if None in found:
@@ -127,18 +126,16 @@ def _read_text(text: str, file_label: str = "<string>") -> _Draft | None:
     check. A line may end in a comment, and blank and comment lines may come
     anywhere. ``None`` for any other text, which the token parser then
     reads: a line that holds anything else or more than that (a syntax
-    mistake, a declaration split over lines or sharing one, a character
-    that is not ASCII outside a comment and the model name), a missing
+    mistake, a declaration split over lines or sharing one), a missing
     brace, trailing input, or a model name that neither form can write
-    (``_name_problem``)."""
+    (``_name_problem``). Words split on what the lexer takes for
+    whitespace, and any other character that is not ASCII lands in a word
+    that a keyword, ``_is_identifier`` or a member table rejects."""
     lines = text.split("\n")
     rows = enumerate(lines)
     for li, line in rows:
-        code = line.partition("#")[0]
-        if code.strip():
+        if line.partition("#")[0].strip():
             break
-        if not code.isascii():
-            return None
     else:
         return None
     # The header, model "name" {, whose name may hold '#' and any character.
@@ -149,7 +146,7 @@ def _read_text(text: str, file_label: str = "<string>") -> _Draft | None:
         return None
     name = quoted[1:end]
     rest = quoted[end + 1 :].partition("#")[0]
-    if rest.split() != ["{"] or not (line[: -len(quoted)] + rest).isascii():
+    if rest.split() != ["{"]:
         return None
     if _name_problem(name):
         return None
@@ -160,14 +157,12 @@ def _read_text(text: str, file_label: str = "<string>") -> _Draft | None:
     # kind is unknown in the other.
     point_lists: dict = {}
     privilege_lists: dict = {}
-    # A text that is ASCII, or holds no '#', needs no test of it per line.
-    all_ascii, comments = text.isascii(), "#" in text
+    # A text that holds no '#' needs no test of it per line.
+    comments = "#" in text
     proc = None  # the open process
     for li, line in rows:
         if comments and "#" in line:
             line = line[: line.index("#")]
-        if not all_ascii and not line.isascii():
-            return None
         head, brace, tail = line.partition("{")
         words = head.split()
         if not words:
@@ -210,7 +205,7 @@ def _read_text(text: str, file_label: str = "<string>") -> _Draft | None:
             else:
                 return None
         elif kw == "grant":
-            if len(words) != 4 or words[2] != "on" or not brace:
+            if len(words) != 4 or words[2] != "on":
                 return None
             if not _is_identifier(words[1]) or not _is_identifier(words[3]):
                 return None
@@ -241,8 +236,7 @@ def _read_text(text: str, file_label: str = "<string>") -> _Draft | None:
         elif kw == "}" and len(words) == 1 and not brace:
             # The end of the model: only blank and comment lines may follow.
             for li, line in rows:
-                code = line.partition("#")[0]
-                if code.strip() or not code.isascii():
+                if line.partition("#")[0].strip():
                     return None
             return draft
         else:

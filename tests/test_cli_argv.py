@@ -181,9 +181,10 @@ def test_every_error_kind(argv):
     assert_same(argv)
 
 
-# A line with an explicit value of "--", the dest of its option, and the
-# usage error that csm gives for it in argparse's words on every Python:
-# the exit code and the last line on stderr.
+# A line with an explicit value of "--", the dest of its option (None where
+# argparse rejects the option itself), and the usage error that csm gives for
+# it in argparse's words on every Python: the exit code and the last line on
+# stderr.
 EXPLICIT_DOUBLE_DASH = [
     (["explore", "m.csm", "--seed=--"], "seed",
      (2, "csm explore: error: argument --seed: expected one argument")),
@@ -193,6 +194,21 @@ EXPLICIT_DOUBLE_DASH = [
      (2, "csm render: error: argument --format: expected one argument")),
     (["render", "m.csm", "--format", "dot", "-o--"], "output",
      (2, "csm render: error: argument -o/--output: expected one argument")),
+    # An option abbreviated to a prefix: one it names alone, an ambiguous
+    # one, and one that takes no value.
+    (["explore", "m.csm", "--se=--"], "seed",
+     (2, "csm explore: error: argument --seed: expected one argument")),
+    (["explore", "m.csm", "--seed", "s", "--max-s=--"], "max_steps",
+     (2, "csm explore: error: argument --max-steps: expected one argument")),
+    (["render", "m.csm", "--fo=--"], "format",
+     (2, "csm render: error: argument --format: expected one argument")),
+    (["render", "m.csm", "--format", "dot", "--outp=--"], "output",
+     (2, "csm render: error: argument -o/--output: expected one argument")),
+    (["explore", "m.csm", "--seed", "s", "--max=--"], None,
+     (2, "csm explore: error: ambiguous option: --max=-- could match --max-steps, "
+         "--max-objects")),
+    (["validate", "m.csm", "--h=--"], None,
+     (2, "csm validate: error: argument -h/--help: ignored explicit argument '--'")),
 ]
 
 
