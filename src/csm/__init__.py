@@ -33,7 +33,6 @@ try:
         ModelError,
         Privilege,
         ProcessDef,
-        ProcessPrivilege,
         SharedClass,
         StatusPoint,
         Transform,

@@ -22,12 +22,13 @@ process that outputs the class.
 
 Findings are built by artifact, not by role pair, walking the processes
 and then the classes in name order: very tight is judged once for each
-owner and responsible role of a process, tight once for each unordered
-pair of its owners (two owners are judged once, not once per order), and
-the class patterns for each class's creators and read-only ``reference+``
-readers, read from the model's per-class index (``Model.class_index``,
-built in one pass over the grants). The cost grows with the privileges
-held, not with the square of the number of roles.
+owner and responsible role of a process (its ``owners`` and
+``responsibles``), tight once for each unordered pair of its owners (two
+owners are judged once, not once per order), and the class patterns for
+each class's creators and read-only ``reference+`` readers, read from the
+model's per-class index (``Model.class_index``, built in one pass over the
+grants). The cost grows with the privileges held, not with the square of
+the number of roles.
 
 The report lists the findings by (producer, consumer) pair, and within a
 pair the process findings before the class findings, each in name order.
@@ -48,7 +49,6 @@ from .model import (
     Model,
     ModelError,
     Privilege,
-    ProcessPrivilege,
     StatusPoint,
     canonicalize,
 )
@@ -170,25 +170,13 @@ def _findings(model: Model) -> list[LevelFinding]:
     """
     grants = model.class_grants.get
     # The members are bound once: reading one off its enum class is slow.
-    owner, responsibility = ProcessPrivilege.OWNER, ProcessPrivilege.RESPONSIBILITY
     modification_plus, reference_plus = Privilege.MODIFICATION_PLUS, Privilege.REFERENCE_PLUS
     findings: list[LevelFinding] = []
     add = findings.append
     for p in model.processes:
-        if len(p.role_privileges) < 2:
-            continue  # both process patterns need two roles on the process
-        owners = []
-        responsible = []
-        for r, pp in p.role_privileges.items():
-            if pp is owner:
-                owners.append(r)
-            elif pp is responsibility:
-                responsible.append(r)
-        if not owners:
-            continue
-        name, outputs = p.name, p.outputs
+        name, outputs, owners = p.name, p.outputs, p.owners
         for r1 in owners:
-            for r2 in responsible:
+            for r2 in p.responsibles:
                 hits = [
                     c
                     for c in outputs
@@ -258,7 +246,7 @@ def _findings(model: Model) -> list[LevelFinding]:
         else:
             level, point = very_loose, "no waiting point"
         readers = [(r2, f"reference+({r2},{name})") for r2 in idx.read_only_readers]
-        producers = [q.role_privileges for q in idx.producers]
+        producers = [{*q.owners, *q.responsibles} for q in idx.producers]
         # A read-only reader holds no creation, so it is never the creator.
         for r1 in idx.creators:
             # Roles privileged with r1 on a process that outputs the class.

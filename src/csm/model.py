@@ -139,13 +139,6 @@ class TransformMode(enum.Enum):
     __hash__ = object.__hash__
 
 
-class ProcessPrivilege(enum.Enum):
-    OWNER = "owner"
-    RESPONSIBILITY = "responsibility"
-
-    __hash__ = object.__hash__
-
-
 class ClassDef(namedtuple("ClassDef", "name dynamic status_points")):
     """An information class, optionally a significant dynamic state."""
 
@@ -165,14 +158,14 @@ class Transform(namedtuple("Transform", "source target mode")):
 
 
 class ProcessDef(
-    namedtuple("ProcessDef", "name inputs outputs transforms role_privileges")
+    namedtuple("ProcessDef", "name inputs outputs transforms owners responsibles")
 ):
     """A business process with its inputs, outputs, transforms and roles.
 
-    ``inputs`` and ``outputs`` are class names and ``transforms`` the
-    process's ``Transform``s, each kept as a tuple. ``role_privileges``,
-    kept as a copy, is a partial map from role name to ``ProcessPrivilege``:
-    a role absent from it holds no privilege on the process at all.
+    ``inputs`` and ``outputs`` are class names, ``transforms`` the process's
+    ``Transform``s, and ``owners`` and ``responsibles`` the names of the
+    roles that own the process and of those responsible for it; a role in
+    neither holds no privilege on the process. Each is kept as a tuple.
     """
 
     __slots__ = ()
@@ -183,7 +176,8 @@ class ProcessDef(
         inputs: Iterable[str] = (),
         outputs: Iterable[str] = (),
         transforms: Iterable[Transform] = (),
-        role_privileges: Mapping[str, ProcessPrivilege] | None = None,
+        owners: Iterable[str] = (),
+        responsibles: Iterable[str] = (),
     ) -> ProcessDef:
         return tuple.__new__(
             cls,
@@ -192,28 +186,9 @@ class ProcessDef(
                 tuple(inputs),
                 tuple(outputs),
                 tuple(transforms),
-                dict(role_privileges or {}),
+                tuple(owners),
+                tuple(responsibles),
             ),
-        )
-
-    @property
-    def owners(self) -> tuple[str, ...]:
-        return tuple(
-            sorted(
-                r
-                for r, pp in self.role_privileges.items()
-                if pp is ProcessPrivilege.OWNER
-            )
-        )
-
-    @property
-    def responsibles(self) -> tuple[str, ...]:
-        return tuple(
-            sorted(
-                r
-                for r, pp in self.role_privileges.items()
-                if pp is ProcessPrivilege.RESPONSIBILITY
-            )
         )
 
     @property
@@ -421,24 +396,26 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
             classes[cdef.name] = cdef
 
     processes: dict[str, ProcessDef] = {}
-    owner, responsible = ProcessPrivilege.OWNER, ProcessPrivilege.RESPONSIBILITY
     for proc in draft.processes:
         name, offset, owners, responsibles, input_entries, output_entries, transform_entries = proc
         if name in processes:
             err("E-DUP", f"process={name}", f"process {name!r} declared twice", offset, name)
             continue
-        role_privileges: dict[str, ProcessPrivilege] = {}
-        for entries, priv in ((owners, owner), (responsibles, responsible)):
+        held: set[str] = set()
+        owned: list[str] = []
+        responsible: list[str] = []
+        for entries, target in ((owners, owned), (responsibles, responsible)):
             for rname, offset in entries:
                 if rname not in roles:
                     err("E-REF", f"process={name} role={rname}",
                         f"role {rname!r} is not declared", offset, rname)
-                elif rname in role_privileges:
+                elif rname in held:
                     err("E-DUP", f"process={name} role={rname}",
                         f"role {rname!r} already holds a privilege on this process",
                         offset, rname)
                 else:
-                    role_privileges[rname] = priv
+                    held.add(rname)
+                    target.append(rname)
         inputs: set[str] = set()
         outputs: set[str] = set()
         for entries, target in ((input_entries, inputs), (output_entries, outputs)):
@@ -465,7 +442,7 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
             for message in problems:
                 err("E-TRF-END", f"process={name} transform={src}->{dst}", message,
                     offset, src)
-        processes[name] = _process_def(name, role_privileges, inputs, outputs, transforms)
+        processes[name] = _process_def(name, inputs, outputs, transforms, owned, responsible)
 
     grants: dict[tuple[str, str], frozenset[Privilege]] = {}
     for role, class_name, privs, offset in draft.grants:
@@ -488,26 +465,25 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
 
 def _process_def(
     name: str,
-    role_privileges: dict[str, ProcessPrivilege],
     inputs: set[str],
     outputs: set[str],
     transforms: set[Transform],
+    owners: list[str],
+    responsibles: list[str],
 ) -> ProcessDef:
-    """The canonical ``ProcessDef`` of checked parts. Role names are unique,
-    so sorting the items never compares privileges. Built with
-    ``tuple.__new__``: its fields are already the tuples and dict that the
+    """The canonical ``ProcessDef`` of checked parts. Built with
+    ``tuple.__new__``: its fields are already the tuples that the
     constructor would copy them into."""
-    if len(role_privileges) > 1:
-        role_privileges = dict(sorted(role_privileges.items()))
     return tuple.__new__(
         ProcessDef,
         (
             name,
             tuple(sorted(inputs)),
             tuple(sorted(outputs)),
-            # Most processes have at most one transform: no key to compute.
+            # Most processes have one role and at most one transform: nothing to sort.
             tuple(sorted(transforms, key=_transform_order) if len(transforms) > 1 else transforms),
-            role_privileges,
+            tuple(sorted(owners) if len(owners) > 1 else owners),
+            tuple(sorted(responsibles) if len(responsibles) > 1 else responsibles),
         ),
     )
 

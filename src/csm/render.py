@@ -15,7 +15,6 @@ from .model import (
     Model,
     Privilege,
     ProcessDef,
-    ProcessPrivilege,
     StatusPoint,
     TransformMode,
     canonicalize,
@@ -65,13 +64,11 @@ def _privilege_lines(m: Model) -> dict[str, str]:
     return lines
 
 
-def _home_role(p: ProcessDef) -> str | None:
+def _home_role(p: ProcessDef) -> str:
     """Lane a process is drawn in: first owner, else first responsible. A
-    canonical process lists its roles in name order."""
-    for role, pp in p.role_privileges.items():
-        if pp is ProcessPrivilege.OWNER:
-            return role
-    return next(iter(p.role_privileges), None)
+    canonical process lists its roles in name order, and a valid one has
+    at least one."""
+    return (p.owners or p.responsibles)[0]
 
 
 def _lanes(m: Model) -> dict[str, list[tuple[ProcessDef, bool]]]:
@@ -80,7 +77,7 @@ def _lanes(m: Model) -> dict[str, list[tuple[ProcessDef, bool]]]:
     lanes: dict[str, list[tuple[ProcessDef, bool]]] = {role: [] for role in m.roles}
     for p in m.processes:
         home = _home_role(p)
-        for role in p.role_privileges:
+        for role in (*p.owners, *p.responsibles):
             lanes[role].append((p, role == home))
     return lanes
 

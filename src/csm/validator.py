@@ -15,7 +15,6 @@ from .model import (
     Model,
     ModelError,
     Privilege,
-    ProcessPrivilege,
     StatusPoint,
     canonicalize,
 )
@@ -204,45 +203,45 @@ def _errors(model: Model) -> list[Diagnostic]:
     # bound once: reading one off its enum class is slow.
     grants = model.class_grants.get
     reference, creation = Privilege.REFERENCE, Privilege.CREATION
-    reference_plus, owner = Privilege.REFERENCE_PLUS, ProcessPrivilege.OWNER
+    reference_plus = Privilege.REFERENCE_PLUS
     for p in model.processes:
-        for role, ppriv in p.role_privileges.items():
-            owns = ppriv is owner
-            for c in p.inputs:
-                privs = grants((role, c), _NO_PRIVILEGES)
-                if reference not in privs:
-                    out.append(
-                        _diag(
-                            "E-C3",
-                            f"role={role} process={p.name} class={c}",
-                            f"role {role!r} is privileged on {p.name!r} but lacks "
-                            f"reference on input {c!r}",
-                            f"add reference to grant {role} on {c}",
-                        )
-                    )
-                if owns and reference_plus not in privs:
-                    out.append(_lacks_reference_plus(role, p.name, c))
-            for c in p.outputs:
-                privs = grants((role, c), _NO_PRIVILEGES)
-                if creation not in privs:
-                    wanted = "creation"
+        for owns, roles in ((True, p.owners), (False, p.responsibles)):
+            for role in roles:
+                for c in p.inputs:
+                    privs = grants((role, c), _NO_PRIVILEGES)
                     if reference not in privs:
-                        wanted = "creation and reference"
-                    out.append(
-                        _diag(
-                            "E-C4",
-                            f"role={role} process={p.name} class={c}",
-                            f"role {role!r} is privileged on {p.name!r} but lacks "
-                            f"creation on output {c!r}",
-                            f"add {wanted} to grant {role} on {c}",
+                        out.append(
+                            _diag(
+                                "E-C3",
+                                f"role={role} process={p.name} class={c}",
+                                f"role {role!r} is privileged on {p.name!r} but lacks "
+                                f"reference on input {c!r}",
+                                f"add reference to grant {role} on {c}",
+                            )
                         )
-                    )
-                if owns and reference_plus not in privs and c not in p.inputs:
-                    out.append(_lacks_reference_plus(role, p.name, c))
+                    if owns and reference_plus not in privs:
+                        out.append(_lacks_reference_plus(role, p.name, c))
+                for c in p.outputs:
+                    privs = grants((role, c), _NO_PRIVILEGES)
+                    if creation not in privs:
+                        wanted = "creation"
+                        if reference not in privs:
+                            wanted = "creation and reference"
+                        out.append(
+                            _diag(
+                                "E-C4",
+                                f"role={role} process={p.name} class={c}",
+                                f"role {role!r} is privileged on {p.name!r} but lacks "
+                                f"creation on output {c!r}",
+                                f"add {wanted} to grant {role} on {c}",
+                            )
+                        )
+                    if owns and reference_plus not in privs and c not in p.inputs:
+                        out.append(_lacks_reference_plus(role, p.name, c))
 
     # E-ORPHAN-P: every process has a responsible party.
     for p in model.processes:
-        if not p.role_privileges:
+        if not (p.owners or p.responsibles):
             out.append(
                 _diag(
                     "E-ORPHAN-P",

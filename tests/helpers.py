@@ -65,7 +65,6 @@ from csm.model import (
     PLUS_PRIVILEGES,
     Privilege,
     ProcessDef,
-    ProcessPrivilege,
     StatusPoint,
     Transform,
     TransformMode,
@@ -97,15 +96,15 @@ def random_model(rng: random.Random, name: str = "random") -> Model:
                     transforms.append(
                         Transform(s, t, rng.choice(list(TransformMode)))
                     )
-        role_privs = {}
+        owners, responsibles = [], []
         for r in roles:
             x = rng.random()
             if x < 0.25:
-                role_privs[r] = ProcessPrivilege.OWNER
+                owners.append(r)
             elif x < 0.45:
-                role_privs[r] = ProcessPrivilege.RESPONSIBILITY
+                responsibles.append(r)
         processes.append(
-            ProcessDef(f"P{i}", tuple(inputs), tuple(outputs), tuple(transforms), role_privs)
+            ProcessDef(f"P{i}", inputs, outputs, transforms, owners, responsibles)
         )
     grants = {}
     for r in roles:
@@ -145,20 +144,26 @@ def random_valid_model(rng: random.Random, name: str = "valid") -> Model:
             for t in outputs
             if s != t and s in dynamic and t in dynamic and rng.random() < 0.5
         ]
-        role_privs = {rng.choice(roles): rng.choice(list(ProcessPrivilege))}
+        # Per privileged role, whether it owns the process (else it is
+        # responsible for it).
+        owns = {rng.choice(roles): rng.choice((True, False))}
         for r in roles:
-            if r not in role_privs and rng.random() < 0.25:
-                role_privs[r] = rng.choice(list(ProcessPrivilege))
-        for r, pp in role_privs.items():
+            if r not in owns and rng.random() < 0.25:
+                owns[r] = rng.choice((True, False))
+        for r, is_owner in owns.items():
             for c in inputs:
                 grant(r, c, Privilege.REFERENCE)
             for c in outputs:
                 grant(r, c, Privilege.CREATION, Privilege.REFERENCE)
-            if pp is ProcessPrivilege.OWNER:
+            if is_owner:
                 for c in {*inputs, *outputs}:
                     grant(r, c, Privilege.REFERENCE_PLUS)
         processes.append(
-            ProcessDef(f"P{i}", tuple(inputs), tuple(outputs), tuple(transforms), role_privs)
+            ProcessDef(
+                f"P{i}", inputs, outputs, transforms,
+                [r for r, is_owner in owns.items() if is_owner],
+                [r for r, is_owner in owns.items() if not is_owner],
+            )
         )
     for r in roles:
         for c in cnames:
@@ -182,7 +187,7 @@ def reversed_members(m: Model) -> Model:
     """A copy of ``m`` built in Python, every member listed in reverse."""
     processes = tuple(
         ProcessDef(p.name, p.inputs[::-1], p.outputs[::-1], p.transforms[::-1],
-                   dict(reversed(p.role_privileges.items())))
+                   p.owners[::-1], p.responsibles[::-1])
         for p in reversed(m.processes)
     )
     grants = dict(reversed(m.class_grants.items()))
@@ -213,7 +218,7 @@ def brute_validate(model: Model) -> list[tuple[str, str]]:
 
     for r in model.roles:
         for p in model.processes:
-            if r not in p.role_privileges:
+            if r not in p.owners and r not in p.responsibles:
                 continue
             for c in model.classes:
                 if c.name in p.inputs and Privilege.REFERENCE not in g(r, c.name):
@@ -221,14 +226,14 @@ def brute_validate(model: Model) -> list[tuple[str, str]]:
                 if c.name in p.outputs and Privilege.CREATION not in g(r, c.name):
                     found.append(("E-C4", f"role={r} process={p.name} class={c.name}"))
                 if (
-                    p.role_privileges[r] is ProcessPrivilege.OWNER
+                    r in p.owners
                     and c.name in set(p.inputs) | set(p.outputs)
                     and Privilege.REFERENCE_PLUS not in g(r, c.name)
                 ):
                     found.append(("E-C5", f"role={r} process={p.name} class={c.name}"))
 
     for p in model.processes:
-        if not p.role_privileges:
+        if not p.owners and not p.responsibles:
             found.append(("E-ORPHAN-P", f"process={p.name}"))
 
     def consumer_count(cname):
@@ -277,9 +282,7 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
 
     findings: list[LevelFinding] = []
     for p in sorted(model.processes, key=lambda p: p.name):
-        pp1 = p.role_privileges.get(r1)
-        pp2 = p.role_privileges.get(r2)
-        if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.RESPONSIBILITY:
+        if r1 in p.owners and r2 in p.responsibles:
             hits = [
                 c
                 for c in sorted(p.outputs)
@@ -301,7 +304,7 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
                     )
                 )
                 continue
-        if pp1 is ProcessPrivilege.OWNER and pp2 is ProcessPrivilege.OWNER:
+        if r1 in p.owners and r2 in p.owners:
             shared = [c for c in sorted(p.outputs) if g(r1, c) and g(r2, c)]
             if shared and all(
                 Privilege.REFERENCE_PLUS in g(r, c) and not (g(r, c) & _WRITE_PLUS)
@@ -328,7 +331,8 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
         g1 = g(r1, c.name)
         g2 = g(r2, c.name)
         co_privileged = any(
-            c.name in p.outputs and r1 in p.role_privileges and r2 in p.role_privileges
+            c.name in p.outputs
+            and {r1, r2} <= {*p.owners, *p.responsibles}
             for p in model.processes
         )
         if (
@@ -975,9 +979,7 @@ _BRUTE_ABBREV = {
 
 
 def _brute_home(p: ProcessDef) -> str | None:
-    owners = sorted(r for r, pp in p.role_privileges.items() if pp is ProcessPrivilege.OWNER)
-    others = sorted(r for r in p.role_privileges if r not in owners)
-    return (owners or others or [None])[0]
+    return (sorted(p.owners) or sorted(p.responsibles) or [None])[0]
 
 
 def _brute_lane(m: Model, role: str):
@@ -987,7 +989,7 @@ def _brute_lane(m: Model, role: str):
     for p in m.processes:
         if _brute_home(p) == role:
             yield p, True
-        elif role in p.role_privileges:
+        elif role in p.owners or role in p.responsibles:
             yield p, False
 
 

@@ -259,8 +259,8 @@ MUTANTS = (
     # E-C4 asks for creation alone when the role lacks reference too.
     Mutant(
         "src/csm/validator.py",
-        "                    if reference not in privs:\n                        wanted",
-        "                    if reference in privs:\n                        wanted",
+        "                        if reference not in privs:\n                            wanted",
+        "                        if reference in privs:\n                            wanted",
         ("tests/test_validator.py::TestSuggestions::test_c4_hint_names_each_missing_privilege",),
     ),
     # The token parser reads comments as tokens.
@@ -384,6 +384,25 @@ MUTANTS = (
             "tests/test_dsl.py::TestOnePassReader::"
             "test_inserted_characters_agree_with_the_reporting_path",
         ),
+    ),
+    # Name resolution takes a role named twice on a process, once as owner
+    # and once as responsible.
+    Mutant(
+        "src/csm/model.py",
+        "                elif rname in held:\n",
+        "                elif False:\n",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_json_mistake_reaches_the_reporting_path",
+        ),
+    ),
+    # A process is drawn in its first responsible's lane, not its first
+    # owner's.
+    Mutant(
+        "src/csm/render.py",
+        "(p.owners or p.responsibles)[0]",
+        "(p.responsibles or p.owners)[0]",
+        ("tests/test_render.py::TestDot::test_swim_lanes_and_aliases",),
     ),
 )
 

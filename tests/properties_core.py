@@ -17,7 +17,6 @@ from csm.model import (
     ClassDef,
     Model,
     ProcessDef,
-    ProcessPrivilege,
     Transform,
     TransformMode,
     canonicalize,
@@ -88,7 +87,7 @@ def check_leaving_removes_exactly_one(seed: int) -> None:
         inputs=(src, *pure_reads),
         outputs=tuple(outputs),
         transforms=(Transform(src, tgt, TransformMode.LEAVING),),
-        role_privileges={"R": ProcessPrivilege.RESPONSIBILITY},
+        responsibles=("R",),
     )
     m = canonicalize(Model("m", ("R",), classes, (proc,)))
     tokens = {Token("o", c) for c in proc.inputs}

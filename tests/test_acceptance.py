@@ -299,7 +299,8 @@ def _renamed(m: Model, new: dict) -> Model:
                 map(rename, p.inputs),
                 map(rename, p.outputs),
                 (Transform(rename(t.source), rename(t.target), t.mode) for t in p.transforms),
-                {rename(r): pp for r, pp in p.role_privileges.items()},
+                map(rename, p.owners),
+                map(rename, p.responsibles),
             )
             for p in m.processes
         ),

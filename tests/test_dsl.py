@@ -549,11 +549,11 @@ def _insert_characters(rng, text):
 
 
 def _exact(result):
-    """A parse result, with the orders that equal dicts may differ in: each
-    process's roles and the grants, which the renderers and emitters follow."""
+    """A parse result, with the order that equal dicts may differ in: that
+    of the grants, which the renderers and emitters follow. Every other
+    part of a model is a tuple, so equality already compares its order."""
     m = result.model
-    return result, m and ([list(p.role_privileges.items()) for p in m.processes],
-                          list(m.class_grants))
+    return result, m and list(m.class_grants)
 
 
 # The codes of name resolution: a planted row with only these is read by the

@@ -19,7 +19,6 @@ from csm.model import (
     ModelError,
     Privilege,
     ProcessDef,
-    ProcessPrivilege,
     SharedClass,
     StatusPoint,
     Transform,
@@ -66,7 +65,7 @@ def _tiny(**overrides) -> Model:
                 inputs=("Y",),
                 outputs=("X",),
                 transforms=(Transform("Y", "X", TransformMode.LEAVING),),
-                role_privileges={"A": ProcessPrivilege.OWNER},
+                owners=("A",),
             ),
         ),
         class_grants={("A", "X"): frozenset({Privilege.REFERENCE})},
@@ -152,7 +151,7 @@ class TestCanonicalize:
             canonicalize(_tiny(class_grants={("Ghost", "X"): frozenset({Privilege.REFERENCE})}))
 
     def test_undeclared_process_class_rejected(self):
-        bad = ProcessDef("P", inputs=("Ghost",), role_privileges={"A": ProcessPrivilege.OWNER})
+        bad = ProcessDef("P", inputs=("Ghost",), owners=("A",))
         with pytest.raises(UnresolvedReference):
             canonicalize(_tiny(processes=(bad,)))
 
@@ -238,13 +237,16 @@ def _raw_json(m: Model) -> str:
     )
 
 
-def _process(inputs=("Y",), outputs=("X",), transform=("Y", "X"), owner="A") -> ProcessDef:
+def _process(
+    inputs=("Y",), outputs=("X",), transform=("Y", "X"), owners=("A",), responsibles=()
+) -> ProcessDef:
     return ProcessDef(
         "P",
         inputs=inputs,
         outputs=outputs,
         transforms=(Transform(*transform, TransformMode.LEAVING),),
-        role_privileges={owner: ProcessPrivilege.OWNER},
+        owners=owners,
+        responsibles=responsibles,
     )
 
 
@@ -254,7 +256,9 @@ SINGLE_FAULTS = {
     "duplicate role": dict(roles=("A", "B", "A")),
     "duplicate class": dict(classes=(ClassDef("X"), ClassDef("Y"), ClassDef("X"))),
     "duplicate process": dict(processes=(_process(), ProcessDef("P"))),
-    "undeclared process role": dict(processes=(_process(owner="Ghost"),)),
+    "undeclared process role": dict(processes=(_process(owners=("Ghost",)),)),
+    "owner also responsible": dict(processes=(_process(responsibles=("A",)),)),
+    "owner twice": dict(processes=(_process(owners=("A", "A")),)),
     "undeclared input": dict(processes=(_process(inputs=("Y", "Ghost")),)),
     "undeclared output": dict(processes=(_process(outputs=("X", "Ghost")),)),
     "undeclared grant role": dict(class_grants={("Ghost", "X"): _REFERENCE}),

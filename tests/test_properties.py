@@ -17,7 +17,6 @@ from csm.model import (
     ModelError,
     Privilege,
     ProcessDef,
-    ProcessPrivilege,
     StatusPoint,
     Transform,
     TransformMode,
@@ -152,7 +151,8 @@ process_rows = st.lists(
     st.tuples(
         slot, slots, slots,
         st.lists(st.tuples(slot, slot, st.sampled_from(TransformMode)), max_size=1),
-        st.dictionaries(slot, st.sampled_from(ProcessPrivilege), max_size=2),
+        # Owners and responsibles, which may overlap or repeat a role.
+        slots, slots,
     ),
     max_size=2, unique_by=lambda row: row[0],
 )
@@ -174,9 +174,9 @@ def drawn_models(draw):
         ProcessDef(
             n(i), map(n, inputs), map(n, outputs),
             [Transform(n(a), n(b), mode) for a, b, mode in transforms],
-            {n(r): privilege for r, privilege in privileges.items()},
+            map(n, owners), map(n, responsibles),
         )
-        for i, inputs, outputs, transforms, privileges in draw(process_rows)
+        for i, inputs, outputs, transforms, owners, responsibles in draw(process_rows)
     ]
     grants = {(n(r), n(c)): privs for (r, c), privs in draw(grant_rows).items()}
     return Model(draw(model_names), map(n, draw(roles)), classes, processes, grants)
@@ -187,7 +187,7 @@ def drawn_models(draw):
 @example(Model("x\ud800"))
 @example(Model(
     "a\tb # c", ["class"], [ClassDef("process", True, {StatusPoint.WAITING})],
-    [ProcessDef("role", ["process"], [], [], {"class": ProcessPrivilege.OWNER})],
+    [ProcessDef("role", ["process"], [], [], ["class"])],
     {("class", "process"): {Privilege.REFERENCE, Privilege.REFERENCE_PLUS}},
 ))
 def test_drawn_model_is_rejected_or_round_trips(model):

@@ -23,7 +23,6 @@ from csm.model import (
     Model,
     Privilege,
     ProcessDef,
-    ProcessPrivilege,
     StatusPoint,
     Transform,
     TransformMode,
@@ -46,13 +45,15 @@ from properties_core import (
 )
 
 LEAVE = Transform(source="A", target="B", mode=TransformMode.LEAVING)
-OWNER = {"R": ProcessPrivilege.OWNER}
+OWNER = ("R",)
 
 
 class TestConstruction:
     def test_keywords_and_defaults(self):
         assert ClassDef(name="X") == ClassDef("X", False, frozenset())
-        assert ProcessDef(name="P") == ProcessDef("P", (), (), (), {})
+        assert ProcessDef(name="P") == ProcessDef("P", (), (), (), (), ())
+        p = ProcessDef(name="P", owners=["R"], responsibles=["S"])
+        assert (p.owners, p.responsibles) == (("R",), ("S",))
         assert Model(name="m") == Model("m", (), (), (), {})
         assert SourceSpan(file="f", line=1, column=2).length == 0
         d = Diagnostic(code="E-X", severity=Severity.ERROR, site="s", message="m")
@@ -92,11 +93,11 @@ class TestCoercion:
         assert ClassDef("X", dynamic=1) == ClassDef("X", dynamic=True)
 
     def test_process_sequences_become_tuples_and_privileges_are_copied(self):
-        privileges = dict(OWNER)
-        p = ProcessDef("P", ["A"], ["B"], [LEAVE], privileges)
-        assert (p.inputs, p.outputs, p.transforms) == (("A",), ("B",), (LEAVE,))
-        privileges["S"] = ProcessPrivilege.RESPONSIBILITY
-        assert p.role_privileges == OWNER
+        owners, responsibles = ["R"], iter(["S"])
+        p = ProcessDef("P", ["A"], ["B"], [LEAVE], owners, responsibles)
+        assert p == ("P", ("A",), ("B",), (LEAVE,), ("R",), ("S",))
+        owners.append("T")
+        assert p.owners == OWNER
 
     def test_model_sequences_become_tuples_and_grants_are_copied(self):
         grants = {("R", "X"): {Privilege.REFERENCE}}
@@ -145,13 +146,14 @@ class TestEqualityAndHashing:
         assert LEAVE != Transform("A", "B", TransformMode.REMAINING)
         assert len({LEAVE, other}) == 1
 
-    def test_process_defs_compare_by_value_and_are_unhashable(self):
+    def test_process_defs_compare_and_hash_by_value(self):
         a = ProcessDef("P", ("A",), ("B",), (LEAVE,), OWNER)
-        assert a == ProcessDef("P", ["A"], ["B"], [LEAVE], dict(OWNER))
-        responsible = {"R": ProcessPrivilege.RESPONSIBILITY}
-        assert a != ProcessDef("P", ("A",), ("B",), (LEAVE,), responsible)
-        with pytest.raises(TypeError):
-            hash(a)  # role_privileges is a dict
+        b = ProcessDef("P", ["A"], ["B"], [LEAVE], list(OWNER))
+        assert a == b and hash(a) == hash(b)
+        assert a != ProcessDef("P", ("A",), ("B",), (LEAVE,), (), OWNER)
+        assert len({a, b, ProcessDef("Q")}) == 2
+        parsed = parse_text(fixture_text("gp_lab")).model.processes
+        assert len(set(parsed)) == len(parsed)
 
     def test_summaries_differing_only_in_stats_are_equal(self):
         q = (QueryResult("p", False, None),)
@@ -178,7 +180,7 @@ class TestEnumHashing:
     def test_every_enum_hashes_by_identity(self):
         enums = _csm_enums()
         assert {e.__name__ for e in enums} == {
-            "Level", "Outcome", "Privilege", "ProcessPrivilege", "Severity",
+            "Level", "Outcome", "Privilege", "Severity",
             "StatusPoint", "TransformMode",
         }
         for kind in enums:
