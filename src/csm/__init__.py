@@ -20,34 +20,27 @@ _gc.disable()
 try:
     from .classifier import (
         CollaborationReport,
-        Level,
         LevelFinding,
         classify_all,
         classify_pair,
     )
-    from .diagnostics import Diagnostic, Severity, SourceSpan
+    from .diagnostics import Diagnostic, SourceSpan
     from .dsl import ParseResult, emit_json, emit_text, parse_json, parse_text
     from .model import (
+        PRIVILEGES,
+        STATUS_POINTS,
+        TRANSFORM_MODES,
         ClassDef,
         Model,
         ModelError,
-        Privilege,
         ProcessDef,
         SharedClass,
-        StatusPoint,
         Transform,
-        TransformMode,
         canonicalize,
         shared_classes,
     )
     from .render import to_dot, to_mermaid
-    from .simulator import (
-        Outcome,
-        ReachabilitySummary,
-        TraceEvent,
-        explore,
-        run_script,
-    )
+    from .simulator import ReachabilitySummary, TraceEvent, explore, run_script
     from .validator import InvalidModel, explain, validate
 finally:
     if not _gc.get_freeze_count():

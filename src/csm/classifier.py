@@ -39,33 +39,17 @@ sorted pair.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
 
 from .diagnostics import _esc, _json_array
-from .model import (
-    Model,
-    ModelError,
-    Privilege,
-    StatusPoint,
-    canonicalize,
-)
+from .model import Model, ModelError, canonicalize
 from .validator import InvalidModel, ensure_valid
 
 
 class SameRole(ModelError):
     """Collaboration levels are defined between distinct roles only."""
-
-
-class Level(enum.Enum):
-    VERY_TIGHT = "very tight"
-    TIGHT = "tight"
-    LOOSE = "loose"
-    VERY_LOOSE = "very loose"
-
-    __hash__ = object.__hash__
 
 
 class LevelFinding(
@@ -75,8 +59,9 @@ class LevelFinding(
 ):
     """One (producer, consumer, artifact) judgement with its evidence.
 
-    ``artifact_kind`` is ``"process"`` or ``"class"``, ``level`` a ``Level``
-    and ``evidence`` a tuple of strings.
+    ``artifact_kind`` is ``"process"`` or ``"class"``, ``level`` one of
+    ``"very tight"``, ``"tight"``, ``"loose"`` and ``"very loose"``, and
+    ``evidence`` a tuple of strings.
     """
 
     __slots__ = ()
@@ -88,9 +73,9 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
     # No __slots__: pair_summary is cached in the instance __dict__.
 
     @cached_property
-    def pair_summary(self) -> dict[tuple[str, str], frozenset[Level]]:
+    def pair_summary(self) -> dict[tuple[str, str], frozenset[str]]:
         """The levels found per (producer, consumer) pair, in pair order."""
-        summary: dict[tuple[str, str], set[Level]] = {}
+        summary: dict[tuple[str, str], set[str]] = {}
         for f in self.findings:
             levels = summary.get(pair := (f.producer, f.consumer))
             if levels is None:
@@ -98,9 +83,9 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
             levels.add(f.level)
         return {pair: frozenset(levels) for pair, levels in sorted(summary.items())}
 
-    def levels_between(self, r1: str, r2: str) -> frozenset[Level]:
+    def levels_between(self, r1: str, r2: str) -> frozenset[str]:
         """Levels found for the unordered pair, either direction."""
-        levels: set[Level] = set()
+        levels: set[str] = set()
         for pair in ((r1, r2), (r2, r1)):
             levels.update(self.pair_summary.get(pair, frozenset()))
         return frozenset(levels)
@@ -111,20 +96,18 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
         ``"producer->consumer"``; one finding an f-string, without ``json``."""
         findings = []
         for producer, consumer, artifact, kind, level, evidence in self.findings:
-            # The evidence array inline: one item a line, "[]" when empty.
-            items = ",\n        ".join(map(_esc, evidence))
-            evidence_json = f"[\n        {items}\n      ]" if items else "[]"
+            evidence_json = _json_array(map(_esc, evidence), "      ")
             findings.append(
                 f'{{\n      "artifact": {_esc(artifact)},\n      "artifact_kind": {_esc(kind)},'
                 f'\n      "consumer": {_esc(consumer)},\n      "evidence": {evidence_json},'
-                f'\n      "level": {_LEVEL_JSON[level]},\n      "producer": {_esc(producer)}\n    }}'
+                f'\n      "level": {_esc(level)},\n      "producer": {_esc(producer)}\n    }}'
             )
         # Pair order is sort_keys order: names hold no "-" or ">", and "-"
         # sorts before every identifier character.
         pairs = ",\n    ".join(
             "%s: %s" % (
                 _esc("%s->%s" % pair),
-                _json_array(map(_esc, sorted(l.value for l in levels)), "    "),
+                _json_array(map(_esc, sorted(levels)), "    "),
             )
             for pair, levels in self.pair_summary.items()
         )
@@ -136,7 +119,7 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
     def to_table(self) -> str:
         header = ("LEVEL", "PRODUCER", "CONSUMER", "ARTIFACT")
         rows = [
-            (f.level.value, f.producer, f.consumer, f.artifact)
+            (f.level, f.producer, f.consumer, f.artifact)
             for f in self.findings
         ]
         widths = [
@@ -149,11 +132,10 @@ class CollaborationReport(namedtuple("CollaborationReport", "findings")):
         return "\n".join(lines) + "\n"
 
 
-_LEVEL_JSON = {level: _esc(level.value) for level in Level}
 _REPORT_JSON = '{\n  "findings": %s,\n  "pair_summary": %s\n}'
 
-_WRITE_PLUS = frozenset({Privilege.MODIFICATION_PLUS, Privilege.SUPPRESSION_PLUS})
-_NONE: frozenset[Privilege] = frozenset()
+_WRITE_PLUS = frozenset({"modification+", "suppression+"})
+_NONE: frozenset[str] = frozenset()
 _PRODUCER = itemgetter(0)
 _CONSUMER = itemgetter(1)
 
@@ -169,8 +151,6 @@ def _findings(model: Model) -> list[LevelFinding]:
     order, and a stable sort by pair orders them all.
     """
     grants = model.class_grants.get
-    # The members are bound once: reading one off its enum class is slow.
-    modification_plus, reference_plus = Privilege.MODIFICATION_PLUS, Privilege.REFERENCE_PLUS
     findings: list[LevelFinding] = []
     add = findings.append
     for p in model.processes:
@@ -180,8 +160,8 @@ def _findings(model: Model) -> list[LevelFinding]:
                 hits = [
                     c
                     for c in outputs
-                    if modification_plus in grants((r1, c), _NONE)
-                    and reference_plus in grants((r2, c), _NONE)
+                    if "modification+" in grants((r1, c), _NONE)
+                    and "reference+" in grants((r2, c), _NONE)
                 ]
                 if hits:
                     add(
@@ -190,7 +170,7 @@ def _findings(model: Model) -> list[LevelFinding]:
                             r2,
                             name,
                             "process",
-                            Level.VERY_TIGHT,
+                            "very tight",
                             (
                                 f"owner({r1},{name})",
                                 f"responsibility({r2},{name})",
@@ -210,8 +190,8 @@ def _findings(model: Model) -> list[LevelFinding]:
                     if (g1 := grants((r1, c))) and (g2 := grants((r2, c)))
                 ]
                 if shared and all(
-                    reference_plus in a
-                    and reference_plus in b
+                    "reference+" in a
+                    and "reference+" in b
                     and _WRITE_PLUS.isdisjoint(a)
                     and _WRITE_PLUS.isdisjoint(b)
                     for _, a, b in shared
@@ -222,7 +202,7 @@ def _findings(model: Model) -> list[LevelFinding]:
                             r2,
                             name,
                             "process",
-                            Level.TIGHT,
+                            "tight",
                             (
                                 f"owner({r1},{name})",
                                 f"owner({r2},{name})",
@@ -235,16 +215,15 @@ def _findings(model: Model) -> list[LevelFinding]:
                     )
 
     index = model.class_index
-    waiting, loose, very_loose = StatusPoint.WAITING, Level.LOOSE, Level.VERY_LOOSE
     for c in model.classes:
         name = c.name
         idx = index[name]
         if not idx.read_only_readers:
             continue
-        if waiting in c.status_points:
-            level, point = loose, "waiting point"
+        if "waiting" in c.status_points:
+            level, point = "loose", "waiting point"
         else:
-            level, point = very_loose, "no waiting point"
+            level, point = "very loose", "no waiting point"
         readers = [(r2, f"reference+({r2},{name})") for r2 in idx.read_only_readers]
         producers = [{*q.owners, *q.responsibles} for q in idx.producers]
         # A read-only reader holds no creation, so it is never the creator.
@@ -275,7 +254,7 @@ def classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
         f
         for f in _findings(model)
         if (f.producer, f.consumer) == (r1, r2)
-        or (f.level is Level.TIGHT and (f.consumer, f.producer) == (r1, r2))
+        or (f.level == "tight" and (f.consumer, f.producer) == (r1, r2))
     ]
 
 
@@ -298,7 +277,6 @@ def classify_all(model: Model) -> CollaborationReport:
 
 
 __all__ = [
-    "Level",
     "LevelFinding",
     "CollaborationReport",
     "SameRole",

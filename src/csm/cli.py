@@ -190,7 +190,7 @@ def _cmd_simulate(args: _Args) -> int:
     script = _load_script(args.script)
     events = simulator.run_script(model, seed, script)
     sys.stdout.write("".join(e.to_json() + "\n" for e in events))
-    failed = any(e.outcome is not simulator.Outcome.FIRED for e in events)
+    failed = any(e.outcome != "fired" for e in events)
     return 1 if args.strict and failed else 0
 
 

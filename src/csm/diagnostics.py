@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 
 try:
@@ -65,13 +64,6 @@ class SourceSpan(namedtuple("SourceSpan", "file line column length", defaults=(0
     __slots__ = ()
 
 
-class Severity(enum.Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-    __hash__ = object.__hash__
-
-
 class Diagnostic(
     namedtuple(
         "Diagnostic",
@@ -82,8 +74,8 @@ class Diagnostic(
     """A single validation or parse finding.
 
     ``code``, ``site``, ``message`` and the optional ``suggestion`` are
-    strings, ``severity`` a ``Severity`` and ``span`` an optional
-    ``SourceSpan``.
+    strings, ``severity`` is ``"error"`` or ``"warning"``, and ``span`` is
+    an optional ``SourceSpan``.
     """
 
     __slots__ = ()
@@ -100,7 +92,7 @@ class Diagnostic(
         return _DIAGNOSTIC_JSON % (
             _esc(self.code),
             _esc(self.message),
-            _esc(self.severity.value),
+            _esc(self.severity),
             _esc(self.site),
             "" if span is None else _SPAN_JSON % (
                 span.column, _esc(span.file), span.length, span.line
@@ -112,7 +104,7 @@ class Diagnostic(
         loc = ""
         if self.span is not None:
             loc = f"{self.span.file}:{self.span.line}:{self.span.column}: "
-        return f"{loc}{self.code} [{self.severity.value}] {self.site}: {self.message}"
+        return f"{loc}{self.code} [{self.severity}] {self.site}: {self.message}"
 
 
 # Keys in sort_keys order, with json.dumps's default separators.
@@ -121,4 +113,4 @@ _SPAN_JSON = '"span": {"column": %d, "file": %s, "length": %d, "line": %d}, '
 
 
 def has_errors(diagnostics: list[Diagnostic]) -> bool:
-    return any(d.severity is Severity.ERROR for d in diagnostics)
+    return any(d.severity == "error" for d in diagnostics)

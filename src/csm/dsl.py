@@ -44,15 +44,15 @@ import functools
 from collections import namedtuple
 from itertools import accumulate
 
-from .diagnostics import Diagnostic, Severity, SourceSpan, has_errors
+from .diagnostics import Diagnostic, SourceSpan, has_errors
 from .diagnostics import _esc, _json_array, _loads
 from .model import (
     ClassDef,
     Model,
-    Privilege,
-    StatusPoint,
+    PRIVILEGES,
+    STATUS_POINTS,
+    TRANSFORM_MODES,
     Transform,
-    TransformMode,
     _Draft,
     _IDENT,
     _NO_OFFSET,
@@ -97,18 +97,19 @@ def _token_pattern():
 _KIND_BY_GROUP = (None, "string", "comment", "ident", "punct", "junk")
 _COMMENT_GROUP = _KIND_BY_GROUP.index("comment")
 
-# Value to member, one table per enum: a dict lookup instead of an Enum call.
-_PRIVILEGE = {p.value: p for p in Privilege}
-_STATUS_POINT = {s.value: s for s in StatusPoint}
-_MODE = {m.value: m for m in TransformMode}
+# The word tables: each word a reader accepts to the one string of its
+# model tuple, so that the sets a model holds share their members.
+_PRIVILEGE = {p: p for p in PRIVILEGES}
+_STATUS_POINT = {s: s for s in STATUS_POINTS}
+_MODE = {m: m for m in TRANSFORM_MODES}
 
 
 def _listed(tail: str, members: dict, memo: dict) -> frozenset | None:
-    """The members that a listing names (``members`` is a value-to-member
-    table), or ``None`` unless every entry names one. ``tail`` is the rest
-    of a line after its ``{``: the entries, then ``}`` and nothing but
-    whitespace. What it names is stored in ``memo`` under ``tail``, so that
-    each listing is read once."""
+    """The members that a listing names (``members`` is a word table), or
+    ``None`` unless every entry names one. ``tail`` is the rest of a line
+    after its ``{``: the entries, then ``}`` and nothing but whitespace.
+    What it names is stored in ``memo`` under ``tail``, so that each
+    listing is read once."""
     raw, close, after = tail.partition("}")
     if not close or after.strip():
         return None
@@ -130,7 +131,7 @@ def _read_text(text: str, file_label: str = "<string>") -> _Draft | None:
     brace, trailing input, or a model name that neither form can write
     (``_name_problem``). Words split on what the lexer takes for
     whitespace, and any other character that is not ASCII lands in a word
-    that a keyword, ``_is_identifier`` or a member table rejects."""
+    that a keyword, ``_is_identifier`` or a word table rejects."""
     lines = text.split("\n")
     rows = enumerate(lines)
     for li, line in rows:
@@ -322,7 +323,7 @@ class _Parser:
         self.diagnostics.append(
             Diagnostic(
                 code=code,
-                severity=Severity.ERROR,
+                severity="error",
                 site=site or (tok.text or "end of input"),
                 message=message,
                 span=self.span(tok),
@@ -389,7 +390,7 @@ class _Parser:
 
     def comma_list(self, members: dict, noun: str) -> frozenset:
         """Read ``name ("," name)* "}"`` into the values of ``members`` (a
-        value-to-member table); a privilege name may end in ``+``."""
+        word table); a privilege name may end in ``+``."""
         found = set()
         try:
             while True:
@@ -487,7 +488,7 @@ class _Parser:
         self.expect("punct", "->")
         dst = self.expect("ident", what="transform target class")
         tok = self.tok
-        if tok.kind == "ident" and tok.text in ("remaining", "leaving"):
+        if tok.kind == "ident" and tok.text in _MODE:
             self.advance()
             proc.transforms.append((Transform(src.text, dst.text, _MODE[tok.text]), src.offset))
         else:
@@ -554,7 +555,7 @@ def emit_text(model: Model) -> str:
         if c.dynamic:
             head += " dynamic"
         if c.status_points:
-            pts = ", ".join(s.value for s in StatusPoint if s in c.status_points)
+            pts = ", ".join(s for s in STATUS_POINTS if s in c.status_points)
             head += f" {{ {pts} }}"
         lines.append(head)
     for p in m.processes:
@@ -568,13 +569,13 @@ def emit_text(model: Model) -> str:
         for c in p.outputs:
             lines.append(f"    output {c}")
         for t in p.transforms:
-            lines.append(f"    transform {t.source} -> {t.target} {t.mode.value}")
+            lines.append(f"    transform {t.source} -> {t.target} {t.mode}")
         lines.append("  }")
-    listings: dict[frozenset[Privilege], str] = {}
+    listings: dict[frozenset[str], str] = {}
     for (role, class_name), privs in m.class_grants.items():
         listed = listings.get(privs)
         if listed is None:
-            listed = listings[privs] = ", ".join(p.value for p in Privilege if p in privs)
+            listed = listings[privs] = ", ".join(p for p in PRIVILEGES if p in privs)
         lines.append(f"  grant {role} on {class_name} {{ {listed} }}")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -604,12 +605,12 @@ def emit_json(model: Model) -> bytes:
     pad = "      "
     listings: dict[frozenset, str] = {}
 
-    def listing(members: frozenset, kind: type) -> str:
-        """``members`` in ``kind``'s declaration order, formatted once per set."""
+    def listing(members: frozenset, words: tuple) -> str:
+        """``members`` in the order of ``words``, formatted once per set."""
         listed = listings.get(members)
         if listed is None:
             listed = listings[members] = _json_array(
-                (_esc(x.value) for x in kind if x in members), pad
+                (_esc(x) for x in words if x in members), pad
             )
         return listed
 
@@ -617,7 +618,7 @@ def emit_json(model: Model) -> bytes:
         _CLASS_JSON % (
             "true" if c.dynamic else "false",
             _esc(c.name),
-            listing(c.status_points, StatusPoint),
+            listing(c.status_points, STATUS_POINTS),
         )
         for c in m.classes
     ]
@@ -630,7 +631,7 @@ def emit_json(model: Model) -> bytes:
             _json_array(map(_esc, p.responsibles), pad),
             _json_array(
                 (
-                    _TRANSFORM_JSON % (_esc(t.source), _esc(t.mode.value), _esc(t.target))
+                    _TRANSFORM_JSON % (_esc(t.source), _esc(t.mode), _esc(t.target))
                     for t in p.transforms
                 ),
                 pad,
@@ -639,7 +640,7 @@ def emit_json(model: Model) -> bytes:
         for p in m.processes
     ]
     grants = [
-        _GRANT_JSON % (_esc(class_name), listing(privs, Privilege), _esc(role))
+        _GRANT_JSON % (_esc(class_name), listing(privs, PRIVILEGES), _esc(role))
         for (role, class_name), privs in m.class_grants.items()
     ]
     return (
@@ -659,7 +660,7 @@ _NO_ENTRIES: list = []
 
 def _json_error(message: str, site: str = "document") -> Diagnostic:
     return Diagnostic(
-        code="E-JSON", severity=Severity.ERROR, site=site, message=message
+        code="E-JSON", severity="error", site=site, message=message
     )
 
 
@@ -753,11 +754,11 @@ def _read_json(doc) -> ParseResult:
     draft.roles = zip(roles, _NO_OFFSET)
 
     # Equal listings share one set, read once; one memo per list kind.
-    point_lists: dict[tuple, frozenset[StatusPoint]] = {}
-    privilege_lists: dict[tuple, frozenset[Privilege]] = {}
+    point_lists: dict[tuple, frozenset[str]] = {}
+    privilege_lists: dict[tuple, frozenset[str]] = {}
     # Each entry's test fails, or raises KeyError or TypeError, for any
     # wrong type: an entry that is not an object, an absent required key, a
-    # member name that names none or cannot be hashed, or a name that is not
+    # listed word that names none or cannot be hashed, or a name that is not
     # a string (``"".join`` takes only strings).
     classes = []
     for entry in array(doc, "classes"):

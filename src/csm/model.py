@@ -10,13 +10,12 @@ caches on first use come out the same whichever thread builds them).
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from functools import cached_property
 from itertools import repeat
 
-from .diagnostics import Diagnostic, Severity, SourceSpan
+from .diagnostics import Diagnostic, SourceSpan
 
 
 class ModelError(Exception):
@@ -83,60 +82,28 @@ class UnknownClass(ModelError):
     pass
 
 
-class Privilege(enum.Enum):
-    """Data privileges a role may hold on a class.
-
-    The plain privileges concern instances the role created itself; the
-    ``+`` variants concern instances created by other roles. Declaration
-    order here is the canonical listing order.
-    """
-
-    CREATION = "creation"
-    MODIFICATION = "modification"
-    REFERENCE = "reference"
-    SUPPRESSION = "suppression"
-    MODIFICATION_PLUS = "modification+"
-    REFERENCE_PLUS = "reference+"
-    SUPPRESSION_PLUS = "suppression+"
-
-    # Identity hash: Enum's own is Python code, run on every set lookup.
-    __hash__ = object.__hash__
-
-
-PLUS_PRIVILEGES = frozenset(
-    {Privilege.MODIFICATION_PLUS, Privilege.REFERENCE_PLUS, Privilege.SUPPRESSION_PLUS}
+# The words of each set, in canonical listing order: a record holds them as
+# the strings both interchange forms write. The plain privileges concern
+# instances the role created itself; the ``+`` variants concern instances
+# created by other roles. A status point is a class annotation that matters
+# to service realization, and a transform's mode says whether the source
+# token survives the firing that transforms it.
+PRIVILEGES = (
+    "creation",
+    "modification",
+    "reference",
+    "suppression",
+    "modification+",
+    "reference+",
+    "suppression+",
 )
+STATUS_POINTS = ("waiting", "fail", "decision")
+TRANSFORM_MODES = ("remaining", "leaving")
+
+PLUS_PRIVILEGES = frozenset(p for p in PRIVILEGES if p.endswith("+"))
 
 # Privileges a read-only reader must not hold on the class it reads.
-_WRITE_PRIVILEGES = frozenset(
-    {
-        Privilege.CREATION,
-        Privilege.MODIFICATION,
-        Privilege.SUPPRESSION,
-        Privilege.MODIFICATION_PLUS,
-        Privilege.SUPPRESSION_PLUS,
-    }
-)
-
-
-class StatusPoint(enum.Enum):
-    """Class annotations that matter to service realization. Declaration
-    order here is the canonical listing order."""
-
-    WAITING = "waiting"
-    FAIL = "fail"
-    DECISION = "decision"
-
-    __hash__ = object.__hash__
-
-
-class TransformMode(enum.Enum):
-    """Whether the source token survives the firing that transforms it."""
-
-    REMAINING = "remaining"
-    LEAVING = "leaving"
-
-    __hash__ = object.__hash__
+_WRITE_PRIVILEGES = frozenset(PRIVILEGES) - {"reference", "reference+"}
 
 
 class ClassDef(namedtuple("ClassDef", "name dynamic status_points")):
@@ -145,14 +112,14 @@ class ClassDef(namedtuple("ClassDef", "name dynamic status_points")):
     __slots__ = ()
 
     def __new__(
-        cls, name: str, dynamic: bool = False, status_points: Iterable[StatusPoint] = ()
+        cls, name: str, dynamic: bool = False, status_points: Iterable[str] = ()
     ) -> ClassDef:
         return tuple.__new__(cls, (name, bool(dynamic), frozenset(status_points)))
 
 
 class Transform(namedtuple("Transform", "source target mode")):
     """One state change declared by a process: source class to target class
-    (names), with its ``TransformMode``."""
+    (names), with its mode from ``TRANSFORM_MODES``."""
 
     __slots__ = ()
 
@@ -235,7 +202,7 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
         roles: Iterable[str] = (),
         classes: Iterable[ClassDef] = (),
         processes: Iterable[ProcessDef] = (),
-        class_grants: Mapping[tuple[str, str], Iterable[Privilege]] | None = None,
+        class_grants: Mapping[tuple[str, str], Iterable[str]] | None = None,
     ) -> Model:
         grants = {key: frozenset(privs) for key, privs in dict(class_grants or {}).items()}
         return tuple.__new__(
@@ -282,15 +249,15 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
         holders: dict[str, tuple[list, list, list, list]] = {
             c.name: ([], [], [], []) for c in self.classes
         }
-        kinds: dict[frozenset[Privilege], tuple[bool, bool, bool]] = {}
+        kinds: dict[frozenset[str], tuple[bool, bool, bool]] = {}
         for (role, class_name), privs in self.class_grants.items():
             lists = holders[class_name]
             kind = kinds.get(privs)
             if kind is None:
                 kind = kinds[privs] = (
-                    Privilege.CREATION in privs,
+                    "creation" in privs,
                     not PLUS_PRIVILEGES.isdisjoint(privs),
-                    Privilege.REFERENCE_PLUS in privs and _WRITE_PRIVILEGES.isdisjoint(privs),
+                    "reference+" in privs and _WRITE_PRIVILEGES.isdisjoint(privs),
                 )
             creates, reads_plus, read_only = kind
             if creates:
@@ -315,7 +282,7 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
         if name not in self.roles:
             raise UnknownRole(name)
 
-    def grants(self, role: str, class_name: str) -> frozenset[Privilege]:
+    def grants(self, role: str, class_name: str) -> frozenset[str]:
         return self.class_grants.get((role, class_name), frozenset())
 
 
@@ -347,17 +314,13 @@ class _Draft:
         self.roles: list[tuple[str, int | None]] = []
         self.classes: list[tuple[ClassDef, int | None]] = []
         self.processes: list[_ProcessItem] = []
-        self.grants: list[tuple[str, str, frozenset[Privilege], int | None]] = []
+        self.grants: list[tuple[str, str, frozenset[str], int | None]] = []
         self.locate: Callable[[int, str], SourceSpan] | None = None
 
 
 # The offset of every entry without source text: ``zip(names, _NO_OFFSET)``.
 # It never runs out and keeps no position, so one serves every draft.
 _NO_OFFSET = repeat(None)
-
-
-def _transform_order(t: Transform) -> tuple[str, str, str]:
-    return (t.source, t.target, t.mode.value)
 
 
 def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
@@ -372,7 +335,7 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
     def err(code: str, site: str, message: str, offset: int | None, name: str) -> None:
         span = None if offset is None else draft.locate(offset, name)
         diags.append(
-            Diagnostic(code=code, severity=Severity.ERROR, site=site, message=message, span=span)
+            Diagnostic(code=code, severity="error", site=site, message=message, span=span)
         )
 
     roles: set[str] = set()
@@ -444,7 +407,7 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
                     offset, src)
         processes[name] = _process_def(name, inputs, outputs, transforms, owned, responsible)
 
-    grants: dict[tuple[str, str], frozenset[Privilege]] = {}
+    grants: dict[tuple[str, str], frozenset[str]] = {}
     for role, class_name, privs, offset in draft.grants:
         key = (role, class_name)
         if role in roles and class_name in classes and key not in grants:
@@ -481,7 +444,7 @@ def _process_def(
             tuple(sorted(inputs)),
             tuple(sorted(outputs)),
             # Most processes have one role and at most one transform: nothing to sort.
-            tuple(sorted(transforms, key=_transform_order) if len(transforms) > 1 else transforms),
+            tuple(sorted(transforms) if len(transforms) > 1 else transforms),
             tuple(sorted(owners) if len(owners) > 1 else owners),
             tuple(sorted(responsibles) if len(responsibles) > 1 else responsibles),
         ),
@@ -500,7 +463,7 @@ def _sealed(
     roles: set[str],
     classes: dict[str, ClassDef],
     processes: dict[str, ProcessDef],
-    grants: dict[tuple[str, str], frozenset[Privilege]],
+    grants: dict[tuple[str, str], frozenset[str]],
 ) -> Model:
     """The canonical model of checked parts, marked for ``canonicalize`` to
     pass through, and built as ``_process_def`` builds a process."""
@@ -535,16 +498,17 @@ def canonicalize(model: Model) -> Model:
     (``_name_problem``) raises ``InvalidModelName``, and so does a role,
     class or process name that is not an identifier
     (``[A-Za-z][A-Za-z0-9_]*``), with the message ``parse_json`` gives. A
-    status point or privilege that is not a ``StatusPoint`` or
-    ``Privilege`` raises ``ModelError``. Then members are sorted
-    lexicographically by name, empty grants are dropped, and every
+    status point, transform mode or privilege that is not a word of
+    ``STATUS_POINTS``, ``TRANSFORM_MODES`` or ``PRIVILEGES`` raises
+    ``ModelError``, naming its class, process or grant. Then members are
+    sorted lexicographically by name, empty grants are dropped, and every
     reference is checked against the declarations by the same resolution
-    pass that text and JSON parsing use. The first
-    failed check is raised as ``DuplicateName``, ``UnresolvedReference``
-    or ``InvalidTransform``. Idempotent; two models are equal exactly when
-    their canonical forms are equal. A model that came out of name
-    resolution (a parser's, or an earlier call's) is returned unchanged:
-    it is sorted, checked, and has names the parsers could read.
+    pass that text and JSON parsing use. The first failed check is raised
+    as ``DuplicateName``, ``UnresolvedReference`` or ``InvalidTransform``.
+    Idempotent; two models are equal exactly when their canonical forms
+    are equal. A model that came out of name resolution (a parser's, or an
+    earlier call's) is returned unchanged: it is sorted, checked, and has
+    names the parsers could read.
     """
     if model.__dict__.get("_canonical"):
         return model
@@ -557,14 +521,19 @@ def canonicalize(model: Model) -> Model:
         for name in names:
             if problem := _identifier_problem(kind, name):
                 raise InvalidModelName(problem)
-    points, privileges = frozenset(StatusPoint), frozenset(Privilege)
+    points, privileges = frozenset(STATUS_POINTS), frozenset(PRIVILEGES)
     for c in model.classes:
         if not c.status_points <= points:
-            raise ModelError(f"class={c.name}: status points must be StatusPoint members")
+            raise ModelError(f"class={c.name}: status points must be words of STATUS_POINTS")
+    for p in model.processes:
+        if any(t.mode not in TRANSFORM_MODES for t in p.transforms):
+            raise ModelError(
+                f"process={p.name}: transform modes must be words of TRANSFORM_MODES"
+            )
     for (role, class_name), privs in model.class_grants.items():
         if not privs <= privileges:
             raise ModelError(
-                f"grant role={role} class={class_name}: privileges must be Privilege members"
+                f"grant role={role} class={class_name}: privileges must be words of PRIVILEGES"
             )
     draft = _Draft(model.name)
     draft.roles = zip(model.roles, _NO_OFFSET)

@@ -10,43 +10,26 @@ suffixes on the class label; transform output edges carry "remains" or
 
 from __future__ import annotations
 
-from .model import (
-    ClassDef,
-    Model,
-    Privilege,
-    ProcessDef,
-    StatusPoint,
-    TransformMode,
-    canonicalize,
-)
+from .model import PRIVILEGES, STATUS_POINTS, ClassDef, Model, ProcessDef, canonicalize
 from .validator import ensure_valid
 
-_POINT_LETTER = {
-    StatusPoint.WAITING: "W",
-    StatusPoint.FAIL: "F",
-    StatusPoint.DECISION: "D",
-}
+_POINT_LETTER = {"waiting": "W", "fail": "F", "decision": "D"}
 
 _PRIV_ABBREV = {
-    Privilege.CREATION: "c",
-    Privilege.MODIFICATION: "m",
-    Privilege.REFERENCE: "r",
-    Privilege.SUPPRESSION: "s",
-    Privilege.MODIFICATION_PLUS: "m+",
-    Privilege.REFERENCE_PLUS: "r+",
-    Privilege.SUPPRESSION_PLUS: "s+",
+    "creation": "c", "modification": "m", "reference": "r", "suppression": "s",
+    "modification+": "m+", "reference+": "r+", "suppression+": "s+",
 }
 
 
 # The [WFD] suffix of a class label, per status-point set: a model holds at
 # most eight distinct sets.
-_POINT_SUFFIX: dict[frozenset[StatusPoint], str] = {}
+_POINT_SUFFIX: dict[frozenset[str], str] = {}
 
 
 def _class_label(cdef: ClassDef, privileges: str = "") -> str:
     suffix = _POINT_SUFFIX.get(cdef.status_points)
     if suffix is None:
-        letters = "".join(_POINT_LETTER[pt] for pt in StatusPoint if pt in cdef.status_points)
+        letters = "".join(_POINT_LETTER[pt] for pt in STATUS_POINTS if pt in cdef.status_points)
         suffix = _POINT_SUFFIX[cdef.status_points] = f" [{letters}]" if letters else ""
     return cdef.name + suffix + privileges
 
@@ -54,12 +37,12 @@ def _class_label(cdef: ClassDef, privileges: str = "") -> str:
 def _privilege_lines(m: Model) -> dict[str, str]:
     """Per class name, the ``\\n role: c,m,...`` lines of its label, in role
     order: canonical grants are sorted by (role, class)."""
-    listed: dict[frozenset[Privilege], str] = {}
+    listed: dict[frozenset[str], str] = {}
     lines: dict[str, str] = {}
     for (role, class_name), privs in m.class_grants.items():
         text = listed.get(privs)
         if text is None:
-            text = listed[privs] = ",".join(_PRIV_ABBREV[p] for p in Privilege if p in privs)
+            text = listed[privs] = ",".join(_PRIV_ABBREV[p] for p in PRIVILEGES if p in privs)
         lines[class_name] = lines.get(class_name, "") + f"\\n{role}: {text}"
     return lines
 
@@ -92,7 +75,7 @@ def _edge_labels(p: ProcessDef) -> dict[str, str]:
         return _NO_LABELS
     modes: dict[str, set[str]] = {}
     for t in p.transforms:
-        word = "remains" if t.mode is TransformMode.REMAINING else "leaves"
+        word = "remains" if t.mode == "remaining" else "leaves"
         modes.setdefault(t.target, set()).add(word)
     return {target: "/".join(sorted(words)) for target, words in modes.items()}
 

@@ -30,7 +30,6 @@ read the model through ``canonicalize``.
 
 from __future__ import annotations
 
-import enum
 import time
 from collections import Counter, namedtuple
 from collections.abc import Container, Iterable, Mapping, Sequence
@@ -40,8 +39,6 @@ from .model import (
     Model,
     ModelError,
     ProcessDef,
-    StatusPoint,
-    TransformMode,
     UnknownClass,
     UnknownProcess,
     canonicalize,
@@ -52,20 +49,12 @@ class DuplicateToken(ModelError):
     pass
 
 
-class Outcome(enum.Enum):
-    FIRED = "fired"
-    NOT_ENABLED = "not-enabled"
-    BLOCKED_WAITING = "blocked-waiting"
-    ABORTED = "aborted"
-
-    __hash__ = object.__hash__
-
-
 class TraceEvent(
     namedtuple("TraceEvent", "step process object_id outcome detail", defaults=("",))
 ):
     """One step of a scripted run: its 1-based number, the process and object
-    it named, its ``Outcome`` and a human-readable detail."""
+    it named, its outcome (``"fired"``, ``"not-enabled"``,
+    ``"blocked-waiting"`` or ``"aborted"``) and a human-readable detail."""
 
     __slots__ = ()
 
@@ -76,7 +65,7 @@ class TraceEvent(
         return _EVENT_JSON % (
             _esc(self.detail),
             _esc(self.object_id),
-            _esc(self.outcome.value),
+            _esc(self.outcome),
             _esc(self.process),
             self.step,
         )
@@ -106,7 +95,7 @@ def _class_bits(model: Model) -> dict[str, int]:
 
 
 def _compile(bits: Mapping[str, int], p: ProcessDef) -> _Compiled:
-    leaving = _mask(bits, (t.source for t in p.transforms if t.mode is TransformMode.LEAVING))
+    leaving = _mask(bits, (t.source for t in p.transforms if t.mode == "leaving"))
     return p.name, p.is_generator, _mask(bits, p.inputs), ~leaving, _mask(bits, p.outputs)
 
 
@@ -182,7 +171,7 @@ def run_script(
             proc = _compile(bits, model.process_def(process))
         except UnknownProcess:
             events.append(
-                TraceEvent(step, process, object_id, Outcome.ABORTED,
+                TraceEvent(step, process, object_id, "aborted",
                            f"unknown process {process!r}")
             )
             break
@@ -190,7 +179,7 @@ def run_script(
         if object_id == NEW_OBJECT:
             if not is_generator:
                 events.append(
-                    TraceEvent(step, process, object_id, Outcome.ABORTED,
+                    TraceEvent(step, process, object_id, "aborted",
                                f"{process!r} is not a generator; 'new' needs one")
                 )
                 break
@@ -201,13 +190,11 @@ def run_script(
         if after is None:
             if is_generator:
                 detail = f"generator {process!r} fired with existing object {object_id!r}"
-                events.append(TraceEvent(step, process, object_id, Outcome.ABORTED, detail))
+                events.append(TraceEvent(step, process, object_id, "aborted", detail))
                 break
             missing = _decode(bits, need & ~held)
-            waiting = any(
-                StatusPoint.WAITING in model.class_def(c).status_points for c in missing
-            )
-            outcome = Outcome.BLOCKED_WAITING if waiting else Outcome.NOT_ENABLED
+            waiting = any("waiting" in model.class_def(c).status_points for c in missing)
+            outcome = "blocked-waiting" if waiting else "not-enabled"
             detail = f"missing input tokens: {', '.join(missing)}"
             events.append(TraceEvent(step, process, object_id, outcome, detail))
             continue
@@ -216,7 +203,7 @@ def run_script(
         detail = f"object {object_id}"
         if held & out:
             detail += f"; already present in {', '.join(_decode(bits, held & out))}"
-        events.append(TraceEvent(step, process, object_id, Outcome.FIRED, detail))
+        events.append(TraceEvent(step, process, object_id, "fired", detail))
     return events
 
 

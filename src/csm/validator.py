@@ -9,15 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .diagnostics import Diagnostic, Severity
-from .model import (
-    ClassIndex,
-    Model,
-    ModelError,
-    Privilege,
-    StatusPoint,
-    canonicalize,
-)
+from .diagnostics import Diagnostic
+from .model import ClassIndex, Model, ModelError, canonicalize
 
 
 class UnknownCode(ModelError):
@@ -32,91 +25,91 @@ class InvalidModel(ModelError):
         self.codes = codes
 
 
-CATALOG: dict[str, tuple[Severity, str]] = {
+CATALOG: dict[str, tuple[str, str]] = {
     # Reader codes: the text and JSON parsers and the name resolution
     # pass report these; ``validate`` never does.
     "E-SYN": (
-        Severity.ERROR,
+        "error",
         "Model text must follow the csm grammar: a quoted model name, then "
         "role, class, process and grant declarations inside one pair of "
         "braces.",
     ),
     "E-REF": (
-        Severity.ERROR,
+        "error",
         "Every role and class that a process or grant names must be "
         "declared in the model.",
     ),
     "E-DUP": (
-        Severity.ERROR,
+        "error",
         "A role, class or process is declared once, a role holds one "
         "privilege on a process, and a role has one grant per class.",
     ),
     "E-TRF-MODE": (
-        Severity.ERROR,
+        "error",
         "A transform must state its mode: 'remaining' keeps the source "
         "token, 'leaving' consumes it.",
     ),
     "E-TRF-END": (
-        Severity.ERROR,
+        "error",
         "A transform maps an input of its process to a different output of "
         "the same process.",
     ),
     "E-JSON": (
-        Severity.ERROR,
+        "error",
         "A JSON model must be well-formed JSON in the interchange layout: "
         "the documented keys with values of the documented types, and names "
         "that the text form can write.",
     ),
     "E-C1": (
-        Severity.ERROR,
+        "error",
         "Every class that appears as a transform endpoint must be declared a "
         "Dynamic state class: only dynamic states can be entered or left "
         "through a process firing.",
     ),
     "E-C2": (
-        Severity.ERROR,
+        "error",
         "A role holding the creation privilege on a class also has the "
         "reference privilege on that class.",
     ),
     "E-C3": (
-        Severity.ERROR,
+        "error",
         "A role holding owner or responsibility on a process must hold the "
         "reference privilege on all input classes of that process.",
     ),
     "E-C4": (
-        Severity.ERROR,
+        "error",
         "A role holding owner or responsibility on a process must hold the "
         "creation privilege on all output classes of that process.",
     ),
     "E-C5": (
-        Severity.ERROR,
+        "error",
         "A role holding owner privilege on a process must hold the "
         "reference+ privilege on all input and output classes of that "
         "process.",
     ),
     "E-ORPHAN-P": (
-        Severity.ERROR,
+        "error",
         "Every process must name at least one owner or responsible role; a "
         "process nobody answers for cannot be executed.",
     ),
     "W-DP": (
-        Severity.WARNING,
+        "warning",
         "A class flagged as a decision point should be consumed by at least "
         "two processes, otherwise there is no choice to make at that state.",
     ),
     "W-DP-MISS": (
-        Severity.WARNING,
+        "warning",
         "A class consumed by two or more processes represents a choice "
         "between alternative next steps and should be flagged as a decision "
         "point.",
     ),
     "W-FP": (
-        Severity.WARNING,
+        "warning",
         "A class flagged as a fail point should have a second consuming "
         "process acting as a backup path when the service meets an obstacle.",
     ),
     "W-WP": (
-        Severity.WARNING,
+        "warning",
         "A class flagged as a waiting point should be shared between two "
         "distinct roles; otherwise no partner is waiting on it.",
     ),
@@ -148,7 +141,7 @@ def _shared(idx: ClassIndex) -> bool:
     return bool(idx.creators and idx.plus_readers) and len(idx.creators | idx.plus_readers) > 1
 
 
-_NO_PRIVILEGES: frozenset[Privilege] = frozenset()
+_NO_PRIVILEGES: frozenset[str] = frozenset()
 
 
 def _lacks_reference_plus(role: str, process: str, c: str) -> Diagnostic:
@@ -183,7 +176,7 @@ def _errors(model: Model) -> list[Diagnostic]:
     lacking = {
         privs
         for privs in set(model.class_grants.values())
-        if Privilege.CREATION in privs and Privilege.REFERENCE not in privs
+        if "creation" in privs and "reference" not in privs
     }
     if lacking:
         for (role, class_name), privs in model.class_grants.items():
@@ -199,17 +192,14 @@ def _errors(model: Model) -> list[Diagnostic]:
 
     # E-C3 / E-C4 / E-C5: process privileges imply data privileges. Each
     # (role, class) grant is looked up once per process and judged for every
-    # rule that reads it; the callers sort what is appended. The members are
-    # bound once: reading one off its enum class is slow.
+    # rule that reads it; the callers sort what is appended.
     grants = model.class_grants.get
-    reference, creation = Privilege.REFERENCE, Privilege.CREATION
-    reference_plus = Privilege.REFERENCE_PLUS
     for p in model.processes:
         for owns, roles in ((True, p.owners), (False, p.responsibles)):
             for role in roles:
                 for c in p.inputs:
                     privs = grants((role, c), _NO_PRIVILEGES)
-                    if reference not in privs:
+                    if "reference" not in privs:
                         out.append(
                             _diag(
                                 "E-C3",
@@ -219,13 +209,13 @@ def _errors(model: Model) -> list[Diagnostic]:
                                 f"add reference to grant {role} on {c}",
                             )
                         )
-                    if owns and reference_plus not in privs:
+                    if owns and "reference+" not in privs:
                         out.append(_lacks_reference_plus(role, p.name, c))
                 for c in p.outputs:
                     privs = grants((role, c), _NO_PRIVILEGES)
-                    if creation not in privs:
+                    if "creation" not in privs:
                         wanted = "creation"
-                        if reference not in privs:
+                        if "reference" not in privs:
                             wanted = "creation and reference"
                         out.append(
                             _diag(
@@ -236,7 +226,7 @@ def _errors(model: Model) -> list[Diagnostic]:
                                 f"add {wanted} to grant {role} on {c}",
                             )
                         )
-                    if owns and reference_plus not in privs and c not in p.inputs:
+                    if owns and "reference+" not in privs and c not in p.inputs:
                         out.append(_lacks_reference_plus(role, p.name, c))
 
     # E-ORPHAN-P: every process has a responsible party.
@@ -266,10 +256,9 @@ def validate(model: Model) -> list[Diagnostic]:
     # Status-point warnings.
     consumers = Counter(c for p in model.processes for c in p.inputs)
     index = model.class_index
-    decision, fail, waiting = StatusPoint.DECISION, StatusPoint.FAIL, StatusPoint.WAITING
     for c in model.classes:
         n = consumers[c.name]
-        if decision in c.status_points and n < 2:
+        if "decision" in c.status_points and n < 2:
             out.append(
                 _diag(
                     "W-DP",
@@ -279,7 +268,7 @@ def validate(model: Model) -> list[Diagnostic]:
                     f"add a second consuming process or drop the decision flag on {c.name}",
                 )
             )
-        if decision not in c.status_points and n >= 2:
+        if "decision" not in c.status_points and n >= 2:
             out.append(
                 _diag(
                     "W-DP-MISS",
@@ -289,7 +278,7 @@ def validate(model: Model) -> list[Diagnostic]:
                     f"flag class {c.name} as a decision point",
                 )
             )
-        if fail in c.status_points and n < 2:
+        if "fail" in c.status_points and n < 2:
             out.append(
                 _diag(
                     "W-FP",
@@ -299,7 +288,7 @@ def validate(model: Model) -> list[Diagnostic]:
                     f"add a backup process consuming {c.name}",
                 )
             )
-        if waiting in c.status_points and not _shared(index[c.name]):
+        if "waiting" in c.status_points and not _shared(index[c.name]):
             out.append(
                 _diag(
                     "W-WP",

@@ -27,6 +27,8 @@ the reference that ``csm.cli``'s command table and argv reader answer to.
 ``diagnostic_doc``, ``report_doc``, ``event_doc``, ``summary_doc`` and
 ``model_doc`` are the JSON documents that csm's writers print, built from
 the records' fields with none of the writers' code.
+``PRIVILEGES``, ``STATUS_POINTS`` and ``TRANSFORM_MODES`` are the words of
+each set, written out for the generators and oracles.
 ``load_bench`` loads a module of the benchmark by path.
 ``json_outcome`` is what a JSON decoder makes of a text, so that
 ``csm.diagnostics._loads`` can be compared with ``json.loads``.
@@ -43,13 +45,12 @@ from collections import Counter, namedtuple
 from pathlib import Path
 
 from csm import cli
-from csm.classifier import CollaborationReport, Level, LevelFinding
+from csm.classifier import CollaborationReport, LevelFinding
 from csm.diagnostics import Diagnostic
 from csm.dsl import emit_text
 from csm.simulator import (
     NEW_OBJECT,
     DuplicateToken,
-    Outcome,
     ReachabilitySummary,
     TraceEvent,
     _class_bits,
@@ -62,17 +63,28 @@ from csm.simulator import (
 from csm.model import (
     ClassDef,
     Model,
-    PLUS_PRIVILEGES,
-    Privilege,
     ProcessDef,
-    StatusPoint,
     Transform,
-    TransformMode,
     UnknownClass,
     UnknownProcess,
     canonicalize,
 )
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
+
+# The words of each set in the order both forms list them, written out here
+# so that the generators and oracles share no code with ``csm.model``.
+PRIVILEGES = (
+    "creation",
+    "modification",
+    "reference",
+    "suppression",
+    "modification+",
+    "reference+",
+    "suppression+",
+)
+STATUS_POINTS = ("waiting", "fail", "decision")
+TRANSFORM_MODES = ("remaining", "leaving")
+_PLUS = frozenset({"modification+", "reference+", "suppression+"})
 
 
 def random_model(rng: random.Random, name: str = "random") -> Model:
@@ -80,7 +92,7 @@ def random_model(rng: random.Random, name: str = "random") -> Model:
     roles = [f"R{i}" for i in range(rng.randint(1, 6))]
     classes = []
     for i in range(rng.randint(1, 8)):
-        points = frozenset(pt for pt in StatusPoint if rng.random() < 0.2)
+        points = frozenset(pt for pt in STATUS_POINTS if rng.random() < 0.2)
         classes.append(
             ClassDef(f"C{i}", dynamic=rng.random() < 0.7, status_points=points)
         )
@@ -94,7 +106,7 @@ def random_model(rng: random.Random, name: str = "random") -> Model:
             for t in outputs:
                 if s != t and rng.random() < 0.5:
                     transforms.append(
-                        Transform(s, t, rng.choice(list(TransformMode)))
+                        Transform(s, t, rng.choice(TRANSFORM_MODES))
                     )
         owners, responsibles = [], []
         for r in roles:
@@ -110,7 +122,7 @@ def random_model(rng: random.Random, name: str = "random") -> Model:
     for r in roles:
         for c in cnames:
             if rng.random() < 0.35:
-                privs = frozenset(p for p in Privilege if rng.random() < 0.4)
+                privs = frozenset(p for p in PRIVILEGES if rng.random() < 0.4)
                 if privs:
                     grants[(r, c)] = privs
     return canonicalize(
@@ -123,13 +135,13 @@ def random_valid_model(rng: random.Random, name: str = "valid") -> Model:
     roles = [f"R{i}" for i in range(rng.randint(1, 5))]
     classes = []
     for i in range(rng.randint(1, 7)):
-        points = frozenset(pt for pt in StatusPoint if rng.random() < 0.25)
+        points = frozenset(pt for pt in STATUS_POINTS if rng.random() < 0.25)
         classes.append(
             ClassDef(f"C{i}", dynamic=rng.random() < 0.8, status_points=points)
         )
     cnames = [c.name for c in classes]
     dynamic = {c.name for c in classes if c.dynamic}
-    grants: dict[tuple[str, str], set[Privilege]] = {}
+    grants: dict[tuple[str, str], set[str]] = {}
 
     def grant(role, cname, *privs):
         grants.setdefault((role, cname), set()).update(privs)
@@ -139,7 +151,7 @@ def random_valid_model(rng: random.Random, name: str = "valid") -> Model:
         inputs = rng.sample(cnames, rng.randint(0, min(2, len(cnames))))
         outputs = rng.sample(cnames, rng.randint(0, min(2, len(cnames))))
         transforms = [
-            Transform(s, t, rng.choice(list(TransformMode)))
+            Transform(s, t, rng.choice(TRANSFORM_MODES))
             for s in inputs
             for t in outputs
             if s != t and s in dynamic and t in dynamic and rng.random() < 0.5
@@ -152,12 +164,12 @@ def random_valid_model(rng: random.Random, name: str = "valid") -> Model:
                 owns[r] = rng.choice((True, False))
         for r, is_owner in owns.items():
             for c in inputs:
-                grant(r, c, Privilege.REFERENCE)
+                grant(r, c, "reference")
             for c in outputs:
-                grant(r, c, Privilege.CREATION, Privilege.REFERENCE)
+                grant(r, c, "creation", "reference")
             if is_owner:
                 for c in {*inputs, *outputs}:
-                    grant(r, c, Privilege.REFERENCE_PLUS)
+                    grant(r, c, "reference+")
         processes.append(
             ProcessDef(
                 f"P{i}", inputs, outputs, transforms,
@@ -168,9 +180,9 @@ def random_valid_model(rng: random.Random, name: str = "valid") -> Model:
     for r in roles:
         for c in cnames:
             if rng.random() < 0.25:
-                extra = {p for p in Privilege if rng.random() < 0.35}
-                if Privilege.CREATION in extra:
-                    extra.add(Privilege.REFERENCE)
+                extra = {p for p in PRIVILEGES if rng.random() < 0.35}
+                if "creation" in extra:
+                    extra.add("reference")
                 grant(r, c, *extra)
     return canonicalize(
         Model(
@@ -213,7 +225,7 @@ def brute_validate(model: Model) -> list[tuple[str, str]]:
     for r in model.roles:
         for c in model.classes:
             privs = g(r, c.name)
-            if Privilege.CREATION in privs and Privilege.REFERENCE not in privs:
+            if "creation" in privs and "reference" not in privs:
                 found.append(("E-C2", f"role={r} class={c.name}"))
 
     for r in model.roles:
@@ -221,14 +233,14 @@ def brute_validate(model: Model) -> list[tuple[str, str]]:
             if r not in p.owners and r not in p.responsibles:
                 continue
             for c in model.classes:
-                if c.name in p.inputs and Privilege.REFERENCE not in g(r, c.name):
+                if c.name in p.inputs and "reference" not in g(r, c.name):
                     found.append(("E-C3", f"role={r} process={p.name} class={c.name}"))
-                if c.name in p.outputs and Privilege.CREATION not in g(r, c.name):
+                if c.name in p.outputs and "creation" not in g(r, c.name):
                     found.append(("E-C4", f"role={r} process={p.name} class={c.name}"))
                 if (
                     r in p.owners
                     and c.name in set(p.inputs) | set(p.outputs)
-                    and Privilege.REFERENCE_PLUS not in g(r, c.name)
+                    and "reference+" not in g(r, c.name)
                 ):
                     found.append(("E-C5", f"role={r} process={p.name} class={c.name}"))
 
@@ -244,19 +256,19 @@ def brute_validate(model: Model) -> list[tuple[str, str]]:
             for r2 in model.roles:
                 if r1 == r2:
                     continue
-                if Privilege.CREATION in g(r1, cname) and g(r2, cname) & PLUS_PRIVILEGES:
+                if "creation" in g(r1, cname) and g(r2, cname) & _PLUS:
                     return True
         return False
 
     for c in model.classes:
         n = consumer_count(c.name)
-        if StatusPoint.DECISION in c.status_points and n < 2:
+        if "decision" in c.status_points and n < 2:
             found.append(("W-DP", f"class={c.name}"))
-        if StatusPoint.DECISION not in c.status_points and n >= 2:
+        if "decision" not in c.status_points and n >= 2:
             found.append(("W-DP-MISS", f"class={c.name}"))
-        if StatusPoint.FAIL in c.status_points and n < 2:
+        if "fail" in c.status_points and n < 2:
             found.append(("W-FP", f"class={c.name}"))
-        if StatusPoint.WAITING in c.status_points and not is_shared(c.name):
+        if "waiting" in c.status_points and not is_shared(c.name):
             found.append(("W-WP", f"class={c.name}"))
 
     return sorted(found)
@@ -264,14 +276,14 @@ def brute_validate(model: Model) -> list[tuple[str, str]]:
 
 _CONSUMER_FORBIDDEN = frozenset(
     {
-        Privilege.CREATION,
-        Privilege.MODIFICATION,
-        Privilege.SUPPRESSION,
-        Privilege.MODIFICATION_PLUS,
-        Privilege.SUPPRESSION_PLUS,
+        "creation",
+        "modification",
+        "suppression",
+        "modification+",
+        "suppression+",
     }
 )
-_WRITE_PLUS = frozenset({Privilege.MODIFICATION_PLUS, Privilege.SUPPRESSION_PLUS})
+_WRITE_PLUS = frozenset({"modification+", "suppression+"})
 
 
 def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
@@ -286,7 +298,7 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
             hits = [
                 c
                 for c in sorted(p.outputs)
-                if Privilege.MODIFICATION_PLUS in g(r1, c) and Privilege.REFERENCE_PLUS in g(r2, c)
+                if "modification+" in g(r1, c) and "reference+" in g(r2, c)
             ]
             if hits:
                 findings.append(
@@ -295,7 +307,7 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
                         r2,
                         p.name,
                         "process",
-                        Level.VERY_TIGHT,
+                        "very tight",
                         (
                             f"owner({r1},{p.name})",
                             f"responsibility({r2},{p.name})",
@@ -307,7 +319,7 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
         if r1 in p.owners and r2 in p.owners:
             shared = [c for c in sorted(p.outputs) if g(r1, c) and g(r2, c)]
             if shared and all(
-                Privilege.REFERENCE_PLUS in g(r, c) and not (g(r, c) & _WRITE_PLUS)
+                "reference+" in g(r, c) and not (g(r, c) & _WRITE_PLUS)
                 for c in shared
                 for r in (r1, r2)
             ):
@@ -318,7 +330,7 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
                         hi,
                         p.name,
                         "process",
-                        Level.TIGHT,
+                        "tight",
                         (
                             f"owner({lo},{p.name})",
                             f"owner({hi},{p.name})",
@@ -336,19 +348,19 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
             for p in model.processes
         )
         if (
-            Privilege.CREATION in g1
-            and Privilege.REFERENCE_PLUS in g2
+            "creation" in g1
+            and "reference+" in g2
             and not (g2 & _CONSUMER_FORBIDDEN)
             and not co_privileged
         ):
-            waiting = StatusPoint.WAITING in c.status_points
+            waiting = "waiting" in c.status_points
             findings.append(
                 LevelFinding(
                     r1,
                     r2,
                     c.name,
                     "class",
-                    Level.LOOSE if waiting else Level.VERY_LOOSE,
+                    "loose" if waiting else "very loose",
                     (
                         f"creation({r1},{c.name})",
                         f"reference+({r2},{c.name})",
@@ -443,7 +455,7 @@ def brute_fire(
     elif not set(p.inputs) <= classes_of(tokens, object_id):
         return None
     else:
-        leaving = {t.source for t in p.transforms if t.mode is TransformMode.LEAVING}
+        leaving = {t.source for t in p.transforms if t.mode == "leaving"}
         after -= {Token(object_id, c) for c in leaving}
     after |= {Token(object_id, c) for c in p.outputs}
     return frozenset(after)
@@ -485,28 +497,28 @@ def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
         try:
             pdef = model.process_def(process)
         except UnknownProcess:
-            events.append(TraceEvent(step, process, object_id, Outcome.ABORTED,
+            events.append(TraceEvent(step, process, object_id, "aborted",
                                      f"unknown process {process!r}"))
             break
         was_new = object_id == NEW_OBJECT
         if was_new:
             if not pdef.is_generator:
-                events.append(TraceEvent(step, process, object_id, Outcome.ABORTED,
+                events.append(TraceEvent(step, process, object_id, "aborted",
                                          f"{process!r} is not a generator; 'new' needs one"))
                 break
             object_id = _mint_id(object_ids(tokens), minted)
         nxt = brute_fire(model, tokens, process, object_id)
         if nxt is None and pdef.is_generator:
             events.append(TraceEvent(
-                step, process, object_id, Outcome.ABORTED,
+                step, process, object_id, "aborted",
                 f"generator {process!r} fired with existing object {object_id!r}"))
             break
         if nxt is None:
             missing = sorted(set(pdef.inputs) - classes_of(tokens, object_id))
             blocked = any(
-                StatusPoint.WAITING in model.class_def(c).status_points for c in missing
+                "waiting" in model.class_def(c).status_points for c in missing
             )
-            outcome = Outcome.BLOCKED_WAITING if blocked else Outcome.NOT_ENABLED
+            outcome = "blocked-waiting" if blocked else "not-enabled"
             events.append(TraceEvent(step, process, object_id, outcome,
                                      f"missing input tokens: {', '.join(missing)}"))
             continue
@@ -516,7 +528,7 @@ def brute_run_script(model: Model, seed, script) -> list[TraceEvent]:
         detail = f"object {object_id}"
         if noop:
             detail += f"; already present in {', '.join(noop)}"
-        events.append(TraceEvent(step, process, object_id, Outcome.FIRED, detail))
+        events.append(TraceEvent(step, process, object_id, "fired", detail))
         tokens = nxt
     return events
 
@@ -693,9 +705,7 @@ def apply_suggestion(model: Model, suggestion: str) -> Model:
     m = _ADD_RE.match(suggestion)
     if m:
         privs_text, role, cname = m.groups()
-        extra = frozenset(
-            Privilege(p.strip()) for p in privs_text.split(" and ")
-        )
+        extra = frozenset(p.strip() for p in privs_text.split(" and "))
         grants = dict(model.class_grants)
         grants[(role, cname)] = grants.get((role, cname), frozenset()) | extra
         return canonicalize(
@@ -718,7 +728,7 @@ def toggle_waiting(model: Model, cname: str) -> Model:
     classes = []
     for c in model.classes:
         if c.name == cname:
-            points = set(c.status_points) ^ {StatusPoint.WAITING}
+            points = set(c.status_points) ^ {"waiting"}
             classes.append(ClassDef(c.name, c.dynamic, frozenset(points)))
         else:
             classes.append(c)
@@ -737,7 +747,7 @@ def diagnostic_doc(d: Diagnostic) -> dict:
     """A line of ``csm validate``."""
     doc = {
         "code": d.code,
-        "severity": d.severity.value,
+        "severity": d.severity,
         "site": d.site,
         "message": d.message,
         "suggestion": d.suggestion,
@@ -755,7 +765,7 @@ def report_doc(report: CollaborationReport) -> dict:
     each ordered role pair."""
     pairs: dict[str, set[str]] = {}
     for f in report.findings:
-        pairs.setdefault(f"{f.producer}->{f.consumer}", set()).add(f.level.value)
+        pairs.setdefault(f"{f.producer}->{f.consumer}", set()).add(f.level)
     return {
         "findings": [
             {
@@ -763,7 +773,7 @@ def report_doc(report: CollaborationReport) -> dict:
                 "consumer": f.consumer,
                 "artifact": f.artifact,
                 "artifact_kind": f.artifact_kind,
-                "level": f.level.value,
+                "level": f.level,
                 "evidence": list(f.evidence),
             }
             for f in report.findings
@@ -778,7 +788,7 @@ def event_doc(event: TraceEvent) -> dict:
         "step": event.step,
         "process": event.process,
         "object": event.object_id,
-        "outcome": event.outcome.value,
+        "outcome": event.outcome,
         "detail": event.detail,
     }
 
@@ -810,7 +820,7 @@ def model_doc(model: Model) -> dict:
             {
                 "name": c.name,
                 "dynamic": c.dynamic,
-                "status_points": [s.value for s in StatusPoint if s in c.status_points],
+                "status_points": [s for s in STATUS_POINTS if s in c.status_points],
             }
             for c in m.classes
         ],
@@ -820,7 +830,7 @@ def model_doc(model: Model) -> dict:
                 "inputs": list(p.inputs),
                 "outputs": list(p.outputs),
                 "transforms": [
-                    {"from": t.source, "to": t.target, "mode": t.mode.value}
+                    {"from": t.source, "to": t.target, "mode": t.mode}
                     for t in p.transforms
                 ],
                 "owners": list(p.owners),
@@ -832,7 +842,7 @@ def model_doc(model: Model) -> dict:
             {
                 "role": role,
                 "class": class_name,
-                "privileges": [p.value for p in Privilege if p in privs],
+                "privileges": [p for p in PRIVILEGES if p in privs],
             }
             for (role, class_name), privs in m.class_grants.items()
         ],
@@ -994,20 +1004,20 @@ def _brute_lane(m: Model, role: str):
 
 
 def _brute_class_label(m: Model, c: ClassDef, show_privileges: bool) -> str:
-    letters = "".join(ch for pt, ch in zip(StatusPoint, "WFD") if pt in c.status_points)
+    letters = "".join(ch for pt, ch in zip(STATUS_POINTS, "WFD") if pt in c.status_points)
     label = c.name + (f" [{letters}]" if letters else "")
     if show_privileges:
         for role in m.roles:
             privs = m.grants(role, c.name)
             if privs:
-                listed = ",".join(_BRUTE_ABBREV[p.value] for p in Privilege if p in privs)
+                listed = ",".join(_BRUTE_ABBREV[p] for p in PRIVILEGES if p in privs)
                 label += f"\\n{role}: {listed}"
     return label
 
 
 def _brute_edge_label(p: ProcessDef, output: str) -> str | None:
     modes = {
-        "remains" if t.mode is TransformMode.REMAINING else "leaves"
+        "remains" if t.mode == "remaining" else "leaves"
         for t in p.transforms
         if t.target == output
     }

@@ -102,7 +102,7 @@ MUTANTS = (
     Mutant(
         "src/csm/validator.py",
         "    model = canonicalize(model)\n    errors = _errors(model)\n",
-        "    errors = [d for d in validate(model) if d.severity is Severity.ERROR]\n",
+        '    errors = [d for d in validate(model) if d.severity == "error"]\n',
         ("tests/test_validator.py::TestEnsureValid::test_builds_no_warning",),
     ),
     # The gate lets every model through.
@@ -208,14 +208,14 @@ MUTANTS = (
         '        name.encode("utf-8", "surrogatepass")\n',
         ("tests/test_model.py::TestCanonicalize::test_name_that_does_not_encode_as_utf8_rejected",),
     ),
-    # canonicalize takes status points that are not StatusPoint members.
+    # canonicalize takes status points that are not words of STATUS_POINTS.
     Mutant(
         "src/csm/model.py",
         "        if not c.status_points <= points:\n",
         "        if False:\n",
         ("tests/test_model.py::TestCanonicalize::test_members_of_the_wrong_kind_rejected",),
     ),
-    # canonicalize takes privileges that are not Privilege members.
+    # canonicalize takes privileges that are not words of PRIVILEGES.
     Mutant(
         "src/csm/model.py",
         "        if not privs <= privileges:\n",
@@ -232,8 +232,8 @@ MUTANTS = (
     # A step blocked at a waiting point reads as not enabled.
     Mutant(
         "src/csm/simulator.py",
-        "            outcome = Outcome.BLOCKED_WAITING if waiting else Outcome.NOT_ENABLED\n",
-        "            outcome = Outcome.NOT_ENABLED\n",
+        '            outcome = "blocked-waiting" if waiting else "not-enabled"\n',
+        '            outcome = "not-enabled"\n',
         ("tests/test_simulator.py::TestFire::test_blocked_waiting_flagged",),
     ),
     # The line reader takes a model name that neither form can write.
@@ -259,8 +259,8 @@ MUTANTS = (
     # E-C4 asks for creation alone when the role lacks reference too.
     Mutant(
         "src/csm/validator.py",
-        "                        if reference not in privs:\n                            wanted",
-        "                        if reference in privs:\n                            wanted",
+        '                        if "reference" not in privs:\n                            wanted',
+        '                        if "reference" in privs:\n                            wanted',
         ("tests/test_validator.py::TestSuggestions::test_c4_hint_names_each_missing_privilege",),
     ),
     # The token parser reads comments as tokens.
@@ -370,8 +370,8 @@ MUTANTS = (
     # The model document swaps a grant's role and class.
     Mutant(
         "src/csm/dsl.py",
-        "_GRANT_JSON % (_esc(class_name), listing(privs, Privilege), _esc(role))",
-        "_GRANT_JSON % (_esc(role), listing(privs, Privilege), _esc(class_name))",
+        "_GRANT_JSON % (_esc(class_name), listing(privs, PRIVILEGES), _esc(role))",
+        "_GRANT_JSON % (_esc(role), listing(privs, PRIVILEGES), _esc(class_name))",
         ("tests/test_dsl.py::TestJson::test_emit_json_is_deterministic_bytes",),
     ),
     # The identifier test takes a name that is not ASCII, which the token
@@ -403,6 +403,13 @@ MUTANTS = (
         "(p.owners or p.responsibles)[0]",
         "(p.responsibles or p.owners)[0]",
         ("tests/test_render.py::TestDot::test_swim_lanes_and_aliases",),
+    ),
+    # canonicalize takes transform modes that are not words of TRANSFORM_MODES.
+    Mutant(
+        "src/csm/model.py",
+        "        if any(t.mode not in TRANSFORM_MODES for t in p.transforms):\n",
+        "        if False:\n",
+        ("tests/test_model.py::TestCanonicalize::test_members_of_the_wrong_kind_rejected",),
     ),
 )
 

@@ -10,17 +10,9 @@ from __future__ import annotations
 import json
 import random
 
-from csm.classifier import CollaborationReport, Level, classify_all
-from csm.diagnostics import Severity
+from csm.classifier import CollaborationReport, classify_all
 from csm.dsl import emit_json
-from csm.model import (
-    ClassDef,
-    Model,
-    ProcessDef,
-    Transform,
-    TransformMode,
-    canonicalize,
-)
+from csm.model import ClassDef, Model, ProcessDef, Transform, canonicalize
 from csm.simulator import explore, run_script
 from csm.validator import InvalidModel, validate
 
@@ -86,7 +78,7 @@ def check_leaving_removes_exactly_one(seed: int) -> None:
         "P",
         inputs=(src, *pure_reads),
         outputs=tuple(outputs),
-        transforms=(Transform(src, tgt, TransformMode.LEAVING),),
+        transforms=(Transform(src, tgt, "leaving"),),
         responsibles=("R",),
     )
     m = canonicalize(Model("m", ("R",), classes, (proc,)))
@@ -116,13 +108,13 @@ def check_waiting_toggle_swaps_levels(seed: int) -> None:
     base = level_map(m)
     toggled = level_map(toggle_waiting(m, target))
     assert base.keys() == toggled.keys()
-    swap = {Level.LOOSE: Level.VERY_LOOSE, Level.VERY_LOOSE: Level.LOOSE}
+    swap = {"loose": "very loose", "very loose": "loose"}
     for key, level in base.items():
         _, _, artifact, kind = key
         if kind == "class" and artifact == target:
-            assert toggled[key] is swap[level]
+            assert toggled[key] == swap[level]
         else:
-            assert toggled[key] is level
+            assert toggled[key] == level
 
 
 def check_c2_repair_monotone(seed: int) -> None:
@@ -134,7 +126,7 @@ def check_c2_repair_monotone(seed: int) -> None:
         return {
             (d.code, d.site)
             for d in validate(model)
-            if d.severity is Severity.ERROR
+            if d.severity == "error"
         }
 
     before = error_set(m)

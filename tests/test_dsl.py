@@ -21,7 +21,7 @@ from csm.dsl import (
 )
 from csm.diagnostics import _loads
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
-from csm.model import Privilege, StatusPoint
+from csm.model import PRIVILEGES, STATUS_POINTS
 from helpers import (
     json_outcome,
     load_bench,
@@ -831,8 +831,8 @@ class TestRoundTrip:
             "grant A on C { suppression+, reference+, modification+, suppression, "
             "reference, modification, creation } }"
         ).model
-        assert model.class_def("C").status_points == set(StatusPoint)
-        assert model.grants("A", "C") == set(Privilege)
+        assert model.class_def("C").status_points == set(STATUS_POINTS)
+        assert model.grants("A", "C") == set(PRIVILEGES)
         text = emit_text(model)
         assert f"class C dynamic {{ {', '.join(points)} }}" in text
         assert f"grant A on C {{ {', '.join(privileges)} }}" in text

@@ -17,12 +17,9 @@ from csm.model import (
     InvalidTransform,
     Model,
     ModelError,
-    Privilege,
     ProcessDef,
     SharedClass,
-    StatusPoint,
     Transform,
-    TransformMode,
     UnknownClass,
     UnknownProcess,
     UnknownRole,
@@ -64,14 +61,19 @@ def _tiny(**overrides) -> Model:
                 "P",
                 inputs=("Y",),
                 outputs=("X",),
-                transforms=(Transform("Y", "X", TransformMode.LEAVING),),
+                transforms=(Transform("Y", "X", "leaving"),),
                 owners=("A",),
             ),
         ),
-        class_grants={("A", "X"): frozenset({Privilege.REFERENCE})},
+        class_grants={("A", "X"): frozenset({"reference"})},
     )
     base.update(overrides)
     return Model(**base)
+
+
+def _transforming(*transforms: Transform) -> ProcessDef:
+    """``_tiny``'s process with the given transforms."""
+    return ProcessDef("P", ("Y",), ("X",), transforms, ("A",))
 
 
 class TestCanonicalize:
@@ -113,21 +115,27 @@ class TestCanonicalize:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            (dict(classes=(ClassDef("Y", True), ClassDef("X", True, {"waiting"}))),
-             "class=X: status points must be StatusPoint members"),
-            (dict(classes=(ClassDef("X", True, {StatusPoint.FAIL, Privilege.CREATION}),
+            (dict(classes=(ClassDef("Y", True), ClassDef("X", True, {"waitng"}))),
+             "class=X: status points must be words of STATUS_POINTS"),
+            (dict(classes=(ClassDef("X", True, {"fail", "creation"}),
                            ClassDef("Y", True))),
-             "class=X: status points must be StatusPoint members"),
-            (dict(class_grants={("A", "X"): frozenset({"reference"})}),
-             "grant role=A class=X: privileges must be Privilege members"),
-            (dict(class_grants={("B", "Y"): {Privilege.REFERENCE, StatusPoint.WAITING}}),
-             "grant role=B class=Y: privileges must be Privilege members"),
+             "class=X: status points must be words of STATUS_POINTS"),
+            (dict(class_grants={("A", "X"): frozenset({"refrence"})}),
+             "grant role=A class=X: privileges must be words of PRIVILEGES"),
+            (dict(class_grants={("B", "Y"): {"reference", "waiting"}}),
+             "grant role=B class=Y: privileges must be words of PRIVILEGES"),
+            (dict(processes=(_transforming(Transform("Y", "X", "sideways")),)),
+             "process=P: transform modes must be words of TRANSFORM_MODES"),
+            (dict(processes=(_transforming(Transform("Y", "X", "leaving"),
+                                           Transform("Y", "X", "reference")),)),
+             "process=P: transform modes must be words of TRANSFORM_MODES"),
         ],
         ids=["point string", "point of another kind", "privilege string",
-             "privilege of another kind"],
+             "privilege of another kind", "mode string", "mode of another kind"],
     )
     def test_members_of_the_wrong_kind_rejected(self, overrides, message):
-        # Emitted, such a set would be an empty listing that no parser reads.
+        # Emitted, such a word would be a listing or a transform mode that
+        # no parser reads.
         with pytest.raises(ModelError) as raised:
             canonicalize(_tiny(**overrides))
         assert str(raised.value) == message
@@ -148,7 +156,7 @@ class TestCanonicalize:
 
     def test_undeclared_grant_role_rejected(self):
         with pytest.raises(UnresolvedReference):
-            canonicalize(_tiny(class_grants={("Ghost", "X"): frozenset({Privilege.REFERENCE})}))
+            canonicalize(_tiny(class_grants={("Ghost", "X"): frozenset({"reference"})}))
 
     def test_undeclared_process_class_rejected(self):
         bad = ProcessDef("P", inputs=("Ghost",), owners=("A",))
@@ -160,7 +168,7 @@ class TestCanonicalize:
             "P",
             inputs=("Y",),
             outputs=("X",),
-            transforms=(Transform("X", "Y", TransformMode.LEAVING),),
+            transforms=(Transform("X", "Y", "leaving"),),
         )
         with pytest.raises(InvalidTransform):
             canonicalize(_tiny(processes=(bad,)))
@@ -170,7 +178,7 @@ class TestCanonicalize:
             "P",
             inputs=("Y",),
             outputs=("Y",),
-            transforms=(Transform("Y", "Y", TransformMode.LEAVING),),
+            transforms=(Transform("Y", "Y", "leaving"),),
         )
         with pytest.raises(InvalidTransform):
             canonicalize(_tiny(processes=(bad,)))
@@ -221,7 +229,7 @@ def _raw_json(m: Model) -> str:
                     "inputs": list(p.inputs),
                     "outputs": list(p.outputs),
                     "transforms": [
-                        {"from": t.source, "to": t.target, "mode": t.mode.value}
+                        {"from": t.source, "to": t.target, "mode": t.mode}
                         for t in p.transforms
                     ],
                     "owners": list(p.owners),
@@ -230,7 +238,7 @@ def _raw_json(m: Model) -> str:
                 for p in m.processes
             ],
             "grants": [
-                {"role": r, "class": c, "privileges": [pv.value for pv in privs]}
+                {"role": r, "class": c, "privileges": list(privs)}
                 for (r, c), privs in m.class_grants.items()
             ],
         }
@@ -244,13 +252,13 @@ def _process(
         "P",
         inputs=inputs,
         outputs=outputs,
-        transforms=(Transform(*transform, TransformMode.LEAVING),),
+        transforms=(Transform(*transform, "leaving"),),
         owners=owners,
         responsibles=responsibles,
     )
 
 
-_REFERENCE = frozenset({Privilege.REFERENCE})
+_REFERENCE = frozenset({"reference"})
 
 SINGLE_FAULTS = {
     "duplicate role": dict(roles=("A", "B", "A")),
@@ -332,9 +340,9 @@ class TestQueries:
     def test_status_points_parsed(self, scenarios):
         m = scenarios["healthcare"]
         assert m.class_def("SentTestResult").status_points == {
-            StatusPoint.WAITING,
-            StatusPoint.FAIL,
-            StatusPoint.DECISION,
+            "waiting",
+            "fail",
+            "decision",
         }
 
 

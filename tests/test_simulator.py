@@ -10,7 +10,6 @@ from csm.dsl import parse_text
 from csm.fixtures import FIXTURES
 from csm.simulator import (
     DuplicateToken,
-    Outcome,
     build_graph,
     explore,
     run_script,
@@ -97,7 +96,7 @@ def _fires(model, seed, object_id) -> set[str]:
     return {
         p.name for p in model.processes
         if not p.is_generator
-        and run_script(model, seed, [(p.name, object_id)])[0].outcome is Outcome.FIRED
+        and run_script(model, seed, [(p.name, object_id)])[0].outcome == "fired"
     }
 
 
@@ -143,14 +142,14 @@ class TestFire:
     def test_not_enabled_lists_missing_inputs(self):
         assert step_tokens(JOIN, {Token("o", "B")}, "Join", "o") is None
         [event] = run_script(JOIN, [("o", "B")], [("Join", "o")])
-        assert (event.outcome, event.detail) == (Outcome.NOT_ENABLED, "missing input tokens: A")
+        assert (event.outcome, event.detail) == ("not-enabled", "missing input tokens: A")
 
     def test_blocked_waiting_flagged(self, scenarios):
         m = scenarios["gp_lab"]
         assert step_tokens(m, frozenset(), "CarePatient", "p") is None
         [event] = run_script(m, [], [("CarePatient", "p")])
         assert (event.outcome, event.detail) == (
-            Outcome.BLOCKED_WAITING, "missing input tokens: SentTestResult"
+            "blocked-waiting", "missing input tokens: SentTestResult"
         )
 
     def test_generator_mints_only_fresh_objects(self, scenarios):
@@ -160,7 +159,7 @@ class TestFire:
         script = [("RequestTest", "p"), ("RequestTest", "q")]
         events = run_script(m, [("p", "TestRequest")], script)
         assert [(e.outcome, e.detail) for e in events] == [
-            (Outcome.ABORTED, "generator 'RequestTest' fired with existing object 'p'")
+            ("aborted", "generator 'RequestTest' fired with existing object 'p'")
         ]
         nxt = step_tokens(m, tokens, "RequestTest", "q")
         assert classes_of(nxt, "q") == {"TestRequest"}
@@ -171,7 +170,7 @@ class TestFire:
         seed = [("r1", "OccupiedRoom"), ("r2", "OccupiedRoom")]
         script = [("DischargeHospital", "r1"), ("CleanRoom", "r2"), ("CleanRoom", "r1")]
         assert outcomes(run_script(m, seed, script)) == [
-            Outcome.FIRED, Outcome.FIRED, Outcome.NOT_ENABLED
+            "fired", "fired", "not-enabled"
         ]
 
 
@@ -181,7 +180,7 @@ class TestRunScript:
         events = run_script(
             m, [], [("RequestTest", "new"), ("RequestTest", "new"), ("PerformTest", "obj1")]
         )
-        assert outcomes(events) == [Outcome.FIRED] * 3
+        assert outcomes(events) == ["fired"] * 3
         assert [e.object_id for e in events] == ["obj1", "obj2", "obj1"]
 
     def test_minting_skips_seeded_ids(self, scenarios):
@@ -200,33 +199,33 @@ class TestRunScript:
                 ("DischargeHospital", "ghost"),
             ],
         )
-        assert outcomes(events) == [Outcome.FIRED, Outcome.NOT_ENABLED, Outcome.NOT_ENABLED]
+        assert outcomes(events) == ["fired", "not-enabled", "not-enabled"]
         assert "OccupiedRoom" in events[1].detail
 
     def test_blocked_waiting_outcome(self, scenarios):
         m = scenarios["gp_lab"]
         events = run_script(m, [], [("CarePatient", "p")])
-        assert outcomes(events) == [Outcome.BLOCKED_WAITING]
+        assert outcomes(events) == ["blocked-waiting"]
 
     def test_unknown_process_aborts(self, scenarios):
         m = scenarios["gp_lab"]
         events = run_script(m, [], [("Nope", "p"), ("RequestTest", "new")])
-        assert outcomes(events) == [Outcome.ABORTED]
+        assert outcomes(events) == ["aborted"]
 
     def test_new_with_non_generator_aborts(self, scenarios):
         m = scenarios["gp_lab"]
         events = run_script(m, [], [("PerformTest", "new")])
-        assert outcomes(events) == [Outcome.ABORTED]
+        assert outcomes(events) == ["aborted"]
 
     def test_stale_generator_aborts(self, scenarios):
         m = scenarios["gp_lab"]
         events = run_script(m, [("p", "TestRequest")], [("RequestTest", "p")])
-        assert outcomes(events) == [Outcome.ABORTED]
+        assert outcomes(events) == ["aborted"]
 
     def test_noop_readd_is_reported(self, scenarios):
         m = scenarios["hospital_cleaning"]
         events = run_script(m, [("r", "OccupiedRoom")], [("CleanRoom", "r")] * 2)
-        assert outcomes(events) == [Outcome.FIRED, Outcome.FIRED]
+        assert outcomes(events) == ["fired", "fired"]
         assert "already present in CleanedRoom" in events[1].detail
 
     def test_events_are_json_ready(self, scenarios):
@@ -354,7 +353,7 @@ class TestExplore:
         )
         assert result.reachable
         events = run_script(m, [("r", "OccupiedRoom")], list(result.witness))
-        assert all(e.outcome is Outcome.FIRED for e in events)
+        assert all(e.outcome == "fired" for e in events)
         fired = [e.process for e in events]
         assert fired.index("CleanRoom") < fired.index("DischargeHospital")
 
@@ -517,7 +516,7 @@ class TestReferenceOracle:
                 witness = [tuple(step) for step in q["witness"] or ()]
                 assert len(witness) <= bounds[0]
                 events = run_script(m, seed, witness)
-                assert all(e.outcome is Outcome.FIRED for e in events), (m, seed, q)
+                assert all(e.outcome == "fired" for e in events), (m, seed, q)
                 assert [(e.process, e.object_id) for e in events] == witness
             reachable += sum(q["reachable"] for q in got["queries"])
         assert reachable > 100
@@ -630,7 +629,7 @@ class TestTokenOracle:
                 nxt = _result(brute_fire, m, state, e.process, e.object_id)
                 assert _result(step_tokens, m, state, e.process, e.object_id) == nxt
                 seen["stale"] += "existing object" in e.detail
-                if e.outcome is Outcome.FIRED:
+                if e.outcome == "fired":
                     seen["fired"] += 1
                     state = nxt
         assert min(seen.values()) >= 5, seen

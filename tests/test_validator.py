@@ -7,7 +7,6 @@ import pytest
 import csm
 
 from csm import validator
-from csm.diagnostics import Severity
 from csm.dsl import parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
 from csm.validator import CATALOG, InvalidModel, UnknownCode, ensure_valid, explain, validate
@@ -26,11 +25,11 @@ REPAIRABLE = {"E-C1", "E-C2", "E-C3", "E-C4", "E-C5"}
 
 
 def errors(model):
-    return [d for d in validate(model) if d.severity is Severity.ERROR]
+    return [d for d in validate(model) if d.severity == "error"]
 
 
 def warnings(model):
-    return [d for d in validate(model) if d.severity is Severity.WARNING]
+    return [d for d in validate(model) if d.severity == "warning"]
 
 
 class TestNegativeFixtures:
@@ -86,8 +85,8 @@ class TestCatalog:
 
     def test_severities(self):
         for code, (severity, _) in CATALOG.items():
-            expected = Severity.WARNING if code.startswith("W-") else Severity.ERROR
-            assert severity is expected
+            expected = "warning" if code.startswith("W-") else "error"
+            assert severity == expected
 
 
 class TestSuggestions:
