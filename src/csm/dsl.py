@@ -40,7 +40,6 @@ the source token survives the firing.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from itertools import accumulate
 
@@ -84,11 +83,11 @@ class ParseResult(namedtuple("ParseResult", "model diagnostics")):
 _Token = namedtuple("_Token", "kind text offset")
 
 
-@functools.cache
 def _token_pattern():
     """One token after optional whitespace; the group that matched gives its
-    kind. A '#' starts a comment only where no string has started. Compiled,
-    and ``re`` loaded, on first use: only the reporting path lexes."""
+    kind. A '#' starts a comment only where no string has started. ``re``
+    is loaded, and the pattern compiled, only when the reporting path lexes:
+    once per parse, and ``re.compile`` keeps its own cache of patterns."""
     import re
 
     return re.compile(rf'\s*(?:("[^"\n]*")|(#[^\n]*)|({_IDENT})|(->|[{{}}+,])|(\S))')

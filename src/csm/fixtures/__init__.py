@@ -6,7 +6,6 @@ violate exactly one error rule and exist for validator testing.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from ..dsl import parse_text
@@ -25,7 +24,7 @@ BAD_FIXTURES = ("bad_c1", "bad_c2", "bad_c3", "bad_c4", "bad_c5", "bad_orphan")
 
 
 def fixture_path(name: str) -> Path:
-    path = Path(str(resources.files(__package__).joinpath(f"{name}.csm")))
+    path = Path(__file__).with_name(f"{name}.csm")
     if not path.exists():
         raise FileNotFoundError(name)
     return path

@@ -6,8 +6,8 @@ masks (``_compile``): it is enabled on an object holding every input
 class, and firing it clears the source class of every leaving transform
 ("leaving dominates" when a single input feeds several outputs with mixed
 modes) and sets every output class. Inputs without any transform are pure
-reads. Processes with no inputs are generators: firing one mints a fresh
-object.
+reads. Processes with no inputs, whose input mask is 0, are generators:
+firing one mints a fresh object.
 
 That is the one firing rule, and ``_step`` applies it to one object's
 mask: it gives the mask after the firing, or ``None`` when the process
@@ -75,10 +75,10 @@ class TraceEvent(
 _EVENT_JSON = '{"detail": %s, "object": %s, "outcome": %s, "process": %s, "step": %d}'
 
 
-# A process as (name, is_generator, need, keep, out): ``need`` holds its
-# input classes, ``keep`` clears the source of every leaving transform and
-# ``out`` holds its outputs; a plain tuple, which unpacks faster than a named one.
-_Compiled = tuple[str, bool, int, int, int]
+# A process as (name, need, keep, out): ``need`` holds its input classes and is 0
+# exactly for a generator, ``keep`` clears the source of every leaving transform
+# and ``out`` holds its outputs; a plain tuple, which unpacks faster than a named one.
+_Compiled = tuple[str, int, int, int]
 
 
 def _mask(bits: Mapping[str, int], names: Iterable[str]) -> int:
@@ -96,12 +96,7 @@ def _class_bits(model: Model) -> dict[str, int]:
 
 def _compile(bits: Mapping[str, int], p: ProcessDef) -> _Compiled:
     leaving = _mask(bits, (t.source for t in p.transforms if t.mode == "leaving"))
-    return p.name, p.is_generator, _mask(bits, p.inputs), ~leaving, _mask(bits, p.outputs)
-
-
-def _processes(model: Model, bits: Mapping[str, int]) -> list[_Compiled]:
-    """Every process compiled, in name order."""
-    return [_compile(bits, p) for p in model.processes]
+    return p.name, _mask(bits, p.inputs), ~leaving, _mask(bits, p.outputs)
 
 
 def _encode(bits: Mapping[str, int], seed: Iterable[tuple[str, str]]) -> dict[str, int]:
@@ -129,8 +124,8 @@ def _step(proc: _Compiled, held: int) -> int | None:
     it holds before (0 when the object does not exist); ``None`` when the
     process cannot fire: a generator on an existing object, or another
     process on an object that lacks some input."""
-    _, is_generator, need, keep, out = proc
-    if is_generator:
+    _, need, keep, out = proc
+    if not need:
         return None if held else out
     if held & need != need:
         return None
@@ -175,9 +170,9 @@ def run_script(
                            f"unknown process {process!r}")
             )
             break
-        _, is_generator, need, _, out = proc
+        _, need, _, out = proc
         if object_id == NEW_OBJECT:
-            if not is_generator:
+            if need:
                 events.append(
                     TraceEvent(step, process, object_id, "aborted",
                                f"{process!r} is not a generator; 'new' needs one")
@@ -188,7 +183,7 @@ def run_script(
         held = objects.get(object_id, 0)
         after = _step(proc, held)
         if after is None:
-            if is_generator:
+            if not need:
                 detail = f"generator {process!r} fired with existing object {object_id!r}"
                 events.append(TraceEvent(step, process, object_id, "aborted", detail))
                 break
@@ -323,8 +318,8 @@ class ReachabilityGraph:
         # (actions that create the object, its id, its class mask)
         self.origins = [((), oid, mask) for oid, mask in held.items()]
         for proc in processes:
-            name, is_generator, _, _, out = proc
-            if not is_generator:
+            name, need, _, out = proc
+            if need:
                 self.movers.append(proc)
             elif out and len(held) < max_objects:
                 oid = _mint_id(held, 0)
@@ -377,7 +372,7 @@ class ReachabilityGraph:
                     break
                 if len(path) >= self.max_steps:
                     continue
-                for name, _, need, keep, out in self.movers:
+                for name, need, keep, out in self.movers:
                     if mask & need == need:
                         child = (mask & keep | out, advance(phase, name))
                         if child not in paths:
@@ -404,7 +399,7 @@ def _lifecycle(starts: Iterable[int], depth: int, movers: list[_Compiled]) -> _H
         degree = 0
         found: list[int] = []
         for mask in level:
-            for _, _, need, keep, out in movers:
+            for _, need, keep, out in movers:
                 if mask & need == need:
                     degree += 1
                     child = mask & keep | out
@@ -435,7 +430,7 @@ def _count(graph: ReachabilityGraph) -> tuple[list[int], str, int]:
     """``frontier``, ``stop`` and ``edge_count`` of the space ``_enumerate``
     builds, from per-object lifecycles (see ``build_graph``)."""
     held, movers, max_steps = graph.held, graph.movers, graph.max_steps
-    outs = [p[4] for p in graph.processes if p[1]]
+    outs = [out for _, need, _, out in graph.processes if not need]
     keeps = not all(outs)  # some generator mints none
     room = graph.max_objects - len(held)
     # powers[k]: the seeded objects together with k minted ones.
@@ -496,8 +491,8 @@ def _enumerate(graph: ReachabilityGraph) -> dict[int, list[tuple[Action, int]]]:
         for state in frontier:
             objects, minted = state
             fired: list[tuple[Action, _State]] = []
-            for name, is_generator, need, keep, out in graph.processes:
-                if is_generator:
+            for name, need, keep, out in graph.processes:
+                if not need:
                     if len(objects) < graph.max_objects:
                         oid = _mint_id({o for o, _ in objects}, minted)
                         born = tuple(sorted((*objects, (oid, out)))) if out else objects
@@ -533,7 +528,7 @@ def build_graph(
     A process compiles to ``(in, keep, out)`` masks, where ``keep`` clears
     the source of every leaving transform: it is enabled on an object when
     ``s & in == in``, and firing gives ``(s & keep) | out``, the rule
-    ``run_script`` applies one step at a time. A generator mints
+    ``run_script`` applies one step at a time. A generator (``in`` is 0) mints
     ``obj<k>`` holding ``out`` (or nothing, without outputs) while fewer
     than max_objects objects exist. Successors are listed by process name,
     then by object id.
@@ -556,7 +551,8 @@ def build_graph(
         raise ValueError("bounds must be positive")
     bits = _class_bits(model)
     held = _encode(bits, seed)
-    return ReachabilityGraph(bits, held, _processes(model, bits), max_steps, max_objects)
+    processes = [_compile(bits, p) for p in model.processes]
+    return ReachabilityGraph(bits, held, processes, max_steps, max_objects)
 
 
 def run_query(graph: ReachabilityGraph, query: Mapping) -> QueryResult:

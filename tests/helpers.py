@@ -41,6 +41,7 @@ import importlib.util
 import random
 import re
 import string
+import sys
 from collections import Counter, namedtuple
 from pathlib import Path
 
@@ -385,10 +386,11 @@ def brute_classify(model: Model) -> CollaborationReport:
 
 def load_bench(name: str):
     """The benchmark module ``csmbench/<name>.py``, loaded by path: the
-    benchmark is a directory of scripts, not a package."""
+    benchmark is a directory of scripts, not a package. The module is in
+    ``sys.modules`` while it runs, as ``dataclasses`` needs."""
     path = Path(__file__).parents[1] / "csmbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"csmbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 

@@ -411,6 +411,30 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_model.py::TestCanonicalize::test_members_of_the_wrong_kind_rejected",),
     ),
+    # E-C1 finds each transform end by a scan over the classes, so validate
+    # does work in the product of transforms and classes.
+    Mutant(
+        "src/csm/validator.py",
+        "                if not model.class_def(end).dynamic:\n",
+        "                if not next(c for c in model.classes if c.name == end).dynamic:\n",
+        ("tests/test_scaling.py::test_each_doubling_stays_near_linear",),
+    ),
+    # A generator, whose input mask is 0, fires on an object that exists and
+    # adds its outputs there.
+    Mutant(
+        "src/csm/simulator.py",
+        "    if not need:\n        return None if held else out\n",
+        "    if not need and not held:\n        return out\n",
+        ("tests/test_simulator.py::TestRunScript::test_stale_generator_aborts",),
+    ),
+    # The explorer files the generators as movers too, each enabled on every
+    # object.
+    Mutant(
+        "src/csm/simulator.py",
+        "            if need:\n                self.movers.append(proc)\n            elif out",
+        "            self.movers.append(proc)\n            if not need and out",
+        ("tests/test_simulator.py::TestCountedSpace::test_random_models",),
+    ),
 )
 
 

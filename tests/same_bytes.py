@@ -1,0 +1,214 @@
+"""Same bytes: run csm's command lines on two source trees and compare what
+each line writes.
+
+Run from the repository root:
+
+    python tests/same_bytes.py PARENT_SRC
+
+It compares the tree at ``PARENT_SRC`` with this tree's ``src``. A parent
+tree can be taken from git with ``git archive HEAD~ src | tar -x -C <dir>``.
+
+The inputs are written once, by this tree's ``tests/helpers.py`` and
+benchmark set-ups, to a temporary directory, so both trees read the same
+files: every fixture and bad fixture as ``.csm`` and ``.json``, the scale
+model (``synth.generate(24, 1000, 1000, 0.08, 511)``) as text and JSON, 50
+seeded ``random_model`` and 50 ``random_valid_model`` models in both forms,
+and 50 ``random_model_text`` layouts. Each model file goes through
+``validate``, ``classify``, ``classify --json``, ``render --format dot``
+with and without ``--show-privileges``, ``render --format mermaid`` and
+``fmt``. Then come ``explain`` for every catalog code and one unknown code,
+and the command lines that the benchmark's corpus and scale set-ups build
+for seeds 1 and 2, each ``explore`` with ``--stats`` added.
+
+One ``python -S`` child per tree calls ``csm.cli.main`` for each line, from
+the input directory, and records its exit code, stdout and stderr. The two
+children run side by side. The stderr line of ``explore --stats`` is
+compared as JSON without ``build_s`` and ``query_s``, which are timings.
+
+The report gives the lines run, the lines that differ, and the first
+differences per command. A line is named by its command line, with paths
+relative to the input directory. The tool exits 1 when a line differs, 2
+when a child fails, and 0 otherwise. It needs no pytest; ``test_same_bytes.py``
+runs it on the fixtures alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import helpers  # noqa: E402
+from csm import validator  # noqa: E402
+from csm.dsl import emit_json, emit_text, parse_text  # noqa: E402
+from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text  # noqa: E402
+
+MODEL_COMMANDS = (
+    ("validate",),
+    ("classify",),
+    ("classify", "--json"),
+    ("render", "--format", "dot"),
+    ("render", "--format", "dot", "--show-privileges"),
+    ("render", "--format", "mermaid"),
+    ("fmt",),
+)
+RANDOM_MODELS = 50
+BENCH_SEEDS = (1, 2)
+TIMINGS = ("build_s", "query_s")
+
+# Run in each tree's child: argv is that tree's src, the file of command
+# lines and the file to write the runs to.
+CHILD = """\
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from csm import cli
+runs = []
+with open(sys.argv[2], encoding="utf-8") as f:
+    lines = json.load(f)
+for argv in lines:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    runs.append([code, out.getvalue(), err.getvalue()])
+with open(sys.argv[3], "w", encoding="utf-8") as f:
+    json.dump(runs, f)
+"""
+
+
+def _model_lines(work: Path, stem: str, text: str, both: bool = True) -> list[list[str]]:
+    """Every model command on ``text`` written as ``<stem>.csm``, and on its
+    JSON form as ``<stem>.json`` when ``both`` is set."""
+    names = [f"{stem}.csm"]
+    (work / names[0]).write_text(text, encoding="utf-8")
+    if both:
+        names.append(f"{stem}.json")
+        (work / names[1]).write_bytes(emit_json(parse_text(text).model))
+    return [[command[0], name, *command[1:]] for name in names for command in MODEL_COMMANDS]
+
+
+def fixture_lines(work: Path) -> list[list[str]]:
+    """The fixtures and bad fixtures in both forms through every model
+    command, and ``explain`` for every catalog code and one unknown code."""
+    lines = []
+    for name in (*FIXTURES, *BAD_FIXTURES):
+        lines += _model_lines(work, name, fixture_text(name))
+    return lines + [["explain", code] for code in (*validator.CATALOG, "E-UNKNOWN")]
+
+
+def all_lines(work: Path) -> list[list[str]]:
+    """The fixture lines, then the scale model, the seeded random models
+    and layouts, and the benchmark's own command lines."""
+    lines = fixture_lines(work)
+    run = helpers.load_bench("run")
+    lines += _model_lines(work, "scale", run.synth.to_text(
+        run.synth.generate(24, 1000, 1000, 0.08, 511)["model"]))
+    for generate in (helpers.random_model, helpers.random_valid_model):
+        rng = random.Random(generate.__name__)
+        for i in range(RANDOM_MODELS):
+            lines += _model_lines(work, f"{generate.__name__}{i}", emit_text(generate(rng)))
+    rng = random.Random("random_model_text")
+    for i in range(RANDOM_MODELS):
+        lines += _model_lines(work, f"layout{i}", helpers.random_model_text(rng), both=False)
+    for seed in BENCH_SEEDS:
+        for workload, setup in run.SETUPS.items():
+            folder = work / f"bench_{workload}_{seed}"
+            folder.mkdir()
+            for cmd in setup(seed, folder):
+                argv = [os.path.relpath(a, work) if a.startswith(str(work)) else a
+                        for a in cmd.argv]
+                lines.append([*argv, "--stats"] if argv[0] == "explore" else argv)
+    return lines
+
+
+def run_tree(src: Path, work: Path, lines_file: Path, runs_file: Path) -> subprocess.Popen:
+    """The child that runs every line on the tree at ``src``."""
+    return subprocess.Popen(
+        [sys.executable, "-S", "-c", CHILD, str(src), str(lines_file), str(runs_file)],
+        cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def comparable(argv: list[str], run: list) -> list[list]:
+    """What must match, as lists of lines: the exit code, stdout, and stderr
+    with the timings taken out of an ``explore --stats`` line."""
+    code, out, err = run
+    err = err.splitlines(keepends=True)
+    if argv[0] == "explore" and "--stats" in argv:
+        for i, line in enumerate(err):
+            try:
+                stats = json.loads(line)
+            except ValueError:  # an error message, not the stats line
+                continue
+            err[i] = {k: v for k, v in stats.items() if k not in TIMINGS}
+    return [[code], out.splitlines(keepends=True), err]
+
+
+def first_difference(a: list[list], b: list[list]) -> str:
+    """Where two runs first part: the first line of the exit code, stdout or
+    stderr that differs, both sides shown."""
+    for part, xs, ys in zip(("exit code", "stdout", "stderr"), a, b):
+        for i in range(max(len(xs), len(ys))):
+            left = xs[i] if i < len(xs) else "<end>"
+            right = ys[i] if i < len(ys) else "<end>"
+            if left != right:
+                return f"{part} line {i + 1}: {left!r} != {right!r}"
+    return "same"
+
+
+def compare(lines: list[list[str]], parent: list, change: list) -> int:
+    """Print the report, and give the count of differing lines."""
+    differ: dict[str, list[tuple[str, str]]] = {}
+    for argv, a, b in zip(lines, parent, change):
+        a, b = comparable(argv, a), comparable(argv, b)
+        if a != b:
+            differ.setdefault(argv[0], []).append((" ".join(argv), first_difference(a, b)))
+    total = sum(len(found) for found in differ.values())
+    print(f"{len(lines)} lines run, {total} differ")
+    for command, found in sorted(differ.items()):
+        print(f"{command}: {len(found)} differ")
+        for key, where in found[:3]:
+            print(f"  {key}\n    {where}")
+    return total
+
+
+def main(argv: list[str], inputs=all_lines) -> int:
+    """Run the tool; ``inputs(work)`` writes the input files to ``work`` and
+    gives the command lines."""
+    parser = argparse.ArgumentParser(prog="same_bytes.py", description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="the parent tree's src")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "inputs"
+        work.mkdir()
+        lines = inputs(work)
+        lines_file = Path(tmp) / "lines.json"
+        lines_file.write_text(json.dumps(lines), encoding="utf-8")
+        trees = {"parent": args.parent.resolve(), "change": ROOT / "src"}
+        children = {name: run_tree(src, work, lines_file, Path(tmp) / f"{name}.json")
+                    for name, src in trees.items()}
+        errors = {name: child.communicate()[1] for name, child in children.items()}
+        for name, child in children.items():
+            if child.returncode != 0:
+                print(f"{name} tree {trees[name]}: child failed:\n{errors[name]}",
+                      file=sys.stderr)
+                return 2
+        runs = {name: json.loads((Path(tmp) / f"{name}.json").read_text(encoding="utf-8"))
+                for name in trees}
+    print(f"parent {trees['parent']}\nchange {trees['change']}")
+    return 1 if compare(lines, runs["parent"], runs["change"]) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,0 +1,28 @@
+"""``same_bytes.py`` finds no difference between a tree and itself, and
+finds the one byte that a changed ``fmt`` adds; both on the fixtures alone,
+while ``python tests/same_bytes.py PARENT_SRC`` runs the whole input set."""
+
+import shutil
+
+import same_bytes
+from same_bytes import ROOT
+
+
+def test_a_tree_against_itself(capsys):
+    assert same_bytes.main([str(ROOT / "src")], inputs=same_bytes.fixture_lines) == 0
+    assert capsys.readouterr().out.endswith(" lines run, 0 differ\n")
+
+
+def test_one_more_byte_from_fmt(tmp_path, capsys):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "csm" / "cli.py"
+    old = "    sys.stdout.write(dsl.emit_text(model))\n"
+    assert cli.read_text().count(old) == 1
+    cli.write_text(cli.read_text().replace(old, old.replace("model))", 'model) + " ")')))
+    assert same_bytes.main([str(src)], inputs=same_bytes.fixture_lines) == 1
+    out = capsys.readouterr().out
+    fmt_lines = [line for line in out.splitlines() if line.startswith("  fmt ")]
+    assert "\nfmt: 24 differ\n" in out and len(fmt_lines) == 3, out
+    assert " lines run, 24 differ\n" in out
+    assert "' ' != '<end>'" in out
