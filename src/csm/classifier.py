@@ -39,11 +39,7 @@ sorted pair.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import cached_property
-from operator import itemgetter
-
-from .diagnostics import _esc, _json_array
+from .diagnostics import _cached, _esc, _json_array, _record
 from .model import Model, ModelError, canonicalize
 from .validator import InvalidModel, ensure_valid
 
@@ -53,7 +49,7 @@ class SameRole(ModelError):
 
 
 class LevelFinding(
-    namedtuple(
+    _record(
         "LevelFinding", "producer consumer artifact artifact_kind level evidence"
     )
 ):
@@ -67,12 +63,12 @@ class LevelFinding(
     __slots__ = ()
 
 
-class CollaborationReport(namedtuple("CollaborationReport", "findings")):
+class CollaborationReport(_record("CollaborationReport", "findings")):
     """The tuple of ``LevelFinding``s for a model."""
 
     # No __slots__: pair_summary is cached in the instance __dict__.
 
-    @cached_property
+    @_cached
     def pair_summary(self) -> dict[tuple[str, str], frozenset[str]]:
         """The levels found per (producer, consumer) pair, in pair order."""
         summary: dict[tuple[str, str], set[str]] = {}
@@ -136,8 +132,14 @@ _REPORT_JSON = '{\n  "findings": %s,\n  "pair_summary": %s\n}'
 
 _WRITE_PLUS = frozenset({"modification+", "suppression+"})
 _NONE: frozenset[str] = frozenset()
-_PRODUCER = itemgetter(0)
-_CONSUMER = itemgetter(1)
+
+
+def _producer(finding: LevelFinding) -> str:
+    return finding[0]
+
+
+def _consumer(finding: LevelFinding) -> str:
+    return finding[1]
 
 
 def _findings(model: Model) -> list[LevelFinding]:
@@ -271,8 +273,8 @@ def classify_all(model: Model) -> CollaborationReport:
     findings = _findings(model)
     # One stable order by (producer, consumer), sorted as two stable passes
     # on string keys, which compare faster than tuples.
-    findings.sort(key=_CONSUMER)
-    findings.sort(key=_PRODUCER)
+    findings.sort(key=_consumer)
+    findings.sort(key=_producer)
     return CollaborationReport(tuple(findings))
 
 

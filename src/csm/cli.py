@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from collections import namedtuple
-from types import SimpleNamespace as _Args
 
 try:
     from posix import _exit  # loaded at start-up, unlike os
@@ -21,6 +19,11 @@ except ImportError:  # an interpreter without the posix module
 from . import classifier, dsl, render, simulator, validator
 from .diagnostics import _loads, has_errors
 from .model import Model
+
+
+class _Args:
+    def __init__(self, **values) -> None:
+        self.__dict__.update(values)
 
 
 class _CliError(Exception):
@@ -236,64 +239,58 @@ def _cmd_explain(args: _Args) -> int:
     return 0
 
 
-# The command line as one table. A command row gives its handler, its one
-# positional and its help line. An option row gives its strings, the
-# attribute it sets, its kind (None for a flag, str or int for a value, or
-# the tuple of allowed values), whether it is required, its default and its
-# help. _read_exact reads the lines that name the command first and spell
-# every option in full, which is how scripts write them; _parser builds the
-# argparse parser from the same rows for every other line. tests/helpers.py
-# keeps an argparse parser written by hand as the reference for both.
-_Option = namedtuple("_Option", "strings dest kind required default help")
-_Command = namedtuple("_Command", "handler positional help options")
-
+# The command line as one table. A command row is the tuple of its handler,
+# its one positional, its help line and its option rows. An option row is
+# the tuple of its strings, the attribute it sets, its kind (None for a
+# flag, str or int for a value, or the tuple of allowed values), whether it
+# is required, its default and its help. _read_exact reads the lines that
+# name the command first and spell every option in full, which is how
+# scripts write them; _parser builds the argparse parser from the same rows
+# for every other line. tests/helpers.py keeps an argparse parser written by
+# hand as the reference for both.
 _COMMANDS = {
-    "validate": _Command(_cmd_validate, "file", "check a model against the rule catalog", ()),
-    "classify": _Command(
+    "validate": (_cmd_validate, "file", "check a model against the rule catalog", ()),
+    "classify": (
         _cmd_classify,
         "file",
         "infer collaboration levels per role pair",
-        (_Option(("--json",), "json", None, False, False, "emit the report as JSON"),),
+        ((("--json",), "json", None, False, False, "emit the report as JSON"),),
     ),
-    "simulate": _Command(
+    "simulate": (
         _cmd_simulate,
         "file",
         "run a scripted token trace",
         (
-            _Option(("--seed",), "seed", str, True, None, "JSON array of {object, class}"),
-            _Option(("--script",), "script", str, True, None, "JSON array of {process, object}"),
-            _Option(
-                ("--strict",), "strict", None, False, False, "exit 1 when any step fails to fire"
-            ),
+            (("--seed",), "seed", str, True, None, "JSON array of {object, class}"),
+            (("--script",), "script", str, True, None, "JSON array of {process, object}"),
+            (("--strict",), "strict", None, False, False, "exit 1 when any step fails to fire"),
         ),
     ),
-    "explore": _Command(
+    "explore": (
         _cmd_explore,
         "file",
         "enumerate reachable states and run queries",
         (
-            _Option(("--seed",), "seed", str, True, None, None),
-            _Option(("--query",), "query", str, False, None, "JSON array of reachability queries"),
-            _Option(("--max-steps",), "max_steps", int, False, 8, None),
-            _Option(("--max-objects",), "max_objects", int, False, 2, None),
-            _Option(("--stats",), "stats", None, False, False, "write state, edge and frontier "
-                    "counts, phase times and the stop reason to stderr as one JSON object"),
+            (("--seed",), "seed", str, True, None, None),
+            (("--query",), "query", str, False, None, "JSON array of reachability queries"),
+            (("--max-steps",), "max_steps", int, False, 8, None),
+            (("--max-objects",), "max_objects", int, False, 2, None),
+            (("--stats",), "stats", None, False, False, "write state, edge and frontier "
+             "counts, phase times and the stop reason to stderr as one JSON object"),
         ),
     ),
-    "render": _Command(
+    "render": (
         _cmd_render,
         "file",
         "emit a DOT or Mermaid diagram",
         (
-            _Option(("--format",), "format", ("dot", "mermaid"), True, None, None),
-            _Option(
-                ("-o", "--output"), "output", str, False, None, "write to a file instead of stdout"
-            ),
-            _Option(("--show-privileges",), "show_privileges", None, False, False, None),
+            (("--format",), "format", ("dot", "mermaid"), True, None, None),
+            (("-o", "--output"), "output", str, False, None, "write to a file instead of stdout"),
+            (("--show-privileges",), "show_privileges", None, False, False, None),
         ),
     ),
-    "fmt": _Command(_cmd_fmt, "file", "pretty-print the canonical model text", ()),
-    "explain": _Command(_cmd_explain, "code", "print the rule text of a diagnostic code", ()),
+    "fmt": (_cmd_fmt, "file", "pretty-print the canonical model text", ()),
+    "explain": (_cmd_explain, "code", "print the rule text of a diagnostic code", ()),
 }
 
 
@@ -305,39 +302,40 @@ def _read_exact(argv: list[str]) -> _Args | None:
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    table = {s: option for option in command.options for s in option.strings}
-    values = {option.dest: option.default for option in command.options}
+    handler, positional, _, options = command
+    table = {s: (dest, kind) for strings, dest, kind, *_ in options for s in strings}
+    values = {dest: default for _, dest, _, _, default, _ in options}
     rest = iter(argv[1:])
     for arg in rest:
         if not arg.startswith("-"):
-            if command.positional in values:
+            if positional in values:
                 return None
-            values[command.positional] = arg
+            values[positional] = arg
             continue
         string, eq, value = arg.partition("=")
-        option = table.get(string)
-        if option is None or (eq and option.kind is None):
+        dest, kind = table.get(string, (None, None))
+        if dest is None or (eq and kind is None):
             return None
-        if option.kind is None:
-            values[option.dest] = True
+        if kind is None:
+            values[dest] = True
             continue
         if not eq:
             value = next(rest, "-")
         if value.startswith("-"):
             return None
-        if option.kind is int:
+        if kind is int:
             try:
                 value = int(value)
             except ValueError:
                 return None
-        elif option.kind is not str and value not in option.kind:
+        elif kind is not str and value not in kind:
             return None
-        values[option.dest] = value
-    if command.positional not in values or any(
-        option.required and values[option.dest] is None for option in command.options
+        values[dest] = value
+    if positional not in values or any(
+        required and values[dest] is None for _, dest, _, required, _, _ in options
     ):
         return None
-    return _Args(command=argv[0], func=command.handler, **values)
+    return _Args(command=argv[0], func=handler, **values)
 
 
 def _parser():
@@ -352,19 +350,19 @@ def _parser():
         prog="csm", description="Collaborative service model toolkit.", formatter_class=formatter
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, formatter_class=formatter)
-        p.add_argument(command.positional)
-        p.set_defaults(func=command.handler)
-        for option in command.options:
-            if option.kind is None:
-                kind = {"action": "store_true"}
-            elif isinstance(option.kind, tuple):
-                kind = {"choices": option.kind}
+    for name, (handler, positional, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, formatter_class=formatter)
+        p.add_argument(positional)
+        p.set_defaults(func=handler)
+        for strings, dest, kind, required, default, text in options:
+            if kind is None:
+                reads = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                reads = {"choices": kind}
             else:
-                kind = {"type": option.kind}
-            p.add_argument(*option.strings, dest=option.dest, required=option.required,
-                           default=option.default, help=option.help, **kind)
+                reads = {"type": kind}
+            p.add_argument(*strings, dest=dest, required=required, default=default, help=text,
+                           **reads)
     return parser, sub.choices
 
 
@@ -375,15 +373,15 @@ def _without_dashes(argv: list[str]) -> tuple[list[str], set[str]]:
     argparse stores such a value as [] before Python 3.13 and as "--" from
     3.13 on, where it checks it as an int or a choice first; read from the
     argument itself, the line is the same usage error on every version."""
-    command, dests, out = None, set(), list(argv)
+    options, dests, out = None, set(), list(argv)
     for i, arg in enumerate(argv):
         if arg == "--":
             break
-        if command is None:
+        if options is None:
             if not arg.startswith("-"):
-                command = _COMMANDS.get(arg)
-                if command is None:
+                if arg not in _COMMANDS:
                     break
+                _, _, _, options = _COMMANDS[arg]
             continue
         name, eq, value = arg.partition("=")
         if not eq and not arg.startswith("--"):
@@ -391,15 +389,15 @@ def _without_dashes(argv: list[str]) -> tuple[list[str], set[str]]:
         if value != "--":
             continue
         # An exact option string, else the one long option it abbreviates.
-        strings = {s: o for o in command.options for s in o.strings}
+        strings = {s: (dest, kind) for names, dest, kind, *_ in options for s in names}
         if name not in strings and name.startswith("--"):
             found = [s for s in [*strings, "--help"] if s.startswith(name)]
             name = found[0] if len(found) == 1 else None
-        option = strings.get(name)
-        if option is not None and option.kind is not None:
-            taken = option.kind[0] if isinstance(option.kind, tuple) else "1"
+        dest, kind = strings.get(name, (None, None))
+        if kind is not None:
+            taken = kind[0] if isinstance(kind, tuple) else "1"
             out[i] = arg[: len(arg) - 2] + taken
-            dests.add(option.dest)
+            dests.add(dest)
     return out, dests
 
 
@@ -413,9 +411,10 @@ def _read_argv(argv: list[str]) -> _Args | int:
     argv, dashed = _without_dashes(argv)
     try:
         args = parser.parse_args(argv)
-        for option in _COMMANDS[args.command].options:
-            if option.dest in dashed:
-                strings = "/".join(option.strings)
+        _, _, _, options = _COMMANDS[args.command]
+        for strings, dest, *_ in options:
+            if dest in dashed:
+                strings = "/".join(strings)
                 commands[args.command].error(f"argument {strings}: expected one argument")
     except SystemExit as stop:
         return stop.code

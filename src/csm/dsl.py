@@ -40,11 +40,10 @@ the source token survives the firing.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import accumulate
 
 from .diagnostics import Diagnostic, SourceSpan, has_errors
-from .diagnostics import _esc, _json_array, _loads
+from .diagnostics import _esc, _json_array, _loads, _record
 from .model import (
     ClassDef,
     Model,
@@ -67,7 +66,7 @@ ITEM_KEYWORDS = frozenset({"role", "class", "process", "grant"})
 PITEM_KEYWORDS = frozenset({"owner", "responsible", "input", "output", "transform"})
 
 
-class ParseResult(namedtuple("ParseResult", "model diagnostics")):
+class ParseResult(_record("ParseResult", "model diagnostics")):
     """Outcome of a parse: a canonical model unless errors were found, and
     the list of diagnostics."""
 
@@ -80,7 +79,7 @@ class ParseResult(namedtuple("ParseResult", "model diagnostics")):
 
 # kind is "ident", "string", "punct", "junk" or "eof"; offset is where the
 # token starts in the source. A string token keeps its quotes.
-_Token = namedtuple("_Token", "kind text offset")
+_Token = _record("_Token", "kind text offset")
 
 
 def _token_pattern():

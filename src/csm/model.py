@@ -10,12 +10,9 @@ caches on first use come out the same whichever thread builds them).
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
-from functools import cached_property
 from itertools import repeat
 
-from .diagnostics import Diagnostic, SourceSpan
+from .diagnostics import Diagnostic, SourceSpan, _cached, _record
 
 
 class ModelError(Exception):
@@ -106,7 +103,7 @@ PLUS_PRIVILEGES = frozenset(p for p in PRIVILEGES if p.endswith("+"))
 _WRITE_PRIVILEGES = frozenset(PRIVILEGES) - {"reference", "reference+"}
 
 
-class ClassDef(namedtuple("ClassDef", "name dynamic status_points")):
+class ClassDef(_record("ClassDef", "name dynamic status_points")):
     """An information class, optionally a significant dynamic state."""
 
     __slots__ = ()
@@ -117,7 +114,7 @@ class ClassDef(namedtuple("ClassDef", "name dynamic status_points")):
         return tuple.__new__(cls, (name, bool(dynamic), frozenset(status_points)))
 
 
-class Transform(namedtuple("Transform", "source target mode")):
+class Transform(_record("Transform", "source target mode")):
     """One state change declared by a process: source class to target class
     (names), with its mode from ``TRANSFORM_MODES``."""
 
@@ -125,7 +122,7 @@ class Transform(namedtuple("Transform", "source target mode")):
 
 
 class ProcessDef(
-    namedtuple("ProcessDef", "name inputs outputs transforms owners responsibles")
+    _record("ProcessDef", "name inputs outputs transforms owners responsibles")
 ):
     """A business process with its inputs, outputs, transforms and roles.
 
@@ -165,7 +162,7 @@ class ProcessDef(
 
 
 class ClassIndex(
-    namedtuple("ClassIndex", "creators plus_readers read_only_readers producers")
+    _record("ClassIndex", "creators plus_readers read_only_readers producers")
 ):
     """Who holds what on one class, and which processes output it.
 
@@ -178,7 +175,7 @@ class ClassIndex(
     __slots__ = ()
 
 
-class Model(namedtuple("Model", "name roles classes processes class_grants")):
+class Model(_record("Model", "name roles classes processes class_grants")):
     """A complete collaborative service model.
 
     ``roles``, ``classes`` (``ClassDef``) and ``processes`` (``ProcessDef``)
@@ -217,11 +214,11 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
     def process_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.processes)
 
-    @cached_property
+    @_cached
     def _classes_by_name(self) -> dict[str, ClassDef]:
         return {c.name: c for c in self.classes}
 
-    @cached_property
+    @_cached
     def _processes_by_name(self) -> dict[str, ProcessDef]:
         return {p.name: p for p in self.processes}
 
@@ -237,7 +234,7 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
         except KeyError:
             raise UnknownProcess(name) from None
 
-    @cached_property
+    @_cached
     def class_index(self) -> dict[str, ClassIndex]:
         """Per class name of a canonical model: its grant holders and
         producing processes.
@@ -290,7 +287,7 @@ class Model(namedtuple("Model", "name roles classes processes class_grants")):
 # ``responsibles``, ``inputs`` and ``outputs`` hold ``(name, position)``
 # entries and ``transforms`` ``(Transform, position)`` entries, positions as
 # in ``_Draft``; a parser appends to them as it reads.
-_ProcessItem = namedtuple(
+_ProcessItem = _record(
     "_ProcessItem", "name offset owners responsibles inputs outputs transforms"
 )
 
@@ -558,7 +555,7 @@ def canonicalize(model: Model) -> Model:
     return canonical
 
 
-class SharedClass(namedtuple("SharedClass", "class_name producer consumer")):
+class SharedClass(_record("SharedClass", "class_name producer consumer")):
     """A class one role creates and the other reads across the boundary
     (class and role names)."""
 

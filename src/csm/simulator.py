@@ -31,10 +31,8 @@ read the model through ``canonicalize``.
 from __future__ import annotations
 
 import time
-from collections import Counter, namedtuple
-from collections.abc import Container, Iterable, Mapping, Sequence
 
-from .diagnostics import _esc, _json_array
+from .diagnostics import _esc, _json_array, _record
 from .model import (
     Model,
     ModelError,
@@ -50,7 +48,7 @@ class DuplicateToken(ModelError):
 
 
 class TraceEvent(
-    namedtuple("TraceEvent", "step process object_id outcome detail", defaults=("",))
+    _record("TraceEvent", "step process object_id outcome detail", defaults=("",))
 ):
     """One step of a scripted run: its 1-based number, the process and object
     it named, its outcome (``"fired"``, ``"not-enabled"``,
@@ -207,7 +205,7 @@ Action = tuple[str, str]  # (process, object_id)
 _State = tuple[tuple[tuple[str, int], ...], int]
 
 
-class QueryResult(namedtuple("QueryResult", "predicate reachable witness")):
+class QueryResult(_record("QueryResult", "predicate reachable witness")):
     """A query's verdict; ``witness`` is the tuple of actions that reaches it,
     or ``None`` when it is unreachable."""
 
@@ -215,7 +213,7 @@ class QueryResult(namedtuple("QueryResult", "predicate reachable witness")):
 
 
 class ReachabilitySummary(
-    namedtuple("ReachabilitySummary", "state_count complete queries")
+    _record("ReachabilitySummary", "state_count complete queries")
 ):
     """What ``explore`` found: the state count, whether the search closed and
     the tuple of ``QueryResult``.
@@ -446,7 +444,10 @@ def _count(graph: ReachabilityGraph) -> tuple[list[int], str, int]:
     pruned = False
     histories = {frozenset()}  # the distinct sets of minted ids after m generator firings
     for m in range(max_steps + 1):
-        for k, n in Counter(map(len, histories)).items():
+        sizes: dict[int, int] = {}  # histories per count of minted ids
+        for ids in histories:
+            sizes[len(ids)] = sizes.get(len(ids), 0) + 1
+        for k, n in sizes.items():
             while len(powers) <= k:
                 powers.append(_times(powers[-1], minted, max_steps))
             counts, degrees = powers[k]

@@ -7,8 +7,6 @@ status-point annotations are justified by the surrounding structure.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .diagnostics import Diagnostic
 from .model import ClassIndex, Model, ModelError, canonicalize
 
@@ -254,10 +252,13 @@ def validate(model: Model) -> list[Diagnostic]:
     out = _errors(model)
 
     # Status-point warnings.
-    consumers = Counter(c for p in model.processes for c in p.inputs)
+    consumers: dict[str, int] = {}
+    for p in model.processes:
+        for c in p.inputs:
+            consumers[c] = consumers.get(c, 0) + 1
     index = model.class_index
     for c in model.classes:
-        n = consumers[c.name]
+        n = consumers.get(c.name, 0)
         if "decision" in c.status_points and n < 2:
             out.append(
                 _diag(

@@ -435,6 +435,28 @@ MUTANTS = (
         "            self.movers.append(proc)\n            if not need and out",
         ("tests/test_simulator.py::TestCountedSpace::test_random_models",),
     ),
+    # A record's _make takes too few or too many values.
+    Mutant(
+        "src/csm/diagnostics.py",
+        "        if len(result) != len(cls._fields):\n",
+        "        if False:\n",
+        ("tests/test_records.py::test_agrees_with_namedtuple",),
+    ),
+    # A record's _replace ignores a field the record does not have.
+    Mutant(
+        "src/csm/diagnostics.py",
+        "        if changes:\n",
+        "        if False:\n",
+        ("tests/test_records.py::test_agrees_with_namedtuple",),
+    ),
+    # The cache keeps its value under another name than the attribute's, so
+    # the descriptor runs again, and recomputes, on every read.
+    Mutant(
+        "src/csm/diagnostics.py",
+        "instance.__dict__[self.compute.__name__] = ",
+        'instance.__dict__["_" + self.compute.__name__] = ',
+        ("tests/test_records.py::test_model_class_index_is_cached",),
+    ),
 )
 
 

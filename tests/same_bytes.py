@@ -24,11 +24,17 @@ One ``python -S`` child per tree calls ``csm.cli.main`` for each line, from
 the input directory, and records its exit code, stdout and stderr. The two
 children run side by side. The stderr line of ``explore --stats`` is
 compared as JSON without ``build_s`` and ``query_s``, which are timings.
+A small sample, one line per command on ``healthcare.csm`` and ``validate``
+on one bad fixture, runs instead as whole ``csm`` processes, one per line
+and tree (``python -S -c "from csm.cli import entry; entry()"``), so the
+exit code and the streams are what ``entry`` flushes before it ends the
+process.
 
 The report gives the lines run, the lines that differ, and the first
 differences per command. A line is named by its command line, with paths
-relative to the input directory. The tool exits 1 when a line differs, 2
-when a child fails, and 0 otherwise. It needs no pytest; ``test_same_bytes.py``
+relative to the input directory; a whole-process line starts with
+``csm``. The tool exits 1 when a line differs, 2 when a child fails, and
+0 otherwise. It needs no pytest; ``test_same_bytes.py``
 runs it on the fixtures alone.
 """
 
@@ -63,6 +69,8 @@ MODEL_COMMANDS = (
 RANDOM_MODELS = 50
 BENCH_SEEDS = (1, 2)
 TIMINGS = ("build_s", "query_s")
+# The csm script's code; a line that starts with "csm" runs through it.
+ENTRY = "from csm.cli import entry; entry()"
 
 # Run in each tree's child: argv is that tree's src, the file of command
 # lines and the file to write the runs to.
@@ -98,13 +106,37 @@ def _model_lines(work: Path, stem: str, text: str, both: bool = True) -> list[li
     return [[command[0], name, *command[1:]] for name in names for command in MODEL_COMMANDS]
 
 
+def _process_lines(work: Path) -> list[list[str]]:
+    """The whole-process sample: each command on ``healthcare.csm`` and
+    ``validate`` on ``bad_c1.csm``, which ``_model_lines`` wrote."""
+    for name, doc in (
+        ("seed.json", [{"object": "p", "class": "CaredPatient"}]),
+        ("script.json", [{"process": "CheckUp", "object": "new"}]),
+        ("query.json", [{"type": "sequence", "first": "ReviewResult", "then": "RequestTest"}]),
+    ):
+        (work / name).write_text(json.dumps(doc), encoding="utf-8")
+    model = "healthcare.csm"
+    return [["csm", *line] for line in (
+        ["validate", model],
+        ["classify", model, "--json"],
+        ["simulate", model, "--seed", "seed.json", "--script", "script.json"],
+        ["explore", model, "--seed", "seed.json", "--query", "query.json"],
+        ["render", model, "--format", "mermaid"],
+        ["fmt", model],
+        ["explain", "E-C4"],
+        ["validate", "bad_c1.csm"],
+    )]
+
+
 def fixture_lines(work: Path) -> list[list[str]]:
     """The fixtures and bad fixtures in both forms through every model
-    command, and ``explain`` for every catalog code and one unknown code."""
+    command, ``explain`` for every catalog code and one unknown code, and
+    the whole-process sample."""
     lines = []
     for name in (*FIXTURES, *BAD_FIXTURES):
         lines += _model_lines(work, name, fixture_text(name))
-    return lines + [["explain", code] for code in (*validator.CATALOG, "E-UNKNOWN")]
+    lines += [["explain", code] for code in (*validator.CATALOG, "E-UNKNOWN")]
+    return lines + _process_lines(work)
 
 
 def all_lines(work: Path) -> list[list[str]]:
@@ -133,11 +165,22 @@ def all_lines(work: Path) -> list[list[str]]:
 
 
 def run_tree(src: Path, work: Path, lines_file: Path, runs_file: Path) -> subprocess.Popen:
-    """The child that runs every line on the tree at ``src``."""
+    """The child that runs every in-process line on the tree at ``src``."""
     return subprocess.Popen(
         [sys.executable, "-S", "-c", CHILD, str(src), str(lines_file), str(runs_file)],
         cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
+
+
+def run_process(src: Path, work: Path, argv: list[str]) -> list:
+    """The exit code, stdout and stderr of ``csm`` run on ``argv`` as its own
+    process, on the tree at ``src``."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", ENTRY, *argv], cwd=work,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        encoding="utf-8", errors="backslashreplace", timeout=60,
+    )
+    return [done.returncode, done.stdout, done.stderr]
 
 
 def comparable(argv: list[str], run: list) -> list[list]:
@@ -193,8 +236,10 @@ def main(argv: list[str], inputs=all_lines) -> int:
         work = Path(tmp) / "inputs"
         work.mkdir()
         lines = inputs(work)
+        in_process = [argv for argv in lines if argv[0] != "csm"]
+        lines = in_process + [argv for argv in lines if argv[0] == "csm"]
         lines_file = Path(tmp) / "lines.json"
-        lines_file.write_text(json.dumps(lines), encoding="utf-8")
+        lines_file.write_text(json.dumps(in_process), encoding="utf-8")
         trees = {"parent": args.parent.resolve(), "change": ROOT / "src"}
         children = {name: run_tree(src, work, lines_file, Path(tmp) / f"{name}.json")
                     for name, src in trees.items()}
@@ -206,6 +251,9 @@ def main(argv: list[str], inputs=all_lines) -> int:
                 return 2
         runs = {name: json.loads((Path(tmp) / f"{name}.json").read_text(encoding="utf-8"))
                 for name in trees}
+        for argv in lines[len(in_process):]:
+            for name, src in trees.items():
+                runs[name].append(run_process(src, work, argv[1:]))
     print(f"parent {trees['parent']}\nchange {trees['change']}")
     return 1 if compare(lines, runs["parent"], runs["change"]) else 0
 

@@ -759,11 +759,15 @@ def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
 def test_no_benchmark_command_loads_re_or_json(write_json, tmp_path):
     """Every command line the benchmark runs, on the model text and on its
     JSON form, in one ``python -S`` child that loads none of ``re``,
-    ``json`` and ``enum`` itself: none of them loads any. A well-formed
-    model is read line by line with ``str`` methods, and only the token
-    parser, which reads any other text, compiles a pattern. Privileges,
-    status points, modes, severities, outcomes and levels are plain
-    strings, so no ``Enum`` class is built."""
+    ``json``, ``enum``, ``collections``, ``functools``, ``operator`` and
+    ``types`` itself: none of them loads any, ``collections.abc``
+    included. A well-formed model is read line by line with ``str``
+    methods, and only the token parser, which reads any other text,
+    compiles a pattern. Privileges, status points, modes, severities,
+    outcomes and levels are plain strings, so no ``Enum`` class is built.
+    Records are built by ``diagnostics._record``, not ``namedtuple``, and
+    cached indexes kept by ``diagnostics._cached``, not
+    ``functools.cached_property``."""
     model_json = tmp_path / "healthcare.json"
     model_json.write_bytes(emit_json(load("healthcare")))
     files = {
@@ -783,13 +787,14 @@ def test_no_benchmark_command_loads_re_or_json(write_json, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import io, sys, csm.cli\n"
+         "FORBIDDEN = ('re', 'json', 'enum', 'collections', 'functools', 'operator', 'types')\n"
          "runs = []\n"
          "for line in sys.argv[1].split('\\x1e'):\n"
          "    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
          "    code = csm.cli.main(line.split('\\x1f'))\n"
          "    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
          "    runs.append((code, sorted(m for m in sys.modules\n"
-         "                              if m.partition('.')[0] in ('re', 'json', 'enum'))))\n"
+         "                              if m.partition('.')[0] in FORBIDDEN)))\n"
          "print(repr(runs))",
          "\x1e".join("\x1f".join(line) for line in lines)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,

@@ -44,7 +44,7 @@ from helpers import argparse_reference
 COMMANDS = list(cli._COMMANDS)
 LONG = sorted(
     {"--help"}
-    | {s for row in cli._COMMANDS.values() for o in row.options for s in o.strings if s[1] == "-"}
+    | {s for *_, options in cli._COMMANDS.values() for o in options for s in o[0] if s[1] == "-"}
 )
 # Every prefix of every long option, ambiguous ones (--s, --max) included.
 PREFIXES = sorted({s[:k] for s in LONG for k in range(3, len(s) + 1)})
@@ -80,16 +80,16 @@ def argvs(draw):
     name = draw(st.sampled_from(COMMANDS * 4 + ODD_COMMANDS))
     if name not in cli._COMMANDS or draw(st.booleans()):
         return pre + [name] + draw(st.lists(tokens, max_size=8))
-    command = cli._COMMANDS[name]
+    *_, options = cli._COMMANDS[name]
     groups = [[draw(st.sampled_from(VALUES))]]
-    for option in command.options:
-        if option.required or draw(st.booleans()):
-            string = draw(st.sampled_from(option.strings))
-            if option.kind is None:
+    for strings, _, kind, required, _, _ in options:
+        if required or draw(st.booleans()):
+            string = draw(st.sampled_from(strings))
+            if kind is None:
                 groups.append([string])
             else:
                 value = draw(st.sampled_from(
-                    list(option.kind) if isinstance(option.kind, tuple) else VALUES
+                    list(kind) if isinstance(kind, tuple) else VALUES
                 ))
                 form = draw(st.sampled_from(["split", "equals"]))
                 groups.append([string, value] if form == "split" else [f"{string}={value}"])

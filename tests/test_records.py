@@ -2,16 +2,23 @@
 
 Construction by keyword with defaults, the coercions applied on
 construction, immutability, equality and hashing, the cached model index
-and ``repr``.
+and ``repr``; and, for every record class, agreement with a
+``collections.namedtuple`` class of the same fields.
 """
 
+import collections
+import copy
+import inspect
 import itertools
 import json
+import pickle
+import sys
 
 import pytest
 
+import csm.cli  # noqa: F401  (loads every layer, so every record class is found)
 from csm.classifier import CollaborationReport, LevelFinding
-from csm.diagnostics import Diagnostic, SourceSpan
+from csm.diagnostics import Diagnostic, SourceSpan, _Record
 from csm.dsl import ParseResult, parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
 from csm.model import (
@@ -319,3 +326,119 @@ class TestSimulatorJson:
         ):
             summary = ReachabilitySummary(count, complete, picked, {"states": count})
             assert summary.to_json() == reference_summary_json(summary)
+
+
+# Every record class in src: what each module binds that ``_record`` built.
+RECORD_CLASSES = sorted(
+    {
+        obj
+        for name, module in list(sys.modules.items())
+        if name.startswith("csm.")
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, _Record) and obj is not _Record
+    },
+    key=lambda cls: (cls.__module__, cls.__name__),
+)
+
+
+def namedtuple_oracle(cls):
+    """``cls`` built on ``collections.namedtuple``: a namedtuple of
+    its ``_fields`` with the defaults its signature gives, and, for a class
+    statement on top of ``_record``, that statement's own body on top of it."""
+    fields = cls._fields
+    params = inspect.signature(cls).parameters
+    defaults = [params[f].default for f in fields if params[f].default is not params[f].empty]
+    base = collections.namedtuple(cls.__name__, fields, defaults=defaults)
+    if cls.__bases__ == (_Record,):
+        return base
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    return type(cls.__name__, (base,), body)
+
+
+def outcome(call):
+    """What ``call()`` gives: its value, or the type and text of what it raised."""
+    try:
+        return "value", call()
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def sample(fields):
+    """A value per field that every constructor takes as it is or coerces
+    alike on both sides: a pair in a 1-tuple reads as a tuple, a frozenset, a
+    true bool and a dict of one entry."""
+    return tuple(((f"{field}-key", f"{field}-value"),) for field in fields)
+
+
+def test_every_record_class_is_found():
+    names = {cls.__name__ for cls in RECORD_CLASSES}
+    assert {"Model", "ProcessDef", "Diagnostic", "ReachabilitySummary", "_Token"} <= names
+    assert len(names) == len(RECORD_CLASSES) == 16
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=[c.__name__ for c in RECORD_CLASSES])
+def test_agrees_with_namedtuple(cls):
+    oracle = namedtuple_oracle(cls)
+    fields = cls._fields
+    values = sample(fields)
+    record, expected = cls(*values), oracle(*values)
+    assert type(record) is cls
+
+    # Positional and keyword construction, and the defaults.
+    assert tuple(record) == tuple(expected)
+    assert tuple(cls(**dict(zip(fields, values)))) == tuple(expected)
+    params = inspect.signature(cls).parameters
+    required = sum(params[f].default is params[f].empty for f in fields)
+    for k in range(required, len(fields) + 1):
+        assert tuple(cls(*values[:k])) == tuple(oracle(*values[:k])), k
+    if required:
+        assert outcome(lambda: cls(*values[:required - 1]))[:2] == ("raised", TypeError)
+        assert outcome(lambda: oracle(*values[:required - 1]))[:2] == ("raised", TypeError)
+
+    # Equality and hash as the plain tuple; a dict field makes both unhashable.
+    plain = tuple(record)
+    assert record == plain and plain == record and not record != plain
+    assert outcome(lambda: hash(record)) == outcome(lambda: hash(plain))
+    assert outcome(lambda: hash(expected)) == outcome(lambda: hash(plain))
+
+    assert repr(record) == repr(expected)
+    assert cls.__match_args__ == oracle.__match_args__ == fields
+
+    # _replace, unknown fields included, and the instance state a copy keeps.
+    last = {fields[-1]: "changed"}
+    changed = record._replace(**last)
+    assert type(changed) is cls and tuple(changed) == tuple(expected._replace(**last))
+    state = getattr(expected._replace(**last), "__dict__", None)
+    assert getattr(changed, "__dict__", None) == state
+    assert outcome(lambda: record._replace(nope=1)) == outcome(lambda: expected._replace(nope=1))
+    assert outcome(lambda: record._replace(**last, nope=1)) == outcome(
+        lambda: expected._replace(**last, nope=1)
+    )
+
+    # _make, with its length check.
+    made = cls._make(values)
+    assert type(made) is cls and tuple(made) == tuple(oracle._make(values))
+    for wrong in (values[:-1], values + values[:1]):
+        assert outcome(lambda: cls._make(wrong)) == outcome(lambda: oracle._make(wrong))
+        assert outcome(lambda: cls._make(wrong))[:2] == ("raised", TypeError)
+
+    # copy and pickle give an equal record of the same class.
+    for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record
+        assert getattr(clone, "__dict__", None) == getattr(record, "__dict__", None)
+
+    for field in fields:
+        for r in (record, expected):
+            with pytest.raises(AttributeError):
+                setattr(r, field, None)
+            with pytest.raises(AttributeError):
+                delattr(r, field)
+
+
+def test_model_copies_carry_no_cache_and_no_mark():
+    parsed = load("healthcare")
+    parsed.class_index, parsed.class_def(parsed.class_names[0])
+    assert {"_canonical", "class_index", "_classes_by_name"} <= set(vars(parsed))
+    for copied in (parsed._replace(), parsed._replace(name="other"), Model._make(parsed)):
+        assert vars(copied) == {}
+        assert copied.class_index == parsed.class_index

@@ -1,5 +1,6 @@
 """``same_bytes.py`` finds no difference between a tree and itself, and
-finds the one byte that a changed ``fmt`` adds; both on the fixtures alone,
+finds the one byte that a changed ``fmt`` adds, in process and in a whole
+``csm`` process; both on the fixtures and the whole-process sample alone,
 while ``python tests/same_bytes.py PARENT_SRC`` runs the whole input set."""
 
 import shutil
@@ -24,5 +25,7 @@ def test_one_more_byte_from_fmt(tmp_path, capsys):
     out = capsys.readouterr().out
     fmt_lines = [line for line in out.splitlines() if line.startswith("  fmt ")]
     assert "\nfmt: 24 differ\n" in out and len(fmt_lines) == 3, out
-    assert " lines run, 24 differ\n" in out
+    # The whole-process sample's one fmt line differs too.
+    assert "\ncsm: 1 differ\n  csm fmt healthcare.csm\n" in out, out
+    assert " lines run, 25 differ\n" in out
     assert "' ' != '<end>'" in out
