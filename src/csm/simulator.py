@@ -220,6 +220,8 @@ class ReachabilitySummary(
 
     ``stats`` (counts, timings, stop reason) is an attribute outside the
     tuple, so it takes no part in equality, and it stays out of ``to_json``.
+    A ``_replace`` copy keeps it, as ``copy`` and ``pickle`` do, where a
+    ``namedtuple`` would drop it.
     """
 
     def __new__(
@@ -232,6 +234,19 @@ class ReachabilitySummary(
         self = tuple.__new__(cls, (state_count, complete, queries))
         self.stats = {} if stats is None else stats
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> ReachabilitySummary:
+        """A summary of the values in ``iterable``, with no stats."""
+        self = super()._make(iterable)
+        self.stats = {}
+        return self
+
+    def _replace(self, /, **changes) -> ReachabilitySummary:
+        """A copy with the named fields changed, which keeps ``stats``."""
+        result = super()._replace(**changes)
+        result.stats = self.stats
+        return result
 
     def to_json(self) -> str:
         """``{"bound_exceeded", "complete", "queries", "state_count"}``, each

@@ -46,7 +46,7 @@ MUTANTS = (
         "src/csm/cli.py",
         "    command = _COMMANDS.get(argv[0]) if argv else None\n",
         "    command = None\n",
-        ("tests/test_cli.py::test_import_leaves_out_heavy_stdlib_modules",),
+        ("tests/test_cli.py::test_benchmark_commands_load_no_forbidden_module",),
     ),
     # The exact reader takes an option value that starts with "-".
     Mutant(
@@ -456,6 +456,35 @@ MUTANTS = (
         "instance.__dict__[self.compute.__name__] = ",
         'instance.__dict__["_" + self.compute.__name__] = ',
         ("tests/test_records.py::test_model_class_index_is_cached",),
+    ),
+    # The simulator loads json at import.
+    Mutant(
+        "src/csm/simulator.py",
+        "import time\n",
+        "import json\nimport time\n",
+        ("tests/test_cli.py::test_benchmark_commands_load_no_forbidden_module",),
+    ),
+    # The renderer loads os at import.
+    Mutant(
+        "src/csm/render.py",
+        "from __future__ import annotations\n",
+        "from __future__ import annotations\n\nimport os\n",
+        ("tests/test_cli.py::test_benchmark_commands_load_no_forbidden_module",),
+    ),
+    # The token parser's bisect import, which only a diagnostic needs, is
+    # made at module level.
+    Mutant(
+        "src/csm/dsl.py",
+        "from itertools import accumulate\n",
+        "from bisect import bisect_right\nfrom itertools import accumulate\n",
+        ("tests/test_cli.py::test_benchmark_commands_load_no_forbidden_module",),
+    ),
+    # A summary's _replace copy drops its stats.
+    Mutant(
+        "src/csm/simulator.py",
+        "        result.stats = self.stats\n",
+        "",
+        ("tests/test_records.py::test_summary_copies_keep_stats",),
     ),
 )
 

@@ -16,7 +16,10 @@ seeded ``random_model`` and 50 ``random_valid_model`` models in both forms,
 and 50 ``random_model_text`` layouts. Each model file goes through
 ``validate``, ``classify``, ``classify --json``, ``render --format dot``
 with and without ``--show-privileges``, ``render --format mermaid`` and
-``fmt``. Then come ``explain`` for every catalog code and one unknown code,
+``fmt``. The text of each fixture and bad fixture also goes through
+``validate`` with each of three mistakes that the benchmark plants: a
+transform's mode removed, a grant on an undeclared class and a repeated
+role. Then come ``explain`` for every catalog code and one unknown code,
 and the command lines that the benchmark's corpus and scale set-ups build
 for seeds 1 and 2, each ``explore`` with ``--stats`` added.
 
@@ -106,6 +109,37 @@ def _model_lines(work: Path, stem: str, text: str, both: bool = True) -> list[li
     return [[command[0], name, *command[1:]] for name in names for command in MODEL_COMMANDS]
 
 
+# The three mistakes that the benchmark's corpus plants in a fixture's text
+# (``_broken_inputs`` in ``csmbench/run.py``): a transform's mode removed,
+# a grant on an undeclared class and a repeated role. Each is a line test
+# and the edit made to the first line that passes it.
+MISTAKES = (
+    ("no_mode",
+     lambda ln: ln.strip().startswith("transform ")
+     and ln.rstrip().endswith(("leaving", "remaining")),
+     lambda ln: ln.rsplit(" ", 1)[0]),
+    ("undeclared_class", lambda ln: ln.strip().startswith("grant "),
+     lambda ln: ln.replace(" on ", " on Undeclared", 1)),
+    ("repeated_role", lambda ln: ln.strip().startswith("role "), lambda ln: ln + "\n" + ln),
+)
+
+
+def _broken_lines(work: Path, stem: str, text: str) -> list[list[str]]:
+    """``validate`` on ``text`` with each of ``MISTAKES`` that has a line to
+    edit, written as ``<stem>_<mistake>.csm``."""
+    rows = text.split("\n")
+    lines = []
+    for mistake, fits, edit in MISTAKES:
+        at = next((i for i, row in enumerate(rows) if fits(row)), None)
+        if at is None:
+            continue
+        name = f"{stem}_{mistake}.csm"
+        broken = [*rows[:at], edit(rows[at]), *rows[at + 1:]]
+        (work / name).write_text("\n".join(broken), encoding="utf-8")
+        lines.append(["validate", name])
+    return lines
+
+
 def _process_lines(work: Path) -> list[list[str]]:
     """The whole-process sample: each command on ``healthcare.csm`` and
     ``validate`` on ``bad_c1.csm``, which ``_model_lines`` wrote."""
@@ -130,11 +164,13 @@ def _process_lines(work: Path) -> list[list[str]]:
 
 def fixture_lines(work: Path) -> list[list[str]]:
     """The fixtures and bad fixtures in both forms through every model
-    command, ``explain`` for every catalog code and one unknown code, and
-    the whole-process sample."""
+    command, and their texts with each mistake through ``validate``;
+    ``explain`` for every catalog code and one unknown code; and the
+    whole-process sample."""
     lines = []
     for name in (*FIXTURES, *BAD_FIXTURES):
         lines += _model_lines(work, name, fixture_text(name))
+        lines += _broken_lines(work, name, fixture_text(name))
     lines += [["explain", code] for code in (*validator.CATALOG, "E-UNKNOWN")]
     return lines + _process_lines(work)
 

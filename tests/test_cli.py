@@ -660,148 +660,125 @@ BENCH_SHAPES = [
     ["fmt", "@model"],
     ["explain", "E-C1"],
 ]
-HEAVY = {"argparse", "gettext", "locale", "shutil", "bz2", "lzma", "zlib", "fnmatch"}
+# Stdlib modules, by top-level name, that no command line the benchmark
+# runs may load: argparse and what its help and messages pull in, the
+# modules the token parser and malformed JSON need (re, json, enum, and
+# bisect for a diagnostic's line and column), what namedtuple and
+# cached_property load, os, and the stdlib's heavier packages.
+FORBIDDEN = {
+    "argparse", "bisect", "bz2", "collections", "dataclasses", "enum", "fnmatch",
+    "functools", "gettext", "inspect", "json", "locale", "lzma", "operator", "os",
+    "pathlib", "re", "shutil", "types", "typing", "zlib",
+}
 
 
-def test_import_leaves_out_heavy_stdlib_modules(write_json, tmp_path):
-    """``import csm.cli`` loads every csm module, and no command line the
-    benchmark runs loads any of the stdlib modules whose import dominated
-    start-up: argparse and what its help formatter and messages pull in (a
-    module set, not a timing)."""
-    files = {
-        "@model": fx("healthcare"),
-        "@seed": write_json("seed.json", [{"object": "p", "class": "CaredPatient"}]),
-        "@script": write_json("script.json", [{"process": "CheckUp", "object": "new"}]),
-        "@query": write_json(
-            "query.json", [{"type": "sequence", "first": "ReviewResult", "then": "RequestTest"}]
-        ),
-        "@out": str(tmp_path / "out.dot"),
-    }
-    # Last, an abbreviated option, which only argparse reads.
-    shapes = [*BENCH_SHAPES, ["classify", "--js", "@model"]]
-    argvs = [[files.get(a, a) for a in shape] for shape in shapes]
+def _main_in_child(lines, prelude="", watched=()):
+    """``(exit code, stdout, stderr, modules)`` of each command line, run by
+    ``csm.cli.main`` in turn in one ``python -S`` child that runs
+    ``prelude`` and then imports only ``io``, ``sys`` and ``csm.cli``;
+    ``modules`` are those loaded after the line whose top-level name is in
+    ``watched``."""
     src = str(Path(csm.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import contextlib, io, json, sys, csm.cli\n"
-         "runs = []\n"
-         "for argv in json.loads(sys.argv[1]):\n"
-         "    out = io.StringIO()\n"
-         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
-         "        code = csm.cli.main(argv)\n"
-         "    runs.append([code, out.getvalue()[:20], sorted(sys.modules)])\n"
-         "print(json.dumps(runs))",
-         json.dumps(argvs)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    assert [code for code, _, _ in runs] == [0] * len(shapes)
-    assert runs[0][1].startswith('{"code": "W-FP"')
-    for shape, (_, _, modules) in zip(BENCH_SHAPES, runs):
-        loaded = set(modules)
-        assert not loaded & {"dataclasses", "typing", "inspect", "pathlib"}, shape
-        assert not loaded & HEAVY, shape
-    assert {
-        "csm.classifier", "csm.diagnostics", "csm.dsl", "csm.model",
-        "csm.render", "csm.simulator", "csm.validator",
-    } <= set(runs[0][2])
-    assert "argparse" in runs[-1][2]
-
-    # No command loads the json package: every command writes its JSON from
-    # templates, `explore --stats` too, and models, seeds, scripts and
-    # queries are decoded by json's C scanner without it
-    # (`diagnostics._loads`). No command loads os, and a well-formed model
-    # loads no bisect, which only a diagnostic's line and column need; each
-    # runs alone, since the harness above loads them.
-    model_json = tmp_path / "healthcare.json"
-    model_json.write_bytes(emit_json(load("healthcare")))
-    simulate = ["simulate", "--seed", files["@seed"], "--script", files["@script"]]
-    explore = ["explore", "--seed", files["@seed"], "--query", files["@query"]]
-    for argv, model in (
-        (["validate"], fx("healthcare")),
-        (["render", "--format", "dot"], fx("healthcare")),
-        (["render", "--format", "mermaid"], fx("healthcare")),
-        (["fmt"], fx("healthcare")),
-        (["classify", "--json"], fx("healthcare")),
-        (simulate, fx("healthcare")),
-        ([*simulate, "--strict"], fx("healthcare")),
-        (explore, fx("healthcare")),
-        (["validate"], str(model_json)),
-        (["classify", "--json"], str(model_json)),
-        (["render", "--format", "dot"], str(model_json)),
-        (["fmt"], str(model_json)),
-        (simulate, str(model_json)),
-        ([*explore, "--stats"], fx("healthcare")),
-    ):
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c",
-             "import sys, csm.cli\n"
-             "code = csm.cli.main(sys.argv[1:])\n"
-             "sys.stdout.flush()\n"
-             "json = sorted(m for m in sys.modules if m.partition('.')[0] == 'json')\n"
-             "sys.stderr.write(repr((code, json[:1], 'os' in sys.modules, "
-             "'bisect' in sys.modules)))",
-             *argv, model],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-        )
-        *stats, modules = proc.stderr.split("\n")
-        assert proc.stdout and modules == "(0, [], False, False)", (argv, proc.stderr)
-        assert len(stats) == ("--stats" in argv), (argv, proc.stderr)
-        for line in stats:
-            # The stats line is what json.dumps(sort_keys=True) writes.
-            assert line == json.dumps(json.loads(line), sort_keys=True)
-            assert set(json.loads(line)) == {
-                "build_s", "edges", "frontier", "query_s", "states", "stop"
-            }
-
-
-def test_no_benchmark_command_loads_re_or_json(write_json, tmp_path):
-    """Every command line the benchmark runs, on the model text and on its
-    JSON form, in one ``python -S`` child that loads none of ``re``,
-    ``json``, ``enum``, ``collections``, ``functools``, ``operator`` and
-    ``types`` itself: none of them loads any, ``collections.abc``
-    included. A well-formed model is read line by line with ``str``
-    methods, and only the token parser, which reads any other text,
-    compiles a pattern. Privileges, status points, modes, severities,
-    outcomes and levels are plain strings, so no ``Enum`` class is built.
-    Records are built by ``diagnostics._record``, not ``namedtuple``, and
-    cached indexes kept by ``diagnostics._cached``, not
-    ``functools.cached_property``."""
-    model_json = tmp_path / "healthcare.json"
-    model_json.write_bytes(emit_json(load("healthcare")))
-    files = {
-        "@seed": write_json("seed.json", [{"object": "p", "class": "CaredPatient"}]),
-        "@script": write_json("script.json", [{"process": "CheckUp", "object": "new"}]),
-        "@query": write_json(
-            "query.json", [{"type": "sequence", "first": "ReviewResult", "then": "RequestTest"}]
-        ),
-        "@out": str(tmp_path / "out.dot"),
-    }
-    lines = [
-        [files.get(a, model if a == "@model" else a) for a in shape]
-        for model in (fx("healthcare"), str(model_json))
-        for shape in BENCH_SHAPES
-    ]
-    src = str(Path(csm.__file__).parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import io, sys, csm.cli\n"
-         "FORBIDDEN = ('re', 'json', 'enum', 'collections', 'functools', 'operator', 'types')\n"
+         "import io, sys\n"
+         f"{prelude}\n"
+         "import csm.cli\n"
+         "watched = set(sys.argv[2].split())\n"
          "runs = []\n"
          "for line in sys.argv[1].split('\\x1e'):\n"
          "    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
          "    code = csm.cli.main(line.split('\\x1f'))\n"
+         "    out, err = sys.stdout.getvalue(), sys.stderr.getvalue()\n"
          "    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
-         "    runs.append((code, sorted(m for m in sys.modules\n"
-         "                              if m.partition('.')[0] in FORBIDDEN)))\n"
+         "    runs.append((code, out, err, sorted(\n"
+         "        m for m in sys.modules if m.partition('.')[0] in watched)))\n"
          "print(repr(runs))",
-         "\x1e".join("\x1f".join(line) for line in lines)],
+         "\x1e".join("\x1f".join(line) for line in lines),
+         " ".join(watched)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    runs = ast.literal_eval(proc.stdout)
-    assert runs == [(0, [])] * len(lines), list(zip(lines, runs))
+    return ast.literal_eval(proc.stdout)
+
+
+def test_benchmark_commands_load_no_forbidden_module(write_json, tmp_path):
+    """Every command line the benchmark runs, on ``healthcare.csm`` and on
+    its JSON form, in one ``python -S`` child that imports only ``io``,
+    ``sys`` and ``csm.cli``: ``import csm.cli`` loads every csm layer, and
+    each line exits 0, writes its output and loads no ``FORBIDDEN`` module.
+    ``sys.modules`` only grows, so the child records after each line what
+    it holds; the first record that lists a module names the line that
+    loaded it. Last comes an abbreviated option, which only argparse reads:
+    that line loads argparse."""
+    model_json = tmp_path / "healthcare.json"
+    model_json.write_bytes(emit_json(load("healthcare")))
+    files = {
+        "@seed": write_json("seed.json", [{"object": "p", "class": "CaredPatient"}]),
+        "@script": write_json("script.json", [{"process": "CheckUp", "object": "new"}]),
+        "@query": write_json(
+            "query.json", [{"type": "sequence", "first": "ReviewResult", "then": "RequestTest"}]
+        ),
+    }
+    outs = [tmp_path / "out_csm.dot", tmp_path / "out_json.dot"]
+    lines = [
+        [{**files, "@model": model, "@out": str(out)}.get(a, a) for a in shape]
+        for model, out in zip((fx("healthcare"), str(model_json)), outs)
+        for shape in BENCH_SHAPES
+    ]
+    lines.append(["classify", "--js", fx("healthcare")])
+    runs = _main_in_child(lines, watched=FORBIDDEN | {"csm"})
+    assert [code for code, *_ in runs] == [0] * len(lines), list(zip(lines, runs))
+    assert runs[0][1].startswith('{"code": "W-FP"')
+    assert {
+        "csm.classifier", "csm.diagnostics", "csm.dsl", "csm.model",
+        "csm.render", "csm.simulator", "csm.validator",
+    } <= set(runs[0][3])
+    loaded = [{m for m in modules if m.partition(".")[0] in FORBIDDEN} for *_, modules in runs]
+    assert loaded[:-1] == [set()] * len(lines[:-1]), list(zip(lines, loaded))
+    assert "argparse" in loaded[-1]
+
+    for line, (_, out, err, _) in zip(lines, runs):
+        assert out or "-o" in line, line
+        if "--stats" not in line:
+            assert err == "", (line, err)
+            continue
+        # The stats line is what json.dumps(sort_keys=True) writes.
+        stats = err[:-1]
+        assert err == stats + "\n" and "\n" not in stats, (line, err)
+        assert stats == json.dumps(json.loads(stats), sort_keys=True)
+        assert set(json.loads(stats)) == {
+            "build_s", "edges", "frontier", "query_s", "states", "stop"
+        }
+    for path in outs:
+        assert path.read_text().startswith("digraph "), path
+
+
+@pytest.mark.parametrize("missing", ["_json", "_collections"])
+def test_fallbacks_write_the_same_bytes(missing, tmp_path):
+    """With CPython's ``_json`` or ``_collections`` gone, ``diagnostics``
+    takes its ``ImportError`` branch: ``json``'s own ``loads`` and
+    encoder, or a ``property`` per record field in place of
+    ``_tuplegetter``. Each command prints the same bytes, with the same exit
+    codes, as it does with the accelerator. ``cli``'s other branch, ``os``'s
+    ``_exit`` for an interpreter without ``posix``, cannot be forced on
+    Linux, where ``os`` itself imports ``posix``."""
+    model_json = tmp_path / "healthcare.json"
+    model_json.write_bytes(emit_json(load("healthcare")))
+    lines = [
+        ["validate", fx("healthcare")],
+        ["classify", "--json", fx("healthcare")],
+        ["render", fx("healthcare"), "--format", "dot"],
+        ["fmt", fx("healthcare")],
+        ["validate", str(model_json)],
+        ["classify", "--json", str(model_json)],
+    ]
+    want = _main_in_child(lines, watched={"json"})
+    got = _main_in_child(lines, prelude=f"sys.modules[{missing!r}] = None", watched={"json"})
+    assert [run[:3] for run in got] == [run[:3] for run in want]
+    # Only the fallback decoder is json's own.
+    assert all(("json" in run[3]) == (missing == "_json") for run in got)
+    assert not any(run[3] for run in want)
 
 
 def _import_csm(prelude: str) -> list[str]:
