@@ -48,19 +48,28 @@ class SameRole(ModelError):
     """Collaboration levels are defined between distinct roles only."""
 
 
-class LevelFinding(
-    _record(
-        "LevelFinding", "producer consumer artifact artifact_kind level evidence"
-    )
-):
+# The kind of artifact each level is judged on: shared processes for very
+# tight and tight, shared classes for loose and very loose.
+_ARTIFACT_KIND = {
+    "very tight": "process", "tight": "process", "loose": "class", "very loose": "class"
+}
+
+
+class LevelFinding(_record("LevelFinding", "producer consumer artifact level evidence")):
     """One (producer, consumer, artifact) judgement with its evidence.
 
-    ``artifact_kind`` is ``"process"`` or ``"class"``, ``level`` one of
-    ``"very tight"``, ``"tight"``, ``"loose"`` and ``"very loose"``, and
-    ``evidence`` a tuple of strings.
+    ``level`` is one of ``"very tight"``, ``"tight"``, ``"loose"`` and
+    ``"very loose"``, and ``evidence`` a tuple of strings. The level names
+    the kind of artifact: ``artifact_kind`` is ``"process"`` for very tight
+    and tight, ``"class"`` for loose and very loose.
     """
 
     __slots__ = ()
+
+    @property
+    def artifact_kind(self) -> str:
+        """``"process"`` or ``"class"``, as the level is judged on."""
+        return _ARTIFACT_KIND[self.level]
 
 
 class CollaborationReport(_record("CollaborationReport", "findings")):
@@ -91,10 +100,11 @@ class CollaborationReport(_record("CollaborationReport", "findings")):
         sort_keys=True)`` writes it, ``pair_summary`` keyed by
         ``"producer->consumer"``; one finding an f-string, without ``json``."""
         findings = []
-        for producer, consumer, artifact, kind, level, evidence in self.findings:
+        for producer, consumer, artifact, level, evidence in self.findings:
             evidence_json = _json_array(map(_esc, evidence), "      ")
             findings.append(
-                f'{{\n      "artifact": {_esc(artifact)},\n      "artifact_kind": {_esc(kind)},'
+                f'{{\n      "artifact": {_esc(artifact)},'
+                f'\n      "artifact_kind": "{_ARTIFACT_KIND[level]}",'
                 f'\n      "consumer": {_esc(consumer)},\n      "evidence": {evidence_json},'
                 f'\n      "level": {_esc(level)},\n      "producer": {_esc(producer)}\n    }}'
             )
@@ -171,7 +181,6 @@ def _findings(model: Model) -> list[LevelFinding]:
                             r1,
                             r2,
                             name,
-                            "process",
                             "very tight",
                             (
                                 f"owner({r1},{name})",
@@ -203,7 +212,6 @@ def _findings(model: Model) -> list[LevelFinding]:
                             r1,
                             r2,
                             name,
-                            "process",
                             "tight",
                             (
                                 f"owner({r1},{name})",
@@ -235,7 +243,7 @@ def _findings(model: Model) -> list[LevelFinding]:
             creation = f"creation({r1},{name})"
             for r2, reference in readers:
                 if r2 not in partners:
-                    add(LevelFinding(r1, r2, name, "class", level, (creation, reference, point)))
+                    add(LevelFinding(r1, r2, name, level, (creation, reference, point)))
     return findings
 
 

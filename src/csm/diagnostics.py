@@ -148,20 +148,22 @@ class SourceSpan(_record("SourceSpan", "file line column length", defaults=(0,))
 
 
 class Diagnostic(
-    _record(
-        "Diagnostic",
-        "code severity site message suggestion span",
-        defaults=(None, None),
-    )
+    _record("Diagnostic", "code site message suggestion span", defaults=(None, None))
 ):
     """A single validation or parse finding.
 
     ``code``, ``site``, ``message`` and the optional ``suggestion`` are
-    strings, ``severity`` is ``"error"`` or ``"warning"``, and ``span`` is
-    an optional ``SourceSpan``.
+    strings, and ``span`` is an optional ``SourceSpan``. The code's prefix
+    names the severity: ``"error"`` for an ``E-`` code, ``"warning"`` for a
+    ``W-`` code.
     """
 
     __slots__ = ()
+
+    @property
+    def severity(self) -> str:
+        """``"error"`` for an ``E-`` code, else ``"warning"``."""
+        return "error" if self.code.startswith("E-") else "warning"
 
     @property
     def sort_key(self) -> tuple[str, str]:

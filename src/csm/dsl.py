@@ -321,7 +321,6 @@ class _Parser:
         self.diagnostics.append(
             Diagnostic(
                 code=code,
-                severity="error",
                 site=site or (tok.text or "end of input"),
                 message=message,
                 span=self.span(tok),
@@ -657,9 +656,7 @@ _NO_ENTRIES: list = []
 
 
 def _json_error(message: str, site: str = "document") -> Diagnostic:
-    return Diagnostic(
-        code="E-JSON", severity="error", site=site, message=message
-    )
+    return Diagnostic("E-JSON", site, message)
 
 
 def parse_json(data: bytes | bytearray | str, file_label: str = "<json>") -> ParseResult:

@@ -331,9 +331,7 @@ def _resolve(draft: _Draft) -> tuple[Model | None, list[Diagnostic]]:
 
     def err(code: str, site: str, message: str, offset: int | None, name: str) -> None:
         span = None if offset is None else draft.locate(offset, name)
-        diags.append(
-            Diagnostic(code=code, severity="error", site=site, message=message, span=span)
-        )
+        diags.append(Diagnostic(code, site, message, span=span))
 
     roles: set[str] = set()
     for name, offset in draft.roles:

@@ -205,11 +205,16 @@ Action = tuple[str, str]  # (process, object_id)
 _State = tuple[tuple[tuple[str, int], ...], int]
 
 
-class QueryResult(_record("QueryResult", "predicate reachable witness")):
+class QueryResult(_record("QueryResult", "predicate witness")):
     """A query's verdict; ``witness`` is the tuple of actions that reaches it,
     or ``None`` when it is unreachable."""
 
     __slots__ = ()
+
+    @property
+    def reachable(self) -> bool:
+        """Whether the query holds: it has a witness."""
+        return self.witness is not None
 
 
 class ReachabilitySummary(
@@ -586,7 +591,7 @@ def run_query(graph: ReachabilityGraph, query: Mapping) -> QueryResult:
         witness = graph.shortest((first, then), 0)
     else:
         raise ModelError(f"unknown query type {kind!r}")
-    return QueryResult(predicate, witness is not None, witness)
+    return QueryResult(predicate, witness)
 
 
 def explore(

@@ -23,93 +23,78 @@ class InvalidModel(ModelError):
         self.codes = codes
 
 
-CATALOG: dict[str, tuple[str, str]] = {
+CATALOG: dict[str, str] = {
     # Reader codes: the text and JSON parsers and the name resolution
-    # pass report these; ``validate`` never does.
+    # pass report these; ``validate`` never does. A code's prefix names its
+    # severity (``Diagnostic.severity``).
     "E-SYN": (
-        "error",
         "Model text must follow the csm grammar: a quoted model name, then "
         "role, class, process and grant declarations inside one pair of "
-        "braces.",
+        "braces."
     ),
     "E-REF": (
-        "error",
         "Every role and class that a process or grant names must be "
-        "declared in the model.",
+        "declared in the model."
     ),
     "E-DUP": (
-        "error",
         "A role, class or process is declared once, a role holds one "
-        "privilege on a process, and a role has one grant per class.",
+        "privilege on a process, and a role has one grant per class."
     ),
     "E-TRF-MODE": (
-        "error",
         "A transform must state its mode: 'remaining' keeps the source "
-        "token, 'leaving' consumes it.",
+        "token, 'leaving' consumes it."
     ),
     "E-TRF-END": (
-        "error",
         "A transform maps an input of its process to a different output of "
-        "the same process.",
+        "the same process."
     ),
     "E-JSON": (
-        "error",
         "A JSON model must be well-formed JSON in the interchange layout: "
         "the documented keys with values of the documented types, and names "
-        "that the text form can write.",
+        "that the text form can write."
     ),
     "E-C1": (
-        "error",
         "Every class that appears as a transform endpoint must be declared a "
         "Dynamic state class: only dynamic states can be entered or left "
-        "through a process firing.",
+        "through a process firing."
     ),
     "E-C2": (
-        "error",
         "A role holding the creation privilege on a class also has the "
-        "reference privilege on that class.",
+        "reference privilege on that class."
     ),
     "E-C3": (
-        "error",
         "A role holding owner or responsibility on a process must hold the "
-        "reference privilege on all input classes of that process.",
+        "reference privilege on all input classes of that process."
     ),
     "E-C4": (
-        "error",
         "A role holding owner or responsibility on a process must hold the "
-        "creation privilege on all output classes of that process.",
+        "creation privilege on all output classes of that process."
     ),
     "E-C5": (
-        "error",
         "A role holding owner privilege on a process must hold the "
         "reference+ privilege on all input and output classes of that "
-        "process.",
+        "process."
     ),
     "E-ORPHAN-P": (
-        "error",
         "Every process must name at least one owner or responsible role; a "
-        "process nobody answers for cannot be executed.",
+        "process nobody answers for cannot be executed."
     ),
     "W-DP": (
-        "warning",
         "A class flagged as a decision point should be consumed by at least "
-        "two processes, otherwise there is no choice to make at that state.",
+        "two processes, otherwise there is no choice to make at that state."
     ),
     "W-DP-MISS": (
-        "warning",
         "A class consumed by two or more processes represents a choice "
         "between alternative next steps and should be flagged as a decision "
-        "point.",
+        "point."
     ),
     "W-FP": (
-        "warning",
         "A class flagged as a fail point should have a second consuming "
-        "process acting as a backup path when the service meets an obstacle.",
+        "process acting as a backup path when the service meets an obstacle."
     ),
     "W-WP": (
-        "warning",
         "A class flagged as a waiting point should be shared between two "
-        "distinct roles; otherwise no partner is waiting on it.",
+        "distinct roles; otherwise no partner is waiting on it."
     ),
 }
 
@@ -117,19 +102,9 @@ CATALOG: dict[str, tuple[str, str]] = {
 def explain(code: str) -> str:
     """Human-readable rule text for a catalog code."""
     try:
-        return CATALOG[code][1]
+        return CATALOG[code]
     except KeyError:
         raise UnknownCode(code) from None
-
-
-def _diag(code: str, site: str, message: str, suggestion: str | None = None) -> Diagnostic:
-    return Diagnostic(
-        code=code,
-        severity=CATALOG[code][0],
-        site=site,
-        message=message,
-        suggestion=suggestion,
-    )
 
 
 def _shared(idx: ClassIndex) -> bool:
@@ -143,7 +118,7 @@ _NO_PRIVILEGES: frozenset[str] = frozenset()
 
 
 def _lacks_reference_plus(role: str, process: str, c: str) -> Diagnostic:
-    return _diag(
+    return Diagnostic(
         "E-C5",
         f"role={role} process={process} class={c}",
         f"owner {role!r} of {process!r} lacks reference+ on {c!r}",
@@ -161,7 +136,7 @@ def _errors(model: Model) -> list[Diagnostic]:
             for end in (t.source, t.target):
                 if not model.class_def(end).dynamic:
                     out.append(
-                        _diag(
+                        Diagnostic(
                             "E-C1",
                             f"process={p.name} transform={t.source}->{t.target} class={end}",
                             f"transform endpoint {end!r} is not a dynamic state",
@@ -180,7 +155,7 @@ def _errors(model: Model) -> list[Diagnostic]:
         for (role, class_name), privs in model.class_grants.items():
             if privs in lacking:
                 out.append(
-                    _diag(
+                    Diagnostic(
                         "E-C2",
                         f"role={role} class={class_name}",
                         f"role {role!r} creates {class_name!r} without the reference privilege",
@@ -199,7 +174,7 @@ def _errors(model: Model) -> list[Diagnostic]:
                     privs = grants((role, c), _NO_PRIVILEGES)
                     if "reference" not in privs:
                         out.append(
-                            _diag(
+                            Diagnostic(
                                 "E-C3",
                                 f"role={role} process={p.name} class={c}",
                                 f"role {role!r} is privileged on {p.name!r} but lacks "
@@ -216,7 +191,7 @@ def _errors(model: Model) -> list[Diagnostic]:
                         if "reference" not in privs:
                             wanted = "creation and reference"
                         out.append(
-                            _diag(
+                            Diagnostic(
                                 "E-C4",
                                 f"role={role} process={p.name} class={c}",
                                 f"role {role!r} is privileged on {p.name!r} but lacks "
@@ -231,7 +206,7 @@ def _errors(model: Model) -> list[Diagnostic]:
     for p in model.processes:
         if not (p.owners or p.responsibles):
             out.append(
-                _diag(
+                Diagnostic(
                     "E-ORPHAN-P",
                     f"process={p.name}",
                     f"process {p.name!r} has no owner or responsible role",
@@ -261,7 +236,7 @@ def validate(model: Model) -> list[Diagnostic]:
         n = consumers.get(c.name, 0)
         if "decision" in c.status_points and n < 2:
             out.append(
-                _diag(
+                Diagnostic(
                     "W-DP",
                     f"class={c.name}",
                     f"decision point {c.name!r} is consumed by {n} process(es); "
@@ -271,7 +246,7 @@ def validate(model: Model) -> list[Diagnostic]:
             )
         if "decision" not in c.status_points and n >= 2:
             out.append(
-                _diag(
+                Diagnostic(
                     "W-DP-MISS",
                     f"class={c.name}",
                     f"class {c.name!r} is consumed by {n} processes but is not "
@@ -281,7 +256,7 @@ def validate(model: Model) -> list[Diagnostic]:
             )
         if "fail" in c.status_points and n < 2:
             out.append(
-                _diag(
+                Diagnostic(
                     "W-FP",
                     f"class={c.name}",
                     f"fail point {c.name!r} has no second consuming process to "
@@ -291,7 +266,7 @@ def validate(model: Model) -> list[Diagnostic]:
             )
         if "waiting" in c.status_points and not _shared(index[c.name]):
             out.append(
-                _diag(
+                Diagnostic(
                     "W-WP",
                     f"class={c.name}",
                     f"waiting point {c.name!r} is not shared between two roles; "

@@ -23,7 +23,8 @@ every process once per role, the rule the renderer's one pass must keep.
 ``random_model_text`` makes well-formed ones, laid out unlike the emitter's.
 ``reference_tokens`` is the text lexer as a character loop, with no regex.
 ``argparse_reference`` is the CLI's command line as an ``argparse`` parser,
-the reference that ``csm.cli``'s command table and argv reader answer to.
+the reference that ``csm.cli``'s command table and argv reader answer to;
+``ERROR_KINDS`` and ``EXPLICIT_DOUBLE_DASH`` are fixed argument lists for it.
 ``diagnostic_doc``, ``report_doc``, ``event_doc``, ``summary_doc`` and
 ``model_doc`` are the JSON documents that csm's writers print, built from
 the records' fields with none of the writers' code.
@@ -307,7 +308,6 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
                         r1,
                         r2,
                         p.name,
-                        "process",
                         "very tight",
                         (
                             f"owner({r1},{p.name})",
@@ -330,7 +330,6 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
                         lo,
                         hi,
                         p.name,
-                        "process",
                         "tight",
                         (
                             f"owner({lo},{p.name})",
@@ -360,7 +359,6 @@ def brute_classify_pair(model: Model, r1: str, r2: str) -> list[LevelFinding]:
                     r1,
                     r2,
                     c.name,
-                    "class",
                     "loose" if waiting else "very loose",
                     (
                         f"creation({r1},{c.name})",
@@ -742,14 +740,22 @@ def toggle_waiting(model: Model, cname: str) -> Model:
 # -- JSON documents -----------------------------------------------------------
 # What each JSON output of csm holds, as a dict built from the record's fields
 # or the canonical model's members; ``json.dumps`` of it, key-sorted, is the
-# text that the record's writer must equal byte for byte.
+# text that the record's writer must equal byte for byte. A value that a
+# record derives from another field (a diagnostic's severity, a finding's
+# artifact kind, a query's verdict) is worked out here from that field, not
+# read from the record.
+
+# The artifact that each level is judged on.
+_LEVEL_ARTIFACT = {
+    "very tight": "process", "tight": "process", "loose": "class", "very loose": "class"
+}
 
 
 def diagnostic_doc(d: Diagnostic) -> dict:
     """A line of ``csm validate``."""
     doc = {
         "code": d.code,
-        "severity": d.severity,
+        "severity": "error" if d.code[:2] == "E-" else "warning",
         "site": d.site,
         "message": d.message,
         "suggestion": d.suggestion,
@@ -774,7 +780,7 @@ def report_doc(report: CollaborationReport) -> dict:
                 "producer": f.producer,
                 "consumer": f.consumer,
                 "artifact": f.artifact,
-                "artifact_kind": f.artifact_kind,
+                "artifact_kind": _LEVEL_ARTIFACT[f.level],
                 "level": f.level,
                 "evidence": list(f.evidence),
             }
@@ -804,7 +810,7 @@ def summary_doc(summary: ReachabilitySummary) -> dict:
         "queries": [
             {
                 "predicate": q.predicate,
-                "reachable": q.reachable,
+                "reachable": q.witness is not None,
                 "witness": None if q.witness is None else [list(a) for a in q.witness],
             }
             for q in summary.queries
@@ -1180,3 +1186,64 @@ def argparse_reference() -> argparse.ArgumentParser:
     p.set_defaults(func=cli._cmd_explain)
 
     return parser
+
+
+# Fixed argument lists for the argv reader, which ``test_cli_argv.py`` and
+# ``same_bytes.py`` run: each kind of usage error, and help, once by hand.
+ERROR_KINDS = [
+    [],
+    ["-h"],
+    ["--he"],
+    ["frobnicate"],
+    ["--", "validate", "m.csm"],
+    ["--bogus", "validate", "m.csm"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    *([name] for name in cli._COMMANDS),
+    ["validate", "m.csm", "extra"],
+    ["render", "m.csm"],
+    ["simulate", "m.csm", "--seed", "s"],
+    ["explore", "m.csm", "--seed"],
+    ["explore", "m.csm", "--seed", "s", "--max-steps", "x"],
+    ["explore", "m.csm", "--seed", "s", "--max", "3"],
+    ["explore", "m.csm", "--seed", "s", "--max-s", "-1", "--max-o=4"],
+    ["explore", "m.csm", "--seed", "--stats"],
+    ["classify", "--js", "m.csm"],
+    ["render", "m.csm", "--format", "svg"],
+    ["render", "m.csm", "--f=dot", "-oout.dot", "--s"],
+    ["render", "m.csm", "--format", "dot", "-ho"],
+    ["simulate", "m.csm", "--seed", "-1", "--script", "-x y", "--strict"],
+    ["validate", "-hx"],
+    ["validate", "--", "-m.csm"],
+    ["validate", "m.csm", "--", "--json"],
+    ["explain", "E-C1"],
+]
+
+# A line with an explicit value of "--", the dest of its option (None where
+# argparse rejects the option itself), and the usage error that csm gives for
+# it in argparse's words on every Python: the exit code and the last line on
+# stderr.
+EXPLICIT_DOUBLE_DASH = [
+    (["explore", "m.csm", "--seed=--"], "seed",
+     (2, "csm explore: error: argument --seed: expected one argument")),
+    (["explore", "m.csm", "--seed", "s", "--max-steps=--"], "max_steps",
+     (2, "csm explore: error: argument --max-steps: expected one argument")),
+    (["render", "m.csm", "--format=--"], "format",
+     (2, "csm render: error: argument --format: expected one argument")),
+    (["render", "m.csm", "--format", "dot", "-o--"], "output",
+     (2, "csm render: error: argument -o/--output: expected one argument")),
+    # An option abbreviated to a prefix: one it names alone, an ambiguous
+    # one, and one that takes no value.
+    (["explore", "m.csm", "--se=--"], "seed",
+     (2, "csm explore: error: argument --seed: expected one argument")),
+    (["explore", "m.csm", "--seed", "s", "--max-s=--"], "max_steps",
+     (2, "csm explore: error: argument --max-steps: expected one argument")),
+    (["render", "m.csm", "--fo=--"], "format",
+     (2, "csm render: error: argument --format: expected one argument")),
+    (["render", "m.csm", "--format", "dot", "--outp=--"], "output",
+     (2, "csm render: error: argument -o/--output: expected one argument")),
+    (["explore", "m.csm", "--seed", "s", "--max=--"], None,
+     (2, "csm explore: error: ambiguous option: --max=-- could match --max-steps, "
+         "--max-objects")),
+    (["validate", "m.csm", "--h=--"], None,
+     (2, "csm validate: error: argument -h/--help: ignored explicit argument '--'")),
+]

@@ -486,6 +486,27 @@ MUTANTS = (
         "",
         ("tests/test_records.py::test_summary_copies_keep_stats",),
     ),
+    # A code's prefix names the other severity.
+    Mutant(
+        "src/csm/diagnostics.py",
+        'return "error" if self.code.startswith("E-") else "warning"',
+        'return "error" if self.code.startswith("W-") else "warning"',
+        ("tests/test_validator.py::TestCatalog::test_severities",),
+    ),
+    # Tight findings are judged on classes.
+    Mutant(
+        "src/csm/classifier.py",
+        '"tight": "process"',
+        '"tight": "class"',
+        ("tests/test_classifier.py::TestReferenceOracle::test_fixtures",),
+    ),
+    # A query with a witness reads as unreachable.
+    Mutant(
+        "src/csm/simulator.py",
+        "        return self.witness is not None\n",
+        "        return self.witness is None\n",
+        ("tests/test_records.py::TestSimulatorJson::test_every_fixture_run_and_explore",),
+    ),
 )
 
 

@@ -20,8 +20,10 @@ with and without ``--show-privileges``, ``render --format mermaid`` and
 ``validate`` with each of three mistakes that the benchmark plants: a
 transform's mode removed, a grant on an undeclared class and a repeated
 role. Then come ``explain`` for every catalog code and one unknown code,
-and the command lines that the benchmark's corpus and scale set-ups build
-for seeds 1 and 2, each ``explore`` with ``--stats`` added.
+the fixed argument lists of ``test_cli_argv.py`` (help and each kind of
+usage error, and each explicit ``--`` value), and the command lines that
+the benchmark's corpus and scale set-ups build for seeds 1 and 2, each
+``explore`` with ``--stats`` added.
 
 One ``python -S`` child per tree calls ``csm.cli.main`` for each line, from
 the input directory, and records its exit code, stdout and stderr. The two
@@ -165,13 +167,14 @@ def _process_lines(work: Path) -> list[list[str]]:
 def fixture_lines(work: Path) -> list[list[str]]:
     """The fixtures and bad fixtures in both forms through every model
     command, and their texts with each mistake through ``validate``;
-    ``explain`` for every catalog code and one unknown code; and the
-    whole-process sample."""
+    ``explain`` for every catalog code and one unknown code; the fixed
+    argument lists; and the whole-process sample."""
     lines = []
     for name in (*FIXTURES, *BAD_FIXTURES):
         lines += _model_lines(work, name, fixture_text(name))
         lines += _broken_lines(work, name, fixture_text(name))
     lines += [["explain", code] for code in (*validator.CATALOG, "E-UNKNOWN")]
+    lines += helpers.ERROR_KINDS + [argv for argv, _, _ in helpers.EXPLICIT_DOUBLE_DASH]
     return lines + _process_lines(work)
 
 
@@ -224,7 +227,7 @@ def comparable(argv: list[str], run: list) -> list[list]:
     with the timings taken out of an ``explore --stats`` line."""
     code, out, err = run
     err = err.splitlines(keepends=True)
-    if argv[0] == "explore" and "--stats" in argv:
+    if argv[:1] == ["explore"] and "--stats" in argv:
         for i, line in enumerate(err):
             try:
                 stats = json.loads(line)
@@ -252,7 +255,8 @@ def compare(lines: list[list[str]], parent: list, change: list) -> int:
     for argv, a, b in zip(lines, parent, change):
         a, b = comparable(argv, a), comparable(argv, b)
         if a != b:
-            differ.setdefault(argv[0], []).append((" ".join(argv), first_difference(a, b)))
+            key = " ".join(argv) or "(no arguments)"
+            differ.setdefault(argv[0] if argv else key, []).append((key, first_difference(a, b)))
     total = sum(len(found) for found in differ.values())
     print(f"{len(lines)} lines run, {total} differ")
     for command, found in sorted(differ.items()):
@@ -272,8 +276,8 @@ def main(argv: list[str], inputs=all_lines) -> int:
         work = Path(tmp) / "inputs"
         work.mkdir()
         lines = inputs(work)
-        in_process = [argv for argv in lines if argv[0] != "csm"]
-        lines = in_process + [argv for argv in lines if argv[0] == "csm"]
+        in_process = [argv for argv in lines if argv[:1] != ["csm"]]
+        lines = in_process + [argv for argv in lines if argv[:1] == ["csm"]]
         lines_file = Path(tmp) / "lines.json"
         lines_file.write_text(json.dumps(in_process), encoding="utf-8")
         trees = {"parent": args.parent.resolve(), "change": ROOT / "src"}

@@ -50,7 +50,9 @@ class TestLevelFixtures:
         report = classify_all(scenarios["airline_alliance"])
         assert [f.level for f in report.findings] == [T]
         [f] = report.findings
-        assert (f.producer, f.consumer, f.artifact) == ("AirlineA", "AirlineB", "BonusCalculation")
+        assert (f.producer, f.consumer, f.artifact, f.artifact_kind) == (
+            "AirlineA", "AirlineB", "BonusCalculation", "process"
+        )
 
     def test_loose_both_directions(self, scenarios):
         report = classify_all(scenarios["gp_lab"])

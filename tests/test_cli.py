@@ -16,7 +16,7 @@ from csm import simulator
 from csm.classifier import classify_all
 from csm.cli import main
 from csm.dsl import emit_json, emit_text, parse_json
-from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_path, fixture_text, load
+from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_path, load
 from helpers import A4_SEEDS, load_bench
 from properties_core import reference_report_json
 

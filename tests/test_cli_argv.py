@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 
 from csm import cli, validator
 from csm.cli import main
-from helpers import argparse_reference
+from helpers import ERROR_KINDS, EXPLICIT_DOUBLE_DASH, argparse_reference
 
 COMMANDS = list(cli._COMMANDS)
 LONG = sorted(
@@ -146,70 +146,10 @@ def test_reader_agrees_with_argparse(argv):
     assert_same(argv)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["-h"],
-        ["--he"],
-        ["frobnicate"],
-        ["--", "validate", "m.csm"],
-        ["--bogus", "validate", "m.csm"],
-        *([name, "--help"] for name in COMMANDS),
-        *([name] for name in COMMANDS),
-        ["validate", "m.csm", "extra"],
-        ["render", "m.csm"],
-        ["simulate", "m.csm", "--seed", "s"],
-        ["explore", "m.csm", "--seed"],
-        ["explore", "m.csm", "--seed", "s", "--max-steps", "x"],
-        ["explore", "m.csm", "--seed", "s", "--max", "3"],
-        ["explore", "m.csm", "--seed", "s", "--max-s", "-1", "--max-o=4"],
-        ["explore", "m.csm", "--seed", "--stats"],
-        ["classify", "--js", "m.csm"],
-        ["render", "m.csm", "--format", "svg"],
-        ["render", "m.csm", "--f=dot", "-oout.dot", "--s"],
-        ["render", "m.csm", "--format", "dot", "-ho"],
-        ["simulate", "m.csm", "--seed", "-1", "--script", "-x y", "--strict"],
-        ["validate", "-hx"],
-        ["validate", "--", "-m.csm"],
-        ["validate", "m.csm", "--", "--json"],
-        ["explain", "E-C1"],
-    ],
-)
+@pytest.mark.parametrize("argv", ERROR_KINDS)
 def test_every_error_kind(argv):
     """Each kind of usage error, and help, once by hand."""
     assert_same(argv)
-
-
-# A line with an explicit value of "--", the dest of its option (None where
-# argparse rejects the option itself), and the usage error that csm gives for
-# it in argparse's words on every Python: the exit code and the last line on
-# stderr.
-EXPLICIT_DOUBLE_DASH = [
-    (["explore", "m.csm", "--seed=--"], "seed",
-     (2, "csm explore: error: argument --seed: expected one argument")),
-    (["explore", "m.csm", "--seed", "s", "--max-steps=--"], "max_steps",
-     (2, "csm explore: error: argument --max-steps: expected one argument")),
-    (["render", "m.csm", "--format=--"], "format",
-     (2, "csm render: error: argument --format: expected one argument")),
-    (["render", "m.csm", "--format", "dot", "-o--"], "output",
-     (2, "csm render: error: argument -o/--output: expected one argument")),
-    # An option abbreviated to a prefix: one it names alone, an ambiguous
-    # one, and one that takes no value.
-    (["explore", "m.csm", "--se=--"], "seed",
-     (2, "csm explore: error: argument --seed: expected one argument")),
-    (["explore", "m.csm", "--seed", "s", "--max-s=--"], "max_steps",
-     (2, "csm explore: error: argument --max-steps: expected one argument")),
-    (["render", "m.csm", "--fo=--"], "format",
-     (2, "csm render: error: argument --format: expected one argument")),
-    (["render", "m.csm", "--format", "dot", "--outp=--"], "output",
-     (2, "csm render: error: argument -o/--output: expected one argument")),
-    (["explore", "m.csm", "--seed", "s", "--max=--"], None,
-     (2, "csm explore: error: ambiguous option: --max=-- could match --max-steps, "
-         "--max-objects")),
-    (["validate", "m.csm", "--h=--"], None,
-     (2, "csm validate: error: argument -h/--help: ignored explicit argument '--'")),
-]
 
 
 @pytest.mark.parametrize("argv, dest, theirs", EXPLICIT_DOUBLE_DASH)

@@ -55,7 +55,7 @@ class TestConstruction:
         assert (p.owners, p.responsibles) == (("R",), ("S",))
         assert Model(name="m") == Model("m", (), (), (), {})
         assert SourceSpan(file="f", line=1, column=2).length == 0
-        d = Diagnostic(code="E-X", severity="error", site="s", message="m")
+        d = Diagnostic(code="E-X", site="s", message="m")
         assert (d.suggestion, d.span) == (None, None)
         assert TraceEvent(step=1, process="P", object_id="o", outcome="fired").detail == ""
         summary = ReachabilitySummary(state_count=3, complete=True)
@@ -65,17 +65,16 @@ class TestConstruction:
         t = Transform(source="A", target="B", mode="remaining")
         assert (t.source, t.target, t.mode) == ("A", "B", "remaining")
         f = LevelFinding(
-            producer="R1", consumer="R2", artifact="P", artifact_kind="process",
-            level="tight", evidence=("e",),
+            producer="R1", consumer="R2", artifact="P", level="tight", evidence=("e",)
         )
-        assert (f.producer, f.consumer, f.artifact, f.artifact_kind, f.level, f.evidence) == (
-            "R1", "R2", "P", "process", "tight", ("e",)
+        assert (f.producer, f.consumer, f.artifact, f.level, f.evidence) == (
+            "R1", "R2", "P", "tight", ("e",)
         )
         assert CollaborationReport(findings=(f,)).findings == (f,)
         assert ParseResult(model=None, diagnostics=[]).ok is False
         assert ParseResult(model=Model("m"), diagnostics=[]).ok is True
-        q = QueryResult(predicate="p", reachable=True, witness=(("P", "o"),))
-        assert (q.predicate, q.reachable, q.witness) == ("p", True, (("P", "o"),))
+        q = QueryResult(predicate="p", witness=(("P", "o"),))
+        assert (q.predicate, q.witness) == ("p", (("P", "o"),))
         span = SourceSpan("f", 1, 2, 3)
         assert (span.file, span.line, span.column, span.length) == ("f", 1, 2, 3)
 
@@ -126,7 +125,7 @@ class TestEqualityAndHashing:
         assert len(set(parsed)) == len(parsed)
 
     def test_summaries_differing_only_in_stats_are_equal(self):
-        q = (QueryResult("p", False, None),)
+        q = (QueryResult("p", None),)
         a = ReachabilitySummary(5, False, q, {"states": 5})
         b = ReachabilitySummary(5, False, q, {"states": 5, "stop": "step_bound"})
         assert a == b
@@ -143,7 +142,7 @@ class TestListingOrder:
         # Set order follows the hash; the report lists levels sorted
         # whatever order the findings came in.
         findings = [
-            LevelFinding("A", "B", f"X{i}", "process", level, ("e",))
+            LevelFinding("A", "B", f"X{i}", level, ("e",))
             for i, level in enumerate(LEVELS)
         ]
         expected = sorted(LEVELS)
@@ -204,9 +203,10 @@ class TestDiagnosticJson:
     @pytest.mark.parametrize("text", AWKWARD)
     def test_awkward_strings_everywhere(self, text):
         spans = (None, SourceSpan(text, 3, 7, 2), SourceSpan(text, 1, 1))
-        for severity, span, suggestion in itertools.product(("error", "warning"), spans, (None, text)):
-            self.check(Diagnostic(text, severity, text, text, suggestion, span))
-            self.check(Diagnostic("E-C1", severity, "site", text, suggestion, span))
+        codes = (text, "E-C1", "W-FP")
+        for code, span, suggestion in itertools.product(codes, spans, (None, text)):
+            self.check(Diagnostic(code, text, text, suggestion, span))
+            self.check(Diagnostic(code, "site", text, suggestion, span))
 
 
 class TestSimulatorJson:
@@ -277,10 +277,10 @@ class TestSimulatorJson:
     @pytest.mark.parametrize("text", AWKWARD)
     def test_awkward_summaries(self, text):
         queries = (
-            QueryResult(text, False, None),
-            QueryResult(text, True, ()),
-            QueryResult("p", True, ((text, text),)),
-            QueryResult(text, True, (("P", "o"), (text, "obj1"), ("Q", text))),
+            QueryResult(text, None),
+            QueryResult(text, ()),
+            QueryResult("p", ((text, text),)),
+            QueryResult(text, (("P", "o"), (text, "obj1"), ("Q", text))),
         )
         for complete, count, picked in itertools.product(
             (True, False), (0, 1, 12345), ((), queries[:1], queries[1:2], queries)

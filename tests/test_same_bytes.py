@@ -1,12 +1,24 @@
-"""``same_bytes.py`` finds no difference between a tree and itself, and
-finds the one byte that a changed ``fmt`` adds, in process and in a whole
-``csm`` process; both on the fixtures and the whole-process sample alone,
-while ``python tests/same_bytes.py PARENT_SRC`` runs the whole input set."""
+"""``same_bytes.py`` finds no difference between a tree and itself; it finds
+the one byte that a changed ``fmt`` adds, in process and in a whole ``csm``
+process, and a reworded option help in the fixed argument lists; all on the
+fixtures, the argument lists and the whole-process sample alone, while
+``python tests/same_bytes.py PARENT_SRC`` runs the whole input set."""
 
 import shutil
 
 import same_bytes
 from same_bytes import ROOT
+
+
+def changed_copy(tmp_path, old, new):
+    """A copy of ``src`` whose ``cli.py`` has ``old``, which occurs once,
+    replaced by ``new``."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "csm" / "cli.py"
+    assert cli.read_text().count(old) == 1
+    cli.write_text(cli.read_text().replace(old, new))
+    return src
 
 
 def test_a_tree_against_itself(capsys):
@@ -15,12 +27,8 @@ def test_a_tree_against_itself(capsys):
 
 
 def test_one_more_byte_from_fmt(tmp_path, capsys):
-    src = tmp_path / "src"
-    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-    cli = src / "csm" / "cli.py"
     old = "    sys.stdout.write(dsl.emit_text(model))\n"
-    assert cli.read_text().count(old) == 1
-    cli.write_text(cli.read_text().replace(old, old.replace("model))", 'model) + " ")')))
+    src = changed_copy(tmp_path, old, old.replace("model))", 'model) + " ")'))
     assert same_bytes.main([str(src)], inputs=same_bytes.fixture_lines) == 1
     out = capsys.readouterr().out
     fmt_lines = [line for line in out.splitlines() if line.startswith("  fmt ")]
@@ -29,3 +37,10 @@ def test_one_more_byte_from_fmt(tmp_path, capsys):
     assert "\ncsm: 1 differ\n  csm fmt healthcare.csm\n" in out, out
     assert " lines run, 25 differ\n" in out
     assert "' ' != '<end>'" in out
+
+
+def test_a_reworded_option_help(tmp_path, capsys):
+    src = changed_copy(tmp_path, '"emit the report as JSON"', '"write the report as JSON"')
+    assert same_bytes.main([str(src)], inputs=same_bytes.fixture_lines) == 1
+    out = capsys.readouterr().out
+    assert " lines run, 1 differ\nclassify: 1 differ\n  classify --help\n" in out, out

@@ -7,6 +7,7 @@ import pytest
 import csm
 
 from csm import validator
+from csm.diagnostics import Diagnostic
 from csm.dsl import parse_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
 from csm.validator import CATALOG, InvalidModel, UnknownCode, ensure_valid, explain, validate
@@ -84,9 +85,11 @@ class TestCatalog:
             explain("E-NOPE")
 
     def test_severities(self):
-        for code, (severity, _) in CATALOG.items():
-            expected = "warning" if code.startswith("W-") else "error"
-            assert severity == expected
+        # A code's prefix names its severity.
+        assert [code for code in CATALOG if code[:2] not in ("E-", "W-")] == []
+        for code in CATALOG:
+            expected = {"E-": "error", "W-": "warning"}[code[:2]]
+            assert Diagnostic(code, "site", "message").severity == expected
 
 
 class TestSuggestions:
@@ -172,13 +175,12 @@ class TestEnsureValid:
         models = [load("healthcare"), parse_text(text).model]
         assert all(warnings(model) for model in models)
         made = []
-        real_diag = validator._diag
 
-        def recording_diag(code, *args):
+        def recording_diagnostic(code, *args):
             made.append(code)
-            return real_diag(code, *args)
+            return Diagnostic(code, *args)
 
-        monkeypatch.setattr(validator, "_diag", recording_diag)
+        monkeypatch.setattr(validator, "Diagnostic", recording_diagnostic)
         for model in models:
             ensure_valid(model)
         assert [code for code in made if code.startswith("W-")] == []
