@@ -14,6 +14,12 @@ from itertools import repeat
 
 from .diagnostics import Diagnostic, SourceSpan, _cached, _record
 
+# True for static checkers only: the annotations name these, and no command
+# loads collections.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Mapping
+
 
 class ModelError(Exception):
     """Structural problem with a model or with a query against it."""

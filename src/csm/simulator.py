@@ -30,8 +30,6 @@ read the model through ``canonicalize``.
 
 from __future__ import annotations
 
-import time
-
 from .diagnostics import _esc, _json_array, _record
 from .model import (
     Model,
@@ -41,6 +39,12 @@ from .model import (
     UnknownProcess,
     canonicalize,
 )
+
+# True for static checkers only: the annotations name these, and no command
+# loads collections.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Container, Iterable, Mapping, Sequence
 
 
 class DuplicateToken(ModelError):
@@ -218,40 +222,22 @@ class QueryResult(_record("QueryResult", "predicate witness")):
 
 
 class ReachabilitySummary(
-    _record("ReachabilitySummary", "state_count complete queries")
+    _record("ReachabilitySummary", "frontier stop edge_count queries", defaults=((),))
 ):
-    """What ``explore`` found: the state count, whether the search closed and
-    the tuple of ``QueryResult``.
+    """What ``explore`` found: the counts that ``ReachabilityGraph`` holds
+    (``frontier`` as a tuple, ``stop`` and ``edge_count``) and the tuple of
+    ``QueryResult``. The state count and whether the search closed are read
+    from them."""
 
-    ``stats`` (counts, timings, stop reason) is an attribute outside the
-    tuple, so it takes no part in equality, and it stays out of ``to_json``.
-    A ``_replace`` copy keeps it, as ``copy`` and ``pickle`` do, where a
-    ``namedtuple`` would drop it.
-    """
+    __slots__ = ()
 
-    def __new__(
-        cls,
-        state_count: int,
-        complete: bool,
-        queries: tuple[QueryResult, ...] = (),
-        stats: Mapping | None = None,
-    ) -> ReachabilitySummary:
-        self = tuple.__new__(cls, (state_count, complete, queries))
-        self.stats = {} if stats is None else stats
-        return self
+    @property
+    def state_count(self) -> int:
+        return sum(self.frontier)
 
-    @classmethod
-    def _make(cls, iterable) -> ReachabilitySummary:
-        """A summary of the values in ``iterable``, with no stats."""
-        self = super()._make(iterable)
-        self.stats = {}
-        return self
-
-    def _replace(self, /, **changes) -> ReachabilitySummary:
-        """A copy with the named fields changed, which keeps ``stats``."""
-        result = super()._replace(**changes)
-        result.stats = self.stats
-        return result
+    @property
+    def complete(self) -> bool:
+        return self.stop == "closed"
 
     def to_json(self) -> str:
         """``{"bound_exceeded", "complete", "queries", "state_count"}``, each
@@ -275,18 +261,18 @@ class ReachabilitySummary(
             self.state_count,
         )
 
-    def stats_json(self) -> str:
-        """``json.dumps(self.stats, sort_keys=True)`` for the stats that
-        ``explore`` records, written from a template without loading
-        ``json``: both write a float as its ``repr``."""
-        s = self.stats
+    def stats_json(self, build_s: float, query_s: float) -> str:
+        """The ``explore --stats`` line: ``json.dumps(..., sort_keys=True)``
+        of the counts and the two phase times in seconds, rounded to 6
+        digits; written from a template without loading ``json``, as both
+        write a float as its ``repr``."""
         return _STATS_JSON % (
-            s["build_s"],
-            s["edges"],
-            ", ".join(map(str, s["frontier"])),
-            s["query_s"],
-            s["states"],
-            _esc(s["stop"]),
+            round(build_s, 6),
+            self.edge_count,
+            ", ".join(map(str, self.frontier)),
+            round(query_s, 6),
+            self.state_count,
+            _esc(self.stop),
         )
 
 
@@ -546,10 +532,11 @@ def build_graph(
     Each class gets one bit, so an object's state is the mask ``s`` of the
     classes it holds a token in, and a state is the tuple of
     ``(object_id, s)`` pairs sorted by id plus the count of minted objects.
-    A process compiles to ``(in, keep, out)`` masks, where ``keep`` clears
-    the source of every leaving transform: it is enabled on an object when
-    ``s & in == in``, and firing gives ``(s & keep) | out``, the rule
-    ``run_script`` applies one step at a time. A generator (``in`` is 0) mints
+    A process compiles to ``(name, need, keep, out)``, where ``need`` masks
+    its inputs and ``keep`` clears the source of every leaving transform: it
+    is enabled on an object when ``s & need == need``, and firing gives
+    ``(s & keep) | out``, the rule ``run_script`` applies one step at a
+    time. A generator (``need`` is 0) mints
     ``obj<k>`` holding ``out`` (or nothing, without outputs) while fewer
     than max_objects objects exist. Successors are listed by process name,
     then by object id.
@@ -594,6 +581,12 @@ def run_query(graph: ReachabilityGraph, query: Mapping) -> QueryResult:
     return QueryResult(predicate, witness)
 
 
+def _summarize(graph: ReachabilityGraph, queries: Iterable[Mapping]) -> ReachabilitySummary:
+    """The graph's counts and the answer to each query on it."""
+    results = tuple(run_query(graph, q) for q in queries)
+    return ReachabilitySummary(tuple(graph.frontier), graph.stop, graph.edge_count, results)
+
+
 def explore(
     model: Model,
     seed: Iterable[tuple[str, str]],
@@ -607,16 +600,4 @@ def explore(
     object bound satisfies it on one existing object; its witness is the
     shortest such run, least among equals (see ``ReachabilityGraph.shortest``).
     """
-    started = time.perf_counter()
-    graph = build_graph(model, seed, max_steps, max_objects)
-    built = time.perf_counter()
-    results = tuple(run_query(graph, q) for q in queries)
-    stats = {
-        "states": graph.state_count,
-        "edges": graph.edge_count,
-        "frontier": graph.frontier,
-        "build_s": round(built - started, 6),
-        "query_s": round(time.perf_counter() - built, 6),
-        "stop": graph.stop,
-    }
-    return ReachabilitySummary(graph.state_count, graph.complete, results, stats)
+    return _summarize(build_graph(model, seed, max_steps, max_objects), queries)

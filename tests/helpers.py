@@ -802,11 +802,13 @@ def event_doc(event: TraceEvent) -> dict:
 
 
 def summary_doc(summary: ReachabilitySummary) -> dict:
-    """What ``csm explore`` prints for a ``ReachabilitySummary``."""
+    """What ``csm explore`` prints for a ``ReachabilitySummary``, worked out
+    from its fields: the states first reached at each depth, and the stop."""
+    complete = summary.stop == "closed"
     return {
-        "state_count": summary.state_count,
-        "complete": summary.complete,
-        "bound_exceeded": not summary.complete,
+        "state_count": sum(summary.frontier),
+        "complete": complete,
+        "bound_exceeded": not complete,
         "queries": [
             {
                 "predicate": q.predicate,

@@ -349,8 +349,8 @@ MUTANTS = (
     # The explore --stats line writes the stop reason without escaping it.
     Mutant(
         "src/csm/simulator.py",
-        """            _esc(s["stop"]),\n""",
-        """            '"%s"' % s["stop"],\n""",
+        "            _esc(self.stop),\n",
+        """            '"%s"' % self.stop,\n""",
         ("tests/test_records.py::TestSimulatorJson::test_stats_line",),
     ),
     # The classify report writes each finding's producer as its consumer.
@@ -460,8 +460,8 @@ MUTANTS = (
     # The simulator loads json at import.
     Mutant(
         "src/csm/simulator.py",
-        "import time\n",
-        "import json\nimport time\n",
+        "from .diagnostics import _esc, _json_array, _record\n",
+        "import json\n\nfrom .diagnostics import _esc, _json_array, _record\n",
         ("tests/test_cli.py::test_benchmark_commands_load_no_forbidden_module",),
     ),
     # The renderer loads os at import.
@@ -479,12 +479,12 @@ MUTANTS = (
         "from bisect import bisect_right\nfrom itertools import accumulate\n",
         ("tests/test_cli.py::test_benchmark_commands_load_no_forbidden_module",),
     ),
-    # A summary's _replace copy drops its stats.
+    # A summary pruned by the object bound reads as complete.
     Mutant(
         "src/csm/simulator.py",
-        "        result.stats = self.stats\n",
-        "",
-        ("tests/test_records.py::test_summary_copies_keep_stats",),
+        '        return self.stop == "closed"\n\n    def to_json(self)',
+        '        return self.stop != "step_bound"\n\n    def to_json(self)',
+        ("tests/test_simulator.py::TestExplore::test_pruned_generator_is_not_a_proof",),
     ),
     # A code's prefix names the other severity.
     Mutant(
@@ -506,6 +506,13 @@ MUTANTS = (
         "        return self.witness is not None\n",
         "        return self.witness is None\n",
         ("tests/test_records.py::TestSimulatorJson::test_every_fixture_run_and_explore",),
+    ),
+    # A summary counts the depths it reached, not the states.
+    Mutant(
+        "src/csm/simulator.py",
+        "        return sum(self.frontier)\n\n    @property\n    def complete",
+        "        return len(self.frontier)\n\n    @property\n    def complete",
+        ("tests/test_records.py::TestSimulatorJson",),
     ),
 )
 

@@ -19,10 +19,12 @@ with and without ``--show-privileges``, ``render --format mermaid`` and
 ``fmt``. The text of each fixture and bad fixture also goes through
 ``validate`` with each of three mistakes that the benchmark plants: a
 transform's mode removed, a grant on an undeclared class and a repeated
-role. Then come ``explain`` for every catalog code and one unknown code,
-the fixed argument lists of ``test_cli_argv.py`` (help and each kind of
-usage error, and each explicit ``--`` value), and the command lines that
-the benchmark's corpus and scale set-ups build for seeds 1 and 2, each
+role; and each goes through ``explore --stats`` from one object in its
+first class within 2 steps, so the lines end by every stop word. Then
+come ``explain`` for every catalog code and one unknown code, the fixed
+argument lists of ``test_cli_argv.py`` (help and each kind of usage
+error, and each explicit ``--`` value), and the command lines that the
+benchmark's corpus and scale set-ups build for seeds 1 and 2, each
 ``explore`` with ``--stats`` added.
 
 One ``python -S`` child per tree calls ``csm.cli.main`` for each line, from
@@ -164,15 +166,26 @@ def _process_lines(work: Path) -> list[list[str]]:
     )]
 
 
+def _explore_line(work: Path, name: str, text: str) -> list[str]:
+    """``explore --stats`` on ``<name>.csm``, which ``_model_lines`` wrote,
+    from one object in the model's first class, within 2 steps: the
+    fixtures and bad fixtures end by each stop word between them."""
+    seed = f"{name}_seed.json"
+    first = parse_text(text).model.class_names[0]
+    (work / seed).write_text(json.dumps([{"object": "a", "class": first}]), encoding="utf-8")
+    return ["explore", f"{name}.csm", "--seed", seed, "--max-steps", "2", "--stats"]
+
+
 def fixture_lines(work: Path) -> list[list[str]]:
     """The fixtures and bad fixtures in both forms through every model
-    command, and their texts with each mistake through ``validate``;
-    ``explain`` for every catalog code and one unknown code; the fixed
-    argument lists; and the whole-process sample."""
+    command, their texts with each mistake through ``validate``, and each
+    through ``explore --stats``; ``explain`` for every catalog code and one
+    unknown code; the fixed argument lists; and the whole-process sample."""
     lines = []
     for name in (*FIXTURES, *BAD_FIXTURES):
         lines += _model_lines(work, name, fixture_text(name))
         lines += _broken_lines(work, name, fixture_text(name))
+        lines.append(_explore_line(work, name, fixture_text(name)))
     lines += [["explain", code] for code in (*validator.CATALOG, "E-UNKNOWN")]
     lines += helpers.ERROR_KINDS + [argv for argv, _, _ in helpers.EXPLICIT_DOUBLE_DASH]
     return lines + _process_lines(work)

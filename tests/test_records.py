@@ -32,6 +32,7 @@ from csm.simulator import (
     QueryResult,
     ReachabilitySummary,
     TraceEvent,
+    build_graph,
     explore,
     run_script,
 )
@@ -58,8 +59,8 @@ class TestConstruction:
         d = Diagnostic(code="E-X", site="s", message="m")
         assert (d.suggestion, d.span) == (None, None)
         assert TraceEvent(step=1, process="P", object_id="o", outcome="fired").detail == ""
-        summary = ReachabilitySummary(state_count=3, complete=True)
-        assert (summary.queries, summary.stats) == ((), {})
+        summary = ReachabilitySummary(frontier=(1, 2), stop="closed", edge_count=3)
+        assert (summary.queries, summary.state_count, summary.complete) == ((), 3, True)
 
     def test_fields_by_keyword(self):
         t = Transform(source="A", target="B", mode="remaining")
@@ -124,12 +125,19 @@ class TestEqualityAndHashing:
         parsed = parse_text(fixture_text("gp_lab")).model.processes
         assert len(set(parsed)) == len(parsed)
 
-    def test_summaries_differing_only_in_stats_are_equal(self):
+    def test_summaries_read_state_count_and_complete_from_their_fields(self):
+        # One form per fact: the state count is the frontier's sum and the
+        # search closed exactly when the stop word is "closed".
         q = (QueryResult("p", None),)
-        a = ReachabilitySummary(5, False, q, {"states": 5})
-        b = ReachabilitySummary(5, False, q, {"states": 5, "stop": "step_bound"})
-        assert a == b
-        assert a != ReachabilitySummary(6, False, q, {"states": 5})
+        a = ReachabilitySummary((1, 3), "step_bound", 4, q)
+        assert (a.state_count, a.complete) == (4, False)
+        assert a == ReachabilitySummary((1, 3), "step_bound", 4, q) == ((1, 3), "step_bound", 4, q)
+        assert len({a, ReachabilitySummary((1, 3), "step_bound", 4, q)}) == 1
+        assert a != ReachabilitySummary((1, 3), "closed", 4, q)
+        assert ReachabilitySummary((1, 3), "closed", 4, q).complete
+        assert not ReachabilitySummary((), "object_bound_pruned", 0).complete
+        # A plain record: no constructor, copier or instance state of its own.
+        assert not {"__new__", "_make", "_replace", "__dict__"} & set(vars(ReachabilitySummary))
 
 
 # The four levels and the four step outcomes, in no particular order.
@@ -213,7 +221,7 @@ class TestSimulatorJson:
     """``TraceEvent.to_json`` and ``ReachabilitySummary.to_json`` write the
     key-sorted dumps of ``helpers.event_doc`` and ``helpers.summary_doc``
     byte for byte, as ``csm simulate`` and ``csm explore`` print them, and
-    ``stats_json`` that of ``stats``."""
+    ``stats_json`` that of the dict of its counts and the two timings."""
 
     AWKWARD = TestDiagnosticJson.AWKWARD
 
@@ -252,18 +260,24 @@ class TestSimulatorJson:
         for name in FIXTURES + BAD_FIXTURES:
             m = load(name)
             seed = A4_SEEDS.get(name) or [("a", m.class_names[0])]
-            for bounds in ((6, 2), (1, 1)):
+            for bounds in ((6, 2), (1, 1), (3, 3)):
                 summary = explore(m, seed, *bounds)
-                assert summary.stats_json() == json.dumps(summary.stats, sort_keys=True)
+                graph = build_graph(m, seed, *bounds)
+                stats = {"states": graph.state_count, "edges": graph.edge_count,
+                         "frontier": graph.frontier, "build_s": 0.25, "query_s": 1e-06,
+                         "stop": graph.stop}
+                assert summary.stats_json(0.25, 1e-06) == json.dumps(stats, sort_keys=True)
         for seconds, frontier, stop in itertools.product(
-            (0.0, 1e-06, 5e-05, 0.000123, 0.1, 2.5, 12.345678, 123456.0, 1e16),
-            ([], [1], [1, 0, 12345]),
+            (0.0, 1e-06, 5e-05, 0.000123, 0.1, 2.5, 12.345678, 123456.0, 1e16, 0.1234567891),
+            ((), (1,), (1, 0, 12345)),
             ("closed", "step_bound", "object_bound_pruned", *self.AWKWARD),
         ):
-            stats = {"states": 12345, "edges": 0, "frontier": frontier,
-                     "build_s": seconds, "query_s": round(seconds / 3, 6), "stop": stop}
-            summary = ReachabilitySummary(12345, False, (), stats)
-            assert summary.stats_json() == json.dumps(stats, sort_keys=True)
+            # The timings are rounded to 6 digits; the counts are the fields.
+            summary = ReachabilitySummary(frontier, stop, 7)
+            stats = {"states": sum(frontier), "edges": 7, "frontier": list(frontier),
+                     "build_s": round(seconds, 6), "query_s": round(seconds / 3, 6),
+                     "stop": stop}
+            assert summary.stats_json(seconds, seconds / 3) == json.dumps(stats, sort_keys=True)
 
     @pytest.mark.parametrize("text", AWKWARD)
     def test_awkward_trace_events(self, text):
@@ -282,10 +296,11 @@ class TestSimulatorJson:
             QueryResult("p", ((text, text),)),
             QueryResult(text, (("P", "o"), (text, "obj1"), ("Q", text))),
         )
-        for complete, count, picked in itertools.product(
-            (True, False), (0, 1, 12345), ((), queries[:1], queries[1:2], queries)
+        for stop, frontier, picked in itertools.product(
+            ("closed", "step_bound", "object_bound_pruned"), ((), (1,), (1, 0, 12344)),
+            ((), queries[:1], queries[1:2], queries)
         ):
-            summary = ReachabilitySummary(count, complete, picked, {"states": count})
+            summary = ReachabilitySummary(frontier, stop, 0, picked)
             assert summary.to_json() == reference_summary_json(summary)
 
 
@@ -305,17 +320,14 @@ RECORD_CLASSES = sorted(
 def namedtuple_oracle(cls):
     """``cls`` built on ``collections.namedtuple``: a namedtuple of
     its ``_fields`` with the defaults its signature gives, and, for a class
-    statement on top of ``_record``, that statement's own body on top of it,
-    less its own ``_make`` and ``_replace``: the oracle copies as
-    ``namedtuple`` does."""
+    statement on top of ``_record``, that statement's own body on top of it."""
     fields = cls._fields
     params = inspect.signature(cls).parameters
     defaults = [params[f].default for f in fields if params[f].default is not params[f].empty]
     base = collections.namedtuple(cls.__name__, fields, defaults=defaults)
     if cls.__bases__ == (_Record,):
         return base
-    left_out = ("__dict__", "__weakref__", "_make", "_replace")
-    body = {k: v for k, v in vars(cls).items() if k not in left_out}
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
     return type(cls.__name__, (base,), body)
 
 
@@ -373,9 +385,6 @@ def test_agrees_with_namedtuple(cls):
     changed = record._replace(**last)
     assert type(changed) is cls and tuple(changed) == tuple(expected._replace(**last))
     state = getattr(expected._replace(**last), "__dict__", None)
-    if cls is ReachabilitySummary:
-        # The one deliberate divergence: a copy keeps the summary's stats.
-        state = {"stats": record.stats}
     assert getattr(changed, "__dict__", None) == state
     assert outcome(lambda: record._replace(nope=1)) == outcome(lambda: expected._replace(nope=1))
     assert outcome(lambda: record._replace(**last, nope=1)) == outcome(
@@ -400,17 +409,6 @@ def test_agrees_with_namedtuple(cls):
                 setattr(r, field, None)
             with pytest.raises(AttributeError):
                 delattr(r, field)
-
-
-def test_summary_copies_keep_stats():
-    # As copy and pickle do; _make has no stats to keep, and gives {} as
-    # the constructor does without them.
-    stats = {"states": 5, "edges": 4, "frontier": [1], "build_s": 0.5,
-             "query_s": 0.0, "stop": "closed"}
-    summary = ReachabilitySummary(5, True, (), stats)
-    assert summary._replace(state_count=4).stats is stats
-    assert summary._replace().stats_json() == summary.stats_json()
-    assert ReachabilitySummary._make((1, True, ())).stats == {}
 
 
 def test_model_copies_carry_no_cache_and_no_mark():

@@ -1,5 +1,5 @@
-"""``same_bytes.py`` finds no difference between a tree and itself; it finds
-the one byte that a changed ``fmt`` adds, in process and in a whole ``csm``
+"""``same_bytes.py`` finds no difference between a tree and itself, where
+its ``explore --stats`` lines end by every stop word; it finds the one byte that a changed ``fmt`` adds, in process and in a whole ``csm``
 process, and a reworded option help in the fixed argument lists; all on the
 fixtures, the argument lists and the whole-process sample alone, while
 ``python tests/same_bytes.py PARENT_SRC`` runs the whole input set."""
@@ -21,9 +21,25 @@ def changed_copy(tmp_path, old, new):
     return src
 
 
-def test_a_tree_against_itself(capsys):
+def test_a_tree_against_itself(capsys, monkeypatch):
+    compared = []
+    compare = same_bytes.compare
+
+    def recording(lines, parent, change):
+        compared.extend(zip(lines, change))
+        return compare(lines, parent, change)
+
+    monkeypatch.setattr(same_bytes, "compare", recording)
     assert same_bytes.main([str(ROOT / "src")], inputs=same_bytes.fixture_lines) == 0
     assert capsys.readouterr().out.endswith(" lines run, 0 differ\n")
+    # The explore --stats lines end by every stop word, compared without timings.
+    stops = set()
+    for argv, run in compared:
+        if argv[:1] == ["explore"] and "--stats" in argv and run[0] == 0:
+            [stats] = same_bytes.comparable(argv, run)[2]
+            assert set(stats) == {"edges", "frontier", "states", "stop"}, (argv, stats)
+            stops.add(stats["stop"])
+    assert stops == {"closed", "step_bound", "object_bound_pruned"}
 
 
 def test_one_more_byte_from_fmt(tmp_path, capsys):

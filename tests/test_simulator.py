@@ -269,7 +269,7 @@ class TestExplore:
         seed = [("a", "CaredPatient"), ("b", "CaredPatient")]
         query = {"type": "sequence", "first": "CheckUp", "then": "Diagnose"}
         summary = explore(m, seed, max_steps=8, max_objects=2, queries=[query])
-        assert not summary.complete and summary.stats["stop"] == "object_bound_pruned"
+        assert not summary.complete and summary.stop == "object_bound_pruned"
         assert not summary.queries[0].reachable
         assert explore(m, seed, max_steps=8, max_objects=3, queries=[query]).queries[0].reachable
 
@@ -410,7 +410,7 @@ class TestExplore:
         assert summary.state_count == graph.state_count == 4
         assert isinstance(graph.edges, Mapping)
         assert all(isinstance(succs, list) for succs in graph.edges.values())
-        assert summary.stats["edges"] == sum(len(succs) for succs in graph.edges.values())
+        assert summary.edge_count == sum(len(succs) for succs in graph.edges.values())
 
     def test_explore_compiles_each_process_once(self, scenarios, monkeypatch):
         # The counts and the queries read one compiled space.
