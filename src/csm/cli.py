@@ -19,7 +19,7 @@ except ImportError:  # an interpreter without the posix module
 
 from . import classifier, dsl, render, simulator, validator
 from .diagnostics import _loads, has_errors
-from .model import Model
+from .model import Model, ModelError
 
 
 class _Args:
@@ -60,105 +60,57 @@ def _load_model(path: str) -> Model:
     return result.model
 
 
-def _load_json(path: str, what: str):
+def _load_array(path: str, what: str) -> list:
+    """The JSON array in a seed, script or query file."""
     text = _read_file(path, f"{what} file {path}")
     try:
-        return _loads(text)
+        doc = _loads(text)
     except (ValueError, RecursionError) as exc:  # see dsl.parse_json
         raise _CliError(f"malformed {what} file {path}: {exc}", 2) from exc
+    if not isinstance(doc, list):
+        raise _CliError(f"{what} file {path} must be a JSON array", 2)
+    return doc
 
 
 def _entry_error(what: str, path: str, at: tuple, message: str) -> _CliError:
-    """The usage error of one entry of a side file: its file, then the RFC
-    6901 pointer of the value at fault (``at``: array indexes and object
-    keys), then ``message`` as given, a predicate after a space or the
+    """The usage error of one entry of a side file: its file, the pointer of
+    the value at fault, then ``message``, a predicate after a space or the
     error after a colon."""
-    pointer = "".join("/" + str(p).replace("~", "~0").replace("/", "~1") for p in at)
-    return _CliError(f"{what} file {path} at {pointer}{message}", 2)
+    return _CliError(f"{what} file {path} at {simulator._pointer(at)}{message}", 2)
 
 
 def _load_pairs(path: str, what: str, keys: tuple[str, str]) -> list[tuple[str, str]]:
     """Entries of a seed or script file: objects with a string under each key."""
-    doc = _load_json(path, what)
-    if not isinstance(doc, list):
-        raise _CliError(f"{what} file {path} must be a JSON array", 2)
     pairs = []
-    for i, entry in enumerate(doc):
+    for i, entry in enumerate(_load_array(path, what)):
         values = tuple(entry.get(k) for k in keys) if isinstance(entry, dict) else ()
         if not (values and all(isinstance(v, str) for v in values)):
             at = [k for k, v in zip(keys, values) if not isinstance(v, str)][:1]
-            raise _entry_error(
-                what, path, (i, *at),
-                f": entries need string values for {keys[0]!r} and {keys[1]!r}: {entry!r}",
-            )
+            message = f": entries need string values for {keys[0]!r} and {keys[1]!r}: {entry!r}"
+            raise _entry_error(what, path, (i, *at), message)
         pairs.append(values)
     return pairs
 
 
 def _load_seed(path: str, model: Model) -> list[tuple[str, str]]:
-    """Seed entries that name declared classes, each entry at most once, and
-    no object ``"new"``, which a script reads as a request to mint."""
+    """Seed entries that the simulator takes for the model."""
     seed = _load_pairs(path, "seed", ("object", "class"))
-    declared = set(model.class_names)
-    seen = set()
-    for i, (object_id, class_name) in enumerate(seed):
-        if object_id == simulator.NEW_OBJECT:
-            message = f" uses the reserved object id {object_id!r}"
-            raise _entry_error("seed", path, (i, "object"), message)
-        if class_name not in declared:
-            message = f" names no declared class: {class_name!r}"
-            raise _entry_error("seed", path, (i, "class"), message)
-        if (object_id, class_name) in seen:
-            message = f" repeats {object_id!r} in {class_name!r}"
-            raise _entry_error("seed", path, (i, "object"), message)
-        seen.add((object_id, class_name))
+    try:
+        simulator._encode(simulator._class_bits(model), seed)
+    except ModelError as exc:
+        raise _CliError(f"seed file {path} {exc}", 2) from None
     return seed
 
 
-def _load_script(path: str) -> list[tuple[str, str]]:
-    return _load_pairs(path, "script", ("process", "object"))
-
-
-_QUERY_OPERANDS = {"co_occurrence": ("classes",), "sequence": ("first", "then")}
-
-
 def _load_queries(path: str, model: Model) -> list[dict]:
-    """Query documents whose keys, value types and names all check out."""
-    doc = _load_json(path, "query")
-    if not isinstance(doc, list):
-        raise _CliError(f"query file {path} must be a JSON array", 2)
-    for i, query in enumerate(doc):
-        entry = isinstance(query, dict)
-        kind = query.get("type") if entry else None
-        if kind not in _QUERY_OPERANDS:
-            raise _entry_error(
-                "query", path, (i, "type") if entry else (i,),
-                f": query type must be 'co_occurrence' or 'sequence': {query!r}",
-            )
-        keys = {"type", *_QUERY_OPERANDS[kind]}
-        if set(query) != keys:
-            # An extra key in document order, else the first missing one.
-            at = [k for k in query if k not in keys] or sorted(keys - set(query))
-            raise _entry_error(
-                "query", path, (i, at[0]),
-                f": {kind} query needs exactly the keys {', '.join(sorted(keys))}: {query!r}",
-            )
-        if kind == "co_occurrence":
-            what, declared, classes = "class", model.class_names, query["classes"]
-            if not (isinstance(classes, list) and len(classes) == 2):
-                raise _entry_error(
-                    "query", path, (i, "classes"),
-                    f": 'classes' must be an array of two class names: {query!r}",
-                )
-            named = {("classes", j): name for j, name in enumerate(classes)}
-        else:
-            what, declared = "process", model.process_names
-            named = {(key,): query[key] for key in ("first", "then")}
-        for at, name in named.items():
-            if not (isinstance(name, str) and name in declared):
-                message = f": query names no declared {what}: {name!r}"
-                raise _entry_error("query", path, (i, *at), message)
-    return doc
+    """Query documents that the simulator takes for the model's names."""
+    queries = _load_array(path, "query")
+    for i, query in enumerate(queries):
+        problem = simulator._query_problem(query, model.class_names, model.process_names)
+        if problem is not None:
+            at, message = problem
+            raise _entry_error("query", path, (i, *at), message)
+    return queries
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -191,7 +143,7 @@ def _cmd_classify(args: _Args) -> int:
 def _cmd_simulate(args: _Args) -> int:
     model = _load_model(args.file)
     seed = _load_seed(args.seed, model)
-    script = _load_script(args.script)
+    script = _load_pairs(args.script, "script", ("process", "object"))
     events = simulator.run_script(model, seed, script)
     sys.stdout.write("".join(e.to_json() + "\n" for e in events))
     failed = any(e.outcome != "fired" for e in events)

@@ -25,7 +25,9 @@ same compiled space for co-occurrence and ordering queries, with witness
 traces of at most ``max_steps`` steps: an exact oracle at desk scale, not
 a model checker. The global graph is enumerated breadth-first on the same
 masks only when its ``edges`` are read. ``run_script`` and ``build_graph``
-read the model through ``canonicalize``.
+read the model through ``canonicalize``, and they and ``run_query`` read a
+seed and a query by the rules ``csm`` applies to those files (``_encode``,
+``_query_problem``).
 """
 
 from __future__ import annotations
@@ -101,17 +103,24 @@ def _compile(bits: Mapping[str, int], p: ProcessDef) -> _Compiled:
     return p.name, _mask(bits, p.inputs), ~leaving, _mask(bits, p.outputs)
 
 
+NEW_OBJECT = "new"
+
+
 def _encode(bits: Mapping[str, int], seed: Iterable[tuple[str, str]]) -> dict[str, int]:
-    """Per seeded object id, the mask of its seed classes; ``bits`` holds the
-    declared classes, so an entry naming another class is ``UnknownClass``."""
+    """Per seeded object id, the mask of its seed classes. Refused, with a message
+    from ``at`` and the pointer of the value at fault: the object ``"new"``, which
+    scripts reserve for minting (``ModelError``), a class outside ``bits``
+    (``UnknownClass``) and a repeated entry (``DuplicateToken``)."""
     held: dict[str, int] = {}
-    for object_id, class_name in seed:
+    for i, (object_id, class_name) in enumerate(seed):
+        if object_id == NEW_OBJECT:
+            raise ModelError(f"at /{i}/object uses the reserved object id {object_id!r}")
         bit = bits.get(class_name)
         if bit is None:
-            raise UnknownClass(class_name)
+            raise UnknownClass(f"at /{i}/class names no declared class: {class_name!r}")
         mask = held.get(object_id, 0)
         if mask & bit:
-            raise DuplicateToken(f"{object_id!r} already seeded in {class_name!r}")
+            raise DuplicateToken(f"at /{i}/object repeats {object_id!r} in {class_name!r}")
         held[object_id] = mask | bit
     return held
 
@@ -132,9 +141,6 @@ def _step(proc: _Compiled, held: int) -> int | None:
     if held & need != need:
         return None
     return held & keep | out
-
-
-NEW_OBJECT = "new"
 
 
 def _mint_id(existing: Container[str], minted: int) -> str:
@@ -563,21 +569,62 @@ def build_graph(
     return ReachabilityGraph(bits, held, processes, max_steps, max_objects)
 
 
-def run_query(graph: ReachabilityGraph, query: Mapping) -> QueryResult:
-    kind = query.get("type")
+def _pointer(at: Iterable) -> str:
+    """The RFC 6901 pointer of the value that these array indexes and keys lead to."""
+    return "".join("/" + str(p).replace("~", "~0").replace("/", "~1") for p in at)
+
+
+# The keys of each query type besides "type".
+_QUERY_OPERANDS = {"co_occurrence": ("classes",), "sequence": ("first", "then")}
+
+
+def _query_problem(
+    query: object, classes: Container[str] | None = None, processes: Container[str] | None = None
+) -> tuple[tuple, str] | None:
+    """The first fault of a query document, as the keys that lead to the
+    value at fault and the message about it, or ``None`` when it has none.
+    Its names must be strings, and declared in ``classes`` and ``processes``
+    when they are given."""
+    kind = query.get("type") if isinstance(query, dict) else None
+    if not (isinstance(kind, str) and kind in _QUERY_OPERANDS):
+        at = ("type",) if isinstance(query, dict) else ()
+        return at, f": query type must be 'co_occurrence' or 'sequence': {query!r}"
+    keys = {"type", *_QUERY_OPERANDS[kind]}
+    if set(query) != keys:
+        # An extra key in document order, else the first missing one.
+        at = [k for k in query if k not in keys] or sorted(keys - set(query))
+        listed = ", ".join(sorted(keys))
+        return (at[0],), f": {kind} query needs exactly the keys {listed}: {query!r}"
     if kind == "co_occurrence":
+        what, declared, names = "class", classes, query["classes"]
+        if not (isinstance(names, (list, tuple)) and len(names) == 2):
+            return ("classes",), f": 'classes' must be an array of two class names: {query!r}"
+        named = [(("classes", j), name) for j, name in enumerate(names)]
+    else:
+        what, declared = "process", processes
+        named = [((key,), query[key]) for key in ("first", "then")]
+    for at, name in named:
+        if not isinstance(name, str) or declared is not None and name not in declared:
+            return at, f": query names no declared {what}: {name!r}"
+    return None
+
+
+def run_query(graph: ReachabilityGraph, query: Mapping) -> QueryResult:
+    """The verdict on one query document, or ``ModelError`` at its first fault
+    (see ``_query_problem``); an undeclared name is unreachable."""
+    problem = _query_problem(query)
+    if problem is not None:
+        at, message = problem
+        raise ModelError(f"query at {_pointer(at)}{message}" if at else f"query{message}")
+    if query["type"] == "co_occurrence":
         a, b = query["classes"]
         predicate = f"co-occurrence({a}, {b})"
-        classes = graph.classes
-        witness = None
-        if a in classes and b in classes:
-            witness = graph.shortest((), classes[a] | classes[b])
-    elif kind == "sequence":
+        bits = graph.classes
+        witness = graph.shortest((), bits[a] | bits[b]) if a in bits and b in bits else None
+    else:
         first, then = query["first"], query["then"]
         predicate = f"sequence({first} then {then})"
         witness = graph.shortest((first, then), 0)
-    else:
-        raise ModelError(f"unknown query type {kind!r}")
     return QueryResult(predicate, witness)
 
 

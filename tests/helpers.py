@@ -33,6 +33,7 @@ each set, written out for the generators and oracles.
 ``load_bench`` loads a module of the benchmark by path.
 ``json_outcome`` is what a JSON decoder makes of a text, so that
 ``csm.diagnostics._loads`` can be compared with ``json.loads``.
+``BAD_QUERIES`` are malformed query documents on ``hospital_cleaning``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from csm.simulator import (
 from csm.model import (
     ClassDef,
     Model,
+    ModelError,
     ProcessDef,
     Transform,
     UnknownClass,
@@ -420,6 +422,24 @@ A4_SEEDS = {
 Token = namedtuple("Token", "object_id class_name")
 
 
+# One fault each: a missing, non-string, undeclared or extra operand, a
+# "classes" that is not an array of two names, an unknown type and an entry
+# that is not an object. The API answers the two that name Ghost as unreachable.
+BAD_QUERIES = [
+    {"type": "sequence", "first": "CleanRoom"},
+    {"type": "sequence", "first": "CleanRoom", "then": 5},
+    {"type": "sequence", "first": "CleanRoom", "then": "Ghost"},
+    {"type": "sequence", "first": "CleanRoom", "then": "CleanRoom", "note": ""},
+    {"type": "co_occurrence", "classes": ["OccupiedRoom"]},
+    {"type": "co_occurrence", "classes": "OccupiedRoom"},
+    {"type": "co_occurrence", "classes": ["OccupiedRoom", 1]},
+    {"type": "co_occurrence", "classes": ["OccupiedRoom", "Ghost"]},
+    {"type": "deadlock"},
+    ["sequence", "CleanRoom", "CleanRoom"],
+    {"type": "co_occurrence", "classes": ["OccupiedRoom", "OccupiedRoom", "OccupiedRoom"]},
+]
+
+
 def object_ids(tokens: frozenset) -> frozenset[str]:
     return frozenset(t.object_id for t in tokens)
 
@@ -429,14 +449,17 @@ def classes_of(tokens: frozenset, object_id: str) -> frozenset[str]:
 
 
 def brute_init_state(model: Model, seed) -> frozenset:
-    """The seed tokens; an undeclared class or a repeated entry raises."""
+    """The seed tokens; the object "new", an undeclared class or a repeated
+    entry raises, with the pointer of its entry's value at fault."""
     tokens: set[Token] = set()
-    for object_id, class_name in seed:
+    for i, (object_id, class_name) in enumerate(seed):
+        if object_id == NEW_OBJECT:
+            raise ModelError(f"at /{i}/object uses the reserved object id {object_id!r}")
         if class_name not in model.class_names:
-            raise UnknownClass(class_name)
+            raise UnknownClass(f"at /{i}/class names no declared class: {class_name!r}")
         token = Token(object_id, class_name)
         if token in tokens:
-            raise DuplicateToken(f"{object_id!r} already seeded in {class_name!r}")
+            raise DuplicateToken(f"at /{i}/object repeats {object_id!r} in {class_name!r}")
         tokens.add(token)
     return frozenset(tokens)
 

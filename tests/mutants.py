@@ -514,6 +514,28 @@ MUTANTS = (
         "        return len(self.frontier)\n\n    @property\n    def complete",
         ("tests/test_records.py::TestSimulatorJson",),
     ),
+    # A seed may name the object "new", which a script reads as a mint.
+    Mutant(
+        "src/csm/simulator.py",
+        "        if object_id == NEW_OBJECT:\n            raise ModelError(",
+        "        if False:\n            raise ModelError(",
+        ("tests/test_cli.py::TestSimulate::test_bad_seed_entry_exits_two",),
+    ),
+    # A query's type is looked up before it is judged a string, so a list
+    # type raises TypeError.
+    Mutant(
+        "src/csm/simulator.py",
+        "isinstance(kind, str) and kind in _QUERY_OPERANDS",
+        "kind in _QUERY_OPERANDS and isinstance(kind, str)",
+        ("tests/test_cli_fuzz.py::test_cli_ends_in_an_exit_code_without_a_traceback",),
+    ),
+    # A co-occurrence query takes any number of classes from two on.
+    Mutant(
+        "src/csm/simulator.py",
+        "len(names) == 2",
+        "len(names) >= 2",
+        ("tests/test_cli.py::TestExplore::test_bad_query_exits_two",),
+    ),
 )
 
 

@@ -23,9 +23,10 @@ role; and each goes through ``explore --stats`` from one object in its
 first class within 2 steps, so the lines end by every stop word. Then
 come ``explain`` for every catalog code and one unknown code, the fixed
 argument lists of ``test_cli_argv.py`` (help and each kind of usage
-error, and each explicit ``--`` value), and the command lines that the
-benchmark's corpus and scale set-ups build for seeds 1 and 2, each
-``explore`` with ``--stats`` added.
+error, and each explicit ``--`` value), a ``simulate`` or ``explore``
+line for each error the CLI names in a seed or query file, and the
+command lines that the benchmark's corpus and scale set-ups build for
+seeds 1 and 2, each ``explore`` with ``--stats`` added.
 
 One ``python -S`` child per tree calls ``csm.cli.main`` for each line, from
 the input directory, and records its exit code, stdout and stderr. The two
@@ -176,11 +177,56 @@ def _explore_line(work: Path, name: str, text: str) -> list[str]:
     return ["explore", f"{name}.csm", "--seed", seed, "--max-steps", "2", "--stats"]
 
 
+# A seed or query file per error that the CLI names in one: each seed file
+# goes through simulate and each query file through explore, on
+# healthcare.csm. Seeds: not an array, an entry not an object, a value not
+# a string, the object "new", an undeclared class and a repeated entry.
+# Queries: an entry not an object, an unknown type, a missing and an extra
+# key, "classes" not two names, a name not a string, an undeclared class
+# and an undeclared process.
+SIDE_FILE_ERRORS = (
+    ("seed", {"object": "p", "class": "CaredPatient"}),
+    ("seed", [{"object": "p", "class": "CaredPatient"}, "p"]),
+    ("seed", [{"object": "p", "class": 5}]),
+    ("seed", [{"object": "new", "class": "CaredPatient"}]),
+    ("seed", [{"object": "p", "class": "Lobby"}]),
+    ("seed", [{"object": "p", "class": "CaredPatient"}] * 2),
+    ("query", ["sequence"]),
+    ("query", [{"type": "deadlock"}]),
+    ("query", [{"type": "sequence", "first": "CheckUp"}]),
+    ("query", [{"type": "co_occurrence", "classes": ["CaredPatient"] * 2, "a/b~": 1}]),
+    ("query", [{"type": "co_occurrence", "classes": ["CaredPatient"] * 3}]),
+    ("query", [{"type": "sequence", "first": 5, "then": "CheckUp"}]),
+    ("query", [{"type": "co_occurrence", "classes": ["CaredPatient", "Lobby"]}]),
+    ("query", [{"type": "sequence", "first": "CheckUp", "then": "CheckUp"},
+               {"type": "sequence", "first": "CheckUp", "then": "Ghost"}]),
+)
+
+
+def _side_file_lines(work: Path) -> list[list[str]]:
+    """A line per ``SIDE_FILE_ERRORS`` entry, on ``healthcare.csm``, which
+    ``_model_lines`` wrote."""
+    (work / "side_seed.json").write_text('[{"object": "p", "class": "CaredPatient"}]')
+    (work / "side_script.json").write_text("[]")
+    lines = []
+    for i, (kind, doc) in enumerate(SIDE_FILE_ERRORS):
+        name = f"side_{kind}{i}.json"
+        (work / name).write_text(json.dumps(doc), encoding="utf-8")
+        if kind == "seed":
+            lines.append(["simulate", "healthcare.csm", "--seed", name,
+                          "--script", "side_script.json"])
+        else:
+            lines.append(["explore", "healthcare.csm", "--seed", "side_seed.json",
+                          "--query", name])
+    return lines
+
+
 def fixture_lines(work: Path) -> list[list[str]]:
     """The fixtures and bad fixtures in both forms through every model
     command, their texts with each mistake through ``validate``, and each
     through ``explore --stats``; ``explain`` for every catalog code and one
-    unknown code; the fixed argument lists; and the whole-process sample."""
+    unknown code; the fixed argument lists; a line per seed and query file
+    error; and the whole-process sample."""
     lines = []
     for name in (*FIXTURES, *BAD_FIXTURES):
         lines += _model_lines(work, name, fixture_text(name))
@@ -188,7 +234,7 @@ def fixture_lines(work: Path) -> list[list[str]]:
         lines.append(_explore_line(work, name, fixture_text(name)))
     lines += [["explain", code] for code in (*validator.CATALOG, "E-UNKNOWN")]
     lines += helpers.ERROR_KINDS + [argv for argv, _, _ in helpers.EXPLICIT_DOUBLE_DASH]
-    return lines + _process_lines(work)
+    return lines + _side_file_lines(work) + _process_lines(work)
 
 
 def all_lines(work: Path) -> list[list[str]]:

@@ -17,7 +17,7 @@ from csm.classifier import classify_all
 from csm.cli import main
 from csm.dsl import emit_json, emit_text, parse_json
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_path, load
-from helpers import A4_SEEDS, load_bench
+from helpers import A4_SEEDS, BAD_QUERIES, load_bench
 from properties_core import reference_report_json
 
 
@@ -238,21 +238,7 @@ class TestExplore:
         assert doc["complete"] is True
         assert [q["reachable"] for q in doc["queries"]] == [False, True]
 
-    @pytest.mark.parametrize(
-        "query",
-        [
-            {"type": "sequence", "first": "CleanRoom"},
-            {"type": "sequence", "first": "CleanRoom", "then": 5},
-            {"type": "sequence", "first": "CleanRoom", "then": "Ghost"},
-            {"type": "sequence", "first": "CleanRoom", "then": "CleanRoom", "note": ""},
-            {"type": "co_occurrence", "classes": ["OccupiedRoom"]},
-            {"type": "co_occurrence", "classes": "OccupiedRoom"},
-            {"type": "co_occurrence", "classes": ["OccupiedRoom", 1]},
-            {"type": "co_occurrence", "classes": ["OccupiedRoom", "Ghost"]},
-            {"type": "deadlock"},
-            ["sequence", "CleanRoom", "CleanRoom"],
-        ],
-    )
+    @pytest.mark.parametrize("query", BAD_QUERIES)
     def test_bad_query_exits_two(self, capsys, write_json, query):
         seed = write_json("seed.json", [{"object": "r", "class": "OccupiedRoom"}])
         path = write_json("query.json", [query])
@@ -456,6 +442,12 @@ _QUERY_TYPE = "query type must be 'co_occurrence' or 'sequence'"
             [{"type": "sequence", "first": "PerformTest", "then": "PerformTest"},
              {"type": "sequence", "first": "PerformTest", "then": "Ghost"}],
             "at /1/then: query names no declared process: 'Ghost'",
+        ),
+        (
+            # The type is judged a string before it is looked up.
+            "query",
+            [{"type": ["co_occurrence"]}],
+            f"at /0/type: {_QUERY_TYPE}: {{'type': ['co_occurrence']}}",
         ),
     ],
 )

@@ -6,11 +6,13 @@ one. The model file is its text (the fixture's own or ``emit_text``'s) as
 it is, that text or its ``emit_json`` document with a few random edits, or
 the document with one value replaced. Seed, script and query files hold
 random JSON values or entries that name the base model's classes and
-processes. The argument lists draw on every command and option, the
+processes, or, in a query entry, a random JSON value as its type or any
+name. The argument lists draw on every command and option, the
 exploration bounds from -1 to 6 included, and on every form the argv
 reader reads: ``-h``, ``--``, ``=`` values, unique and ambiguous option
 prefixes, option-like values and extra positionals. The same JSON pieces
-check the CLI's JSON decoder against ``json.loads``.
+check the CLI's JSON decoder against ``json.loads``, and the random values
+check that ``run_query`` answers any query document or raises ``ModelError``.
 """
 
 import contextlib
@@ -26,6 +28,8 @@ from csm.cli import main
 from csm.diagnostics import _loads
 from csm.dsl import emit_json, emit_text
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text, load
+from csm.model import ModelError
+from csm.simulator import QueryResult, build_graph, run_query
 from helpers import json_outcome, random_valid_model
 
 _rng = random.Random(16)
@@ -141,12 +145,15 @@ def cases(draw):
         | st.lists(st.fixed_dictionaries({"process": processes, "object": objects}), max_size=4),
         "@query": json_values
         | st.lists(
-            st.fixed_dictionaries(
-                {"type": st.just("co_occurrence"), "classes": st.lists(classes, max_size=3)}
-            )
-            | st.fixed_dictionaries(
-                {"type": st.just("sequence"), "first": processes, "then": processes}
-            ),
+            st.fixed_dictionaries({
+                "type": st.just("co_occurrence") | json_values,
+                "classes": st.lists(classes | json_values, max_size=3),
+            })
+            | st.fixed_dictionaries({
+                "type": st.just("sequence") | json_values,
+                "first": processes | json_values,
+                "then": processes | json_values,
+            }),
             max_size=2,
         ),
     }
@@ -192,6 +199,12 @@ _SURROGATE_NAME = JSONS[0].replace(json.dumps(BASES[0].name), '"\\ud800"', 1)
     {"@model": ("model.csm", TEXTS[0]), "@seed": ("seed.json", f'[{{"object": {_BIG}}}]'),
      "@script": ("script.json", "[]")},
 ))
+# A query type that is not a string, which no dict can look up.
+@example(case=(
+    ["explore", "@model", "--seed", "@seed", "--query", "@query"],
+    {"@model": ("model.csm", TEXTS[0]), "@seed": ("seed.json", "[]"),
+     "@query": ("query.json", '[{"type": ["co_occurrence"]}]')},
+))
 def test_cli_ends_in_an_exit_code_without_a_traceback(workdir, case):
     argv, files = case
     paths = {"@out": workdir / "out.txt", "@dir": workdir, "@missing": workdir / "missing.json"}
@@ -224,3 +237,23 @@ def test_loads_agrees_with_json_loads(text):
     """The CLI's decoder (``diagnostics._loads``) gives what ``json.loads``
     gives on any text: an equal value, or the same error and message."""
     assert json_outcome(_loads, text) == json_outcome(json.loads, text)
+
+
+_GRAPH = build_graph(load("hospital_cleaning"), [("r", "OccupiedRoom")], 4, 2)
+_NAMES = st.sampled_from(["OccupiedRoom", "CleanedRoom", "CleanRoom", "Ghost"]) | json_values
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    json_values
+    | st.fixed_dictionaries({"type": st.just("co_occurrence") | json_values,
+                             "classes": st.lists(_NAMES, max_size=3) | json_values})
+    | st.fixed_dictionaries({"type": st.just("sequence") | json_values,
+                             "first": _NAMES, "then": _NAMES})
+)
+def test_run_query_answers_or_raises_model_error(query):
+    try:
+        result = run_query(_GRAPH, query)
+    except ModelError:
+        return
+    assert isinstance(result, QueryResult)

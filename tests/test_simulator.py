@@ -24,6 +24,7 @@ from csm.model import (
 )
 from helpers import (
     A4_SEEDS,
+    BAD_QUERIES,
     Token,
     brute_explore,
     brute_fire,
@@ -430,6 +431,40 @@ class TestExplore:
         graph = build_graph(scenarios["gp_lab"], [], max_steps=2, max_objects=1)
         with pytest.raises(ModelError):
             run_query(graph, {"type": "eventually"})
+
+    @pytest.mark.parametrize(
+        "query",
+        [q for q in BAD_QUERIES if "Ghost" not in repr(q)]
+        + [{"type": "co_occurrence", "classes": [["a"], "b"]}],
+    )
+    def test_malformed_query_is_a_model_error(self, scenarios, query):
+        # The CLI's query file rules, bar the declared names.
+        graph = build_graph(scenarios["hospital_cleaning"], [], max_steps=2, max_objects=1)
+        with pytest.raises(ModelError, match="^query"):
+            run_query(graph, query)
+
+    def test_malformed_query_names_its_pointer(self, scenarios):
+        graph = build_graph(scenarios["hospital_cleaning"], [], max_steps=2, max_objects=1)
+        query = {"type": "co_occurrence", "classes": ["OccupiedRoom", 1]}
+        with pytest.raises(ModelError) as caught:
+            run_query(graph, query)
+        assert str(caught.value) == "query at /classes/1: query names no declared class: 1"
+        with pytest.raises(ModelError) as caught:
+            run_query(graph, ["sequence"])
+        assert str(caught.value) == (
+            "query: query type must be 'co_occurrence' or 'sequence': ['sequence']"
+        )
+
+    def test_seed_object_new_is_refused(self, scenarios):
+        # A witness step on it would read as a mint request.
+        m, seed = scenarios["hospital_cleaning"], [("new", "OccupiedRoom")]
+        message = "^at /0/object uses the reserved object id 'new'$"
+        with pytest.raises(ModelError, match=message):
+            explore(m, seed, 8, 2)
+        with pytest.raises(ModelError, match=message):
+            build_graph(m, seed, 8, 2)
+        with pytest.raises(ModelError, match=message):
+            run_script(m, seed, [])
 
     def test_explore_summary_document(self, scenarios):
         m = scenarios["hospital_cleaning"]
