@@ -32,8 +32,8 @@ Either draft then goes through the one name-resolution pass
 each that fails. JSON has one reader, since the C scanner that
 ``json.loads`` wraps lexes it (``diagnostics._loads``, which leaves the
 ``json`` package unloaded unless the text is malformed): ``_read_json``
-walks the decoded document once, fills a draft for the same pass, and
-reports each ill-typed entry where it finds it.
+walks the decoded document once, tests each key of an entry once, reports
+each ill-typed entry where it finds it and fills a draft for the same pass.
 A transform's mode keyword is mandatory: there is no default for whether
 the source token survives the firing.
 """
@@ -653,6 +653,11 @@ def emit_json(model: Model) -> bytes:
 
 # The value of an absent array key: read, never written.
 _NO_ENTRIES: list = []
+# What an entry that is not an object reads as, so that each of its required
+# keys is reported missing: read, never written.
+_NOT_AN_OBJECT: dict = {}
+# Whether a value is a string, called from C: ``all(map(_IS_STR, names))``.
+_IS_STR = str.__instancecheck__
 
 
 def _json_error(message: str, site: str = "document") -> Diagnostic:
@@ -684,10 +689,11 @@ def parse_json(data: bytes | bytearray | str, file_label: str = "<json>") -> Par
 def _read_json(doc) -> ParseResult:
     """The model and every diagnostic of a decoded document, in one walk:
     the name, then the roles, classes, processes and grants in document
-    order. An entry that one test finds well-typed goes straight into a
-    draft, without offsets; any other is explained key by key, and its
-    E-JSON diagnostics are kept where they were found. A document with none
-    goes through ``_resolve``, which checks duplicates and references.
+    order. One block per entry fetches each key once, tests it once and
+    fills a draft without offsets, writing an E-JSON diagnostic where a test
+    fails; an entry that is not an object reads as one without keys. With
+    no diagnostic, the draft goes through ``_resolve``, which checks
+    duplicates and references.
 
     Declared names must be identifiers. A name that refers to a declaration
     (an owner, an input, a transform's end, a grant's role or class) must be
@@ -712,26 +718,22 @@ def _read_json(doc) -> ParseResult:
             error(f"missing required key {key!r}")
         return _NO_ENTRIES
 
-    def need(entry, key: str, site: str):
-        """``entry[key]``, else ``None`` after its diagnostic."""
-        value = entry.get(key) if type(entry) is dict else None
-        if value is None:
-            error(f"missing required key {key!r}", site)
-        return value
-
-    def declared(entry, kind: str, site: str) -> str | None:
-        """The entry's name if it is an identifier, else ``None`` after its diagnostic."""
-        name = need(entry, "name", site)
-        if name is not None and (problem := _identifier_problem(kind, name)):
-            error(problem, site)
-            return None
-        return name
-
-    def unknown(entry: dict, key: str, members: dict, noun: str, site: str) -> None:
-        """A diagnostic for each entry under ``key`` that names no member."""
-        for value in array(entry, key, site):
-            if type(value) is not str or value not in members:
-                error(f"unknown {noun} {value!r}", site)
+    def listing(entry: dict, key: str, members: dict, noun: str, memo: dict, site: str):
+        """The members of the word table ``members`` that the array under ``key``
+        names, after a diagnostic for each entry that names none; kept in
+        ``memo`` when every entry names one."""
+        mark = len(errors)
+        words = array(entry, key, site)
+        named = []
+        for word in words:
+            if type(word) is str and word in members:
+                named.append(members[word])
+            else:
+                error(f"unknown {noun} {word!r}", site)
+        found = frozenset(named)
+        if len(errors) == mark:
+            memo[tuple(words)] = found
+        return found
 
     name = doc.get("name")
     if name is None:
@@ -748,103 +750,90 @@ def _read_json(doc) -> ParseResult:
             error(problem, "roles")
     draft.roles = zip(roles, _NO_OFFSET)
 
-    # Equal listings share one set, read once; one memo per list kind.
+    # Equal listings share one set, read once; one memo per list kind. A
+    # value that is not an array is looked up as None, which neither holds.
     point_lists: dict[tuple, frozenset[str]] = {}
     privilege_lists: dict[tuple, frozenset[str]] = {}
-    # Each entry's test fails, or raises KeyError or TypeError, for any
-    # wrong type: an entry that is not an object, an absent required key, a
-    # listed word that names none or cannot be hashed, or a name that is not
-    # a string (``"".join`` takes only strings).
     classes = []
     for entry in array(doc, "classes"):
+        if type(entry) is not dict:
+            entry = _NOT_AN_OBJECT
+        cname = entry.get("name")
+        if problem := _identifier_problem("class", cname):
+            error(problem if cname is not None else "missing required key 'name'", "classes")
+            continue
+        dynamic = entry.get("dynamic", False)
+        if type(dynamic) is not bool:
+            error("'dynamic' must be true or false", f"class={cname}")
+        points = entry.get("status_points", _NO_ENTRIES)
         try:
-            cname = entry["name"]
-            dynamic = entry.get("dynamic", False)
-            points = entry.get("status_points", _NO_ENTRIES)
-            if (
-                type(cname) is str and _is_identifier(cname)
-                and type(dynamic) is bool and type(points) is list
-            ):
-                found = point_lists.get(key := tuple(points))
-                if found is None:
-                    found = point_lists[key] = frozenset([_STATUS_POINT[x] for x in points])
-                classes.append(tuple.__new__(ClassDef, (cname, dynamic, found)))
-                continue
-        except (KeyError, TypeError):
-            pass
-        cname = declared(entry, "class", "classes")
-        if cname is not None:
-            site = f"class={cname}"
-            if type(entry.get("dynamic", False)) is not bool:
-                error("'dynamic' must be true or false", site)
-            unknown(entry, "status_points", _STATUS_POINT, "status point", site)
+            found = point_lists[tuple(points) if type(points) is list else None]
+        except (KeyError, TypeError):  # not read yet, or an entry cannot be hashed
+            found = listing(entry, "status_points", _STATUS_POINT, "status point",
+                            point_lists, f"class={cname}")
+        classes.append(tuple.__new__(ClassDef, (cname, dynamic, found)))
     draft.classes = zip(classes, _NO_OFFSET)
 
     for entry in array(doc, "processes"):
-        try:
-            pname = entry["name"]
-            owners = entry.get("owners", _NO_ENTRIES)
-            responsibles = entry.get("responsibles", _NO_ENTRIES)
-            inputs = entry.get("inputs", _NO_ENTRIES)
-            outputs = entry.get("outputs", _NO_ENTRIES)
-            transforms = entry.get("transforms", _NO_ENTRIES)
-            if (
-                type(pname) is str and _is_identifier(pname) and type(transforms) is list
-                and type(owners) is list and type(responsibles) is list
-                and type(inputs) is list and type(outputs) is list
-            ):
-                "".join([*owners, *responsibles, *inputs, *outputs])
-                items = []
-                for t in transforms:
-                    src, dst = t["from"], t["to"]
-                    if type(src) is not str or type(dst) is not str:
-                        break
-                    items.append((tuple.__new__(Transform, (src, dst, _MODE[t["mode"]])), None))
-                else:
-                    draft.processes.append(tuple.__new__(_ProcessItem, (
-                        pname, None, zip(owners, _NO_OFFSET), zip(responsibles, _NO_OFFSET),
-                        zip(inputs, _NO_OFFSET), zip(outputs, _NO_OFFSET), items,
-                    )))
-                    continue
-        except (KeyError, TypeError):
-            pass
-        pname = declared(entry, "process", "processes")
-        if pname is None:
+        if type(entry) is not dict:
+            entry = _NOT_AN_OBJECT
+        pname = entry.get("name")
+        if problem := _identifier_problem("process", pname):
+            error(problem if pname is not None else "missing required key 'name'", "processes")
             continue
-        site = f"process={pname}"
-        for key in ("owners", "responsibles", "inputs", "outputs"):
-            for v in array(entry, key, site):
-                if type(v) is not str:
-                    error(f"'{key}' entries must be strings", site)
-        for t in array(entry, "transforms", site):
-            t = t if type(t) is dict else {}
-            mode = t.get("mode")
-            if type(t.get("from")) is not str or type(t.get("to")) is not str:
-                error("transform needs 'from' and 'to' strings", site)
+        owners = entry.get("owners", _NO_ENTRIES)
+        responsibles = entry.get("responsibles", _NO_ENTRIES)
+        inputs = entry.get("inputs", _NO_ENTRIES)
+        outputs = entry.get("outputs", _NO_ENTRIES)
+        if not (
+            type(owners) is type(responsibles) is type(inputs) is type(outputs) is list
+            and all(map(_IS_STR, [*owners, *responsibles, *inputs, *outputs]))
+        ):
+            site = f"process={pname}"
+            for key in ("owners", "responsibles", "inputs", "outputs"):
+                for v in array(entry, key, site):
+                    if type(v) is not str:
+                        error(f"'{key}' entries must be strings", site)
+            owners = responsibles = inputs = outputs = _NO_ENTRIES
+        transforms = entry.get("transforms", _NO_ENTRIES)
+        if type(transforms) is not list:
+            transforms = array(entry, "transforms", f"process={pname}")
+        items = []
+        for t in transforms:
+            if type(t) is not dict:
+                t = _NOT_AN_OBJECT
+            src, dst, mode = t.get("from"), t.get("to"), t.get("mode")
+            if type(src) is not str or type(dst) is not str:
+                error("transform needs 'from' and 'to' strings", f"process={pname}")
             elif type(mode) is not str or mode not in _MODE:
-                error(f"transform mode must be 'remaining' or 'leaving', got {mode!r}", site)
+                error(f"transform mode must be 'remaining' or 'leaving', got {mode!r}",
+                      f"process={pname}")
+            else:
+                items.append((tuple.__new__(Transform, (src, dst, _MODE[mode])), None))
+        draft.processes.append(tuple.__new__(_ProcessItem, (
+            pname, None, zip(owners, _NO_OFFSET), zip(responsibles, _NO_OFFSET),
+            zip(inputs, _NO_OFFSET), zip(outputs, _NO_OFFSET), items,
+        )))
 
     for entry in array(doc, "grants"):
-        try:
-            role = entry["role"]
-            cname = entry["class"]
-            privileges = entry.get("privileges", _NO_ENTRIES)
-            if type(role) is str and type(cname) is str and type(privileges) is list:
-                found = privilege_lists.get(key := tuple(privileges))
-                if found is None:
-                    found = privilege_lists[key] = frozenset([_PRIVILEGE[x] for x in privileges])
-                draft.grants.append((role, cname, found, None))
-                continue
-        except (KeyError, TypeError):
-            pass
-        role = need(entry, "role", "grants")
-        cname = need(entry, "class", "grants")
-        if role is None or cname is None:
-            continue
+        if type(entry) is not dict:
+            entry = _NOT_AN_OBJECT
+        role, cname = entry.get("role"), entry.get("class")
         if type(role) is not str or type(cname) is not str:
-            error("grant needs 'role' and 'class' strings", "grants")
+            if role is None:
+                error("missing required key 'role'", "grants")
+            if cname is None:
+                error("missing required key 'class'", "grants")
+            if role is not None and cname is not None:
+                error("grant needs 'role' and 'class' strings", "grants")
             continue
-        unknown(entry, "privileges", _PRIVILEGE, "privilege", f"grant role={role} class={cname}")
+        privileges = entry.get("privileges", _NO_ENTRIES)
+        try:
+            found = privilege_lists[tuple(privileges) if type(privileges) is list else None]
+        except (KeyError, TypeError):
+            found = listing(entry, "privileges", _PRIVILEGE, "privilege", privilege_lists,
+                            f"grant role={role} class={cname}")
+        draft.grants.append((role, cname, found, None))
 
     if errors:
         return ParseResult(None, errors)

@@ -106,13 +106,21 @@ def _compile(bits: Mapping[str, int], p: ProcessDef) -> _Compiled:
 NEW_OBJECT = "new"
 
 
+def _pair(i: int, entry, fields: str) -> tuple[str, str]:
+    """The ``i``-th entry of a seed or a script if it is a pair of strings."""
+    if isinstance(entry, (tuple, list)) and [type(v) for v in entry] == [str, str]:
+        return entry
+    raise ModelError(f"at /{i} must be a pair of strings ({fields}): {entry!r}")
+
+
 def _encode(bits: Mapping[str, int], seed: Iterable[tuple[str, str]]) -> dict[str, int]:
     """Per seeded object id, the mask of its seed classes. Refused, with a message
-    from ``at`` and the pointer of the value at fault: the object ``"new"``, which
-    scripts reserve for minting (``ModelError``), a class outside ``bits``
-    (``UnknownClass``) and a repeated entry (``DuplicateToken``)."""
+    from ``at`` and the pointer of the value at fault: an entry that is not a pair
+    of strings and the object ``"new"``, which scripts reserve for minting (both
+    ``ModelError``), an undeclared class (``UnknownClass``), a repeat (``DuplicateToken``)."""
     held: dict[str, int] = {}
-    for i, (object_id, class_name) in enumerate(seed):
+    for i, entry in enumerate(seed):
+        object_id, class_name = _pair(i, entry, "object, class")
         if object_id == NEW_OBJECT:
             raise ModelError(f"at /{i}/object uses the reserved object id {object_id!r}")
         bit = bits.get(class_name)
@@ -158,8 +166,9 @@ def run_script(
 ) -> list[TraceEvent]:
     """Run a scripted trace; failed steps are reported and skipped.
 
-    A script entry names a process and an object id, or ``"new"`` to let a
-    generator mint a fresh object. Unknown process or class names abort the
+    A script entry is a pair of strings, a process and an object id or
+    ``"new"`` to let a generator mint a fresh object; any other raises
+    ``ModelError``, as in a seed. Unknown process or class names abort the
     run with an ``aborted`` event, and so does a generator fired on an
     existing object. Each object is a class mask; a generator without
     outputs mints no object.
@@ -167,6 +176,7 @@ def run_script(
     model = canonicalize(model)
     bits = _class_bits(model)
     objects = _encode(bits, seed)
+    script = [_pair(i, entry, "process, object") for i, entry in enumerate(script)]
     minted = 0
     events: list[TraceEvent] = []
     for step, (process, object_id) in enumerate(script, start=1):

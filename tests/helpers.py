@@ -34,23 +34,28 @@ each set, written out for the generators and oracles.
 ``json_outcome`` is what a JSON decoder makes of a text, so that
 ``csm.diagnostics._loads`` can be compared with ``json.loads``.
 ``BAD_QUERIES`` are malformed query documents on ``hospital_cleaning``.
+``PLANTED`` is a small well-formed model; ``PLANTED_JSON`` plants one
+mistake per row in its JSON form (``planted_json``), and ``MIXED_JSON``
+puts ill-typed entries between the well-typed ones of ``WELL_TYPED_JSON``.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import random
 import re
 import string
 import sys
 from collections import Counter, namedtuple
+from itertools import zip_longest
 from pathlib import Path
 
 from csm import cli
 from csm.classifier import CollaborationReport, LevelFinding
 from csm.diagnostics import Diagnostic
-from csm.dsl import emit_text
+from csm.dsl import emit_json, emit_text, parse_text
 from csm.simulator import (
     NEW_OBJECT,
     DuplicateToken,
@@ -1242,6 +1247,218 @@ ERROR_KINDS = [
     ["validate", "m.csm", "--", "--json"],
     ["explain", "E-C1"],
 ]
+
+# A small well-formed model, in which the tests of both readers plant mistakes.
+PLANTED = """model "m" {
+  role A
+  role B
+  class C dynamic { waiting }
+  class D dynamic
+  class E
+  process P {
+    owner A
+    responsible B
+    input C
+    output D
+    transform C -> D leaving
+  }
+  process Q {
+    owner B
+    input D
+    output E
+  }
+  grant A on C { creation, reference, reference+ }
+  grant B on C { reference+ }
+}
+"""
+# The JSON form of PLANTED with one mistake per row: the path of the value
+# to set (an index one past the end appends; the empty path replaces the
+# document), the value, and the diagnostics as (code, site, message). A row
+# with several mistakes gives a list of paths and a list of their values.
+PLANTED_JSON = [
+    ("duplicate role", ("roles", 2), "A", [("E-DUP", "role=A", "role 'A' declared twice")]),
+    ("duplicate class", ("classes", 3), {"name": "D", "dynamic": True},
+     [("E-DUP", "class=D", "class 'D' declared twice")]),
+    ("duplicate process", ("processes", 1, "name"), "P",
+     [("E-DUP", "process=P", "process 'P' declared twice")]),
+    ("owner also responsible", ("processes", 0, "responsibles", 1), "A",
+     [("E-DUP", "process=P role=A", "role 'A' already holds a privilege on this process")]),
+    ("undeclared role in a process", ("processes", 1, "owners", 0), "Z",
+     [("E-REF", "process=Q role=Z", "role 'Z' is not declared")]),
+    ("undeclared class in a process", ("processes", 1, "outputs", 0), "Z",
+     [("E-REF", "process=Q class=Z", "class 'Z' is not declared")]),
+    ("undeclared role in a grant", ("grants", 1, "role"), "Z",
+     [("E-REF", "grant role=Z class=C", "role 'Z' is not declared")]),
+    ("undeclared class in a grant", ("grants", 1, "class"), "Z",
+     [("E-REF", "grant role=B class=Z", "class 'Z' is not declared")]),
+    ("transform source not an input", ("processes", 0, "transforms", 0, "from"), "E",
+     [("E-TRF-END", "process=P transform=E->D",
+       "transform source 'E' is not an input of the process")]),
+    ("transform target not an output", ("processes", 0, "transforms", 0, "to"), "E",
+     [("E-TRF-END", "process=P transform=C->E",
+       "transform target 'E' is not an output of the process")]),
+    ("unknown status point", ("classes", 0, "status_points", 1), "later",
+     [("E-JSON", "class=C", "unknown status point 'later'")]),
+    ("status point that cannot be hashed", ("classes", 0, "status_points", 1), ["waiting"],
+     [("E-JSON", "class=C", "unknown status point ['waiting']")]),
+    ("unknown privilege", ("grants", 1, "privileges", 1), "ownership",
+     [("E-JSON", "grant role=B class=C", "unknown privilege 'ownership'")]),
+    ("unknown transform mode", ("processes", 0, "transforms", 0, "mode"), "later",
+     [("E-JSON", "process=P", "transform mode must be 'remaining' or 'leaving', got 'later'")]),
+    ("class name not an identifier", ("classes", 3), {"name": "F-1"},
+     [("E-JSON", "classes", "class name must be an identifier, got 'F-1'")]),
+    ("role name not an identifier", ("roles", 2), "not a name",
+     [("E-JSON", "roles", "role name must be an identifier, got 'not a name'")]),
+    ("grant not an object", ("grants", 2), "grant",
+     [("E-JSON", "grants", "missing required key 'role'"),
+      ("E-JSON", "grants", "missing required key 'class'")]),
+    ("dynamic not a boolean", ("classes", 1, "dynamic"), 1,
+     [("E-JSON", "class=D", "'dynamic' must be true or false")]),
+    # Names that refer to a declaration are type-checked by resolving them.
+    ("owner not a string", ("processes", 1, "owners", 0), 5,
+     [("E-JSON", "process=Q", "'owners' entries must be strings")]),
+    ("owner that cannot be hashed", ("processes", 1, "owners", 0), ["B"],
+     [("E-JSON", "process=Q", "'owners' entries must be strings")]),
+    ("input that cannot be hashed", ("processes", 1, "inputs", 0), {"D": 1},
+     [("E-JSON", "process=Q", "'inputs' entries must be strings")]),
+    ("inputs not an array", ("processes", 1, "inputs"), "D",
+     [("E-JSON", "process=Q", "'inputs' must be an array")]),
+    ("owners null", ("processes", 1, "owners"), None,
+     [("E-JSON", "process=Q", "'owners' must be an array")]),
+    ("transform not an object", ("processes", 0, "transforms", 0), "C->D",
+     [("E-JSON", "process=P", "transform needs 'from' and 'to' strings")]),
+    ("transform source not a string", ("processes", 0, "transforms", 0, "from"), 1,
+     [("E-JSON", "process=P", "transform needs 'from' and 'to' strings")]),
+    ("transform mode that cannot be hashed", ("processes", 0, "transforms", 0, "mode"),
+     ["leaving"],
+     [("E-JSON", "process=P",
+       "transform mode must be 'remaining' or 'leaving', got ['leaving']")]),
+    ("grant role not a string", ("grants", 1, "role"), 1,
+     [("E-JSON", "grants", "grant needs 'role' and 'class' strings")]),
+    ("grant class that cannot be hashed", ("grants", 1, "class"), ["C"],
+     [("E-JSON", "grants", "grant needs 'role' and 'class' strings")]),
+    ("privileges not an array", ("grants", 1, "privileges"), {"reference+": 1},
+     [("E-JSON", "grant role=B class=C", "'privileges' must be an array")]),
+    ("process not an object", ("processes", 2), "R",
+     [("E-JSON", "processes", "missing required key 'name'")]),
+    ("class not an object", ("classes", 1), "D",
+     [("E-JSON", "classes", "missing required key 'name'")]),
+    ("model name with a line break", ("name",), "a\nb",
+     [("E-JSON", "document", "'name' may not contain '\"' or a line break")]),
+    ("model name null", ("name",), None,
+     [("E-JSON", "document", "missing required key 'name'")]),
+    ("model name that is not UTF-8", ("name",), "\ud800",
+     [("E-JSON", "document", "'name' must encode as UTF-8")]),
+    ("top-level array", (), ["roles"],
+     [("E-JSON", "document", "top-level value must be an object")]),
+    ("class without a name", ("classes", 3), {"dynamic": True},
+     [("E-JSON", "classes", "missing required key 'name'")]),
+    ("transform without a mode", ("processes", 0, "transforms", 0), {"from": "C", "to": "D"},
+     [("E-JSON", "process=P", "transform mode must be 'remaining' or 'leaving', got None")]),
+    ("grant without a class", ("grants", 1), {"role": "B", "privileges": ["reference+"]},
+     [("E-JSON", "grants", "missing required key 'class'")]),
+    # The document lists grants before roles; the kinds are reported in a
+    # fixed order: the name, roles, classes, processes, grants.
+    ("mistakes in roles, classes and grants",
+     [("grants", 0, "privileges", 0), ("classes", 2, "dynamic"), ("roles", 1)], ["x", "no", 7],
+     [("E-JSON", "roles", "role name must be an identifier, got 7"),
+      ("E-JSON", "class=E", "'dynamic' must be true or false"),
+      ("E-JSON", "grant role=A class=C", "unknown privilege 'x'")]),
+    # A listing or a transform array given as a number, a string or null.
+    *[(f"{key} {kind}", path, value, [("E-JSON", site, f"{key!r} must be an array")])
+      for key, path, site in (
+          ("status_points", ("classes", 0, "status_points"), "class=C"),
+          ("privileges", ("grants", 1, "privileges"), "grant role=B class=C"),
+          ("transforms", ("processes", 0, "transforms"), "process=P"),
+      )
+      for kind, value in (("a number", 5), ("a string", "waiting"), ("null", None))],
+    ("class name a number", ("classes", 1, "name"), 5,
+     [("E-JSON", "classes", "class name must be an identifier, got 5")]),
+    ("process name null", ("processes", 1, "name"), None,
+     [("E-JSON", "processes", "missing required key 'name'")]),
+    ("dynamic null", ("classes", 1, "dynamic"), None,
+     [("E-JSON", "class=D", "'dynamic' must be true or false")]),
+    # A listing read once is reported at each entry that repeats it.
+    ("unknown privilege listing in two grants",
+     [("grants", 0, "privileges"), ("grants", 1, "privileges")], [["ownership"], ["ownership"]],
+     [("E-JSON", "grant role=A class=C", "unknown privilege 'ownership'"),
+      ("E-JSON", "grant role=B class=C", "unknown privilege 'ownership'")]),
+    # Class C lists waiting first; a privileges listing is read as privileges.
+    ("status point in a privileges listing", ("grants", 1, "privileges"), ["waiting"],
+     [("E-JSON", "grant role=B class=C", "unknown privilege 'waiting'")]),
+]
+
+
+def planted_json(path, value) -> object:
+    """The JSON form of ``PLANTED``, decoded, with ``value`` set at ``path``
+    (a list of values at a list of paths, as a row of ``PLANTED_JSON``)."""
+    doc = json.loads(emit_json(parse_text(PLANTED).model))
+    for at, planted in zip(path, value) if isinstance(path, list) else [(path, value)]:
+        if not at:
+            doc = planted
+            continue
+        *parents, last = at
+        parent = doc
+        for key in parents:
+            parent = parent[key]
+        if isinstance(parent, list) and last == len(parent):
+            parent.append(planted)
+        else:
+            parent[last] = planted
+    return doc
+
+
+# Per kind, well-typed JSON entries and ill-typed ones, which MIXED_JSON
+# interleaves, ill-typed after well-typed, entry by entry.
+WELL_TYPED_JSON = {
+    "roles": ["A", "B", "C"],
+    "classes": [
+        {"name": "C", "dynamic": True, "status_points": ["waiting"]},
+        {"name": "D", "dynamic": True},
+        {"name": "F", "status_points": []},
+        {"name": "I"},
+    ],
+    "processes": [
+        {"name": "P", "owners": ["A"], "inputs": ["C"], "outputs": ["D"],
+         "transforms": [{"from": "C", "to": "D", "mode": "leaving"}]},
+        {"name": "R", "responsibles": ["B"], "outputs": ["F"]},
+        {"name": "U", "owners": ["B"]},
+        {"name": "W"},
+    ],
+    "grants": [
+        {"role": "A", "class": "C", "privileges": ["creation", "reference"]},
+        {"role": "B", "class": "F", "privileges": ["creation", "reference"]},
+        {"role": "A", "class": "F", "privileges": ["reference+"]},
+        {"role": "B", "class": "D"},
+    ],
+}
+_ILL_TYPED_JSON = {
+    "roles": ["not a name", 7],
+    "classes": ["D", {"name": "E", "dynamic": 1}, {"name": "G-1"},
+                {"name": "H", "status_points": ["waiting", ["fail"]]}],
+    "processes": [
+        {"name": "Q", "transforms": [{"from": "C", "to": "D", "mode": ["leaving"]}]},
+        ["S"],
+        {"name": "T", "owners": ["A", 1], "inputs": "C"},
+        {"name": "V", "transforms": [{"from": "C"}]},
+    ],
+    "grants": [
+        {"role": "A", "class": "D", "privileges": ["reference", 1]},
+        "grant",
+        {"role": "B", "class": 3, "privileges": ["reference"]},
+        {"role": "B", "class": "C", "privileges": [["reference"]]},
+    ],
+}
+MIXED_JSON = {"name": "m", **{
+    kind: [
+        entry
+        for pair in zip_longest(WELL_TYPED_JSON[kind], _ILL_TYPED_JSON[kind])
+        for entry in pair
+        if entry is not None
+    ]
+    for kind in WELL_TYPED_JSON
+}}
+
 
 # A line with an explicit value of "--", the dest of its option (None where
 # argparse rejects the option itself), and the usage error that csm gives for

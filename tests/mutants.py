@@ -119,11 +119,11 @@ MUTANTS = (
         "    ensure_valid(model)\n",
         ("tests/test_classifier.py::TestReferenceOracle::test_random_models",),
     ),
-    # The JSON reader's fast test takes a class name that is not an identifier.
+    # The JSON reader takes a class name that is a string but not an identifier.
     Mutant(
         "src/csm/dsl.py",
-        "type(cname) is str and _is_identifier(cname)\n",
-        "type(cname) is str\n",
+        'if problem := _identifier_problem("class", cname):',
+        'if problem := type(cname) is not str and _identifier_problem("class", cname):',
         (
             "tests/test_dsl.py::TestOnePassReader::"
             "test_planted_json_mistake_reaches_the_reporting_path",
@@ -173,11 +173,11 @@ MUTANTS = (
         "    if max_steps < 1",
         ("tests/test_model.py::test_every_entry_point_reads_the_model_through_canonicalize",),
     ),
-    # The JSON reader's fast test takes owners, responsibles, inputs and
-    # outputs that are not strings, so name resolution reports them.
+    # The JSON reader takes owners, responsibles, inputs and outputs that
+    # are not strings, so name resolution reports them.
     Mutant(
         "src/csm/dsl.py",
-        '                "".join([*owners, *responsibles, *inputs, *outputs])\n',
+        "            and all(map(_IS_STR, [*owners, *responsibles, *inputs, *outputs]))\n",
         "",
         (
             "tests/test_dsl.py::TestOnePassReader::"
@@ -535,6 +535,17 @@ MUTANTS = (
         "len(names) == 2",
         "len(names) >= 2",
         ("tests/test_cli.py::TestExplore::test_bad_query_exits_two",),
+    ),
+    # The JSON reader's listing memo keeps a listing that named an unknown
+    # word, so a later entry with the same listing goes unreported.
+    Mutant(
+        "src/csm/dsl.py",
+        "        if len(errors) == mark:\n            memo[tuple(words)] = found\n",
+        "        memo[tuple(words)] = found\n",
+        (
+            "tests/test_dsl.py::TestOnePassReader::"
+            "test_planted_json_mistake_reaches_the_reporting_path",
+        ),
     ),
 )
 

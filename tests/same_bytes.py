@@ -20,13 +20,18 @@ with and without ``--show-privileges``, ``render --format mermaid`` and
 ``validate`` with each of three mistakes that the benchmark plants: a
 transform's mode removed, a grant on an undeclared class and a repeated
 role; and each goes through ``explore --stats`` from one object in its
-first class within 2 steps, so the lines end by every stop word. Then
-come ``explain`` for every catalog code and one unknown code, the fixed
-argument lists of ``test_cli_argv.py`` (help and each kind of usage
-error, and each explicit ``--`` value), a ``simulate`` or ``explore``
-line for each error the CLI names in a seed or query file, and the
-command lines that the benchmark's corpus and scale set-ups build for
-seeds 1 and 2, each ``explore`` with ``--stats`` added.
+first class within 2 steps, so the lines end by every stop word. JSON
+models with ill-typed entries go through ``validate``: each document of
+``PLANTED_JSON`` and ``MIXED_JSON`` in ``tests/helpers.py``, and 200
+seeded grafts, each a fixture's or bad fixture's JSON form with 1-3 values
+replaced by ``null``, ``5``, ``"x"``, ``[]``, ``[1]``, ``{}`` or
+``{"reference+": 1}``. Then come ``explain`` for every catalog code and
+one unknown code, the fixed argument lists of ``test_cli_argv.py`` (help
+and each kind of usage error, and each explicit ``--`` value), a
+``simulate`` or ``explore`` line for each error the CLI names in a seed
+or query file, and the command lines that the benchmark's corpus and
+scale set-ups build for seeds 1 and 2, each ``explore`` with ``--stats``
+added.
 
 One ``python -S`` child per tree calls ``csm.cli.main`` for each line, from
 the input directory, and records its exit code, stdout and stderr. The two
@@ -75,6 +80,7 @@ MODEL_COMMANDS = (
     ("fmt",),
 )
 RANDOM_MODELS = 50
+JSON_GRAFTS = 200
 BENCH_SEEDS = (1, 2)
 TIMINGS = ("build_s", "query_s")
 # The csm script's code; a line that starts with "csm" runs through it.
@@ -221,17 +227,60 @@ def _side_file_lines(work: Path) -> list[list[str]]:
     return lines
 
 
+# Values that a graft sets in place of one value of a fixture's JSON form,
+# as JSON text, so that each graft gets its own copy.
+GRAFT_VALUES = ("null", "5", '"x"', "[]", "[1]", "{}", '{"reference+": 1}')
+
+
+def _graft(doc: dict, rng: random.Random) -> None:
+    """Set one of ``GRAFT_VALUES`` in place of a value of ``doc``, at any
+    depth, both picked by ``rng``."""
+    slots, nodes = [], [doc]
+    while nodes:
+        node = nodes.pop()
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                nodes.append(node[key])
+    node, key = rng.choice(slots)
+    node[key] = json.loads(rng.choice(GRAFT_VALUES))
+
+
+def _json_mistake_lines(work: Path) -> list[list[str]]:
+    """``validate`` on JSON models with ill-typed entries, each written as
+    ``json_mistake<i>.json``: every ``helpers.PLANTED_JSON`` document,
+    ``helpers.MIXED_JSON``, and ``JSON_GRAFTS`` seeded grafts, each the JSON
+    form of a fixture or bad fixture with 1-3 values replaced by ``_graft``."""
+    docs = [helpers.planted_json(path, value) for _, path, value, _ in helpers.PLANTED_JSON]
+    docs.append(helpers.MIXED_JSON)
+    rng = random.Random("json grafts")
+    for _ in range(JSON_GRAFTS):
+        name = rng.choice((*FIXTURES, *BAD_FIXTURES))
+        doc = json.loads(emit_json(parse_text(fixture_text(name)).model))
+        for _ in range(rng.randint(1, 3)):
+            _graft(doc, rng)
+        docs.append(doc)
+    lines = []
+    for i, doc in enumerate(docs):
+        name = f"json_mistake{i}.json"
+        (work / name).write_text(json.dumps(doc), encoding="utf-8")
+        lines.append(["validate", name])
+    return lines
+
+
 def fixture_lines(work: Path) -> list[list[str]]:
     """The fixtures and bad fixtures in both forms through every model
     command, their texts with each mistake through ``validate``, and each
-    through ``explore --stats``; ``explain`` for every catalog code and one
-    unknown code; the fixed argument lists; a line per seed and query file
-    error; and the whole-process sample."""
+    through ``explore --stats``; ``validate`` on JSON models with ill-typed
+    entries; ``explain`` for every catalog code and one unknown code; the
+    fixed argument lists; a line per seed and query file error; and the
+    whole-process sample."""
     lines = []
     for name in (*FIXTURES, *BAD_FIXTURES):
         lines += _model_lines(work, name, fixture_text(name))
         lines += _broken_lines(work, name, fixture_text(name))
         lines.append(_explore_line(work, name, fixture_text(name)))
+    lines += _json_mistake_lines(work)
     lines += [["explain", code] for code in (*validator.CATALOG, "E-UNKNOWN")]
     lines += helpers.ERROR_KINDS + [argv for argv, _, _ in helpers.EXPLICIT_DOUBLE_DASH]
     return lines + _side_file_lines(work) + _process_lines(work)

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 import subprocess
@@ -23,8 +22,13 @@ from csm.diagnostics import _loads
 from csm.fixtures import BAD_FIXTURES, FIXTURES, fixture_text
 from csm.model import PRIVILEGES, STATUS_POINTS
 from helpers import (
+    MIXED_JSON,
+    PLANTED,
+    PLANTED_JSON,
+    WELL_TYPED_JSON,
     json_outcome,
     load_bench,
+    planted_json,
     random_model,
     random_model_text,
     random_token_soup,
@@ -335,32 +339,10 @@ class TestLexer:
         assert token_parser < 2 * one_pass, (token_parser, one_pass)
 
 
-# A small well-formed model, and one planted mistake per row: the text it
-# replaces (once), its replacement, and the diagnostics as (code, site, line,
-# column). A row without diagnostics still leaves the line reader, but for
-# those in _LINED_CLEAN.
-_PLANTED = """model "m" {
-  role A
-  role B
-  class C dynamic { waiting }
-  class D dynamic
-  class E
-  process P {
-    owner A
-    responsible B
-    input C
-    output D
-    transform C -> D leaving
-  }
-  process Q {
-    owner B
-    input D
-    output E
-  }
-  grant A on C { creation, reference, reference+ }
-  grant B on C { reference+ }
-}
-"""
+# One mistake planted in PLANTED per row: the text it replaces (once), its
+# replacement, and the diagnostics as (code, site, line, column). A row
+# without diagnostics still leaves the line reader, but for those in
+# _LINED_CLEAN.
 _PLANTED_TEXT = [
     ("duplicate role", "  role B\n", "  role B\n  role A\n", [("E-DUP", "role=A", 4, 8)]),
     ("duplicate class", "  class E\n", "  class E\n  class D\n", [("E-DUP", "class=D", 7, 9)]),
@@ -403,100 +385,6 @@ _PLANTED_TEXT = [
 ]
 # Whitespace that is not ASCII is whitespace to the line reader too.
 _LINED_CLEAN = {"non-ASCII whitespace", "non-ASCII whitespace after the model"}
-# The same for the JSON form of _PLANTED: the path of the value to set (an
-# index one past the end appends; the empty path replaces the document), the
-# value, and the diagnostics as (code, site, message). A row with several
-# mistakes gives a list of paths and a list of their values.
-_PLANTED_JSON = [
-    ("duplicate role", ("roles", 2), "A", [("E-DUP", "role=A", "role 'A' declared twice")]),
-    ("duplicate class", ("classes", 3), {"name": "D", "dynamic": True},
-     [("E-DUP", "class=D", "class 'D' declared twice")]),
-    ("duplicate process", ("processes", 1, "name"), "P",
-     [("E-DUP", "process=P", "process 'P' declared twice")]),
-    ("owner also responsible", ("processes", 0, "responsibles", 1), "A",
-     [("E-DUP", "process=P role=A", "role 'A' already holds a privilege on this process")]),
-    ("undeclared role in a process", ("processes", 1, "owners", 0), "Z",
-     [("E-REF", "process=Q role=Z", "role 'Z' is not declared")]),
-    ("undeclared class in a process", ("processes", 1, "outputs", 0), "Z",
-     [("E-REF", "process=Q class=Z", "class 'Z' is not declared")]),
-    ("undeclared role in a grant", ("grants", 1, "role"), "Z",
-     [("E-REF", "grant role=Z class=C", "role 'Z' is not declared")]),
-    ("undeclared class in a grant", ("grants", 1, "class"), "Z",
-     [("E-REF", "grant role=B class=Z", "class 'Z' is not declared")]),
-    ("transform source not an input", ("processes", 0, "transforms", 0, "from"), "E",
-     [("E-TRF-END", "process=P transform=E->D",
-       "transform source 'E' is not an input of the process")]),
-    ("transform target not an output", ("processes", 0, "transforms", 0, "to"), "E",
-     [("E-TRF-END", "process=P transform=C->E",
-       "transform target 'E' is not an output of the process")]),
-    ("unknown status point", ("classes", 0, "status_points", 1), "later",
-     [("E-JSON", "class=C", "unknown status point 'later'")]),
-    ("status point that cannot be hashed", ("classes", 0, "status_points", 1), ["waiting"],
-     [("E-JSON", "class=C", "unknown status point ['waiting']")]),
-    ("unknown privilege", ("grants", 1, "privileges", 1), "ownership",
-     [("E-JSON", "grant role=B class=C", "unknown privilege 'ownership'")]),
-    ("unknown transform mode", ("processes", 0, "transforms", 0, "mode"), "later",
-     [("E-JSON", "process=P", "transform mode must be 'remaining' or 'leaving', got 'later'")]),
-    ("class name not an identifier", ("classes", 3), {"name": "F-1"},
-     [("E-JSON", "classes", "class name must be an identifier, got 'F-1'")]),
-    ("role name not an identifier", ("roles", 2), "not a name",
-     [("E-JSON", "roles", "role name must be an identifier, got 'not a name'")]),
-    ("grant not an object", ("grants", 2), "grant",
-     [("E-JSON", "grants", "missing required key 'role'"),
-      ("E-JSON", "grants", "missing required key 'class'")]),
-    ("dynamic not a boolean", ("classes", 1, "dynamic"), 1,
-     [("E-JSON", "class=D", "'dynamic' must be true or false")]),
-    # Names that refer to a declaration are type-checked by resolving them.
-    ("owner not a string", ("processes", 1, "owners", 0), 5,
-     [("E-JSON", "process=Q", "'owners' entries must be strings")]),
-    ("owner that cannot be hashed", ("processes", 1, "owners", 0), ["B"],
-     [("E-JSON", "process=Q", "'owners' entries must be strings")]),
-    ("input that cannot be hashed", ("processes", 1, "inputs", 0), {"D": 1},
-     [("E-JSON", "process=Q", "'inputs' entries must be strings")]),
-    ("inputs not an array", ("processes", 1, "inputs"), "D",
-     [("E-JSON", "process=Q", "'inputs' must be an array")]),
-    ("owners null", ("processes", 1, "owners"), None,
-     [("E-JSON", "process=Q", "'owners' must be an array")]),
-    ("transform not an object", ("processes", 0, "transforms", 0), "C->D",
-     [("E-JSON", "process=P", "transform needs 'from' and 'to' strings")]),
-    ("transform source not a string", ("processes", 0, "transforms", 0, "from"), 1,
-     [("E-JSON", "process=P", "transform needs 'from' and 'to' strings")]),
-    ("transform mode that cannot be hashed", ("processes", 0, "transforms", 0, "mode"),
-     ["leaving"],
-     [("E-JSON", "process=P",
-       "transform mode must be 'remaining' or 'leaving', got ['leaving']")]),
-    ("grant role not a string", ("grants", 1, "role"), 1,
-     [("E-JSON", "grants", "grant needs 'role' and 'class' strings")]),
-    ("grant class that cannot be hashed", ("grants", 1, "class"), ["C"],
-     [("E-JSON", "grants", "grant needs 'role' and 'class' strings")]),
-    ("privileges not an array", ("grants", 1, "privileges"), {"reference+": 1},
-     [("E-JSON", "grant role=B class=C", "'privileges' must be an array")]),
-    ("process not an object", ("processes", 2), "R",
-     [("E-JSON", "processes", "missing required key 'name'")]),
-    ("class not an object", ("classes", 1), "D",
-     [("E-JSON", "classes", "missing required key 'name'")]),
-    ("model name with a line break", ("name",), "a\nb",
-     [("E-JSON", "document", "'name' may not contain '\"' or a line break")]),
-    ("model name null", ("name",), None,
-     [("E-JSON", "document", "missing required key 'name'")]),
-    ("model name that is not UTF-8", ("name",), "\ud800",
-     [("E-JSON", "document", "'name' must encode as UTF-8")]),
-    ("top-level array", (), ["roles"],
-     [("E-JSON", "document", "top-level value must be an object")]),
-    ("class without a name", ("classes", 3), {"dynamic": True},
-     [("E-JSON", "classes", "missing required key 'name'")]),
-    ("transform without a mode", ("processes", 0, "transforms", 0), {"from": "C", "to": "D"},
-     [("E-JSON", "process=P", "transform mode must be 'remaining' or 'leaving', got None")]),
-    ("grant without a class", ("grants", 1), {"role": "B", "privileges": ["reference+"]},
-     [("E-JSON", "grants", "missing required key 'class'")]),
-    # The document lists grants before roles; the kinds are reported in a
-    # fixed order: the name, roles, classes, processes, grants.
-    ("mistakes in roles, classes and grants",
-     [("grants", 0, "privileges", 0), ("classes", 2, "dynamic"), ("roles", 1)], ["x", "no", 7],
-     [("E-JSON", "roles", "role name must be an identifier, got 7"),
-      ("E-JSON", "class=E", "'dynamic' must be true or false"),
-      ("E-JSON", "grant role=A class=C", "unknown privilege 'x'")]),
-]
 
 
 def _one_line(text: str) -> str:
@@ -565,21 +453,6 @@ def _no_token_parser(*args):
     raise AssertionError("text read token by token")
 
 
-def _put(doc, path, value):
-    """``doc`` with ``value`` set at ``path``."""
-    if not path:
-        return value
-    root = doc
-    *parents, last = path
-    for key in parents:
-        doc = doc[key]
-    if isinstance(doc, list) and last == len(doc):
-        doc.append(value)
-    else:
-        doc[last] = value
-    return root
-
-
 class TestOnePassReader:
     """``parse_text`` reads text laid out a declaration a line with the line
     reader and hands any other text to the token parser; either way it
@@ -613,9 +486,9 @@ class TestOnePassReader:
         rng = random.Random(20261027)
         texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES]
         texts += [emit_text(random_model(rng)) for _ in range(100)]
-        texts += [_PLANTED, synth.to_text(doc)]
+        texts += [PLANTED, synth.to_text(doc)]
         reported = [_report_text(text, "f.csm") for text in texts]
-        base = parse_text(_PLANTED).model
+        base = parse_text(PLANTED).model
         monkeypatch.setattr(dsl, "_Parser", _no_token_parser)
         for text, report in zip(texts, reported):
             assert _read_text(text) is not None, text
@@ -641,7 +514,7 @@ class TestOnePassReader:
         undeclared = scale.replace("\n    owner ", "\n    owner Zz", 1)
         line = undeclared[: undeclared.index("owner Zz")].count("\n") + 1
         cases = [
-            (_PLANTED.replace(old, new), expected)
+            (PLANTED.replace(old, new), expected)
             for _, old, new, expected in _PLANTED_TEXT
             if expected and {row[0] for row in expected} <= _RESOLUTION_CODES
         ]
@@ -661,12 +534,12 @@ class TestOnePassReader:
 
     @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
     def test_layouts_agree_with_the_reporting_path(self, layout):
-        # Every fixture, _PLANTED and each of its rows that only name
+        # Every fixture, PLANTED and each of its rows that only name
         # resolution rejects, laid out another way: the line reader reads
         # what it accepts as the token parser does, spans included.
-        texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES] + [_PLANTED]
+        texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES] + [PLANTED]
         texts += [
-            _PLANTED.replace(old, new)
+            PLANTED.replace(old, new)
             for _, old, new, expected in _PLANTED_TEXT
             if expected and {row[0] for row in expected} <= _RESOLUTION_CODES
         ]
@@ -676,14 +549,14 @@ class TestOnePassReader:
             assert (_read_text(variant) is not None) == (layout not in _TOKEN_LAYOUTS), variant
 
     def test_inserted_characters_agree_with_the_reporting_path(self):
-        # Every fixture, _PLANTED and each of its rows that only name
+        # Every fixture, PLANTED and each of its rows that only name
         # resolution rejects, with characters put in: whitespace is
         # whitespace to both readers, and any other character that is not
         # ASCII stays out of the names that the line reader takes.
         rng = random.Random(20261038)
-        texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES] + [_PLANTED]
+        texts = [fixture_text(name) for name in FIXTURES + BAD_FIXTURES] + [PLANTED]
         texts += [
-            _PLANTED.replace(old, new)
+            PLANTED.replace(old, new)
             for _, old, new, expected in _PLANTED_TEXT
             if expected and {row[0] for row in expected} <= _RESOLUTION_CODES
         ]
@@ -703,8 +576,8 @@ class TestOnePassReader:
         "name, old, new, expected", _PLANTED_TEXT, ids=[r[0] for r in _PLANTED_TEXT]
     )
     def test_planted_text_mistake_reaches_the_reporting_path(self, name, old, new, expected):
-        assert _PLANTED.count(old) == 1
-        text = _PLANTED.replace(old, new)
+        assert PLANTED.count(old) == 1
+        text = PLANTED.replace(old, new)
         kinds = {row[0] for row in expected}
         lined = kinds <= _RESOLUTION_CODES and bool(expected or name in _LINED_CLEAN)
         assert (_read_text(text) is not None) == lined
@@ -715,18 +588,14 @@ class TestOnePassReader:
         for d in result.diagnostics:
             d.render().encode("utf-8")  # no diagnostic quotes an unwritable name
         if not expected:
-            assert result.model == parse_text(_PLANTED).model
+            assert result.model == parse_text(PLANTED).model
 
     @pytest.mark.parametrize(
-        "path, value, expected", [row[1:] for row in _PLANTED_JSON],
-        ids=[r[0] for r in _PLANTED_JSON],
+        "path, value, expected", [row[1:] for row in PLANTED_JSON],
+        ids=[r[0] for r in PLANTED_JSON],
     )
     def test_planted_json_mistake_reaches_the_reporting_path(self, path, value, expected):
-        doc = json.loads(emit_json(parse_text(_PLANTED).model))
-        edits = zip(path, value) if isinstance(path, list) else [(path, value)]
-        for at, planted in edits:
-            doc = _put(doc, at, planted)
-        result = parse_json(json.dumps(doc))
+        result = parse_json(json.dumps(planted_json(path, value)))
         assert result.model is None
         assert [(d.code, d.site, d.message) for d in result.diagnostics] == expected
 
@@ -960,54 +829,7 @@ class TestJson:
         # Per kind, ill-typed entries sit between well-typed ones: each
         # ill-typed entry is reported in document order, and the well-typed
         # ones around it are read as in a document without it.
-        good = {
-            "roles": ["A", "B", "C"],
-            "classes": [
-                {"name": "C", "dynamic": True, "status_points": ["waiting"]},
-                {"name": "D", "dynamic": True},
-                {"name": "F", "status_points": []},
-                {"name": "I"},
-            ],
-            "processes": [
-                {"name": "P", "owners": ["A"], "inputs": ["C"], "outputs": ["D"],
-                 "transforms": [{"from": "C", "to": "D", "mode": "leaving"}]},
-                {"name": "R", "responsibles": ["B"], "outputs": ["F"]},
-                {"name": "U", "owners": ["B"]},
-                {"name": "W"},
-            ],
-            "grants": [
-                {"role": "A", "class": "C", "privileges": ["creation", "reference"]},
-                {"role": "B", "class": "F", "privileges": ["creation", "reference"]},
-                {"role": "A", "class": "F", "privileges": ["reference+"]},
-                {"role": "B", "class": "D"},
-            ],
-        }
-        bad = {
-            "roles": ["not a name", 7],
-            "classes": ["D", {"name": "E", "dynamic": 1}, {"name": "G-1"},
-                        {"name": "H", "status_points": ["waiting", ["fail"]]}],
-            "processes": [
-                {"name": "Q", "transforms": [{"from": "C", "to": "D", "mode": ["leaving"]}]},
-                ["S"],
-                {"name": "T", "owners": ["A", 1], "inputs": "C"},
-                {"name": "V", "transforms": [{"from": "C"}]},
-            ],
-            "grants": [
-                {"role": "A", "class": "D", "privileges": ["reference", 1]},
-                "grant",
-                {"role": "B", "class": 3, "privileges": ["reference"]},
-                {"role": "B", "class": "C", "privileges": [["reference"]]},
-            ],
-        }
-        mixed = {"name": "m"}
-        for kind in good:
-            mixed[kind] = [
-                entry
-                for pair in itertools.zip_longest(good[kind], bad[kind], fillvalue=None)
-                for entry in pair
-                if entry is not None
-            ]
-        result = parse_json(json.dumps(mixed))
+        result = parse_json(json.dumps(MIXED_JSON))
         assert result.model is None
         assert [(d.code, d.site, d.message) for d in result.diagnostics] == [
             ("E-JSON", "roles", "role name must be an identifier, got 'not a name'"),
@@ -1028,7 +850,7 @@ class TestJson:
             ("E-JSON", "grants", "grant needs 'role' and 'class' strings"),
             ("E-JSON", "grant role=B class=C", "unknown privilege ['reference']"),
         ]
-        model = parse_json(json.dumps({"name": "m", **good})).model
+        model = parse_json(json.dumps({"name": "m", **WELL_TYPED_JSON})).model
         assert model.roles == ("A", "B", "C")
         assert model.class_names == ("C", "D", "F", "I")
         assert model.process_names == ("P", "R", "U", "W")
@@ -1058,13 +880,10 @@ class TestLoads:
             assert self.check(variant)[0] == "value"
 
     @pytest.mark.parametrize(
-        "path, value", [row[1:3] for row in _PLANTED_JSON], ids=[r[0] for r in _PLANTED_JSON]
+        "path, value", [row[1:3] for row in PLANTED_JSON], ids=[r[0] for r in PLANTED_JSON]
     )
     def test_planted_json_documents(self, path, value):
-        doc = json.loads(emit_json(parse_text(_PLANTED).model))
-        edits = zip(path, value) if isinstance(path, list) else [(path, value)]
-        for at, planted in edits:
-            doc = _put(doc, at, planted)
+        doc = planted_json(path, value)
         for text in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(doc)[:-1]):
             self.check(text)
 

@@ -90,6 +90,33 @@ class TestState:
         with pytest.raises(UnknownClass):
             run_script(scenarios["hospital_cleaning"], [("r", "Lobby")], [])
 
+    # "ab" and a two-key object would unpack into an object and a class.
+    @pytest.mark.parametrize("entry", [
+        "ab", ("a",), ("a", ["OccupiedRoom"]), ("a", "OccupiedRoom", "x"), None,
+        {"object": "a", "class": "OccupiedRoom"},
+    ])
+    def test_seed_entry_that_is_not_a_pair_of_strings_is_refused(self, scenarios, entry):
+        m, seed = scenarios["hospital_cleaning"], [("r", "OccupiedRoom"), entry]
+        for call in (
+            lambda: run_script(m, seed, []),
+            lambda: build_graph(m, seed, 8, 2),
+            lambda: explore(m, seed, 8, 2),
+        ):
+            with pytest.raises(ModelError) as caught:
+                call()
+            assert type(caught.value) is ModelError
+            assert str(caught.value) == (
+                f"at /1 must be a pair of strings (object, class): {entry!r}"
+            )
+
+    @pytest.mark.parametrize("entry", ["ab", ("CleanRoom",), ("CleanRoom", ["r"]), None])
+    def test_script_entry_that_is_not_a_pair_of_strings_is_refused(self, scenarios, entry):
+        script = [("CleanRoom", "r"), entry]
+        with pytest.raises(ModelError) as caught:
+            run_script(scenarios["hospital_cleaning"], [("r", "OccupiedRoom")], script)
+        assert type(caught.value) is ModelError
+        assert str(caught.value) == f"at /1 must be a pair of strings (process, object): {entry!r}"
+
 
 def _fires(model, seed, object_id) -> set[str]:
     """The processes other than generators that fire on the object as the
